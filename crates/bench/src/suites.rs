@@ -14,10 +14,8 @@ use cchunter_detector::mitigation::MitigationConfig;
 use cchunter_detector::online::{Harvest, OnlineContentionDetector};
 use cchunter_detector::pipeline::symbol_series;
 use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
-use cchunter_detector::supervisor::{PairInput, ProbeFault, Supervisor, SupervisorConfig};
-use cchunter_detector::{
-    AdvisoryEnforcer, BloomFilter, CcHunter, CcHunterConfig, PairAudit, PairEvidence,
-};
+use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
+use cchunter_detector::{BloomFilter, CcHunter, CcHunterConfig, PairAudit, PairEvidence};
 use criterion::{black_box, Criterion};
 
 /// Runs every detector benchmark against `c`.
@@ -30,7 +28,6 @@ pub fn detector_suite(c: &mut Criterion) {
     bench_clustering(c);
     bench_online_push(c);
     bench_audit_pairs(c);
-    bench_supervisor_tick(c);
     bench_sharded_tick(c);
     bench_mitigation_tick(c);
     bench_bloom(c);
@@ -181,44 +178,14 @@ fn bench_audit_pairs(c: &mut Criterion) {
     });
 }
 
-fn bench_supervisor_tick(c: &mut Criterion) {
-    // One supervised tick of an 8-pair fleet at steady state (full
-    // 64-quantum windows): the per-quantum cost of the whole supervision
-    // layer — probe dispatch, watchdogged parallel analysis, breaker
-    // bookkeeping — on top of the raw per-pair pushes.
-    let config = SupervisorConfig {
-        window_quanta: 64,
-        ..SupervisorConfig::default()
-    };
-    let mut fleet = Supervisor::new(config).expect("valid supervisor config");
-    for pair in 0..8 {
-        fleet
-            .add_contention_pair(format!("memory-bus: pair {pair}"))
-            .expect("valid pair config");
-    }
-    let histograms: Vec<DensityHistogram> = (0..8)
-        .map(|i| covert_histogram(14 + (i % 7), 2_500))
-        .collect();
-    let mut source = |pair: usize, tick: u64, _attempt: u32| {
-        Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(
-            histograms[(pair + tick as usize) % histograms.len()].clone(),
-        )))
-    };
-    for _ in 0..64 {
-        fleet.tick(&mut source);
-    }
-    c.bench_function("supervisor_tick_8_pairs_64_window", |b| {
-        b.iter(|| black_box(fleet.tick(&mut source)))
-    });
-}
-
 fn bench_sharded_tick(c: &mut Criterion) {
-    // The same 8-pair steady-state workload as `supervisor_tick`, run
-    // through the sharded coordinator with a single shard: the measured
-    // delta over the flat supervisor is the pure cost of the coordinator
-    // layer (global probe + mailbox hand-off + heartbeat settle). The
-    // second shape spreads 64 pairs across 8 failure domains — the
-    // per-tick cost of a realistically partitioned fleet.
+    // One tick of an 8-pair fleet at steady state (full 64-quantum
+    // windows) on a single shard: the per-quantum cost of the whole
+    // supervision layer — breaker-gated probe dispatch, watchdogged
+    // parallel analysis, breaker bookkeeping, heartbeat settle — on top of
+    // the raw per-pair pushes. The second shape spreads 64 pairs across 8
+    // failure domains — the per-tick cost of a realistically partitioned
+    // fleet.
     let histograms: Vec<DensityHistogram> = (0..8)
         .map(|i| covert_histogram(14 + (i % 7), 2_500))
         .collect();
@@ -254,19 +221,23 @@ fn bench_sharded_tick(c: &mut Criterion) {
 }
 
 fn bench_mitigation_tick(c: &mut Criterion) {
-    // The supervisor tick with the containment layer fully engaged: every
-    // pair convicted, its ladder driven each tick (streak bookkeeping,
-    // enforcement calls, metrics) — the marginal cost of closed-loop
-    // mitigation over plain supervision.
-    let config = SupervisorConfig {
-        window_quanta: 64,
-        mitigation: MitigationConfig {
-            convict_streak: 2,
-            ..MitigationConfig::default()
+    // The one-shard fleet tick with the containment layer fully engaged:
+    // every pair convicted, its ladder driven each tick (streak
+    // bookkeeping, enforcement calls, metrics) — the marginal cost of
+    // closed-loop mitigation over plain supervision.
+    let config = ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 64,
+            mitigation: MitigationConfig {
+                convict_streak: 2,
+                ..MitigationConfig::default()
+            },
+            ..SupervisorConfig::default()
         },
-        ..SupervisorConfig::default()
+        ..ShardedFleetConfig::default()
     };
-    let mut fleet = Supervisor::new(config).expect("valid supervisor config");
+    let mut fleet = ShardedFleet::new(config).expect("valid fleet config");
     for pair in 0..8 {
         fleet
             .add_contention_pair(format!("memory-bus: pair {pair}"))
@@ -280,14 +251,13 @@ fn bench_mitigation_tick(c: &mut Criterion) {
             histograms[(pair + tick as usize) % histograms.len()].clone(),
         )))
     };
-    let mut enforcer = AdvisoryEnforcer;
     // Warm past conviction so every pair holds an active containment.
     for _ in 0..64 {
-        fleet.tick_with_enforcer(&mut source, &mut enforcer);
+        fleet.tick(&mut source);
     }
     assert!(fleet.metrics_snapshot().contained_pairs > 0);
     c.bench_function("mitigation_tick_8_pairs_contained", |b| {
-        b.iter(|| black_box(fleet.tick_with_enforcer(&mut source, &mut enforcer)))
+        b.iter(|| black_box(fleet.tick(&mut source)))
     });
 }
 

@@ -741,7 +741,7 @@ impl SaturatingHistogram {
 }
 
 /// Cloneable shared counters published by every [`IngestPipeline`];
-/// attach a clone to a [`Supervisor`](crate::Supervisor) (via
+/// attach a clone to a [`ShardedFleet`](crate::ShardedFleet) (via
 /// `attach_ingest_stats`) and the totals appear in `metrics_snapshot()`.
 #[derive(Debug, Clone, Default)]
 pub struct IngestStats {

@@ -133,8 +133,8 @@ pub use shard::{
 pub use span::{Span, TraceEvent, Tracer};
 pub use store::{classify_io, CheckpointStore, DiskMedium, StorageFaultKind, StorageMedium};
 pub use supervisor::{
-    Durability, FleetStatus, IngestSnapshot, LatencySummary, MetricsSnapshot, PairInput, PairKind,
-    PairSnapshot, ProbeFault, ProbeSource, RecoveredFleet, Supervisor, SupervisorConfig,
+    Durability, IngestSnapshot, LatencySummary, MetricsSnapshot, PairInput, PairKind, ProbeFault,
+    ProbeSource, SupervisorConfig,
 };
 pub use trace::TraceError;
 

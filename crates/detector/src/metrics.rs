@@ -28,10 +28,10 @@
 //! A process-wide [`default_registry`] collects the hot-path instruments of
 //! [`crate::pipeline`], [`crate::online`] and [`crate::policy`]; components
 //! that want isolation (tests, multi-tenant embedders) construct their own
-//! [`Registry`] and inject it (see
-//! [`Supervisor::with_registry`](crate::supervisor::Supervisor::with_registry)).
+//! [`Registry`]; every [`crate::ShardedFleet`] shard and its coordinator
+//! own private ones (see [`crate::ShardedFleet::render_prometheus`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -408,6 +408,14 @@ impl<M: Clone> Family<M> {
     }
 }
 
+impl Family<Counter> {
+    /// The sum of every member's count.
+    pub fn total(&self) -> u64 {
+        let members = self.members.lock().expect("family lock poisoned");
+        members.values().map(Counter::get).sum()
+    }
+}
+
 /// Every instrument shape a [`Registry`] can hold.
 #[derive(Clone, Debug)]
 pub enum Metric {
@@ -648,59 +656,8 @@ impl Registry {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, help, metric) in self.registrations() {
-            if !help.is_empty() {
-                writeln!(out, "# HELP {name} {}", escape_help(&help)).expect("string write");
-            }
-            writeln!(out, "# TYPE {name} {}", metric.type_name()).expect("string write");
-            let prefix_len = out.len();
-            for sample in self.samples_for(&name, &metric) {
-                write_sample_line(&mut out, &sample);
-            }
-            // A family with no members yet still printed its headers; that
-            // is valid exposition, nothing to clean up.
-            let _ = prefix_len;
-        }
-        out
-    }
-
-    fn samples_for(&self, name: &str, metric: &Metric) -> Vec<Sample> {
-        let mut out = Vec::new();
-        match metric {
-            Metric::Counter(c) => out.push(Sample {
-                name: name.to_string(),
-                labels: Vec::new(),
-                value: c.get() as f64,
-            }),
-            Metric::Gauge(g) => out.push(Sample {
-                name: name.to_string(),
-                labels: Vec::new(),
-                value: g.get(),
-            }),
-            Metric::Histogram(h) => histogram_samples(&mut out, name, &[], h),
-            Metric::CounterFamily(f) => {
-                for (label, c) in f.snapshot() {
-                    out.push(Sample {
-                        name: name.to_string(),
-                        labels: vec![(f.label_name().to_string(), label)],
-                        value: c.get() as f64,
-                    });
-                }
-            }
-            Metric::GaugeFamily(f) => {
-                for (label, g) in f.snapshot() {
-                    out.push(Sample {
-                        name: name.to_string(),
-                        labels: vec![(f.label_name().to_string(), label)],
-                        value: g.get(),
-                    });
-                }
-            }
-            Metric::HistogramFamily(f) => {
-                for (label, h) in f.snapshot() {
-                    let labels = [(f.label_name().to_string(), label)];
-                    histogram_samples(&mut out, name, &labels, &h);
-                }
-            }
+            write_headers(&mut out, &name, &help, metric.type_name());
+            write_metric_lines(&mut out, &name, &metric, None);
         }
         out
     }
@@ -772,37 +729,113 @@ impl Registry {
 /// through their injected labels (two unlabeled parts sharing a name will
 /// emit duplicate series — give parts distinct labels).
 pub fn render_prometheus_merged(parts: &[(Option<(&str, &str)>, &Registry)]) -> String {
+    // Each metric name's lines accumulate in its own buffer, written
+    // straight from the instruments: no per-sample structs or strings.
     let mut order: Vec<(String, String, &'static str)> = Vec::new();
-    let mut by_name: BTreeMap<String, Vec<Sample>> = BTreeMap::new();
+    let mut bodies: Vec<String> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
     for (extra, registry) in parts {
         for (name, help, metric) in registry.registrations() {
-            if !by_name.contains_key(&name) {
+            let slot = *index.entry(name.clone()).or_insert_with(|| {
                 order.push((name.clone(), help, metric.type_name()));
-                by_name.insert(name.clone(), Vec::new());
-            }
-            let mut samples = registry.samples_for(&name, &metric);
-            if let Some((k, v)) = extra {
-                for sample in &mut samples {
-                    sample.labels.insert(0, (k.to_string(), v.to_string()));
-                }
-            }
-            by_name
-                .get_mut(&name)
-                .expect("inserted above")
-                .extend(samples);
+                bodies.push(String::new());
+                bodies.len() - 1
+            });
+            write_metric_lines(&mut bodies[slot], &name, &metric, *extra);
         }
     }
-    let mut out = String::new();
-    for (name, help, type_name) in order {
-        if !help.is_empty() {
-            writeln!(out, "# HELP {name} {}", escape_help(&help)).expect("string write");
-        }
-        writeln!(out, "# TYPE {name} {type_name}").expect("string write");
-        for sample in &by_name[&name] {
-            write_sample_line(&mut out, sample);
-        }
+    let mut out = String::with_capacity(bodies.iter().map(String::len).sum::<usize>());
+    for ((name, help, type_name), body) in order.iter().zip(&bodies) {
+        write_headers(&mut out, name, help, type_name);
+        out.push_str(body);
     }
     out
+}
+
+fn write_headers(out: &mut String, name: &str, help: &str, type_name: &str) {
+    if !help.is_empty() {
+        writeln!(out, "# HELP {name} {}", escape_help(help)).expect("string write");
+    }
+    writeln!(out, "# TYPE {name} {type_name}").expect("string write");
+}
+
+/// Writes one instrument's exposition lines (no headers), with `extra` as
+/// the first label of every line.
+fn write_metric_lines(out: &mut String, name: &str, metric: &Metric, extra: Option<(&str, &str)>) {
+    match metric {
+        Metric::Counter(c) => write_line(out, name, "", [extra, None], None, c.get() as f64),
+        Metric::Gauge(g) => write_line(out, name, "", [extra, None], None, g.get()),
+        Metric::Histogram(h) => write_histogram(out, name, [extra, None], h),
+        Metric::CounterFamily(f) => {
+            for (label, c) in f.snapshot() {
+                let labels = [extra, Some((f.label_name(), label.as_str()))];
+                write_line(out, name, "", labels, None, c.get() as f64);
+            }
+        }
+        Metric::GaugeFamily(f) => {
+            for (label, g) in f.snapshot() {
+                let labels = [extra, Some((f.label_name(), label.as_str()))];
+                write_line(out, name, "", labels, None, g.get());
+            }
+        }
+        Metric::HistogramFamily(f) => {
+            for (label, h) in f.snapshot() {
+                write_histogram(
+                    out,
+                    name,
+                    [extra, Some((f.label_name(), label.as_str()))],
+                    &h,
+                );
+            }
+        }
+    }
+}
+
+fn write_histogram(out: &mut String, name: &str, labels: [Option<(&str, &str)>; 2], h: &Histogram) {
+    for (bound, cumulative) in h.cumulative_buckets() {
+        write_line(out, name, "_bucket", labels, Some(bound), cumulative as f64);
+    }
+    write_line(out, name, "_sum", labels, None, h.sum());
+    write_line(out, name, "_count", labels, None, h.count() as f64);
+}
+
+/// Writes one sample line: `name` + `suffix`, the present `labels` in
+/// order then `le` (a histogram bucket bound), and the value.
+fn write_line(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: [Option<(&str, &str)>; 2],
+    le: Option<f64>,
+    value: f64,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    let mut first = true;
+    for (key, label) in labels.into_iter().flatten() {
+        out.push(if first { '{' } else { ',' });
+        first = false;
+        out.push_str(key);
+        out.push_str("=\"");
+        push_escaped_label(out, label);
+        out.push('"');
+    }
+    if let Some(bound) = le {
+        out.push_str(if first { "{le=\"" } else { ",le=\"" });
+        first = false;
+        if bound.is_infinite() {
+            out.push_str("+Inf");
+        } else {
+            write_value(out, bound);
+        }
+        out.push('"');
+    }
+    if !first {
+        out.push('}');
+    }
+    out.push(' ');
+    write_value(out, value);
+    out.push('\n');
 }
 
 fn histogram_samples(
@@ -842,37 +875,33 @@ fn format_bound(bound: f64) -> String {
 
 /// Formats a sample value so that it round-trips through `str::parse::<f64>`.
 fn format_value(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
+    let mut out = String::new();
+    write_value(&mut out, v);
+    out
 }
 
-fn write_sample_line(out: &mut String, sample: &Sample) {
-    out.push_str(&sample.name);
-    if !sample.labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in sample.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(out, "{k}=\"{}\"", escape_label(v)).expect("string write");
-        }
-        out.push('}');
+/// Writes a sample value so that it round-trips through `str::parse::<f64>`.
+fn write_value(out: &mut String, v: f64) {
+    if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{}", v as i64).expect("string write");
+    } else {
+        write!(out, "{v}").expect("string write");
     }
-    writeln!(out, " {}", format_value(sample.value)).expect("string write");
 }
 
 fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+fn push_escaped_label(out: &mut String, value: &str) {
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
 }
 
 fn json_string(s: &str) -> String {
@@ -924,8 +953,7 @@ fn json_histogram(out: &mut String, h: &Histogram) {
 
 /// The process-wide default registry: hot-path instruments in
 /// [`crate::pipeline`], [`crate::online`] and [`crate::policy`] register
-/// here, and [`crate::supervisor::Supervisor`] uses it unless an explicit
-/// registry is injected.
+/// here (fleet instruments live in per-fleet registries).
 pub fn default_registry() -> Registry {
     static DEFAULT: OnceLock<Registry> = OnceLock::new();
     DEFAULT.get_or_init(Registry::new).clone()
@@ -1230,6 +1258,54 @@ mod tests {
             })
             .collect();
         assert_eq!(parsed, expected);
+    }
+
+    #[test]
+    fn merged_rendering_prefixes_part_labels_and_prints_headers_once() {
+        let parts: Vec<Registry> = (0..2)
+            .map(|i| {
+                let r = Registry::new();
+                r.counter("cchunter_a_total", "plain").inc_by(i + 1);
+                let f = r.counter_family("cchunter_lbl_total", "labels", "pair");
+                f.with_label("weird \"label\"\\with\nnasties").inc_by(9);
+                r.histogram("cchunter_h_us", "hist", &[1.0, 2.5])
+                    .observe(2.0);
+                r
+            })
+            .collect();
+        let labels = ["0", "1"];
+        let rendered = render_prometheus_merged(&[
+            (Some(("shard", labels[0])), &parts[0]),
+            (Some(("shard", labels[1])), &parts[1]),
+        ]);
+        assert_eq!(
+            rendered.matches("# TYPE cchunter_h_us histogram").count(),
+            1
+        );
+        let scrape = parse_prometheus(&rendered);
+        assert!(scrape.is_clean(), "{:?}", scrape.skipped);
+        // Series group by name, parts in order within each name.
+        let mut expected: Vec<ParsedSample> = Vec::new();
+        for name in ["cchunter_a_total", "cchunter_lbl_total", "cchunter_h_us"] {
+            for (part, label) in parts.iter().zip(labels) {
+                for s in part.samples() {
+                    if s.name.strip_suffix("_bucket").unwrap_or(&s.name) == name
+                        || s.name.strip_suffix("_sum") == Some(name)
+                        || s.name.strip_suffix("_count") == Some(name)
+                        || s.name == name
+                    {
+                        let mut labels = vec![("shard".to_string(), label.to_string())];
+                        labels.extend(s.labels);
+                        expected.push(ParsedSample {
+                            name: s.name,
+                            labels,
+                            value: s.value,
+                        });
+                    }
+                }
+            }
+        }
+        assert_eq!(scrape.samples, expected);
     }
 
     #[test]

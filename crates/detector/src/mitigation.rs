@@ -4,7 +4,7 @@
 //! Detection alone (the paper's contribution) leaves the operator with a
 //! verdict and no recourse. This module closes the loop: every supervised
 //! pair carries a [`MitigationPolicy`] — a small state machine the
-//! [`crate::Supervisor`] drives on each settled verdict — that walks an
+//! [`crate::ShardedFleet`] drives on each settled verdict — that walks an
 //! **escalation ladder** of hardware responses:
 //!
 //! 1. [`MitigationLevel::FlushOnSwitch`] — flush the shared caches on every
@@ -285,8 +285,8 @@ pub trait MitigationEnforcer {
 /// The default enforcer: accepts everything and actuates nothing.
 ///
 /// Containment decisions still run, serialize, and show up in metrics —
-/// useful for shadow-mode deployments and for every [`crate::Supervisor`]
-/// caller that does not wire a real actuator.
+/// useful for shadow-mode deployments and for every fleet shard that does
+/// not wire a real actuator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdvisoryEnforcer;
 

@@ -21,7 +21,7 @@
 //!
 //! Components that need deterministic buffers in tests (or several
 //! independent timelines) construct their own [`Tracer`] and inject it
-//! (see [`Supervisor::with_tracer`](crate::supervisor::Supervisor::with_tracer)).
+//! (see [`ShardedFleet::with_tracer`](crate::ShardedFleet::with_tracer)).
 
 use std::collections::VecDeque;
 use std::fmt;

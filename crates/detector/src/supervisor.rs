@@ -1,11 +1,11 @@
-//! The supervision layer: a crash-safe, self-healing fleet of per-pair
-//! online detectors.
+//! The supervision layer: the per-pair table each fleet shard runs.
 //!
 //! [`crate::online`] gives one daemon per audited pair; a deployment runs
 //! *many* — every suspect trojan/spy pairing on every shared unit — and the
 //! audit loop must survive everything a long-horizon, adversarial
-//! deployment throws at it. [`Supervisor`] owns the fleet and makes the
-//! per-quantum tick crash-safe end to end:
+//! deployment throws at it. [`crate::ShardedFleet`] is the one public
+//! fleet; each of its shards owns a crate-private `Supervisor`: the pair
+//! table that makes one shard's tick crash-safe end to end:
 //!
 //! * **Per-pair watchdogs** — every pair's analysis runs under
 //!   `catch_unwind` (via the thread pool's panic-safe
@@ -16,46 +16,45 @@
 //!   and yields a degraded per-pair report instead of poisoning the batch.
 //!   A panicked detector is rebuilt from the checkpoint store (or reset)
 //!   so the fleet keeps ticking.
-//! * **Retry with deterministic backoff** — a transiently missed probe is
-//!   retried up to the configured budget with seeded exponential backoff +
-//!   jitter ([`crate::policy::backoff_delay`]); the schedule depends only
-//!   on `(seed, pair, tick, attempt)`, so fault-injected runs replay
-//!   exactly, before and after a crash-restore.
-//! * **Quarantine** — each pair carries a
-//!   [`CircuitBreaker`]: pairs whose
+//! * **Retry with deterministic backoff** — `probe_with_retry`, the
+//!   fleet's only retry loop, retries a transiently missed probe up to the
+//!   configured budget with seeded exponential backoff + jitter
+//!   ([`crate::policy::backoff_delay`]); the schedule depends only on
+//!   `(seed, pair, tick, attempt)`, so fault-injected runs replay exactly,
+//!   before and after a crash-restore. The coordinator hands each pair's
+//!   retry count and virtual backoff to its shard with the input.
+//! * **Quarantine** — each pair carries a [`CircuitBreaker`]: pairs whose
 //!   failure rate over a sliding window exceeds the threshold are skipped
-//!   (with decaying reported confidence) and probed periodically for
-//!   recovery, so one broken monitor cannot starve the fleet's audit
-//!   budget.
-//! * **Crash-safe state** — [`Supervisor::checkpoint`] writes every pair's
-//!   sliding window plus a fleet manifest (tick, pair roster, breaker
-//!   states) through the CRC-framed, generational
-//!   [`CheckpointStore`];
-//!   [`Supervisor::restore`] reloads the newest generations that validate,
-//!   rolling back over corrupt ones and surfacing every rollback in the
-//!   pair status.
+//!   (with decaying reported confidence) and probed only on recovery
+//!   ticks, so one broken monitor cannot starve the fleet's audit budget.
+//! * **Crash-safe state** — a shard checkpoint writes every pair's sliding
+//!   window plus a manifest (tick, pair roster, breaker states) through
+//!   the CRC-framed, generational [`CheckpointStore`]. Restart and
+//!   migration share one path: `Supervisor::recover_pairs` reads a store
+//!   back (rolling over corrupt generations and recording that in each
+//!   pair's provenance) and `Supervisor::adopt_pair` re-creates a pair.
+//!
+//! One clock: a shard has no tick counter of its own. Every tick-stamped
+//! state (breaker `since_tick`, containment ticks, manifest tick) uses the
+//! coordinator's tick, so pairs keep their meaning across migration.
 //!
 //! Determinism contract: given the same config, seed, and probe inputs,
-//! a supervisor restored from its checkpoint store at any tick produces
-//! the same verdict sequence as one that never crashed. (The deadline
+//! a fleet restarted from its checkpoint stores at any tick produces the
+//! same verdict sequence as one that never crashed. (The deadline
 //! watchdog is the one wall-clock element; with a generous budget it never
 //! fires and the contract is exact.)
 
 use crate::auditor::ConflictRecord;
 use crate::ingest::IngestStats;
-use crate::metrics::{
-    default_registry, Counter, Family, Gauge, Histogram, Registry, LATENCY_BUCKETS_US,
-};
-use crate::mitigation::{
-    AdvisoryEnforcer, ContainmentState, MitigationConfig, MitigationEnforcer, MitigationPolicy,
-};
+use crate::metrics::{Counter, Family, Gauge, Histogram, Registry, LATENCY_BUCKETS_US};
+use crate::mitigation::{ContainmentState, MitigationConfig, MitigationEnforcer, MitigationPolicy};
 use crate::online::{Harvest, OnlineContentionDetector, OnlineOscillationDetector, OnlineStatus};
 use crate::pipeline::{CcHunterConfig, Verdict};
 use crate::policy::{
-    backoff_delay, mix_seed, reconcile_quarantine_recovery, BackoffConfig, BreakerState,
-    CircuitBreaker, QuarantineConfig,
+    backoff_delay, reconcile_quarantine_recovery, BackoffConfig, BreakerState, CircuitBreaker,
+    QuarantineConfig,
 };
-use crate::span::{self, Tracer};
+use crate::span::Tracer;
 use crate::store::CheckpointStore;
 use crate::DetectorError;
 use std::fmt;
@@ -140,6 +139,35 @@ impl PairInput {
             PairInput::Missed | PairInput::Harvest(Harvest::Missed)
         )
     }
+
+    /// Widens the input's loss by `loss` (the mailbox-overflow
+    /// backpressure signal): complete evidence becomes partial,
+    /// already-partial evidence widens further; nothing is dropped.
+    pub(crate) fn widen_loss(self, loss: f64) -> PairInput {
+        match self {
+            PairInput::Harvest(Harvest::Complete(histogram)) => {
+                PairInput::Harvest(Harvest::Partial {
+                    histogram,
+                    lost_fraction: loss,
+                })
+            }
+            PairInput::Harvest(Harvest::Partial {
+                histogram,
+                lost_fraction,
+            }) => PairInput::Harvest(Harvest::Partial {
+                histogram,
+                lost_fraction: (lost_fraction + loss).min(1.0),
+            }),
+            PairInput::Conflicts {
+                records,
+                lost_fraction,
+            } => PairInput::Conflicts {
+                records,
+                lost_fraction: (lost_fraction + loss).min(1.0),
+            },
+            other => other,
+        }
+    }
 }
 
 /// A transient probe failure, retried under the backoff policy.
@@ -177,6 +205,56 @@ where
 {
     fn probe(&mut self, pair: usize, tick: u64, attempt: u32) -> Result<PairInput, ProbeFault> {
         self(pair, tick, attempt)
+    }
+}
+
+/// One pair's probed input for one tick, with what it cost to obtain.
+#[derive(Debug)]
+pub(crate) struct ProbedInput {
+    pub(crate) input: PairInput,
+    /// Probe retries spent.
+    pub(crate) retries: u32,
+    /// Virtual microseconds of backoff scheduled across those retries.
+    pub(crate) backoff_us: u64,
+}
+
+/// The fleet's one retry loop: probes `pair` for `tick`, retrying
+/// transient misses under `backoff`. The delays are virtual — the schedule
+/// is recorded (and reproducible from `seed`), not slept, so supervised
+/// tests replay instantly. A probe still missing after the budget yields
+/// [`PairInput::Missed`].
+pub(crate) fn probe_with_retry<S: ProbeSource + ?Sized>(
+    source: &mut S,
+    backoff: &BackoffConfig,
+    seed: u64,
+    pair: usize,
+    tick: u64,
+) -> ProbedInput {
+    let mut retries: u32 = 0;
+    let mut backoff_us: u64 = 0;
+    loop {
+        match source.probe(pair, tick, retries) {
+            Ok(input) if !input.is_missed() => {
+                return ProbedInput {
+                    input,
+                    retries,
+                    backoff_us,
+                }
+            }
+            _ => match backoff_delay(backoff, seed, retries) {
+                Some(delay) => {
+                    backoff_us += delay;
+                    retries += 1;
+                }
+                None => {
+                    return ProbedInput {
+                        input: PairInput::Missed,
+                        retries,
+                        backoff_us,
+                    }
+                }
+            },
+        }
     }
 }
 
@@ -307,7 +385,7 @@ pub struct PairReport {
 /// Fleet-wide report for one tick.
 #[derive(Debug)]
 pub struct TickReport {
-    /// The tick that ran (the supervisor's quantum counter before
+    /// The tick that ran (the coordinator's quantum counter before
     /// incrementing).
     pub tick: u64,
     /// Per-pair reports, in pair order.
@@ -319,15 +397,12 @@ pub struct TickReport {
     pub checkpoint_error: Option<String>,
 }
 
-/// A pair's standing in the fleet (for status tables and monitoring).
+/// A pair's standing in its shard's table; the fleet publishes it as
+/// [`FleetPairStatus`](crate::shard::FleetPairStatus).
 #[derive(Debug, Clone)]
-pub struct PairStatus {
-    /// Pair index.
-    pub index: usize,
+pub(crate) struct PairStatus {
     /// Pair label.
     pub label: String,
-    /// Daemon kind.
-    pub kind: PairKind,
     /// Breaker state.
     pub health: BreakerState,
     /// Failure rate over the breaker's window.
@@ -352,19 +427,17 @@ pub struct PairStatus {
 }
 
 /// One pair's portable state: everything needed to re-create the pair in
-/// another fleet running the same configuration. This is the unit of
-/// migration when a shard dies — [`Supervisor::export_pair`] produces one
-/// from a live pair, [`Supervisor::recover_pairs`] reads a whole dead
-/// fleet's worth back from its checkpoint store, and
-/// [`Supervisor::import_pair`] re-creates the pair on a survivor.
+/// another shard running the same configuration. This is the unit of
+/// migration and of restart — [`Supervisor::remove_pair`] produces one
+/// from a live pair, [`Supervisor::recover_pairs`] reads a whole store's
+/// worth back, and [`Supervisor::adopt_pair`] re-creates the pair.
 ///
 /// Breaker and containment states travel in their serialized (manifest)
-/// form so the importing fleet re-validates them against *its* config —
+/// form so the importing shard re-validates them against *its* config —
 /// and so an imported active containment comes back flagged for
-/// re-assertion through the new fleet's enforcer, exactly like a
-/// crash-restore.
+/// re-assertion through the new shard's enforcer.
 #[derive(Debug, Clone)]
-pub struct PairSnapshot {
+pub(crate) struct PairSnapshot {
     pub(crate) label: String,
     pub(crate) kind: PairKind,
     /// The detector's window checkpoint. `None` means the window was
@@ -382,71 +455,46 @@ pub struct PairSnapshot {
 }
 
 impl PairSnapshot {
-    /// The pair's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The pair's daemon kind.
-    pub fn kind(&self) -> PairKind {
-        self.kind
-    }
-
-    /// Whether a window checkpoint was recovered for this pair.
-    pub fn has_window(&self) -> bool {
-        self.window.is_some()
-    }
-
     /// Whether importing this snapshot yields a degraded pair.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.degraded || self.window.is_none()
-    }
-
-    /// Where the snapshot's window came from, when it was read back from
-    /// a store.
-    pub fn provenance(&self) -> Option<RestoredFrom> {
-        self.provenance
     }
 
     /// Discards the window checkpoint, forcing a degraded import: the
     /// fallback when a snapshot's window fails validation on the
-    /// importing fleet.
-    pub fn degrade(mut self) -> Self {
+    /// importing shard.
+    pub(crate) fn degrade(mut self) -> Self {
         self.window = None;
         self.degraded = true;
         self
     }
 }
 
-/// Everything [`Supervisor::recover_pairs`] could read back about a
-/// (possibly dead) fleet from its checkpoint store.
+/// Everything [`Supervisor::recover_pairs`] could read back from a
+/// (possibly dead) shard's checkpoint store.
 #[derive(Debug, Clone)]
-pub struct RecoveredFleet {
-    /// The tick counter the fleet had checkpointed.
-    pub tick: u64,
+pub(crate) struct RecoveredFleet {
+    /// The coordinator tick the manifest was written at.
+    pub(crate) tick: u64,
     /// Manifest provenance (generation loaded, corrupt generations rolled
     /// over).
-    pub manifest: RestoredFrom,
-    /// Recovered pair snapshots, in the dead fleet's pair order. Pairs
-    /// whose windows were unrecoverable are present with
-    /// [`PairSnapshot::has_window`] `== false`, never silently dropped.
-    pub pairs: Vec<PairSnapshot>,
+    pub(crate) manifest: RestoredFrom,
+    /// Recovered pair snapshots, in the shard's slot order. Pairs whose
+    /// windows were unrecoverable are present without a window, never
+    /// silently dropped.
+    pub(crate) pairs: Vec<PairSnapshot>,
 }
 
-/// Report of a [`Supervisor::restore`]: which generations the fleet state
-/// actually came from.
-#[derive(Debug, Clone)]
-pub struct RestoreReport {
-    /// Manifest provenance.
-    pub manifest: RestoredFrom,
-    /// Per-pair provenance, in pair order.
-    pub pairs: Vec<RestoredFrom>,
-}
-
-impl RestoreReport {
-    /// Total corrupt generations rolled over across manifest and pairs.
-    pub fn total_rolled_back(&self) -> usize {
-        self.manifest.rolled_back + self.pairs.iter().map(|p| p.rolled_back).sum::<usize>()
+impl RecoveredFleet {
+    /// Corrupt generations rolled over across the manifest and every pair.
+    pub(crate) fn rolled_back(&self) -> usize {
+        self.manifest.rolled_back
+            + self
+                .pairs
+                .iter()
+                .filter_map(|p| p.provenance)
+                .map(|p| p.rolled_back)
+                .sum::<usize>()
     }
 }
 
@@ -640,53 +688,10 @@ impl FleetMetrics {
     }
 }
 
-/// Fleet-local (unregistered) mirrors of the cross-pair aggregates.
-///
-/// [`Supervisor::metrics_snapshot`] reads these instead of the registry so
-/// the digest stays exact for *this* fleet even when several supervisors
-/// share the process-wide default registry. Instruments (not plain ints)
-/// so `&self` methods like [`Supervisor::checkpoint`] can bump them.
-#[derive(Debug)]
-struct FleetTotals {
-    analyzed: Counter,
-    degraded: Counter,
-    quarantine_skips: Counter,
-    verdict_flips: Counter,
-    breaker_transitions: Counter,
-    recoveries: Counter,
-    checkpoints: Counter,
-    checkpoint_errors: Counter,
-    restore_rollbacks: Counter,
-    shadow_checkpoints: Counter,
-    durability_heals: Counter,
-    audit_latency_us: Histogram,
-    tick_latency_us: Histogram,
-}
-
-impl FleetTotals {
-    fn new() -> Self {
-        FleetTotals {
-            analyzed: Counter::new(),
-            degraded: Counter::new(),
-            quarantine_skips: Counter::new(),
-            verdict_flips: Counter::new(),
-            breaker_transitions: Counter::new(),
-            recoveries: Counter::new(),
-            checkpoints: Counter::new(),
-            checkpoint_errors: Counter::new(),
-            restore_rollbacks: Counter::new(),
-            shadow_checkpoints: Counter::new(),
-            durability_heals: Counter::new(),
-            audit_latency_us: Histogram::latency_us(),
-            tick_latency_us: Histogram::latency_us(),
-        }
-    }
-}
-
 /// A compact latency-distribution digest taken from a fixed-bucket
 /// histogram; quantiles are bucket-interpolated (see
 /// [`Histogram::quantile`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Observations recorded.
     pub count: u64,
@@ -749,12 +754,39 @@ impl IngestSnapshot {
     pub fn is_empty(&self) -> bool {
         *self == IngestSnapshot::default()
     }
+
+    /// Adds `other`'s totals into `self`.
+    pub fn merge(&mut self, other: &IngestSnapshot) {
+        self.events_offered += other.events_offered;
+        self.events_shed += other.events_shed;
+        self.events_repaired += other.events_repaired;
+        self.events_dropped += other.events_dropped;
+        self.saturated_quanta += other.saturated_quanta;
+        self.quanta += other.quanta;
+        self.partial_harvests += other.partial_harvests;
+        self.missed_harvests += other.missed_harvests;
+    }
+}
+
+impl From<&IngestStats> for IngestSnapshot {
+    fn from(stats: &IngestStats) -> Self {
+        IngestSnapshot {
+            events_offered: stats.events_offered.get(),
+            events_shed: stats.events_shed.get(),
+            events_repaired: stats.events_repaired.get(),
+            events_dropped: stats.events_dropped.get(),
+            saturated_quanta: stats.saturated_quanta.get(),
+            quanta: stats.quanta.get(),
+            partial_harvests: stats.partial_harvests.get(),
+            missed_harvests: stats.missed_harvests.get(),
+        }
+    }
 }
 
 /// A point-in-time numeric digest of one fleet's health, computed from the
 /// fleet's own state (exact for this fleet even when the metrics registry
 /// is shared process-wide).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Ticks completed.
     pub ticks: u64,
@@ -815,6 +847,48 @@ pub struct MetricsSnapshot {
     pub audit_latency: LatencySummary,
     /// Whole-tick latency distribution.
     pub tick_latency: LatencySummary,
+}
+
+impl MetricsSnapshot {
+    /// Folds another fleet part's digest into this one: event counts and
+    /// pair tallies add, durability degradation is sticky, and
+    /// `mean_confidence` becomes the pair-weighted mean. `ticks` keeps the
+    /// larger value. Latency digests are left alone — quantiles do not
+    /// add, so callers merge the underlying histograms instead.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        let pairs = self.pairs + other.pairs;
+        if pairs > 0 {
+            self.mean_confidence = (self.mean_confidence * self.pairs as f64
+                + other.mean_confidence * other.pairs as f64)
+                / pairs as f64;
+        }
+        self.ticks = self.ticks.max(other.ticks);
+        self.pairs = pairs;
+        self.quarantined_pairs += other.quarantined_pairs;
+        self.covert_pairs += other.covert_pairs;
+        self.contained_pairs += other.contained_pairs;
+        self.analyzed += other.analyzed;
+        self.degraded += other.degraded;
+        self.failures += other.failures;
+        self.panics += other.panics;
+        self.deadline_misses += other.deadline_misses;
+        self.retries += other.retries;
+        self.quarantine_skips += other.quarantine_skips;
+        self.verdict_flips += other.verdict_flips;
+        self.breaker_transitions += other.breaker_transitions;
+        self.recoveries += other.recoveries;
+        self.mitigations_applied += other.mitigations_applied;
+        self.mitigation_failures += other.mitigation_failures;
+        self.mitigation_escalations += other.mitigation_escalations;
+        self.mitigation_stepdowns += other.mitigation_stepdowns;
+        self.checkpoints += other.checkpoints;
+        self.checkpoint_errors += other.checkpoint_errors;
+        self.restore_rollbacks += other.restore_rollbacks;
+        self.durability_degraded |= other.durability_degraded;
+        self.shadow_checkpoints += other.shadow_checkpoints;
+        self.durability_heals += other.durability_heals;
+        self.ingest.merge(&other.ingest);
+    }
 }
 
 impl fmt::Display for MetricsSnapshot {
@@ -885,7 +959,7 @@ impl fmt::Display for MetricsSnapshot {
 /// Whether the fleet's checkpoints are currently landing on stable
 /// storage.
 ///
-/// Under a persistent storage fault (a disk brownout) the supervisor does
+/// Under a persistent storage fault (a disk brownout) a shard does
 /// not wedge and does not silently no-op: it keeps checkpointing *in
 /// memory* (shadow checkpoints), reports `Degraded` here and in metrics,
 /// and resumes durable writes — with a full re-persist of every pair plus
@@ -924,179 +998,105 @@ impl fmt::Display for Durability {
 /// checkpoint would have written (every pair's window plus the manifest),
 /// so the most recent fleet state survives as long as the process does.
 #[derive(Debug, Clone)]
-struct ShadowCheckpoint {
-    tick: u64,
-    entries: Vec<(String, Vec<u8>)>,
-}
-
-/// Everything a monitoring page needs about one fleet: the tick counter,
-/// every pair's standing, the durability mode, and the numeric digest.
-#[derive(Debug, Clone)]
-pub struct FleetStatus {
-    /// Ticks completed.
+pub struct ShadowCheckpoint {
+    /// The coordinator tick the shadow was taken at.
     pub tick: u64,
-    /// Per-pair standing, in pair order.
-    pub pairs: Vec<PairStatus>,
-    /// Whether checkpoints are landing durably or shadow-only.
-    pub durability: Durability,
-    /// The numeric digest.
-    pub metrics: MetricsSnapshot,
+    /// `pair-NNNN` window payloads, then the manifest (always last).
+    pub entries: Vec<(String, Vec<u8>)>,
 }
 
-/// The supervised audit service: owns the per-pair daemons, their
-/// watchdogs and breakers, and (optionally) a durable checkpoint store.
-///
-/// ```
-/// use cchunter_detector::supervisor::{PairInput, ProbeFault, Supervisor, SupervisorConfig};
-/// use cchunter_detector::online::Harvest;
-///
-/// let mut fleet = Supervisor::new(SupervisorConfig::default()).unwrap();
-/// fleet.add_contention_pair("memory-bus: pid 17 <-> pid 23").unwrap();
-/// let report = fleet.tick(&mut |_pair: usize, _tick: u64, _attempt: u32| {
-///     Ok::<PairInput, ProbeFault>(PairInput::Missed)
-/// });
-/// assert_eq!(report.reports.len(), 1);
-/// ```
+/// One shard's pair table: the per-pair daemons, their watchdogs and
+/// breakers, the shard's instruments, and (optionally) its durable
+/// checkpoint store. Driven by [`crate::ShardedFleet`], which probes every
+/// pair and passes the inputs and its tick number to [`Supervisor::tick`].
 #[derive(Debug)]
-pub struct Supervisor {
+pub(crate) struct Supervisor {
     config: SupervisorConfig,
     pairs: Vec<Pair>,
     store: Option<CheckpointStore>,
-    tick: u64,
     registry: Registry,
     metrics: FleetMetrics,
-    totals: FleetTotals,
     tracer: Tracer,
-    ingest_stats: Vec<IngestStats>,
     durability: Durability,
     shadow: Option<ShadowCheckpoint>,
 }
 
 impl Supervisor {
-    /// Creates an empty fleet. Instruments register in the process-wide
-    /// [`default_registry`] and structured events go to the
-    /// `CCHUNTER_TRACE`-controlled [`span::global`] tracer; see
-    /// [`Supervisor::with_registry`] / [`Supervisor::with_tracer`] to
-    /// redirect either.
+    /// Creates an empty pair table whose instruments register in
+    /// `registry` (private to the shard) and whose structured events go to
+    /// `tracer`.
     ///
     /// # Errors
     ///
-    /// Returns [`DetectorError::InvalidConfig`] if `window_quanta` is zero.
-    pub fn new(config: SupervisorConfig) -> Result<Self, DetectorError> {
+    /// Returns [`DetectorError::InvalidConfig`] if `window_quanta` is zero
+    /// or the mitigation config is invalid.
+    pub(crate) fn new(
+        config: SupervisorConfig,
+        registry: Registry,
+        tracer: Tracer,
+    ) -> Result<Self, DetectorError> {
         if config.window_quanta == 0 {
             return Err(DetectorError::InvalidConfig {
                 reason: "supervisor window must hold at least one quantum".to_string(),
             });
         }
         config.mitigation.validate()?;
-        let registry = default_registry();
         let metrics = FleetMetrics::register(&registry);
         Ok(Supervisor {
             config,
             pairs: Vec::new(),
             store: None,
-            tick: 0,
             registry,
             metrics,
-            totals: FleetTotals::new(),
-            tracer: span::global().clone(),
-            ingest_stats: Vec::new(),
+            tracer,
             durability: Durability::Durable,
             shadow: None,
         })
     }
 
     /// Attaches a durable checkpoint store (builder style).
-    pub fn with_store(mut self, store: CheckpointStore) -> Self {
+    pub(crate) fn with_store(mut self, store: CheckpointStore) -> Self {
         self.store = Some(store);
         self
     }
 
-    /// Rebinds this fleet's instruments to `registry` (builder style) —
-    /// e.g. a fresh [`Registry`] per fleet when exact isolation matters.
-    pub fn with_registry(mut self, registry: Registry) -> Self {
-        self.metrics = FleetMetrics::register(&registry);
-        self.registry = registry;
-        self
-    }
-
-    /// Redirects this fleet's structured events to `tracer` (builder
-    /// style).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
+    /// Redirects structured events to `tracer`.
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        self
-    }
-
-    /// Attaches an ingest pipeline's shared counters (see
-    /// [`crate::IngestPipeline::stats`]): the handle's totals are summed
-    /// into [`MetricsSnapshot::ingest`] so every shed / sanitize /
-    /// saturation event is visible in this fleet's digest. Attach one
-    /// handle per pipeline; repeat for each audited pair that routes
-    /// through hardened ingest.
-    pub fn attach_ingest_stats(&mut self, stats: IngestStats) {
-        self.ingest_stats.push(stats);
-    }
-
-    /// Builder-style [`Supervisor::attach_ingest_stats`].
-    pub fn with_ingest_stats(mut self, stats: IngestStats) -> Self {
-        self.attach_ingest_stats(stats);
-        self
-    }
-
-    /// The registry this fleet's instruments live in.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The tracer receiving this fleet's structured events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Renders this fleet's registry in Prometheus text exposition format.
-    pub fn render_prometheus(&self) -> String {
-        self.registry.render_prometheus()
     }
 
     /// The attached store, if any.
-    pub fn store(&self) -> Option<&CheckpointStore> {
+    pub(crate) fn store(&self) -> Option<&CheckpointStore> {
         self.store.as_ref()
     }
 
-    /// The fleet configuration.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
-    /// Ticks completed so far.
-    pub fn tick_count(&self) -> u64 {
-        self.tick
-    }
-
-    /// Number of supervised pairs.
-    pub fn len(&self) -> usize {
+    /// Number of pairs in the table.
+    pub(crate) fn len(&self) -> usize {
         self.pairs.len()
     }
 
     /// Number of pairs currently running in degraded mode.
-    pub fn degraded_pairs(&self) -> usize {
+    pub(crate) fn degraded_pairs(&self) -> usize {
         self.pairs.iter().filter(|p| p.degraded).count()
     }
 
-    /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    fn add_pair(&mut self, label: String, kind: PairKind) -> Result<usize, DetectorError> {
+    /// Adds a fresh pair at the next slot; returns the slot.
+    ///
+    /// # Errors
+    ///
+    /// Propagates daemon-construction errors.
+    pub(crate) fn add_pair(
+        &mut self,
+        label: String,
+        kind: PairKind,
+    ) -> Result<usize, DetectorError> {
         let detector = self.fresh_detector(kind)?;
         self.pairs.push(Pair {
             label,
             kind,
             detector,
             breaker: CircuitBreaker::new(self.config.quarantine),
-            mitigation: MitigationPolicy::new(self.config.mitigation)
-                .expect("mitigation config validated at construction"),
+            mitigation: MitigationPolicy::new(self.config.mitigation)?,
             quarantine_confidence: 0.0,
             last_verdict: Verdict::Clean,
             restored_from: None,
@@ -1123,60 +1123,36 @@ impl Supervisor {
         })
     }
 
-    /// Adds a contention (combinational-resource) pair; returns its index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates daemon-construction errors.
-    pub fn add_contention_pair(
-        &mut self,
-        label: impl Into<String>,
-    ) -> Result<usize, DetectorError> {
-        self.add_pair(label.into(), PairKind::Contention)
+    /// Whether `slot`'s breaker lets it be probed at `tick`: false while
+    /// quarantined, except on recovery ticks. The coordinator asks before
+    /// probing, so a quarantined pair costs no probe calls.
+    pub(crate) fn should_attempt(&self, slot: usize, tick: u64) -> bool {
+        self.pairs
+            .get(slot)
+            .is_some_and(|p| p.breaker.should_attempt(tick))
     }
 
-    /// Adds an oscillation (memory-resource) pair; returns its index.
-    ///
-    /// # Errors
-    ///
-    /// Propagates daemon-construction errors.
-    pub fn add_oscillation_pair(
-        &mut self,
-        label: impl Into<String>,
-    ) -> Result<usize, DetectorError> {
-        self.add_pair(label.into(), PairKind::Oscillation)
-    }
-
-    /// Runs one supervised tick: probes every non-quarantined pair
-    /// (retrying transient misses under the backoff policy), fans the
-    /// analyses out across the thread pool under the panic/deadline
-    /// watchdogs, updates every breaker, and (when due) auto-checkpoints.
+    /// Runs one shard tick at the coordinator's `tick`. `inputs` holds one
+    /// entry per slot: the probed input, or `None` for a pair the
+    /// coordinator did not probe because [`Supervisor::should_attempt`]
+    /// said no — the pair is skipped with decaying confidence. Analyses fan out across the thread
+    /// pool under the panic/deadline watchdogs; then every breaker,
+    /// verdict and containment ladder (actuated through `enforcer`) is
+    /// settled and, when due, the shard auto-checkpoints.
     ///
     /// Never panics and never aborts the batch: every per-pair failure is
     /// contained and reported in the returned [`TickReport`].
-    ///
-    /// Mitigation decisions run against the [`AdvisoryEnforcer`]
-    /// (shadow mode); use [`Supervisor::tick_with_enforcer`] to actuate a
-    /// real scheduler/hardware backend.
-    pub fn tick<S: ProbeSource + ?Sized>(&mut self, source: &mut S) -> TickReport {
-        self.tick_with_enforcer(source, &mut AdvisoryEnforcer)
-    }
-
-    /// Like [`Supervisor::tick`], but drives each pair's containment
-    /// policy through `enforcer`, so convictions actuate real scheduler
-    /// and cache-hardware responses (and failed applies escalate the
-    /// ladder).
-    pub fn tick_with_enforcer<S: ProbeSource + ?Sized, E: MitigationEnforcer + ?Sized>(
+    pub(crate) fn tick<E: MitigationEnforcer + ?Sized>(
         &mut self,
-        source: &mut S,
+        tick: u64,
+        mut inputs: Vec<Option<ProbedInput>>,
         enforcer: &mut E,
     ) -> TickReport {
-        let tick = self.tick;
         let deadline_us = self.config.deadline_us;
         let tick_started = Instant::now();
         let mut tick_span = self.tracer.span("supervisor", "tick");
 
-        // Phase 1 (serial): decide skips, probe with retry + backoff.
+        // Phase 1 (serial): quarantine skips and retry bookkeeping.
         enum Plan {
             Skip {
                 confidence: f64,
@@ -1189,59 +1165,43 @@ impl Supervisor {
         }
         let mut plans: Vec<Plan> = Vec::with_capacity(self.pairs.len());
         for (idx, pair) in self.pairs.iter_mut().enumerate() {
-            if !pair.breaker.should_attempt(tick) {
-                pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
-                self.metrics.quarantine_skips.with_label(&pair.label).inc();
-                self.totals.quarantine_skips.inc();
-                self.metrics
-                    .confidence
-                    .with_label(&pair.label)
-                    .set(pair.quarantine_confidence);
-                if self.tracer.is_enabled() {
-                    self.tracer.event(
-                        "supervisor",
-                        "quarantine-skip",
-                        format_args!(
-                            "{} (confidence {:.3})",
-                            pair.label, pair.quarantine_confidence
-                        ),
-                    );
-                }
-                plans.push(Plan::Skip {
-                    confidence: pair.quarantine_confidence,
-                });
-                continue;
-            }
-            let seed = mix_seed(self.config.seed, idx as u64, tick);
-            let mut attempt: u32 = 0;
-            let mut backoff_us: u64 = 0;
-            let input = loop {
-                let result = source.probe(idx, tick, attempt);
-                let retryable = match &result {
-                    Ok(input) => input.is_missed(),
-                    Err(_) => true,
-                };
-                if !retryable {
-                    break result.expect("non-retryable is Ok");
-                }
-                match backoff_delay(&self.config.backoff, seed, attempt) {
-                    Some(delay) => {
-                        // The delay is virtual: the schedule is recorded
-                        // (and reproducible), not slept, so supervised
-                        // tests replay instantly.
-                        backoff_us += delay;
-                        attempt += 1;
+            let probed = match inputs.get_mut(idx).and_then(Option::take) {
+                Some(probed) => probed,
+                None => {
+                    pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
+                    self.metrics.quarantine_skips.with_label(&pair.label).inc();
+                    self.metrics
+                        .confidence
+                        .with_label(&pair.label)
+                        .set(pair.quarantine_confidence);
+                    if self.tracer.is_enabled() {
+                        self.tracer.event(
+                            "supervisor",
+                            "quarantine-skip",
+                            format_args!(
+                                "{} (confidence {:.3})",
+                                pair.label, pair.quarantine_confidence
+                            ),
+                        );
                     }
-                    None => break PairInput::Missed,
+                    plans.push(Plan::Skip {
+                        confidence: pair.quarantine_confidence,
+                    });
+                    continue;
                 }
             };
-            pair.retries += attempt as u64;
+            let ProbedInput {
+                input,
+                retries,
+                backoff_us,
+            } = probed;
+            pair.retries += u64::from(retries);
             pair.backoff_waited_us += backoff_us;
-            if attempt > 0 {
+            if retries > 0 {
                 self.metrics
                     .retries
                     .with_label(&pair.label)
-                    .inc_by(attempt as u64);
+                    .inc_by(u64::from(retries));
                 self.metrics
                     .backoff_us
                     .with_label(&pair.label)
@@ -1251,7 +1211,7 @@ impl Supervisor {
                         "policy",
                         "retry-backoff",
                         format_args!(
-                            "{}: {attempt} retries, {backoff_us} µs scheduled at tick {tick}",
+                            "{}: {retries} retries, {backoff_us} µs scheduled at tick {tick}",
                             pair.label
                         ),
                     );
@@ -1259,31 +1219,29 @@ impl Supervisor {
             }
             plans.push(Plan::Analyze {
                 input,
-                retries: attempt,
+                retries,
                 backoff_us,
             });
         }
 
         // Phase 2 (parallel): run every planned analysis under the
-        // watchdogs. Jobs are per-pair &mut state; a panicking job is
-        // contained in its own slot.
+        // watchdogs. Jobs are per-pair &mut state and own their input; a
+        // panicking job is contained in its own slot.
         struct Job<'a> {
             pair: &'a mut Pair,
-            input: Option<PairInput>,
+            input: PairInput,
         }
         let mut jobs: Vec<Job<'_>> = Vec::new();
-        let mut job_index: Vec<usize> = Vec::new();
-        for (idx, (pair, plan)) in self.pairs.iter_mut().zip(&mut plans).enumerate() {
+        for (pair, plan) in self.pairs.iter_mut().zip(&mut plans) {
             if let Plan::Analyze { input, .. } = plan {
                 jobs.push(Job {
                     pair,
-                    input: Some(input.clone()),
+                    input: std::mem::replace(input, PairInput::Missed),
                 });
-                job_index.push(idx);
             }
         }
         let results = threadpool::par_catch_map_mut(&mut jobs, |job| {
-            let input = job.input.take().expect("input set at plan time");
+            let input = std::mem::replace(&mut job.input, PairInput::Missed);
             let start = Instant::now();
             let pushed = analyze(&mut job.pair.detector, input);
             let elapsed_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -1292,36 +1250,25 @@ impl Supervisor {
         drop(jobs);
 
         // Phase 3 (serial): bookkeeping — breakers, verdicts, recovery.
-        let mut analysis_results = job_index.into_iter().zip(results);
+        let mut analysis_results = results.into_iter();
         let mut reports = Vec::with_capacity(self.pairs.len());
         for (idx, plan) in plans.into_iter().enumerate() {
-            let (retries, backoff_us, result) = match plan {
-                Plan::Skip { confidence } => {
-                    let pair = &self.pairs[idx];
-                    reports.push(PairReport {
-                        pair: idx,
-                        label: pair.label.clone(),
-                        outcome: PairOutcome::Skipped { confidence },
-                        health: pair.breaker.state(),
-                        containment: pair.mitigation.state(),
-                        retries: 0,
-                        backoff_us: 0,
-                    });
-                    continue;
-                }
+            let (outcome, retries, backoff_us) = match plan {
+                Plan::Skip { confidence } => (PairOutcome::Skipped { confidence }, 0, 0),
                 Plan::Analyze {
                     retries,
                     backoff_us,
                     ..
                 } => {
-                    let (job_idx, result) =
-                        analysis_results.next().expect("one result per planned job");
-                    debug_assert_eq!(job_idx, idx);
-                    (retries, backoff_us, result)
+                    // One result per planned job, in plan order.
+                    let outcome = match analysis_results.next() {
+                        Some(result) => self.settle_pair(idx, tick, deadline_us, result),
+                        None => continue,
+                    };
+                    self.drive_mitigation(idx, tick, enforcer);
+                    (outcome, retries, backoff_us)
                 }
             };
-            let outcome = self.settle_pair(idx, tick, deadline_us, result);
-            self.drive_mitigation(idx, tick, enforcer);
             let pair = &self.pairs[idx];
             reports.push(PairReport {
                 pair: idx,
@@ -1333,27 +1280,21 @@ impl Supervisor {
                 backoff_us,
             });
         }
-        self.metrics.contained_pairs.set(
-            self.pairs
-                .iter()
-                .filter(|p| p.mitigation.state().is_active())
-                .count() as f64,
-        );
-
-        self.tick = tick + 1;
+        self.refresh_contained_gauge();
 
         // Phase 4: automatic checkpoint, if due. Every due tick attempts a
         // full durable checkpoint — while degraded that doubles as the
         // heal probe (success *is* the full re-persist) — and a storage
         // fault degrades durability to in-memory shadows instead of
         // wedging or silently no-opping.
+        let ticks_done = tick + 1;
         let mut checkpoint_generation = None;
         let mut checkpoint_error = None;
         if self.store.is_some()
             && self.config.checkpoint_every > 0
-            && self.tick.is_multiple_of(self.config.checkpoint_every)
+            && ticks_done.is_multiple_of(self.config.checkpoint_every)
         {
-            let (generation, error) = self.checkpoint_or_degrade();
+            let (generation, error) = self.checkpoint_or_degrade(ticks_done);
             checkpoint_generation = generation;
             checkpoint_error = error;
         }
@@ -1361,7 +1302,6 @@ impl Supervisor {
         let tick_elapsed_us = tick_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.metrics.ticks.inc();
         self.metrics.tick_latency_us.observe(tick_elapsed_us as f64);
-        self.totals.tick_latency_us.observe(tick_elapsed_us as f64);
         if self.tracer.is_enabled() {
             tick_span.detail(format_args!("tick {tick}: {} pairs", reports.len()));
         }
@@ -1373,6 +1313,15 @@ impl Supervisor {
             checkpoint_generation,
             checkpoint_error,
         }
+    }
+
+    fn refresh_contained_gauge(&self) {
+        self.metrics.contained_pairs.set(
+            self.pairs
+                .iter()
+                .filter(|p| p.mitigation.state().is_active())
+                .count() as f64,
+        );
     }
 
     /// Converts one pair's raw analysis result into its outcome, updating
@@ -1398,7 +1347,6 @@ impl Supervisor {
                 self.metrics.panics.with_label(&label).inc();
                 self.metrics.failures.with_label(&label).inc();
                 self.metrics.recoveries.with_label(&label).inc();
-                self.totals.recoveries.inc();
                 if self.tracer.is_enabled() {
                     self.tracer.event(
                         "supervisor",
@@ -1420,7 +1368,6 @@ impl Supervisor {
                     .pair_audit_latency_us
                     .with_label(&label)
                     .observe(elapsed_us as f64);
-                self.totals.audit_latency_us.observe(elapsed_us as f64);
                 let pair = &mut self.pairs[idx];
                 let deadline_missed = deadline_us > 0 && elapsed_us > deadline_us;
                 match pushed {
@@ -1437,7 +1384,6 @@ impl Supervisor {
                             self.metrics.deadline_misses.with_label(&label).inc();
                             self.metrics.failures.with_label(&label).inc();
                             self.metrics.degraded.with_label(&label).inc();
-                            self.totals.degraded.inc();
                             if self.tracer.is_enabled() {
                                 self.tracer.event(
                                     "supervisor",
@@ -1458,7 +1404,6 @@ impl Supervisor {
                         } else if observed {
                             pair.breaker.record_success(tick);
                             self.metrics.analyzed.with_label(&label).inc();
-                            self.totals.analyzed.inc();
                             PairOutcome::Analyzed(status)
                         } else {
                             // The window advanced with a gap: the analysis
@@ -1467,7 +1412,6 @@ impl Supervisor {
                             pair.breaker.record_failure(tick);
                             self.metrics.failures.with_label(&label).inc();
                             self.metrics.degraded.with_label(&label).inc();
-                            self.totals.degraded.inc();
                             if self.tracer.is_enabled() {
                                 self.tracer.event(
                                     "supervisor",
@@ -1494,7 +1438,6 @@ impl Supervisor {
                         pair.quarantine_confidence = status.confidence;
                         self.metrics.failures.with_label(&label).inc();
                         self.metrics.degraded.with_label(&label).inc();
-                        self.totals.degraded.inc();
                         if self.tracer.is_enabled() {
                             self.tracer.event(
                                 "supervisor",
@@ -1511,7 +1454,6 @@ impl Supervisor {
         let breaker_after = pair.breaker.state();
         if discriminant(&breaker_after) != discriminant(&breaker_before) {
             self.metrics.breaker_transitions.with_label(&label).inc();
-            self.totals.breaker_transitions.inc();
         }
         // A quarantined pair leaving quarantine needs its two supervision
         // axes reconciled: without this, a contained pair re-enters full
@@ -1549,7 +1491,6 @@ impl Supervisor {
         let pair = &self.pairs[idx];
         if pair.last_verdict != verdict_before {
             self.metrics.verdict_flips.with_label(&label).inc();
-            self.totals.verdict_flips.inc();
         }
         self.metrics
             .confidence
@@ -1660,9 +1601,10 @@ impl Supervisor {
     ///
     /// Returns [`DetectorError::InvalidConfig`] for an out-of-range pair
     /// index or a non-finite fraction.
-    pub fn report_residual(
+    pub(crate) fn report_residual(
         &mut self,
         pair: usize,
+        tick: u64,
         residual_fraction: f64,
         overhead_fraction: f64,
     ) -> Result<(), DetectorError> {
@@ -1671,7 +1613,6 @@ impl Supervisor {
                 reason: "residual and overhead fractions must be finite".to_string(),
             });
         }
-        let tick = self.tick;
         let pair = self
             .pairs
             .get_mut(pair)
@@ -1697,14 +1638,14 @@ impl Supervisor {
         Ok(())
     }
 
-    /// One pair's containment standing (None for an out-of-range index).
-    pub fn containment(&self, pair: usize) -> Option<ContainmentState> {
+    /// One pair's containment standing (None for an out-of-range slot).
+    pub(crate) fn containment(&self, pair: usize) -> Option<ContainmentState> {
         self.pairs.get(pair).map(|p| p.mitigation.state())
     }
 
     /// One pair's detection-to-containment latency in ticks, once the
     /// current episode's first rung has taken force.
-    pub fn containment_latency_ticks(&self, pair: usize) -> Option<u64> {
+    pub(crate) fn containment_latency_ticks(&self, pair: usize) -> Option<u64> {
         self.pairs
             .get(pair)
             .and_then(|p| p.mitigation.containment_latency_ticks())
@@ -1748,45 +1689,37 @@ impl Supervisor {
         Recovery::Reset
     }
 
-    /// The fleet's current standing, pair by pair.
-    pub fn pair_statuses(&self) -> Vec<PairStatus> {
-        self.pairs
-            .iter()
-            .enumerate()
-            .map(|(index, pair)| PairStatus {
-                index,
-                label: pair.label.clone(),
-                kind: pair.kind,
-                health: pair.breaker.state(),
-                failure_rate: pair.breaker.failure_rate(),
-                verdict: pair.last_verdict,
-                containment: pair.mitigation.state(),
-                restored_from: pair.restored_from,
-                degraded: pair.degraded,
-                failures: pair.failures,
-                panics: pair.panics,
-                deadline_misses: pair.deadline_misses,
-                retries: pair.retries,
-            })
-            .collect()
-    }
-
-    /// Whether `pair` runs in degraded mode (None for an out-of-range
-    /// index).
-    pub fn is_degraded(&self, pair: usize) -> Option<bool> {
-        self.pairs.get(pair).map(|p| p.degraded)
+    /// One pair's standing (None for an out-of-range slot).
+    pub(crate) fn pair_status(&self, slot: usize) -> Option<PairStatus> {
+        let pair = self.pairs.get(slot)?;
+        Some(PairStatus {
+            label: pair.label.clone(),
+            health: pair.breaker.state(),
+            failure_rate: pair.breaker.failure_rate(),
+            verdict: pair.last_verdict,
+            containment: pair.mitigation.state(),
+            restored_from: pair.restored_from,
+            degraded: pair.degraded,
+            failures: pair.failures,
+            panics: pair.panics,
+            deadline_misses: pair.deadline_misses,
+            retries: pair.retries,
+        })
     }
 
     /// Marks `pair` degraded (or lifts the mark): while degraded, the
     /// pair's Clean verdicts floor to [`Verdict::Inconclusive`] because
-    /// its window provenance is untrusted. The supervision layers set this
-    /// when a pair is imported without a recoverable checkpoint; lifting
-    /// it is an operator decision.
+    /// its window provenance is untrusted. The fleet sets this when a pair
+    /// is imported without a recoverable checkpoint.
     ///
     /// # Errors
     ///
-    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index.
-    pub fn set_degraded(&mut self, pair: usize, degraded: bool) -> Result<(), DetectorError> {
+    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range slot.
+    pub(crate) fn set_degraded(
+        &mut self,
+        pair: usize,
+        degraded: bool,
+    ) -> Result<(), DetectorError> {
         let entry = self
             .pairs
             .get_mut(pair)
@@ -1800,20 +1733,20 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Durably checkpoints the whole fleet (every pair's window plus the
-    /// manifest) to the attached store. Returns the manifest's new
-    /// generation.
+    /// Durably checkpoints the shard (every pair's window plus the
+    /// manifest, stamped with coordinator tick `tick`) to the attached
+    /// store. Returns the manifest's new generation.
     ///
     /// # Errors
     ///
     /// Returns [`DetectorError::InvalidConfig`] when no store is attached
     /// and any store/serialization error. A failed checkpoint never
     /// corrupts previously stored generations (every write is atomic).
-    pub fn checkpoint(&self) -> Result<u64, DetectorError> {
+    pub(crate) fn checkpoint(&self, tick: u64) -> Result<u64, DetectorError> {
         let store = self.store.as_ref().ok_or(DetectorError::InvalidConfig {
             reason: "no checkpoint store attached".to_string(),
         })?;
-        let entries = self.build_checkpoint_entries()?;
+        let entries = self.build_checkpoint_entries(tick)?;
         let mut generation = 0;
         for (name, payload) in &entries {
             // The manifest is last in the entry list, so the returned
@@ -1821,15 +1754,14 @@ impl Supervisor {
             generation = store.save(name, payload)?;
         }
         // Drop a Prometheus-text metrics dump next to the checkpoint so the
-        // fleet's last known state is scrapeable post-mortem.
+        // shard's last known state is scrapeable post-mortem.
         store.write_sidecar("metrics.prom", self.registry.render_prometheus().as_bytes())?;
         self.metrics.checkpoints.inc();
-        self.totals.checkpoints.inc();
         if self.tracer.is_enabled() {
             self.tracer.event(
                 "supervisor",
                 "checkpoint",
-                format_args!("generation {generation} at tick {}", self.tick),
+                format_args!("generation {generation} at tick {tick}"),
             );
         }
         Ok(generation)
@@ -1839,20 +1771,15 @@ impl Supervisor {
     /// window, then the manifest (always last) — without touching storage.
     /// The shared substrate of [`Supervisor::checkpoint`] and the shadow
     /// checkpoints of durability-degraded mode.
-    fn build_checkpoint_entries(&self) -> Result<Vec<(String, Vec<u8>)>, DetectorError> {
+    fn build_checkpoint_entries(&self, tick: u64) -> Result<Vec<(String, Vec<u8>)>, DetectorError> {
         let mut entries = Vec::with_capacity(self.pairs.len() + 1);
         for (idx, pair) in self.pairs.iter().enumerate() {
-            let mut payload = Vec::new();
-            match &pair.detector {
-                PairDetector::Contention(d) => d.checkpoint(&mut payload)?,
-                PairDetector::Oscillation(d) => d.checkpoint(&mut payload)?,
-            }
-            entries.push((pair_entry_name(idx), payload));
+            entries.push((pair_entry_name(idx), window_checkpoint(&pair.detector)?));
         }
         let mut manifest = String::new();
         manifest.push_str(MANIFEST_MAGIC);
         manifest.push('\n');
-        manifest.push_str(&format!("tick,{}\n", self.tick));
+        manifest.push_str(&format!("tick,{tick}\n"));
         manifest.push_str(&format!("pairs,{}\n", self.pairs.len()));
         for (idx, pair) in self.pairs.iter().enumerate() {
             manifest.push_str(&format!(
@@ -1887,22 +1814,21 @@ impl Supervisor {
     /// so the freshest fleet state still survives as long as the process
     /// does. Non-storage errors (serialization bugs) only count as
     /// checkpoint errors — they say nothing about the medium.
-    fn checkpoint_or_degrade(&mut self) -> (Option<u64>, Option<String>) {
-        match self.checkpoint() {
+    fn checkpoint_or_degrade(&mut self, tick: u64) -> (Option<u64>, Option<String>) {
+        match self.checkpoint(tick) {
             Ok(generation) => {
                 if let Durability::Degraded { since_tick } = self.durability {
                     self.durability = Durability::Durable;
                     self.shadow = None;
                     self.metrics.durability_degraded.set(0.0);
                     self.metrics.durability_heals.inc();
-                    self.totals.durability_heals.inc();
                     if self.tracer.is_enabled() {
                         self.tracer.event(
                             "supervisor",
                             "durability-healed",
                             format_args!(
                                 "full re-persist at tick {} (degraded since tick {since_tick})",
-                                self.tick
+                                tick
                             ),
                         );
                     }
@@ -1911,33 +1837,26 @@ impl Supervisor {
             }
             Err(e) => {
                 self.metrics.checkpoint_errors.inc();
-                self.totals.checkpoint_errors.inc();
                 if self.tracer.is_enabled() {
                     self.tracer.event("supervisor", "checkpoint-error", &e);
                 }
                 if matches!(e, DetectorError::StorageFault { .. }) {
                     if !self.durability.is_degraded() {
-                        self.durability = Durability::Degraded {
-                            since_tick: self.tick,
-                        };
+                        self.durability = Durability::Degraded { since_tick: tick };
                         self.metrics.durability_degraded.set(1.0);
                         if self.tracer.is_enabled() {
                             self.tracer.event(
                                 "supervisor",
                                 "durability-degraded",
-                                format_args!("checkpoints shadow-only from tick {}", self.tick),
+                                format_args!("checkpoints shadow-only from tick {tick}"),
                             );
                         }
                     }
                     // The failed durable attempt may have persisted a prefix
                     // of the pairs; the shadow holds the complete set.
-                    if let Ok(entries) = self.build_checkpoint_entries() {
-                        self.shadow = Some(ShadowCheckpoint {
-                            tick: self.tick,
-                            entries,
-                        });
+                    if let Ok(entries) = self.build_checkpoint_entries(tick) {
+                        self.shadow = Some(ShadowCheckpoint { tick, entries });
                         self.metrics.shadow_checkpoints.inc();
-                        self.totals.shadow_checkpoints.inc();
                     }
                 }
                 (None, Some(e.to_string()))
@@ -1946,65 +1865,37 @@ impl Supervisor {
     }
 
     /// Whether checkpoints are currently landing durably or shadow-only.
-    pub fn durability(&self) -> Durability {
+    pub(crate) fn durability(&self) -> Durability {
         self.durability
     }
 
-    /// The tick of the freshest in-memory shadow checkpoint, when storage
-    /// is (or recently was) degraded.
-    pub fn shadow_checkpoint_tick(&self) -> Option<u64> {
-        self.shadow.as_ref().map(|s| s.tick)
+    /// The freshest in-memory shadow checkpoint, when storage is (or
+    /// recently was) degraded.
+    pub(crate) fn shadow_checkpoint(&self) -> Option<&ShadowCheckpoint> {
+        self.shadow.as_ref()
     }
 
-    /// The freshest shadow checkpoint's entries — exactly what a durable
-    /// checkpoint would have written (`pair-NNNN` payloads then the
-    /// manifest) — so an operator can spool fleet state to a healthy
-    /// medium while the primary one browns out.
-    pub fn shadow_checkpoint_entries(&self) -> Option<&[(String, Vec<u8>)]> {
-        self.shadow.as_ref().map(|s| s.entries.as_slice())
-    }
-
-    /// Removes `pair` from this fleet and returns its portable snapshot
-    /// (the drain/rebalance primitive: export, then excise). The removal
-    /// is `swap_remove` — the *last* pair takes the removed pair's index,
-    /// and the caller owns fixing any external index maps.
+    /// Removes `pair` from this shard and returns its portable snapshot
+    /// (the drain/rebalance primitive). The removal is `swap_remove` — the
+    /// *last* pair takes the removed pair's slot, and the caller owns
+    /// fixing any external slot maps.
     ///
     /// # Errors
     ///
-    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index
+    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range slot
     /// and propagates window-serialization errors (in which case the pair
     /// is *not* removed).
-    pub fn remove_pair(&mut self, pair: usize) -> Result<PairSnapshot, DetectorError> {
-        let snapshot = self.export_pair(pair)?;
-        self.pairs.swap_remove(pair);
-        Ok(snapshot)
-    }
-
-    /// Exports one pair's portable state (see [`PairSnapshot`]) for
-    /// migration to another fleet. The source pair is left untouched;
-    /// removing it (usually by dropping the whole dead fleet) is the
-    /// caller's concern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index
-    /// and propagates window-serialization errors.
-    pub fn export_pair(&self, pair: usize) -> Result<PairSnapshot, DetectorError> {
+    pub(crate) fn remove_pair(&mut self, pair: usize) -> Result<PairSnapshot, DetectorError> {
         let p = self
             .pairs
             .get(pair)
             .ok_or_else(|| DetectorError::InvalidConfig {
                 reason: format!("no supervised pair {pair}"),
             })?;
-        let mut window = Vec::new();
-        match &p.detector {
-            PairDetector::Contention(d) => d.checkpoint(&mut window)?,
-            PairDetector::Oscillation(d) => d.checkpoint(&mut window)?,
-        }
-        Ok(PairSnapshot {
+        let snapshot = PairSnapshot {
             label: p.label.clone(),
             kind: p.kind,
-            window: Some(window),
+            window: Some(window_checkpoint(&p.detector)?),
             breaker: p.breaker.serialize(),
             mitigation: p.mitigation.serialize(),
             quarantine_confidence: p.quarantine_confidence,
@@ -2014,10 +1905,12 @@ impl Supervisor {
             panics: p.panics,
             deadline_misses: p.deadline_misses,
             retries: p.retries,
-        })
+        };
+        self.pairs.swap_remove(pair);
+        Ok(snapshot)
     }
 
-    /// Imports a migrated pair into this fleet, appending it at the next
+    /// Imports a migrated or restored pair into this shard, appending it at the next
     /// index and seeding its per-pair instruments. A snapshot without a
     /// window (or marked degraded) comes in with a fresh empty window and
     /// runs degraded — its Clean verdicts floor to
@@ -2031,7 +1924,7 @@ impl Supervisor {
     /// config, or its window fails validation (wrong kind or capacity) —
     /// callers that must not lose the pair retry with
     /// [`PairSnapshot::degrade`].
-    pub fn import_pair(&mut self, snapshot: PairSnapshot) -> Result<usize, DetectorError> {
+    fn import_pair(&mut self, snapshot: PairSnapshot) -> Result<usize, DetectorError> {
         let breaker = CircuitBreaker::deserialize(self.config.quarantine, &snapshot.breaker)
             .ok_or_else(|| DetectorError::CheckpointMismatch {
                 reason: format!("pair {:?}: undecodable breaker state", snapshot.label),
@@ -2107,30 +2000,59 @@ impl Supervisor {
         Ok(idx)
     }
 
+    /// Imports a migrated or restored pair without ever losing it: a
+    /// snapshot that fails validation retries degraded; no snapshot at all
+    /// becomes a fresh pair under the caller's authoritative identity,
+    /// marked degraded. Returns `(slot, imported_degraded)`.
+    ///
+    /// # Errors
+    ///
+    /// Only when even a fresh pair cannot be constructed.
+    pub(crate) fn adopt_pair(
+        &mut self,
+        snapshot: Option<PairSnapshot>,
+        label: &str,
+        kind: PairKind,
+    ) -> Result<(usize, bool), DetectorError> {
+        if let Some(snap) = snapshot {
+            let degraded = snap.is_degraded();
+            match self.import_pair(snap.clone()) {
+                Ok(slot) => return Ok((slot, degraded)),
+                Err(_) => {
+                    if let Ok(slot) = self.import_pair(snap.degrade()) {
+                        return Ok((slot, true));
+                    }
+                }
+            }
+        }
+        let slot = self.add_pair(label.to_string(), kind)?;
+        self.set_degraded(slot, true)?;
+        Ok((slot, true))
+    }
+
     /// Reads everything recoverable about a (possibly dead) fleet out of
     /// its checkpoint store without constructing a `Supervisor`: the
     /// newest valid manifest generation, then every listed pair's newest
     /// valid window, rolling back over corrupt generations. Pairs whose
     /// windows are unrecoverable are returned without a window (forcing a
     /// degraded import), never dropped — the migration path's zero-lost-
-    /// pairs guarantee starts here.
+    /// pairs guarantee starts here. `None` means the store has never held
+    /// a manifest.
     ///
     /// # Errors
     ///
-    /// Returns [`DetectorError::CheckpointMismatch`] when the store has no
-    /// manifest at all, manifest parse errors, and config-validation
-    /// errors; per-pair window failures degrade instead of erroring.
-    pub fn recover_pairs(
+    /// Returns [`DetectorError::CorruptCheckpoint`] when manifests exist
+    /// but no generation validates, storage faults, manifest parse errors,
+    /// and config-validation errors; per-pair window failures degrade
+    /// instead of erroring.
+    pub(crate) fn recover_pairs(
         config: &SupervisorConfig,
         store: &CheckpointStore,
-    ) -> Result<RecoveredFleet, DetectorError> {
+    ) -> Result<Option<RecoveredFleet>, DetectorError> {
         config.mitigation.validate()?;
-        let loaded =
-            store
-                .load_latest(MANIFEST_NAME)?
-                .ok_or(DetectorError::CheckpointMismatch {
-                    reason: "store has no supervisor manifest".to_string(),
-                })?;
+        let Some(loaded) = store.load_latest(MANIFEST_NAME)? else {
+            return Ok(None);
+        };
         let manifest_from = RestoredFrom {
             generation: loaded.generation,
             rolled_back: loaded.rolled_back,
@@ -2169,273 +2091,84 @@ impl Supervisor {
                 retries: entry.retries,
             });
         }
-        Ok(RecoveredFleet {
+        Ok(Some(RecoveredFleet {
             tick: manifest.tick,
             manifest: manifest_from,
             pairs,
-        })
+        }))
     }
 
-    /// This fleet's private latency totals (audit, tick) for hierarchical
-    /// rollups.
-    pub(crate) fn totals_latency(&self) -> (&Histogram, &Histogram) {
-        (&self.totals.audit_latency_us, &self.totals.tick_latency_us)
-    }
-
-    /// A point-in-time numeric digest of this fleet's health. Monotonic
-    /// event totals survive checkpoint/restore (re-seeded from the
-    /// manifest); latency distributions restart per process.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut failures = 0u64;
-        let mut panics = 0u64;
-        let mut deadline_misses = 0u64;
-        let mut retries = 0u64;
-        let mut quarantined_pairs = 0usize;
-        let mut covert_pairs = 0usize;
-        let mut contained_pairs = 0usize;
-        let mut confidence_sum = 0.0f64;
-        let mut mitigations_applied = 0u64;
-        let mut mitigation_failures = 0u64;
-        let mut mitigation_escalations = 0u64;
-        let mut mitigation_stepdowns = 0u64;
-        for pair in &self.pairs {
-            failures += pair.failures;
-            panics += pair.panics;
-            deadline_misses += pair.deadline_misses;
-            retries += pair.retries;
-            if pair.breaker.state() != BreakerState::Closed {
-                quarantined_pairs += 1;
-            }
-            if pair.last_verdict.is_covert() {
-                covert_pairs += 1;
-            }
-            if pair.mitigation.state().is_active() {
-                contained_pairs += 1;
-            }
-            mitigations_applied += pair.mitigation.applies();
-            mitigation_failures += pair.mitigation.apply_failures();
-            mitigation_escalations += pair.mitigation.escalations();
-            mitigation_stepdowns += pair.mitigation.step_downs();
-            confidence_sum += pair.quarantine_confidence;
-        }
-        MetricsSnapshot {
-            ticks: self.tick,
-            pairs: self.pairs.len(),
-            quarantined_pairs,
-            covert_pairs,
-            contained_pairs,
-            analyzed: self.totals.analyzed.get(),
-            degraded: self.totals.degraded.get(),
-            failures,
-            panics,
-            deadline_misses,
-            retries,
-            quarantine_skips: self.totals.quarantine_skips.get(),
-            verdict_flips: self.totals.verdict_flips.get(),
-            breaker_transitions: self.totals.breaker_transitions.get(),
-            recoveries: self.totals.recoveries.get(),
-            mitigations_applied,
-            mitigation_failures,
-            mitigation_escalations,
-            mitigation_stepdowns,
-            checkpoints: self.totals.checkpoints.get(),
-            checkpoint_errors: self.totals.checkpoint_errors.get(),
-            restore_rollbacks: self.totals.restore_rollbacks.get(),
-            durability_degraded: self.durability.is_degraded(),
-            shadow_checkpoints: self.totals.shadow_checkpoints.get(),
-            durability_heals: self.totals.durability_heals.get(),
-            mean_confidence: if self.pairs.is_empty() {
-                0.0
-            } else {
-                confidence_sum / self.pairs.len() as f64
-            },
-            ingest: self.ingest_totals(),
-            audit_latency: LatencySummary::from_histogram(&self.totals.audit_latency_us),
-            tick_latency: LatencySummary::from_histogram(&self.totals.tick_latency_us),
-        }
-    }
-
-    /// Sums every attached [`IngestStats`] handle into one digest.
-    fn ingest_totals(&self) -> IngestSnapshot {
-        let mut out = IngestSnapshot::default();
-        for stats in &self.ingest_stats {
-            out.events_offered += stats.events_offered.get();
-            out.events_shed += stats.events_shed.get();
-            out.events_repaired += stats.events_repaired.get();
-            out.events_dropped += stats.events_dropped.get();
-            out.saturated_quanta += stats.saturated_quanta.get();
-            out.quanta += stats.quanta.get();
-            out.partial_harvests += stats.partial_harvests.get();
-            out.missed_harvests += stats.missed_harvests.get();
-        }
-        out
-    }
-
-    /// The whole fleet's standing for a monitoring page: tick counter,
-    /// per-pair table, and the numeric digest.
-    pub fn fleet_status(&self) -> FleetStatus {
-        FleetStatus {
-            tick: self.tick,
-            pairs: self.pair_statuses(),
-            durability: self.durability,
-            metrics: self.metrics_snapshot(),
-        }
-    }
-
-    /// Restores a whole fleet from `store`: loads the newest valid
-    /// manifest generation, then every pair's newest valid window, rolling
-    /// back over corrupt generations and reporting the provenance of
-    /// everything that was loaded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::CorruptCheckpoint`] when an entry exists
-    /// but no generation validates, [`DetectorError::CheckpointMismatch`]
-    /// when the stored state is incompatible with `config` (e.g. a window
-    /// capacity that differs from `config.window_quanta`), and
-    /// [`DetectorError::Trace`] on manifest parse failures. The recovery
-    /// path never panics.
-    pub fn restore(
-        config: SupervisorConfig,
-        store: CheckpointStore,
-    ) -> Result<(Self, RestoreReport), DetectorError> {
-        Self::restore_with_registry(config, store, default_registry())
-    }
-
-    /// Like [`Supervisor::restore`], but binds the restored fleet's
-    /// instruments to `registry` instead of the process-wide default.
-    /// Persisted monotonic counters (failures, panics, deadline misses,
-    /// retries, the tick count) re-seed their instruments so scrapes stay
-    /// monotonic across the crash.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Supervisor::restore`].
-    pub fn restore_with_registry(
-        config: SupervisorConfig,
-        store: CheckpointStore,
-        registry: Registry,
-    ) -> Result<(Self, RestoreReport), DetectorError> {
-        let mut fleet = Supervisor::new(config)?.with_registry(registry);
-        let loaded =
-            store
-                .load_latest(MANIFEST_NAME)?
-                .ok_or(DetectorError::CheckpointMismatch {
-                    reason: "store has no supervisor manifest".to_string(),
-                })?;
-        let manifest_from = RestoredFrom {
-            generation: loaded.generation,
-            rolled_back: loaded.rolled_back,
-        };
-        let manifest = parse_manifest(&loaded.payload, config.quarantine, config.mitigation)?;
-        fleet.tick = manifest.tick;
-
-        let mut pair_provenance = Vec::with_capacity(manifest.pairs.len());
-        for (idx, entry) in manifest.pairs.into_iter().enumerate() {
-            let pair_loaded = store.load_latest(&pair_entry_name(idx))?.ok_or_else(|| {
-                DetectorError::CheckpointMismatch {
-                    reason: format!("manifest lists pair {idx} but the store has no window for it"),
-                }
-            })?;
-            let detector = match entry.kind {
-                PairKind::Contention => {
-                    PairDetector::Contention(OnlineContentionDetector::restore(
-                        config.hunter,
-                        pair_loaded.payload.as_slice(),
-                    )?)
-                }
-                PairKind::Oscillation => {
-                    PairDetector::Oscillation(OnlineOscillationDetector::restore(
-                        config.hunter,
-                        pair_loaded.payload.as_slice(),
-                    )?)
-                }
-            };
-            let capacity = match &detector {
-                PairDetector::Contention(d) => d.capacity(),
-                PairDetector::Oscillation(d) => d.capacity(),
-            };
-            let expected = config.window_quanta.min(512);
-            if capacity != expected {
-                return Err(DetectorError::CheckpointMismatch {
-                    reason: format!(
-                        "pair {idx} window capacity {capacity} does not match the configured {expected}"
-                    ),
-                });
-            }
-            let restored_from = RestoredFrom {
-                generation: pair_loaded.generation,
-                rolled_back: pair_loaded.rolled_back,
-            };
-            fleet.pairs.push(Pair {
-                label: entry.label,
-                kind: entry.kind,
-                detector,
-                breaker: entry.breaker,
-                // Pre-mitigation (v1) manifests restore with an idle
-                // policy; an active containment comes back flagged for
-                // re-assertion through the enforcer.
-                mitigation: entry.mitigation.unwrap_or(
-                    MitigationPolicy::new(config.mitigation)
-                        .expect("mitigation config validated at construction"),
-                ),
-                quarantine_confidence: entry.quarantine_confidence,
-                // A degraded pair must not come back silently Clean.
-                last_verdict: if entry.degraded {
-                    Verdict::Inconclusive
-                } else {
-                    Verdict::Clean
-                },
-                restored_from: Some(restored_from),
-                degraded: entry.degraded,
-                failures: entry.failures,
-                panics: entry.panics,
-                deadline_misses: entry.deadline_misses,
-                retries: entry.retries,
-                backoff_waited_us: 0,
-            });
-            pair_provenance.push(restored_from);
-        }
-        fleet.store = Some(store);
-        let report = RestoreReport {
-            manifest: manifest_from,
-            pairs: pair_provenance,
-        };
-        fleet.seed_restored_metrics(&report);
-        Ok((fleet, report))
-    }
-
-    /// Re-seeds registered instruments from counters that survived in the
-    /// manifest, so a restored fleet's scrape picks up where the crashed
-    /// one left off. `Counter::seed` is a max-merge, so re-seeding into a
-    /// registry that already saw this fleet never double-counts.
-    fn seed_restored_metrics(&self, report: &RestoreReport) {
-        self.metrics.ticks.seed(self.tick);
-        let rolled_back = report.total_rolled_back() as u64;
+    /// Records that this shard's store was read back at restart: seeds the
+    /// shard tick counter with the manifest's tick so scrapes stay
+    /// monotonic, and counts the corrupt generations rolled over.
+    pub(crate) fn note_restore(&self, recovered: &RecoveredFleet) {
+        self.metrics.ticks.seed(recovered.tick);
+        let rolled_back = recovered.rolled_back() as u64;
         if rolled_back > 0 {
             self.metrics.restore_rollbacks.inc_by(rolled_back);
-            self.totals.restore_rollbacks.inc_by(rolled_back);
         }
-        for pair in &self.pairs {
-            self.seed_pair_metrics(pair);
-        }
-        self.metrics.contained_pairs.set(
-            self.pairs
-                .iter()
-                .filter(|p| p.mitigation.state().is_active())
-                .count() as f64,
-        );
         if self.tracer.is_enabled() {
             self.tracer.event(
                 "supervisor",
                 "restore",
                 format_args!(
-                    "{} pairs at tick {}, {rolled_back} generations rolled back",
-                    self.pairs.len(),
-                    self.tick
+                    "{} pairs recovered at tick {}, {rolled_back} generations rolled back",
+                    recovered.pairs.len(),
+                    recovered.tick
                 ),
             );
         }
+    }
+
+    /// The per-pair analysis latency distribution, for fleet rollups.
+    pub(crate) fn audit_latency(&self) -> &Histogram {
+        &self.metrics.audit_latency_us
+    }
+
+    /// A point-in-time numeric digest of this shard, read from its private
+    /// registry and pair table. `ticks` counts shard ticks; monotonic
+    /// per-pair totals travel with pairs across restart and migration;
+    /// latency distributions restart per process. `ingest` is left empty
+    /// (the fleet owns the ingest pipelines).
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
+            ticks: self.metrics.ticks.get(),
+            pairs: self.pairs.len(),
+            analyzed: self.metrics.analyzed.total(),
+            degraded: self.metrics.degraded.total(),
+            quarantine_skips: self.metrics.quarantine_skips.total(),
+            verdict_flips: self.metrics.verdict_flips.total(),
+            breaker_transitions: self.metrics.breaker_transitions.total(),
+            recoveries: self.metrics.recoveries.total(),
+            checkpoints: self.metrics.checkpoints.get(),
+            checkpoint_errors: self.metrics.checkpoint_errors.get(),
+            restore_rollbacks: self.metrics.restore_rollbacks.get(),
+            durability_degraded: self.durability.is_degraded(),
+            shadow_checkpoints: self.metrics.shadow_checkpoints.get(),
+            durability_heals: self.metrics.durability_heals.get(),
+            audit_latency: LatencySummary::from_histogram(&self.metrics.audit_latency_us),
+            tick_latency: LatencySummary::from_histogram(&self.metrics.tick_latency_us),
+            ..MetricsSnapshot::default()
+        };
+        let mut confidence_sum = 0.0f64;
+        for pair in &self.pairs {
+            snap.failures += pair.failures;
+            snap.panics += pair.panics;
+            snap.deadline_misses += pair.deadline_misses;
+            snap.retries += pair.retries;
+            snap.quarantined_pairs += usize::from(pair.breaker.state() != BreakerState::Closed);
+            snap.covert_pairs += usize::from(pair.last_verdict.is_covert());
+            snap.contained_pairs += usize::from(pair.mitigation.state().is_active());
+            snap.mitigations_applied += pair.mitigation.applies();
+            snap.mitigation_failures += pair.mitigation.apply_failures();
+            snap.mitigation_escalations += pair.mitigation.escalations();
+            snap.mitigation_stepdowns += pair.mitigation.step_downs();
+            confidence_sum += pair.quarantine_confidence;
+        }
+        if !self.pairs.is_empty() {
+            snap.mean_confidence = confidence_sum / self.pairs.len() as f64;
+        }
+        snap
     }
 
     /// Seeds one pair's per-pair instruments from its persisted counters
@@ -2497,6 +2230,16 @@ impl Supervisor {
 
 fn pair_entry_name(idx: usize) -> String {
     format!("pair-{idx:04}")
+}
+
+/// Serializes one pair's sliding window.
+fn window_checkpoint(detector: &PairDetector) -> Result<Vec<u8>, DetectorError> {
+    let mut payload = Vec::new();
+    match detector {
+        PairDetector::Contention(d) => d.checkpoint(&mut payload)?,
+        PairDetector::Oscillation(d) => d.checkpoint(&mut payload)?,
+    }
+    Ok(payload)
 }
 
 /// Runs one input through a pair's detector. The bool reports whether the
@@ -2775,6 +2518,9 @@ mod tests {
     use super::*;
     use crate::density::{DensityHistogram, HISTOGRAM_BINS};
     use crate::mitigation::{ApplyError, MitigationLevel};
+    use crate::shard::{ShardedFleet, ShardedFleetConfig};
+    use std::path::{Path, PathBuf};
+    use std::sync::{Arc, Mutex};
 
     fn covert_histogram() -> DensityHistogram {
         let mut bins = vec![0u64; HISTOGRAM_BINS];
@@ -2799,23 +2545,49 @@ mod tests {
         }
     }
 
-    fn temp_store(tag: &str) -> CheckpointStore {
+    fn one_shard(config: SupervisorConfig) -> ShardedFleetConfig {
+        ShardedFleetConfig {
+            shards: 1,
+            base: config,
+            ..ShardedFleetConfig::default()
+        }
+    }
+
+    /// The supervised audit service: a one-shard fleet.
+    fn fleet(config: SupervisorConfig) -> ShardedFleet {
+        ShardedFleet::new(one_shard(config)).unwrap()
+    }
+
+    fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "cchunter-supervisor-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        CheckpointStore::open(dir, 3).unwrap()
+        dir
     }
 
-    fn cleanup(store_dir: &std::path::Path) {
-        let _ = std::fs::remove_dir_all(store_dir);
+    fn cleanup(root: &Path) {
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// One tick of a one-shard fleet, returning the shard's report.
+    fn tick<S: ProbeSource + ?Sized>(fleet: &mut ShardedFleet, source: &mut S) -> TickReport {
+        fleet
+            .tick(source)
+            .shard_reports
+            .swap_remove(0)
+            .expect("shard 0 is live")
+    }
+
+    fn statuses(fleet: &ShardedFleet) -> Vec<crate::shard::FleetPairStatus> {
+        fleet.pair_statuses()
     }
 
     #[test]
     fn healthy_fleet_detects_and_reports() {
-        let mut fleet = Supervisor::new(test_config()).unwrap();
+        let mut fleet = fleet(test_config());
         fleet.add_contention_pair("bus").unwrap();
         fleet.add_contention_pair("divider").unwrap();
         let mut source = |pair: usize, _tick: u64, _attempt: u32| {
@@ -2826,21 +2598,23 @@ mod tests {
             })))
         };
         for _ in 0..6 {
-            let report = fleet.tick(&mut source);
+            let report = tick(&mut fleet, &mut source);
             assert_eq!(report.reports.len(), 2);
             for r in &report.reports {
                 assert!(matches!(r.outcome, PairOutcome::Analyzed(_)), "{r:?}");
             }
         }
-        let statuses = fleet.pair_statuses();
+        let statuses = statuses(&fleet);
         assert!(statuses[0].verdict.is_covert(), "{statuses:?}");
         assert_eq!(statuses[1].verdict, Verdict::Clean);
-        assert!(statuses.iter().all(|s| s.health == BreakerState::Closed));
+        assert!(statuses
+            .iter()
+            .all(|s| s.health == Some(BreakerState::Closed)));
     }
 
     #[test]
     fn panicking_pair_is_contained_and_does_not_poison_the_batch() {
-        let mut fleet = Supervisor::new(test_config()).unwrap();
+        let mut fleet = fleet(test_config());
         fleet.add_contention_pair("healthy").unwrap();
         fleet.add_contention_pair("panicky").unwrap();
         let mut source = |pair: usize, _tick: u64, _attempt: u32| {
@@ -2850,7 +2624,7 @@ mod tests {
                 PairInput::Harvest(Harvest::Complete(covert_histogram()))
             })
         };
-        let report = fleet.tick(&mut source);
+        let report = tick(&mut fleet, &mut source);
         assert!(matches!(
             report.reports[0].outcome,
             PairOutcome::Analyzed(_)
@@ -2862,9 +2636,9 @@ mod tests {
             }
             other => panic!("expected contained panic, got {other:?}"),
         }
-        assert_eq!(fleet.pair_statuses()[1].panics, 1);
+        assert_eq!(statuses(&fleet)[1].panics, 1);
         // The healthy pair keeps working on subsequent ticks.
-        let report = fleet.tick(&mut source);
+        let report = tick(&mut fleet, &mut source);
         assert!(matches!(
             report.reports[0].outcome,
             PairOutcome::Analyzed(_)
@@ -2873,16 +2647,15 @@ mod tests {
 
     #[test]
     fn deadline_miss_is_typed_and_counted() {
-        let config = SupervisorConfig {
+        let mut fleet = fleet(SupervisorConfig {
             deadline_us: 500,
             ..test_config()
-        };
-        let mut fleet = Supervisor::new(config).unwrap();
+        });
         fleet.add_contention_pair("slow").unwrap();
         let mut source = |_pair: usize, _tick: u64, _attempt: u32| {
             Ok::<_, ProbeFault>(PairInput::Chaos(ChaosOp::StallUs(5_000)))
         };
-        let report = fleet.tick(&mut source);
+        let report = tick(&mut fleet, &mut source);
         match &report.reports[0].outcome {
             PairOutcome::Degraded { error, .. } => {
                 assert!(
@@ -2892,13 +2665,13 @@ mod tests {
             }
             other => panic!("expected deadline degradation, got {other:?}"),
         }
-        assert_eq!(fleet.pair_statuses()[0].deadline_misses, 1);
+        assert_eq!(statuses(&fleet)[0].deadline_misses, 1);
     }
 
     #[test]
     fn transient_misses_retry_with_recorded_backoff() {
-        let mut fleet = Supervisor::new(test_config()).unwrap();
-        fleet.add_contention_pair("flaky").unwrap();
+        let mut fleet1 = fleet(test_config());
+        fleet1.add_contention_pair("flaky").unwrap();
         // Fails twice per tick, then delivers.
         let mut source = |_pair: usize, _tick: u64, attempt: u32| {
             if attempt < 2 {
@@ -2909,17 +2682,18 @@ mod tests {
                 Ok(PairInput::Harvest(Harvest::Complete(covert_histogram())))
             }
         };
-        let report = fleet.tick(&mut source);
+        let report = tick(&mut fleet1, &mut source);
         assert!(matches!(
             report.reports[0].outcome,
             PairOutcome::Analyzed(_)
         ));
         assert_eq!(report.reports[0].retries, 2);
         assert!(report.reports[0].backoff_us > 0);
+        assert_eq!(statuses(&fleet1)[0].retries, 2);
         // Deterministic: the same tick replayed yields the same schedule.
-        let mut fleet2 = Supervisor::new(test_config()).unwrap();
+        let mut fleet2 = fleet(test_config());
         fleet2.add_contention_pair("flaky").unwrap();
-        let report2 = fleet2.tick(&mut source);
+        let report2 = tick(&mut fleet2, &mut source);
         assert_eq!(report.reports[0].backoff_us, report2.reports[0].backoff_us);
     }
 
@@ -2938,7 +2712,7 @@ mod tests {
         };
         let faulty_idx = 1usize;
         let run = |with_faulty: bool| {
-            let mut fleet = Supervisor::new(config).unwrap();
+            let mut fleet = fleet(config);
             fleet.add_contention_pair("good-0").unwrap();
             if with_faulty {
                 fleet.add_contention_pair("broken").unwrap();
@@ -2946,7 +2720,7 @@ mod tests {
             fleet.add_contention_pair("good-1").unwrap();
             let mut verdicts: Vec<Vec<Verdict>> = Vec::new();
             for _ in 0..12 {
-                let report = fleet.tick(&mut |pair: usize, _tick: u64, _attempt: u32| {
+                let report = tick(&mut fleet, &mut |pair: usize, _tick: u64, _attempt: u32| {
                     if with_faulty && pair == faulty_idx {
                         Err(ProbeFault {
                             reason: "dead monitor".to_string(),
@@ -2968,14 +2742,14 @@ mod tests {
                         .collect(),
                 );
             }
-            (fleet.pair_statuses(), verdicts)
+            (statuses(&fleet), verdicts)
         };
         let (with_statuses, with_verdicts) = run(true);
         let (without_statuses, without_verdicts) = run(false);
 
         // The 100%-faulty pair trips open within the 4-outcome window.
         assert!(
-            with_statuses[faulty_idx].health != BreakerState::Closed,
+            with_statuses[faulty_idx].health != Some(BreakerState::Closed),
             "faulty pair must be quarantined: {with_statuses:?}"
         );
         assert!(with_statuses[faulty_idx].failures >= 4);
@@ -2989,7 +2763,7 @@ mod tests {
 
     #[test]
     fn quarantined_pair_skips_decay_confidence_and_recovers() {
-        let config = SupervisorConfig {
+        let mut fleet = fleet(SupervisorConfig {
             quarantine: QuarantineConfig {
                 failure_window: 4,
                 trip_threshold: 0.5,
@@ -2999,8 +2773,7 @@ mod tests {
                 confidence_decay: 0.5,
             },
             ..test_config()
-        };
-        let mut fleet = Supervisor::new(config).unwrap();
+        });
         fleet.add_contention_pair("wobbly").unwrap();
         // Faulty for the first 4 ticks, healthy afterwards.
         let mut source = |_pair: usize, tick: u64, _attempt: u32| {
@@ -3015,7 +2788,7 @@ mod tests {
         let mut saw_skip = false;
         let mut recovered = false;
         for _ in 0..12 {
-            let report = fleet.tick(&mut source);
+            let report = tick(&mut fleet, &mut source);
             match &report.reports[0].outcome {
                 PairOutcome::Skipped { confidence } => {
                     saw_skip = true;
@@ -3029,17 +2802,19 @@ mod tests {
         }
         assert!(saw_skip, "quarantine must skip ticks");
         assert!(recovered, "recovery probes must close the breaker");
-        assert_eq!(fleet.pair_statuses()[0].health, BreakerState::Closed);
+        assert_eq!(statuses(&fleet)[0].health, Some(BreakerState::Closed));
     }
 
     #[test]
     fn checkpoint_restore_roundtrips_fleet_state() {
-        let store = temp_store("roundtrip");
-        let dir = store.dir().to_path_buf();
-        let config = test_config();
-        let mut fleet = Supervisor::new(config).unwrap().with_store(store);
-        fleet.add_contention_pair("bus: t <-> s").unwrap();
-        fleet.add_oscillation_pair("l2: t <-> s").unwrap();
+        let root = temp_root("roundtrip");
+        let config = one_shard(test_config());
+        let add_pairs = |fleet: &mut ShardedFleet| {
+            fleet.add_contention_pair("bus: t <-> s").unwrap();
+            fleet.add_oscillation_pair("l2: t <-> s").unwrap();
+        };
+        let mut fleet = ShardedFleet::with_store_root(config.clone(), &root).unwrap();
+        add_pairs(&mut fleet);
         let mut source = |pair: usize, _tick: u64, _attempt: u32| {
             Ok::<_, ProbeFault>(match pair {
                 0 => PairInput::Harvest(Harvest::Complete(covert_histogram())),
@@ -3050,37 +2825,39 @@ mod tests {
             fleet.tick(&mut source);
         }
         fleet.checkpoint().unwrap();
+        drop(fleet);
 
-        let (restored, report) =
-            Supervisor::restore(config, CheckpointStore::open(&dir, 3).unwrap()).unwrap();
-        assert_eq!(restored.len(), 2);
+        // Restart: reopen the root and name the pairs again.
+        let mut restored = ShardedFleet::with_store_root(config, &root).unwrap();
         assert_eq!(restored.tick_count(), 5);
-        assert_eq!(report.total_rolled_back(), 0);
-        let statuses = restored.pair_statuses();
+        add_pairs(&mut restored);
+        assert_eq!(restored.metrics_snapshot().restore_rollbacks, 0);
+        let statuses = statuses(&restored);
         assert_eq!(statuses[0].label, "bus: t <-> s");
         assert_eq!(statuses[0].kind, PairKind::Contention);
         assert_eq!(statuses[1].kind, PairKind::Oscillation);
         assert!(statuses.iter().all(|s| s.restored_from.is_some()));
-        cleanup(&dir);
+        // Standing is unknown until fresh evidence: never Clean.
+        assert!(statuses.iter().all(|s| s.verdict == Verdict::Inconclusive));
+        cleanup(&root);
     }
 
     #[test]
-    fn restore_without_manifest_is_typed() {
-        let store = temp_store("empty");
-        let dir = store.dir().to_path_buf();
-        let err = Supervisor::restore(test_config(), store).unwrap_err();
-        assert!(matches!(err, DetectorError::CheckpointMismatch { .. }));
-        cleanup(&dir);
+    fn empty_store_root_starts_fresh() {
+        let root = temp_root("empty");
+        let mut fleet = ShardedFleet::with_store_root(one_shard(test_config()), &root).unwrap();
+        assert_eq!(fleet.tick_count(), 0);
+        fleet.add_contention_pair("bus").unwrap();
+        let status = &statuses(&fleet)[0];
+        assert!(status.restored_from.is_none());
+        assert_eq!(status.verdict, Verdict::Clean);
+        cleanup(&root);
     }
 
     #[test]
     fn fleet_metrics_snapshot_counts_outcomes() {
-        let registry = Registry::new();
         let tracer = Tracer::new(256);
-        let mut fleet = Supervisor::new(test_config())
-            .unwrap()
-            .with_registry(registry.clone())
-            .with_tracer(tracer.clone());
+        let mut fleet = fleet(test_config()).with_tracer(tracer.clone());
         fleet.add_contention_pair("bus").unwrap();
         fleet.add_contention_pair("chaotic").unwrap();
         let mut source = |pair: usize, tick: u64, _attempt: u32| {
@@ -3105,9 +2882,12 @@ mod tests {
         assert_eq!(snap.audit_latency.count, 11);
         assert_eq!(snap.tick_latency.count, 6);
         let text = fleet.render_prometheus();
-        assert!(text.contains("cchunter_supervisor_ticks_total 6"), "{text}");
         assert!(
-            text.contains("cchunter_pair_panics_total{pair=\"chaotic\"} 1"),
+            text.contains("cchunter_supervisor_ticks_total{shard=\"0\"} 6"),
+            "{text}"
+        );
+        assert!(
+            text.contains("cchunter_pair_panics_total{shard=\"0\",pair=\"chaotic\"} 1"),
             "{text}"
         );
         assert!(tracer.recorded() > 0, "tick spans must be traced");
@@ -3119,13 +2899,9 @@ mod tests {
 
     #[test]
     fn restore_seeds_persistent_counters_into_fresh_registry() {
-        let store = temp_store("metrics-restore");
-        let dir = store.dir().to_path_buf();
-        let config = test_config();
-        let mut fleet = Supervisor::new(config)
-            .unwrap()
-            .with_registry(Registry::new())
-            .with_store(store);
+        let root = temp_root("metrics-restore");
+        let config = one_shard(test_config());
+        let mut fleet = ShardedFleet::with_store_root(config.clone(), &root).unwrap();
         fleet.add_contention_pair("flaky").unwrap();
         let mut source = |_pair: usize, tick: u64, _attempt: u32| {
             if tick.is_multiple_of(2) {
@@ -3143,37 +2919,34 @@ mod tests {
         let before = fleet.metrics_snapshot();
         assert!(before.failures > 0 && before.retries > 0, "{before:?}");
         assert_eq!(before.checkpoints, 1);
+        drop(fleet);
 
-        let registry = Registry::new();
-        let (restored, _) = Supervisor::restore_with_registry(
-            config,
-            CheckpointStore::open(&dir, 3).unwrap(),
-            registry.clone(),
-        )
-        .unwrap();
+        let mut restored = ShardedFleet::with_store_root(config, &root).unwrap();
+        restored.add_contention_pair("flaky").unwrap();
         let after = restored.metrics_snapshot();
         assert_eq!(after.failures, before.failures);
         assert_eq!(after.retries, before.retries);
         assert_eq!(after.ticks, before.ticks);
         // The registered instruments were re-seeded, so the scrape stays
         // monotonic across the crash.
-        let text = registry.render_prometheus();
+        let text = restored.render_prometheus();
         assert!(
             text.contains(&format!(
-                "cchunter_pair_failures_total{{pair=\"flaky\"}} {}",
+                "cchunter_pair_failures_total{{shard=\"0\",pair=\"flaky\"}} {}",
                 before.failures
             )),
             "{text}"
         );
         // metrics.prom was dumped beside the checkpoint and parses back.
-        let dump = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
+        let dump = std::fs::read_to_string(root.join("shard-00").join("metrics.prom")).unwrap();
         let scrape = crate::metrics::parse_prometheus(&dump);
         assert!(scrape.is_clean(), "{:?}", scrape.skipped);
         assert!(scrape
             .samples
             .iter()
             .any(|s| s.name == "cchunter_supervisor_ticks_total"));
-        cleanup(&dir);
+        drop(restored);
+        cleanup(&root);
     }
 
     #[test]
@@ -3201,37 +2974,60 @@ mod tests {
         assert!(manifest.pairs[0].mitigation.is_none());
     }
 
-    /// Records enforcement calls; refuses every level in `refuse`.
+    /// Records enforcement calls; refuses every level in `refuse`. Clones
+    /// share one log, so a test keeps a handle on the shard's enforcer.
+    #[derive(Clone, Default)]
+    struct RecordingEnforcer(Arc<Mutex<EnforcerLog>>);
+
     #[derive(Default)]
-    struct RecordingEnforcer {
+    struct EnforcerLog {
         applied: Vec<(usize, MitigationLevel)>,
         released: Vec<(usize, MitigationLevel)>,
         refuse: Vec<MitigationLevel>,
     }
 
+    impl RecordingEnforcer {
+        fn refusing(level: MitigationLevel) -> Self {
+            let enforcer = RecordingEnforcer::default();
+            enforcer.log().refuse.push(level);
+            enforcer
+        }
+
+        fn log(&self) -> std::sync::MutexGuard<'_, EnforcerLog> {
+            self.0.lock().unwrap()
+        }
+
+        /// A one-shard fleet actuating through this enforcer.
+        fn install(&self, fleet: &mut ShardedFleet) {
+            fleet.set_enforcer(0, Box::new(self.clone())).unwrap();
+        }
+    }
+
     impl MitigationEnforcer for RecordingEnforcer {
         fn apply(&mut self, pair: usize, level: MitigationLevel) -> Result<(), ApplyError> {
-            if self.refuse.contains(&level) {
+            let mut log = self.log();
+            if log.refuse.contains(&level) {
                 return Err(ApplyError {
                     reason: format!("chaos: {level} refused"),
                 });
             }
-            self.applied.push((pair, level));
+            log.applied.push((pair, level));
             Ok(())
         }
 
         fn release(&mut self, pair: usize, level: MitigationLevel) -> Result<(), ApplyError> {
-            self.released.push((pair, level));
+            self.log().released.push((pair, level));
             Ok(())
         }
     }
 
     #[test]
     fn covert_pair_is_convicted_and_contained() {
-        let mut fleet = Supervisor::new(test_config()).unwrap();
+        let mut fleet = fleet(test_config());
         fleet.add_contention_pair("bus: trojan <-> spy").unwrap();
         fleet.add_contention_pair("benign").unwrap();
-        let mut enforcer = RecordingEnforcer::default();
+        let enforcer = RecordingEnforcer::default();
+        enforcer.install(&mut fleet);
         let mut source = |pair: usize, _tick: u64, _attempt: u32| {
             Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(if pair == 0 {
                 covert_histogram()
@@ -3240,9 +3036,9 @@ mod tests {
             })))
         };
         for _ in 0..12 {
-            fleet.tick_with_enforcer(&mut source, &mut enforcer);
+            fleet.tick(&mut source);
         }
-        let statuses = fleet.pair_statuses();
+        let statuses = statuses(&fleet);
         assert!(
             statuses[0].containment.is_active(),
             "covert pair contained: {:?}",
@@ -3253,10 +3049,9 @@ mod tests {
             ContainmentState::Inactive,
             "benign pair untouched"
         );
-        assert!(enforcer
-            .applied
-            .contains(&(0, MitigationLevel::FlushOnSwitch)));
-        assert!(enforcer.applied.iter().all(|(pair, _)| *pair == 0));
+        let log = enforcer.log();
+        assert!(log.applied.contains(&(0, MitigationLevel::FlushOnSwitch)));
+        assert!(log.applied.iter().all(|(pair, _)| *pair == 0));
         assert!(fleet.containment_latency_ticks(0).is_some());
         let snapshot = fleet.metrics_snapshot();
         assert_eq!(snapshot.contained_pairs, 1);
@@ -3270,17 +3065,15 @@ mod tests {
 
     #[test]
     fn refused_rung_escalates_instead_of_silently_dropping() {
-        let mut fleet = Supervisor::new(test_config()).unwrap();
+        let mut fleet = fleet(test_config());
         fleet.add_contention_pair("bus").unwrap();
-        let mut enforcer = RecordingEnforcer {
-            refuse: vec![MitigationLevel::FlushOnSwitch],
-            ..RecordingEnforcer::default()
-        };
+        let enforcer = RecordingEnforcer::refusing(MitigationLevel::FlushOnSwitch);
+        enforcer.install(&mut fleet);
         let mut source = |_pair: usize, _tick: u64, _attempt: u32| {
             Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(covert_histogram())))
         };
         for _ in 0..12 {
-            fleet.tick_with_enforcer(&mut source, &mut enforcer);
+            fleet.tick(&mut source);
         }
         let containment = fleet.containment(0).unwrap();
         assert!(containment.is_active(), "{containment:?}");
@@ -3291,6 +3084,7 @@ mod tests {
         );
         assert!(
             !enforcer
+                .log()
                 .applied
                 .iter()
                 .any(|(_, l)| *l == MitigationLevel::FlushOnSwitch),
@@ -3303,22 +3097,22 @@ mod tests {
 
     #[test]
     fn low_residual_steps_containment_back_down() {
-        let config = SupervisorConfig {
+        let mut fleet = fleet(SupervisorConfig {
             mitigation: MitigationConfig {
                 convict_streak: 2,
                 step_down_streak: 2,
                 ..MitigationConfig::default()
             },
             ..test_config()
-        };
-        let mut fleet = Supervisor::new(config).unwrap();
+        });
         fleet.add_contention_pair("bus").unwrap();
-        let mut enforcer = RecordingEnforcer::default();
+        let enforcer = RecordingEnforcer::default();
+        enforcer.install(&mut fleet);
         let mut covert_source = |_pair: usize, _tick: u64, _attempt: u32| {
             Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(covert_histogram())))
         };
         for _ in 0..10 {
-            fleet.tick_with_enforcer(&mut covert_source, &mut enforcer);
+            fleet.tick(&mut covert_source);
         }
         assert!(fleet.containment(0).unwrap().is_active());
         // The channel goes quiet and the re-measured residual is ~zero:
@@ -3328,13 +3122,14 @@ mod tests {
         };
         for _ in 0..40 {
             fleet.report_residual(0, 0.0, 0.02).unwrap();
-            fleet.tick_with_enforcer(&mut quiet_source, &mut enforcer);
+            fleet.tick(&mut quiet_source);
             if fleet.containment(0).unwrap() == ContainmentState::Inactive {
                 break;
             }
         }
         assert_eq!(fleet.containment(0).unwrap(), ContainmentState::Inactive);
         assert!(enforcer
+            .log()
             .released
             .contains(&(0, MitigationLevel::FlushOnSwitch)));
         assert!(fleet.metrics_snapshot().mitigation_stepdowns >= 1);
@@ -3342,17 +3137,16 @@ mod tests {
 
     #[test]
     fn containment_survives_checkpoint_and_restore() {
-        let store = temp_store("containment");
-        let dir = store.dir().to_path_buf();
-        let config = test_config();
-        let mut fleet = Supervisor::new(config).unwrap().with_store(store);
+        let root = temp_root("containment");
+        let config = one_shard(test_config());
+        let mut fleet = ShardedFleet::with_store_root(config.clone(), &root).unwrap();
         fleet.add_contention_pair("bus").unwrap();
-        let mut enforcer = RecordingEnforcer::default();
+        RecordingEnforcer::default().install(&mut fleet);
         let mut source = |_pair: usize, _tick: u64, _attempt: u32| {
             Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(covert_histogram())))
         };
         for _ in 0..12 {
-            fleet.tick_with_enforcer(&mut source, &mut enforcer);
+            fleet.tick(&mut source);
         }
         let containment = fleet.containment(0).unwrap();
         assert!(containment.is_active());
@@ -3363,53 +3157,52 @@ mod tests {
         // Kill-and-restore: the containment state comes back and the first
         // tick re-asserts it through the (fresh) enforcer, whose hardware
         // state did not survive the crash.
-        let (mut restored, _report) =
-            Supervisor::restore(config, CheckpointStore::open(&dir, 3).unwrap()).unwrap();
+        let mut restored = ShardedFleet::with_store_root(config, &root).unwrap();
+        restored.add_contention_pair("bus").unwrap();
         assert_eq!(restored.containment(0).unwrap(), containment);
         assert_eq!(restored.containment_latency_ticks(0), latency);
-        let mut fresh_enforcer = RecordingEnforcer::default();
-        restored.tick_with_enforcer(&mut source, &mut fresh_enforcer);
+        let fresh_enforcer = RecordingEnforcer::default();
+        fresh_enforcer.install(&mut restored);
+        restored.tick(&mut source);
         assert_eq!(
-            fresh_enforcer.applied,
+            fresh_enforcer.log().applied,
             vec![(0, containment.level().unwrap())],
             "restored containment re-asserted"
         );
-        cleanup(&dir);
+        drop(restored);
+        cleanup(&root);
     }
 
     #[test]
     fn storage_brownout_degrades_durability_and_heals_with_full_repersist() {
         use crate::fault::{StorageFaultClass, StorageFaultConfig, StorageFaultInjector};
 
-        let dir = std::env::temp_dir().join(format!(
-            "cchunter-supervisor-durability-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let root = temp_root("durability");
         let injector = StorageFaultInjector::new(StorageFaultConfig::none(), 7);
-        let store =
-            CheckpointStore::open_with_medium(&dir, 3, std::sync::Arc::new(injector.clone()))
-                .unwrap();
-        let config = SupervisorConfig {
+        let config = one_shard(SupervisorConfig {
             checkpoint_every: 1,
             ..test_config()
-        };
-        let mut fleet = Supervisor::new(config).unwrap().with_store(store);
+        });
+        let mut fleet = ShardedFleet::with_store_root_and_medium(
+            config.clone(),
+            &root,
+            Arc::new(injector.clone()),
+        )
+        .unwrap();
         fleet.add_contention_pair("bus").unwrap();
         let mut source = |_pair: usize, _tick: u64, _attempt: u32| {
             Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(covert_histogram())))
         };
 
         // Healthy medium: the due-tick checkpoint lands durably.
-        let report = fleet.tick(&mut source);
+        let report = tick(&mut fleet, &mut source);
         let first_generation = report.checkpoint_generation.expect("durable checkpoint");
         assert_eq!(fleet.durability(), Durability::Durable);
 
         // Brownout: every write fails with ENOSPC. The fleet keeps ticking,
         // degrades durability, and shadows the freshest state in memory.
         injector.set_config(StorageFaultConfig::none().with_rate(StorageFaultClass::NoSpace, 1.0));
-        let report = fleet.tick(&mut source);
+        let report = tick(&mut fleet, &mut source);
         assert!(report.checkpoint_generation.is_none());
         let error = report.checkpoint_error.expect("typed checkpoint error");
         assert!(error.contains("no-space"), "{error}");
@@ -3418,28 +3211,27 @@ mod tests {
             Durability::Degraded { since_tick: 2 },
             "degraded from the first failing due tick"
         );
-        assert_eq!(fleet.shadow_checkpoint_tick(), Some(2));
-        let entries = fleet.shadow_checkpoint_entries().expect("shadow present");
+        let shadow = fleet.shadow_checkpoint(0).expect("shadow present");
+        assert_eq!(shadow.tick, 2);
         assert_eq!(
-            entries.last().map(|(name, _)| name.as_str()),
+            shadow.entries.last().map(|(name, _)| name.as_str()),
             Some(MANIFEST_NAME),
             "shadow holds the full durable entry set, manifest last"
         );
-        let status = fleet.fleet_status();
-        assert!(status.durability.is_degraded());
-        assert!(status.metrics.durability_degraded);
-        assert_eq!(status.metrics.shadow_checkpoints, 1);
+        let metrics = fleet.metrics_snapshot();
+        assert!(metrics.durability_degraded);
+        assert_eq!(metrics.shadow_checkpoints, 1);
 
         // Still browning out: the shadow tracks the newest tick.
-        let _ = fleet.tick(&mut source);
-        assert_eq!(fleet.shadow_checkpoint_tick(), Some(3));
+        let _ = tick(&mut fleet, &mut source);
+        assert_eq!(fleet.shadow_checkpoint(0).map(|s| s.tick), Some(3));
 
         // Heal: the next due tick's success IS the full re-persist.
         injector.set_config(StorageFaultConfig::none());
-        let report = fleet.tick(&mut source);
+        let report = tick(&mut fleet, &mut source);
         let healed_generation = report.checkpoint_generation.expect("durable again");
         assert_eq!(fleet.durability(), Durability::Durable);
-        assert!(fleet.shadow_checkpoint_tick().is_none(), "shadow retired");
+        assert!(fleet.shadow_checkpoint(0).is_none(), "shadow retired");
         let metrics = fleet.metrics_snapshot();
         assert!(!metrics.durability_degraded);
         assert_eq!(metrics.durability_heals, 1);
@@ -3448,10 +3240,12 @@ mod tests {
 
         // The re-persisted generation restores the whole fleet.
         drop(fleet);
-        let (restored, _report) =
-            Supervisor::restore(config, CheckpointStore::open(&dir, 3).unwrap()).unwrap();
-        assert_eq!(restored.pair_statuses().len(), 1);
+        let mut restored = ShardedFleet::with_store_root(config, &root).unwrap();
+        assert_eq!(restored.tick_count(), 4);
+        restored.add_contention_pair("bus").unwrap();
+        assert!(statuses(&restored)[0].restored_from.is_some());
         assert!(healed_generation > first_generation, "fresh generation");
-        cleanup(&dir);
+        drop(restored);
+        cleanup(&root);
     }
 }

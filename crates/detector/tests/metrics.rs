@@ -1,15 +1,14 @@
 //! Property tests for the observability layer: counter exactness under the
 //! worker-pool concurrency the audit engine actually uses, Prometheus
-//! exposition round-tripping through a parser, and supervisor
-//! kill-and-restore preserving monotonic counters from the persisted
-//! snapshot.
+//! exposition round-tripping through a parser, and fleet kill-and-restore
+//! preserving monotonic counters from the persisted snapshot.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::metrics::{parse_prometheus, Registry, LATENCY_BUCKETS_US};
 use cchunter_detector::online::Harvest;
+use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cchunter_detector::span::Tracer;
-use cchunter_detector::store::CheckpointStore;
-use cchunter_detector::supervisor::{PairInput, ProbeFault, Supervisor, SupervisorConfig};
+use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -198,14 +197,19 @@ fn restore_reseeds_monotonic_counters_at_arbitrary_kill_points() {
         let hist = DensityHistogram::from_bins(bins, 100_000).unwrap();
         Ok(PairInput::Harvest(Harvest::Complete(hist)))
     };
-    let config = || SupervisorConfig {
-        window_quanta: 16,
-        ..SupervisorConfig::default()
+    let config = ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 16,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
     };
-    let build = |registry: Registry| {
-        let mut fleet = Supervisor::new(config())
+    // Every fleet process owns fresh registries; reopening the store root
+    // and naming the pairs again is the restart.
+    let build = |dir: &Path| {
+        let mut fleet = ShardedFleet::with_store_root(config.clone(), dir)
             .unwrap()
-            .with_registry(registry)
             .with_tracer(Tracer::disabled());
         fleet.add_contention_pair("flaky-bus").unwrap();
         fleet.add_contention_pair("steady-bus").unwrap();
@@ -216,8 +220,7 @@ fn restore_reseeds_monotonic_counters_at_arbitrary_kill_points() {
     for trial in 0..4 {
         let kill_at = rng.gen_range(3..20u64);
         let dir = temp_dir(&format!("reseed-{trial}"));
-        let store = CheckpointStore::open(&dir, 3).unwrap();
-        let mut fleet = build(Registry::new()).with_store(store);
+        let mut fleet = build(&dir);
         for _ in 0..kill_at {
             fleet.tick(&mut probe);
         }
@@ -226,14 +229,8 @@ fn restore_reseeds_monotonic_counters_at_arbitrary_kill_points() {
         assert!(before.failures > 0, "trial {trial}: probe plan must fail");
         drop(fleet);
 
-        // A "new process": fresh registry, state only from the store.
-        let fresh = Registry::new();
-        let (mut restored, _report) = Supervisor::restore_with_registry(
-            config(),
-            CheckpointStore::open(&dir, 3).unwrap(),
-            fresh.clone(),
-        )
-        .unwrap();
+        // A "new process": fresh registries, state only from the store.
+        let mut restored = build(&dir);
         let after = restored.metrics_snapshot();
         assert_eq!(after.ticks, before.ticks, "trial {trial}");
         assert_eq!(after.failures, before.failures, "trial {trial}");
@@ -241,15 +238,21 @@ fn restore_reseeds_monotonic_counters_at_arbitrary_kill_points() {
 
         // The persisted counters are visible in the fresh registry's
         // exposition, and keep counting monotonically from there.
-        let text = fresh.render_prometheus();
+        let text = restored.render_prometheus();
         let scrape = parse_prometheus(&text);
         assert!(scrape.is_clean(), "trial {trial}: {:?}", scrape.skipped);
         let ticks_sample = scrape
             .samples
             .iter()
-            .find(|s| s.name == "cchunter_supervisor_ticks_total")
+            .find(|s| s.name == "cchunter_fleet_ticks_total")
             .expect("seeded tick counter is exposed");
         assert_eq!(ticks_sample.value as u64, kill_at, "trial {trial}");
+        let shard_ticks = scrape
+            .samples
+            .iter()
+            .find(|s| s.name == "cchunter_supervisor_ticks_total")
+            .expect("seeded shard tick counter is exposed");
+        assert_eq!(shard_ticks.value as u64, kill_at, "trial {trial}");
 
         for _ in 0..5 {
             restored.tick(&mut probe);
@@ -263,6 +266,7 @@ fn restore_reseeds_monotonic_counters_at_arbitrary_kill_points() {
             later.analyzed >= 9,
             "trial {trial}: post-restore audits must be counted"
         );
+        drop(restored);
         cleanup(&dir);
     }
 }

@@ -1,15 +1,19 @@
 //! Integration tests for the sharded fleet: a shard killed mid-checkpoint
 //! rolls back to its last good generation on a survivor, active containment
-//! re-asserts through the adoptive shard's enforcer, and the rendezvous
-//! placement is stable and minimal under shard-count-preserving restarts.
+//! re-asserts through the adoptive shard's enforcer, the rendezvous
+//! placement is stable and minimal under shard-count-preserving restarts,
+//! the coordinator's one retry loop spares quarantined pairs and reports
+//! per-pair retries, one tick clock keeps migrated quarantines honest, and
+//! a restarted pair reads exactly like a migrated one.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::mitigation::{ApplyError, MitigationEnforcer, MitigationLevel};
 use cchunter_detector::online::Harvest;
+use cchunter_detector::policy::{BackoffConfig, BreakerState, QuarantineConfig};
 use cchunter_detector::shard::{
-    pair_key, rendezvous_shard, ShardHealth, ShardedFleet, ShardedFleetConfig,
+    pair_key, rendezvous_shard, FleetPairStatus, ShardHealth, ShardedFleet, ShardedFleetConfig,
 };
-use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
+use cchunter_detector::supervisor::{PairInput, PairOutcome, ProbeFault, SupervisorConfig};
 use cchunter_detector::{DetectorError, Verdict};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -345,4 +349,260 @@ fn live_kill_causes_zero_survivor_churn() {
             assert_ne!(new_home, victim);
         }
     }
+}
+
+/// A one-pair-kind fleet whose breaker trips after two failures and then
+/// probes every 4 ticks, with a 2-retry budget.
+fn quarantine_config(shards: usize) -> ShardedFleetConfig {
+    let mut config = fleet_config(shards);
+    config.base.backoff = BackoffConfig {
+        max_retries: 2,
+        ..BackoffConfig::default()
+    };
+    config.base.quarantine = QuarantineConfig {
+        failure_window: 4,
+        trip_threshold: 0.5,
+        min_observations: 2,
+        probe_interval: PROBE_INTERVAL,
+        recovery_successes: 1,
+        confidence_decay: 0.5,
+    };
+    config
+}
+
+const PROBE_INTERVAL: u64 = 4;
+
+/// Ticks `fleet` once with every probe failing; returns the probe calls
+/// made for `pair` (first attempts and retries).
+fn failing_tick(fleet: &mut ShardedFleet, pair: usize) -> usize {
+    let mut calls = 0;
+    fleet.tick(&mut |p: usize, _tick: u64, _attempt: u32| {
+        calls += usize::from(p == pair);
+        Err::<PairInput, _>(ProbeFault {
+            reason: "hardware interface wedged".to_string(),
+        })
+    });
+    calls
+}
+
+fn is_open(fleet: &ShardedFleet, pair: usize) -> bool {
+    matches!(
+        fleet.pair_statuses()[pair].health,
+        Some(BreakerState::Open { .. })
+    )
+}
+
+/// A quarantined pair costs one probe (plus its retries) per probe
+/// interval — the coordinator asks the breaker before probing instead of
+/// probing every tick and throwing the input away.
+#[test]
+fn quarantined_pair_is_probed_only_on_recovery_ticks() {
+    let mut fleet = ShardedFleet::new(quarantine_config(1)).unwrap();
+    let pair = fleet
+        .add_contention_pair("memory-bus: wedged monitor")
+        .unwrap();
+    for _ in 0..4 {
+        failing_tick(&mut fleet, pair);
+    }
+    assert!(is_open(&fleet, pair), "the breaker must have tripped");
+    let calls: Vec<usize> = (0..20).map(|_| failing_tick(&mut fleet, pair)).collect();
+    for window in calls.chunks(PROBE_INTERVAL as usize) {
+        assert!(
+            window.iter().sum::<usize>() <= 3,
+            "at most one probe plus two retries per probe interval: {calls:?}"
+        );
+    }
+    assert!(
+        calls.iter().sum::<usize>() >= 3 * (20 / PROBE_INTERVAL as usize - 1),
+        "recovery probes must keep coming: {calls:?}"
+    );
+}
+
+/// A quarantined pair rebalanced onto a revived shard keeps its recovery
+/// schedule: breaker ticks share the coordinator's clock, so the revived
+/// shard's fresh life does not blind the pair.
+#[test]
+fn quarantined_pair_migrated_onto_revived_shard_is_reprobed_within_probe_interval() {
+    let mut fleet = ShardedFleet::new(quarantine_config(2)).unwrap();
+    let pair = fleet
+        .add_contention_pair("memory-bus: wedged monitor")
+        .unwrap();
+    let home = fleet.shard_of(pair).unwrap();
+    fleet.kill_shard(home).unwrap();
+    assert_ne!(fleet.shard_of(pair), Some(home));
+    for _ in 0..60 {
+        failing_tick(&mut fleet, pair);
+    }
+    assert!(is_open(&fleet, pair), "quarantined on the survivor");
+    fleet.revive_shard(home).unwrap();
+    // The next tick's rebalance pass walks the pair home, still open.
+    failing_tick(&mut fleet, pair);
+    assert_eq!(fleet.shard_of(pair), Some(home));
+    assert!(is_open(&fleet, pair));
+    let reprobed = (0..PROBE_INTERVAL).any(|_| {
+        let report = fleet.tick(&mut |_pair: usize, _tick: u64, _attempt: u32| {
+            Err::<PairInput, _>(ProbeFault {
+                reason: "hardware interface wedged".to_string(),
+            })
+        });
+        report
+            .shard_reports
+            .iter()
+            .flatten()
+            .flat_map(|shard| &shard.reports)
+            .any(|r| {
+                r.label == "memory-bus: wedged monitor"
+                    && !matches!(r.outcome, PairOutcome::Skipped { .. })
+            })
+    });
+    assert!(reprobed, "re-probed within {PROBE_INTERVAL} ticks");
+}
+
+/// Per-pair retries survive sharding: the coordinator hands each pair's
+/// retry count to its shard, which reports it in the tick report, the
+/// pair status, the digest and the scrape.
+#[test]
+fn sharded_fleet_reports_per_pair_retries() {
+    let mut fleet = ShardedFleet::new(quarantine_config(2)).unwrap();
+    for pair in 0..4 {
+        fleet
+            .add_contention_pair(format!("memory-bus: pair {pair}"))
+            .unwrap();
+    }
+    let slipping = 1usize;
+    let mut source = |pair: usize, tick: u64, attempt: u32| {
+        if pair == slipping && attempt == 0 {
+            return Err(ProbeFault {
+                reason: "transient slip".to_string(),
+            });
+        }
+        probe(pair, tick, attempt)
+    };
+    for _ in 0..3 {
+        let report = fleet.tick(&mut source);
+        let slipped = report
+            .shard_reports
+            .iter()
+            .flatten()
+            .flat_map(|shard| &shard.reports)
+            .find(|r| r.label == "memory-bus: pair 1")
+            .expect("the pair was analyzed");
+        assert_eq!(slipped.retries, 1);
+        assert!(slipped.backoff_us > 0);
+    }
+    let statuses = fleet.pair_statuses();
+    assert_eq!(statuses[slipping].retries, 3);
+    assert_eq!(statuses[0].retries, 0);
+    assert_eq!(fleet.metrics_snapshot().retries, 3);
+    let shard = fleet.shard_of(slipping).unwrap();
+    let needle =
+        format!("cchunter_pair_retries_total{{shard=\"{shard}\",pair=\"memory-bus: pair 1\"}} 3");
+    let scrape = fleet.render_prometheus();
+    assert!(scrape.contains(&needle), "{scrape}");
+}
+
+/// Restart and migration are one path: a pair restored by reopening the
+/// store root reads exactly like the same pair migrated off a dead shard —
+/// Inconclusive until fresh evidence, containment carried for
+/// re-assertion, counters and provenance intact.
+#[test]
+fn restored_and_migrated_pairs_report_identical_status() {
+    let run = |dir: &Path| {
+        let mut fleet = ShardedFleet::with_store_root(fleet_config(2), dir).unwrap();
+        for pair in 0..6 {
+            fleet
+                .add_contention_pair(format!("memory-bus: pair {pair}"))
+                .unwrap();
+        }
+        for _ in 0..12 {
+            fleet.tick(&mut probe);
+        }
+        assert!(fleet.containment(0).unwrap().is_active());
+        fleet.checkpoint().unwrap();
+        fleet
+    };
+    let dir_migrated = temp_dir("identical-migrated");
+    let dir_restored = temp_dir("identical-restored");
+
+    let mut migrated = run(&dir_migrated);
+    let victim = migrated.shard_of(0).unwrap();
+    migrated.kill_shard(victim).unwrap();
+    assert_ne!(migrated.shard_of(0), Some(victim));
+
+    drop(run(&dir_restored));
+    let mut restored = ShardedFleet::with_store_root(fleet_config(2), &dir_restored).unwrap();
+    assert_eq!(restored.tick_count(), 12);
+    for pair in 0..6 {
+        restored
+            .add_contention_pair(format!("memory-bus: pair {pair}"))
+            .unwrap();
+    }
+
+    // Everything but the hosting shard matches.
+    let status = |fleet: &ShardedFleet| FleetPairStatus {
+        shard: None,
+        ..fleet.pair_statuses().swap_remove(0)
+    };
+    let (a, b) = (status(&migrated), status(&restored));
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(
+        a.verdict,
+        Verdict::Inconclusive,
+        "no acquittal, no conviction"
+    );
+    assert!(a.containment.is_active());
+    assert!(a.restored_from.is_some());
+    drop((migrated, restored));
+    cleanup(&dir_migrated);
+    cleanup(&dir_restored);
+}
+
+/// A recovered label is claimed only under the kind it was saved as, and
+/// until it is claimed it is held, not lost: it counts as an orphan (held
+/// but unmonitored) and the fleet's accounting still balances.
+#[test]
+fn unclaimed_and_mismatched_recovered_pairs_are_visible() {
+    let dir = temp_dir("unclaimed");
+    let label = |pair: usize| format!("memory-bus: pair {pair}");
+    let mut fleet = ShardedFleet::with_store_root(fleet_config(2), &dir).unwrap();
+    for pair in 0..6 {
+        fleet.add_contention_pair(label(pair)).unwrap();
+    }
+    for _ in 0..12 {
+        fleet.tick(&mut probe);
+    }
+    assert!(fleet.containment(0).unwrap().is_active());
+    fleet.checkpoint().unwrap();
+    drop(fleet);
+
+    let orphans = |fleet: &ShardedFleet| {
+        let scrape = fleet.render_prometheus();
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix("cchunter_fleet_orphaned_pairs "))
+            .map(|v| v.parse::<f64>().unwrap())
+            .unwrap()
+    };
+    let mut restored = ShardedFleet::with_store_root(fleet_config(2), &dir).unwrap();
+    assert_eq!(orphans(&restored), 6.0);
+    restored.verify_accounting().unwrap();
+
+    let err = restored.add_oscillation_pair(label(0)).unwrap_err();
+    assert!(
+        matches!(err, DetectorError::CheckpointMismatch { .. }),
+        "{err:?}"
+    );
+    assert!(restored.is_empty(), "a refused claim adds nothing");
+    assert_eq!(orphans(&restored), 6.0, "the snapshot is still held");
+
+    for pair in 0..4 {
+        restored.add_contention_pair(label(pair)).unwrap();
+    }
+    assert_eq!(orphans(&restored), 2.0, "pairs 4 and 5 still unclaimed");
+    restored.verify_accounting().unwrap();
+    let contained = &restored.pair_statuses()[0];
+    assert_eq!(contained.verdict, Verdict::Inconclusive);
+    assert!(contained.containment.is_active());
+    drop(restored);
+    cleanup(&dir);
 }

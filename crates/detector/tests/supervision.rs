@@ -1,18 +1,19 @@
-//! Integration tests for the supervised audit service: crash-safe
-//! checkpointing, rollback over corrupt generations, and quarantine
-//! isolation, driven end to end across the bus / divider / cache pair
-//! kinds the paper audits.
+//! Integration tests for the supervised audit service — a one-shard
+//! [`ShardedFleet`]: crash-safe checkpointing and restart, rollback over
+//! corrupt generations, and quarantine isolation, driven end to end across
+//! the bus / divider / cache pair kinds the paper audits.
 
 use cchunter_detector::auditor::ConflictRecord;
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::mitigation::MitigationConfig;
 use cchunter_detector::online::Harvest;
 use cchunter_detector::policy::{BreakerState, QuarantineConfig};
+use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cchunter_detector::store::CheckpointStore;
 use cchunter_detector::supervisor::{
-    PairInput, PairKind, ProbeFault, Supervisor, SupervisorConfig,
+    PairInput, PairKind, PairOutcome, ProbeFault, SupervisorConfig,
 };
-use cchunter_detector::Verdict;
+use cchunter_detector::{DetectorError, Verdict};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -88,8 +89,17 @@ fn fleet_config() -> SupervisorConfig {
     }
 }
 
-fn build_fleet(config: SupervisorConfig) -> Supervisor {
-    let mut fleet = Supervisor::new(config).unwrap();
+fn one_shard(config: SupervisorConfig) -> ShardedFleetConfig {
+    ShardedFleetConfig {
+        shards: 1,
+        base: config,
+        ..ShardedFleetConfig::default()
+    }
+}
+
+/// Names the three audited pairs; on a fleet reopened over a store root
+/// this is also what restores them.
+fn add_pairs(mut fleet: ShardedFleet) -> ShardedFleet {
     fleet
         .add_contention_pair("memory-bus: pid 17 <-> pid 23")
         .unwrap();
@@ -102,7 +112,11 @@ fn build_fleet(config: SupervisorConfig) -> Supervisor {
     fleet
 }
 
-fn final_verdicts(fleet: &Supervisor) -> Vec<Verdict> {
+fn build_fleet(config: SupervisorConfig) -> ShardedFleet {
+    add_pairs(ShardedFleet::new(one_shard(config)).unwrap())
+}
+
+fn final_verdicts(fleet: &ShardedFleet) -> Vec<Verdict> {
     fleet.pair_statuses().iter().map(|s| s.verdict).collect()
 }
 
@@ -127,19 +141,22 @@ fn restart_at_arbitrary_quantum_preserves_final_verdicts() {
     for trial in 0..8 {
         let kill_at = rng.gen_range(1..TICKS);
         let dir = temp_dir(&format!("restart-{trial}"));
-        let store = CheckpointStore::open(&dir, 3).unwrap();
-        let mut fleet = build_fleet(fleet_config()).with_store(store);
+        let open = || ShardedFleet::with_store_root(one_shard(fleet_config()), &dir).unwrap();
+        let mut fleet = add_pairs(open());
         for _ in 0..kill_at {
             fleet.tick(&mut probe);
         }
         fleet.checkpoint().unwrap();
-        // Simulated crash: the supervisor is dropped with all in-memory
-        // state; a new process restores from the store alone.
+        // Simulated crash: the fleet is dropped with all in-memory state;
+        // a new process restores from the store alone.
         drop(fleet);
-        let (mut restored, report) =
-            Supervisor::restore(fleet_config(), CheckpointStore::open(&dir, 3).unwrap()).unwrap();
+        let mut restored = add_pairs(open());
         assert_eq!(restored.tick_count(), kill_at, "trial {trial}");
-        assert_eq!(report.total_rolled_back(), 0, "trial {trial}");
+        assert_eq!(
+            restored.metrics_snapshot().restore_rollbacks,
+            0,
+            "trial {trial}"
+        );
         for _ in kill_at..TICKS {
             restored.tick(&mut probe);
         }
@@ -148,6 +165,7 @@ fn restart_at_arbitrary_quantum_preserves_final_verdicts() {
             expected,
             "trial {trial}: restart at quantum {kill_at} diverged"
         );
+        drop(restored);
         cleanup(&dir);
     }
 }
@@ -158,8 +176,8 @@ fn restart_at_arbitrary_quantum_preserves_final_verdicts() {
 #[test]
 fn corrupt_newest_generation_rolls_back_and_is_surfaced() {
     let dir = temp_dir("rollback");
-    let store = CheckpointStore::open(&dir, 3).unwrap();
-    let mut fleet = build_fleet(fleet_config()).with_store(store);
+    let open = || ShardedFleet::with_store_root(one_shard(fleet_config()), &dir).unwrap();
+    let mut fleet = add_pairs(open());
     for _ in 0..10 {
         fleet.tick(&mut probe);
     }
@@ -171,10 +189,11 @@ fn corrupt_newest_generation_rolls_back_and_is_surfaced() {
     drop(fleet);
 
     // Trash the newest generation of every entry (manifest included).
-    let probe_store = CheckpointStore::open(&dir, 3).unwrap();
+    let shard_dir = dir.join("shard-00");
+    let probe_store = CheckpointStore::open(&shard_dir, 3).unwrap();
     for name in ["supervisor", "pair-0000", "pair-0001", "pair-0002"] {
         let newest = *probe_store.generations(name).unwrap().last().unwrap();
-        let path = dir.join(format!("{name}.g{newest:08}.ckpt"));
+        let path = shard_dir.join(format!("{name}.g{newest:08}.ckpt"));
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         let end = (mid + 16).min(bytes.len());
@@ -184,15 +203,14 @@ fn corrupt_newest_generation_rolls_back_and_is_surfaced() {
         std::fs::write(&path, &bytes).unwrap();
     }
 
-    let (restored, report) =
-        Supervisor::restore(fleet_config(), CheckpointStore::open(&dir, 3).unwrap()).unwrap();
+    let restored = add_pairs(open());
     assert_eq!(
         restored.tick_count(),
         10,
         "must land on the older generation"
     );
-    assert_eq!(report.manifest.rolled_back, 1);
-    assert_eq!(report.total_rolled_back(), 4);
+    // One rolled-over generation each for the manifest and three pairs.
+    assert_eq!(restored.metrics_snapshot().restore_rollbacks, 4);
     for status in restored.pair_statuses() {
         let from = status
             .restored_from
@@ -200,14 +218,56 @@ fn corrupt_newest_generation_rolls_back_and_is_surfaced() {
         assert_eq!(
             from.rolled_back, 1,
             "pair {} must surface its rollback",
-            status.index
+            status.pair
         );
     }
+    drop(restored);
     cleanup(&dir);
 }
 
 /// A pair whose probes fail 100% of the time is quarantined within the
 /// failure window while every other pair's verdict stream is unchanged.
+/// A store whose every manifest generation is corrupt cannot say which
+/// pairs it held or how they stood: reopening it is a typed error, never a
+/// fresh start that would let a convicted pair read Clean. Moving the
+/// shard directory aside is the deliberate way to start over.
+#[test]
+fn unreadable_store_refuses_to_reopen() {
+    let dir = temp_dir("unreadable");
+    let open = || ShardedFleet::with_store_root(one_shard(fleet_config()), &dir);
+    let mut fleet = add_pairs(open().unwrap());
+    for _ in 0..12 {
+        fleet.tick(&mut probe);
+    }
+    fleet.checkpoint().unwrap();
+    assert!(fleet.pair_statuses()[0].verdict.is_covert());
+    drop(fleet);
+
+    let shard_dir = dir.join("shard-00");
+    let probe_store = CheckpointStore::open(&shard_dir, 3).unwrap();
+    for generation in probe_store.generations("supervisor").unwrap() {
+        let path = shard_dir.join(format!("supervisor.g{generation:08}.ckpt"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        for b in &mut bytes {
+            *b ^= 0xA5;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    drop(probe_store);
+
+    let err = open().unwrap_err();
+    assert!(
+        matches!(err, DetectorError::CorruptCheckpoint(_)),
+        "typed refusal, got {err:?}"
+    );
+    // The failed open released its claim on the directory.
+    std::fs::rename(&shard_dir, dir.join("shard-00.unreadable")).unwrap();
+    let fresh = add_pairs(open().unwrap());
+    assert_eq!(fresh.tick_count(), 0);
+    drop(fresh);
+    cleanup(&dir);
+}
+
 #[test]
 fn fully_faulty_pair_is_quarantined_without_collateral() {
     let quarantine = QuarantineConfig {
@@ -223,7 +283,7 @@ fn fully_faulty_pair_is_quarantined_without_collateral() {
         ..fleet_config()
     };
     let run = |with_faulty: bool| {
-        let mut fleet = Supervisor::new(config).unwrap();
+        let mut fleet = ShardedFleet::new(one_shard(config)).unwrap();
         fleet.add_contention_pair("memory-bus").unwrap();
         let faulty = if with_faulty {
             Some(fleet.add_contention_pair("dead-monitor").unwrap())
@@ -262,7 +322,7 @@ fn fully_faulty_pair_is_quarantined_without_collateral() {
 
     assert_ne!(
         with_statuses[faulty].health,
-        BreakerState::Closed,
+        Some(BreakerState::Closed),
         "100%-faulty pair must trip its breaker: {with_statuses:?}"
     );
     assert!(with_statuses[faulty].failures >= 4);
@@ -272,8 +332,8 @@ fn fully_faulty_pair_is_quarantined_without_collateral() {
     assert_eq!(with_stream, without_stream);
     assert!(with_statuses[healthy[0]].verdict.is_covert());
     assert!(with_statuses[healthy[1]].verdict.is_covert());
-    assert_eq!(with_statuses[healthy[0]].health, BreakerState::Closed);
-    assert_eq!(with_statuses[healthy[1]].health, BreakerState::Closed);
+    assert_eq!(with_statuses[healthy[0]].health, Some(BreakerState::Closed));
+    assert_eq!(with_statuses[healthy[1]].health, Some(BreakerState::Closed));
 }
 
 /// A pair that is both contained (convicted covert channel) and then
@@ -303,7 +363,7 @@ fn quarantined_pair_recovery_resumes_full_auditing_with_consistent_counters() {
         mitigation,
         ..fleet_config()
     };
-    let mut fleet = Supervisor::new(config).unwrap();
+    let mut fleet = ShardedFleet::new(one_shard(config)).unwrap();
     fleet
         .add_contention_pair("memory-bus: pid 17 <-> pid 23")
         .unwrap();
@@ -331,14 +391,17 @@ fn quarantined_pair_recovery_resumes_full_auditing_with_consistent_counters() {
     let mut decayed_confidence = f64::INFINITY;
     for _ in 0..12 {
         let report = fleet.tick(&mut wedged);
-        if let cchunter_detector::supervisor::PairOutcome::Skipped { confidence } =
-            report.reports[0].outcome
-        {
+        let shard = report.shard_reports[0].as_ref().expect("shard 0 is live");
+        if let PairOutcome::Skipped { confidence } = shard.reports[0].outcome {
             decayed_confidence = decayed_confidence.min(confidence);
         }
     }
     let during = fleet.pair_statuses();
-    assert_ne!(during[0].health, BreakerState::Closed, "breaker tripped");
+    assert_ne!(
+        during[0].health,
+        Some(BreakerState::Closed),
+        "breaker tripped"
+    );
     assert!(
         decayed_confidence < 0.5,
         "quarantine skipped ticks and decayed confidence, got {decayed_confidence}"
@@ -353,7 +416,7 @@ fn quarantined_pair_recovery_resumes_full_auditing_with_consistent_counters() {
     let mut recovered_at = None;
     for i in 0..40 {
         fleet.tick(&mut covert_probe);
-        if fleet.pair_statuses()[0].health == BreakerState::Closed {
+        if fleet.pair_statuses()[0].health == Some(BreakerState::Closed) {
             recovered_at = Some(i);
             break;
         }
@@ -363,19 +426,17 @@ fn quarantined_pair_recovery_resumes_full_auditing_with_consistent_counters() {
     // Full auditing resumes: every subsequent tick analyzes cleanly.
     for _ in 0..4 {
         let report = fleet.tick(&mut covert_probe);
+        let shard = report.shard_reports[0].as_ref().expect("shard 0 is live");
         assert!(
-            matches!(
-                report.reports[0].outcome,
-                cchunter_detector::supervisor::PairOutcome::Analyzed(_)
-            ),
+            matches!(shard.reports[0].outcome, PairOutcome::Analyzed(_)),
             "{:?}",
-            report.reports[0].outcome
+            shard.reports[0].outcome
         );
     }
 
     let after = fleet.pair_statuses();
     let snapshot = fleet.metrics_snapshot();
-    assert_eq!(after[0].health, BreakerState::Closed);
+    assert_eq!(after[0].health, Some(BreakerState::Closed));
     assert_eq!(snapshot.quarantined_pairs, 0);
     assert!(after[0].verdict.is_covert(), "auditing is really back");
     // No double decay: the reported confidence snapped back to the
@@ -407,5 +468,7 @@ fn quarantined_pair_recovery_resumes_full_auditing_with_consistent_counters() {
     );
     // The recovery is also visible in the Prometheus rendering.
     let prom = fleet.render_prometheus();
-    assert!(prom.contains("cchunter_pair_quarantined{pair=\"memory-bus: pid 17 <-> pid 23\"} 0"));
+    assert!(prom.contains(
+        "cchunter_pair_quarantined{shard=\"0\",pair=\"memory-bus: pid 17 <-> pid 23\"} 0"
+    ));
 }

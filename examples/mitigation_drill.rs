@@ -14,7 +14,9 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
+use std::path::Path;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cc_hunter::audit::{AuditSession, QuantumRunner};
 use cc_hunter::channels::{
@@ -27,10 +29,8 @@ use cc_hunter::detector::mitigation::{
 };
 use cc_hunter::detector::online::Harvest;
 use cc_hunter::detector::policy::QuarantineConfig;
-use cc_hunter::detector::store::CheckpointStore;
-use cc_hunter::detector::supervisor::{
-    PairInput, ProbeFault, ProbeSource, Supervisor, SupervisorConfig,
-};
+use cc_hunter::detector::shard::{FleetTickReport, ShardedFleet, ShardedFleetConfig};
+use cc_hunter::detector::supervisor::{PairInput, ProbeFault, ProbeSource, SupervisorConfig};
 use cc_hunter::detector::{CcHunterConfig, DeltaTPolicy};
 use cc_hunter::sim::{ContextId, FnProgram, Machine, MachineConfig, Op};
 use cc_hunter::{FaultClass, FaultConfig, FaultInjector};
@@ -132,7 +132,7 @@ impl DrillRig {
         }
     }
 
-    /// Probe-source body for the supervisor: advance one quantum and hand
+    /// Probe-source body for the fleet: advance one quantum and hand
     /// back the bus harvest, with the re-read retry path of
     /// `supervised_audit`.
     fn probe(&mut self, attempt: u32) -> PairInput {
@@ -174,6 +174,43 @@ impl DrillRig {
             .count();
         (correct, goodput_fraction(correct, hi - lo))
     }
+
+    /// Carries the rung changes `enforcer` accepted during the last tick
+    /// out onto the machine's scheduler and cache-hardware controls.
+    /// Returns the reason of a control write the hardware rejected.
+    fn actuate(&self, enforcer: &MachineEnforcer) -> Result<(), String> {
+        let pending = std::mem::take(&mut enforcer.log().pending);
+        let mut m = self.machine.borrow_mut();
+        let mut rejected = Ok(());
+        for (level, engage) in pending {
+            match (level, engage) {
+                (MitigationLevel::FlushOnSwitch, on) => m.set_flush_on_switch(on),
+                (MitigationLevel::TemporalPartition, true) => {
+                    m.set_temporal_phase(self.trojan_ctx, Some(0));
+                    m.set_temporal_phase(self.spy_ctx, Some(1));
+                }
+                (MitigationLevel::TemporalPartition, false) => {
+                    m.set_temporal_phase(self.trojan_ctx, None);
+                    m.set_temporal_phase(self.spy_ctx, None);
+                }
+                (MitigationLevel::WayPartition, true) => {
+                    let write = m
+                        .set_l2_way_mask(self.trojan_ctx, 0x0F)
+                        .and_then(|()| m.set_l2_way_mask(self.spy_ctx, 0xF0));
+                    if write.is_err() {
+                        rejected = write;
+                    }
+                }
+                (MitigationLevel::WayPartition, false) => {
+                    m.clear_l2_way_mask(self.trojan_ctx);
+                    m.clear_l2_way_mask(self.spy_ctx);
+                }
+                (MitigationLevel::Deschedule, true) => m.park_context(self.trojan_ctx),
+                (MitigationLevel::Deschedule, false) => m.resume_context(self.trojan_ctx),
+            }
+        }
+        rejected
+    }
 }
 
 /// Adapter presenting one rig as the supervisor's probe source for pair 0.
@@ -185,82 +222,97 @@ impl ProbeSource for RigSource<'_> {
     }
 }
 
-/// The sim-side actuator: maps ladder rungs onto the machine's scheduler
-/// and cache-hardware containment controls. Refusals in `refuse` model a
-/// wedged firmware interface — the policy must escalate past them, never
-/// silently no-op.
-struct MachineEnforcer {
-    machine: Rc<RefCell<Machine>>,
-    trojan_ctx: ContextId,
-    spy_ctx: ContextId,
+/// The fleet-side actuator: a shard owns it, so it must be `Send`, and the
+/// single-threaded machine is not — it only records. Accepted rung changes
+/// queue up for [`DrillRig::actuate`], which maps them onto the machine's
+/// scheduler and cache-hardware controls before the next quantum runs; a
+/// control write rejected there reaches the ladder as a residual reading
+/// (see [`step`]). Refusals in `refuse` model a wedged firmware interface
+/// — the policy must escalate past them, never silently no-op. Clones
+/// share one log.
+#[derive(Clone, Default)]
+struct MachineEnforcer(Arc<Mutex<EnforcerLog>>);
+
+#[derive(Default)]
+struct EnforcerLog {
     refuse: Vec<MitigationLevel>,
     refusals_served: u64,
     applied: Vec<MitigationLevel>,
     released: Vec<MitigationLevel>,
+    /// Accepted changes not yet actuated: `(rung, engage)`.
+    pending: Vec<(MitigationLevel, bool)>,
 }
 
 impl MachineEnforcer {
-    fn new(rig: &DrillRig, refuse: Vec<MitigationLevel>) -> Self {
-        MachineEnforcer {
-            machine: rig.machine.clone(),
-            trojan_ctx: rig.trojan_ctx,
-            spy_ctx: rig.spy_ctx,
-            refuse,
-            refusals_served: 0,
-            applied: Vec::new(),
-            released: Vec::new(),
-        }
+    fn new(refuse: Vec<MitigationLevel>) -> Self {
+        let enforcer = MachineEnforcer::default();
+        enforcer.log().refuse = refuse;
+        enforcer
+    }
+
+    fn log(&self) -> MutexGuard<'_, EnforcerLog> {
+        self.0.lock().expect("enforcer log")
+    }
+
+    /// Makes this enforcer shard 0's actuation backend.
+    fn install(&self, fleet: &mut ShardedFleet) {
+        fleet
+            .set_enforcer(0, Box::new(self.clone()))
+            .expect("shard 0 exists");
     }
 }
 
 impl MitigationEnforcer for MachineEnforcer {
     fn apply(&mut self, _pair: usize, level: MitigationLevel) -> Result<(), ApplyError> {
-        if self.refuse.contains(&level) {
-            self.refusals_served += 1;
+        let mut log = self.log();
+        if log.refuse.contains(&level) {
+            log.refusals_served += 1;
             return Err(ApplyError {
                 reason: format!("injected: firmware rejected {level} control write"),
             });
         }
-        let mut m = self.machine.borrow_mut();
-        match level {
-            MitigationLevel::FlushOnSwitch => m.set_flush_on_switch(true),
-            MitigationLevel::TemporalPartition => {
-                m.set_temporal_phase(self.trojan_ctx, Some(0));
-                m.set_temporal_phase(self.spy_ctx, Some(1));
-            }
-            MitigationLevel::WayPartition => {
-                m.set_l2_way_mask(self.trojan_ctx, 0x0F)
-                    .map_err(|reason| ApplyError { reason })?;
-                m.set_l2_way_mask(self.spy_ctx, 0xF0)
-                    .map_err(|reason| ApplyError { reason })?;
-            }
-            MitigationLevel::Deschedule => m.park_context(self.trojan_ctx),
-        }
-        self.applied.push(level);
+        log.applied.push(level);
+        log.pending.push((level, true));
         Ok(())
     }
 
     fn release(&mut self, _pair: usize, level: MitigationLevel) -> Result<(), ApplyError> {
-        let mut m = self.machine.borrow_mut();
-        match level {
-            MitigationLevel::FlushOnSwitch => m.set_flush_on_switch(false),
-            MitigationLevel::TemporalPartition => {
-                m.set_temporal_phase(self.trojan_ctx, None);
-                m.set_temporal_phase(self.spy_ctx, None);
-            }
-            MitigationLevel::WayPartition => {
-                m.clear_l2_way_mask(self.trojan_ctx);
-                m.clear_l2_way_mask(self.spy_ctx);
-            }
-            MitigationLevel::Deschedule => m.resume_context(self.trojan_ctx),
-        }
-        self.released.push(level);
+        let mut log = self.log();
+        log.released.push(level);
+        log.pending.push((level, false));
         Ok(())
     }
 }
 
-fn rig_fleet_config(convict_streak: u32) -> SupervisorConfig {
-    SupervisorConfig {
+/// One fleet tick against the rig, then the accepted rung changes land on
+/// the machine. A rung the hardware rejected leaves the channel at its
+/// unmitigated baseline, and is reported so: a residual above the cap
+/// escalates the ladder on the next tick.
+fn step(
+    fleet: &mut ShardedFleet,
+    rig: &mut DrillRig,
+    enforcer: &MachineEnforcer,
+) -> FleetTickReport {
+    let report = fleet.tick(&mut RigSource(rig));
+    if let Err(reason) = rig.actuate(enforcer) {
+        println!("  control write rejected: {reason}");
+        fleet
+            .report_residual(0, 1.0, 0.0)
+            .expect("the rig pair is hosted");
+    }
+    report
+}
+
+fn one_shard(base: SupervisorConfig) -> ShardedFleetConfig {
+    ShardedFleetConfig {
+        shards: 1,
+        base,
+        ..ShardedFleetConfig::default()
+    }
+}
+
+fn rig_fleet_config(convict_streak: u32) -> ShardedFleetConfig {
+    one_shard(SupervisorConfig {
         hunter: CcHunterConfig {
             quantum_cycles: QUANTUM,
             delta_t: DeltaTPolicy::Fixed(100_000),
@@ -286,13 +338,15 @@ fn rig_fleet_config(convict_streak: u32) -> SupervisorConfig {
             ..MitigationConfig::default()
         },
         ..SupervisorConfig::default()
-    }
+    })
 }
+
+const RIG_PAIR: &str = "memory-bus: trojan core 0 <-> spy core 1";
 
 /// Outcome of one conviction run against a fresh rig.
 struct ContainRun {
     rig: DrillRig,
-    fleet: Supervisor,
+    fleet: ShardedFleet,
     enforcer: MachineEnforcer,
     conviction_tick: u64,
     containment_tick: u64,
@@ -301,23 +355,25 @@ struct ContainRun {
     bits_before_containment: usize,
 }
 
-/// Drives a fresh rig under a supervisor until containment is in force,
-/// returning the latency/leakage point for the headline curve.
+/// Drives a fresh rig under a fleet (checkpointing under `store_root`,
+/// when given) until containment is in force, returning the
+/// latency/leakage point for the headline curve.
 fn run_until_contained(
     convict_streak: u32,
     refuse: Vec<MitigationLevel>,
-    store: Option<CheckpointStore>,
+    store_root: Option<&Path>,
     fault_seed: u64,
 ) -> ContainRun {
     let mut rig = DrillRig::new(fault_seed);
-    let mut enforcer = MachineEnforcer::new(&rig, refuse);
-    let mut fleet = Supervisor::new(rig_fleet_config(convict_streak)).expect("valid fleet config");
-    if let Some(store) = store {
-        fleet = fleet.with_store(store);
+    let enforcer = MachineEnforcer::new(refuse);
+    let config = rig_fleet_config(convict_streak);
+    let mut fleet = match store_root {
+        Some(root) => ShardedFleet::with_store_root(config, root),
+        None => ShardedFleet::new(config),
     }
-    fleet
-        .add_contention_pair("memory-bus: trojan core 0 <-> spy core 1")
-        .expect("valid pair");
+    .expect("valid fleet config");
+    enforcer.install(&mut fleet);
+    fleet.add_contention_pair(RIG_PAIR).expect("valid pair");
 
     let mut conviction_tick = None;
     let (containment_tick, latency_ticks) = loop {
@@ -327,7 +383,7 @@ fn run_until_contained(
              (convict_streak {convict_streak}); containment: {:?}",
             fleet.containment(0)
         );
-        let report = fleet.tick_with_enforcer(&mut RigSource(&mut rig), &mut enforcer);
+        let report = step(&mut fleet, &mut rig, &enforcer);
         let containment = fleet.containment(0).expect("pair 0 exists");
         if conviction_tick.is_none() && containment.is_active() {
             conviction_tick = Some(report.tick);
@@ -412,7 +468,7 @@ fn main() {
     let mut run = run_until_contained(
         2,
         vec![MitigationLevel::FlushOnSwitch],
-        Some(CheckpointStore::open(&store_dir, 3).expect("store opens")),
+        Some(&store_dir),
         0xD11_0001,
     );
     let contained_level = run
@@ -426,15 +482,16 @@ fn main() {
         run.conviction_tick,
         run.containment_tick,
         run.latency_ticks,
-        run.enforcer.refusals_served,
+        run.enforcer.log().refusals_served,
         run.fleet.metrics_snapshot().mitigation_escalations,
     );
     assert!(
-        run.enforcer.refusals_served > 0,
+        run.enforcer.log().refusals_served > 0,
         "the injected first-rung refusal must have been exercised"
     );
     assert!(
         !run.enforcer
+            .log()
             .applied
             .contains(&MitigationLevel::FlushOnSwitch),
         "a refused rung must never be recorded as applied"
@@ -463,8 +520,7 @@ fn main() {
         let bits_lo = run.rig.bits_transmitted();
         let benign_lo = run.rig.benign_ops.get();
         for _ in 0..residual_quanta {
-            run.fleet
-                .tick_with_enforcer(&mut RigSource(&mut run.rig), &mut run.enforcer);
+            step(&mut run.fleet, &mut run.rig, &run.enforcer);
         }
         let (_, window_goodput) = run.rig.goodput_between(bits_lo, run.rig.bits_transmitted());
         let window_bps = window_goodput * NOMINAL_BPS;
@@ -494,8 +550,7 @@ fn main() {
         );
         // One transition tick: the policy sees the over-cap reading and
         // escalates, so the next window measures the stronger rung.
-        run.fleet
-            .tick_with_enforcer(&mut RigSource(&mut run.rig), &mut run.enforcer);
+        step(&mut run.fleet, &mut run.rig, &run.enforcer);
     };
     let drop_percent = (1.0 - final_reading.residual_fraction) * 100.0;
     let residual_windows = trajectory.len() as u64;
@@ -512,15 +567,13 @@ fn main() {
     }
 
     // --- Phase D: the audit service dies; containment must survive. -------
-    let generation = run.fleet.checkpoint().expect("checkpoint written");
+    let generation = run.fleet.checkpoint().expect("checkpoint written")[0].1;
     let containment_before = run.fleet.containment(0).expect("pair exists");
     let latency_before = run.fleet.containment_latency_ticks(0);
     drop(run.fleet);
-    let (mut restored, _report) = Supervisor::restore(
-        rig_fleet_config(2),
-        CheckpointStore::open(&store_dir, 3).expect("store reopens"),
-    )
-    .expect("restore succeeds");
+    let mut restored =
+        ShardedFleet::with_store_root(rig_fleet_config(2), &store_dir).expect("store reopens");
+    restored.add_contention_pair(RIG_PAIR).expect("valid pair");
     assert_eq!(
         restored.containment(0),
         Some(containment_before),
@@ -533,15 +586,16 @@ fn main() {
     );
     // A restarted service cannot trust the hardware state it inherited:
     // the first tick must re-assert the rung through the enforcer.
-    let mut fresh_enforcer = MachineEnforcer::new(&run.rig, Vec::new());
-    restored.tick_with_enforcer(&mut RigSource(&mut run.rig), &mut fresh_enforcer);
+    let fresh_enforcer = MachineEnforcer::new(Vec::new());
+    fresh_enforcer.install(&mut restored);
+    step(&mut restored, &mut run.rig, &fresh_enforcer);
     let reasserted = containment_before
         .level()
         .expect("containment is active at the crash");
     assert!(
-        fresh_enforcer.applied.contains(&reasserted),
-        "restored supervisor must re-assert `{reasserted}` through the enforcer, applied: {:?}",
-        fresh_enforcer.applied
+        fresh_enforcer.log().applied.contains(&reasserted),
+        "restored fleet must re-assert `{reasserted}` through the enforcer, applied: {:?}",
+        fresh_enforcer.log().applied
     );
     println!(
         "restore: containment `{}` survived generation {generation} and was re-asserted",
@@ -549,7 +603,7 @@ fn main() {
     );
 
     // --- Phase E: the ladder steps down when the leak closes. -------------
-    let mut stepdown_fleet = Supervisor::new(SupervisorConfig {
+    let mut stepdown_fleet = ShardedFleet::new(one_shard(SupervisorConfig {
         window_quanta: 8,
         deadline_us: 0,
         mitigation: MitigationConfig {
@@ -558,7 +612,7 @@ fn main() {
             ..MitigationConfig::default()
         },
         ..SupervisorConfig::default()
-    })
+    }))
     .expect("valid step-down config");
     stepdown_fleet
         .add_contention_pair("divider: synthetic step-down pair")
@@ -566,7 +620,8 @@ fn main() {
     // The step-down pair is synthetic, so the enforcer actuates an idle
     // spare machine — only the apply/release bookkeeping matters here.
     let dummy_rig = DrillRig::new(0xD11_0002);
-    let mut advisory = MachineEnforcer::new(&dummy_rig, Vec::new());
+    let advisory = MachineEnforcer::new(Vec::new());
+    advisory.install(&mut stepdown_fleet);
     let mut covert_source = |_p: usize, tick: u64, _a: u32| {
         Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(covert_histogram(
             tick,
@@ -578,7 +633,10 @@ fn main() {
         .is_active()
     {
         assert!(stepdown_fleet.tick_count() < 30, "synthetic pair convicts");
-        stepdown_fleet.tick_with_enforcer(&mut covert_source, &mut advisory);
+        stepdown_fleet.tick(&mut covert_source);
+        dummy_rig
+            .actuate(&advisory)
+            .expect("the spare machine takes every rung");
     }
     let mut quiet_source = |_p: usize, tick: u64, _a: u32| {
         Ok::<_, ProbeFault>(PairInput::Harvest(Harvest::Complete(quiet_histogram(tick))))
@@ -597,13 +655,19 @@ fn main() {
         stepdown_fleet
             .report_residual(0, 0.02, 0.01)
             .expect("residual accepted");
-        stepdown_fleet.tick_with_enforcer(&mut quiet_source, &mut advisory);
+        stepdown_fleet.tick(&mut quiet_source);
+        dummy_rig
+            .actuate(&advisory)
+            .expect("the spare machine takes every rung");
         stepdown_ticks += 1;
     }
     let step_downs = stepdown_fleet.metrics_snapshot().mitigation_stepdowns;
     assert!(step_downs >= 1, "at least one step-down must be recorded");
     assert!(
-        advisory.released.contains(&MitigationLevel::FlushOnSwitch),
+        advisory
+            .log()
+            .released
+            .contains(&MitigationLevel::FlushOnSwitch),
         "the final rung must be released through the enforcer"
     );
     println!(
@@ -680,7 +744,7 @@ fn main() {
          \"quiet_quanta\": {stepdown_ticks},\n    \"step_downs\": {step_downs},\n    \
          \"released_to_inactive\": true\n  }},\n  \"latency_vs_leak\": [\n{}\n  ]\n}}\n",
         started.elapsed().as_millis(),
-        run.enforcer.refusals_served,
+        run.enforcer.log().refusals_served,
         run.conviction_tick,
         run.containment_tick,
         run.latency_ticks,

@@ -1,11 +1,12 @@
-//! The observability drill: a supervised fleet under injected faults — a
+//! The observability drill: a supervised (one-shard) fleet under injected faults — a
 //! contained analysis panic, a wedged (quarantined) monitor, a crash with a
 //! corrupted newest checkpoint generation, a storage brownout that flips
 //! the fleet to durability-degraded (shadow-only) checkpointing and heals
 //! — with the full metrics and tracing surface on display: the fleet's
-//! numeric digest, a Prometheus-format scrape of the shared registry
-//! (simulator counters included), the structured trace timeline, and a
-//! measured instrumentation-overhead figure for the supervisor tick loop.
+//! numeric digest, a Prometheus-format scrape of the fleet's registries
+//! plus the process-wide one (simulator counters included), the structured
+//! trace timeline, and a measured instrumentation-overhead figure for the
+//! fleet tick loop.
 //!
 //! ```sh
 //! cargo run --example observed_audit
@@ -14,19 +15,19 @@
 use cc_hunter::audit::{AuditSession, QuantumRunner};
 use cc_hunter::channels::{BitClock, BusChannelConfig, BusSpy, BusTrojan, Message, SpyLog};
 use cc_hunter::detector::density::{DensityHistogram, HISTOGRAM_BINS};
-use cc_hunter::detector::metrics::Registry;
+use cc_hunter::detector::metrics::default_registry;
 use cc_hunter::detector::online::Harvest;
 use cc_hunter::detector::policy::QuarantineConfig;
+use cc_hunter::detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cc_hunter::detector::span::{self, Tracer};
-use cc_hunter::detector::store::CheckpointStore;
-use cc_hunter::detector::supervisor::{
-    ChaosOp, PairInput, ProbeFault, Supervisor, SupervisorConfig,
-};
+use cc_hunter::detector::store::{CheckpointStore, StorageMedium};
+use cc_hunter::detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
 use cc_hunter::detector::{
     CcHunterConfig, DeltaTPolicy, StorageFaultClass, StorageFaultConfig, StorageFaultInjector,
 };
 use cc_hunter::sim::{Machine, MachineConfig};
 use cc_hunter::{FaultClass, FaultConfig, FaultInjector};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -66,7 +67,7 @@ fn covert_conflicts(tick: u64) -> Vec<cc_hunter::detector::auditor::ConflictReco
 }
 
 /// Pair 0's hardware: a simulated machine running a real bus covert
-/// channel, stepped one quantum per supervisor tick through the
+/// channel, stepped one quantum per fleet tick through the
 /// instrumented [`QuantumRunner`] (so `cchunter_sim_*` counters show up in
 /// the scrape), with dropped-quantum fault injection on the read-out path.
 struct BusRig {
@@ -137,8 +138,8 @@ impl BusRig {
     }
 }
 
-fn fleet_config() -> SupervisorConfig {
-    SupervisorConfig {
+fn fleet_config() -> ShardedFleetConfig {
+    let base = SupervisorConfig {
         hunter: CcHunterConfig {
             quantum_cycles: QUANTUM,
             delta_t: DeltaTPolicy::Fixed(100_000),
@@ -156,13 +157,19 @@ fn fleet_config() -> SupervisorConfig {
             confidence_decay: 0.7,
         },
         ..SupervisorConfig::default()
+    };
+    ShardedFleetConfig {
+        shards: 1,
+        base,
+        ..ShardedFleetConfig::default()
     }
 }
 
-fn build_fleet(store: CheckpointStore) -> Supervisor {
-    let mut fleet = Supervisor::new(fleet_config())
-        .expect("valid fleet config")
-        .with_store(store);
+/// Opens the fleet over `store_root` (writing through `medium`) and names
+/// its 5 pairs; over a root holding checkpoints this is the restart.
+fn open_fleet(store_root: &Path, medium: Arc<dyn StorageMedium>) -> ShardedFleet {
+    let mut fleet = ShardedFleet::with_store_root_and_medium(fleet_config(), store_root, medium)
+        .expect("store root opens");
     fleet
         .add_contention_pair("memory-bus: pid 17 <-> pid 23 (simulated hardware)")
         .expect("valid pair");
@@ -181,18 +188,21 @@ fn build_fleet(store: CheckpointStore) -> Supervisor {
     fleet
 }
 
-/// Times `ticks` supervisor quanta at the bench suite's working size
+/// Times `ticks` fleet quanta at the bench suite's working size
 /// (8 pairs, 64-quanta windows, covert inputs — the
-/// `supervisor_tick_8_pairs_64_window` shape), with the given tracer,
-/// against a private registry so the drill's own numbers stay untouched.
-/// Returns the total wall time.
+/// `sharded_tick_8_pairs_1_shard` shape), with the given tracer, in a
+/// separate fleet (with its own registries) so the drill's own numbers
+/// stay untouched. Returns the total wall time.
 fn tick_loop_duration(tracer: Tracer, ticks: u64) -> std::time::Duration {
-    let mut fleet = Supervisor::new(SupervisorConfig {
-        window_quanta: 64,
-        ..SupervisorConfig::default()
+    let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 64,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
     })
     .expect("valid config")
-    .with_registry(Registry::new())
     .with_tracer(tracer);
     for i in 0..8 {
         fleet
@@ -212,7 +222,7 @@ fn tick_loop_duration(tracer: Tracer, ticks: u64) -> std::time::Duration {
 
 fn main() {
     // Force tracing on for the drill regardless of CCHUNTER_TRACE: the
-    // supervisor, pipeline, and sim quantum loop all record into this
+    // fleet, pipeline, and sim quantum loop all record into this
     // process-wide ring.
     let tracer = span::global();
     tracer.set_enabled(true);
@@ -246,7 +256,7 @@ fn main() {
         })
     };
 
-    // The injected chaos panic is contained by the supervisor's watchdog;
+    // The injected chaos panic is contained by the fleet's watchdog;
     // keep the default hook for anything else.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -263,7 +273,13 @@ fn main() {
     println!("store: {}", store_dir.display());
     println!();
 
-    let mut fleet = build_fleet(CheckpointStore::open(&store_dir, 3).expect("store opens"));
+    // The fleet writes through a storage-fault injector so the drill can
+    // brown out the medium mid-run: checkpoints fall back to in-memory
+    // shadows (durability: degraded) and the first successful write after
+    // the heal is a full re-persist.
+    let storage_injector = StorageFaultInjector::new(StorageFaultConfig::none(), 0x0B5E_0003);
+    let medium: Arc<dyn StorageMedium> = Arc::new(storage_injector.clone());
+    let mut fleet = open_fleet(&store_dir, Arc::clone(&medium));
     for _ in 0..CRASH_AT {
         fleet.tick(&mut probe);
     }
@@ -272,7 +288,8 @@ fn main() {
     // rolls back a generation per entry and the rollbacks become metrics.
     println!("*** crash at quantum {CRASH_AT}; newest checkpoint generation is corrupt ***");
     drop(fleet);
-    let probe_store = CheckpointStore::open(&store_dir, 3).expect("store reopens");
+    let shard_dir = store_dir.join("shard-00");
+    let probe_store = CheckpointStore::open(&shard_dir, 3).expect("store reopens");
     for name in [
         "supervisor",
         "pair-0000",
@@ -286,7 +303,7 @@ fn main() {
             .expect("entry has generations")
             .last()
             .expect("at least one generation");
-        let path = store_dir.join(format!("{name}.g{newest:08}.ckpt"));
+        let path = shard_dir.join(format!("{name}.g{newest:08}.ckpt"));
         let mut bytes = std::fs::read(&path).expect("checkpoint readable");
         let mid = bytes.len() / 2;
         let end = (mid + 16).min(bytes.len());
@@ -295,21 +312,12 @@ fn main() {
         }
         std::fs::write(&path, &bytes).expect("checkpoint writable");
     }
-    // The restored fleet writes through a storage-fault injector so the
-    // drill can brown out the medium mid-run: checkpoints fall back to
-    // in-memory shadows (durability: degraded) and the first successful
-    // write after the heal is a full re-persist.
-    let storage_injector = StorageFaultInjector::new(StorageFaultConfig::none(), 0x0B5E_0003);
-    let (mut fleet, restore_report) = Supervisor::restore(
-        fleet_config(),
-        CheckpointStore::open_with_medium(&store_dir, 3, Arc::new(storage_injector.clone()))
-            .expect("store reopens"),
-    )
-    .expect("restore succeeds");
+    drop(probe_store);
+    let mut fleet = open_fleet(&store_dir, medium);
     println!(
         "restored at quantum {} — {} corrupt generation(s) rolled over",
         fleet.tick_count(),
-        restore_report.total_rolled_back()
+        fleet.metrics_snapshot().restore_rollbacks
     );
     println!();
 
@@ -340,8 +348,15 @@ fn main() {
 
     // --- The Prometheus scrape (histogram bucket lines elided here for
     // readability; the full exposition is what checkpoint dumps carry). ---
-    println!("Prometheus scrape of the shared registry (bucket lines elided):");
-    for line in fleet.render_prometheus().lines() {
+    // The fleet's registries (coordinator and shard) plus the process-wide
+    // one the simulator and pipeline instruments live in.
+    let scrape = format!(
+        "{}{}",
+        fleet.render_prometheus(),
+        default_registry().render_prometheus()
+    );
+    println!("Prometheus scrape of the fleet and process registries (bucket lines elided):");
+    for line in scrape.lines() {
         if !line.contains("_bucket{") {
             println!("  {line}");
         }
@@ -390,7 +405,6 @@ fn main() {
     );
     assert!(snap.covert_pairs >= 2, "covert channels detected");
     assert!(tracer.recorded() > 0, "trace ring saw events");
-    let scrape = fleet.render_prometheus();
     for needle in [
         "cchunter_pair_quarantine_skips_total",
         "cchunter_restore_rollbacks_total",

@@ -1,4 +1,4 @@
-//! Chaos soak for the hardened ingest layer: a supervised fleet fed for
+//! Chaos soak for the hardened ingest layer: a supervised (one-shard) fleet fed for
 //! thousands of OS quanta through admission queues, sanitizers, and
 //! saturating accumulators while an adversary floods the buses, feeds
 //! hostile event trains, and the analysis itself is made to panic.
@@ -16,11 +16,10 @@
 //! ```
 
 use cc_hunter::detector::policy::mix_seed;
-use cc_hunter::detector::supervisor::{
-    ChaosOp, PairInput, ProbeFault, Supervisor, SupervisorConfig,
-};
+use cc_hunter::detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
 use cc_hunter::detector::{
-    AdmissionConfig, IngestConfig, IngestPipeline, RawEvent, ShedPolicy, Verdict,
+    AdmissionConfig, IngestConfig, IngestPipeline, RawEvent, ShardedFleet, ShardedFleetConfig,
+    ShedPolicy, Verdict,
 };
 use cc_hunter::{FaultClass, FaultConfig, FaultInjector};
 use rand::rngs::SmallRng;
@@ -129,7 +128,7 @@ fn main() {
     let quick = std::env::var("CCHUNTER_SOAK_QUICK").is_ok_and(|v| v == "1");
     let ticks: u64 = if quick { 250 } else { 2_500 };
 
-    // The injected chaos panics are contained by the supervisor's
+    // The injected chaos panics are contained by the fleet's
     // watchdog; silence only those in the default panic hook.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -142,9 +141,13 @@ fn main() {
         }
     }));
 
-    let mut fleet = Supervisor::new(SupervisorConfig {
-        window_quanta: 32,
-        ..SupervisorConfig::default()
+    let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 32,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
     })
     .expect("valid fleet config");
     let labels = [
@@ -268,12 +271,7 @@ fn main() {
         mean_push_ns, snap.failures
     );
     for s in &statuses {
-        println!(
-            "pair {}: {:<12} {}",
-            s.index,
-            s.verdict.to_string(),
-            s.label
-        );
+        println!("pair {}: {:<12} {}", s.pair, s.verdict.to_string(), s.label);
     }
 
     // The robustness contract, asserted every run.
@@ -313,7 +311,7 @@ fn main() {
         .map(|s| {
             format!(
                 "    {{ \"pair\": {}, \"label\": \"{}\", \"verdict\": \"{}\", \"panics\": {}, \"failures\": {} }}",
-                s.index, s.label, s.verdict, s.panics, s.failures
+                s.pair, s.label, s.verdict, s.panics, s.failures
             )
         })
         .collect();

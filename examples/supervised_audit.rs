@@ -1,8 +1,8 @@
-//! The audit service view: a supervisor driving an 8-pair fleet through
+//! The audit service view: a one-shard fleet driving 8 pairs through
 //! fault injection, a contained analysis panic, a simulated daemon crash
-//! (drop + restore from the durable checkpoint store), and the quarantine
-//! and recovery of a wedged monitor — ending with the per-pair status
-//! table an operator would read.
+//! (drop, then reopen the store root and name the pairs again), and the
+//! quarantine and recovery of a wedged monitor — ending with the per-pair
+//! status table an operator would read.
 //!
 //! ```sh
 //! cargo run --example supervised_audit
@@ -13,13 +13,14 @@ use cc_hunter::channels::{BitClock, BusChannelConfig, BusSpy, BusTrojan, Message
 use cc_hunter::detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cc_hunter::detector::online::Harvest;
 use cc_hunter::detector::policy::{BreakerState, QuarantineConfig};
-use cc_hunter::detector::store::CheckpointStore;
+use cc_hunter::detector::shard::{FleetTickReport, ShardedFleet, ShardedFleetConfig};
 use cc_hunter::detector::supervisor::{
-    ChaosOp, PairInput, PairOutcome, ProbeFault, Supervisor, SupervisorConfig,
+    ChaosOp, PairInput, PairOutcome, ProbeFault, SupervisorConfig,
 };
 use cc_hunter::detector::{CcHunterConfig, DeltaTPolicy, Verdict};
 use cc_hunter::sim::{Machine, MachineConfig};
 use cc_hunter::{FaultClass, FaultConfig, FaultInjector};
+use std::path::Path;
 
 const QUANTUM: u64 = 2_500_000;
 const TICKS: u64 = 40;
@@ -69,8 +70,8 @@ fn quiet_conflicts(tick: u64) -> Vec<cc_hunter::detector::auditor::ConflictRecor
 
 /// The hardware half of pair 0: a simulated machine with a real bus covert
 /// channel, audited by the CC-auditor model and stepped one quantum per
-/// supervisor tick. The machine (the "hardware") keeps running when the
-/// audit service crashes; only the supervisor's in-memory state is lost.
+/// fleet tick. The machine (the "hardware") keeps running when the audit
+/// service crashes; only the fleet's in-memory state is lost.
 struct BusRig {
     machine: Machine,
     session: AuditSession,
@@ -145,8 +146,8 @@ impl BusRig {
     }
 }
 
-fn fleet_config() -> SupervisorConfig {
-    SupervisorConfig {
+fn fleet_config() -> ShardedFleetConfig {
+    let base = SupervisorConfig {
         hunter: CcHunterConfig {
             quantum_cycles: QUANTUM,
             delta_t: DeltaTPolicy::Fixed(100_000),
@@ -164,13 +165,20 @@ fn fleet_config() -> SupervisorConfig {
             confidence_decay: 0.7,
         },
         ..SupervisorConfig::default()
+    };
+    ShardedFleetConfig {
+        shards: 1,
+        base,
+        ..ShardedFleetConfig::default()
     }
 }
 
-fn build_fleet(store: CheckpointStore) -> Supervisor {
-    let mut fleet = Supervisor::new(fleet_config())
-        .expect("valid fleet config")
-        .with_store(store);
+/// Opens the fleet over `store_root` and names its 8 pairs. Over a root
+/// that already holds checkpoints this is the restart: the tick resumes
+/// and every named pair comes back from the store.
+fn open_fleet(store_root: &Path) -> ShardedFleet {
+    let mut fleet =
+        ShardedFleet::with_store_root(fleet_config(), store_root).expect("store root opens");
     for label in [
         "memory-bus: pid 17 <-> pid 23 (simulated hardware)",
         "memory-bus: pid 8 <-> pid 31",
@@ -249,12 +257,15 @@ fn main() {
         }
     }));
 
-    let mut fleet = build_fleet(CheckpointStore::open(&store_dir, 3).expect("store opens"));
+    let mut fleet = open_fleet(&store_dir);
     println!("supervised audit service: 8 pairs, checkpoint every 5 quanta");
     println!("store: {}", store_dir.display());
     println!();
 
-    let log_tick = |report: &cc_hunter::detector::supervisor::TickReport| {
+    let log_tick = |fleet_report: &FleetTickReport| {
+        let Some(report) = &fleet_report.shard_reports[0] else {
+            return;
+        };
         for r in &report.reports {
             match &r.outcome {
                 PairOutcome::Failed { error, recovery } => {
@@ -295,16 +306,15 @@ fn main() {
     println!();
     println!("*** audit service crashed at quantum {CRASH_AT} — restarting from the store ***");
     drop(fleet);
-    let (mut fleet, restore_report) = Supervisor::restore(
-        fleet_config(),
-        CheckpointStore::open(&store_dir, 3).expect("store reopens"),
-    )
-    .expect("restore succeeds");
+    let mut fleet = open_fleet(&store_dir);
+    let restored_from = fleet.pair_statuses()[0]
+        .restored_from
+        .expect("pair 0 restored from the store");
     println!(
-        "restored 8 pairs at quantum {} from manifest generation {} ({} corrupt generations rolled over)",
+        "restored 8 pairs at quantum {} from window generation {} ({} corrupt generations rolled over)",
         fleet.tick_count(),
-        restore_report.manifest.generation,
-        restore_report.total_rolled_back()
+        restored_from.generation,
+        fleet.metrics_snapshot().restore_rollbacks
     );
     println!();
     assert_eq!(
@@ -323,11 +333,16 @@ fn main() {
     println!("pair | health     | fail% | verdict | panics | retries | restored | label");
     println!("-----+------------+-------+---------+--------+---------+----------+------");
     let statuses = fleet.pair_statuses();
+    assert_eq!(statuses.len(), 8);
+    assert!(
+        statuses.iter().all(|s| s.shard.is_some()),
+        "every pair is hosted"
+    );
     for s in &statuses {
         println!(
             "{:>4} | {:<10} | {:>5.1} | {:<7} | {:>6} | {:>7} | {:<8} | {}",
-            s.index,
-            s.health.to_string(),
+            s.pair,
+            s.health.map_or_else(|| "-".to_string(), |h| h.to_string()),
             s.failure_rate * 100.0,
             s.verdict.to_string(),
             s.panics,

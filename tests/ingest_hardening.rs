@@ -10,13 +10,11 @@ use cc_hunter::audit::TrackerKind;
 use cc_hunter::channels::Message;
 use cc_hunter::detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cc_hunter::detector::policy::mix_seed;
-use cc_hunter::detector::supervisor::{
-    ChaosOp, PairInput, ProbeFault, Supervisor, SupervisorConfig,
-};
+use cc_hunter::detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
 use cc_hunter::detector::{
     AdmissionConfig, CcHunter, CcHunterConfig, DeltaTPolicy, Harvest, IngestConfig, IngestPipeline,
     OnlineContentionDetector, RawEvent, Sanitizer, SanitizerConfig, SaturatingHistogram,
-    ShedPolicy, Verdict,
+    ShardedFleet, ShardedFleetConfig, ShedPolicy, Verdict,
 };
 use common::{run_bus_channel, run_cache_channel, run_divider_channel, QUANTUM};
 use rand::rngs::SmallRng;
@@ -319,7 +317,7 @@ fn soak_events(pair: usize, tick: u64, start: u64, end: u64) -> Vec<RawEvent> {
     events
 }
 
-/// Quick chaos soak: a three-pair supervised fleet fed exclusively through
+/// Quick chaos soak: a three-pair supervised (one-shard) fleet fed exclusively through
 /// hardened ingest pipelines for hundreds of quanta of benign + flood +
 /// hostile traffic with injected analysis panics. The fleet must not
 /// panic, the queues must stay capacity-bounded, every shed/repair/drop
@@ -327,9 +325,13 @@ fn soak_events(pair: usize, tick: u64, start: u64, end: u64) -> Vec<RawEvent> {
 /// `Clean` — no false verdict flips under someone else's overload.
 #[test]
 fn chaos_soak_keeps_fleet_alive_and_benign_pair_clean() {
-    let mut fleet = Supervisor::new(SupervisorConfig {
-        window_quanta: 32,
-        ..SupervisorConfig::default()
+    let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 32,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
     })
     .unwrap();
     fleet.add_contention_pair("benign-bus").unwrap();
