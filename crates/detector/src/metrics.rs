@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A monotonically increasing counter. Cloning shares the underlying value.
 #[derive(Clone, Debug, Default)]
@@ -359,9 +359,27 @@ impl<M> Clone for Family<M> {
     }
 }
 
+impl<M> Family<M> {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, M>> {
+        // The member map is always structurally valid, so a panicked
+        // holder's poison is ignorable: a contained panic must not take
+        // every later scrape and tick down with it.
+        self.members.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Calls `f` on every `(label value, member)` pair, sorted by label
+    /// value, under the family lock: the exposition's walk, which copies
+    /// no label and clones no member. `f` must not touch this family.
+    fn for_each_member(&self, mut f: impl FnMut(&str, &M)) {
+        for (label, member) in self.lock().iter() {
+            f(label, member);
+        }
+    }
+}
+
 impl<M> fmt::Debug for Family<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let members = self.members.lock().expect("family lock poisoned");
+        let members = self.lock();
         f.debug_struct("Family")
             .field("label_name", &self.label_name)
             .field("members", &members.keys().collect::<Vec<_>>())
@@ -390,18 +408,23 @@ impl<M: Clone> Family<M> {
 
     /// The member for `value`, created on first use. The returned handle
     /// shares state with every other handle for the same value.
+    ///
+    /// This is the cold-path API: each call takes the family lock and
+    /// walks the member map (allocating the key only when it inserts a new
+    /// member). A hot loop resolves its handle once and keeps it.
     pub fn with_label(&self, value: &str) -> M {
-        let mut members = self.members.lock().expect("family lock poisoned");
-        members
-            .entry(value.to_string())
-            .or_insert_with(|| (self.factory)())
-            .clone()
+        let mut members = self.lock();
+        if let Some(member) = members.get(value) {
+            return member.clone();
+        }
+        let member = (self.factory)();
+        members.insert(value.to_string(), member.clone());
+        member
     }
 
     /// All `(label value, member)` pairs, sorted by label value.
     pub fn snapshot(&self) -> Vec<(String, M)> {
-        let members = self.members.lock().expect("family lock poisoned");
-        members
+        self.lock()
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
@@ -411,8 +434,7 @@ impl<M: Clone> Family<M> {
 impl Family<Counter> {
     /// The sum of every member's count.
     pub fn total(&self) -> u64 {
-        let members = self.members.lock().expect("family lock poisoned");
-        members.values().map(Counter::get).sum()
+        self.lock().values().map(Counter::get).sum()
     }
 }
 
@@ -478,6 +500,11 @@ impl Registry {
         Registry::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<Registration>> {
+        // As for `Family::lock`: the registration list is always valid.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn is_valid_name(name: &str) -> bool {
         !name.is_empty()
             && name.chars().enumerate().all(|(i, c)| {
@@ -490,7 +517,7 @@ impl Registry {
             Self::is_valid_name(name),
             "invalid metric name {name:?} (want [a-zA-Z_:][a-zA-Z0-9_:]*)"
         );
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let mut inner = self.lock();
         if let Some(existing) = inner.iter().find(|r| r.name == name) {
             return existing.metric.clone();
         }
@@ -596,8 +623,7 @@ impl Registry {
     /// All registered `(name, help, metric)` triples, in registration
     /// order.
     pub fn registrations(&self) -> Vec<(String, String, Metric)> {
-        let inner = self.inner.lock().expect("registry lock poisoned");
-        inner
+        self.lock()
             .iter()
             .map(|r| (r.name.clone(), r.help.clone(), r.metric.clone()))
             .collect()
@@ -766,28 +792,17 @@ fn write_metric_lines(out: &mut String, name: &str, metric: &Metric, extra: Opti
         Metric::Counter(c) => write_line(out, name, "", [extra, None], None, c.get() as f64),
         Metric::Gauge(g) => write_line(out, name, "", [extra, None], None, g.get()),
         Metric::Histogram(h) => write_histogram(out, name, [extra, None], h),
-        Metric::CounterFamily(f) => {
-            for (label, c) in f.snapshot() {
-                let labels = [extra, Some((f.label_name(), label.as_str()))];
-                write_line(out, name, "", labels, None, c.get() as f64);
-            }
-        }
-        Metric::GaugeFamily(f) => {
-            for (label, g) in f.snapshot() {
-                let labels = [extra, Some((f.label_name(), label.as_str()))];
-                write_line(out, name, "", labels, None, g.get());
-            }
-        }
-        Metric::HistogramFamily(f) => {
-            for (label, h) in f.snapshot() {
-                write_histogram(
-                    out,
-                    name,
-                    [extra, Some((f.label_name(), label.as_str()))],
-                    &h,
-                );
-            }
-        }
+        Metric::CounterFamily(f) => f.for_each_member(|label, c| {
+            let labels = [extra, Some((f.label_name(), label))];
+            write_line(out, name, "", labels, None, c.get() as f64);
+        }),
+        Metric::GaugeFamily(f) => f.for_each_member(|label, g| {
+            let labels = [extra, Some((f.label_name(), label))];
+            write_line(out, name, "", labels, None, g.get());
+        }),
+        Metric::HistogramFamily(f) => f.for_each_member(|label, h| {
+            write_histogram(out, name, [extra, Some((f.label_name(), label))], h);
+        }),
     }
 }
 

@@ -434,6 +434,20 @@ struct SloState {
     tracker: SuspicionTracker,
 }
 
+/// The coordinator's handles on one shard's members of the per-shard
+/// families, resolved once per fleet: the coordinator registry outlives
+/// shard deaths and revivals, so a revived shard keeps them. Families a
+/// shard touches only on some ticks resolve on first use, so a shard that
+/// never ticks or never misses a heartbeat exposes no such series.
+#[derive(Debug)]
+struct ShardInstruments {
+    live: Gauge,
+    suspected: Gauge,
+    pairs: Gauge,
+    tick_latency_us: Option<Histogram>,
+    heartbeat_misses: Option<Counter>,
+}
+
 /// Coordinator-level instruments (the shards' own instruments
 /// live in their per-shard registries).
 #[derive(Debug)]
@@ -456,12 +470,14 @@ struct CoordinatorMetrics {
     shard_pairs: Family<Gauge>,
     shard_heartbeat_misses: Family<Counter>,
     shard_tick_latency_us: Family<Histogram>,
+    /// Per-shard handles, indexed by shard.
+    per_shard: Vec<ShardInstruments>,
 }
 
 impl CoordinatorMetrics {
-    fn register(registry: &Registry) -> Self {
+    fn register(registry: &Registry, shards: usize) -> Self {
         const SHARD: &str = "shard";
-        CoordinatorMetrics {
+        let mut metrics = CoordinatorMetrics {
             ticks: registry.counter(
                 "cchunter_fleet_ticks_total",
                 "Sharded-fleet coordinator ticks completed.",
@@ -539,7 +555,38 @@ impl CoordinatorMetrics {
                 SHARD,
                 &LATENCY_BUCKETS_US,
             ),
+            per_shard: Vec::with_capacity(shards),
+        };
+        for i in 0..shards {
+            let label = shard_label(i);
+            let instruments = ShardInstruments {
+                live: metrics.shard_live.with_label(&label),
+                suspected: metrics.shard_suspected.with_label(&label),
+                pairs: metrics.shard_pairs.with_label(&label),
+                tick_latency_us: None,
+                heartbeat_misses: None,
+            };
+            metrics.per_shard.push(instruments);
         }
+        metrics
+    }
+
+    /// Counts one heartbeat miss of `shard`.
+    fn heartbeat_miss(&mut self, shard: usize) {
+        let family = &self.shard_heartbeat_misses;
+        self.per_shard[shard]
+            .heartbeat_misses
+            .get_or_insert_with(|| family.with_label(&shard_label(shard)))
+            .inc();
+    }
+
+    /// Records one tick latency of `shard`.
+    fn observe_shard_tick(&mut self, shard: usize, elapsed_us: u64) {
+        let family = &self.shard_tick_latency_us;
+        self.per_shard[shard]
+            .tick_latency_us
+            .get_or_insert_with(|| family.with_label(&shard_label(shard)))
+            .observe(elapsed_us as f64);
     }
 }
 
@@ -698,7 +745,7 @@ impl ShardedFleet {
             )?);
         }
         let registry = Registry::new();
-        let metrics = CoordinatorMetrics::register(&registry);
+        let metrics = CoordinatorMetrics::register(&registry, config.shards);
         let mut fleet = ShardedFleet {
             config,
             store_root: root,
@@ -1120,10 +1167,7 @@ impl ShardedFleet {
                     // A panicked tick produced no latency sample, but it is
                     // certainly not *within* the latency budget.
                     slo_breach = Some(true);
-                    self.metrics
-                        .shard_heartbeat_misses
-                        .with_label(&shard_label(i))
-                        .inc();
+                    self.metrics.heartbeat_miss(i);
                     if self.tracer.is_enabled() {
                         self.tracer.event(
                             "fleet",
@@ -1134,10 +1178,7 @@ impl ShardedFleet {
                 }
                 Ok((report, elapsed_us)) => {
                     shard.last_tick_us = elapsed_us;
-                    self.metrics
-                        .shard_tick_latency_us
-                        .with_label(&shard_label(i))
-                        .observe(elapsed_us as f64);
+                    self.metrics.observe_shard_tick(i, elapsed_us);
                     if let (Some(slo), Some(state)) =
                         (&self.config.latency_slo, shard.suspicion.as_mut())
                     {
@@ -1154,10 +1195,7 @@ impl ShardedFleet {
                         shard.tick_deadline_misses += 1;
                         shard.misses += 1;
                         heartbeat_misses.push(i);
-                        self.metrics
-                            .shard_heartbeat_misses
-                            .with_label(&shard_label(i))
-                            .inc();
+                        self.metrics.heartbeat_miss(i);
                         if self.tracer.is_enabled() {
                             self.tracer.event(
                                 "fleet",
@@ -1940,9 +1978,7 @@ impl ShardedFleet {
             )));
         }
         self.refresh_gauges();
-        let gauge_pairs: f64 = (0..self.shards.len())
-            .map(|i| self.metrics.shard_pairs.with_label(&shard_label(i)).get())
-            .sum();
+        let gauge_pairs: f64 = self.metrics.per_shard.iter().map(|s| s.pairs.get()).sum();
         let gauge_orphans = self.metrics.orphaned_pairs.get();
         let held = self.table.len() + self.recovered.len();
         if gauge_pairs + gauge_orphans != held as f64 {
@@ -2018,7 +2054,7 @@ impl ShardedFleet {
         let mut live = 0usize;
         let mut degraded = 0usize;
         let mut suspected = 0usize;
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (shard, instruments) in self.shards.iter().zip(&self.metrics.per_shard) {
             let is_live = shard.supervisor.is_some();
             if is_live {
                 live += 1;
@@ -2030,18 +2066,11 @@ impl ShardedFleet {
             if is_suspected {
                 suspected += 1;
             }
-            self.metrics
-                .shard_live
-                .with_label(&shard_label(i))
-                .set(if is_live { 1.0 } else { 0.0 });
-            self.metrics
-                .shard_suspected
-                .with_label(&shard_label(i))
+            instruments.live.set(if is_live { 1.0 } else { 0.0 });
+            instruments
+                .suspected
                 .set(if is_suspected { 1.0 } else { 0.0 });
-            self.metrics
-                .shard_pairs
-                .with_label(&shard_label(i))
-                .set(shard.slots.len() as f64);
+            instruments.pairs.set(shard.slots.len() as f64);
         }
         self.metrics.suspected_shards.set(suspected as f64);
         let orphans = self

@@ -333,6 +333,102 @@ struct Pair {
     deadline_misses: u64,
     retries: u64,
     backoff_waited_us: u64,
+    /// The pair's instrument handles in its shard's registry.
+    handles: PairHandles,
+}
+
+impl Pair {
+    /// Seeds the pair's instruments from its persisted counters and
+    /// current state, after a restore or migration import.
+    /// `Counter::seed` is a max-merge, so re-seeding never double-counts.
+    fn seed_metrics(&mut self, metrics: &FleetMetrics) {
+        let Pair { label, handles, .. } = self;
+        handles.failures(metrics, label).seed(self.failures);
+        handles.panics(metrics, label).seed(self.panics);
+        handles
+            .deadline_misses(metrics, label)
+            .seed(self.deadline_misses);
+        handles.retries(metrics, label).seed(self.retries);
+        handles
+            .confidence(metrics, label)
+            .set(self.quarantine_confidence);
+        handles
+            .quarantined(metrics, label)
+            .set(if self.breaker.state() == BreakerState::Closed {
+                0.0
+            } else {
+                1.0
+            });
+        handles
+            .mitigations_applied(metrics, label)
+            .seed(self.mitigation.applies());
+        handles
+            .mitigation_failures(metrics, label)
+            .seed(self.mitigation.apply_failures());
+        handles
+            .mitigation_escalations(metrics, label)
+            .seed(self.mitigation.escalations());
+        handles
+            .mitigation_stepdowns(metrics, label)
+            .seed(self.mitigation.step_downs());
+        handles.containment_level(metrics, label).set(
+            self.mitigation
+                .state()
+                .level()
+                .map_or(0.0, |l| f64::from(l.rank())),
+        );
+    }
+}
+
+/// Declares [`PairHandles`] with one handle per per-pair family of
+/// [`FleetMetrics`], named after the family's field.
+macro_rules! pair_handles {
+    ($($family:ident: $instrument:ty,)*) => {
+        /// One pair's handles on its members of the shard's per-pair
+        /// families. Each handle resolves through [`Family::with_label`]
+        /// the first time the pair touches that family (exactly when the
+        /// member would be created anyway) and is then updated directly:
+        /// a steady-state pair-quantum takes no family lock and builds no
+        /// lookup key. Handles live and die with the pair on one shard — a
+        /// migrated, restored or re-adopted pair starts with none and
+        /// resolves them from its new shard's registry.
+        #[derive(Debug, Default)]
+        struct PairHandles {
+            $($family: Option<$instrument>,)*
+        }
+
+        impl PairHandles {
+            $(
+                fn $family(&mut self, metrics: &FleetMetrics, label: &str) -> &$instrument {
+                    self.$family
+                        .get_or_insert_with(|| metrics.$family.with_label(label))
+                }
+            )*
+        }
+    };
+}
+
+pair_handles! {
+    pair_audit_latency_us: Histogram,
+    analyzed: Counter,
+    degraded: Counter,
+    failures: Counter,
+    panics: Counter,
+    deadline_misses: Counter,
+    retries: Counter,
+    backoff_us: Counter,
+    quarantine_skips: Counter,
+    verdict_flips: Counter,
+    breaker_transitions: Counter,
+    recoveries: Counter,
+    confidence: Gauge,
+    covert: Gauge,
+    quarantined: Gauge,
+    mitigations_applied: Counter,
+    mitigation_failures: Counter,
+    mitigation_escalations: Counter,
+    mitigation_stepdowns: Counter,
+    containment_level: Gauge,
 }
 
 /// Outcome of one pair's tick.
@@ -1106,6 +1202,7 @@ impl Supervisor {
             deadline_misses: 0,
             retries: 0,
             backoff_waited_us: 0,
+            handles: PairHandles::default(),
         });
         Ok(self.pairs.len() - 1)
     }
@@ -1169,10 +1266,11 @@ impl Supervisor {
                 Some(probed) => probed,
                 None => {
                     pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
-                    self.metrics.quarantine_skips.with_label(&pair.label).inc();
-                    self.metrics
-                        .confidence
-                        .with_label(&pair.label)
+                    pair.handles
+                        .quarantine_skips(&self.metrics, &pair.label)
+                        .inc();
+                    pair.handles
+                        .confidence(&self.metrics, &pair.label)
                         .set(pair.quarantine_confidence);
                     if self.tracer.is_enabled() {
                         self.tracer.event(
@@ -1198,13 +1296,11 @@ impl Supervisor {
             pair.retries += u64::from(retries);
             pair.backoff_waited_us += backoff_us;
             if retries > 0 {
-                self.metrics
-                    .retries
-                    .with_label(&pair.label)
+                pair.handles
+                    .retries(&self.metrics, &pair.label)
                     .inc_by(u64::from(retries));
-                self.metrics
-                    .backoff_us
-                    .with_label(&pair.label)
+                pair.handles
+                    .backoff_us(&self.metrics, &pair.label)
                     .inc_by(backoff_us);
                 if self.tracer.is_enabled() {
                     self.tracer.event(
@@ -1325,7 +1421,8 @@ impl Supervisor {
     }
 
     /// Converts one pair's raw analysis result into its outcome, updating
-    /// breaker, verdict, and recovery state.
+    /// breaker, verdict, and recovery state. The label is borrowed, and
+    /// copied only into the typed errors of the failure branches.
     fn settle_pair(
         &mut self,
         idx: usize,
@@ -1333,7 +1430,6 @@ impl Supervisor {
         deadline_us: u64,
         result: TimedAnalysis,
     ) -> PairOutcome {
-        let label = self.pairs[idx].label.clone();
         let breaker_before = self.pairs[idx].breaker.state();
         let verdict_before = self.pairs[idx].last_verdict;
         let outcome = match result {
@@ -1344,19 +1440,19 @@ impl Supervisor {
                 pair.failures += 1;
                 pair.quarantine_confidence = 0.0;
                 pair.breaker.record_failure(tick);
-                self.metrics.panics.with_label(&label).inc();
-                self.metrics.failures.with_label(&label).inc();
-                self.metrics.recoveries.with_label(&label).inc();
+                pair.handles.panics(&self.metrics, &pair.label).inc();
+                pair.handles.failures(&self.metrics, &pair.label).inc();
+                pair.handles.recoveries(&self.metrics, &pair.label).inc();
                 if self.tracer.is_enabled() {
                     self.tracer.event(
                         "supervisor",
                         "panic-contained",
-                        format_args!("{label}: {} ({recovery:?})", panic.message),
+                        format_args!("{}: {} ({recovery:?})", pair.label, panic.message),
                     );
                 }
                 PairOutcome::Failed {
                     error: DetectorError::AnalysisPanicked {
-                        context: label.clone(),
+                        context: pair.label.clone(),
                         message: panic.message,
                     },
                     recovery,
@@ -1364,11 +1460,10 @@ impl Supervisor {
             }
             Ok((pushed, elapsed_us)) => {
                 self.metrics.audit_latency_us.observe(elapsed_us as f64);
-                self.metrics
-                    .pair_audit_latency_us
-                    .with_label(&label)
-                    .observe(elapsed_us as f64);
                 let pair = &mut self.pairs[idx];
+                pair.handles
+                    .pair_audit_latency_us(&self.metrics, &pair.label)
+                    .observe(elapsed_us as f64);
                 let deadline_missed = deadline_us > 0 && elapsed_us > deadline_us;
                 match pushed {
                     Ok((mut status, observed)) => {
@@ -1381,42 +1476,48 @@ impl Supervisor {
                             pair.deadline_misses += 1;
                             pair.failures += 1;
                             pair.breaker.record_failure(tick);
-                            self.metrics.deadline_misses.with_label(&label).inc();
-                            self.metrics.failures.with_label(&label).inc();
-                            self.metrics.degraded.with_label(&label).inc();
+                            pair.handles
+                                .deadline_misses(&self.metrics, &pair.label)
+                                .inc();
+                            pair.handles.failures(&self.metrics, &pair.label).inc();
+                            pair.handles.degraded(&self.metrics, &pair.label).inc();
                             if self.tracer.is_enabled() {
                                 self.tracer.event(
                                     "supervisor",
                                     "deadline-miss",
                                     format_args!(
-                                        "{label}: {elapsed_us} µs > {deadline_us} µs budget"
+                                        "{}: {elapsed_us} µs > {deadline_us} µs budget",
+                                        pair.label
                                     ),
                                 );
                             }
                             PairOutcome::Degraded {
                                 status,
                                 error: DetectorError::DeadlineExceeded {
-                                    context: label.clone(),
+                                    context: pair.label.clone(),
                                     budget_us: deadline_us,
                                     elapsed_us,
                                 },
                             }
                         } else if observed {
                             pair.breaker.record_success(tick);
-                            self.metrics.analyzed.with_label(&label).inc();
+                            pair.handles.analyzed(&self.metrics, &pair.label).inc();
                             PairOutcome::Analyzed(status)
                         } else {
                             // The window advanced with a gap: the analysis
                             // behaved, but the probe ultimately failed.
                             pair.failures += 1;
                             pair.breaker.record_failure(tick);
-                            self.metrics.failures.with_label(&label).inc();
-                            self.metrics.degraded.with_label(&label).inc();
+                            pair.handles.failures(&self.metrics, &pair.label).inc();
+                            pair.handles.degraded(&self.metrics, &pair.label).inc();
                             if self.tracer.is_enabled() {
                                 self.tracer.event(
                                     "supervisor",
                                     "probe-gap",
-                                    format_args!("{label}: probe missed after exhausting retries"),
+                                    format_args!(
+                                        "{}: probe missed after exhausting retries",
+                                        pair.label
+                                    ),
                                 );
                             }
                             PairOutcome::Degraded {
@@ -1436,13 +1537,13 @@ impl Supervisor {
                         }
                         pair.last_verdict = status.verdict;
                         pair.quarantine_confidence = status.confidence;
-                        self.metrics.failures.with_label(&label).inc();
-                        self.metrics.degraded.with_label(&label).inc();
+                        pair.handles.failures(&self.metrics, &pair.label).inc();
+                        pair.handles.degraded(&self.metrics, &pair.label).inc();
                         if self.tracer.is_enabled() {
                             self.tracer.event(
                                 "supervisor",
                                 "analysis-error",
-                                format_args!("{label}: {error}"),
+                                format_args!("{}: {error}", pair.label),
                             );
                         }
                         PairOutcome::Degraded { status, error }
@@ -1450,10 +1551,12 @@ impl Supervisor {
                 }
             }
         };
-        let pair = &self.pairs[idx];
+        let pair = &mut self.pairs[idx];
         let breaker_after = pair.breaker.state();
         if discriminant(&breaker_after) != discriminant(&breaker_before) {
-            self.metrics.breaker_transitions.with_label(&label).inc();
+            pair.handles
+                .breaker_transitions(&self.metrics, &pair.label)
+                .inc();
         }
         // A quarantined pair leaving quarantine needs its two supervision
         // axes reconciled: without this, a contained pair re-enters full
@@ -1463,9 +1566,8 @@ impl Supervisor {
         if let Some(reconciliation) = reconcile_quarantine_recovery(
             breaker_before,
             breaker_after,
-            self.pairs[idx].mitigation.is_contained(),
+            pair.mitigation.is_contained(),
         ) {
-            let pair = &mut self.pairs[idx];
             pair.mitigation.reconcile_recovery(reconciliation);
             if reconciliation.restore_confidence {
                 // `quarantine_confidence` already tracks the freshly
@@ -1478,7 +1580,8 @@ impl Supervisor {
                     "policy",
                     "quarantine-recovered",
                     format_args!(
-                        "{label}: breaker closed, streaks {}",
+                        "{}: breaker closed, streaks {}",
+                        pair.label,
                         if reconciliation.reset_covert_streak {
                             "reset (contained)"
                         } else {
@@ -1488,30 +1591,26 @@ impl Supervisor {
                 );
             }
         }
-        let pair = &self.pairs[idx];
         if pair.last_verdict != verdict_before {
-            self.metrics.verdict_flips.with_label(&label).inc();
+            pair.handles.verdict_flips(&self.metrics, &pair.label).inc();
         }
-        self.metrics
-            .confidence
-            .with_label(&label)
+        pair.handles
+            .confidence(&self.metrics, &pair.label)
             .set(pair.quarantine_confidence);
-        self.metrics
-            .covert
-            .with_label(&label)
+        pair.handles
+            .covert(&self.metrics, &pair.label)
             .set(if pair.last_verdict.is_covert() {
                 1.0
             } else {
                 0.0
             });
-        self.metrics
-            .quarantined
-            .with_label(&label)
-            .set(if breaker_after == BreakerState::Closed {
+        pair.handles.quarantined(&self.metrics, &pair.label).set(
+            if breaker_after == BreakerState::Closed {
                 0.0
             } else {
                 1.0
-            });
+            },
+        );
         outcome
     }
 
@@ -1524,34 +1623,30 @@ impl Supervisor {
         tick: u64,
         enforcer: &mut E,
     ) {
-        let covert = self.pairs[idx].last_verdict.is_covert();
         let seed = self.config.seed;
-        let label = self.pairs[idx].label.clone();
-        let report = self.pairs[idx]
-            .mitigation
-            .drive(covert, tick, seed, idx, enforcer);
+        let pair = &mut self.pairs[idx];
+        let covert = pair.last_verdict.is_covert();
+        let report = pair.mitigation.drive(covert, tick, seed, idx, enforcer);
+        let label = pair.label.as_str();
+        let handles = &mut pair.handles;
         if report.applied > 0 {
-            self.metrics
-                .mitigations_applied
-                .with_label(&label)
+            handles
+                .mitigations_applied(&self.metrics, label)
                 .inc_by(report.applied as u64);
         }
         if report.apply_failures > 0 {
-            self.metrics
-                .mitigation_failures
-                .with_label(&label)
+            handles
+                .mitigation_failures(&self.metrics, label)
                 .inc_by(report.apply_failures as u64);
         }
         if report.step_downs > 0 {
-            self.metrics
-                .mitigation_stepdowns
-                .with_label(&label)
+            handles
+                .mitigation_stepdowns(&self.metrics, label)
                 .inc_by(report.step_downs as u64);
         }
         if report.escalations > 0 {
-            self.metrics
-                .mitigation_escalations
-                .with_label(&label)
+            handles
+                .mitigation_escalations(&self.metrics, label)
                 .inc_by(report.escalations as u64);
             if self.tracer.is_enabled() {
                 let mut span = self.tracer.span("mitigation", "escalate");
@@ -1561,9 +1656,8 @@ impl Supervisor {
                 ));
             }
         }
-        self.metrics
-            .containment_level
-            .with_label(&label)
+        handles
+            .containment_level(&self.metrics, label)
             .set(report.state.level().map_or(0.0, |l| f64::from(l.rank())));
         if self.tracer.is_enabled() {
             if report.convicted {
@@ -1983,9 +2077,10 @@ impl Supervisor {
             deadline_misses: snapshot.deadline_misses,
             retries: snapshot.retries,
             backoff_waited_us: 0,
+            handles: PairHandles::default(),
         });
         let idx = self.pairs.len() - 1;
-        self.seed_pair_metrics(&self.pairs[idx]);
+        self.pairs[idx].seed_metrics(&self.metrics);
         if self.tracer.is_enabled() {
             self.tracer.event(
                 "supervisor",
@@ -2169,62 +2264,6 @@ impl Supervisor {
             snap.mean_confidence = confidence_sum / self.pairs.len() as f64;
         }
         snap
-    }
-
-    /// Seeds one pair's per-pair instruments from its persisted counters
-    /// and current state — shared by whole-fleet restore and single-pair
-    /// import. `Counter::seed` is a max-merge, so re-seeding never
-    /// double-counts.
-    fn seed_pair_metrics(&self, pair: &Pair) {
-        self.metrics
-            .failures
-            .with_label(&pair.label)
-            .seed(pair.failures);
-        self.metrics
-            .panics
-            .with_label(&pair.label)
-            .seed(pair.panics);
-        self.metrics
-            .deadline_misses
-            .with_label(&pair.label)
-            .seed(pair.deadline_misses);
-        self.metrics
-            .retries
-            .with_label(&pair.label)
-            .seed(pair.retries);
-        self.metrics
-            .confidence
-            .with_label(&pair.label)
-            .set(pair.quarantine_confidence);
-        self.metrics.quarantined.with_label(&pair.label).set(
-            if pair.breaker.state() == BreakerState::Closed {
-                0.0
-            } else {
-                1.0
-            },
-        );
-        self.metrics
-            .mitigations_applied
-            .with_label(&pair.label)
-            .seed(pair.mitigation.applies());
-        self.metrics
-            .mitigation_failures
-            .with_label(&pair.label)
-            .seed(pair.mitigation.apply_failures());
-        self.metrics
-            .mitigation_escalations
-            .with_label(&pair.label)
-            .seed(pair.mitigation.escalations());
-        self.metrics
-            .mitigation_stepdowns
-            .with_label(&pair.label)
-            .seed(pair.mitigation.step_downs());
-        self.metrics.containment_level.with_label(&pair.label).set(
-            pair.mitigation
-                .state()
-                .level()
-                .map_or(0.0, |l| f64::from(l.rank())),
-        );
     }
 }
 

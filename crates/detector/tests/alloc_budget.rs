@@ -1,0 +1,152 @@
+//! Allocation budget of the steady-state pair-quantum: a fleet fed
+//! pre-built complete harvests must not allocate per pair beyond the
+//! probe's own input copy and the per-pair report.
+//!
+//! This file holds exactly one test, because the counting allocator below
+//! sees every thread of the test binary.
+
+use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
+use cchunter_detector::online::Harvest;
+use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
+use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// The system allocator plus an allocation counter that runs only while
+/// switched on.
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counters touch no allocated memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded verbatim; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded verbatim.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `ptr` came from `System` with `layout`; the caller
+        // upholds `realloc`'s contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const PAIRS: usize = 256;
+const WINDOW: usize = 32;
+const MEASURED_TICKS: usize = 16;
+/// One pair in 64 carries a covert channel, the contention mix of the
+/// end-to-end `fleet_10k` workload. Each covert pair-quantum also reruns
+/// the window's k-means (about 17 allocations of the detection kernel,
+/// not of telemetry), so a covert-heavy mix reads higher.
+const COVERT_EVERY: usize = 64;
+
+fn histogram(covert: bool, tick: usize) -> DensityHistogram {
+    let mut bins = vec![0u64; HISTOGRAM_BINS];
+    bins[0] = 2_400;
+    if covert {
+        bins[19] = 20;
+        bins[20] = 25 + (tick % 3) as u64;
+        bins[21] = 20;
+    } else {
+        bins[1] = 40 + (tick % 5) as u64;
+        bins[2] = 8;
+    }
+    DensityHistogram::from_bins(bins, 1_000).expect("valid histogram")
+}
+
+/// Steady-state allocations per pair-quantum stay within 4, counting the
+/// probe's clone of its pre-built input and the report's copy of the pair
+/// label (about 2.4 measured). Resolving every per-pair metric through its
+/// family on every tick cost about 10.4 here (a label key per family
+/// update, plus three label copies per pair); the end-to-end `fleet_10k`
+/// run read about 10.7.
+#[test]
+fn steady_state_pair_quantum_allocates_at_most_four_times() {
+    let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+        shards: 2,
+        base: SupervisorConfig {
+            window_quanta: WINDOW,
+            seed: 0xA110C,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
+    })
+    .expect("valid fleet");
+    for pair in 0..PAIRS {
+        fleet
+            .add_contention_pair(format!(
+                "memory-bus: pid {} <-> pid {}",
+                2 * pair,
+                2 * pair + 1
+            ))
+            .expect("pair added");
+    }
+    // Eight input variants per class, built before anything is counted.
+    let inputs: Vec<Vec<PairInput>> = [false, true]
+        .iter()
+        .map(|&covert| {
+            (0..8)
+                .map(|t| PairInput::Harvest(Harvest::Complete(histogram(covert, t))))
+                .collect()
+        })
+        .collect();
+    let mut probe = |pair: usize, tick: u64, _attempt: u32| -> Result<PairInput, ProbeFault> {
+        let covert = usize::from(pair.is_multiple_of(COVERT_EVERY));
+        Ok(inputs[covert][tick as usize % 8].clone())
+    };
+
+    // Fill every window and settle verdicts and containment first.
+    for _ in 0..3 * WINDOW {
+        let report = fleet.tick(&mut probe);
+        assert!(report.deaths.is_empty());
+    }
+    let series_before = fleet.render_prometheus().lines().count();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    for _ in 0..MEASURED_TICKS {
+        let report = fleet.tick(&mut probe);
+        drop(report);
+    }
+    COUNTING.store(false, Ordering::Relaxed);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let per_pair_quantum = allocations as f64 / (PAIRS * MEASURED_TICKS) as f64;
+    assert!(
+        per_pair_quantum <= 4.0,
+        "{per_pair_quantum:.2} allocations per pair-quantum ({allocations} over \
+         {MEASURED_TICKS} ticks of {PAIRS} pairs)"
+    );
+    // Steady-state ticks create no new series.
+    assert_eq!(fleet.render_prometheus().lines().count(), series_before);
+    let statuses = fleet.pair_statuses();
+    assert!(statuses
+        .iter()
+        .filter(|s| s.pair.is_multiple_of(COVERT_EVERY))
+        .all(|s| s.verdict.is_covert()));
+}

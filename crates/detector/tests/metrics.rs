@@ -1,7 +1,8 @@
 //! Property tests for the observability layer: counter exactness under the
 //! worker-pool concurrency the audit engine actually uses, Prometheus
-//! exposition round-tripping through a parser, and fleet kill-and-restore
-//! preserving monotonic counters from the persisted snapshot.
+//! exposition round-tripping through a parser, fleet kill-and-restore
+//! preserving monotonic counters from the persisted snapshot, and scrapes
+//! and ticks carrying on over a poisoned family lock.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::metrics::{parse_prometheus, Registry, LATENCY_BUCKETS_US};
@@ -269,4 +270,79 @@ fn restore_reseeds_monotonic_counters_at_arbitrary_kill_points() {
         drop(restored);
         cleanup(&dir);
     }
+}
+
+/// A formatting sink that panics on the first write containing `trigger`:
+/// formatting a registry into it panics while a family lock is held.
+struct PanickingSink {
+    trigger: &'static str,
+}
+
+impl std::fmt::Write for PanickingSink {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        assert!(!s.contains(self.trigger), "sink refused {s:?}");
+        Ok(())
+    }
+}
+
+/// A panic while a family (and registry) lock is held poisons the lock;
+/// later scrapes, pair additions and ticks must carry on over the poison
+/// instead of panicking in library code.
+#[test]
+fn poisoned_family_lock_still_scrapes_and_ticks() {
+    let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 8,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
+    })
+    .unwrap()
+    .with_tracer(Tracer::disabled());
+    fleet.add_contention_pair("poisoned-bus").unwrap();
+    let mut probe = |_pair: usize, tick: u64, _attempt: u32| -> Result<PairInput, ProbeFault> {
+        let mut bins = vec![0u64; HISTOGRAM_BINS];
+        bins[0] = 2_400 + tick % 7;
+        bins[1] = 5;
+        Ok(PairInput::Harvest(Harvest::Complete(
+            DensityHistogram::from_bins(bins, 100_000).unwrap(),
+        )))
+    };
+    for _ in 0..3 {
+        fleet.tick(&mut probe);
+    }
+
+    // The sink panics while the shard registry's pair families print
+    // their member labels, i.e. under the family locks.
+    let registry = fleet.shard_registry(0).unwrap().clone();
+    let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut sink = PanickingSink {
+            trigger: "poisoned-bus",
+        };
+        let _ = std::fmt::write(&mut sink, format_args!("{registry:?}"));
+    }));
+    assert!(poisoned.is_err(), "the sink must have panicked mid-format");
+
+    // A new pair resolves its handles from the poisoned families.
+    fleet.add_contention_pair("late-bus").unwrap();
+    for _ in 0..4 {
+        fleet.tick(&mut probe);
+    }
+    let scrape = parse_prometheus(&fleet.render_prometheus());
+    assert!(scrape.is_clean(), "{:?}", scrape.skipped);
+    let analyzed = |pair: &str| {
+        scrape
+            .samples
+            .iter()
+            .find(|s| {
+                s.name == "cchunter_pair_analyzed_total"
+                    && s.labels.iter().any(|(k, v)| k == "pair" && v == pair)
+            })
+            .map(|s| s.value as u64)
+    };
+    assert_eq!(analyzed("poisoned-bus"), Some(7));
+    assert_eq!(analyzed("late-bus"), Some(4));
+    assert_eq!(fleet.metrics_snapshot().analyzed, 11);
+    assert!(format!("{:?}", registry).contains("late-bus"));
 }

@@ -3,8 +3,9 @@
 //! re-asserts through the adoptive shard's enforcer, the rendezvous
 //! placement is stable and minimal under shard-count-preserving restarts,
 //! the coordinator's one retry loop spares quarantined pairs and reports
-//! per-pair retries, one tick clock keeps migrated quarantines honest, and
-//! a restarted pair reads exactly like a migrated one.
+//! per-pair retries, one tick clock keeps migrated quarantines honest, a
+//! restarted pair reads exactly like a migrated one, and per-pair series
+//! follow a pair into whichever shard's registry hosts it.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::mitigation::{ApplyError, MitigationEnforcer, MitigationLevel};
@@ -604,5 +605,101 @@ fn unclaimed_and_mismatched_recovered_pairs_are_visible() {
     assert_eq!(contained.verdict, Verdict::Inconclusive);
     assert!(contained.containment.is_active());
     drop(restored);
+    cleanup(&dir);
+}
+
+/// One per-pair sample from `shard`'s registry, or `None` when the pair
+/// has no such series there.
+fn pair_sample(fleet: &ShardedFleet, shard: usize, name: &str, pair: &str) -> Option<f64> {
+    fleet
+        .shard_registry(shard)
+        .unwrap()
+        .samples()
+        .into_iter()
+        .find(|s| s.name == name && s.labels.iter().any(|(k, v)| k == "pair" && v == pair))
+        .map(|s| s.value)
+}
+
+/// Per-pair series follow the pair into whichever shard's registry hosts
+/// it, and a pair's member of a family exists only once the pair touched
+/// that family: a migrated pair only ever quarantine-skipped on its
+/// adoptive shard has no analysis series there, a migrated healthy pair's
+/// series advance in the adoptive registry, and after a revive the pairs
+/// walked home update the revived shard's new registry.
+#[test]
+fn pair_series_follow_the_pair_across_kill_and_revive() {
+    const ANALYZED: &str = "cchunter_pair_analyzed_total";
+    const LATENCY: &str = "cchunter_pair_audit_latency_us_count";
+    const SKIPS: &str = "cchunter_pair_quarantine_skips_total";
+    let dir = temp_dir("series");
+    let mut config = quarantine_config(2);
+    // Once open, the wedged pair stays quarantined for the whole test.
+    config.base.quarantine.probe_interval = 1_000;
+    config.base.checkpoint_every = 1;
+    config.rebalance_per_tick = 8;
+    let mut fleet = ShardedFleet::with_store_root(config, &dir).unwrap();
+    let wedged = "memory-bus: wedged monitor";
+    fleet.add_contention_pair(wedged).unwrap();
+    let home = fleet.shard_of(0).unwrap();
+    let healthy = (0..)
+        .map(|i| format!("memory-bus: healthy {i}"))
+        .find(|l| rendezvous_shard(pair_key(l), &[0, 1]) == Some(home))
+        .unwrap();
+    fleet.add_contention_pair(healthy.as_str()).unwrap();
+    assert_eq!(fleet.shard_of(1), Some(home));
+    let mut probe = |pair: usize, tick: u64, _attempt: u32| {
+        if pair == 0 {
+            Err(ProbeFault {
+                reason: "hardware interface wedged".to_string(),
+            })
+        } else {
+            Ok(PairInput::Harvest(Harvest::Complete(quiet_histogram(tick))))
+        }
+    };
+    for _ in 0..4 {
+        fleet.tick(&mut probe);
+    }
+    assert!(is_open(&fleet, 0), "the wedged pair must be quarantined");
+    assert!(
+        !fleet
+            .render_prometheus()
+            .contains("cchunter_shard_heartbeat_misses_total{"),
+        "no shard has missed a heartbeat"
+    );
+
+    fleet.kill_shard(home).unwrap();
+    let adoptive = fleet.shard_of(0).unwrap();
+    assert_ne!(adoptive, home);
+    assert_eq!(fleet.shard_of(1), Some(adoptive));
+    for _ in 0..3 {
+        fleet.tick(&mut probe);
+    }
+    assert!(is_open(&fleet, 0), "the quarantine migrated with the pair");
+    let series = |name, pair| pair_sample(&fleet, adoptive, name, pair);
+    assert_eq!(series(SKIPS, wedged), Some(3.0));
+    assert_eq!(series(ANALYZED, wedged), None);
+    assert_eq!(series(LATENCY, wedged), None);
+    assert_eq!(series(ANALYZED, &healthy), Some(3.0));
+    assert_eq!(series(LATENCY, &healthy), Some(3.0));
+
+    fleet.revive_shard(home).unwrap();
+    // The first tick after the revive runs both pairs on the adoptive
+    // shard, then its rebalance pass walks them home.
+    fleet.tick(&mut probe);
+    assert_eq!(fleet.shard_of(0), Some(home));
+    assert_eq!(fleet.shard_of(1), Some(home));
+    for _ in 0..2 {
+        fleet.tick(&mut probe);
+    }
+    let series = |name, pair| pair_sample(&fleet, home, name, pair);
+    assert_eq!(series(ANALYZED, &healthy), Some(2.0));
+    assert_eq!(series(LATENCY, &healthy), Some(2.0));
+    assert_eq!(series(SKIPS, wedged), Some(2.0));
+    assert_eq!(series(ANALYZED, wedged), None);
+    // The adoptive registry stopped counting when the pairs left it.
+    assert_eq!(pair_sample(&fleet, adoptive, ANALYZED, &healthy), Some(4.0));
+    assert_eq!(pair_sample(&fleet, adoptive, SKIPS, wedged), Some(4.0));
+    fleet.verify_accounting().unwrap();
+    drop(fleet);
     cleanup(&dir);
 }
