@@ -44,14 +44,16 @@ use crate::auditor::ConflictRecord;
 use crate::autocorr::{OscillationDetector, OscillationVerdict};
 use crate::burst::{BurstDetector, BurstVerdict};
 use crate::cluster::{discretized_features, recurrence_from_features, RecurrenceVerdict};
-use crate::density::DensityHistogram;
+use crate::density::{DensityHistogram, HISTOGRAM_BINS};
 use crate::metrics::{default_registry, Counter};
 use crate::pipeline::{symbol_series, CcHunterConfig, Verdict};
 use crate::span;
 use crate::trace::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointSlot};
 use crate::window::SlidingWindow;
 use crate::DetectorError;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::num::NonZeroU64;
 use std::sync::OnceLock;
 
 /// Process-wide count of quanta pushed into any online daemon.
@@ -123,11 +125,12 @@ pub enum Harvest {
 
 impl Harvest {
     /// The harvest's observation weight: 1.0 for a complete quantum, the
-    /// observed fraction for a partial one, 0.0 for a miss.
+    /// observed fraction for a partial one (0.0 if its loss is not a finite
+    /// number), 0.0 for a miss.
     pub fn observed_weight(&self) -> f64 {
         match self {
             Harvest::Complete(_) => 1.0,
-            Harvest::Partial { lost_fraction, .. } => (1.0 - lost_fraction).clamp(0.0, 1.0),
+            Harvest::Partial { lost_fraction, .. } => observed_fraction(*lost_fraction),
             Harvest::Missed => 0.0,
         }
     }
@@ -138,6 +141,18 @@ impl Harvest {
             Harvest::Complete(h) | Harvest::Partial { histogram: h, .. } => Some(h),
             Harvest::Missed => None,
         }
+    }
+}
+
+/// The observation weight of a quantum that lost `lost_fraction` of its
+/// evidence, in `[0, 1]`. A non-finite loss is an unknown loss and counts as
+/// total: a NaN weight would make the window's confidence NaN, and since
+/// `NaN < min_confidence` is false, the daemon would acquit a blinded pair.
+fn observed_fraction(lost_fraction: f64) -> f64 {
+    if lost_fraction.is_finite() {
+        (1.0 - lost_fraction).clamp(0.0, 1.0)
+    } else {
+        0.0
     }
 }
 
@@ -183,15 +198,84 @@ impl OnlineStatus {
     }
 }
 
-/// One sliding-window slot of the contention daemon.
+/// One sliding-window slot of the contention daemon. The quantum's nonzero
+/// histogram bins live in the daemon's [`BinArena`], not in the slot.
 #[derive(Debug, Clone)]
 struct QuantumSlot {
-    histogram: Option<DensityHistogram>,
+    /// Δt of the observed histogram — `None` when the quantum was missed.
+    delta_t: Option<NonZeroU64>,
+    /// Entries this slot owns in the arena: its histogram's nonzero bins.
+    nonzero_bins: u8,
     /// Discretized k-means features — present iff the quantum's burst
     /// verdict was significant. Computed once at push time so a quantum is
     /// never re-discretized while it slides through the window.
     features: Option<Vec<f64>>,
     weight: f64,
+}
+
+/// The contention window's histograms, compacted: every observed slot's
+/// nonzero `(bin, frequency)` entries, oldest slot first, in two parallel
+/// queues (9 bytes an entry). Slots leave the window strictly
+/// oldest-first, so a push appends the new quantum's entries at the back
+/// and an eviction pops the oldest slot's entries off the front — in steady
+/// state neither allocates. Capacity grows geometrically but never past
+/// `limit`, the most entries the window can hold, so a window of fully
+/// dense histograms costs at most 9/8 of the dense `u64` bins it replaces.
+#[derive(Debug)]
+struct BinArena {
+    bins: VecDeque<u8>,
+    frequencies: VecDeque<u64>,
+    /// `capacity × HISTOGRAM_BINS`: the entry count of a full window of
+    /// fully dense histograms.
+    limit: usize,
+}
+
+impl BinArena {
+    fn new(window_capacity: usize) -> Self {
+        BinArena {
+            bins: VecDeque::new(),
+            frequencies: VecDeque::new(),
+            limit: window_capacity * HISTOGRAM_BINS,
+        }
+    }
+
+    /// Appends `histogram`'s nonzero bins; returns how many it appended.
+    fn push(&mut self, histogram: &DensityHistogram) -> u8 {
+        let nonzero = histogram.bins().iter().filter(|&&f| f > 0).count();
+        let needed = self.bins.len() + nonzero;
+        if needed > self.bins.capacity() {
+            let target = (2 * self.bins.capacity()).min(self.limit).max(needed);
+            self.bins.reserve_exact(target - self.bins.len());
+            self.frequencies
+                .reserve_exact(target - self.frequencies.len());
+        }
+        for (bin, &f) in histogram.bins().iter().enumerate() {
+            if f > 0 {
+                // Bin indices (and a slot's entry count) are at most
+                // HISTOGRAM_BINS = 128, so they fit a u8.
+                self.bins.push_back(bin as u8);
+                self.frequencies.push_back(f);
+            }
+        }
+        nonzero as u8
+    }
+
+    /// Drops the oldest slot's `n` entries.
+    fn pop_front(&mut self, n: u8) {
+        let n = usize::from(n);
+        self.bins.drain(..n);
+        self.frequencies.drain(..n);
+    }
+
+    /// The `n` entries starting `offset` entries from the front, as
+    /// `(bin, frequency)` pairs.
+    fn entries(&self, offset: usize, n: u8) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let range = offset..offset + usize::from(n);
+        self.bins
+            .range(range.clone())
+            .zip(self.frequencies.range(range))
+            .map(|(&bin, &f)| (usize::from(bin), f))
+    }
 }
 
 /// Cached clustering outcome over the window's current bursty-feature
@@ -231,6 +315,8 @@ pub struct OnlineContentionDetector {
     config: CcHunterConfig,
     detector: BurstDetector,
     window: SlidingWindow<QuantumSlot>,
+    /// The window slots' nonzero histogram bins, oldest slot first.
+    arena: BinArena,
     /// Running observation-weight sum over the window (running confidence
     /// numerator).
     weight_sum: f64,
@@ -261,10 +347,12 @@ impl OnlineContentionDetector {
                 reason: "window must hold at least one quantum".to_string(),
             });
         }
+        let capacity = window_quanta.min(512);
         Ok(OnlineContentionDetector {
             detector: BurstDetector::new(config.burst),
             config,
-            window: SlidingWindow::new(window_quanta.min(512)),
+            window: SlidingWindow::new(capacity),
+            arena: BinArena::new(capacity),
             weight_sum: 0.0,
             observed: 0,
             bursty: 0,
@@ -298,31 +386,50 @@ impl OnlineContentionDetector {
             online_missed_total().inc();
         }
         let weight = harvest.observed_weight();
-        let (histogram, verdict) = match harvest {
-            Harvest::Complete(h) | Harvest::Partial { histogram: h, .. } => {
-                let v = self.detector.analyze(&h);
-                (Some(h), Some(v))
+        // The dense histogram is analysed, its nonzero bins are copied into
+        // the arena, and it is dropped here while still hot.
+        let verdict = match harvest.histogram() {
+            Some(h) => Some(self.push_observed(h, weight)),
+            None => {
+                self.insert_slot(None, None, weight);
+                None
             }
-            Harvest::Missed => (None, None),
         };
-        let features = match (&histogram, &verdict) {
-            (Some(h), Some(v)) if v.significant => Some(discretized_features(h)),
-            _ => None,
-        };
-        self.insert_slot(QuantumSlot {
-            histogram,
-            features,
-            weight,
-        });
         self.status(verdict)
     }
 
-    /// Slides `slot` into the window, maintaining the running aggregates in
-    /// O(1) and invalidating the clustering cache only when the bursty
-    /// sequence actually changed.
-    fn insert_slot(&mut self, slot: QuantumSlot) {
+    /// Analyses an observed quantum and slides it into the window.
+    fn push_observed(&mut self, histogram: &DensityHistogram, weight: f64) -> BurstVerdict {
+        let verdict = self.detector.analyze(histogram);
+        let features = verdict.significant.then(|| discretized_features(histogram));
+        self.insert_slot(Some(histogram), features, weight);
+        verdict
+    }
+
+    /// Slides a slot into the window, maintaining the arena and the running
+    /// aggregates in O(1) and invalidating the clustering cache only when
+    /// the bursty sequence actually changed. The evicted slot's entries
+    /// leave the arena before the new slot's arrive, so the arena never
+    /// holds more than a full window's worth.
+    fn insert_slot(
+        &mut self,
+        histogram: Option<&DensityHistogram>,
+        features: Option<Vec<f64>>,
+        weight: f64,
+    ) {
+        if self.window.is_full() {
+            if let Some(oldest) = self.window.iter().next() {
+                self.arena.pop_front(oldest.nonzero_bins);
+            }
+        }
+        let slot = QuantumSlot {
+            delta_t: histogram.and_then(|h| NonZeroU64::new(h.delta_t())),
+            nonzero_bins: histogram.map_or(0, |h| self.arena.push(h)),
+            features,
+            weight,
+        };
         self.weight_sum += slot.weight;
-        if slot.histogram.is_some() {
+        if slot.delta_t.is_some() {
             self.observed += 1;
         }
         if slot.features.is_some() {
@@ -331,7 +438,7 @@ impl OnlineContentionDetector {
         }
         if let Some(evicted) = self.window.push(slot) {
             self.weight_sum -= evicted.weight;
-            if evicted.histogram.is_some() {
+            if evicted.delta_t.is_some() {
                 self.observed -= 1;
             }
             if evicted.features.is_some() {
@@ -425,22 +532,21 @@ impl OnlineContentionDetector {
     ///
     /// Returns any I/O error from `writer`.
     pub fn checkpoint<W: Write>(&self, writer: W) -> Result<(), DetectorError> {
+        let mut offset = 0;
         let slots = self
             .window
             .iter()
-            .map(|s| CheckpointSlot {
-                weight: s.weight,
-                histogram: s.histogram.as_ref().map(|h| {
-                    let sparse: Vec<(usize, u64)> = h
-                        .bins()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &f)| f > 0)
-                        .map(|(i, &f)| (i, f))
-                        .collect();
-                    (h.delta_t(), sparse)
-                }),
-                oscillatory: None,
+            .map(|s| {
+                let histogram = s.delta_t.map(|delta_t| {
+                    let sparse = self.arena.entries(offset, s.nonzero_bins).collect();
+                    (delta_t.get(), sparse)
+                });
+                offset += usize::from(s.nonzero_bins);
+                CheckpointSlot {
+                    weight: s.weight,
+                    histogram,
+                    oscillatory: None,
+                }
             })
             .collect();
         let cp = Checkpoint {
@@ -465,10 +571,9 @@ impl OnlineContentionDetector {
     /// incompatible with this daemon: wrong checkpoint kind, a capacity of
     /// zero or beyond the paper's 512-quantum window limit, more slots than
     /// the declared capacity, oscillation slots in a contention window, or
-    /// histogram bin indices outside
-    /// [`HISTOGRAM_BINS`](crate::density::HISTOGRAM_BINS). Incompatible
-    /// state is never silently adopted (or clamped) — a daemon restored
-    /// from a checkpoint either matches it exactly or refuses it.
+    /// histogram bin indices outside [`HISTOGRAM_BINS`]. Incompatible state
+    /// is never silently adopted (or clamped) — a daemon restored from a
+    /// checkpoint either matches it exactly or refuses it.
     pub fn restore<R: Read>(config: CcHunterConfig, reader: R) -> Result<Self, DetectorError> {
         let cp = read_checkpoint(reader)?;
         if cp.kind != "contention" {
@@ -489,12 +594,11 @@ impl OnlineContentionDetector {
             let histogram = slot
                 .histogram
                 .map(|(delta_t, sparse)| {
-                    let mut bins = vec![0u64; crate::density::HISTOGRAM_BINS];
+                    let mut bins = vec![0u64; HISTOGRAM_BINS];
                     for (i, f) in sparse {
                         let b = bins.get_mut(i).ok_or(DetectorError::CheckpointMismatch {
                             reason: format!(
-                                "slot {idx} bin index {i} outside the {}-bin histogram",
-                                crate::density::HISTOGRAM_BINS
+                                "slot {idx} bin index {i} outside the {HISTOGRAM_BINS}-bin histogram"
                             ),
                         })?;
                         *b = f;
@@ -502,16 +606,12 @@ impl OnlineContentionDetector {
                     DensityHistogram::from_bins(bins, delta_t)
                 })
                 .transpose()?;
-            let verdict = histogram.as_ref().map(|h| daemon.detector.analyze(h));
-            let features = match (&histogram, &verdict) {
-                (Some(h), Some(v)) if v.significant => Some(discretized_features(h)),
-                _ => None,
-            };
-            daemon.insert_slot(QuantumSlot {
-                histogram,
-                features,
-                weight: slot.weight,
-            });
+            match histogram {
+                Some(h) => {
+                    daemon.push_observed(&h, slot.weight);
+                }
+                None => daemon.insert_slot(None, None, slot.weight),
+            }
         }
         Ok(daemon)
     }
@@ -588,7 +688,8 @@ impl OnlineOscillationDetector {
     /// Feeds one quantum's conflict records, a `lost_fraction` of which is
     /// known to have been lost or corrupted (vector-register overruns,
     /// Bloom-filter aliasing bursts): the quantum still contributes its
-    /// verdict, but with reduced observation weight.
+    /// verdict, but with reduced observation weight (none at all if
+    /// `lost_fraction` is not a finite number).
     pub fn push_quantum_degraded(
         &mut self,
         records: &[ConflictRecord],
@@ -599,7 +700,7 @@ impl OnlineOscillationDetector {
         let verdict = self.detector.analyze(&series, self.config.max_lag);
         self.push_slot(OscSlot {
             oscillatory: Some(verdict.oscillatory),
-            weight: (1.0 - lost_fraction).clamp(0.0, 1.0),
+            weight: observed_fraction(lost_fraction),
         });
         self.status(Some(verdict))
     }
@@ -761,7 +862,6 @@ fn validate_window_shape(capacity: usize, slots: usize) -> Result<(), DetectorEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::density::HISTOGRAM_BINS;
 
     fn covert_histogram() -> DensityHistogram {
         let mut bins = vec![0u64; HISTOGRAM_BINS];
@@ -1022,6 +1122,42 @@ mod tests {
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.confidence, b.confidence);
         assert!(a.confidence < 1.0);
+    }
+
+    /// A partial harvest whose loss is not a finite number is a total
+    /// loss: it must neither make the confidence NaN (which acquits, since
+    /// `NaN < min_confidence` is false) nor write a checkpoint that
+    /// `restore` refuses.
+    #[test]
+    fn non_finite_loss_counts_as_total_loss() {
+        for lost_fraction in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let harvest = Harvest::Partial {
+                histogram: quiet_histogram(),
+                lost_fraction,
+            };
+            assert_eq!(harvest.observed_weight(), 0.0, "{lost_fraction}");
+            let mut contention =
+                OnlineContentionDetector::new(CcHunterConfig::default(), 8).unwrap();
+            let status = contention.push_quantum(harvest);
+            assert_eq!(status.confidence, 0.0, "{lost_fraction}");
+            assert_eq!(status.verdict, Verdict::Inconclusive, "{lost_fraction}");
+            let mut buf = Vec::new();
+            contention.checkpoint(&mut buf).unwrap();
+            let restored =
+                OnlineContentionDetector::restore(CcHunterConfig::default(), buf.as_slice());
+            assert_eq!(restored.unwrap().window_len(), 1, "{lost_fraction}");
+
+            let mut oscillation =
+                OnlineOscillationDetector::new(CcHunterConfig::default(), 8).unwrap();
+            let status = oscillation.push_quantum_degraded(&[], lost_fraction);
+            assert_eq!(status.confidence, 0.0, "{lost_fraction}");
+            assert_eq!(status.verdict, Verdict::Inconclusive, "{lost_fraction}");
+            let mut buf = Vec::new();
+            oscillation.checkpoint(&mut buf).unwrap();
+            let restored =
+                OnlineOscillationDetector::restore(CcHunterConfig::default(), buf.as_slice());
+            assert_eq!(restored.unwrap().window_len(), 1, "{lost_fraction}");
+        }
     }
 
     #[test]

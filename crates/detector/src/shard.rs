@@ -371,7 +371,8 @@ enum PairHome {
 /// surviving every shard death.
 #[derive(Debug, Clone)]
 struct PairEntry {
-    label: String,
+    /// Shared with the hosting shard's pair and its tick reports.
+    label: Arc<str>,
     kind: PairKind,
     key: u64,
     home: PairHome,
@@ -628,6 +629,13 @@ pub struct ShardedFleet {
     /// Ingest counters of caller-owned pipelines, summed into the digest.
     ingest_stats: Vec<IngestStats>,
     tick: u64,
+    /// Whether some pair may sit off its preferred shard. Set by every
+    /// event that can change a pair's preferred or current shard (pair
+    /// added, shard buried or revived, suspicion raised or cleared); the
+    /// rebalance pass skips its scan while it is clear, and clears it once
+    /// a scan finds every pair home with no move failed or held back by a
+    /// budget.
+    placement_unsettled: bool,
     registry: Registry,
     metrics: CoordinatorMetrics,
     tracer: Tracer,
@@ -755,6 +763,7 @@ impl ShardedFleet {
             recovered: HashMap::new(),
             ingest_stats: Vec::new(),
             tick: 0,
+            placement_unsettled: true,
             registry,
             metrics,
             tracer,
@@ -973,7 +982,7 @@ impl ShardedFleet {
         &mut self,
         label: impl Into<String>,
     ) -> Result<usize, DetectorError> {
-        self.add_pair(label.into(), PairKind::Contention)
+        self.add_pair(label.into().into(), PairKind::Contention)
     }
 
     /// Adds an oscillation (memory-resource) pair; see
@@ -986,11 +995,11 @@ impl ShardedFleet {
         &mut self,
         label: impl Into<String>,
     ) -> Result<usize, DetectorError> {
-        self.add_pair(label.into(), PairKind::Oscillation)
+        self.add_pair(label.into().into(), PairKind::Oscillation)
     }
 
-    fn add_pair(&mut self, label: String, kind: PairKind) -> Result<usize, DetectorError> {
-        if let Some((_, snapshot)) = self.recovered.get(&label) {
+    fn add_pair(&mut self, label: Arc<str>, kind: PairKind) -> Result<usize, DetectorError> {
+        if let Some((_, snapshot)) = self.recovered.get(&*label) {
             if snapshot.kind != kind {
                 return Err(DetectorError::CheckpointMismatch {
                     reason: format!(
@@ -1003,6 +1012,8 @@ impl ShardedFleet {
         let key = pair_key(&label);
         let global = self.table.len();
         let live = self.live_shard_ids();
+        // The shard a fresh (not recovered) pair joined, if it joined one.
+        let mut fresh_on = None;
         let home = match rendezvous_shard(key, &live) {
             Some(shard) => {
                 let host = &mut self.shards[shard];
@@ -1011,11 +1022,14 @@ impl ShardedFleet {
                         reason: format!("shard {shard} is not live"),
                     });
                 };
-                let slot = match self.recovered.remove(&label) {
+                let slot = match self.recovered.remove(&*label) {
                     // A restart: the pair comes back the way a migrated
                     // pair does.
                     Some((_, snapshot)) => sup.adopt_pair(Some(snapshot), &label, kind)?.0,
-                    None => sup.add_pair(label.clone(), kind)?,
+                    None => {
+                        fresh_on = Some(shard);
+                        sup.add_pair(Arc::clone(&label), kind)?
+                    }
                 };
                 host.slots.push(global);
                 PairHome::Assigned { shard, slot }
@@ -1023,7 +1037,7 @@ impl ShardedFleet {
             None => {
                 // Revival adopts orphans degraded, as after a migration
                 // with no live shard.
-                self.recovered.remove(&label);
+                self.recovered.remove(&*label);
                 PairHome::Orphaned
             }
         };
@@ -1033,7 +1047,17 @@ impl ShardedFleet {
             key,
             home,
         });
-        self.refresh_gauges();
+        self.placement_unsettled = true;
+        // A fresh pair on a live shard moves only that shard's pair gauge.
+        // A restart import or an orphan can move the degraded and orphan
+        // gauges, whose full refresh walks every pair: doing that on every
+        // add made registering a fleet quadratic in its size.
+        match fresh_on {
+            Some(shard) => self.metrics.per_shard[shard]
+                .pairs
+                .set(self.shards[shard].slots.len() as f64),
+            None => self.refresh_gauges(),
+        }
         Ok(global)
     }
 
@@ -1213,7 +1237,11 @@ impl ShardedFleet {
                 }
             }
             if let (Some(over), Some(state)) = (slo_breach, shard.suspicion.as_mut()) {
-                match state.tracker.observe(over) {
+                let transition = state.tracker.observe(over);
+                if transition.is_some() {
+                    self.placement_unsettled = true;
+                }
+                match transition {
                     Some(SuspicionTransition::Suspected) => {
                         suspected.push(i);
                         if self.tracer.is_enabled() {
@@ -1299,8 +1327,16 @@ impl ShardedFleet {
     ///   suspicion-cleared shard) spend
     ///   [`ShardedFleetConfig::rebalance_per_tick`].
     ///
+    /// The scan is skipped while placement is settled (see
+    /// `placement_unsettled`): once a pass finds every pair home, later
+    /// passes do nothing until a pair is added, a shard dies or revives, or
+    /// suspicion changes.
+    ///
     /// Returns `(drained, rebalanced)`.
     fn rebalance_pass(&mut self) -> (usize, usize) {
+        if !self.placement_unsettled {
+            return (0, 0);
+        }
         let mut drain_left = self
             .config
             .latency_slo
@@ -1323,8 +1359,12 @@ impl ShardedFleet {
         }
         let mut drained = 0usize;
         let mut rebalanced = 0usize;
+        // Whether this pass leaves a pair off its preferred shard: a budget
+        // ran out before the scan finished, or a move failed.
+        let mut unsettled = false;
         for global in 0..self.table.len() {
             if drain_left == 0 && rebalance_left == 0 {
+                unsettled = true;
                 break;
             }
             let PairHome::Assigned { shard: current, .. } = self.table[global].home else {
@@ -1343,6 +1383,7 @@ impl ShardedFleet {
                 &mut rebalance_left
             };
             if *budget == 0 {
+                unsettled = true;
                 continue;
             }
             match self.move_pair(global, preferred) {
@@ -1375,6 +1416,7 @@ impl ShardedFleet {
                 Err(e) => {
                     // A pair that cannot be exported stays where it is —
                     // it is still monitored, just not where we'd like.
+                    unsettled = true;
                     if self.tracer.is_enabled() {
                         self.tracer.event(
                             "fleet",
@@ -1385,6 +1427,7 @@ impl ShardedFleet {
                 }
             }
         }
+        self.placement_unsettled = unsettled;
         (drained, rebalanced)
     }
 
@@ -1529,6 +1572,7 @@ impl ShardedFleet {
             shard.slots.clear();
             shard.misses = 0;
             shard.deaths += 1;
+            self.placement_unsettled = true;
             // Death supersedes suspicion; the next life starts healthy.
             if let Some(state) = shard.suspicion.as_mut() {
                 state.tracker.reset();
@@ -1586,7 +1630,7 @@ impl ShardedFleet {
             // migrating the wrong window.
             let snapshot = recovered
                 .get(slot)
-                .filter(|s| s.label == entry.label && s.kind == entry.kind)
+                .filter(|s| *s.label == *entry.label && s.kind == entry.kind)
                 .cloned();
             let adopted = rendezvous_shard(entry.key, &live)
                 .and_then(|target| Some((target, self.adopt(global, target, snapshot)?)));
@@ -1659,6 +1703,7 @@ impl ShardedFleet {
             slot.slots = Vec::new();
             slot.suspicion = rebuilt.suspicion;
             slot.misses = 0;
+            self.placement_unsettled = true;
             // The enforcer is the failure domain's actuation backend; it
             // survives the supervisor's death and revival.
         }
@@ -1850,7 +1895,7 @@ impl ShardedFleet {
                     },
                     None => FleetPairStatus {
                         pair: global,
-                        label: entry.label.clone(),
+                        label: entry.label.to_string(),
                         kind: entry.kind,
                         shard: None,
                         verdict: Verdict::Inconclusive,
@@ -2491,6 +2536,129 @@ mod tests {
         assert!(fleet.metrics_snapshot().ticks > 0);
         drop(fleet);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Adding a pair keeps every fleet gauge what a full refresh would set,
+    /// on the fresh-pair fast path and on the orphaning path alike.
+    #[test]
+    fn adding_pairs_keeps_fleet_gauges_current() {
+        fn gauges(fleet: &ShardedFleet) -> Vec<f64> {
+            let m = &fleet.metrics;
+            let mut out: Vec<f64> = m.per_shard.iter().map(|s| s.pairs.get()).collect();
+            out.extend([m.orphaned_pairs.get(), m.degraded_pairs.get()]);
+            out.extend([m.live_shards.get(), m.suspected_shards.get()]);
+            out
+        }
+        let mut fleet = ShardedFleet::new(test_config(3)).unwrap();
+        for pair in 0..12 {
+            fleet
+                .add_contention_pair(format!("memory-bus: pair {pair}"))
+                .unwrap();
+            let incremental = gauges(&fleet);
+            fleet.refresh_gauges();
+            assert_eq!(incremental, gauges(&fleet), "after adding pair {pair}");
+        }
+        for shard in 0..3 {
+            fleet.kill_shard(shard).unwrap();
+        }
+        fleet.add_contention_pair("memory-bus: orphan").unwrap();
+        assert_eq!(fleet.metrics.orphaned_pairs.get(), 13.0);
+        let incremental = gauges(&fleet);
+        fleet.refresh_gauges();
+        assert_eq!(incremental, gauges(&fleet));
+    }
+
+    /// Ticks a quiet fleet until a rebalance pass settles placement, then
+    /// asserts the following passes skip their scan and move nothing.
+    fn settle(fleet: &mut ShardedFleet, source: &mut impl ProbeSource) {
+        for _ in 0..16 {
+            if !fleet.placement_unsettled {
+                break;
+            }
+            fleet.tick(source);
+        }
+        assert!(!fleet.placement_unsettled, "placement must settle");
+        for _ in 0..3 {
+            let report = fleet.tick(source);
+            assert_eq!((report.drained, report.rebalanced), (0, 0));
+            assert!(!fleet.placement_unsettled);
+        }
+    }
+
+    /// A settled fleet skips the rebalance scan, yet clearing a shard's
+    /// suspicion or reviving a shard still walks that shard's home pairs
+    /// back within the per-tick budget.
+    #[test]
+    fn settled_fleet_still_rebalances_after_clear_and_revive() {
+        let mut config = test_config(3);
+        config.rebalance_per_tick = 2;
+        config.latency_slo = Some(LatencySloConfig {
+            p99_budget_us: 25_000,
+            window_ticks: 4,
+            suspicion: SuspicionConfig {
+                breach_ticks: 2,
+                clear_ticks: 2,
+            },
+            drain_per_tick: 8,
+        });
+        let mut fleet = ShardedFleet::new(config).unwrap();
+        for pair in 0..12 {
+            fleet
+                .add_contention_pair(format!("memory-bus: pair {pair}"))
+                .unwrap();
+        }
+        let mut quiet = |_pair: usize, _tick: u64, _attempt: u32| {
+            Ok::<PairInput, ProbeFault>(PairInput::Harvest(Harvest::Complete(quiet_histogram())))
+        };
+        settle(&mut fleet, &mut quiet);
+        let homes: Vec<usize> = (0..12).map(|p| fleet.shard_of(p).unwrap()).collect();
+        let victim = homes[0];
+        let home_count = homes.iter().filter(|&&h| h == victim).count();
+        // `already` counts moves made by the tick that unsettled placement.
+        let walk_home = |fleet: &mut ShardedFleet, quiet: &mut dyn ProbeSource, already| {
+            let mut rebalanced_total = already;
+            for _ in 0..2 * home_count {
+                let report = fleet.tick(quiet);
+                assert!(report.rebalanced <= 2, "budget exceeded: {report:?}");
+                rebalanced_total += report.rebalanced;
+                fleet.verify_accounting().unwrap();
+            }
+            assert_eq!(rebalanced_total, home_count);
+            for (pair, &home) in homes.iter().enumerate() {
+                assert_eq!(fleet.shard_of(pair), Some(home), "pair {pair}");
+            }
+        };
+
+        // Suspect the victim until it is drained, then settle around it.
+        for _ in 0..12 {
+            if fleet.shard_statuses()[victim].pairs == 0 {
+                break;
+            }
+            fleet.stall_shard(victim, 100_000).unwrap();
+            fleet.tick(&mut quiet);
+        }
+        assert_eq!(fleet.suspected_shard_ids(), vec![victim]);
+        assert_eq!(fleet.shard_statuses()[victim].pairs, 0);
+        settle(&mut fleet, &mut quiet);
+        // Recovery clears the suspicion; the pass resumes and walks home.
+        let mut cleared = None;
+        for _ in 0..60 {
+            let report = fleet.tick(&mut quiet);
+            if report.cleared.contains(&victim) {
+                cleared = Some(report.rebalanced);
+                break;
+            }
+        }
+        let already = cleared.expect("recovered latency must clear the suspicion");
+        walk_home(&mut fleet, &mut quiet, already);
+        settle(&mut fleet, &mut quiet);
+
+        // Kill the victim, settle on the survivors, then revive it.
+        fleet.kill_shard(victim).unwrap();
+        settle(&mut fleet, &mut quiet);
+        assert_eq!(fleet.revive_shard(victim).unwrap().orphaned, 0);
+        walk_home(&mut fleet, &mut quiet, 0);
+        settle(&mut fleet, &mut quiet);
     }
 
     #[test]

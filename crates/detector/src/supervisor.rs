@@ -60,6 +60,7 @@ use crate::DetectorError;
 use std::fmt;
 use std::io::{BufRead, BufReader};
 use std::mem::discriminant;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Fleet-level configuration.
@@ -314,7 +315,8 @@ pub struct RestoredFrom {
 
 #[derive(Debug)]
 struct Pair {
-    label: String,
+    /// Shared with the fleet's pair table and every [`PairReport`].
+    label: Arc<str>,
     kind: PairKind,
     detector: PairDetector,
     breaker: CircuitBreaker,
@@ -464,8 +466,9 @@ pub enum PairOutcome {
 pub struct PairReport {
     /// Pair index.
     pub pair: usize,
-    /// Pair label.
-    pub label: String,
+    /// Pair label, shared with the fleet's pair table rather than copied
+    /// per report.
+    pub label: Arc<str>,
     /// What happened.
     pub outcome: PairOutcome,
     /// Breaker state after the tick.
@@ -1183,7 +1186,7 @@ impl Supervisor {
     /// Propagates daemon-construction errors.
     pub(crate) fn add_pair(
         &mut self,
-        label: String,
+        label: Arc<str>,
         kind: PairKind,
     ) -> Result<usize, DetectorError> {
         let detector = self.fresh_detector(kind)?;
@@ -1368,7 +1371,7 @@ impl Supervisor {
             let pair = &self.pairs[idx];
             reports.push(PairReport {
                 pair: idx,
-                label: pair.label.clone(),
+                label: Arc::clone(&pair.label),
                 outcome,
                 health: pair.breaker.state(),
                 containment: pair.mitigation.state(),
@@ -1452,7 +1455,7 @@ impl Supervisor {
                 }
                 PairOutcome::Failed {
                     error: DetectorError::AnalysisPanicked {
-                        context: pair.label.clone(),
+                        context: pair.label.to_string(),
                         message: panic.message,
                     },
                     recovery,
@@ -1494,7 +1497,7 @@ impl Supervisor {
                             PairOutcome::Degraded {
                                 status,
                                 error: DetectorError::DeadlineExceeded {
-                                    context: pair.label.clone(),
+                                    context: pair.label.to_string(),
                                     budget_us: deadline_us,
                                     elapsed_us,
                                 },
@@ -1627,7 +1630,7 @@ impl Supervisor {
         let pair = &mut self.pairs[idx];
         let covert = pair.last_verdict.is_covert();
         let report = pair.mitigation.drive(covert, tick, seed, idx, enforcer);
-        let label = pair.label.as_str();
+        let label = &*pair.label;
         let handles = &mut pair.handles;
         if report.applied > 0 {
             handles
@@ -1787,7 +1790,7 @@ impl Supervisor {
     pub(crate) fn pair_status(&self, slot: usize) -> Option<PairStatus> {
         let pair = self.pairs.get(slot)?;
         Some(PairStatus {
-            label: pair.label.clone(),
+            label: pair.label.to_string(),
             health: pair.breaker.state(),
             failure_rate: pair.breaker.failure_rate(),
             verdict: pair.last_verdict,
@@ -1987,7 +1990,7 @@ impl Supervisor {
                 reason: format!("no supervised pair {pair}"),
             })?;
         let snapshot = PairSnapshot {
-            label: p.label.clone(),
+            label: p.label.to_string(),
             kind: p.kind,
             window: Some(window_checkpoint(&p.detector)?),
             breaker: p.breaker.serialize(),
@@ -2056,7 +2059,7 @@ impl Supervisor {
             _ => (self.fresh_detector(snapshot.kind)?, true),
         };
         self.pairs.push(Pair {
-            label: snapshot.label,
+            label: snapshot.label.into(),
             kind: snapshot.kind,
             detector,
             breaker,
@@ -2106,7 +2109,7 @@ impl Supervisor {
     pub(crate) fn adopt_pair(
         &mut self,
         snapshot: Option<PairSnapshot>,
-        label: &str,
+        label: &Arc<str>,
         kind: PairKind,
     ) -> Result<(usize, bool), DetectorError> {
         if let Some(snap) = snapshot {
@@ -2120,7 +2123,7 @@ impl Supervisor {
                 }
             }
         }
-        let slot = self.add_pair(label.to_string(), kind)?;
+        let slot = self.add_pair(Arc::clone(label), kind)?;
         self.set_degraded(slot, true)?;
         Ok((slot, true))
     }

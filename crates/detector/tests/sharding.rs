@@ -452,7 +452,7 @@ fn quarantined_pair_migrated_onto_revived_shard_is_reprobed_within_probe_interva
             .flatten()
             .flat_map(|shard| &shard.reports)
             .any(|r| {
-                r.label == "memory-bus: wedged monitor"
+                &*r.label == "memory-bus: wedged monitor"
                     && !matches!(r.outcome, PairOutcome::Skipped { .. })
             })
     });
@@ -486,7 +486,7 @@ fn sharded_fleet_reports_per_pair_retries() {
             .iter()
             .flatten()
             .flat_map(|shard| &shard.reports)
-            .find(|r| r.label == "memory-bus: pair 1")
+            .find(|r| &*r.label == "memory-bus: pair 1")
             .expect("the pair was analyzed");
         assert_eq!(slipped.retries, 1);
         assert!(slipped.backoff_us > 0);
