@@ -128,7 +128,7 @@ pub use report::SessionReport;
 pub use shard::{
     pair_key, rendezvous_shard, shard_count_from_env, FleetPairStatus, FleetTickReport,
     LatencySloConfig, MigrationReport, ShardHealth, ShardStatus, ShardedFleet, ShardedFleetConfig,
-    ShardedFleetStatus,
+    ShardedFleetStatus, TOP_SUSPICIOUS,
 };
 pub use span::{Span, TraceEvent, Tracer};
 pub use store::{classify_io, CheckpointStore, DiskMedium, StorageFaultKind, StorageMedium};

@@ -1,5 +1,5 @@
 //! Zero-dependency metrics: atomic counters, gauges, fixed-bucket latency
-//! histograms, labeled per-pair families, and a [`Registry`] with
+//! histograms, labeled families, and a [`Registry`] with
 //! Prometheus-text and JSON exposition.
 //!
 //! The detection stack is built to run unattended for months; what an
@@ -16,7 +16,8 @@
 //! * [`Histogram`] — fixed cumulative buckets + sum/count/max, for latency
 //!   distributions; never allocates after construction.
 //! * [`Family`] — a labeled set of any of the above (one time series per
-//!   label value, e.g. per audited pair).
+//!   label value, e.g. per shard). A family's label values must come from
+//!   configuration or a bounded set, never from the data.
 //! * [`Registry`] — named, help-texted instruments with
 //!   [`render_prometheus`](Registry::render_prometheus) and
 //!   [`render_json`](Registry::render_json) exposition.
@@ -342,7 +343,7 @@ impl Histogram {
 
 /// A labeled set of instruments: one member per label *value* under a
 /// single label *name* (the registry's label scheme is one label per
-/// family — e.g. `pair` for per-pair series).
+/// family — e.g. `shard` for per-shard series).
 pub struct Family<M> {
     label_name: String,
     factory: Arc<dyn Fn() -> M + Send + Sync>,
@@ -422,19 +423,20 @@ impl<M: Clone> Family<M> {
         member
     }
 
+    /// Drops every member whose label value fails `keep`, so its series
+    /// leaves the exposition. Handles already held on a dropped member
+    /// keep working but are no longer exported; a later
+    /// [`Family::with_label`] for the value starts a fresh member.
+    pub fn retain(&self, mut keep: impl FnMut(&str) -> bool) {
+        self.lock().retain(|label, _| keep(label));
+    }
+
     /// All `(label value, member)` pairs, sorted by label value.
     pub fn snapshot(&self) -> Vec<(String, M)> {
         self.lock()
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
-    }
-}
-
-impl Family<Counter> {
-    /// The sum of every member's count.
-    pub fn total(&self) -> u64 {
-        self.lock().values().map(Counter::get).sum()
     }
 }
 
@@ -1202,6 +1204,22 @@ mod tests {
         assert_eq!(snapshot[0].0, "bus");
         assert_eq!(snapshot[0].1.get(), 2);
         assert_eq!(snapshot[1].1.get(), 1);
+    }
+
+    #[test]
+    fn retain_drops_members_from_the_exposition() {
+        let r = Registry::new();
+        let f = r.gauge_family("cchunter_top", "Top members", "pair");
+        for label in ["a", "b", "c"] {
+            f.with_label(label).set(1.0);
+        }
+        let kept = f.with_label("b");
+        f.retain(|label| label != "b");
+        let text = r.render_prometheus();
+        assert!(text.contains("cchunter_top{pair=\"a\"} 1"), "{text}");
+        assert!(!text.contains("pair=\"b\""), "{text}");
+        kept.set(2.0);
+        assert_eq!(f.with_label("b").get(), 0.0, "a fresh member");
     }
 
     #[test]

@@ -62,6 +62,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Members of the fleet-wide `cchunter_suspicious_pair{pair=…}` gauge: the
+/// pairs with the largest evidence share, refilled at every scrape. The
+/// only `pair`-labelled series a fleet exports, so a scrape's size does not
+/// grow with the pair count.
+pub const TOP_SUSPICIOUS: usize = 16;
+
 /// Sharded-fleet configuration.
 #[derive(Debug, Clone)]
 pub struct ShardedFleetConfig {
@@ -292,6 +298,10 @@ pub struct FleetPairStatus {
     pub health: Option<BreakerState>,
     /// Provenance of the pair's window, when it was restored/migrated.
     pub restored_from: Option<RestoredFrom>,
+    /// Current covert-channel confidence in `[0, 1]`: the observed
+    /// fraction of the window, decaying while quarantined (0 for
+    /// orphans).
+    pub confidence: f64,
     /// Failure rate over the breaker's window (0 for orphans).
     pub failure_rate: f64,
     /// Total probe/analysis failures recorded (0 for orphans, here and
@@ -471,6 +481,8 @@ struct CoordinatorMetrics {
     shard_pairs: Family<Gauge>,
     shard_heartbeat_misses: Family<Counter>,
     shard_tick_latency_us: Family<Histogram>,
+    /// At most [`TOP_SUSPICIOUS`] members, refilled at each scrape.
+    suspicious_pair: Family<Gauge>,
     /// Per-shard handles, indexed by shard.
     per_shard: Vec<ShardInstruments>,
 }
@@ -555,6 +567,12 @@ impl CoordinatorMetrics {
                 "Wall-clock latency of one shard tick, in microseconds, by shard.",
                 SHARD,
                 &LATENCY_BUCKETS_US,
+            ),
+            suspicious_pair: registry.gauge_family(
+                "cchunter_suspicious_pair",
+                "Evidence share (largest burst cluster or oscillatory quanta over the window) \
+                 of the most suspicious pairs, as of the last scrape.",
+                "pair",
             ),
             per_shard: Vec::with_capacity(shards),
         };
@@ -1887,6 +1905,7 @@ impl ShardedFleet {
                         containment: status.containment,
                         health: Some(status.health),
                         restored_from: status.restored_from,
+                        confidence: status.confidence,
                         failure_rate: status.failure_rate,
                         failures: status.failures,
                         panics: status.panics,
@@ -1903,6 +1922,7 @@ impl ShardedFleet {
                         containment: ContainmentState::Inactive,
                         health: None,
                         restored_from: None,
+                        confidence: 0.0,
                         failure_rate: 0.0,
                         failures: 0,
                         panics: 0,
@@ -2084,13 +2104,44 @@ impl ShardedFleet {
 
     /// Renders the coordinator registry plus every shard registry as one
     /// Prometheus exposition, each shard's series labeled `shard="N"`.
+    /// First refreshes the gauges derived from pair state: each live
+    /// shard's pair counts and confidence distribution, and the fleet's
+    /// top-[`TOP_SUSPICIOUS`] `cchunter_suspicious_pair` members.
     pub fn render_prometheus(&self) -> String {
+        for sup in self.shards.iter().filter_map(|s| s.supervisor.as_ref()) {
+            sup.refresh_gauges();
+        }
+        self.refresh_suspicious_pairs();
         let labels: Vec<String> = (0..self.shards.len()).map(shard_label).collect();
         let mut parts: Vec<(Option<(&str, &str)>, &Registry)> = vec![(None, &self.registry)];
         for (i, shard) in self.shards.iter().enumerate() {
             parts.push((Some(("shard", labels[i].as_str())), &shard.registry));
         }
         render_prometheus_merged(&parts)
+    }
+
+    /// Refills `cchunter_suspicious_pair` with the hosted pairs of largest
+    /// evidence share, ties broken by label so the member set is stable,
+    /// and drops members that fell out of the top.
+    fn refresh_suspicious_pairs(&self) {
+        // Best first: larger share, then smaller label.
+        let mut top: Vec<(f64, &Arc<str>)> = Vec::with_capacity(TOP_SUSPICIOUS + 1);
+        let outranks =
+            |a: (f64, &Arc<str>), b: (f64, &Arc<str>)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
+        for sup in self.shards.iter().filter_map(|s| s.supervisor.as_ref()) {
+            for (label, share) in sup.evidence() {
+                let at = top.partition_point(|&member| outranks(member, (share, label)));
+                if at < TOP_SUSPICIOUS {
+                    top.insert(at, (share, label));
+                    top.truncate(TOP_SUSPICIOUS);
+                }
+            }
+        }
+        let family = &self.metrics.suspicious_pair;
+        family.retain(|member| top.iter().any(|(_, label)| &***label == member));
+        for (share, label) in top {
+            family.with_label(label).set(share);
+        }
     }
 
     /// Pushes the cheap derived gauges (live shards, per-shard pair

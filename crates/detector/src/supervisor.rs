@@ -46,7 +46,7 @@
 
 use crate::auditor::ConflictRecord;
 use crate::ingest::IngestStats;
-use crate::metrics::{Counter, Family, Gauge, Histogram, Registry, LATENCY_BUCKETS_US};
+use crate::metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_US};
 use crate::mitigation::{ContainmentState, MitigationConfig, MitigationEnforcer, MitigationPolicy};
 use crate::online::{Harvest, OnlineContentionDetector, OnlineOscillationDetector, OnlineStatus};
 use crate::pipeline::{CcHunterConfig, Verdict};
@@ -334,103 +334,25 @@ struct Pair {
     panics: u64,
     deadline_misses: u64,
     retries: u64,
-    backoff_waited_us: u64,
-    /// The pair's instrument handles in its shard's registry.
-    handles: PairHandles,
+    /// Evidence share of the pair's last analysis on this shard: the
+    /// fraction of its window in the largest burst cluster (contention)
+    /// or oscillatory (oscillation). Ranks the fleet's top-k suspicious
+    /// pairs; not persisted, so an imported pair starts at zero.
+    evidence: f64,
 }
 
-impl Pair {
-    /// Seeds the pair's instruments from its persisted counters and
-    /// current state, after a restore or migration import.
-    /// `Counter::seed` is a max-merge, so re-seeding never double-counts.
-    fn seed_metrics(&mut self, metrics: &FleetMetrics) {
-        let Pair { label, handles, .. } = self;
-        handles.failures(metrics, label).seed(self.failures);
-        handles.panics(metrics, label).seed(self.panics);
-        handles
-            .deadline_misses(metrics, label)
-            .seed(self.deadline_misses);
-        handles.retries(metrics, label).seed(self.retries);
-        handles
-            .confidence(metrics, label)
-            .set(self.quarantine_confidence);
-        handles
-            .quarantined(metrics, label)
-            .set(if self.breaker.state() == BreakerState::Closed {
-                0.0
-            } else {
-                1.0
-            });
-        handles
-            .mitigations_applied(metrics, label)
-            .seed(self.mitigation.applies());
-        handles
-            .mitigation_failures(metrics, label)
-            .seed(self.mitigation.apply_failures());
-        handles
-            .mitigation_escalations(metrics, label)
-            .seed(self.mitigation.escalations());
-        handles
-            .mitigation_stepdowns(metrics, label)
-            .seed(self.mitigation.step_downs());
-        handles.containment_level(metrics, label).set(
-            self.mitigation
-                .state()
-                .level()
-                .map_or(0.0, |l| f64::from(l.rank())),
-        );
+/// The fraction of `status`'s window that carries covert-looking
+/// evidence: quanta in the largest burst cluster on the contention path,
+/// oscillatory quanta on the oscillation path.
+fn evidence_share(status: &OnlineStatus) -> f64 {
+    if status.window_len == 0 {
+        return 0.0;
     }
-}
-
-/// Declares [`PairHandles`] with one handle per per-pair family of
-/// [`FleetMetrics`], named after the family's field.
-macro_rules! pair_handles {
-    ($($family:ident: $instrument:ty,)*) => {
-        /// One pair's handles on its members of the shard's per-pair
-        /// families. Each handle resolves through [`Family::with_label`]
-        /// the first time the pair touches that family (exactly when the
-        /// member would be created anyway) and is then updated directly:
-        /// a steady-state pair-quantum takes no family lock and builds no
-        /// lookup key. Handles live and die with the pair on one shard — a
-        /// migrated, restored or re-adopted pair starts with none and
-        /// resolves them from its new shard's registry.
-        #[derive(Debug, Default)]
-        struct PairHandles {
-            $($family: Option<$instrument>,)*
-        }
-
-        impl PairHandles {
-            $(
-                fn $family(&mut self, metrics: &FleetMetrics, label: &str) -> &$instrument {
-                    self.$family
-                        .get_or_insert_with(|| metrics.$family.with_label(label))
-                }
-            )*
-        }
-    };
-}
-
-pair_handles! {
-    pair_audit_latency_us: Histogram,
-    analyzed: Counter,
-    degraded: Counter,
-    failures: Counter,
-    panics: Counter,
-    deadline_misses: Counter,
-    retries: Counter,
-    backoff_us: Counter,
-    quarantine_skips: Counter,
-    verdict_flips: Counter,
-    breaker_transitions: Counter,
-    recoveries: Counter,
-    confidence: Gauge,
-    covert: Gauge,
-    quarantined: Gauge,
-    mitigations_applied: Counter,
-    mitigation_failures: Counter,
-    mitigation_escalations: Counter,
-    mitigation_stepdowns: Counter,
-    containment_level: Gauge,
+    let covert = status
+        .recurrence
+        .as_ref()
+        .map_or(status.oscillatory_in_window, |r| r.largest_burst_cluster);
+    covert as f64 / status.window_len as f64
 }
 
 /// Outcome of one pair's tick.
@@ -515,6 +437,8 @@ pub(crate) struct PairStatus {
     /// Whether the pair runs in degraded mode (untrusted window
     /// provenance; Clean verdicts floor to [`Verdict::Inconclusive`]).
     pub degraded: bool,
+    /// Current covert-channel confidence (decays while quarantined).
+    pub confidence: f64,
     /// Total probe/analysis failures recorded.
     pub failures: u64,
     /// Contained analysis panics.
@@ -600,34 +524,32 @@ impl RecoveredFleet {
 const MANIFEST_MAGIC: &str = "cchunter-supervisor,v1";
 const MANIFEST_NAME: &str = "supervisor";
 
-/// The fleet's registered instrument set (see DESIGN.md §12 for the name
-/// and label scheme). Families are labeled by pair label.
+/// Upper bounds of the scrape-time confidence distribution's buckets.
+const CONFIDENCE_BUCKETS: [f64; 6] = [0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
+
+/// The shard's registered instrument set (see DESIGN.md §12 for the name
+/// and label scheme). Nothing is labeled by pair: each per-pair event
+/// counts in one shard counter, and the pair-state gauges are derived
+/// from the pair table at scrape time ([`Supervisor::refresh_gauges`]).
 #[derive(Debug, Clone)]
 struct FleetMetrics {
     ticks: Counter,
     tick_latency_us: Histogram,
     audit_latency_us: Histogram,
-    pair_audit_latency_us: Family<Histogram>,
-    analyzed: Family<Counter>,
-    degraded: Family<Counter>,
-    failures: Family<Counter>,
-    panics: Family<Counter>,
-    deadline_misses: Family<Counter>,
-    retries: Family<Counter>,
-    backoff_us: Family<Counter>,
-    quarantine_skips: Family<Counter>,
-    verdict_flips: Family<Counter>,
-    breaker_transitions: Family<Counter>,
-    recoveries: Family<Counter>,
-    confidence: Family<Gauge>,
-    covert: Family<Gauge>,
-    quarantined: Family<Gauge>,
-    mitigations_applied: Family<Counter>,
-    mitigation_failures: Family<Counter>,
-    mitigation_escalations: Family<Counter>,
-    mitigation_stepdowns: Family<Counter>,
-    containment_level: Family<Gauge>,
+    analyzed: Counter,
+    degraded: Counter,
+    quarantine_skips: Counter,
+    verdict_flips: Counter,
+    breaker_transitions: Counter,
+    recoveries: Counter,
+    mitigations_applied: Counter,
+    mitigation_failures: Counter,
+    mitigation_escalations: Counter,
+    mitigation_stepdowns: Counter,
+    covert_pairs: Gauge,
+    quarantined_pairs: Gauge,
     contained_pairs: Gauge,
+    confidence: Histogram,
     checkpoints: Counter,
     checkpoint_errors: Counter,
     restore_rollbacks: Counter,
@@ -638,7 +560,6 @@ struct FleetMetrics {
 
 impl FleetMetrics {
     fn register(registry: &Registry) -> Self {
-        const PAIR: &str = "pair";
         FleetMetrics {
             ticks: registry.counter(
                 "cchunter_supervisor_ticks_total",
@@ -654,110 +575,62 @@ impl FleetMetrics {
                 "Per-pair analysis latency, in microseconds.",
                 &LATENCY_BUCKETS_US,
             ),
-            pair_audit_latency_us: registry.histogram_family(
-                "cchunter_pair_audit_latency_us",
-                "Per-pair analysis latency, in microseconds, by pair.",
-                PAIR,
-                &LATENCY_BUCKETS_US,
+            analyzed: registry.counter(
+                "cchunter_pairs_analyzed_total",
+                "Clean pair analyses.",
             ),
-            analyzed: registry.counter_family(
-                "cchunter_pair_analyzed_total",
-                "Clean per-pair analyses.",
-                PAIR,
+            degraded: registry.counter(
+                "cchunter_pairs_degraded_total",
+                "Degraded pair outcomes (gaps, wrong-kind inputs, deadline misses).",
             ),
-            degraded: registry.counter_family(
-                "cchunter_pair_degraded_total",
-                "Degraded per-pair outcomes (gaps, wrong-kind inputs, deadline misses).",
-                PAIR,
+            quarantine_skips: registry.counter(
+                "cchunter_pairs_quarantine_skips_total",
+                "Pair ticks skipped under quarantine.",
             ),
-            failures: registry.counter_family(
-                "cchunter_pair_failures_total",
-                "Per-pair probe/analysis failures.",
-                PAIR,
+            verdict_flips: registry.counter(
+                "cchunter_pairs_verdict_flips_total",
+                "Pair verdict changes.",
             ),
-            panics: registry.counter_family(
-                "cchunter_pair_panics_total",
-                "Contained per-pair analysis panics.",
-                PAIR,
+            breaker_transitions: registry.counter(
+                "cchunter_pairs_breaker_transitions_total",
+                "Pair circuit-breaker state transitions.",
             ),
-            deadline_misses: registry.counter_family(
-                "cchunter_pair_deadline_misses_total",
-                "Per-pair deadline watchdog trips.",
-                PAIR,
-            ),
-            retries: registry.counter_family(
-                "cchunter_pair_retries_total",
-                "Per-pair probe retries.",
-                PAIR,
-            ),
-            backoff_us: registry.counter_family(
-                "cchunter_pair_backoff_us_total",
-                "Virtual microseconds of retry backoff scheduled per pair.",
-                PAIR,
-            ),
-            quarantine_skips: registry.counter_family(
-                "cchunter_pair_quarantine_skips_total",
-                "Ticks skipped because the pair was quarantined.",
-                PAIR,
-            ),
-            verdict_flips: registry.counter_family(
-                "cchunter_pair_verdict_flips_total",
-                "Per-pair verdict changes (clean <-> covert).",
-                PAIR,
-            ),
-            breaker_transitions: registry.counter_family(
-                "cchunter_pair_breaker_transitions_total",
-                "Per-pair circuit-breaker state transitions.",
-                PAIR,
-            ),
-            recoveries: registry.counter_family(
-                "cchunter_pair_recoveries_total",
+            recoveries: registry.counter(
+                "cchunter_pairs_recoveries_total",
                 "Detector rebuilds after contained panics.",
-                PAIR,
             ),
-            confidence: registry.gauge_family(
-                "cchunter_pair_confidence",
-                "The pair's current covert-channel confidence, in [0, 1].",
-                PAIR,
+            mitigations_applied: registry.counter(
+                "cchunter_pairs_mitigations_applied_total",
+                "Accepted mitigation enforcement calls.",
             ),
-            covert: registry.gauge_family(
-                "cchunter_pair_covert",
-                "1 when the pair's current verdict is covert, else 0.",
-                PAIR,
+            mitigation_failures: registry.counter(
+                "cchunter_pairs_mitigation_failures_total",
+                "Refused mitigation enforcement calls (apply or release).",
             ),
-            quarantined: registry.gauge_family(
-                "cchunter_pair_quarantined",
-                "1 when the pair's breaker is open or half-open, else 0.",
-                PAIR,
+            mitigation_escalations: registry.counter(
+                "cchunter_pairs_mitigation_escalations_total",
+                "Containment-ladder rungs escalated past.",
             ),
-            mitigations_applied: registry.counter_family(
-                "cchunter_pair_mitigations_applied_total",
-                "Accepted mitigation enforcement calls, by pair.",
-                PAIR,
+            mitigation_stepdowns: registry.counter(
+                "cchunter_pairs_mitigation_stepdowns_total",
+                "Containment-ladder rungs stepped down.",
             ),
-            mitigation_failures: registry.counter_family(
-                "cchunter_pair_mitigation_failures_total",
-                "Refused mitigation enforcement calls (apply or release), by pair.",
-                PAIR,
+            covert_pairs: registry.gauge(
+                "cchunter_pairs_covert",
+                "Pairs whose current verdict is covert (as of the last scrape).",
             ),
-            mitigation_escalations: registry.counter_family(
-                "cchunter_pair_mitigation_escalations_total",
-                "Containment-ladder rungs escalated past, by pair.",
-                PAIR,
-            ),
-            mitigation_stepdowns: registry.counter_family(
-                "cchunter_pair_mitigation_stepdowns_total",
-                "Containment-ladder rungs stepped down, by pair.",
-                PAIR,
-            ),
-            containment_level: registry.gauge_family(
-                "cchunter_pair_containment_level",
-                "The pair's containment rung (0 inactive, 1 flush-on-switch … 4 deschedule).",
-                PAIR,
+            quarantined_pairs: registry.gauge(
+                "cchunter_pairs_quarantined",
+                "Pairs whose breaker is open or half-open (as of the last scrape).",
             ),
             contained_pairs: registry.gauge(
                 "cchunter_contained_pairs",
-                "Pairs with an active or pending containment.",
+                "Pairs with an active or pending containment (as of the last scrape).",
+            ),
+            confidence: registry.histogram(
+                "cchunter_pairs_confidence",
+                "Distribution of the pairs' current covert-channel confidence (as of the last scrape).",
+                &CONFIDENCE_BUCKETS,
             ),
             checkpoints: registry.counter(
                 "cchunter_checkpoints_total",
@@ -1204,8 +1077,7 @@ impl Supervisor {
             panics: 0,
             deadline_misses: 0,
             retries: 0,
-            backoff_waited_us: 0,
-            handles: PairHandles::default(),
+            evidence: 0.0,
         });
         Ok(self.pairs.len() - 1)
     }
@@ -1269,12 +1141,7 @@ impl Supervisor {
                 Some(probed) => probed,
                 None => {
                     pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
-                    pair.handles
-                        .quarantine_skips(&self.metrics, &pair.label)
-                        .inc();
-                    pair.handles
-                        .confidence(&self.metrics, &pair.label)
-                        .set(pair.quarantine_confidence);
+                    self.metrics.quarantine_skips.inc();
                     if self.tracer.is_enabled() {
                         self.tracer.event(
                             "supervisor",
@@ -1297,24 +1164,15 @@ impl Supervisor {
                 backoff_us,
             } = probed;
             pair.retries += u64::from(retries);
-            pair.backoff_waited_us += backoff_us;
-            if retries > 0 {
-                pair.handles
-                    .retries(&self.metrics, &pair.label)
-                    .inc_by(u64::from(retries));
-                pair.handles
-                    .backoff_us(&self.metrics, &pair.label)
-                    .inc_by(backoff_us);
-                if self.tracer.is_enabled() {
-                    self.tracer.event(
-                        "policy",
-                        "retry-backoff",
-                        format_args!(
-                            "{}: {retries} retries, {backoff_us} µs scheduled at tick {tick}",
-                            pair.label
-                        ),
-                    );
-                }
+            if retries > 0 && self.tracer.is_enabled() {
+                self.tracer.event(
+                    "policy",
+                    "retry-backoff",
+                    format_args!(
+                        "{}: {retries} retries, {backoff_us} µs scheduled at tick {tick}",
+                        pair.label
+                    ),
+                );
             }
             plans.push(Plan::Analyze {
                 input,
@@ -1379,7 +1237,6 @@ impl Supervisor {
                 backoff_us,
             });
         }
-        self.refresh_contained_gauge();
 
         // Phase 4: automatic checkpoint, if due. Every due tick attempts a
         // full durable checkpoint — while degraded that doubles as the
@@ -1414,13 +1271,23 @@ impl Supervisor {
         }
     }
 
-    fn refresh_contained_gauge(&self) {
-        self.metrics.contained_pairs.set(
-            self.pairs
-                .iter()
-                .filter(|p| p.mitigation.state().is_active())
-                .count() as f64,
-        );
+    /// Pushes the pair-state gauges — covert, quarantined and contained
+    /// pair counts and the confidence distribution — derived from the pair
+    /// table. Runs at scrape time (and before a checkpoint's metrics
+    /// dump), never on the tick path.
+    pub(crate) fn refresh_gauges(&self) {
+        let metrics = &self.metrics;
+        metrics.confidence.reset();
+        let (mut covert, mut quarantined, mut contained) = (0usize, 0usize, 0usize);
+        for pair in &self.pairs {
+            covert += usize::from(pair.last_verdict.is_covert());
+            quarantined += usize::from(pair.breaker.state() != BreakerState::Closed);
+            contained += usize::from(pair.mitigation.state().is_active());
+            metrics.confidence.observe(pair.quarantine_confidence);
+        }
+        metrics.covert_pairs.set(covert as f64);
+        metrics.quarantined_pairs.set(quarantined as f64);
+        metrics.contained_pairs.set(contained as f64);
     }
 
     /// Converts one pair's raw analysis result into its outcome, updating
@@ -1442,10 +1309,9 @@ impl Supervisor {
                 pair.panics += 1;
                 pair.failures += 1;
                 pair.quarantine_confidence = 0.0;
+                pair.evidence = 0.0;
                 pair.breaker.record_failure(tick);
-                pair.handles.panics(&self.metrics, &pair.label).inc();
-                pair.handles.failures(&self.metrics, &pair.label).inc();
-                pair.handles.recoveries(&self.metrics, &pair.label).inc();
+                self.metrics.recoveries.inc();
                 if self.tracer.is_enabled() {
                     self.tracer.event(
                         "supervisor",
@@ -1464,9 +1330,6 @@ impl Supervisor {
             Ok((pushed, elapsed_us)) => {
                 self.metrics.audit_latency_us.observe(elapsed_us as f64);
                 let pair = &mut self.pairs[idx];
-                pair.handles
-                    .pair_audit_latency_us(&self.metrics, &pair.label)
-                    .observe(elapsed_us as f64);
                 let deadline_missed = deadline_us > 0 && elapsed_us > deadline_us;
                 match pushed {
                     Ok((mut status, observed)) => {
@@ -1475,15 +1338,12 @@ impl Supervisor {
                         }
                         pair.last_verdict = status.verdict;
                         pair.quarantine_confidence = status.confidence;
+                        pair.evidence = evidence_share(&status);
                         if deadline_missed {
                             pair.deadline_misses += 1;
                             pair.failures += 1;
                             pair.breaker.record_failure(tick);
-                            pair.handles
-                                .deadline_misses(&self.metrics, &pair.label)
-                                .inc();
-                            pair.handles.failures(&self.metrics, &pair.label).inc();
-                            pair.handles.degraded(&self.metrics, &pair.label).inc();
+                            self.metrics.degraded.inc();
                             if self.tracer.is_enabled() {
                                 self.tracer.event(
                                     "supervisor",
@@ -1504,15 +1364,14 @@ impl Supervisor {
                             }
                         } else if observed {
                             pair.breaker.record_success(tick);
-                            pair.handles.analyzed(&self.metrics, &pair.label).inc();
+                            self.metrics.analyzed.inc();
                             PairOutcome::Analyzed(status)
                         } else {
                             // The window advanced with a gap: the analysis
                             // behaved, but the probe ultimately failed.
                             pair.failures += 1;
                             pair.breaker.record_failure(tick);
-                            pair.handles.failures(&self.metrics, &pair.label).inc();
-                            pair.handles.degraded(&self.metrics, &pair.label).inc();
+                            self.metrics.degraded.inc();
                             if self.tracer.is_enabled() {
                                 self.tracer.event(
                                     "supervisor",
@@ -1540,8 +1399,8 @@ impl Supervisor {
                         }
                         pair.last_verdict = status.verdict;
                         pair.quarantine_confidence = status.confidence;
-                        pair.handles.failures(&self.metrics, &pair.label).inc();
-                        pair.handles.degraded(&self.metrics, &pair.label).inc();
+                        pair.evidence = evidence_share(&status);
+                        self.metrics.degraded.inc();
                         if self.tracer.is_enabled() {
                             self.tracer.event(
                                 "supervisor",
@@ -1557,9 +1416,7 @@ impl Supervisor {
         let pair = &mut self.pairs[idx];
         let breaker_after = pair.breaker.state();
         if discriminant(&breaker_after) != discriminant(&breaker_before) {
-            pair.handles
-                .breaker_transitions(&self.metrics, &pair.label)
-                .inc();
+            self.metrics.breaker_transitions.inc();
         }
         // A quarantined pair leaving quarantine needs its two supervision
         // axes reconciled: without this, a contained pair re-enters full
@@ -1595,25 +1452,18 @@ impl Supervisor {
             }
         }
         if pair.last_verdict != verdict_before {
-            pair.handles.verdict_flips(&self.metrics, &pair.label).inc();
+            self.metrics.verdict_flips.inc();
+            if self.tracer.is_enabled() {
+                self.tracer.event(
+                    "supervisor",
+                    "verdict-flip",
+                    format_args!(
+                        "{}: {verdict_before} -> {} at tick {tick} (confidence {:.3})",
+                        pair.label, pair.last_verdict, pair.quarantine_confidence
+                    ),
+                );
+            }
         }
-        pair.handles
-            .confidence(&self.metrics, &pair.label)
-            .set(pair.quarantine_confidence);
-        pair.handles
-            .covert(&self.metrics, &pair.label)
-            .set(if pair.last_verdict.is_covert() {
-                1.0
-            } else {
-                0.0
-            });
-        pair.handles.quarantined(&self.metrics, &pair.label).set(
-            if breaker_after == BreakerState::Closed {
-                0.0
-            } else {
-                1.0
-            },
-        );
         outcome
     }
 
@@ -1631,25 +1481,23 @@ impl Supervisor {
         let covert = pair.last_verdict.is_covert();
         let report = pair.mitigation.drive(covert, tick, seed, idx, enforcer);
         let label = &*pair.label;
-        let handles = &mut pair.handles;
+        let metrics = &self.metrics;
         if report.applied > 0 {
-            handles
-                .mitigations_applied(&self.metrics, label)
-                .inc_by(report.applied as u64);
+            metrics.mitigations_applied.inc_by(report.applied as u64);
         }
         if report.apply_failures > 0 {
-            handles
-                .mitigation_failures(&self.metrics, label)
+            metrics
+                .mitigation_failures
                 .inc_by(report.apply_failures as u64);
         }
         if report.step_downs > 0 {
-            handles
-                .mitigation_stepdowns(&self.metrics, label)
+            metrics
+                .mitigation_stepdowns
                 .inc_by(report.step_downs as u64);
         }
         if report.escalations > 0 {
-            handles
-                .mitigation_escalations(&self.metrics, label)
+            metrics
+                .mitigation_escalations
                 .inc_by(report.escalations as u64);
             if self.tracer.is_enabled() {
                 let mut span = self.tracer.span("mitigation", "escalate");
@@ -1659,9 +1507,6 @@ impl Supervisor {
                 ));
             }
         }
-        handles
-            .containment_level(&self.metrics, label)
-            .set(report.state.level().map_or(0.0, |l| f64::from(l.rank())));
         if self.tracer.is_enabled() {
             if report.convicted {
                 self.tracer.event(
@@ -1797,6 +1642,7 @@ impl Supervisor {
             containment: pair.mitigation.state(),
             restored_from: pair.restored_from,
             degraded: pair.degraded,
+            confidence: pair.quarantine_confidence,
             failures: pair.failures,
             panics: pair.panics,
             deadline_misses: pair.deadline_misses,
@@ -1852,6 +1698,7 @@ impl Supervisor {
         }
         // Drop a Prometheus-text metrics dump next to the checkpoint so the
         // shard's last known state is scrapeable post-mortem.
+        self.refresh_gauges();
         store.write_sidecar("metrics.prom", self.registry.render_prometheus().as_bytes())?;
         self.metrics.checkpoints.inc();
         if self.tracer.is_enabled() {
@@ -2007,8 +1854,8 @@ impl Supervisor {
         Ok(snapshot)
     }
 
-    /// Imports a migrated or restored pair into this shard, appending it at the next
-    /// index and seeding its per-pair instruments. A snapshot without a
+    /// Imports a migrated or restored pair into this shard, appending it at
+    /// the next index. A snapshot without a
     /// window (or marked degraded) comes in with a fresh empty window and
     /// runs degraded — its Clean verdicts floor to
     /// [`Verdict::Inconclusive`]. An imported active containment is
@@ -2079,11 +1926,9 @@ impl Supervisor {
             panics: snapshot.panics,
             deadline_misses: snapshot.deadline_misses,
             retries: snapshot.retries,
-            backoff_waited_us: 0,
-            handles: PairHandles::default(),
+            evidence: 0.0,
         });
         let idx = self.pairs.len() - 1;
-        self.pairs[idx].seed_metrics(&self.metrics);
         if self.tracer.is_enabled() {
             self.tracer.event(
                 "supervisor",
@@ -2218,6 +2063,13 @@ impl Supervisor {
         }
     }
 
+    /// Every hosted pair's label and evidence share from its last analysis
+    /// here, in slot order: the input of the fleet's top-k suspicious-pairs
+    /// gauge.
+    pub(crate) fn evidence(&self) -> impl Iterator<Item = (&Arc<str>, f64)> + '_ {
+        self.pairs.iter().map(|p| (&p.label, p.evidence))
+    }
+
     /// The per-pair analysis latency distribution, for fleet rollups.
     pub(crate) fn audit_latency(&self) -> &Histogram {
         &self.metrics.audit_latency_us
@@ -2232,12 +2084,12 @@ impl Supervisor {
         let mut snap = MetricsSnapshot {
             ticks: self.metrics.ticks.get(),
             pairs: self.pairs.len(),
-            analyzed: self.metrics.analyzed.total(),
-            degraded: self.metrics.degraded.total(),
-            quarantine_skips: self.metrics.quarantine_skips.total(),
-            verdict_flips: self.metrics.verdict_flips.total(),
-            breaker_transitions: self.metrics.breaker_transitions.total(),
-            recoveries: self.metrics.recoveries.total(),
+            analyzed: self.metrics.analyzed.get(),
+            degraded: self.metrics.degraded.get(),
+            quarantine_skips: self.metrics.quarantine_skips.get(),
+            verdict_flips: self.metrics.verdict_flips.get(),
+            breaker_transitions: self.metrics.breaker_transitions.get(),
+            recoveries: self.metrics.recoveries.get(),
             checkpoints: self.metrics.checkpoints.get(),
             checkpoint_errors: self.metrics.checkpoint_errors.get(),
             restore_rollbacks: self.metrics.restore_rollbacks.get(),
@@ -2929,8 +2781,17 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("cchunter_pair_panics_total{shard=\"0\",pair=\"chaotic\"} 1"),
+            text.contains("cchunter_pairs_recoveries_total{shard=\"0\"} 1"),
             "{text}"
+        );
+        assert!(
+            text.contains("cchunter_pairs_covert{shard=\"0\"} 2"),
+            "{text}"
+        );
+        assert_eq!(
+            statuses(&fleet)[1].panics,
+            1,
+            "the panic is the chaotic pair's"
         );
         assert!(tracer.recorded() > 0, "tick spans must be traced");
         let status = fleet.fleet_status();
@@ -2940,7 +2801,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_seeds_persistent_counters_into_fresh_registry() {
+    fn restore_carries_persistent_counters_in_the_pair_table() {
         let root = temp_root("metrics-restore");
         let config = one_shard(test_config());
         let mut fleet = ShardedFleet::with_store_root(config.clone(), &root).unwrap();
@@ -2969,16 +2830,10 @@ mod tests {
         assert_eq!(after.failures, before.failures);
         assert_eq!(after.retries, before.retries);
         assert_eq!(after.ticks, before.ticks);
-        // The registered instruments were re-seeded, so the scrape stays
-        // monotonic across the crash.
-        let text = restored.render_prometheus();
-        assert!(
-            text.contains(&format!(
-                "cchunter_pair_failures_total{{shard=\"0\",pair=\"flaky\"}} {}",
-                before.failures
-            )),
-            "{text}"
-        );
+        // The persisted per-pair counters came back with the pair, so the
+        // pair table stays monotonic across the crash.
+        assert_eq!(statuses(&restored)[0].failures, before.failures);
+        assert_eq!(statuses(&restored)[0].retries, before.retries);
         // metrics.prom was dumped beside the checkpoint and parses back.
         let dump = std::fs::read_to_string(root.join("shard-00").join("metrics.prom")).unwrap();
         let scrape = crate::metrics::parse_prometheus(&dump);
@@ -3100,8 +2955,12 @@ mod tests {
         assert!(snapshot.mitigations_applied >= 1);
         let prom = fleet.render_prometheus();
         assert!(
-            prom.contains("cchunter_pair_containment_level"),
-            "containment gauge exported"
+            prom.contains("cchunter_contained_pairs{shard=\"0\"} 1"),
+            "containment gauge exported: {prom}"
+        );
+        assert!(
+            prom.contains("cchunter_pairs_mitigations_applied_total{shard=\"0\"}"),
+            "mitigation counter exported: {prom}"
         );
     }
 

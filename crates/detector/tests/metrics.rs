@@ -1,15 +1,21 @@
 //! Property tests for the observability layer: counter exactness under the
 //! worker-pool concurrency the audit engine actually uses, Prometheus
 //! exposition round-tripping through a parser, fleet kill-and-restore
-//! preserving monotonic counters from the persisted snapshot, and scrapes
-//! and ticks carrying on over a poisoned family lock.
+//! preserving monotonic counters from the persisted snapshot, scrapes
+//! and ticks carrying on over a poisoned family lock, `metrics_snapshot`
+//! totals pinned across a scripted fault run, and a scrape whose size is
+//! bounded by configuration rather than by the pair count.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::metrics::{parse_prometheus, Registry, LATENCY_BUCKETS_US};
+use cchunter_detector::mitigation::{
+    ApplyError, MitigationConfig, MitigationEnforcer, MitigationLevel,
+};
 use cchunter_detector::online::Harvest;
-use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
+use cchunter_detector::policy::{BackoffConfig, QuarantineConfig};
+use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig, TOP_SUSPICIOUS};
 use cchunter_detector::span::Tracer;
-use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
+use cchunter_detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -313,9 +319,11 @@ fn poisoned_family_lock_still_scrapes_and_ticks() {
         fleet.tick(&mut probe);
     }
 
-    // The sink panics while the shard registry's pair families print
-    // their member labels, i.e. under the family locks.
-    let registry = fleet.shard_registry(0).unwrap().clone();
+    // The scrape fills the coordinator's top-k family; the sink panics
+    // while that family prints its member labels, i.e. under the family
+    // lock.
+    let _ = fleet.render_prometheus();
+    let registry = fleet.registry().clone();
     let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut sink = PanickingSink {
             trigger: "poisoned-bus",
@@ -324,25 +332,300 @@ fn poisoned_family_lock_still_scrapes_and_ticks() {
     }));
     assert!(poisoned.is_err(), "the sink must have panicked mid-format");
 
-    // A new pair resolves its handles from the poisoned families.
+    // A new pair joins, and the next scrapes refill the poisoned family.
     fleet.add_contention_pair("late-bus").unwrap();
     for _ in 0..4 {
         fleet.tick(&mut probe);
     }
     let scrape = parse_prometheus(&fleet.render_prometheus());
     assert!(scrape.is_clean(), "{:?}", scrape.skipped);
-    let analyzed = |pair: &str| {
-        scrape
-            .samples
-            .iter()
-            .find(|s| {
-                s.name == "cchunter_pair_analyzed_total"
-                    && s.labels.iter().any(|(k, v)| k == "pair" && v == pair)
-            })
-            .map(|s| s.value as u64)
+    let ranked = |pair: &str| {
+        scrape.samples.iter().any(|s| {
+            s.name == "cchunter_suspicious_pair"
+                && s.labels.iter().any(|(k, v)| k == "pair" && v == pair)
+        })
     };
-    assert_eq!(analyzed("poisoned-bus"), Some(7));
-    assert_eq!(analyzed("late-bus"), Some(4));
+    assert!(ranked("poisoned-bus") && ranked("late-bus"));
+    let analyzed = scrape
+        .samples
+        .iter()
+        .find(|s| s.name == "cchunter_pairs_analyzed_total")
+        .map(|s| s.value as u64);
+    assert_eq!(analyzed, Some(11));
     assert_eq!(fleet.metrics_snapshot().analyzed, 11);
     assert!(format!("{:?}", registry).contains("late-bus"));
+}
+
+/// A covert-looking per-quantum histogram, varied by tick.
+fn covert_histogram(tick: u64) -> DensityHistogram {
+    let mut bins = vec![0u64; HISTOGRAM_BINS];
+    bins[0] = 2_400 + (tick % 7) * 3;
+    bins[19] = 20;
+    bins[20] = 150 + (tick % 5);
+    bins[21] = 25;
+    DensityHistogram::from_bins(bins, 100_000).unwrap()
+}
+
+/// A benign per-quantum histogram, varied by tick.
+fn quiet_histogram(tick: u64) -> DensityHistogram {
+    let mut bins = vec![0u64; HISTOGRAM_BINS];
+    bins[0] = 2_490 + (tick % 9);
+    bins[1] = 5;
+    DensityHistogram::from_bins(bins, 100_000).unwrap()
+}
+
+/// Refuses every flush-on-switch rung, so containment must escalate.
+struct RefuseFlush;
+
+impl MitigationEnforcer for RefuseFlush {
+    fn apply(&mut self, _pair: usize, level: MitigationLevel) -> Result<(), ApplyError> {
+        if level == MitigationLevel::FlushOnSwitch {
+            return Err(ApplyError {
+                reason: "flush-on-switch unsupported".to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    fn release(&mut self, _pair: usize, _level: MitigationLevel) -> Result<(), ApplyError> {
+        Ok(())
+    }
+}
+
+/// `metrics_snapshot()` totals do not depend on how the scrape is laid
+/// out: one scripted run with probe retries, a quarantine, a contained
+/// panic, containment with a step-down and a migration reproduces the
+/// totals recorded from the per-pair-series implementation it replaced.
+#[test]
+fn metrics_snapshot_totals_are_pinned_across_a_scripted_run() {
+    let dir = temp_dir("pinned-totals");
+    let config = ShardedFleetConfig {
+        shards: 2,
+        base: SupervisorConfig {
+            window_quanta: 8,
+            checkpoint_every: 1,
+            backoff: BackoffConfig {
+                max_retries: 2,
+                ..BackoffConfig::default()
+            },
+            quarantine: QuarantineConfig {
+                failure_window: 4,
+                trip_threshold: 0.5,
+                min_observations: 2,
+                probe_interval: 3,
+                recovery_successes: 1,
+                confidence_decay: 0.5,
+            },
+            mitigation: MitigationConfig {
+                step_down_streak: 2,
+                ..MitigationConfig::default()
+            },
+            ..SupervisorConfig::default()
+        },
+        rebalance_per_tick: 8,
+        ..ShardedFleetConfig::default()
+    };
+    let mut fleet = ShardedFleet::with_store_root(config, &dir)
+        .unwrap()
+        .with_tracer(Tracer::disabled());
+    for pair in 0..8 {
+        fleet
+            .add_contention_pair(format!("memory-bus: pair {pair}"))
+            .unwrap();
+    }
+    for shard in 0..2 {
+        fleet.set_enforcer(shard, Box::new(RefuseFlush)).unwrap();
+    }
+    // Pair 0 is covert until tick 16, pair 1 slips its first probe every
+    // other tick, pair 2 is wedged until tick 14, and one pair on the shard
+    // that survives the kill panics once at tick 2.
+    let victim = fleet.shard_of(2).unwrap();
+    let chaotic = (3..8).find(|&p| fleet.shard_of(p) != Some(victim)).unwrap();
+    let mut probe = |pair: usize, tick: u64, attempt: u32| -> Result<PairInput, ProbeFault> {
+        match pair {
+            1 if tick % 2 == 1 && attempt == 0 => Err(ProbeFault {
+                reason: "transient slip".to_string(),
+            }),
+            2 if tick < 14 => Err(ProbeFault {
+                reason: "hardware interface wedged".to_string(),
+            }),
+            p if p == chaotic && tick == 2 && attempt == 0 => Ok(PairInput::Chaos(ChaosOp::Panic)),
+            0 if tick < 16 => Ok(PairInput::Harvest(Harvest::Complete(covert_histogram(
+                tick,
+            )))),
+            _ => Ok(PairInput::Harvest(Harvest::Complete(quiet_histogram(tick)))),
+        }
+    };
+    for _ in 0..10 {
+        fleet.tick(&mut probe);
+    }
+    assert!(fleet.containment(0).unwrap().is_active());
+    fleet.report_residual(0, 0.01, 0.0).unwrap();
+    assert_eq!(fleet.shard_of(2), Some(victim));
+    fleet.kill_shard(victim).unwrap();
+    for _ in 0..4 {
+        fleet.tick(&mut probe);
+    }
+    fleet.revive_shard(victim).unwrap();
+    for _ in 0..12 {
+        fleet.tick(&mut probe);
+    }
+    fleet.verify_accounting().unwrap();
+    let s = fleet.metrics_snapshot();
+    let totals = [
+        s.analyzed,
+        s.degraded,
+        s.quarantine_skips,
+        s.verdict_flips,
+        s.breaker_transitions,
+        s.recoveries,
+        s.failures,
+        s.retries,
+        s.panics,
+        s.mitigations_applied,
+        s.mitigation_failures,
+        s.mitigation_escalations,
+        s.mitigation_stepdowns,
+    ];
+    // Recorded from the per-pair-series implementation (one `pair`-labelled
+    // family per counter) on this exact script: analyzed, degraded,
+    // quarantine skips, verdict flips, breaker transitions, recoveries,
+    // failures, retries, panics, then mitigations applied, refused,
+    // escalated and stepped down.
+    assert_eq!(totals, [171, 2, 4, 7, 1, 1, 7, 25, 1, 5, 4, 3, 2], "{s:?}");
+    drop(fleet);
+    cleanup(&dir);
+}
+
+/// Non-comment, non-blank lines of a Prometheus exposition.
+fn series_count(scrape: &str) -> usize {
+    scrape
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .count()
+}
+
+/// Asserts that no shard-labelled series names a pair the shard does not
+/// host right now.
+fn assert_no_stale_pair_series(fleet: &ShardedFleet) {
+    let statuses = fleet.pair_statuses();
+    let scrape = parse_prometheus(&fleet.render_prometheus());
+    for sample in &scrape.samples {
+        let label = |name: &str| {
+            sample
+                .labels
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v.as_str())
+        };
+        let (Some(shard), Some(pair)) = (label("shard"), label("pair")) else {
+            continue;
+        };
+        let host = statuses
+            .iter()
+            .find(|s| s.label == pair)
+            .and_then(|s| s.shard);
+        assert_eq!(
+            host.map(|h| h.to_string()).as_deref(),
+            Some(shard),
+            "{} names {pair:?} on shard {shard}",
+            sample.name
+        );
+    }
+}
+
+/// A fleet of `pairs` quiet contention pairs over 4 shards.
+fn quiet_fleet(pairs: usize, store: Option<&Path>) -> ShardedFleet {
+    let config = ShardedFleetConfig {
+        shards: 4,
+        base: SupervisorConfig {
+            window_quanta: 8,
+            checkpoint_every: 1,
+            ..SupervisorConfig::default()
+        },
+        rebalance_per_tick: pairs,
+        ..ShardedFleetConfig::default()
+    };
+    let fleet = match store {
+        Some(dir) => ShardedFleet::with_store_root(config, dir).unwrap(),
+        None => ShardedFleet::new(config).unwrap(),
+    };
+    let mut fleet = fleet.with_tracer(Tracer::disabled());
+    for pair in 0..pairs {
+        fleet
+            .add_contention_pair(format!("memory-bus: pair {pair}"))
+            .unwrap();
+    }
+    fleet
+}
+
+fn quiet_probe(_pair: usize, tick: u64, _attempt: u32) -> Result<PairInput, ProbeFault> {
+    Ok(PairInput::Harvest(Harvest::Complete(quiet_histogram(tick))))
+}
+
+/// A scrape's size is bounded by configuration, never by data: a 2 048-pair
+/// fleet exports at most [`TOP_SUSPICIOUS`] more series than a 64-pair one
+/// on the same shards, and kill → migrate → revive → rebalance neither
+/// grows the scrape nor leaves a pair's series behind on a shard it left.
+#[test]
+fn scrape_cardinality_is_bounded_by_configuration() {
+    let mut small = quiet_fleet(64, None);
+    let mut large = quiet_fleet(2_048, None);
+    for _ in 0..3 {
+        small.tick(&mut quiet_probe);
+        large.tick(&mut quiet_probe);
+    }
+    let (a, b) = (
+        series_count(&small.render_prometheus()),
+        series_count(&large.render_prometheus()),
+    );
+    assert!(
+        a.abs_diff(b) <= TOP_SUSPICIOUS,
+        "64 pairs: {a} series, 2048 pairs: {b}"
+    );
+    drop((small, large));
+
+    let dir = temp_dir("cardinality");
+    let mut fleet = quiet_fleet(64, Some(&dir));
+    for _ in 0..3 {
+        fleet.tick(&mut quiet_probe);
+    }
+    let before = series_count(&fleet.render_prometheus());
+    let victim = fleet.shard_of(0).unwrap();
+    let homes: Vec<Option<usize>> = (0..64).map(|p| fleet.shard_of(p)).collect();
+
+    let migration = fleet.kill_shard(victim).unwrap();
+    assert!(migration.migrated > 0);
+    assert_eq!(
+        series_count(&fleet.render_prometheus()),
+        before,
+        "after kill"
+    );
+    assert_no_stale_pair_series(&fleet);
+    for _ in 0..2 {
+        fleet.tick(&mut quiet_probe);
+    }
+    assert_eq!(
+        series_count(&fleet.render_prometheus()),
+        before,
+        "after migration"
+    );
+    assert_no_stale_pair_series(&fleet);
+
+    fleet.revive_shard(victim).unwrap();
+    fleet.tick(&mut quiet_probe);
+    let now: Vec<Option<usize>> = (0..64).map(|p| fleet.shard_of(p)).collect();
+    assert_eq!(now, homes, "the rebalance walked every pair home");
+    for _ in 0..2 {
+        fleet.tick(&mut quiet_probe);
+    }
+    assert_eq!(
+        series_count(&fleet.render_prometheus()),
+        before,
+        "after rebalance"
+    );
+    assert_no_stale_pair_series(&fleet);
+    fleet.verify_accounting().unwrap();
+    drop(fleet);
+    cleanup(&dir);
 }

@@ -4,8 +4,8 @@
 //! placement is stable and minimal under shard-count-preserving restarts,
 //! the coordinator's one retry loop spares quarantined pairs and reports
 //! per-pair retries, one tick clock keeps migrated quarantines honest, a
-//! restarted pair reads exactly like a migrated one, and per-pair series
-//! follow a pair into whichever shard's registry hosts it.
+//! restarted pair reads exactly like a migrated one, and a pair's events
+//! count in whichever shard hosts it.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::mitigation::{ApplyError, MitigationEnforcer, MitigationLevel};
@@ -495,11 +495,11 @@ fn sharded_fleet_reports_per_pair_retries() {
     assert_eq!(statuses[slipping].retries, 3);
     assert_eq!(statuses[0].retries, 0);
     assert_eq!(fleet.metrics_snapshot().retries, 3);
-    let shard = fleet.shard_of(slipping).unwrap();
-    let needle =
-        format!("cchunter_pair_retries_total{{shard=\"{shard}\",pair=\"memory-bus: pair 1\"}} 3");
     let scrape = fleet.render_prometheus();
-    assert!(scrape.contains(&needle), "{scrape}");
+    assert!(
+        scrape.contains("cchunter_fleet_probe_retries_total 3"),
+        "{scrape}"
+    );
 }
 
 /// Restart and migration are one path: a pair restored by reopening the
@@ -608,29 +608,28 @@ fn unclaimed_and_mismatched_recovered_pairs_are_visible() {
     cleanup(&dir);
 }
 
-/// One per-pair sample from `shard`'s registry, or `None` when the pair
-/// has no such series there.
-fn pair_sample(fleet: &ShardedFleet, shard: usize, name: &str, pair: &str) -> Option<f64> {
+/// One unlabelled sample from `shard`'s registry.
+fn shard_sample(fleet: &ShardedFleet, shard: usize, name: &str) -> f64 {
     fleet
         .shard_registry(shard)
         .unwrap()
         .samples()
         .into_iter()
-        .find(|s| s.name == name && s.labels.iter().any(|(k, v)| k == "pair" && v == pair))
+        .find(|s| s.name == name)
         .map(|s| s.value)
+        .unwrap_or_else(|| panic!("shard {shard} exports no {name}"))
 }
 
-/// Per-pair series follow the pair into whichever shard's registry hosts
-/// it, and a pair's member of a family exists only once the pair touched
-/// that family: a migrated pair only ever quarantine-skipped on its
-/// adoptive shard has no analysis series there, a migrated healthy pair's
-/// series advance in the adoptive registry, and after a revive the pairs
-/// walked home update the revived shard's new registry.
+/// A pair's events count in whichever shard hosts it: a migrated pair's
+/// quarantine skips and a migrated healthy pair's analyses advance the
+/// adoptive shard's counters, and after a revive the pairs walked home
+/// advance the revived shard's new registry while the adoptive shard's
+/// counters stop.
 #[test]
-fn pair_series_follow_the_pair_across_kill_and_revive() {
-    const ANALYZED: &str = "cchunter_pair_analyzed_total";
-    const LATENCY: &str = "cchunter_pair_audit_latency_us_count";
-    const SKIPS: &str = "cchunter_pair_quarantine_skips_total";
+fn shard_counters_follow_the_pair_across_kill_and_revive() {
+    const ANALYZED: &str = "cchunter_pairs_analyzed_total";
+    const LATENCY: &str = "cchunter_audit_latency_us_count";
+    const SKIPS: &str = "cchunter_pairs_quarantine_skips_total";
     let dir = temp_dir("series");
     let mut config = quarantine_config(2);
     // Once open, the wedged pair stays quarantined for the whole test.
@@ -671,16 +670,17 @@ fn pair_series_follow_the_pair_across_kill_and_revive() {
     let adoptive = fleet.shard_of(0).unwrap();
     assert_ne!(adoptive, home);
     assert_eq!(fleet.shard_of(1), Some(adoptive));
+    // Both pairs lived on `home` so far: the adoptive shard counted nothing.
+    assert_eq!(shard_sample(&fleet, adoptive, ANALYZED), 0.0);
+    assert_eq!(shard_sample(&fleet, adoptive, SKIPS), 0.0);
     for _ in 0..3 {
         fleet.tick(&mut probe);
     }
     assert!(is_open(&fleet, 0), "the quarantine migrated with the pair");
-    let series = |name, pair| pair_sample(&fleet, adoptive, name, pair);
-    assert_eq!(series(SKIPS, wedged), Some(3.0));
-    assert_eq!(series(ANALYZED, wedged), None);
-    assert_eq!(series(LATENCY, wedged), None);
-    assert_eq!(series(ANALYZED, &healthy), Some(3.0));
-    assert_eq!(series(LATENCY, &healthy), Some(3.0));
+    let series = |name| shard_sample(&fleet, adoptive, name);
+    assert_eq!(series(SKIPS), 3.0, "the wedged pair's skips");
+    assert_eq!(series(ANALYZED), 3.0, "the healthy pair's analyses");
+    assert_eq!(series(LATENCY), 3.0, "only the healthy pair was analyzed");
 
     fleet.revive_shard(home).unwrap();
     // The first tick after the revive runs both pairs on the adoptive
@@ -691,14 +691,21 @@ fn pair_series_follow_the_pair_across_kill_and_revive() {
     for _ in 0..2 {
         fleet.tick(&mut probe);
     }
-    let series = |name, pair| pair_sample(&fleet, home, name, pair);
-    assert_eq!(series(ANALYZED, &healthy), Some(2.0));
-    assert_eq!(series(LATENCY, &healthy), Some(2.0));
-    assert_eq!(series(SKIPS, wedged), Some(2.0));
-    assert_eq!(series(ANALYZED, wedged), None);
-    // The adoptive registry stopped counting when the pairs left it.
-    assert_eq!(pair_sample(&fleet, adoptive, ANALYZED, &healthy), Some(4.0));
-    assert_eq!(pair_sample(&fleet, adoptive, SKIPS, wedged), Some(4.0));
+    let series = |name| shard_sample(&fleet, home, name);
+    assert_eq!(series(ANALYZED), 2.0);
+    assert_eq!(series(LATENCY), 2.0);
+    assert_eq!(series(SKIPS), 2.0);
+    // The adoptive shard's counters stopped advancing when the pairs left.
+    assert_eq!(shard_sample(&fleet, adoptive, ANALYZED), 4.0);
+    assert_eq!(shard_sample(&fleet, adoptive, SKIPS), 4.0);
+    // No scrape series names a pair but the fleet's top-k gauge.
+    let scrape = fleet.render_prometheus();
+    for line in scrape.lines().filter(|l| l.contains("pair=\"")) {
+        assert!(line.starts_with("cchunter_suspicious_pair{"), "{line}");
+    }
+    let statuses = fleet.pair_statuses();
+    assert_eq!(statuses[0].shard, Some(home));
+    assert_eq!(statuses[1].shard, Some(home));
     fleet.verify_accounting().unwrap();
     drop(fleet);
     cleanup(&dir);

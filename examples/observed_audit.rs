@@ -4,9 +4,11 @@
 //! the fleet to durability-degraded (shadow-only) checkpointing and heals
 //! — with the full metrics and tracing surface on display: the fleet's
 //! numeric digest, a Prometheus-format scrape of the fleet's registries
-//! plus the process-wide one (simulator counters included), the structured
-//! trace timeline, and a measured instrumentation-overhead figure for the
-//! fleet tick loop.
+//! plus the process-wide one (simulator counters included), the "why"
+//! behind the verdicts (the scrape's top-k suspicious pairs, and an
+//! Inconclusive pair's standing and verdict flips from the pair table and
+//! the trace), the structured trace timeline, and a measured
+//! instrumentation-overhead figure for the fleet tick loop.
 //!
 //! ```sh
 //! cargo run --example observed_audit
@@ -15,15 +17,16 @@
 use cc_hunter::audit::{AuditSession, QuantumRunner};
 use cc_hunter::channels::{BitClock, BusChannelConfig, BusSpy, BusTrojan, Message, SpyLog};
 use cc_hunter::detector::density::{DensityHistogram, HISTOGRAM_BINS};
-use cc_hunter::detector::metrics::default_registry;
+use cc_hunter::detector::metrics::{default_registry, parse_prometheus};
 use cc_hunter::detector::online::Harvest;
-use cc_hunter::detector::policy::QuarantineConfig;
+use cc_hunter::detector::policy::{BreakerState, QuarantineConfig};
 use cc_hunter::detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cc_hunter::detector::span::{self, Tracer};
 use cc_hunter::detector::store::{CheckpointStore, StorageMedium};
 use cc_hunter::detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
 use cc_hunter::detector::{
     CcHunterConfig, DeltaTPolicy, StorageFaultClass, StorageFaultConfig, StorageFaultInjector,
+    Verdict,
 };
 use cc_hunter::sim::{Machine, MachineConfig};
 use cc_hunter::{FaultClass, FaultConfig, FaultInjector};
@@ -363,6 +366,62 @@ fn main() {
     }
     println!();
 
+    // --- Why is a pair convicted? The scrape's one pair-labelled family
+    // ranks the fleet's most suspicious pairs by evidence share: the
+    // fraction of the window in the largest burst cluster (contention) or
+    // oscillating (oscillation). ---
+    let verdict_of = |label: &str| {
+        status
+            .pairs
+            .iter()
+            .find(|p| p.label == label)
+            .map_or(Verdict::Inconclusive, |p| p.verdict)
+    };
+    let mut ranked: Vec<(String, f64)> = parse_prometheus(&scrape)
+        .samples
+        .into_iter()
+        .filter(|s| s.name == "cchunter_suspicious_pair")
+        .filter_map(|s| Some((s.labels.into_iter().find(|(k, _)| k == "pair")?.1, s.value)))
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    println!("most suspicious pairs (cchunter_suspicious_pair, evidence share of the window):");
+    for (rank, (label, share)) in ranked.iter().enumerate() {
+        println!(
+            "  {}. {share:.3}  {label}  [{}]",
+            rank + 1,
+            verdict_of(label)
+        );
+    }
+    println!();
+
+    // --- Why is a pair Inconclusive? Its standing in the pair table, and
+    // its verdict flips in the trace. ---
+    let inconclusive = status
+        .pairs
+        .iter()
+        .find(|p| p.verdict == Verdict::Inconclusive)
+        .expect("the wedged monitor ends Inconclusive");
+    println!("why is {:?} Inconclusive?", inconclusive.label);
+    println!(
+        "  confidence {:.3} (observed fraction of its window), health {:?}, degraded {}, restored from {:?}",
+        inconclusive.confidence,
+        inconclusive.health,
+        inconclusive.degraded,
+        inconclusive.restored_from
+    );
+    let flips: Vec<String> = tracer
+        .events()
+        .into_iter()
+        .filter(|e| e.scope == "supervisor" && e.name == "verdict-flip")
+        .filter_map(|e| {
+            e.detail
+                .strip_prefix(inconclusive.label.as_str())
+                .map(|rest| rest.trim_start_matches(": ").to_string())
+        })
+        .collect();
+    println!("  verdict flips in the trace: {flips:?}");
+    println!();
+
     // --- The structured trace timeline (newest events). ---
     println!("trace timeline (last 25 of {} events):", tracer.recorded());
     print!("{}", tracer.render_timeline(25));
@@ -404,9 +463,23 @@ fn main() {
         "audit latency histogram populated"
     );
     assert!(snap.covert_pairs >= 2, "covert channels detected");
+    assert!(
+        verdict_of(&ranked[0].0).is_covert(),
+        "a convicted pair ranks first: {ranked:?}"
+    );
+    let rank_of = |label: &str| ranked.iter().position(|(l, _)| l == label);
+    assert!(
+        rank_of(&inconclusive.label) > rank_of(&ranked[0].0),
+        "the Inconclusive pair ranks below the convicted one"
+    );
+    assert!(
+        inconclusive.confidence < 1.0 && inconclusive.health != Some(BreakerState::Closed),
+        "the Inconclusive pair's window is thin and its breaker not yet closed"
+    );
     assert!(tracer.recorded() > 0, "trace ring saw events");
     for needle in [
-        "cchunter_pair_quarantine_skips_total",
+        "cchunter_pairs_quarantine_skips_total",
+        "cchunter_suspicious_pair{",
         "cchunter_restore_rollbacks_total",
         "cchunter_durability_degraded",
         "cchunter_shadow_checkpoints_total",
