@@ -7,7 +7,7 @@
 //!   (0.02 s with feature dimension reduction).
 
 use cchunter_bench::{covert_histogram, quantum_conflicts};
-use cchunter_detector::cluster::{analyze_recurrence, ClusterConfig};
+use cchunter_detector::cluster::{discretized_features, recurrence_from_features, ClusterConfig};
 use cchunter_detector::pipeline::{symbol_series, CcHunter, CcHunterConfig};
 use cchunter_detector::{BurstDetector, DensityHistogram};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -34,10 +34,14 @@ fn bench_cluster_window(c: &mut Criterion) {
     let histograms: Vec<DensityHistogram> = (0..512)
         .map(|i| covert_histogram(18 + (i % 5), 2_500))
         .collect();
-    let verdicts: Vec<_> = histograms.iter().map(|h| detector.analyze(h)).collect();
+    let bursty: Vec<Vec<f64>> = histograms
+        .iter()
+        .filter(|h| detector.analyze(h).significant)
+        .map(discretized_features)
+        .collect();
     let config = ClusterConfig::default();
     c.bench_function("recurrence_over_512_quanta", |b| {
-        b.iter(|| analyze_recurrence(black_box(&histograms), black_box(&verdicts), &config))
+        b.iter(|| recurrence_from_features(histograms.len(), black_box(&bursty), &config))
     });
 }
 

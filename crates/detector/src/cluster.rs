@@ -10,7 +10,6 @@
 //! low-bandwidth or irregular channels are still caught.
 
 use crate::batch::{sq_dist, sq_dist_bounded, sq_dists_fused, MAX_FUSED_K};
-use crate::burst::BurstVerdict;
 use crate::density::DensityHistogram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -318,7 +317,7 @@ pub fn kmeans<F: AsRef<[f64]> + Sync>(
 }
 
 /// Outcome of recurrence analysis over an observation window of quanta.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecurrenceVerdict {
     /// Quanta analyzed.
     pub windows: usize,
@@ -331,59 +330,15 @@ pub struct RecurrenceVerdict {
     pub recurrent: bool,
 }
 
-/// Clusters the bursty histograms of an observation window and decides
-/// recurrence.
-///
-/// `histograms` and `verdicts` are parallel per-quantum slices. Only quanta
-/// with `significant` burst verdicts participate in clustering; the pattern
-/// is recurrent when at least [`ClusterConfig::min_recurring`] of them share
-/// a cluster (i.e. keep producing *similar* burst histograms).
-pub fn analyze_recurrence<H: std::borrow::Borrow<DensityHistogram>>(
-    histograms: &[H],
-    verdicts: &[BurstVerdict],
-    config: &ClusterConfig,
-) -> RecurrenceVerdict {
-    assert_eq!(
-        histograms.len(),
-        verdicts.len(),
-        "histograms and verdicts must be parallel"
-    );
-    // One flat feature slab for the whole window: the bursty quanta's
-    // discretized strings land back-to-back and k-means sees borrowed
-    // row slices, so the hot audit path allocates twice (slab + row table)
-    // instead of once per bursty quantum.
-    let mut slab: Vec<f64> = Vec::new();
-    for (h, _) in histograms
-        .iter()
-        .zip(verdicts)
-        .filter(|(_, v)| v.significant)
-    {
-        discretized_features_into(h.borrow(), &mut slab);
-    }
-    let rows: Vec<&[f64]> = slab.chunks_exact(crate::density::HISTOGRAM_BINS).collect();
-    recurrence_from_features(histograms.len(), &rows, config)
-}
-
 /// A histogram's discretized string as a k-means feature vector — the form
-/// the incremental online daemon caches per window slot so a quantum is
-/// discretized exactly once.
+/// the online window caches per slot so a quantum is discretized exactly
+/// once. Identical values to `discretize(h)` mapped through `f64::from`,
+/// computed in a single pass without the intermediate `u8` string.
 pub fn discretized_features(histogram: &DensityHistogram) -> Vec<f64> {
-    let mut features = Vec::with_capacity(crate::density::HISTOGRAM_BINS);
-    discretized_features_into(histogram, &mut features);
-    features
-}
-
-/// Appends a histogram's discretized feature vector onto `out` — the
-/// allocation-free form the batched audit path uses to fill one flat
-/// feature slab for a whole window instead of one `Vec` per quantum.
-/// Identical values to `discretize(h)` mapped through `f64::from`, computed
-/// in a single pass without the intermediate `u8` string.
-pub fn discretized_features_into(histogram: &DensityHistogram, out: &mut Vec<f64>) {
     // Bit width → level, precomputed: `LEVEL_OF_WIDTH[w] = min(w, L-1) as
     // f64`, with width 0 (an empty bin) mapping to level 0.0 exactly as the
     // branchy `if f == 0` form did. The table turns the per-bin
-    // convert+clamp into a single branchless load, which matters on the
-    // batch audit path where every quantum's 128 bins pass through here.
+    // convert+clamp into a single branchless load.
     const LEVEL_OF_WIDTH: [f64; 65] = {
         let mut t = [0.0f64; 65];
         let mut w = 1;
@@ -397,23 +352,23 @@ pub fn discretized_features_into(histogram: &DensityHistogram, out: &mut Vec<f64
         }
         t
     };
-    out.extend(
-        histogram
-            .bins()
-            .iter()
-            .map(|&f| LEVEL_OF_WIDTH[(u64::BITS - f.leading_zeros()) as usize]),
-    );
+    histogram
+        .bins()
+        .iter()
+        .map(|&f| LEVEL_OF_WIDTH[(u64::BITS - f.leading_zeros()) as usize])
+        .collect()
 }
 
 /// Decides recurrence from the already-discretized feature vectors of the
 /// bursty quanta (in window order). `windows` is the total number of
-/// observed quanta, bursty or not.
+/// observed quanta, bursty or not. The pattern is recurrent when at least
+/// [`ClusterConfig::min_recurring`] of the bursty quanta share a cluster
+/// (i.e. keep producing *similar* burst histograms).
 ///
-/// This is the clustering core shared by [`analyze_recurrence`] and the
-/// incremental [`crate::online::OnlineContentionDetector`]: given the same
-/// bursty feature sequence it returns the same verdict, which is what lets
-/// the daemon skip re-clustering when a pushed or evicted quantum leaves
-/// that sequence unchanged.
+/// [`crate::online::OnlineWindow`] calls this over its window's cached
+/// features: given the same bursty feature sequence it returns the same
+/// verdict, which is what lets the window skip re-clustering when a pushed
+/// or evicted quantum leaves that sequence unchanged.
 pub fn recurrence_from_features<F: AsRef<[f64]> + Sync>(
     windows: usize,
     bursty_features: &[F],
@@ -677,36 +632,41 @@ mod tests {
         assert!(clusters.largest().is_none());
     }
 
+    /// Recurrence over a window of histograms: the significant ones'
+    /// features, clustered.
+    fn recurrence(histograms: &[DensityHistogram]) -> RecurrenceVerdict {
+        let detector = BurstDetector::default();
+        let bursty: Vec<Vec<f64>> = histograms
+            .iter()
+            .filter(|h| detector.analyze(h).significant)
+            .map(discretized_features)
+            .collect();
+        recurrence_from_features(histograms.len(), &bursty, &ClusterConfig::default())
+    }
+
     #[test]
     fn covert_channel_pattern_recurs() {
-        let detector = BurstDetector::default();
         // 16 quanta, all carrying the same burst signature around bin 20.
         let histograms: Vec<DensityHistogram> = (0..16).map(|_| covert_histogram(20)).collect();
-        let verdicts: Vec<_> = histograms.iter().map(|h| detector.analyze(h)).collect();
-        assert!(verdicts.iter().all(|v| v.significant));
-        let r = analyze_recurrence(&histograms, &verdicts, &ClusterConfig::default());
+        let r = recurrence(&histograms);
         assert!(r.recurrent);
-        assert_eq!(r.bursty_windows, 16);
+        assert_eq!(r.bursty_windows, 16, "every quantum is significant");
         assert!(r.largest_burst_cluster >= 14);
     }
 
     #[test]
     fn benign_window_is_not_recurrent() {
-        let detector = BurstDetector::default();
         let histograms: Vec<DensityHistogram> =
             (1..17).map(|i| benign_histogram(i % 3 + 1)).collect();
-        let verdicts: Vec<_> = histograms.iter().map(|h| detector.analyze(h)).collect();
-        let r = analyze_recurrence(&histograms, &verdicts, &ClusterConfig::default());
+        let r = recurrence(&histograms);
         assert!(!r.recurrent, "{r:?}");
     }
 
     #[test]
     fn single_burst_is_not_recurrent() {
-        let detector = BurstDetector::default();
         let mut histograms: Vec<DensityHistogram> = (0..7).map(|_| benign_histogram(1)).collect();
         histograms.push(covert_histogram(40));
-        let verdicts: Vec<_> = histograms.iter().map(|h| detector.analyze(h)).collect();
-        let r = analyze_recurrence(&histograms, &verdicts, &ClusterConfig::default());
+        let r = recurrence(&histograms);
         assert_eq!(r.bursty_windows, 1);
         assert!(!r.recurrent, "one-shot bursts must not count as recurrent");
     }
@@ -715,7 +675,6 @@ mod tests {
     fn irregular_burst_intervals_still_recur() {
         // Bursty quanta scattered irregularly through a mostly quiet window
         // (the low-bandwidth channel shape).
-        let detector = BurstDetector::default();
         let mut histograms = Vec::new();
         for i in 0..32 {
             if [3, 7, 8, 19, 30].contains(&i) {
@@ -724,16 +683,8 @@ mod tests {
                 histograms.push(histogram(&[(0, 2500)]));
             }
         }
-        let verdicts: Vec<_> = histograms.iter().map(|h| detector.analyze(h)).collect();
-        let r = analyze_recurrence(&histograms, &verdicts, &ClusterConfig::default());
+        let r = recurrence(&histograms);
         assert!(r.recurrent);
         assert_eq!(r.bursty_windows, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel")]
-    fn mismatched_inputs_panic() {
-        let histograms = vec![histogram(&[(0, 10)])];
-        analyze_recurrence(&histograms, &[], &ClusterConfig::default());
     }
 }

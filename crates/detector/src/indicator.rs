@@ -9,8 +9,11 @@
 //!
 //! * [`CcHunterIndicator`] — the paper's detection stack (burst likelihood
 //!   ratio + k-means recurrence for event trains, autocorrelogram peak +
-//!   harmonic confirmation for conflict-miss symbol series) refactored
-//!   behind the trait.
+//!   harmonic confirmation for conflict-miss symbol series) behind the
+//!   trait. It scores nothing itself: every window goes through the
+//!   fleet's own [`OnlineWindow`] core, and only the mapping of that
+//!   evidence to a score is its own — so the quality gate scores the
+//!   evidence the fleet convicts with.
 //! * [`CusumIndicator`] — a CUSUM change-point statistic over the
 //!   contention-event rate series: covert modulation drags the cumulative
 //!   sum into long one-sided excursions that benign noise cannot sustain.
@@ -26,12 +29,11 @@
 //! observation sequence produces bit-identical scores on every host and
 //! under any `par_map` thread count (property-tested).
 
-use crate::autocorr::{Autocorrelogram, OscillationConfig, OscillationDetector};
-use crate::burst::BurstDetector;
-use crate::cluster::{self, ClusterConfig};
+use crate::autocorr::Autocorrelogram;
 use crate::density::DensityHistogram;
 use crate::events::SymbolSeries;
-use crate::online::Harvest;
+use crate::online::{unit_weight, Harvest, OnlineStatus, OnlineWindow, PairKind};
+use crate::pipeline::CcHunterConfig;
 
 /// Everything one scoring window exposes to an indicator.
 ///
@@ -104,9 +106,10 @@ impl WindowObservation {
         self
     }
 
-    /// Overrides the observed-fraction weight (clamped to `[0, 1]`).
+    /// Overrides the observed-fraction weight (clamped to `[0, 1]`; a
+    /// non-finite weight is an unknown loss and counts as total).
     pub fn with_weight(mut self, weight: f64) -> Self {
-        self.weight = weight.clamp(0.0, 1.0);
+        self.weight = unit_weight(weight);
         self
     }
 }
@@ -206,7 +209,7 @@ const EWMA_ALPHA: f64 = 0.35;
 /// estimate proportionally less, and a missed window (weight 0) leaves it
 /// unchanged — gaps never *raise* confidence.
 fn ewma(current: f64, sample: f64, weight: f64) -> f64 {
-    let a = EWMA_ALPHA * weight.clamp(0.0, 1.0);
+    let a = EWMA_ALPHA * unit_weight(weight);
     current * (1.0 - a) + sample * a
 }
 
@@ -216,57 +219,55 @@ fn ewma(current: f64, sample: f64, weight: f64) -> f64 {
 
 /// The paper's two-algorithm detection stack as a pluggable indicator.
 ///
-/// Histogram observations flow through [`BurstDetector`] (likelihood ratio
-/// of the burst distribution) and the k-means recurrence clusterer exactly
-/// as in the offline pipeline; symbol observations flow through
-/// [`OscillationDetector`] (dominant autocorrelogram peak + second-harmonic
-/// confirmation, computed through the shared FFT planner). The score blends
-/// the smoothed per-window statistic with how *sustained* the pattern is —
-/// the trait-shaped equivalent of the paper's "likelihood ratio ≥ 0.9 and
-/// the burst pattern recurs" decision rule.
+/// Each scoring window is one quantum of two fleet-default
+/// [`OnlineWindow`]s (512 quanta, autocorrelograms to the fleet's
+/// `max_lag`): its histogram (or a gap) goes into the contention window,
+/// its symbol series (or a gap) into the oscillation window. The score
+/// blends the smoothed per-window statistic the windows report with how
+/// *sustained* the pattern is — the trait-shaped equivalent of the paper's
+/// "likelihood ratio ≥ 0.9 and the burst pattern recurs" decision rule.
 #[derive(Debug)]
 pub struct CcHunterIndicator {
-    burst: BurstDetector,
-    oscillation: OscillationDetector,
-    cluster: ClusterConfig,
-    /// Autocorrelogram lag budget for symbol windows.
-    max_lag: usize,
-    /// Cap on retained bursty feature vectors (the paper's 512-quantum
-    /// observation window): oldest evicted first.
-    feature_cap: usize,
-    bursty_features: Vec<Vec<f64>>,
-    windows_seen: usize,
-    histogram_windows: usize,
+    contention: OnlineWindow,
+    oscillation: OnlineWindow,
+    contention_status: Option<OnlineStatus>,
+    oscillation_status: Option<OnlineStatus>,
     lr_ewma: f64,
-    largest_cluster: usize,
     osc_ewma: f64,
-    symbol_windows: usize,
-    oscillatory_windows: usize,
 }
 
 impl Default for CcHunterIndicator {
     fn default() -> Self {
+        let window = |kind| {
+            OnlineWindow::new(kind, CcHunterConfig::default(), 512)
+                .expect("the default configuration is valid")
+        };
         CcHunterIndicator {
-            burst: BurstDetector::default(),
-            oscillation: OscillationDetector::new(OscillationConfig::default()),
-            cluster: ClusterConfig::default(),
-            max_lag: 1000,
-            feature_cap: 512,
-            bursty_features: Vec::new(),
-            windows_seen: 0,
-            histogram_windows: 0,
+            contention: window(PairKind::Contention),
+            oscillation: window(PairKind::Oscillation),
+            contention_status: None,
+            oscillation_status: None,
             lr_ewma: 0.0,
-            largest_cluster: 0,
             osc_ewma: 0.0,
-            symbol_windows: 0,
-            oscillatory_windows: 0,
         }
     }
 }
 
 impl CcHunterIndicator {
+    /// The `kind` window's status after the last push (`None` before the
+    /// first): the evidence that kind's score maps.
+    pub fn evidence(&self, kind: PairKind) -> Option<&OnlineStatus> {
+        match kind {
+            PairKind::Contention => self.contention_status.as_ref(),
+            PairKind::Oscillation => self.oscillation_status.as_ref(),
+        }
+    }
+
     fn contention_score(&self) -> f64 {
-        if self.histogram_windows == 0 {
+        let Some(status) = &self.contention_status else {
+            return 0.0;
+        };
+        if status.observed_in_window == 0 {
             return 0.0;
         }
         // The paper's conjunction: significant bursts alone must not alarm
@@ -278,19 +279,24 @@ impl CcHunterIndicator {
         // the denominator floored so the first couple of windows can't
         // saturate the factor on their own. Without recurrence the score
         // caps at 0.35, under the 0.5 decision threshold.
-        let denom = self
-            .histogram_windows
-            .min(self.feature_cap)
-            .max(2 * self.cluster.min_recurring.max(1)) as f64;
-        let recur = (2.0 * self.largest_cluster as f64 / denom).min(1.0);
+        let largest = status
+            .recurrence
+            .as_ref()
+            .map_or(0, |r| r.largest_burst_cluster);
+        let min_recurring = CcHunterConfig::default().cluster.min_recurring;
+        let denom = status.observed_in_window.max(2 * min_recurring) as f64;
+        let recur = (2.0 * largest as f64 / denom).min(1.0);
         self.lr_ewma.clamp(0.0, 1.0) * (0.35 + 0.65 * recur)
     }
 
     fn cache_score(&self) -> f64 {
-        if self.symbol_windows == 0 {
+        let Some(status) = &self.oscillation_status else {
+            return 0.0;
+        };
+        if status.observed_in_window == 0 {
             return 0.0;
         }
-        let sustained = self.oscillatory_windows as f64 / self.symbol_windows as f64;
+        let sustained = status.oscillatory_in_window as f64 / status.observed_in_window as f64;
         0.65 * self.osc_ewma.clamp(0.0, 1.0) + 0.35 * sustained
     }
 }
@@ -301,10 +307,14 @@ impl Indicator for CcHunterIndicator {
     }
 
     fn push(&mut self, obs: &WindowObservation) -> f64 {
-        self.windows_seen += 1;
-        if let Some(h) = &obs.histogram {
-            self.histogram_windows += 1;
-            let verdict = self.burst.analyze(h);
+        let burst = match &obs.histogram {
+            Some(h) => Some(self.contention.ingest_histogram(h, obs.weight)),
+            None => {
+                self.contention.ingest_gap();
+                None
+            }
+        };
+        if let Some(verdict) = burst {
             // A window without a significant burst distribution is no
             // evidence of contention at all (its raw likelihood ratio is
             // meaningless — benign traffic scores ~1.0 too): it pulls the
@@ -315,23 +325,17 @@ impl Indicator for CcHunterIndicator {
                 0.0
             };
             self.lr_ewma = ewma(self.lr_ewma, lr_sample, obs.weight);
-            if verdict.significant {
-                if self.bursty_features.len() == self.feature_cap {
-                    self.bursty_features.remove(0);
-                }
-                self.bursty_features.push(cluster::discretized_features(h));
-            }
-            let recurrence = cluster::recurrence_from_features(
-                self.windows_seen.min(self.feature_cap),
-                &self.bursty_features,
-                &self.cluster,
-            );
-            self.largest_cluster = recurrence.largest_burst_cluster;
         }
-        if let Some(s) = &obs.symbols {
-            self.symbol_windows += 1;
-            let lag = self.max_lag.min(s.len() / 2).max(1);
-            let verdict = self.oscillation.analyze(s, lag);
+        self.contention_status = Some(self.contention.status(burst, None));
+
+        let oscillation = match &obs.symbols {
+            Some(s) => Some(self.oscillation.ingest_symbols(s, obs.weight)),
+            None => {
+                self.oscillation.ingest_gap();
+                None
+            }
+        };
+        if let Some(verdict) = oscillation {
             let raw = match verdict.peak {
                 // An oscillatory window scores its full peak; a mere peak
                 // without harmonic confirmation scores half credit.
@@ -340,10 +344,8 @@ impl Indicator for CcHunterIndicator {
                 None => 0.0,
             };
             self.osc_ewma = ewma(self.osc_ewma, raw, obs.weight);
-            if verdict.oscillatory {
-                self.oscillatory_windows += 1;
-            }
         }
+        self.oscillation_status = Some(self.oscillation.status(None, oscillation));
         self.score()
     }
 

@@ -116,7 +116,9 @@ pub use mitigation::{
     AdvisoryEnforcer, ApplyError, ContainmentState, MitigationConfig, MitigationEnforcer,
     MitigationLevel, MitigationPolicy, ResidualProbe, ResidualReading,
 };
-pub use online::{Harvest, OnlineContentionDetector, OnlineOscillationDetector, OnlineStatus};
+pub use online::{
+    Harvest, OnlineContentionDetector, OnlineOscillationDetector, OnlineStatus, OnlineWindow,
+};
 pub use pipeline::{
     CcHunter, CcHunterConfig, Detection, PairAudit, PairEvidence, ResourceKind, Verdict,
 };

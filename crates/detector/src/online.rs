@@ -1,50 +1,54 @@
-//! Online (streaming) detection — the long-running daemon view.
+//! Online (streaming) detection — the crate's one scoring core.
 //!
-//! The batch APIs in [`crate::pipeline`] analyze a completed observation
-//! window; a deployed CC-Hunter daemon instead consumes the CC-auditor's
-//! buffers quantum by quantum, keeps a sliding observation window (at most
-//! 512 quanta, §IV-B), and raises an alarm the moment recurrence (or
-//! sustained oscillation) is established.
+//! [`OnlineWindow`] is the only code that turns per-quantum evidence into
+//! window evidence and a [`Verdict`]: the gap-aware sliding window (at most
+//! 512 quanta, §IV-B) a deployed daemon feeds quantum by quantum. The fleet
+//! ([`crate::ShardedFleet`]) holds one per pair; the batch audits of
+//! [`crate::pipeline::CcHunter`] replay their input into one exactly as
+//! long and read its status once; [`crate::indicator::CcHunterIndicator`],
+//! the quality gate's `cchunter` scorer, maps its statuses to a score. The
+//! two resource kinds ([`PairKind`]) differ only in how a quantum is
+//! analysed and what its slot keeps: a contention quantum is a density
+//! histogram (burst likelihood ratio, discretized k-means features when
+//! bursty), an oscillation quantum a conflict-miss symbol series
+//! (autocorrelogram peak with harmonic confirmation).
+//! [`OnlineContentionDetector`] and [`OnlineOscillationDetector`] are thin
+//! handles that fix the kind at construction.
 //!
 //! ## Degraded harvests
 //!
 //! A real deployment does not get a pristine histogram every quantum: the
 //! daemon can be descheduled past a harvest deadline (quantum missed),
-//! registers saturate, buffers are truncated by DMA races. The daemon
+//! registers saturate, buffers are truncated by DMA races. The window
 //! therefore consumes [`Harvest`] values rather than bare histograms, keeps
-//! *gap-aware* windows (a missed quantum occupies a window slot with zero
-//! observation weight instead of silently vanishing), and every status
-//! carries a [`confidence`](OnlineStatus::confidence) — the observed
-//! fraction of the window — that decays under loss instead of letting the
-//! verdict flip to a spuriously confident `Clean`.
+//! a missed quantum as a slot with zero observation weight instead of
+//! letting it vanish, and every status carries a
+//! [`confidence`](OnlineStatus::confidence) — the observed fraction of the
+//! window — that decays under loss instead of letting the verdict flip to a
+//! spuriously confident `Clean`.
 //!
 //! ## Incremental windows
 //!
-//! Both daemons keep their observation window in a ring buffer
-//! ([`crate::window::SlidingWindow`]) with running aggregates (observation
-//! weight, observed / bursty / oscillatory counts), so `push_quantum` /
-//! `push_slot` cost O(1) per quantum plus the analysis of the new slot
-//! itself — nothing in the window is ever re-scanned. The contention
-//! daemon's k-means clustering is memoized on the window's bursty-feature
-//! sequence: a quantum sliding through the window is discretized exactly
-//! once, and the clustering reruns only when a push or eviction changes the
-//! sequence (the seeded k-means is deterministic, so reuse is exact). The
-//! running weight sum is rebased — recomputed from the ring — every
-//! `capacity` pushes, which keeps it amortized O(1) while preventing
-//! floating-point round-off from accumulating without bound.
+//! Running aggregates (observation weight, observed and covert-evidence
+//! counts) make a push O(1) plus the analysis of the new quantum. k-means is
+//! memoized on the window's bursty-feature sequence: a quantum is
+//! discretized once, and clustering reruns only when a push or eviction
+//! changes that sequence (the seeded k-means is deterministic, so reuse is
+//! exact). The weight sum is rebased from the ring every `capacity` pushes
+//! so round-off cannot accumulate.
 //!
 //! ## Checkpoint / restore
 //!
-//! Both daemons serialize their sliding window to the plain-text checkpoint
-//! format of [`crate::trace`] ([`OnlineContentionDetector::checkpoint`],
-//! [`OnlineContentionDetector::restore`]), so a daemon restart resumes
-//! mid-window and reproduces the verdict sequence of an uninterrupted run.
+//! A window serializes to the plain-text `cchunter-checkpoint,v1` format of
+//! [`crate::trace`], so a restarted daemon resumes mid-window and
+//! reproduces the verdict sequence of an uninterrupted run.
 
 use crate::auditor::ConflictRecord;
 use crate::autocorr::{OscillationDetector, OscillationVerdict};
 use crate::burst::{BurstDetector, BurstVerdict};
 use crate::cluster::{discretized_features, recurrence_from_features, RecurrenceVerdict};
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
+use crate::events::SymbolSeries;
 use crate::metrics::{default_registry, Counter};
 use crate::pipeline::{symbol_series, CcHunterConfig, Verdict};
 use crate::span;
@@ -52,54 +56,59 @@ use crate::trace::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointSlot
 use crate::window::SlidingWindow;
 use crate::DetectorError;
 use std::collections::VecDeque;
+use std::fmt;
 use std::io::{Read, Write};
 use std::num::NonZeroU64;
+use std::ops::Deref;
 use std::sync::OnceLock;
 
-/// Process-wide count of quanta pushed into any online daemon.
-fn online_pushes_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
+/// The paper's observation-window limit in OS quanta (§IV-B).
+const MAX_WINDOW_QUANTA: usize = 512;
+
+/// The online daemons' process-wide counters (all pairs, all fleets).
+#[derive(Debug)]
+struct OnlineCounters {
+    pushes: Counter,
+    missed: Counter,
+    flips: Counter,
+}
+
+fn counters() -> &'static OnlineCounters {
+    static C: OnceLock<OnlineCounters> = OnceLock::new();
     C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_online_pushes_total",
-            "Quanta pushed into online daemons (all pairs, all fleets)",
-        )
+        let registry = default_registry();
+        OnlineCounters {
+            pushes: registry.counter(
+                "cchunter_online_pushes_total",
+                "Quanta pushed into online daemons (all pairs, all fleets)",
+            ),
+            missed: registry.counter(
+                "cchunter_online_missed_total",
+                "Missed quanta (gaps) pushed into online daemons",
+            ),
+            flips: registry.counter(
+                "cchunter_online_verdict_flips_total",
+                "Online daemon verdict changes (clean <-> covert)",
+            ),
+        }
     })
 }
 
-/// Process-wide count of missed (zero-weight) quanta pushed.
-fn online_missed_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_online_missed_total",
-            "Missed quanta (gaps) pushed into online daemons",
-        )
-    })
+/// The two resource kinds a window — and a fleet pair — can audit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PairKind {
+    /// Combinational resource: recurrent-burst daemon.
+    Contention,
+    /// Memory resource: oscillation daemon.
+    Oscillation,
 }
 
-/// Process-wide count of daemon verdict flips (clean ↔ covert).
-fn online_verdict_flips_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_online_verdict_flips_total",
-            "Online daemon verdict changes (clean <-> covert)",
-        )
-    })
-}
-
-/// Publishes a verdict change on the daemon push path: counted always,
-/// traced when the global tracer is on. `kind` is the daemon kind label.
-fn note_verdict_flip(kind: &'static str, from: Verdict, to: Verdict, confidence: f64) {
-    online_verdict_flips_total().inc();
-    let tracer = span::global();
-    if tracer.is_enabled() {
-        tracer.event(
-            "online",
-            "verdict-flip",
-            format!("{kind}: {from} -> {to} (confidence {confidence:.3})"),
-        );
+impl fmt::Display for PairKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PairKind::Contention => f.write_str("contention"),
+            PairKind::Oscillation => f.write_str("oscillation"),
+        }
     }
 }
 
@@ -130,7 +139,7 @@ impl Harvest {
     pub fn observed_weight(&self) -> f64 {
         match self {
             Harvest::Complete(_) => 1.0,
-            Harvest::Partial { lost_fraction, .. } => observed_fraction(*lost_fraction),
+            Harvest::Partial { lost_fraction, .. } => unit_weight(1.0 - lost_fraction),
             Harvest::Missed => 0.0,
         }
     }
@@ -144,13 +153,13 @@ impl Harvest {
     }
 }
 
-/// The observation weight of a quantum that lost `lost_fraction` of its
-/// evidence, in `[0, 1]`. A non-finite loss is an unknown loss and counts as
-/// total: a NaN weight would make the window's confidence NaN, and since
-/// `NaN < min_confidence` is false, the daemon would acquit a blinded pair.
-fn observed_fraction(lost_fraction: f64) -> f64 {
-    if lost_fraction.is_finite() {
-        (1.0 - lost_fraction).clamp(0.0, 1.0)
+/// `weight` clamped to `[0, 1]`. A non-finite weight is an unknown loss and
+/// counts as total: a NaN weight would make the window's confidence NaN,
+/// and since `NaN < min_confidence` is false, the daemon would acquit a
+/// blinded pair.
+pub(crate) fn unit_weight(weight: f64) -> f64 {
+    if weight.is_finite() {
+        weight.clamp(0.0, 1.0)
     } else {
         0.0
     }
@@ -162,8 +171,9 @@ impl From<DensityHistogram> for Harvest {
     }
 }
 
-/// Status returned after each pushed quantum.
-#[derive(Debug, Clone)]
+/// Status returned after each pushed quantum. The default is the status of
+/// a window that has seen nothing: zero confidence, `Inconclusive`.
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStatus {
     /// The quantum's own burst verdict (contention path) — `None` on the
     /// oscillation path or when the quantum was missed.
@@ -198,33 +208,66 @@ impl OnlineStatus {
     }
 }
 
-/// One sliding-window slot of the contention daemon. The quantum's nonzero
-/// histogram bins live in the daemon's [`BinArena`], not in the slot.
-#[derive(Debug, Clone)]
-struct QuantumSlot {
-    /// Δt of the observed histogram — `None` when the quantum was missed.
-    delta_t: Option<NonZeroU64>,
-    /// Entries this slot owns in the arena: its histogram's nonzero bins.
-    nonzero_bins: u8,
-    /// Discretized k-means features — present iff the quantum's burst
-    /// verdict was significant. Computed once at push time so a quantum is
-    /// never re-discretized while it slides through the window.
-    features: Option<Vec<f64>>,
+/// One window slot: its observation weight and what it keeps of its
+/// quantum.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
     weight: f64,
+    quantum: SlotQuantum,
+}
+
+/// What a slot keeps of its quantum — the one place the two kinds differ
+/// in storage.
+#[derive(Debug, Clone, Copy)]
+enum SlotQuantum {
+    /// The harvest never arrived.
+    Missed,
+    /// A contention quantum. Its nonzero histogram bins, and its k-means
+    /// features when bursty, live in the window's [`BinArena`].
+    Histogram {
+        delta_t: NonZeroU64,
+        /// Bin entries this slot owns in the arena.
+        nonzero_bins: u8,
+        /// Whether the quantum's burst verdict was significant.
+        bursty: bool,
+    },
+    /// An oscillation quantum's outcome.
+    Oscillation { oscillatory: bool },
+}
+
+impl Slot {
+    fn observed(&self) -> bool {
+        !matches!(self.quantum, SlotQuantum::Missed)
+    }
+
+    /// Whether the slot is covert evidence: a significant burst or an
+    /// oscillatory quantum.
+    fn covert(&self) -> bool {
+        matches!(
+            self.quantum,
+            SlotQuantum::Histogram { bursty: true, .. }
+                | SlotQuantum::Oscillation { oscillatory: true }
+        )
+    }
 }
 
 /// The contention window's histograms, compacted: every observed slot's
 /// nonzero `(bin, frequency)` entries, oldest slot first, in two parallel
-/// queues (9 bytes an entry). Slots leave the window strictly
-/// oldest-first, so a push appends the new quantum's entries at the back
-/// and an eviction pops the oldest slot's entries off the front — in steady
-/// state neither allocates. Capacity grows geometrically but never past
-/// `limit`, the most entries the window can hold, so a window of fully
-/// dense histograms costs at most 9/8 of the dense `u64` bins it replaces.
+/// queues (9 bytes an entry), and every bursty slot's k-means features.
+/// Slots leave the window strictly oldest-first, so a push appends the new
+/// quantum's entries at the back and an eviction pops the oldest slot's
+/// entries off the front — in steady state neither allocates. Capacity
+/// grows geometrically but never past `limit`, the most entries the window
+/// can hold, so a window of fully dense histograms costs at most 9/8 of the
+/// dense `u64` bins it replaces.
 #[derive(Debug)]
 struct BinArena {
     bins: VecDeque<u8>,
     frequencies: VecDeque<u64>,
+    /// The bursty slots' discretized features, in window order: computed
+    /// once at push time, so a quantum is never re-discretized while it
+    /// slides through the window.
+    features: VecDeque<Vec<f64>>,
     /// `capacity × HISTOGRAM_BINS`: the entry count of a full window of
     /// fully dense histograms.
     limit: usize,
@@ -235,12 +278,15 @@ impl BinArena {
         BinArena {
             bins: VecDeque::new(),
             frequencies: VecDeque::new(),
-            limit: window_capacity * HISTOGRAM_BINS,
+            features: VecDeque::new(),
+            limit: window_capacity.saturating_mul(HISTOGRAM_BINS),
         }
     }
 
-    /// Appends `histogram`'s nonzero bins; returns how many it appended.
-    fn push(&mut self, histogram: &DensityHistogram) -> u8 {
+    /// Appends `histogram`'s nonzero bins and its `features`, if bursty;
+    /// returns how many bins it appended.
+    fn push(&mut self, histogram: &DensityHistogram, features: Option<Vec<f64>>) -> u8 {
+        self.features.extend(features);
         let nonzero = histogram.bins().iter().filter(|&&f| f > 0).count();
         let needed = self.bins.len() + nonzero;
         if needed > self.bins.capacity() {
@@ -260,11 +306,21 @@ impl BinArena {
         nonzero as u8
     }
 
-    /// Drops the oldest slot's `n` entries.
-    fn pop_front(&mut self, n: u8) {
-        let n = usize::from(n);
-        self.bins.drain(..n);
-        self.frequencies.drain(..n);
+    /// Drops the entries of the oldest slot, which keeps `quantum`.
+    fn pop_front(&mut self, quantum: SlotQuantum) {
+        if let SlotQuantum::Histogram {
+            nonzero_bins,
+            bursty,
+            ..
+        } = quantum
+        {
+            let n = usize::from(nonzero_bins);
+            self.bins.drain(..n);
+            self.frequencies.drain(..n);
+            if bursty {
+                self.features.pop_front();
+            }
+        }
     }
 
     /// The `n` entries starting `offset` entries from the front, as
@@ -278,84 +334,103 @@ impl BinArena {
     }
 }
 
-/// Cached clustering outcome over the window's current bursty-feature
-/// sequence. `windows`/`bursty_windows` are patched in from the running
-/// counters at read time; the expensive part (k-means) is only redone when a
-/// push or eviction changes the bursty sequence itself.
-#[derive(Debug, Clone, Copy)]
-struct ClusterCache {
-    largest_burst_cluster: usize,
-    recurrent: bool,
-}
-
-/// Streaming detector for one *combinational* resource (bus, divider,
-/// multiplier): feed one harvest per OS quantum.
+/// The gap-aware sliding window of one audited resource: the only code
+/// that maps per-quantum evidence to window evidence and a [`Verdict`].
 ///
 /// ```
 /// use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
-/// use cchunter_detector::online::{Harvest, OnlineContentionDetector};
+/// use cchunter_detector::online::{Harvest, OnlineWindow, PairKind};
 /// use cchunter_detector::pipeline::CcHunterConfig;
 ///
-/// let mut daemon = OnlineContentionDetector::new(CcHunterConfig::default(), 512).unwrap();
+/// let config = CcHunterConfig::default();
+/// let mut window = OnlineWindow::new(PairKind::Contention, config, 512).unwrap();
 /// let mut bins = vec![0u64; HISTOGRAM_BINS];
 /// bins[0] = 2_400;
 /// bins[20] = 100; // a covert-channel-shaped quantum
 /// let covert = DensityHistogram::from_bins(bins, 100_000).unwrap();
-/// let status = daemon.push_quantum(covert.clone());
+/// let status = window.push_harvest(covert.clone()).unwrap();
 /// assert!(!status.verdict.is_covert(), "one bursty quantum is not recurrent");
-/// let status = daemon.push_quantum(covert);
+/// let status = window.push_harvest(covert).unwrap();
 /// assert!(status.verdict.is_covert(), "the pattern recurs");
 /// assert_eq!(status.confidence, 1.0, "no harvests were lost");
 /// // A missed harvest leaves a gap in the window instead of vanishing:
-/// let status = daemon.push_quantum(Harvest::Missed);
-/// assert!(status.confidence < 1.0);
+/// assert!(window.push_missed().confidence < 1.0);
+/// // Conflict records are the other kind's evidence: a typed error.
+/// assert!(window.push_conflicts(&[], 0.0).is_err());
 /// ```
 #[derive(Debug)]
-pub struct OnlineContentionDetector {
+pub struct OnlineWindow {
+    kind: PairKind,
     config: CcHunterConfig,
-    detector: BurstDetector,
-    window: SlidingWindow<QuantumSlot>,
-    /// The window slots' nonzero histogram bins, oldest slot first.
+    window: SlidingWindow<Slot>,
+    /// The window slots' nonzero histogram bins, oldest slot first (empty
+    /// for oscillation windows).
     arena: BinArena,
     /// Running observation-weight sum over the window (running confidence
     /// numerator).
     weight_sum: f64,
-    /// Running count of slots holding a histogram.
+    /// Running count of observed slots.
     observed: usize,
-    /// Running count of slots with a significant burst verdict.
-    bursty: usize,
+    /// Running count of covert-evidence slots: significant bursts
+    /// (contention) or oscillatory quanta (oscillation).
+    covert: usize,
     /// Pushes since `weight_sum` was last recomputed from the ring; the sum
     /// is rebased every `capacity` pushes (amortized O(1)) so add/subtract
     /// round-off can never accumulate.
     pushes_since_rebase: usize,
-    /// Clustering cache, invalidated when the bursty sequence changes.
-    cache: Option<ClusterCache>,
-    /// The last verdict returned, so flips can be traced.
+    /// `(largest_burst_cluster, recurrent)` of the last clustering,
+    /// invalidated when the bursty sequence changes; the window and bursty
+    /// counts come from the running counters at read time.
+    cache: Option<(usize, bool)>,
+    /// The last verdict published, so flips can be traced.
     last_verdict: Verdict,
 }
 
-impl OnlineContentionDetector {
-    /// Creates a daemon keeping a sliding window of `window_quanta`
-    /// (clamped to the paper's 512-quantum limit).
+impl OnlineWindow {
+    /// Creates a `kind` window of `window_quanta` (clamped to the paper's
+    /// 512-quantum limit).
     ///
     /// # Errors
     ///
-    /// Returns [`DetectorError::InvalidConfig`] if `window_quanta` is zero.
-    pub fn new(config: CcHunterConfig, window_quanta: usize) -> Result<Self, DetectorError> {
-        if window_quanta == 0 {
+    /// Returns [`DetectorError::InvalidConfig`] if `window_quanta`,
+    /// `config.cluster.k`, `config.cluster.min_recurring` or
+    /// `config.min_oscillatory_windows` is zero.
+    pub fn new(
+        kind: PairKind,
+        config: CcHunterConfig,
+        window_quanta: usize,
+    ) -> Result<Self, DetectorError> {
+        Self::with_capacity(kind, config, window_quanta.min(MAX_WINDOW_QUANTA))
+    }
+
+    /// [`OnlineWindow::new`] without the 512-quantum clamp: a batch replay
+    /// sizes its window to the whole input.
+    pub(crate) fn with_capacity(
+        kind: PairKind,
+        config: CcHunterConfig,
+        capacity: usize,
+    ) -> Result<Self, DetectorError> {
+        let zero = [
+            (capacity, "the window"),
+            (config.cluster.k, "cluster.k"),
+            (config.cluster.min_recurring, "cluster.min_recurring"),
+            (config.min_oscillatory_windows, "min_oscillatory_windows"),
+        ]
+        .into_iter()
+        .find(|&(value, _)| value == 0);
+        if let Some((_, what)) = zero {
             return Err(DetectorError::InvalidConfig {
-                reason: "window must hold at least one quantum".to_string(),
+                reason: format!("{what} must be at least one"),
             });
         }
-        let capacity = window_quanta.min(512);
-        Ok(OnlineContentionDetector {
-            detector: BurstDetector::new(config.burst),
+        Ok(OnlineWindow {
+            kind,
             config,
             window: SlidingWindow::new(capacity),
             arena: BinArena::new(capacity),
             weight_sum: 0.0,
             observed: 0,
-            bursty: 0,
+            covert: 0,
             pushes_since_rebase: 0,
             cache: None,
             last_verdict: Verdict::Clean,
@@ -372,77 +447,183 @@ impl OnlineContentionDetector {
         self.window.capacity()
     }
 
-    /// Feeds one quantum's harvest (a bare [`DensityHistogram`] converts to
-    /// [`Harvest::Complete`]); returns the daemon's up-to-date status.
-    ///
-    /// Never panics: a missed or partial harvest occupies a window slot
-    /// with reduced observation weight, and the returned status's
+    /// Feeds one contention quantum's harvest (a bare [`DensityHistogram`]
+    /// converts to [`Harvest::Complete`]); returns the up-to-date status. A
+    /// missed or partial harvest occupies a window slot with reduced
+    /// observation weight, and the status's
     /// [`confidence`](OnlineStatus::confidence) reports how much of the
     /// window the verdict actually rests on.
-    pub fn push_quantum(&mut self, harvest: impl Into<Harvest>) -> OnlineStatus {
-        let harvest = harvest.into();
-        online_pushes_total().inc();
-        if matches!(harvest, Harvest::Missed) {
-            online_missed_total().inc();
-        }
-        let weight = harvest.observed_weight();
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::BadHarvest`], and pushes nothing, if this
+    /// is an oscillation window.
+    pub fn push_harvest(
+        &mut self,
+        harvest: impl Into<Harvest>,
+    ) -> Result<OnlineStatus, DetectorError> {
+        self.expect_kind(
+            PairKind::Contention,
+            "density harvest delivered to an oscillation pair",
+        )?;
         // The dense histogram is analysed, its nonzero bins are copied into
         // the arena, and it is dropped here while still hot.
-        let verdict = match harvest.histogram() {
-            Some(h) => Some(self.push_observed(h, weight)),
-            None => {
-                self.insert_slot(None, None, weight);
-                None
-            }
-        };
-        self.status(verdict)
+        let burst = self.ingest_harvest(&harvest.into());
+        Ok(self.publish(burst, None))
     }
 
-    /// Analyses an observed quantum and slides it into the window.
-    fn push_observed(&mut self, histogram: &DensityHistogram, weight: f64) -> BurstVerdict {
-        let verdict = self.detector.analyze(histogram);
+    /// Feeds one oscillation quantum's drained conflict records, a
+    /// `lost_fraction` of which is known to have been lost or corrupted
+    /// (vector-register overruns, Bloom-filter aliasing bursts): the
+    /// quantum still contributes its verdict, but with reduced observation
+    /// weight (none at all if `lost_fraction` is not a finite number).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::BadHarvest`], and pushes nothing, if this
+    /// is a contention window.
+    pub fn push_conflicts(
+        &mut self,
+        records: &[ConflictRecord],
+        lost_fraction: f64,
+    ) -> Result<OnlineStatus, DetectorError> {
+        self.expect_kind(
+            PairKind::Oscillation,
+            "conflict records delivered to a contention pair",
+        )?;
+        Ok(self.publish_conflicts(records, lost_fraction))
+    }
+
+    /// Records a quantum whose evidence never arrived: the window keeps its
+    /// place as a gap with zero observation weight.
+    pub fn push_missed(&mut self) -> OnlineStatus {
+        self.ingest_gap();
+        self.publish(None, None)
+    }
+
+    fn expect_kind(&self, kind: PairKind, reason: &str) -> Result<(), DetectorError> {
+        if self.kind != kind {
+            return Err(DetectorError::BadHarvest {
+                reason: reason.to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    fn publish_conflicts(
+        &mut self,
+        records: &[ConflictRecord],
+        lost_fraction: f64,
+    ) -> OnlineStatus {
+        let series = symbol_series(records, 0, u64::MAX);
+        let verdict = self.ingest_symbols(&series, 1.0 - lost_fraction);
+        self.publish(None, Some(verdict))
+    }
+
+    /// The push path's status: counts the push, and counts a verdict flip
+    /// (traced when the global tracer is on).
+    fn publish(
+        &mut self,
+        burst: Option<BurstVerdict>,
+        oscillation: Option<OscillationVerdict>,
+    ) -> OnlineStatus {
+        let counters = counters();
+        counters.pushes.inc();
+        if burst.is_none() && oscillation.is_none() {
+            counters.missed.inc();
+        }
+        let status = self.status(burst, oscillation);
+        if status.verdict != self.last_verdict {
+            counters.flips.inc();
+            let tracer = span::global();
+            if tracer.is_enabled() {
+                let (kind, from, to) = (self.kind, self.last_verdict, status.verdict);
+                let detail = format!(
+                    "{kind}: {from} -> {to} (confidence {:.3})",
+                    status.confidence
+                );
+                tracer.event("online", "verdict-flip", detail);
+            }
+            self.last_verdict = status.verdict;
+        }
+        status
+    }
+
+    /// Slides a contention harvest into the window; returns its burst
+    /// verdict if any of the quantum was observed.
+    pub(crate) fn ingest_harvest(&mut self, harvest: &Harvest) -> Option<BurstVerdict> {
+        match harvest.histogram() {
+            Some(h) => Some(self.ingest_histogram(h, harvest.observed_weight())),
+            None => {
+                self.ingest_gap();
+                None
+            }
+        }
+    }
+
+    /// Analyses a contention quantum and slides it into the window with
+    /// observation `weight`.
+    pub(crate) fn ingest_histogram(
+        &mut self,
+        histogram: &DensityHistogram,
+        weight: f64,
+    ) -> BurstVerdict {
+        let verdict = BurstDetector::new(self.config.burst).analyze(histogram);
         let features = verdict.significant.then(|| discretized_features(histogram));
-        self.insert_slot(Some(histogram), features, weight);
+        // Δt is nonzero by `DensityHistogram`'s construction.
+        let delta_t = NonZeroU64::new(histogram.delta_t()).unwrap_or(NonZeroU64::MIN);
+        self.insert(weight, |arena| SlotQuantum::Histogram {
+            delta_t,
+            bursty: features.is_some(),
+            nonzero_bins: arena.push(histogram, features),
+        });
         verdict
+    }
+
+    /// Analyses an oscillation quantum and slides it into the window with
+    /// observation `weight`.
+    pub(crate) fn ingest_symbols(
+        &mut self,
+        series: &SymbolSeries,
+        weight: f64,
+    ) -> OscillationVerdict {
+        let verdict =
+            OscillationDetector::new(self.config.oscillation).analyze(series, self.config.max_lag);
+        self.insert(weight, |_| SlotQuantum::Oscillation {
+            oscillatory: verdict.oscillatory,
+        });
+        verdict
+    }
+
+    /// Slides a zero-weight gap into the window.
+    pub(crate) fn ingest_gap(&mut self) {
+        self.insert(0.0, |_| SlotQuantum::Missed);
     }
 
     /// Slides a slot into the window, maintaining the arena and the running
     /// aggregates in O(1) and invalidating the clustering cache only when
-    /// the bursty sequence actually changed. The evicted slot's entries
-    /// leave the arena before the new slot's arrive, so the arena never
-    /// holds more than a full window's worth.
-    fn insert_slot(
-        &mut self,
-        histogram: Option<&DensityHistogram>,
-        features: Option<Vec<f64>>,
-        weight: f64,
-    ) {
-        if self.window.is_full() {
-            if let Some(oldest) = self.window.iter().next() {
-                self.arena.pop_front(oldest.nonzero_bins);
-            }
+    /// the covert sequence actually changed. The evicted slot's entries
+    /// leave the arena before `quantum` appends the new slot's, so the
+    /// arena never holds more than a full window's worth.
+    fn insert(&mut self, weight: f64, quantum: impl FnOnce(&mut BinArena) -> SlotQuantum) {
+        if let (true, Some(oldest)) = (self.window.is_full(), self.window.iter().next()) {
+            self.arena.pop_front(oldest.quantum);
         }
-        let slot = QuantumSlot {
-            delta_t: histogram.and_then(|h| NonZeroU64::new(h.delta_t())),
-            nonzero_bins: histogram.map_or(0, |h| self.arena.push(h)),
-            features,
-            weight,
+        let slot = Slot {
+            weight: unit_weight(weight),
+            quantum: quantum(&mut self.arena),
         };
         self.weight_sum += slot.weight;
-        if slot.delta_t.is_some() {
-            self.observed += 1;
-        }
-        if slot.features.is_some() {
-            self.bursty += 1;
+        self.observed += usize::from(slot.observed());
+        if slot.covert() {
+            self.covert += 1;
             self.cache = None;
         }
         if let Some(evicted) = self.window.push(slot) {
             self.weight_sum -= evicted.weight;
-            if evicted.delta_t.is_some() {
-                self.observed -= 1;
-            }
-            if evicted.features.is_some() {
-                self.bursty -= 1;
+            self.observed -= usize::from(evicted.observed());
+            if evicted.covert() {
+                self.covert -= 1;
                 self.cache = None;
             }
         }
@@ -460,39 +641,33 @@ impl OnlineContentionDetector {
         // Recurrence is established over the *observed* quanta only — a
         // gap cannot make two recurring patterns dissimilar, it just
         // shrinks the evidence (which the confidence reports).
-        if self.bursty < self.config.cluster.min_recurring {
-            return RecurrenceVerdict {
-                windows: self.observed,
-                bursty_windows: self.bursty,
-                largest_burst_cluster: self.bursty,
-                recurrent: false,
-            };
+        let (largest_burst_cluster, recurrent) = match self.cache {
+            _ if self.covert < self.config.cluster.min_recurring => (self.covert, false),
+            Some(cached) => cached,
+            None => {
+                let features = self.arena.features.make_contiguous();
+                let verdict =
+                    recurrence_from_features(self.observed, features, &self.config.cluster);
+                *self
+                    .cache
+                    .insert((verdict.largest_burst_cluster, verdict.recurrent))
+            }
+        };
+        RecurrenceVerdict {
+            windows: self.observed,
+            bursty_windows: self.covert,
+            largest_burst_cluster,
+            recurrent,
         }
-        if let Some(cache) = self.cache {
-            return RecurrenceVerdict {
-                windows: self.observed,
-                bursty_windows: self.bursty,
-                largest_burst_cluster: cache.largest_burst_cluster,
-                recurrent: cache.recurrent,
-            };
-        }
-        let features: Vec<&[f64]> = self
-            .window
-            .iter()
-            .filter_map(|s| s.features.as_deref())
-            .collect();
-        let verdict = recurrence_from_features(self.observed, &features, &self.config.cluster);
-        self.cache = Some(ClusterCache {
-            largest_burst_cluster: verdict.largest_burst_cluster,
-            recurrent: verdict.recurrent,
-        });
-        verdict
     }
 
-    /// Computes the daemon's status over the current window; `quantum` is
-    /// the just-pushed quantum's own verdict, if it was observed.
-    fn status(&mut self, quantum: Option<BurstVerdict>) -> OnlineStatus {
-        let recurrence = self.recurrence();
+    /// The window's evidence and verdict — the crate's one decision rule.
+    /// `burst` / `oscillation` is the just-ingested quantum's own verdict.
+    pub(crate) fn status(
+        &mut self,
+        burst: Option<BurstVerdict>,
+        oscillation: Option<OscillationVerdict>,
+    ) -> OnlineStatus {
         let window_len = self.window.len();
         let confidence = if window_len == 0 {
             0.0
@@ -500,28 +675,35 @@ impl OnlineContentionDetector {
             // Clamped: the running sum can sit an ulp outside [0, len].
             (self.weight_sum / window_len as f64).clamp(0.0, 1.0)
         };
+        let (covert, recurrence, oscillatory_in_window) = match self.kind {
+            PairKind::Contention => {
+                let recurrence = self.recurrence();
+                (recurrence.recurrent, Some(recurrence), 0)
+            }
+            PairKind::Oscillation => (
+                self.covert >= self.config.min_oscillatory_windows,
+                None,
+                self.covert,
+            ),
+        };
         // Covert evidence always stands; only an affirmative Clean demands
         // the confidence floor — a blinded monitor must not clear anything.
-        let call = if recurrence.recurrent {
+        let verdict = if covert {
             Verdict::CovertTimingChannel
         } else if confidence < self.config.min_confidence {
             Verdict::Inconclusive
         } else {
             Verdict::Clean
         };
-        if call != self.last_verdict {
-            note_verdict_flip("contention", self.last_verdict, call, confidence);
-            self.last_verdict = call;
-        }
         OnlineStatus {
-            quantum_burst: quantum,
-            quantum_oscillation: None,
-            oscillatory_in_window: 0,
+            quantum_burst: burst,
+            quantum_oscillation: oscillation,
+            recurrence,
+            oscillatory_in_window,
             window_len,
             observed_in_window: self.observed,
             confidence,
-            recurrence: Some(recurrence),
-            verdict: call,
+            verdict,
         }
     }
 
@@ -537,28 +719,35 @@ impl OnlineContentionDetector {
             .window
             .iter()
             .map(|s| {
-                let histogram = s.delta_t.map(|delta_t| {
-                    let sparse = self.arena.entries(offset, s.nonzero_bins).collect();
-                    (delta_t.get(), sparse)
-                });
-                offset += usize::from(s.nonzero_bins);
+                let (histogram, oscillatory) = match &s.quantum {
+                    SlotQuantum::Missed => (None, None),
+                    SlotQuantum::Histogram {
+                        delta_t,
+                        nonzero_bins,
+                        ..
+                    } => {
+                        let sparse = self.arena.entries(offset, *nonzero_bins).collect();
+                        offset += usize::from(*nonzero_bins);
+                        (Some((delta_t.get(), sparse)), None)
+                    }
+                    SlotQuantum::Oscillation { oscillatory } => (None, Some(*oscillatory)),
+                };
                 CheckpointSlot {
                     weight: s.weight,
                     histogram,
-                    oscillatory: None,
+                    oscillatory,
                 }
             })
             .collect();
         let cp = Checkpoint {
-            kind: "contention".to_string(),
+            kind: self.kind.to_string(),
             capacity: self.window.capacity(),
             slots,
         };
-        write_checkpoint(&cp, writer)?;
-        Ok(())
+        write_checkpoint(&cp, writer).map_err(Into::into)
     }
 
-    /// Restores a daemon from a checkpoint written by
+    /// Restores a `kind` window from a checkpoint written by
     /// [`checkpoint`](Self::checkpoint). Per-quantum burst verdicts are
     /// recomputed from the serialized histograms (the analysis is
     /// deterministic), so a restored daemon produces the same verdict
@@ -566,118 +755,118 @@ impl OnlineContentionDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`DetectorError::Trace`] on malformed input and
+    /// Returns [`DetectorError::Trace`] on malformed input,
+    /// [`DetectorError::InvalidConfig`] as [`OnlineWindow::new`] does, and
     /// [`DetectorError::CheckpointMismatch`] if the parsed state is
-    /// incompatible with this daemon: wrong checkpoint kind, a capacity of
-    /// zero or beyond the paper's 512-quantum window limit, more slots than
-    /// the declared capacity, oscillation slots in a contention window, or
-    /// histogram bin indices outside [`HISTOGRAM_BINS`]. Incompatible state
-    /// is never silently adopted (or clamped) — a daemon restored from a
-    /// checkpoint either matches it exactly or refuses it.
-    pub fn restore<R: Read>(config: CcHunterConfig, reader: R) -> Result<Self, DetectorError> {
+    /// incompatible with this window: another kind, a capacity of zero or
+    /// beyond the paper's 512-quantum window limit, more slots than the
+    /// declared capacity, slots of the other kind, or histogram bin indices
+    /// outside [`HISTOGRAM_BINS`]. Incompatible state is never silently
+    /// adopted (or clamped) — a restored window either matches its
+    /// checkpoint exactly or refuses it.
+    pub fn restore<R: Read>(
+        kind: PairKind,
+        config: CcHunterConfig,
+        reader: R,
+    ) -> Result<Self, DetectorError> {
+        let mismatch = |reason: String| DetectorError::CheckpointMismatch { reason };
         let cp = read_checkpoint(reader)?;
-        if cp.kind != "contention" {
-            return Err(DetectorError::CheckpointMismatch {
-                reason: format!("expected a contention checkpoint, got kind {:?}", cp.kind),
-            });
+        if cp.kind != kind.to_string() {
+            return Err(mismatch(format!(
+                "expected a {kind} checkpoint, got kind {:?}",
+                cp.kind
+            )));
         }
-        validate_window_shape(cp.capacity, cp.slots.len())?;
-        let mut daemon = Self::new(config, cp.capacity)?;
+        let (capacity, slots) = (cp.capacity, cp.slots.len());
+        if capacity == 0 || capacity > MAX_WINDOW_QUANTA || slots > capacity {
+            return Err(mismatch(format!(
+                "checkpoint holds {slots} slots in a window of {capacity}; \
+                 windows hold 1 to {MAX_WINDOW_QUANTA} quanta"
+            )));
+        }
+        let mut window = Self::new(kind, config, capacity)?;
         for (idx, slot) in cp.slots.into_iter().enumerate() {
-            if slot.oscillatory.is_some() {
-                return Err(DetectorError::CheckpointMismatch {
-                    reason: format!(
-                        "slot {idx} carries an oscillation outcome in a contention window"
-                    ),
-                });
-            }
-            let histogram = slot
-                .histogram
-                .map(|(delta_t, sparse)| {
+            match (kind, slot.histogram, slot.oscillatory) {
+                (PairKind::Contention, Some((delta_t, sparse)), None) => {
                     let mut bins = vec![0u64; HISTOGRAM_BINS];
                     for (i, f) in sparse {
-                        let b = bins.get_mut(i).ok_or(DetectorError::CheckpointMismatch {
-                            reason: format!(
+                        *bins.get_mut(i).ok_or_else(|| {
+                            mismatch(format!(
                                 "slot {idx} bin index {i} outside the {HISTOGRAM_BINS}-bin histogram"
-                            ),
-                        })?;
-                        *b = f;
+                            ))
+                        })? = f;
                     }
-                    DensityHistogram::from_bins(bins, delta_t)
-                })
-                .transpose()?;
-            match histogram {
-                Some(h) => {
-                    daemon.push_observed(&h, slot.weight);
+                    let histogram = DensityHistogram::from_bins(bins, delta_t)?;
+                    window.ingest_histogram(&histogram, slot.weight);
                 }
-                None => daemon.insert_slot(None, None, slot.weight),
+                (PairKind::Oscillation, None, Some(oscillatory)) => {
+                    window.insert(slot.weight, |_| SlotQuantum::Oscillation { oscillatory });
+                }
+                (_, None, None) => window.insert(slot.weight, |_| SlotQuantum::Missed),
+                (PairKind::Contention, _, Some(_)) => {
+                    return Err(mismatch(format!(
+                        "slot {idx} carries an oscillation outcome in a contention window"
+                    )))
+                }
+                (PairKind::Oscillation, Some(_), _) => {
+                    return Err(mismatch(format!(
+                        "slot {idx} carries a histogram in an oscillation window"
+                    )))
+                }
             }
         }
-        Ok(daemon)
+        Ok(window)
     }
 }
 
-/// One sliding-window slot of the oscillation daemon.
-#[derive(Debug, Clone, Copy)]
-struct OscSlot {
-    /// The quantum's oscillation outcome — `None` when it was missed.
-    oscillatory: Option<bool>,
-    weight: f64,
+/// Streaming detector for one *combinational* resource (bus, divider,
+/// multiplier): an [`OnlineWindow`] fixed to [`PairKind::Contention`]. Feed
+/// one harvest per OS quantum.
+#[derive(Debug)]
+pub struct OnlineContentionDetector(OnlineWindow);
+
+impl OnlineContentionDetector {
+    /// A contention [`OnlineWindow::new`]; fails as it does.
+    pub fn new(config: CcHunterConfig, window_quanta: usize) -> Result<Self, DetectorError> {
+        OnlineWindow::new(PairKind::Contention, config, window_quanta).map(Self)
+    }
+
+    /// A contention [`OnlineWindow::restore`]; fails as it does.
+    pub fn restore<R: Read>(config: CcHunterConfig, reader: R) -> Result<Self, DetectorError> {
+        OnlineWindow::restore(PairKind::Contention, config, reader).map(Self)
+    }
+
+    /// [`OnlineWindow::push_harvest`], which cannot fail on a contention
+    /// window.
+    pub fn push_quantum(&mut self, harvest: impl Into<Harvest>) -> OnlineStatus {
+        let burst = self.0.ingest_harvest(&harvest.into());
+        self.0.publish(burst, None)
+    }
 }
 
-/// Streaming detector for a *memory* resource (shared cache): feed the
-/// conflict records drained each OS quantum.
-#[derive(Debug)]
-pub struct OnlineOscillationDetector {
-    config: CcHunterConfig,
-    detector: OscillationDetector,
-    window: SlidingWindow<OscSlot>,
-    /// Running observation-weight sum over the window.
-    weight_sum: f64,
-    /// Running count of observed (non-missed) slots.
-    observed: usize,
-    /// Running count of oscillatory slots.
-    oscillatory: usize,
-    /// Pushes since the last exact recomputation of `weight_sum` (see
-    /// [`OnlineContentionDetector`]).
-    pushes_since_rebase: usize,
-    /// The last verdict returned, so flips can be traced.
-    last_verdict: Verdict,
+impl Deref for OnlineContentionDetector {
+    type Target = OnlineWindow;
+
+    fn deref(&self) -> &OnlineWindow {
+        &self.0
+    }
 }
+
+/// Streaming detector for a *memory* resource (shared cache): an
+/// [`OnlineWindow`] fixed to [`PairKind::Oscillation`]. Feed the conflict
+/// records drained each OS quantum.
+#[derive(Debug)]
+pub struct OnlineOscillationDetector(OnlineWindow);
 
 impl OnlineOscillationDetector {
-    /// Creates a daemon keeping a sliding window of `window_quanta`
-    /// (clamped to 512).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::InvalidConfig`] if `window_quanta` is zero.
+    /// An oscillation [`OnlineWindow::new`]; fails as it does.
     pub fn new(config: CcHunterConfig, window_quanta: usize) -> Result<Self, DetectorError> {
-        if window_quanta == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "window must hold at least one quantum".to_string(),
-            });
-        }
-        Ok(OnlineOscillationDetector {
-            detector: OscillationDetector::new(config.oscillation),
-            config,
-            window: SlidingWindow::new(window_quanta.min(512)),
-            weight_sum: 0.0,
-            observed: 0,
-            oscillatory: 0,
-            pushes_since_rebase: 0,
-            last_verdict: Verdict::Clean,
-        })
+        OnlineWindow::new(PairKind::Oscillation, config, window_quanta).map(Self)
     }
 
-    /// Quanta currently retained (missed quanta included).
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Maximum quanta the sliding window retains.
-    pub fn capacity(&self) -> usize {
-        self.window.capacity()
+    /// An oscillation [`OnlineWindow::restore`]; fails as it does.
+    pub fn restore<R: Read>(config: CcHunterConfig, reader: R) -> Result<Self, DetectorError> {
+        OnlineWindow::restore(PairKind::Oscillation, config, reader).map(Self)
     }
 
     /// Feeds one quantum's drained conflict records.
@@ -685,178 +874,28 @@ impl OnlineOscillationDetector {
         self.push_quantum_degraded(records, 0.0)
     }
 
-    /// Feeds one quantum's conflict records, a `lost_fraction` of which is
-    /// known to have been lost or corrupted (vector-register overruns,
-    /// Bloom-filter aliasing bursts): the quantum still contributes its
-    /// verdict, but with reduced observation weight (none at all if
-    /// `lost_fraction` is not a finite number).
+    /// [`OnlineWindow::push_conflicts`], which cannot fail on an
+    /// oscillation window.
     pub fn push_quantum_degraded(
         &mut self,
         records: &[ConflictRecord],
         lost_fraction: f64,
     ) -> OnlineStatus {
-        online_pushes_total().inc();
-        let series = symbol_series(records, 0, u64::MAX);
-        let verdict = self.detector.analyze(&series, self.config.max_lag);
-        self.push_slot(OscSlot {
-            oscillatory: Some(verdict.oscillatory),
-            weight: observed_fraction(lost_fraction),
-        });
-        self.status(Some(verdict))
+        self.0.publish_conflicts(records, lost_fraction)
     }
 
-    /// Records a quantum whose conflict drain never arrived: the window
-    /// keeps its place as a gap with zero observation weight.
+    /// [`OnlineWindow::push_missed`].
     pub fn push_missed(&mut self) -> OnlineStatus {
-        online_pushes_total().inc();
-        online_missed_total().inc();
-        self.push_slot(OscSlot {
-            oscillatory: None,
-            weight: 0.0,
-        });
-        self.status(None)
-    }
-
-    /// Slides `slot` into the window, maintaining the running counters in
-    /// O(1) — `status` never re-walks the window.
-    fn push_slot(&mut self, slot: OscSlot) {
-        self.weight_sum += slot.weight;
-        if slot.oscillatory.is_some() {
-            self.observed += 1;
-        }
-        if slot.oscillatory == Some(true) {
-            self.oscillatory += 1;
-        }
-        if let Some(evicted) = self.window.push(slot) {
-            self.weight_sum -= evicted.weight;
-            if evicted.oscillatory.is_some() {
-                self.observed -= 1;
-            }
-            if evicted.oscillatory == Some(true) {
-                self.oscillatory -= 1;
-            }
-        }
-        self.pushes_since_rebase += 1;
-        if self.pushes_since_rebase >= self.window.capacity() {
-            self.weight_sum = self.window.iter().map(|s| s.weight).sum();
-            self.pushes_since_rebase = 0;
-        }
-    }
-
-    fn status(&mut self, quantum: Option<OscillationVerdict>) -> OnlineStatus {
-        let window_len = self.window.len();
-        let confidence = if window_len == 0 {
-            0.0
-        } else {
-            // Clamped: the running sum can sit an ulp outside [0, len].
-            (self.weight_sum / window_len as f64).clamp(0.0, 1.0)
-        };
-        // Same rule as the contention daemon: covert evidence stands, Clean
-        // requires the confidence floor, anything else is Inconclusive.
-        let call = if self.oscillatory >= self.config.min_oscillatory_windows {
-            Verdict::CovertTimingChannel
-        } else if confidence < self.config.min_confidence {
-            Verdict::Inconclusive
-        } else {
-            Verdict::Clean
-        };
-        if call != self.last_verdict {
-            note_verdict_flip("oscillation", self.last_verdict, call, confidence);
-            self.last_verdict = call;
-        }
-        OnlineStatus {
-            quantum_burst: None,
-            quantum_oscillation: quantum,
-            oscillatory_in_window: self.oscillatory,
-            window_len,
-            observed_in_window: self.observed,
-            confidence,
-            recurrence: None,
-            verdict: call,
-        }
-    }
-
-    /// Serializes the sliding window to `writer` in the plain-text
-    /// checkpoint format of [`crate::trace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from `writer`.
-    pub fn checkpoint<W: Write>(&self, writer: W) -> Result<(), DetectorError> {
-        let slots = self
-            .window
-            .iter()
-            .map(|s| CheckpointSlot {
-                weight: s.weight,
-                histogram: None,
-                oscillatory: s.oscillatory,
-            })
-            .collect();
-        let cp = Checkpoint {
-            kind: "oscillation".to_string(),
-            capacity: self.window.capacity(),
-            slots,
-        };
-        write_checkpoint(&cp, writer)?;
-        Ok(())
-    }
-
-    /// Restores a daemon from a checkpoint written by
-    /// [`checkpoint`](Self::checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::Trace`] on malformed input and
-    /// [`DetectorError::CheckpointMismatch`] if the parsed state is
-    /// incompatible with this daemon: wrong checkpoint kind, a capacity of
-    /// zero or beyond the 512-quantum limit, more slots than the declared
-    /// capacity, or histogram slots in an oscillation window. Incompatible
-    /// state is never silently adopted.
-    pub fn restore<R: Read>(config: CcHunterConfig, reader: R) -> Result<Self, DetectorError> {
-        let cp = read_checkpoint(reader)?;
-        if cp.kind != "oscillation" {
-            return Err(DetectorError::CheckpointMismatch {
-                reason: format!("expected an oscillation checkpoint, got kind {:?}", cp.kind),
-            });
-        }
-        validate_window_shape(cp.capacity, cp.slots.len())?;
-        let mut daemon = Self::new(config, cp.capacity)?;
-        for (idx, slot) in cp.slots.into_iter().enumerate() {
-            if slot.histogram.is_some() {
-                return Err(DetectorError::CheckpointMismatch {
-                    reason: format!("slot {idx} carries a histogram in an oscillation window"),
-                });
-            }
-            daemon.push_slot(OscSlot {
-                oscillatory: slot.oscillatory,
-                weight: slot.weight,
-            });
-        }
-        Ok(daemon)
+        self.0.push_missed()
     }
 }
 
-/// Shared restore-time validation: a checkpoint's window must have a
-/// plausible capacity (nonzero, within the paper's 512-quantum limit) and
-/// no more slots than that capacity. Anything else is refused with a typed
-/// [`DetectorError::CheckpointMismatch`] rather than clamped or truncated.
-fn validate_window_shape(capacity: usize, slots: usize) -> Result<(), DetectorError> {
-    if capacity == 0 {
-        return Err(DetectorError::CheckpointMismatch {
-            reason: "checkpoint declares a zero-capacity window".to_string(),
-        });
+impl Deref for OnlineOscillationDetector {
+    type Target = OnlineWindow;
+
+    fn deref(&self) -> &OnlineWindow {
+        &self.0
     }
-    if capacity > 512 {
-        return Err(DetectorError::CheckpointMismatch {
-            reason: format!("checkpoint capacity {capacity} exceeds the 512-quantum window limit"),
-        });
-    }
-    if slots > capacity {
-        return Err(DetectorError::CheckpointMismatch {
-            reason: format!("checkpoint holds {slots} slots but declares capacity {capacity}"),
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1166,5 +1205,48 @@ mod tests {
         assert!(matches!(err, DetectorError::InvalidConfig { .. }));
         let err = OnlineOscillationDetector::new(CcHunterConfig::default(), 0).unwrap_err();
         assert!(matches!(err, DetectorError::InvalidConfig { .. }));
+    }
+
+    /// `k = 0` would panic inside k-means on the second bursty quantum.
+    #[test]
+    fn zero_cluster_count_is_rejected() {
+        let mut config = CcHunterConfig::default();
+        config.cluster.k = 0;
+        let err = OnlineContentionDetector::new(config, 8).unwrap_err();
+        assert!(matches!(err, DetectorError::InvalidConfig { .. }), "{err}");
+    }
+
+    /// `min_recurring = 0` would convict a quiet histogram on its first
+    /// push.
+    #[test]
+    fn zero_min_recurring_is_rejected() {
+        let mut config = CcHunterConfig::default();
+        config.cluster.min_recurring = 0;
+        let err = OnlineContentionDetector::new(config, 8).unwrap_err();
+        assert!(matches!(err, DetectorError::InvalidConfig { .. }), "{err}");
+    }
+
+    /// `min_oscillatory_windows = 0` would convict an empty conflict drain
+    /// on its first push.
+    #[test]
+    fn zero_min_oscillatory_windows_is_rejected() {
+        let config = CcHunterConfig {
+            min_oscillatory_windows: 0,
+            ..CcHunterConfig::default()
+        };
+        let err = OnlineOscillationDetector::new(config, 8).unwrap_err();
+        assert!(matches!(err, DetectorError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn wrong_kind_input_is_a_typed_error_and_pushes_nothing() {
+        let config = CcHunterConfig::default();
+        let mut contention = OnlineWindow::new(PairKind::Contention, config, 4).unwrap();
+        let err = contention.push_conflicts(&[], 0.0).unwrap_err();
+        assert!(matches!(err, DetectorError::BadHarvest { .. }), "{err}");
+        let mut oscillation = OnlineWindow::new(PairKind::Oscillation, config, 4).unwrap();
+        let err = oscillation.push_harvest(Harvest::Missed).unwrap_err();
+        assert!(matches!(err, DetectorError::BadHarvest { .. }), "{err}");
+        assert_eq!(contention.window_len() + oscillation.window_len(), 0);
     }
 }

@@ -11,34 +11,38 @@
 //!   defaults to one quantum and can be divided further (the paper's
 //!   Figure 11 shows fractional windows recover 0.1 bps channels).
 //!
+//! ## One scoring core
+//!
+//! The batch paths score nothing themselves. Each replays its harvests (or
+//! a conflict drain's sub-windows) into an [`OnlineWindow`] exactly as long
+//! as the input and reads its status once at the end, so k-means runs once
+//! per batch and a batch verdict means what a fleet verdict means: covert
+//! evidence stands, and a window observed below
+//! [`CcHunterConfig::min_confidence`] is [`Verdict::Inconclusive`], not
+//! `Clean`. A configuration the window refuses (see [`OnlineWindow::new`])
+//! scores nothing: its reports are zero-confidence `Inconclusive`.
+//!
 //! ## Parallel audit engine
 //!
 //! A deployment audits many principal pairs at once (every suspect
 //! trojan/spy pairing on every shared unit). [`CcHunter::audit_pairs`] fans
-//! the labeled per-pair evidence out across the process-wide thread pool,
-//! and the per-quantum / per-window analyses inside a single audit use the
-//! same pool when the work is large enough. All parallel paths go through
-//! the vendored `threadpool::par_map`, whose output is bit-identical to the
-//! serial loop for any thread count, so verdicts never depend on the host's
-//! core count.
+//! the labeled per-pair evidence out across the process-wide thread pool
+//! through the vendored `threadpool::par_map`, whose output is
+//! bit-identical to the serial loop for any thread count, so verdicts never
+//! depend on the host's core count.
 
 use crate::auditor::ConflictRecord;
-use crate::autocorr::{OscillationConfig, OscillationDetector, OscillationVerdict};
-use crate::burst::{BurstConfig, BurstDetector, BurstVerdict};
-use crate::cluster::{analyze_recurrence, ClusterConfig, RecurrenceVerdict};
+use crate::autocorr::{OscillationConfig, OscillationVerdict};
+use crate::burst::{BurstConfig, BurstVerdict};
+use crate::cluster::{ClusterConfig, RecurrenceVerdict};
 use crate::density::{DeltaTPolicy, DensityHistogram};
 use crate::events::{pair_symbol, EventTrain, SymbolSeries};
 use crate::metrics::{default_registry, Counter, Histogram, LATENCY_BUCKETS_US};
-use crate::online::Harvest;
+use crate::online::{Harvest, OnlineStatus, OnlineWindow, PairKind};
 use crate::span;
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Minimum number of per-quantum histograms before the burst analysis fans
-/// out to the thread pool; below this the per-item work is too cheap to
-/// amortize job dispatch.
-const PAR_MIN_HISTOGRAMS: usize = 64;
 
 /// Batch audits run through [`CcHunter::audit_pairs`] /
 /// [`CcHunter::try_audit_pairs`].
@@ -97,8 +101,9 @@ pub enum ResourceKind {
     Memory,
 }
 
-/// CC-Hunter's final call for one audited resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// CC-Hunter's final call for one audited resource. The default is
+/// [`Verdict::Inconclusive`]: with no evidence yet, nothing is cleared.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Verdict {
     /// Recurrent bursts / sustained oscillation found: a covert timing
     /// channel is likely operating on the resource.
@@ -110,6 +115,7 @@ pub enum Verdict {
     /// (harvests missed, shed under a biased admission policy, or saturated
     /// beyond repair). An `Inconclusive` resource must not be treated as
     /// clean — the monitor is telling you it was blinded.
+    #[default]
     Inconclusive,
 }
 
@@ -157,12 +163,12 @@ pub struct CcHunterConfig {
     pub windows_per_quantum: u32,
     /// Minimum number of oscillatory windows to report a cache channel.
     pub min_oscillatory_windows: usize,
-    /// Confidence floor for affirmative `Clean` verdicts on the online
-    /// path: when no covert signature is found but the observed fraction of
-    /// the window is below this value, the online daemons report
-    /// [`Verdict::Inconclusive`] instead of clearing the resource. Covert
-    /// evidence is never downgraded. `0.0` disables the floor (the
-    /// pre-hardening behaviour).
+    /// Confidence floor for affirmative `Clean` verdicts: when no covert
+    /// signature is found but the observed fraction of the window is below
+    /// this value, the verdict is [`Verdict::Inconclusive`] instead of
+    /// clearing the resource — online and batch alike. Covert evidence is
+    /// never downgraded. `0.0` disables the floor (the pre-hardening
+    /// behaviour).
     pub min_confidence: f64,
 }
 
@@ -281,86 +287,64 @@ impl CcHunter {
     /// Runs the recurrent-burst path on per-quantum [`Harvest`]es, tolerating
     /// missed and partial quanta: recurrence is established over whatever
     /// was observed, and the report's `confidence` records the observed
-    /// fraction of the window so degraded evidence is never mistaken for a
-    /// fully observed `Clean`.
+    /// fraction of the window. Below [`CcHunterConfig::min_confidence`] a
+    /// window without recurrence is [`Verdict::Inconclusive`], exactly as
+    /// the online daemon would call it: degraded evidence is never mistaken
+    /// for a fully observed `Clean`.
     pub fn analyze_contention_harvests(&self, harvests: Vec<Harvest>) -> ContentionReport {
-        let window_len = harvests.len();
-        let observed_weight: f64 = harvests.iter().map(Harvest::observed_weight).sum();
-        let histograms: Vec<DensityHistogram> = harvests
-            .into_iter()
-            .filter_map(|h| match h {
-                Harvest::Complete(h) | Harvest::Partial { histogram: h, .. } => Some(h),
-                Harvest::Missed => None,
-            })
-            .collect();
-        self.contention_report(window_len, observed_weight, histograms)
+        self.analyze_contention_slice(&harvests)
     }
 
     /// Borrowing variant of [`CcHunter::analyze_contention_harvests`]: the
     /// caller keeps its harvest buffer (the batch audit path reuses evidence
     /// across retries) and only the observed histograms are cloned into the
-    /// report. The report is bit-identical to the owning variant.
+    /// report.
     pub fn analyze_contention_slice(&self, harvests: &[Harvest]) -> ContentionReport {
-        let window_len = harvests.len();
-        let observed_weight: f64 = harvests.iter().map(Harvest::observed_weight).sum();
-        let histograms: Vec<DensityHistogram> = harvests
+        let mut report = self.replay_contention(harvests);
+        report.histograms = harvests
             .iter()
             .filter_map(|h| h.histogram().cloned())
             .collect();
-        self.contention_report(window_len, observed_weight, histograms)
+        report
     }
 
-    fn contention_report(
-        &self,
-        window_len: usize,
-        observed_weight: f64,
-        histograms: Vec<DensityHistogram>,
-    ) -> ContentionReport {
-        let core = {
-            let refs: Vec<&DensityHistogram> = histograms.iter().collect();
-            self.contention_core(&refs)
-        };
-        ContentionReport {
-            histograms,
-            quantum_verdicts: core.quantum_verdicts,
-            recurrence: core.recurrence,
-            peak_likelihood_ratio: core.peak_likelihood_ratio,
-            confidence: if window_len == 0 {
-                0.0
-            } else {
-                observed_weight / window_len as f64
-            },
-            verdict: core.verdict,
-        }
-    }
-
-    /// The analysis shared by every contention entry point, over *borrowed*
-    /// histograms: the batch audit path analyzes evidence in place and never
-    /// copies a histogram, while the report-building paths clone only what
-    /// the caller keeps.
-    fn contention_core(&self, histograms: &[&DensityHistogram]) -> ContentionCore {
-        let detector = BurstDetector::new(self.config.burst);
-        let quantum_verdicts: Vec<BurstVerdict> = if histograms.len() >= PAR_MIN_HISTOGRAMS {
-            threadpool::par_map(histograms, |h| detector.analyze(h))
-        } else {
-            histograms.iter().map(|h| detector.analyze(h)).collect()
-        };
-        let recurrence = analyze_recurrence(histograms, &quantum_verdicts, &self.config.cluster);
+    /// Replays `harvests` into one contention window and reports its final
+    /// status; the report's `histograms` are left for the caller to fill.
+    fn replay_contention(&self, harvests: &[Harvest]) -> ContentionReport {
+        let mut quantum_verdicts = Vec::with_capacity(harvests.len());
+        let status = self.replay(PairKind::Contention, harvests.len(), |window| {
+            quantum_verdicts.extend(harvests.iter().filter_map(|h| window.ingest_harvest(h)));
+        });
         let peak_likelihood_ratio = quantum_verdicts
             .iter()
             .filter(|v| v.has_burst_distribution)
             .map(|v| v.likelihood_ratio)
             .fold(0.0, f64::max);
-        let verdict = if recurrence.recurrent {
-            Verdict::CovertTimingChannel
-        } else {
-            Verdict::Clean
-        };
-        ContentionCore {
+        ContentionReport {
+            histograms: Vec::new(),
             quantum_verdicts,
-            recurrence,
+            recurrence: status.recurrence.unwrap_or_default(),
             peak_likelihood_ratio,
-            verdict,
+            confidence: status.confidence,
+            verdict: status.verdict,
+        }
+    }
+
+    /// Lets `feed` replay `quanta` quanta into a fresh `kind` window of
+    /// exactly that capacity and returns the window's status, read once.
+    fn replay(
+        &self,
+        kind: PairKind,
+        quanta: usize,
+        feed: impl FnOnce(&mut OnlineWindow),
+    ) -> OnlineStatus {
+        match OnlineWindow::with_capacity(kind, self.config, quanta.max(1)) {
+            Ok(mut window) => {
+                feed(&mut window);
+                window.status(None, None)
+            }
+            // A configuration the window refuses scores nothing.
+            Err(_) => OnlineStatus::default(),
         }
     }
 
@@ -415,50 +399,35 @@ impl CcHunter {
     ) -> OscillationReport {
         let window =
             (self.config.quantum_cycles / self.config.windows_per_quantum.max(1) as u64).max(1);
-        let detector = OscillationDetector::new(self.config.oscillation);
-        let mut bounds = Vec::new();
-        let mut lo = start;
-        while lo < end {
-            let hi = (lo + window).min(end);
-            bounds.push((lo, hi));
-            lo = hi;
-        }
-        // Each window's autocorrelogram is independent — fan out; results
-        // stay in window order.
-        let window_verdicts: Vec<OscillationVerdict> = threadpool::par_map(&bounds, |&(lo, hi)| {
-            let series = symbol_series(records, lo, hi);
-            detector.analyze(&series, self.config.max_lag)
+        let windows =
+            usize::try_from(end.saturating_sub(start).div_ceil(window)).unwrap_or(usize::MAX);
+        let mut window_verdicts = Vec::new();
+        let status = self.replay(PairKind::Oscillation, windows, |core| {
+            let mut lo = start;
+            while lo < end {
+                let hi = (lo + window).min(end);
+                window_verdicts.push(core.ingest_symbols(&symbol_series(records, lo, hi), 1.0));
+                lo = hi;
+            }
         });
-        let oscillatory_windows = window_verdicts.iter().filter(|v| v.oscillatory).count();
         let peak = window_verdicts
             .iter()
             .filter_map(|v| v.peak)
             .max_by(|a, b| a.1.total_cmp(&b.1));
-        let verdict = if oscillatory_windows >= self.config.min_oscillatory_windows {
-            Verdict::CovertTimingChannel
-        } else {
-            Verdict::Clean
-        };
         OscillationReport {
             window_verdicts,
             peak,
-            oscillatory_windows,
-            verdict,
+            oscillatory_windows: status.oscillatory_in_window,
+            verdict: status.verdict,
         }
     }
 
     /// Runs the full analysis for one labeled pair's evidence.
     pub fn audit_pair(&self, audit: &PairAudit) -> Detection {
         let detection = match &audit.evidence {
+            // Analyzed where it sits: the summary keeps no histogram copies.
             PairEvidence::Contention(harvests) => {
-                // Analyze the evidence where it sits: no harvest clone, no
-                // histogram copies — the detection summary is all this path
-                // keeps. Identical verdict and evidence string to
-                // `Detection::from_contention(analyze_contention_harvests(..))`.
-                let histograms: Vec<&DensityHistogram> =
-                    harvests.iter().filter_map(Harvest::histogram).collect();
-                let core = self.contention_core(&histograms);
-                Detection::from_core(audit.label.clone(), &core)
+                Detection::from_contention(audit.label.clone(), &self.replay_contention(harvests))
             }
             PairEvidence::Memory {
                 records,
@@ -535,15 +504,6 @@ impl CcHunter {
         }
         results
     }
-}
-
-/// The histogram-independent outcome of one contention analysis — what the
-/// audit path keeps after analyzing borrowed evidence.
-struct ContentionCore {
-    quantum_verdicts: Vec<BurstVerdict>,
-    recurrence: RecurrenceVerdict,
-    peak_likelihood_ratio: f64,
-    verdict: Verdict,
 }
 
 /// Records one finished batch in the pipeline's batch counter and latency
@@ -623,27 +583,6 @@ impl Detection {
                 report.quantum_verdicts.len(),
                 report.peak_likelihood_ratio,
                 report.recurrence.largest_burst_cluster
-            ),
-        }
-    }
-
-    /// Builds a detection summary straight from a borrowed-evidence core —
-    /// same fields and evidence string as [`Detection::from_contention`],
-    /// minus the report (and its histogram copies) in the middle.
-    fn from_core(resource: impl Into<String>, core: &ContentionCore) -> Self {
-        Detection {
-            resource: resource.into(),
-            kind: ResourceKind::Combinational,
-            verdict: core.verdict,
-            evidence: format!(
-                "{} of {} quanta bursty (peak LR {:.3}), largest cluster {}",
-                core.quantum_verdicts
-                    .iter()
-                    .filter(|v| v.significant)
-                    .count(),
-                core.quantum_verdicts.len(),
-                core.peak_likelihood_ratio,
-                core.recurrence.largest_burst_cluster
             ),
         }
     }
@@ -758,8 +697,46 @@ mod tests {
     fn all_missed_harvests_are_zero_confidence() {
         let hunter = CcHunter::new(config());
         let report = hunter.analyze_contention_harvests(vec![Harvest::Missed; 4]);
-        assert_eq!(report.verdict, Verdict::Clean);
+        assert_eq!(report.verdict, Verdict::Inconclusive);
         assert_eq!(report.confidence, 0.0, "a blind window proves nothing");
+    }
+
+    /// A batch verdict means what the fleet's verdict means: 1 of 8 quanta
+    /// observed is confidence 0.125, below the floor, so `Inconclusive` on
+    /// both paths.
+    #[test]
+    fn sparsely_observed_batch_is_inconclusive_like_the_daemon() {
+        let hunter = CcHunter::new(config());
+        let quiet = hunter.quantum_histograms(&benign_train(1, 100_000), 0, 100_000);
+        let mut harvests = vec![Harvest::Missed; 7];
+        harvests.insert(0, Harvest::Complete(quiet[0].clone()));
+        let mut daemon = crate::OnlineContentionDetector::new(config(), 8).unwrap();
+        let online = harvests
+            .iter()
+            .map(|h| daemon.push_quantum(h.clone()))
+            .last()
+            .unwrap();
+        for report in [
+            hunter.analyze_contention_slice(&harvests),
+            hunter.analyze_contention_harvests(harvests.clone()),
+        ] {
+            assert_eq!(report.confidence, 0.125);
+            assert_eq!(report.confidence, online.confidence);
+            assert_eq!(report.verdict, Verdict::Inconclusive);
+            assert_eq!(report.verdict, online.verdict);
+        }
+    }
+
+    /// A configuration the window refuses scores nothing instead of
+    /// panicking inside k-means.
+    #[test]
+    fn refused_configuration_is_inconclusive() {
+        let mut bad = config();
+        bad.cluster.k = 0;
+        let hunter = CcHunter::new(bad);
+        let report = hunter.analyze_contention_train(&covert_train(4, 100_000), 0, 400_000);
+        assert_eq!(report.verdict, Verdict::Inconclusive);
+        assert_eq!(report.confidence, 0.0);
     }
 
     #[test]

@@ -48,7 +48,8 @@ use crate::auditor::ConflictRecord;
 use crate::ingest::IngestStats;
 use crate::metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_US};
 use crate::mitigation::{ContainmentState, MitigationConfig, MitigationEnforcer, MitigationPolicy};
-use crate::online::{Harvest, OnlineContentionDetector, OnlineOscillationDetector, OnlineStatus};
+pub use crate::online::PairKind;
+use crate::online::{Harvest, OnlineStatus, OnlineWindow};
 use crate::pipeline::{CcHunterConfig, Verdict};
 use crate::policy::{
     backoff_delay, reconcile_quarantine_recovery, BackoffConfig, BreakerState, CircuitBreaker,
@@ -259,30 +260,6 @@ pub(crate) fn probe_with_retry<S: ProbeSource + ?Sized>(
     }
 }
 
-/// The two daemon kinds a pair can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PairKind {
-    /// Combinational resource: recurrent-burst daemon.
-    Contention,
-    /// Memory resource: oscillation daemon.
-    Oscillation,
-}
-
-impl fmt::Display for PairKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PairKind::Contention => f.write_str("contention"),
-            PairKind::Oscillation => f.write_str("oscillation"),
-        }
-    }
-}
-
-#[derive(Debug)]
-enum PairDetector {
-    Contention(OnlineContentionDetector),
-    Oscillation(OnlineOscillationDetector),
-}
-
 /// What [`analyze`] yields for one pair: the post-push status plus
 /// whether the quantum was actually observed.
 type AnalysisResult = Result<(OnlineStatus, bool), DetectorError>;
@@ -318,7 +295,7 @@ struct Pair {
     /// Shared with the fleet's pair table and every [`PairReport`].
     label: Arc<str>,
     kind: PairKind,
-    detector: PairDetector,
+    window: OnlineWindow,
     breaker: CircuitBreaker,
     mitigation: MitigationPolicy,
     /// Confidence reported while quarantined; decays per skipped tick.
@@ -1062,11 +1039,11 @@ impl Supervisor {
         label: Arc<str>,
         kind: PairKind,
     ) -> Result<usize, DetectorError> {
-        let detector = self.fresh_detector(kind)?;
+        let window = OnlineWindow::new(kind, self.config.hunter, self.config.window_quanta)?;
         self.pairs.push(Pair {
             label,
             kind,
-            detector,
+            window,
             breaker: CircuitBreaker::new(self.config.quarantine),
             mitigation: MitigationPolicy::new(self.config.mitigation)?,
             quarantine_confidence: 0.0,
@@ -1080,19 +1057,6 @@ impl Supervisor {
             evidence: 0.0,
         });
         Ok(self.pairs.len() - 1)
-    }
-
-    fn fresh_detector(&self, kind: PairKind) -> Result<PairDetector, DetectorError> {
-        Ok(match kind {
-            PairKind::Contention => PairDetector::Contention(OnlineContentionDetector::new(
-                self.config.hunter,
-                self.config.window_quanta,
-            )?),
-            PairKind::Oscillation => PairDetector::Oscillation(OnlineOscillationDetector::new(
-                self.config.hunter,
-                self.config.window_quanta,
-            )?),
-        })
     }
 
     /// Whether `slot`'s breaker lets it be probed at `tick`: false while
@@ -1200,7 +1164,7 @@ impl Supervisor {
         let results = threadpool::par_catch_map_mut(&mut jobs, |job| {
             let input = std::mem::replace(&mut job.input, PairInput::Missed);
             let start = Instant::now();
-            let pushed = analyze(&mut job.pair.detector, input);
+            let pushed = analyze(&mut job.pair.window, input);
             let elapsed_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             (pushed, elapsed_us)
         });
@@ -1393,7 +1357,7 @@ impl Supervisor {
                     Err(error) => {
                         pair.failures += 1;
                         pair.breaker.record_failure(tick);
-                        let mut status = push_gap(&mut pair.detector);
+                        let mut status = pair.window.push_missed();
                         if pair.degraded && status.verdict == Verdict::Clean {
                             status.verdict = Verdict::Inconclusive;
                         }
@@ -1600,20 +1564,9 @@ impl Supervisor {
         let kind = self.pairs[idx].kind;
         if let Some(store) = &self.store {
             if let Ok(Some(loaded)) = store.load_latest(&pair_entry_name(idx)) {
-                let restored = match kind {
-                    PairKind::Contention => OnlineContentionDetector::restore(
-                        self.config.hunter,
-                        loaded.payload.as_slice(),
-                    )
-                    .map(PairDetector::Contention),
-                    PairKind::Oscillation => OnlineOscillationDetector::restore(
-                        self.config.hunter,
-                        loaded.payload.as_slice(),
-                    )
-                    .map(PairDetector::Oscillation),
-                };
-                if let Ok(detector) = restored {
-                    self.pairs[idx].detector = detector;
+                let payload = loaded.payload.as_slice();
+                if let Ok(window) = OnlineWindow::restore(kind, self.config.hunter, payload) {
+                    self.pairs[idx].window = window;
                     self.pairs[idx].restored_from = Some(RestoredFrom {
                         generation: loaded.generation,
                         rolled_back: loaded.rolled_back,
@@ -1624,10 +1577,9 @@ impl Supervisor {
                 }
             }
         }
-        let fresh = self
-            .fresh_detector(kind)
-            .expect("config validated at construction");
-        self.pairs[idx].detector = fresh;
+        self.pairs[idx].window =
+            OnlineWindow::new(kind, self.config.hunter, self.config.window_quanta)
+                .expect("config validated when the pair was added");
         Recovery::Reset
     }
 
@@ -1718,7 +1670,9 @@ impl Supervisor {
     fn build_checkpoint_entries(&self, tick: u64) -> Result<Vec<(String, Vec<u8>)>, DetectorError> {
         let mut entries = Vec::with_capacity(self.pairs.len() + 1);
         for (idx, pair) in self.pairs.iter().enumerate() {
-            entries.push((pair_entry_name(idx), window_checkpoint(&pair.detector)?));
+            let mut payload = Vec::new();
+            pair.window.checkpoint(&mut payload)?;
+            entries.push((pair_entry_name(idx), payload));
         }
         let mut manifest = String::new();
         manifest.push_str(MANIFEST_MAGIC);
@@ -1836,10 +1790,12 @@ impl Supervisor {
             .ok_or_else(|| DetectorError::InvalidConfig {
                 reason: format!("no supervised pair {pair}"),
             })?;
+        let mut window = Vec::new();
+        p.window.checkpoint(&mut window)?;
         let snapshot = PairSnapshot {
             label: p.label.to_string(),
             kind: p.kind,
-            window: Some(window_checkpoint(&p.detector)?),
+            window: Some(window),
             breaker: p.breaker.serialize(),
             mitigation: p.mitigation.serialize(),
             quarantine_confidence: p.quarantine_confidence,
@@ -1878,20 +1834,11 @@ impl Supervisor {
                 .ok_or_else(|| DetectorError::CheckpointMismatch {
                     reason: format!("pair {:?}: undecodable containment state", snapshot.label),
                 })?;
-        let (detector, degraded) = match &snapshot.window {
+        let (window, degraded) = match &snapshot.window {
             Some(payload) if !snapshot.degraded => {
-                let detector = match snapshot.kind {
-                    PairKind::Contention => PairDetector::Contention(
-                        OnlineContentionDetector::restore(self.config.hunter, payload.as_slice())?,
-                    ),
-                    PairKind::Oscillation => PairDetector::Oscillation(
-                        OnlineOscillationDetector::restore(self.config.hunter, payload.as_slice())?,
-                    ),
-                };
-                let capacity = match &detector {
-                    PairDetector::Contention(d) => d.capacity(),
-                    PairDetector::Oscillation(d) => d.capacity(),
-                };
+                let window =
+                    OnlineWindow::restore(snapshot.kind, self.config.hunter, payload.as_slice())?;
+                let capacity = window.capacity();
                 let expected = self.config.window_quanta.min(512);
                 if capacity != expected {
                     return Err(DetectorError::CheckpointMismatch {
@@ -1901,14 +1848,17 @@ impl Supervisor {
                         ),
                     });
                 }
-                (detector, false)
+                (window, false)
             }
-            _ => (self.fresh_detector(snapshot.kind)?, true),
+            _ => (
+                OnlineWindow::new(snapshot.kind, self.config.hunter, self.config.window_quanta)?,
+                true,
+            ),
         };
         self.pairs.push(Pair {
             label: snapshot.label.into(),
             kind: snapshot.kind,
-            detector,
+            window,
             breaker,
             mitigation,
             quarantine_confidence: if degraded {
@@ -2126,62 +2076,26 @@ fn pair_entry_name(idx: usize) -> String {
     format!("pair-{idx:04}")
 }
 
-/// Serializes one pair's sliding window.
-fn window_checkpoint(detector: &PairDetector) -> Result<Vec<u8>, DetectorError> {
-    let mut payload = Vec::new();
-    match detector {
-        PairDetector::Contention(d) => d.checkpoint(&mut payload)?,
-        PairDetector::Oscillation(d) => d.checkpoint(&mut payload)?,
-    }
-    Ok(payload)
-}
-
-/// Runs one input through a pair's detector. The bool reports whether the
-/// quantum was actually observed (false = gap). May panic only for
+/// Runs one input through a pair's window. The bool reports whether the
+/// quantum was actually observed (false = gap). A wrong-kind input is the
+/// window's typed [`DetectorError::BadHarvest`]. May panic only for
 /// [`ChaosOp::Panic`] — which the caller contains.
-fn analyze(
-    detector: &mut PairDetector,
-    input: PairInput,
-) -> Result<(OnlineStatus, bool), DetectorError> {
-    match (detector, input) {
-        (PairDetector::Contention(d), PairInput::Harvest(h)) => {
+fn analyze(window: &mut OnlineWindow, input: PairInput) -> AnalysisResult {
+    match input {
+        PairInput::Harvest(h) => {
             let observed = !matches!(h, Harvest::Missed);
-            Ok((d.push_quantum(h), observed))
+            Ok((window.push_harvest(h)?, observed))
         }
-        (
-            PairDetector::Oscillation(d),
-            PairInput::Conflicts {
-                records,
-                lost_fraction,
-            },
-        ) => Ok((d.push_quantum_degraded(&records, lost_fraction), true)),
-        (PairDetector::Contention(d), PairInput::Missed) => {
-            Ok((d.push_quantum(Harvest::Missed), false))
-        }
-        (PairDetector::Oscillation(d), PairInput::Missed) => Ok((d.push_missed(), false)),
-        (_, PairInput::Chaos(ChaosOp::Panic)) => {
-            panic!("chaos: injected analysis panic")
-        }
-        (d, PairInput::Chaos(ChaosOp::StallUs(us))) => {
+        PairInput::Conflicts {
+            records,
+            lost_fraction,
+        } => Ok((window.push_conflicts(&records, lost_fraction)?, true)),
+        PairInput::Missed => Ok((window.push_missed(), false)),
+        PairInput::Chaos(ChaosOp::Panic) => panic!("chaos: injected analysis panic"),
+        PairInput::Chaos(ChaosOp::StallUs(us)) => {
             std::thread::sleep(std::time::Duration::from_micros(us));
-            Ok((push_gap(d), false))
+            Ok((window.push_missed(), false))
         }
-        (PairDetector::Contention(_), PairInput::Conflicts { .. }) => {
-            Err(DetectorError::BadHarvest {
-                reason: "conflict records delivered to a contention pair".to_string(),
-            })
-        }
-        (PairDetector::Oscillation(_), PairInput::Harvest(_)) => Err(DetectorError::BadHarvest {
-            reason: "density harvest delivered to an oscillation pair".to_string(),
-        }),
-    }
-}
-
-/// Advances a pair's window with a zero-observation gap.
-fn push_gap(detector: &mut PairDetector) -> OnlineStatus {
-    match detector {
-        PairDetector::Contention(d) => d.push_quantum(Harvest::Missed),
-        PairDetector::Oscillation(d) => d.push_missed(),
     }
 }
 

@@ -381,76 +381,278 @@ fn fft_autocorrelogram_matches_naive_for_any_length() {
     }
 }
 
+/// One seeded quantum of `kind`: complete, partial (a NaN loss among
+/// them) or missed, with covert-shaped evidence about half the time.
+fn random_quantum(
+    rng: &mut SmallRng,
+    kind: cchunter_detector::online::PairKind,
+    quantum: u64,
+) -> cchunter_detector::supervisor::PairInput {
+    use cchunter_detector::auditor::ConflictRecord;
+    use cchunter_detector::online::{Harvest, PairKind};
+    use cchunter_detector::supervisor::PairInput;
+    let loss = match rng.gen_range(0u32..5) {
+        0 => {
+            return match kind {
+                PairKind::Contention => PairInput::Harvest(Harvest::Missed),
+                PairKind::Oscillation => PairInput::Missed,
+            }
+        }
+        1 => Some(f64::NAN),
+        2 => Some(rng.gen_range(0.0..1.0)),
+        _ => None,
+    };
+    let covert = rng.gen_bool(0.5);
+    match kind {
+        PairKind::Contention => {
+            let histogram = if covert {
+                let mut bins = vec![0u64; HISTOGRAM_BINS];
+                bins[0] = 2_400;
+                let peak = rng.gen_range(16usize..24);
+                bins[peak] = rng.gen_range(80..160);
+                bins[peak + 1] = rng.gen_range(5..30);
+                DensityHistogram::from_bins(bins, 1_000).unwrap()
+            } else {
+                let train = EventTrain::from_times(times(rng, 120, quantum));
+                DensityHistogram::from_train(&train, 1_000, 0, quantum)
+            };
+            PairInput::Harvest(match loss {
+                None => Harvest::Complete(histogram),
+                Some(lost_fraction) => Harvest::Partial {
+                    histogram,
+                    lost_fraction,
+                },
+            })
+        }
+        PairKind::Oscillation => {
+            let mut records = Vec::new();
+            if covert {
+                // The square wave of a cache channel: 8 bits of
+                // [T→S × G][S→T × G].
+                let group = rng.gen_range(32..96);
+                let mut cycle = 0;
+                for _ in 0..8 {
+                    for (replacer, victim) in [(0, 1), (1, 0)] {
+                        for _ in 0..group {
+                            records.push(ConflictRecord {
+                                cycle,
+                                replacer,
+                                victim,
+                            });
+                            cycle += 50;
+                        }
+                    }
+                }
+            } else {
+                for cycle in times(rng, 400, quantum) {
+                    records.push(ConflictRecord {
+                        cycle,
+                        replacer: rng.gen_range(0..4),
+                        victim: rng.gen_range(0..4),
+                    });
+                }
+            }
+            PairInput::Conflicts {
+                records,
+                lost_fraction: loss.unwrap_or(0.0),
+            }
+        }
+    }
+}
+
 #[test]
 fn incremental_window_state_matches_from_scratch_replay() {
-    // The daemon's running aggregates (weight sum, observed/bursty counts,
-    // memoized clustering) must be indistinguishable from a daemon that
-    // recomputes everything from the retained window: replaying only the
-    // last `capacity` harvests into a fresh daemon yields the same status.
-    use cchunter_detector::online::{Harvest, OnlineContentionDetector};
+    // One scoring core, every view of it. Over seeded schedules of
+    // complete, partial (NaN loss included) and missed quanta of both
+    // kinds:
+    // * the window's running aggregates (weight sum, observed and covert
+    //   counts, memoized clustering) are indistinguishable from a window
+    //   that replays only the retained quanta from scratch;
+    // * a one-shard fleet pair reports the window's status every tick;
+    // * the batch report over the retained quanta is the replay's status;
+    // * the `cchunter` quality indicator's per-window evidence is the
+    //   status of a 512-quantum window fed the same schedule.
+    use cchunter_detector::indicator::CcHunterIndicator;
+    use cchunter_detector::online::{Harvest, OnlineStatus, OnlineWindow, PairKind};
+    use cchunter_detector::pipeline::{symbol_series, CcHunter};
+    use cchunter_detector::policy::QuarantineConfig;
+    use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
+    use cchunter_detector::supervisor::{PairInput, PairOutcome, ProbeFault, SupervisorConfig};
     use cchunter_detector::CcHunterConfig;
+
+    fn push(window: &mut OnlineWindow, input: &PairInput) -> OnlineStatus {
+        match input {
+            PairInput::Harvest(h) => window.push_harvest(h.clone()),
+            PairInput::Conflicts {
+                records,
+                lost_fraction,
+            } => window.push_conflicts(records, *lost_fraction),
+            _ => Ok(window.push_missed()),
+        }
+        .unwrap()
+    }
+    /// Everything a status says but its confidence.
+    fn evidence(s: &OnlineStatus) -> impl PartialEq + std::fmt::Debug {
+        (
+            s.verdict,
+            s.window_len,
+            s.observed_in_window,
+            s.oscillatory_in_window,
+            s.recurrence.clone(),
+            s.quantum_burst,
+            s.quantum_oscillation,
+        )
+    }
+
+    let quantum = 100_000u64;
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x17C0_0000 + case);
+        let kind = if case % 2 == 0 {
+            PairKind::Contention
+        } else {
+            PairKind::Oscillation
+        };
         let capacity = rng.gen_range(1usize..24);
-        let quantum = 100_000u64;
+        let steps = rng.gen_range(1usize..60);
         let config = CcHunterConfig {
             quantum_cycles: quantum,
             ..CcHunterConfig::default()
         };
-        let mut daemon = OnlineContentionDetector::new(config, capacity).unwrap();
-        let steps = rng.gen_range(1usize..60);
-        let mut harvests: Vec<Harvest> = Vec::new();
+        let schedule: Vec<PairInput> = (0..steps)
+            .map(|_| random_quantum(&mut rng, kind, quantum))
+            .collect();
+
+        let mut window = OnlineWindow::new(kind, config, capacity).unwrap();
+        let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+            shards: 1,
+            base: SupervisorConfig {
+                hunter: config,
+                window_quanta: capacity,
+                // Gaps must not quarantine the pair: every tick is analysed.
+                quarantine: QuarantineConfig {
+                    min_observations: usize::MAX,
+                    ..QuarantineConfig::default()
+                },
+                ..SupervisorConfig::default()
+            },
+            ..ShardedFleetConfig::default()
+        })
+        .unwrap();
+        match kind {
+            PairKind::Contention => fleet.add_contention_pair("pair"),
+            PairKind::Oscillation => fleet.add_oscillation_pair("pair"),
+        }
+        .unwrap();
+        let mut probe = |_pair: usize, tick: u64, _attempt: u32| -> Result<PairInput, ProbeFault> {
+            Ok(schedule[tick as usize].clone())
+        };
+        let mut wide = OnlineWindow::new(kind, CcHunterConfig::default(), 512).unwrap();
+        let mut indicator = CcHunterIndicator::default();
         let mut incremental = None;
-        for _ in 0..steps {
-            let harvest = match rng.gen_range(0u32..3) {
-                2 => Harvest::Missed,
-                kind => {
-                    let train = EventTrain::from_times(times(&mut rng, 120, quantum));
-                    let histogram = DensityHistogram::from_train(&train, 1_000, 0, quantum);
-                    if kind == 0 {
-                        Harvest::Complete(histogram)
-                    } else {
-                        Harvest::Partial {
-                            histogram,
-                            lost_fraction: rng.gen_range(0.0..1.0),
-                        }
-                    }
-                }
+        for (step, input) in schedule.iter().enumerate() {
+            let status = push(&mut window, input);
+
+            let report = fleet.tick(&mut probe);
+            let fleet_status = match &report.shard_reports[0].as_ref().unwrap().reports[0].outcome {
+                PairOutcome::Analyzed(s) | PairOutcome::Degraded { status: s, .. } => s.clone(),
+                other => panic!("case {case} step {step}: {other:?}"),
             };
-            harvests.push(harvest.clone());
-            incremental = Some(daemon.push_quantum(harvest));
+            assert_eq!(
+                evidence(&fleet_status),
+                evidence(&status),
+                "case {case} step {step}"
+            );
+            assert_eq!(
+                fleet_status.confidence.to_bits(),
+                status.confidence.to_bits(),
+                "case {case} step {step}"
+            );
+
+            let observation = match input {
+                PairInput::Harvest(h) => WindowObservation::from_harvest(h),
+                PairInput::Conflicts {
+                    records,
+                    lost_fraction,
+                } => WindowObservation::from_symbols(symbol_series(records, 0, u64::MAX))
+                    .with_weight(1.0 - lost_fraction),
+                _ => WindowObservation::missed(),
+            };
+            indicator.push(&observation);
+            let expected = push(&mut wide, input);
+            let scored = indicator.evidence(kind).unwrap();
+            assert_eq!(
+                evidence(scored),
+                evidence(&expected),
+                "case {case} step {step}"
+            );
+            assert_eq!(
+                scored.confidence.to_bits(),
+                expected.confidence.to_bits(),
+                "case {case} step {step}"
+            );
+            incremental = Some(status);
         }
         let incremental = incremental.unwrap();
-        let tail = &harvests[harvests.len().saturating_sub(capacity)..];
-        let mut fresh = OnlineContentionDetector::new(config, capacity).unwrap();
-        let mut replay = None;
-        for harvest in tail {
-            replay = Some(fresh.push_quantum(harvest.clone()));
-        }
-        let replay = replay.unwrap();
-        assert_eq!(incremental.window_len, replay.window_len, "case {case}");
-        assert_eq!(
-            incremental.observed_in_window, replay.observed_in_window,
-            "case {case}"
-        );
-        assert_eq!(incremental.verdict, replay.verdict, "case {case}");
-        let summarize = |s: &cchunter_detector::OnlineStatus| {
-            s.recurrence.as_ref().map(|r| {
-                (
-                    r.windows,
-                    r.bursty_windows,
-                    r.largest_burst_cluster,
-                    r.recurrent,
-                )
-            })
-        };
-        assert_eq!(summarize(&incremental), summarize(&replay), "case {case}");
+
+        let tail = &schedule[steps.saturating_sub(capacity)..];
+        let mut fresh = OnlineWindow::new(kind, config, capacity).unwrap();
+        let replay = tail.iter().map(|i| push(&mut fresh, i)).last().unwrap();
+        assert_eq!(evidence(&incremental), evidence(&replay), "case {case}");
         assert!(
             (incremental.confidence - replay.confidence).abs() < 1e-12,
             "case {case}: incremental confidence {} vs replay {}",
             incremental.confidence,
             replay.confidence
         );
+
+        let hunter = CcHunter::new(config);
+        match kind {
+            PairKind::Contention => {
+                let harvests: Vec<Harvest> = tail
+                    .iter()
+                    .map(|i| match i {
+                        PairInput::Harvest(h) => h.clone(),
+                        other => panic!("case {case}: {other:?}"),
+                    })
+                    .collect();
+                let batch = hunter.analyze_contention_slice(&harvests);
+                assert_eq!(batch.verdict, replay.verdict, "case {case}");
+                assert_eq!(batch.confidence.to_bits(), replay.confidence.to_bits());
+                assert_eq!(Some(batch.recurrence), replay.recurrence, "case {case}");
+            }
+            PairKind::Oscillation => {
+                // The batch path takes a time-ordered drain, which carries
+                // no loss: compare it with the lossless twin of the tail,
+                // one quantum per window.
+                let mut records = Vec::new();
+                let mut twin = OnlineWindow::new(kind, config, capacity).unwrap();
+                let mut expected = Vec::new();
+                for (q, input) in tail.iter().enumerate() {
+                    let drained = match input {
+                        PairInput::Conflicts { records, .. } => records.clone(),
+                        _ => Vec::new(),
+                    };
+                    expected.push(push(
+                        &mut twin,
+                        &PairInput::Conflicts {
+                            records: drained.clone(),
+                            lost_fraction: 0.0,
+                        },
+                    ));
+                    records.extend(drained.into_iter().map(|mut r| {
+                        r.cycle += q as u64 * quantum;
+                        r
+                    }));
+                }
+                let batch = hunter.analyze_oscillation(&records, 0, tail.len() as u64 * quantum);
+                let last = expected.last().unwrap();
+                assert_eq!(batch.verdict, last.verdict, "case {case}");
+                assert_eq!(batch.oscillatory_windows, last.oscillatory_in_window);
+                let per_window: Vec<_> = expected.iter().map(|s| s.quantum_oscillation).collect();
+                let batch_windows: Vec<_> = batch.window_verdicts.into_iter().map(Some).collect();
+                assert_eq!(batch_windows, per_window, "case {case}");
+            }
+        }
     }
 }
 
