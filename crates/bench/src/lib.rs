@@ -8,6 +8,7 @@ pub mod suites;
 use cchunter_detector::auditor::ConflictRecord;
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::events::EventTrain;
+use cchunter_detector::ingest::RawEvent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,4 +70,37 @@ pub fn random_blocks(count: usize, distinct: u64, seed: u64) -> Vec<u64> {
     (0..count)
         .map(|_| rng.gen_range(0..distinct) * 64)
         .collect()
+}
+
+/// One quantum of hostile ingest traffic in the shape of the end-to-end
+/// `churn_1k` workload's hostile pairs: `clean` time-sorted events over
+/// `[0, quantum)`, and after three of every four an extra copy the
+/// sanitizer must drop — an impossible context id, a time-travel copy
+/// more than `quantum / 2` cycles back, or an exact duplicate.
+pub fn hostile_events(clean: usize, quantum: u64, seed: u64) -> Vec<RawEvent> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut times: Vec<u64> = (0..clean).map(|_| rng.gen_range(0..quantum)).collect();
+    times.sort_unstable();
+    let mut out = Vec::with_capacity(clean * 7 / 4 + 1);
+    for (i, time) in times.into_iter().enumerate() {
+        let e = RawEvent {
+            time,
+            weight: 1,
+            context: rng.gen_range(0..4u8),
+        };
+        out.push(e);
+        match i % 4 {
+            0 => out.push(RawEvent {
+                context: 8 + rng.gen_range(0..8u8),
+                ..e
+            }),
+            1 => out.push(RawEvent {
+                time: time.saturating_sub(quantum / 2 + 1),
+                ..e
+            }),
+            2 => out.push(e),
+            _ => {}
+        }
+    }
+    out
 }

@@ -3,13 +3,15 @@
 //! (`cargo run -p cchunter-bench --release`), which serializes the results
 //! to `BENCH_detector.json`.
 
-use crate::{bursty_train, covert_histogram, quantum_conflicts, random_blocks};
+use crate::{bursty_train, covert_histogram, hostile_events, quantum_conflicts, random_blocks};
 use cchunter_detector::autocorr::Autocorrelogram;
 use cchunter_detector::burst::BurstDetector;
 use cchunter_detector::cluster::{discretize, kmeans};
 use cchunter_detector::conflict::{GenerationTracker, IdealLruTracker, MissClassifier};
 use cchunter_detector::density::DensityHistogram;
-use cchunter_detector::ingest::{IngestConfig, IngestPipeline, RawEvent};
+use cchunter_detector::ingest::{
+    AdmissionConfig, IngestConfig, IngestPipeline, RawEvent, ShedPolicy,
+};
 use cchunter_detector::mitigation::MitigationConfig;
 use cchunter_detector::online::{Harvest, OnlineContentionDetector};
 use cchunter_detector::pipeline::symbol_series;
@@ -24,6 +26,7 @@ pub fn detector_suite(c: &mut Criterion) {
     bench_batched_autocorrelation(c);
     bench_density(c);
     bench_arena_ingest(c);
+    bench_hostile_ingest(c);
     bench_burst(c);
     bench_clustering(c);
     bench_online_push(c);
@@ -61,10 +64,10 @@ fn bench_batched_autocorrelation(c: &mut Criterion) {
 }
 
 fn bench_arena_ingest(c: &mut Criterion) {
-    // One full hardened-ingest quantum: offer 4096 clean events, then
-    // drain → sanitize-into-arena → density histogram from the borrowed
-    // view. Steady state reuses the queue, arena slabs, and histogram
-    // scratch, so this measures the zero-copy path end to end.
+    // One full hardened-ingest quantum: offer 4096 clean, time-sorted
+    // events with weighted runs under the default drop-oldest queue, then
+    // the one-pass harvest. Steady state reuses the queue and windowing
+    // scratch, so this measures the path end to end. It never sheds.
     let mut pipeline = IngestPipeline::new(IngestConfig {
         delta_t: 1_000,
         ..IngestConfig::default()
@@ -83,6 +86,31 @@ fn bench_arena_ingest(c: &mut Criterion) {
                 pipeline.offer(e);
             }
             black_box(pipeline.end_quantum(0, 409_600))
+        })
+    });
+}
+
+fn bench_hostile_ingest(c: &mut Criterion) {
+    // One quantum of churn_1k's hostile ingest pairs: 1 050 offers (600
+    // clean, 450 the sanitizer drops, time travel among them) into a
+    // 16 384-slot reservoir, over a 0.1 s quantum of 2 500 Δt windows.
+    const QUANTUM: u64 = 250_000_000;
+    let mut pipeline = IngestPipeline::new(IngestConfig {
+        admission: AdmissionConfig {
+            capacity: 1 << 14,
+            policy: ShedPolicy::Reservoir { seed: 61 },
+        },
+        delta_t: 100_000,
+        ..IngestConfig::default()
+    })
+    .expect("valid ingest config");
+    let events = hostile_events(600, QUANTUM, 60);
+    c.bench_function("ingest_quantum_hostile_reservoir", |b| {
+        b.iter(|| {
+            for &e in &events {
+                pipeline.offer(e);
+            }
+            black_box(pipeline.end_quantum(0, QUANTUM))
         })
     });
 }

@@ -119,7 +119,7 @@ impl std::error::Error for AuditorError {}
 pub struct SlotId(usize);
 
 /// A conflict-miss record drained from the vector registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConflictRecord {
     /// Cycle of the conflict miss.
     pub cycle: u64,

@@ -114,97 +114,33 @@ impl DensityHistogram {
     /// Adds the windows of `[start, end)` from a borrowed view into this
     /// histogram. Produces bit-identical bins to the owned-train path.
     pub fn accumulate_view(&mut self, view: TrainView<'_>, start: u64, end: u64) {
-        if end <= start {
-            return;
+        let mut tails = Vec::new();
+        let mut tally = WindowTally::new(self, start, end, &mut tails);
+        // Sorted times: the in-range entries are one binary-searched run.
+        for (time, weight) in view.window(start, end).iter() {
+            tally.push(time, weight);
         }
-        let dt = self.delta_t;
-        let total_windows = (end - start).div_ceil(dt);
-        // Narrow to the in-range entries once (sorted times → binary
-        // search) instead of filtering every entry in the hot loop.
-        let view = view.window(start, end);
+        tally.finish();
+    }
 
-        // Unit-weight fast path: with no multi-cycle runs each event lands
-        // wholly in window (t - start) / Δt, and sorted times mean equal
-        // window indices are consecutive — run-length encode straight into
-        // bins with no per-window scratch array at all.
-        if view.weights().iter().all(|&w| w == 1) {
-            let mut counted_windows: u64 = 0;
-            let mut i = 0;
-            let times = view.times();
-            while i < times.len() {
-                let w = (times[i] - start) / dt;
-                let mut run = 1usize;
-                while i + run < times.len() && (times[i + run] - start) / dt == w {
-                    run += 1;
-                }
-                self.bins[run.min(HISTOGRAM_BINS - 1)] += 1;
-                counted_windows += 1;
-                i += run;
-            }
-            self.bins[0] += total_windows - counted_windows;
-            self.windows += total_windows;
-            return;
-        }
+    /// Adds `count` windows of density `bin` (the last bin holds every
+    /// density at or above it).
+    pub(crate) fn record(&mut self, bin: usize, count: u64) {
+        let slot = &mut self.bins[bin.min(HISTOGRAM_BINS - 1)];
+        *slot = slot.saturating_add(count);
+        self.windows = self.windows.saturating_add(count);
+    }
 
-        // Per-window counts. Runs from different contexts may overlap in
-        // time, so counts are accumulated per window index before binning.
-        // Dense counting for normal ranges; sparse for huge, mostly-empty
-        // ranges (e.g. 0.1 bps channels observed over minutes).
-        const DENSE_LIMIT: u64 = 1 << 23;
-        let mut dense: Vec<u32> = Vec::new();
-        let mut sparse: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        let use_dense = total_windows <= DENSE_LIMIT;
-        if use_dense {
-            dense = vec![0u32; total_windows as usize];
+    /// Clamps every bin to the CC-auditor's 16-bit width in place; returns
+    /// whether anything clamped, which is exactly when the window total
+    /// exceeds [`u16::MAX`] (the window accumulator clamps first).
+    pub(crate) fn clamp_to_u16(&mut self) -> bool {
+        let saturated = self.windows > u64::from(u16::MAX);
+        for bin in &mut self.bins {
+            *bin = (*bin).min(u64::from(u16::MAX));
         }
-        let mut add = |window: u64, count: u64| {
-            debug_assert!(window < total_windows);
-            if use_dense {
-                let slot = &mut dense[window as usize];
-                *slot = slot.saturating_add(count.min(u32::MAX as u64) as u32);
-            } else {
-                *sparse.entry(window).or_insert(0) += count;
-            }
-        };
-        for (time, weight) in view.iter() {
-            if weight == 0 {
-                continue;
-            }
-            // Spread the run of `weight` unit events over consecutive
-            // cycles, splitting across window boundaries.
-            let mut t = time;
-            let mut remaining = weight as u64;
-            while remaining > 0 && t < end {
-                let w = (t - start) / dt;
-                let window_end = start + (w + 1) * dt;
-                let room = window_end.min(end) - t;
-                let take = remaining.min(room);
-                add(w, take);
-                remaining -= take;
-                t += take;
-            }
-        }
-        let mut counted_windows: u64 = 0;
-        if use_dense {
-            for &count in &dense {
-                if count > 0 {
-                    let bin = (count as usize).min(HISTOGRAM_BINS - 1);
-                    self.bins[bin] += 1;
-                    counted_windows += 1;
-                }
-            }
-        } else {
-            for (_, &count) in sparse.iter() {
-                if count > 0 {
-                    let bin = (count as usize).min(HISTOGRAM_BINS - 1);
-                    self.bins[bin] += 1;
-                    counted_windows += 1;
-                }
-            }
-        }
-        // All untouched windows are empty → bin 0.
-        self.bins[0] += total_windows - counted_windows;
-        self.windows += total_windows;
+        self.windows = self.bins.iter().sum();
+        saturated
     }
 
     /// The Δt this histogram was built with.
@@ -309,6 +245,175 @@ impl DensityHistogram {
             delta_t,
             windows,
         })
+    }
+}
+
+/// Densities at or above this land in the last bin.
+const LAST_BIN: u64 = HISTOGRAM_BINS as u64 - 1;
+
+/// `runs` spilled runs that cover every window between the open one and
+/// `window` whole, and `rem` cycles of `window` itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tail {
+    window: u64,
+    runs: u64,
+    rem: u64,
+}
+
+/// The one Δt windowing routine, a streaming tally like the CC-auditor's
+/// Δt count-down register. It takes `(time, weight)` runs of unit events on
+/// consecutive cycles in nondecreasing time order, clipped at `end`;
+/// entries outside `[start, end)` are ignored and windows no run reaches
+/// land in bin 0. A unit run inside the open window costs a compare and an
+/// add, with one division per window change. Runs spilling past the open
+/// window are kept as [`Tail`]s in caller-owned scratch; once enough of
+/// them overlap a window to reach the last bin, every window before it is
+/// settled, which bounds the tails at `HISTOGRAM_BINS` whatever the weights.
+pub(crate) struct WindowTally<'a> {
+    hist: &'a mut DensityHistogram,
+    start: u64,
+    end: u64,
+    /// The open window, the first cycle past it, and its count so far.
+    open: u64,
+    open_end: u64,
+    count: u64,
+    /// Nonempty windows binned so far.
+    counted: u64,
+    /// Windows after the open one and before this one reached the last bin.
+    settled_until: u64,
+    /// Spilled runs by ascending `window`, all past the open window.
+    tails: &'a mut Vec<Tail>,
+}
+
+impl<'a> WindowTally<'a> {
+    /// Starts tallying `[start, end)` into `hist`.
+    pub(crate) fn new(
+        hist: &'a mut DensityHistogram,
+        start: u64,
+        end: u64,
+        tails: &'a mut Vec<Tail>,
+    ) -> Self {
+        tails.clear();
+        let end = end.max(start);
+        WindowTally {
+            open_end: start.saturating_add(hist.delta_t).min(end),
+            hist,
+            start,
+            end,
+            open: 0,
+            count: 0,
+            counted: 0,
+            settled_until: 0,
+            tails,
+        }
+    }
+
+    /// Adds a run of `weight` events from cycle `time`; times must not
+    /// decrease between calls.
+    #[inline]
+    pub(crate) fn push(&mut self, time: u64, weight: u32) {
+        if weight == 0 || time < self.start || time >= self.end {
+            return;
+        }
+        if time >= self.open_end {
+            self.advance((time - self.start) / self.hist.delta_t);
+        }
+        let room = self.open_end - time;
+        let weight = u64::from(weight);
+        self.count = self.count.saturating_add(weight.min(room));
+        // Only a whole open window leaves a rest (a clipped one ends at `end`).
+        let rest = weight.saturating_sub(room).min(self.end - self.open_end);
+        if rest > 0 {
+            let dt = self.hist.delta_t;
+            let last = self.open + 1 + (rest - 1) / dt;
+            self.spill(last, rest - (last - self.open - 1) * dt);
+        }
+    }
+
+    /// Records a run that ends `rem` cycles into `window`.
+    fn spill(&mut self, window: u64, rem: u64) {
+        if window < self.settled_until {
+            return;
+        }
+        let at = self.tails.partition_point(|t| t.window < window);
+        match self.tails.get_mut(at) {
+            Some(t) if t.window == window => {
+                t.runs += 1;
+                t.rem = t.rem.saturating_add(rem);
+            }
+            _ => self.tails.insert(
+                at,
+                Tail {
+                    window,
+                    runs: 1,
+                    rem,
+                },
+            ),
+        }
+        let dt = self.hist.delta_t;
+        let mut covering = 0u64;
+        let settled = (0..self.tails.len()).rev().find(|&i| {
+            covering += self.tails[i].runs;
+            covering.saturating_mul(dt) >= LAST_BIN
+        });
+        if let Some(i) = settled {
+            self.settled_until = self.tails[i].window;
+            self.tails.drain(..i);
+        }
+    }
+
+    /// Bins `windows` windows of density `count`.
+    fn bin(&mut self, count: u64, windows: u64) {
+        if count > 0 && windows > 0 {
+            self.hist.bins[count.min(LAST_BIN) as usize] += windows;
+            self.counted += windows;
+        }
+    }
+
+    /// Closes the open window and every window before `next`, which opens.
+    fn advance(&mut self, next: u64) {
+        let dt = self.hist.delta_t;
+        self.bin(self.count, 1);
+        self.open_end = self
+            .start
+            .saturating_add((next + 1).saturating_mul(dt))
+            .min(self.end);
+        let open = self.open;
+        let settled_until = self.settled_until;
+        self.open = next;
+        self.count = if next < settled_until { LAST_BIN } else { 0 };
+        if self.tails.is_empty() {
+            return;
+        }
+        let mut done = open.max(settled_until.min(next).saturating_sub(1));
+        self.bin(LAST_BIN, done - open);
+        let mut covering: u64 = self.tails.iter().map(|t| t.runs).sum();
+        let closed = self.tails.partition_point(|t| t.window <= next);
+        for i in 0..closed {
+            let t = self.tails[i];
+            self.bin(covering.saturating_mul(dt), t.window - done - 1);
+            covering -= t.runs;
+            done = t.window;
+            if t.window == next {
+                self.count = self.count.saturating_add(t.rem);
+                done -= 1;
+            } else {
+                self.bin(covering.saturating_mul(dt).saturating_add(t.rem), 1);
+            }
+        }
+        self.tails.drain(..closed);
+        self.bin(covering.saturating_mul(dt), next - done - 1);
+        self.count = self.count.saturating_add(covering.saturating_mul(dt));
+    }
+
+    /// Bins every remaining window; untouched windows land in bin 0.
+    pub(crate) fn finish(mut self) {
+        let total = (self.end - self.start).div_ceil(self.hist.delta_t);
+        if total > 0 {
+            self.advance(total);
+        }
+        self.hist.bins[0] += total - self.counted;
+        self.hist.windows += total;
     }
 }
 

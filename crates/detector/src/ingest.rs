@@ -18,17 +18,28 @@
 //! * [`AdmissionQueue`] — a bounded queue in front of the analysis core
 //!   with pluggable [`ShedPolicy`]s (drop-oldest, drop-newest, and a
 //!   deterministic reservoir subsample). Overload becomes a quantified
-//!   loss fraction, never an OOM or an unbounded drain.
+//!   loss fraction, never an OOM or an unbounded drain. Admitted events
+//!   always come back in arrival order.
 //! * [`Sanitizer`] — repairs or rejects hostile event trains (bounded
 //!   reorder tolerance, duplicate suppression, context-ID range checks,
 //!   zero-Δt burst trimming) and reports exactly what it did in a typed
 //!   [`SanitizeReport`] instead of the old `assert!`/silent-skip handling.
-//! * [`SatAccumulator`] / [`SaturatingHistogram`] — the paper's 16-bit
-//!   accumulator semantics: counts clamp at [`u16::MAX`] and set a sticky
-//!   saturation flag that widens verdict uncertainty downstream.
+//!   The per-event rules live in one private step shared by every caller.
+//! * [`SaturatingHistogram`] — the paper's 16-bit accumulator semantics:
+//!   counts clamp at [`u16::MAX`] and set a sticky saturation flag that
+//!   widens verdict uncertainty downstream.
 //! * [`IngestStats`] — cloneable shared counters so a supervisor (or the
 //!   chaos soak harness) can observe every shed / sanitize / saturation
-//!   event in its `metrics_snapshot()`.
+//!   event in its `metrics_snapshot()`. They advance once per quantum.
+//!
+//! ## One-pass harvest
+//!
+//! Like the CC-auditor's Δt count-down register, [`IngestPipeline::end_quantum`]
+//! makes one pass over the admitted events in arrival order:
+//! Horvitz–Thompson weight → sanitizer step → Δt windowing (the tally
+//! [`DensityHistogram::from_view`] uses) → 16-bit clamp in place. `offer`
+//! is a plain push into storage kept across quanta, so a steady-state
+//! quantum allocates only the returned harvest's bins.
 //!
 //! ## Loss semantics
 //!
@@ -54,87 +65,57 @@
 //! inside a flood is still flagged — see `tests/noise_robustness.rs`.
 
 use crate::auditor::ConflictRecord;
-use crate::density::{DensityHistogram, HISTOGRAM_BINS};
+use crate::density::{DensityHistogram, Tail, WindowTally, HISTOGRAM_BINS};
 use crate::events::{EventTrain, EventTrainArena};
 use crate::metrics::{default_registry, Counter};
 use crate::online::Harvest;
 use crate::span;
-use crate::window::SlidingWindow;
 use crate::DetectorError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Process-wide count of events offered to any admission queue.
-fn ingest_offered_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_ingest_offered_total",
-            "Raw events offered to admission queues (all pipelines)",
-        )
-    })
-}
-
-/// Process-wide count of events shed by admission queues.
-fn ingest_shed_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_ingest_shed_total",
-            "Events shed by admission queues under overload",
-        )
-    })
-}
-
-/// Process-wide count of events repaired by sanitizers.
-fn ingest_repaired_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_ingest_repaired_total",
-            "Events repaired by ingest sanitizers (reorder clamps)",
-        )
-    })
-}
-
-/// Process-wide count of events dropped by sanitizers.
-fn ingest_dropped_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_ingest_dropped_total",
-            "Hostile events dropped by ingest sanitizers",
-        )
-    })
-}
-
-/// Process-wide count of quanta whose 16-bit accumulators saturated.
-fn ingest_saturated_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_ingest_saturated_quanta_total",
-            "Quanta whose saturating 16-bit accumulators clamped",
-        )
-    })
-}
-
-/// Process-wide count of quanta finished by ingest pipelines.
-fn ingest_quanta_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_ingest_quanta_total",
-            "Quanta harvested through ingest pipelines",
-        )
+/// The process-wide totals over every pipeline, registered as
+/// `cchunter_ingest_*_total`. Only [`IngestStats::record`] advances them,
+/// so the harvest-kind counters stay zero and unregistered.
+fn totals() -> &'static IngestStats {
+    static T: OnceLock<IngestStats> = OnceLock::new();
+    T.get_or_init(|| {
+        let registry = default_registry();
+        IngestStats {
+            events_offered: registry.counter(
+                "cchunter_ingest_offered_total",
+                "Raw events offered to admission queues (all pipelines)",
+            ),
+            events_shed: registry.counter(
+                "cchunter_ingest_shed_total",
+                "Events shed by admission queues under overload",
+            ),
+            events_repaired: registry.counter(
+                "cchunter_ingest_repaired_total",
+                "Events repaired by ingest sanitizers (reorder clamps)",
+            ),
+            events_dropped: registry.counter(
+                "cchunter_ingest_dropped_total",
+                "Hostile events dropped by ingest sanitizers",
+            ),
+            saturated_quanta: registry.counter(
+                "cchunter_ingest_saturated_quanta_total",
+                "Quanta whose saturating 16-bit accumulators clamped",
+            ),
+            quanta: registry.counter(
+                "cchunter_ingest_quanta_total",
+                "Quanta harvested through ingest pipelines",
+            ),
+            ..IngestStats::default()
+        }
     })
 }
 
 /// One raw indicator event as delivered by an event source, before any
 /// trust has been established.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RawEvent {
     /// Claimed cycle of the event.
     pub time: u64,
@@ -190,8 +171,12 @@ impl fmt::Display for ShedPolicy {
 /// Sizing and policy of an [`AdmissionQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
-    /// Maximum events buffered between drains. This — times
-    /// `size_of::<RawEvent>()` — is the queue's entire memory bound.
+    /// Maximum events buffered between drains. The queue's memory bound is
+    /// `capacity × size_of::<RawEvent>()` (16 B per event), plus, once a
+    /// reservoir has replaced a slot, its arrival index: a log of at most
+    /// `2 × capacity` 8 B slot numbers and one bit per slot. Storage grows
+    /// by doubling to the largest quantum seen, never past the bound, and
+    /// is kept across drains.
     pub capacity: usize,
     /// What to do with event `capacity + 1`.
     pub policy: ShedPolicy,
@@ -228,6 +213,9 @@ impl DrainedBatch {
     }
 }
 
+/// A replacement-log entry superseded by a later one for the same slot.
+const STALE: usize = usize::MAX;
+
 /// A bounded queue between an event source and the analysis core.
 ///
 /// `offer` is O(1) and never allocates past the configured capacity;
@@ -237,17 +225,23 @@ impl DrainedBatch {
 #[derive(Debug)]
 pub struct AdmissionQueue {
     config: AdmissionConfig,
-    /// Drop-oldest storage (ring; push evicts the oldest).
-    ring: SlidingWindow<RawEvent>,
-    /// Drop-newest / reservoir storage.
-    buf: Vec<RawEvent>,
+    /// Storage kept across drains; `slots[..len]` are admitted events.
+    slots: Vec<RawEvent>,
+    len: usize,
+    /// Drop-oldest only: the oldest slot once the ring has wrapped.
+    head: usize,
+    /// Reservoir only: the slot of every replacement, in arrival order; a
+    /// slot's earlier entries are stale, dropped at twice the capacity.
+    replaced: Vec<usize>,
+    /// Bitset over the slots, scratch for finding stale log entries.
+    seen: Vec<u64>,
     rng: SmallRng,
-    offered: u64,
+    /// Events shed since the previous drain.
     shed: u64,
 }
 
 impl AdmissionQueue {
-    /// Creates an empty queue.
+    /// Creates an empty queue; storage is allocated as events arrive.
     ///
     /// # Errors
     ///
@@ -264,10 +258,12 @@ impl AdmissionQueue {
         };
         Ok(AdmissionQueue {
             config,
-            ring: SlidingWindow::new(config.capacity),
-            buf: Vec::new(),
+            slots: Vec::new(),
+            len: 0,
+            head: 0,
+            replaced: Vec::new(),
+            seen: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
-            offered: 0,
             shed: 0,
         })
     }
@@ -284,71 +280,137 @@ impl AdmissionQueue {
 
     /// Events currently buffered — never exceeds [`capacity`](Self::capacity).
     pub fn len(&self) -> usize {
-        match self.config.policy {
-            ShedPolicy::DropOldest => self.ring.len(),
-            _ => self.buf.len(),
-        }
+        self.len
     }
 
     /// Whether no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Offers one event. O(1); a full queue sheds per the policy instead of
     /// growing.
+    #[inline]
     pub fn offer(&mut self, event: RawEvent) {
-        self.offered += 1;
+        let slot = if self.len < self.slots.len() {
+            self.len += 1;
+            Some(self.len - 1)
+        } else {
+            self.make_room()
+        };
+        if let Some(slot) = slot {
+            self.slots[slot] = event;
+        }
+    }
+
+    /// Every slot is in use: grow the storage (doubling, never past the
+    /// bound) or shed per the policy. Returns the slot the offered event
+    /// goes to, or `None` if it is shed.
+    #[inline(never)]
+    fn make_room(&mut self) -> Option<usize> {
+        let capacity = self.config.capacity;
+        if self.len < capacity {
+            let grow = self.len.max(8).min(capacity - self.len);
+            self.slots.reserve_exact(grow);
+            self.slots.resize(self.len + grow, RawEvent::default());
+            self.len += 1;
+            return Some(self.len - 1);
+        }
+        self.shed += 1;
         match self.config.policy {
             ShedPolicy::DropOldest => {
-                if self.ring.push(event).is_some() {
-                    self.shed += 1;
-                }
+                let oldest = self.head;
+                self.head = (oldest + 1) % capacity;
+                Some(oldest)
             }
-            ShedPolicy::DropNewest => {
-                if self.buf.len() < self.config.capacity {
-                    self.buf.push(event);
-                } else {
-                    self.shed += 1;
-                }
-            }
+            ShedPolicy::DropNewest => None,
             ShedPolicy::Reservoir { .. } => {
-                if self.buf.len() < self.config.capacity {
-                    self.buf.push(event);
-                } else {
-                    // Algorithm R: the n-th offered event replaces a random
-                    // reservoir slot with probability capacity / n, so every
-                    // offered event survives with equal probability.
-                    let j = self.rng.gen_range(0..self.offered);
-                    if (j as usize) < self.config.capacity {
-                        self.buf[j as usize] = event;
-                    }
-                    self.shed += 1;
+                // Algorithm R: the n-th offered event replaces a random
+                // reservoir slot with probability capacity / n, so every
+                // offered event survives with equal probability.
+                let offered = self.offered();
+                let j = self.rng.gen_range(0..offered) as usize;
+                if j >= capacity {
+                    return None;
                 }
+                if self.replaced.len() == 2 * capacity {
+                    self.mark_stale();
+                    self.replaced.retain(|&slot| slot != STALE);
+                }
+                self.replaced.push(j);
+                Some(j)
             }
         }
     }
 
-    /// Empties the queue, returning the admitted events (sorted back into
-    /// nondecreasing time order for the reservoir policy, whose slot
-    /// replacement scrambles arrival order) and the offered/shed counts
-    /// since the previous drain.
-    pub fn drain(&mut self) -> DrainedBatch {
-        let mut events = match self.config.policy {
-            ShedPolicy::DropOldest => self.ring.drain(),
-            _ => std::mem::take(&mut self.buf),
-        };
-        if matches!(self.config.policy, ShedPolicy::Reservoir { .. }) {
-            events.sort_by_key(|e| e.time);
+    /// Events offered since the previous drain (each admitted or shed).
+    fn offered(&self) -> u64 {
+        self.len as u64 + self.shed
+    }
+
+    /// Marks every replacement-log entry but each slot's last as
+    /// [`STALE`], leaving the replaced slots' bits set in `seen` (and the
+    /// bits past the capacity, which have no slot).
+    fn mark_stale(&mut self) {
+        self.seen.clear();
+        self.seen.resize(self.config.capacity.div_ceil(64), 0);
+        let past = self.config.capacity % 64;
+        if past > 0 {
+            if let Some(last) = self.seen.last_mut() {
+                *last = u64::MAX << past;
+            }
         }
-        let batch = DrainedBatch {
-            events,
-            offered: self.offered,
-            shed: self.shed,
-        };
-        self.offered = 0;
+        for slot in self.replaced.iter_mut().rev() {
+            let word = *slot / 64;
+            let bit = 1u64 << (*slot % 64);
+            if self.seen[word] & bit == 0 {
+                self.seen[word] |= bit;
+            } else {
+                *slot = STALE;
+            }
+        }
+    }
+
+    /// Visits the admitted events in arrival order, then empties the queue
+    /// (keeping its storage) and resets the shed count.
+    fn drain_with(&mut self, mut visit: impl FnMut(RawEvent)) {
+        if self.replaced.is_empty() {
+            let (newer, older) = self.slots[..self.len].split_at(self.head);
+            older.iter().chain(newer).for_each(|&e| visit(e));
+        } else {
+            // Slots never replaced hold the first arrivals, in slot order;
+            // the replacements came later, in log order.
+            self.mark_stale();
+            for (word, &replaced) in self.seen.iter().enumerate() {
+                let mut kept = !replaced;
+                while kept != 0 {
+                    visit(self.slots[word * 64 + kept.trailing_zeros() as usize]);
+                    kept &= kept - 1;
+                }
+            }
+            for &slot in self.replaced.iter().filter(|&&slot| slot != STALE) {
+                visit(self.slots[slot]);
+            }
+            self.replaced.clear();
+        }
+        self.len = 0;
+        self.head = 0;
         self.shed = 0;
-        batch
+    }
+
+    /// Empties the queue, returning the admitted events in arrival order
+    /// (the reservoir restores it after slot replacement; no policy sorts
+    /// by time) and the offered/shed counts since the previous drain.
+    pub fn drain(&mut self) -> DrainedBatch {
+        let offered = self.offered();
+        let shed = self.shed;
+        let mut events = Vec::with_capacity(self.len);
+        self.drain_with(|e| events.push(e));
+        DrainedBatch {
+            events,
+            offered,
+            shed,
+        }
     }
 }
 
@@ -447,6 +509,16 @@ impl fmt::Display for SanitizeReport {
     }
 }
 
+/// Running state of one sanitization pass over items of type `T`.
+#[derive(Debug, Default)]
+struct SanitizePass<T> {
+    report: SanitizeReport,
+    /// The last accepted item as offered (duplicates compare against it).
+    prev: Option<T>,
+    last_time: u64,
+    run_len: u32,
+}
+
 /// Repairs or rejects hostile event input per [`SanitizerConfig`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sanitizer {
@@ -464,6 +536,53 @@ impl Sanitizer {
         &self.config
     }
 
+    /// The per-event rules, in order: context range, exact duplicate of the
+    /// last accepted item, reorder repair or time travel, zero-Δt run
+    /// limit. Returns the accepted (possibly clamped) time, or `None` if
+    /// the item is dropped.
+    #[inline]
+    fn step<T: Copy + PartialEq>(
+        &self,
+        pass: &mut SanitizePass<T>,
+        item: T,
+        time: u64,
+        contexts: &[u8],
+    ) -> Option<u64> {
+        let report = &mut pass.report;
+        report.offered += 1;
+        if contexts.iter().any(|&c| c >= self.config.max_contexts) {
+            report.out_of_range += 1;
+            return None;
+        }
+        if pass.prev == Some(item) {
+            report.duplicates += 1;
+            return None;
+        }
+        let had_history = pass.prev.is_some();
+        let mut time = time;
+        if had_history && time < pass.last_time {
+            if pass.last_time - time > self.config.reorder_tolerance {
+                report.time_travel += 1;
+                return None;
+            }
+            time = pass.last_time;
+            report.repaired_reorder += 1;
+        }
+        if had_history && time == pass.last_time {
+            pass.run_len += 1;
+            if pass.run_len >= self.config.zero_dt_burst_limit {
+                report.zero_dt_trimmed += 1;
+                return None;
+            }
+        } else {
+            pass.run_len = 0;
+        }
+        report.accepted += 1;
+        pass.prev = Some(item);
+        pass.last_time = time;
+        Some(time)
+    }
+
     /// Sanitizes raw events into a well-formed [`EventTrain`], repairing
     /// what the tolerances allow and dropping the rest. Never panics on any
     /// input; the report says exactly what happened.
@@ -475,63 +594,21 @@ impl Sanitizer {
 
     /// Sanitizes raw events directly into `arena` as a new train, returning
     /// its index and the report — the zero-copy core of
-    /// [`sanitize`](Self::sanitize). The arena's slabs are reused across
-    /// quanta by the ingest pipeline, so a steady-state quantum allocates
-    /// nothing on this path.
+    /// [`sanitize`](Self::sanitize).
     pub fn sanitize_into(
         &self,
         events: &[RawEvent],
         arena: &mut EventTrainArena,
     ) -> (usize, SanitizeReport) {
         let idx = arena.begin_train();
-        let mut report = SanitizeReport {
-            offered: events.len() as u64,
-            ..SanitizeReport::default()
-        };
-        let mut prev_accepted: Option<RawEvent> = None;
-        let mut last_time = 0u64;
-        let mut run_len = 0u32;
+        let mut pass = SanitizePass::default();
         for &event in events {
-            if event.context >= self.config.max_contexts {
-                report.out_of_range += 1;
-                continue;
+            if let Some(time) = self.step(&mut pass, event, event.time, &[event.context]) {
+                // Cannot fail: the step never lets time run backwards.
+                let _ = arena.push(time, event.weight);
             }
-            if prev_accepted == Some(event) {
-                report.duplicates += 1;
-                continue;
-            }
-            let mut time = event.time;
-            let had_history = prev_accepted.is_some();
-            if had_history && time < last_time {
-                if last_time - time <= self.config.reorder_tolerance {
-                    time = last_time;
-                    report.repaired_reorder += 1;
-                } else {
-                    report.time_travel += 1;
-                    continue;
-                }
-            }
-            if had_history && time == last_time {
-                run_len += 1;
-                if run_len >= self.config.zero_dt_burst_limit {
-                    report.zero_dt_trimmed += 1;
-                    continue;
-                }
-            } else {
-                run_len = 0;
-            }
-            // Cannot fail: `time` was clamped to be >= the last accepted
-            // timestamp — but hostile input must never panic, so the error
-            // path degrades to a drop instead of unwrapping.
-            if arena.push(time, event.weight).is_err() {
-                report.time_travel += 1;
-                continue;
-            }
-            report.accepted += 1;
-            prev_accepted = Some(event);
-            last_time = time;
         }
-        (idx, report)
+        (idx, pass.report)
     }
 
     /// Strict mode: returns the sanitized train only if the input needed no
@@ -561,97 +638,14 @@ impl Sanitizer {
         records: &[ConflictRecord],
     ) -> (Vec<ConflictRecord>, SanitizeReport) {
         let mut out = Vec::with_capacity(records.len().min(1 << 16));
-        let mut report = SanitizeReport {
-            offered: records.len() as u64,
-            ..SanitizeReport::default()
-        };
-        let mut prev: Option<ConflictRecord> = None;
-        let mut last_cycle = 0u64;
-        let mut run_len = 0u32;
+        let mut pass = SanitizePass::default();
         for &record in records {
-            if record.replacer >= self.config.max_contexts
-                || record.victim >= self.config.max_contexts
-            {
-                report.out_of_range += 1;
-                continue;
+            let contexts = [record.replacer, record.victim];
+            if let Some(cycle) = self.step(&mut pass, record, record.cycle, &contexts) {
+                out.push(ConflictRecord { cycle, ..record });
             }
-            if prev == Some(record) {
-                report.duplicates += 1;
-                continue;
-            }
-            let mut cycle = record.cycle;
-            let had_history = prev.is_some();
-            if had_history && cycle < last_cycle {
-                if last_cycle - cycle <= self.config.reorder_tolerance {
-                    cycle = last_cycle;
-                    report.repaired_reorder += 1;
-                } else {
-                    report.time_travel += 1;
-                    continue;
-                }
-            }
-            if had_history && cycle == last_cycle {
-                run_len += 1;
-                if run_len >= self.config.zero_dt_burst_limit {
-                    report.zero_dt_trimmed += 1;
-                    continue;
-                }
-            } else {
-                run_len = 0;
-            }
-            out.push(ConflictRecord {
-                cycle,
-                replacer: record.replacer,
-                victim: record.victim,
-            });
-            report.accepted += 1;
-            prev = Some(record);
-            last_cycle = cycle;
         }
-        (out, report)
-    }
-}
-
-/// One of the paper's 16-bit CC-auditor accumulators: adds clamp at
-/// [`u16::MAX`] and set a *sticky* saturation flag instead of wrapping —
-/// a saturated count is a lower bound, and downstream analyses must widen
-/// their uncertainty accordingly rather than silently under-count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SatAccumulator {
-    value: u16,
-    saturated: bool,
-}
-
-impl SatAccumulator {
-    /// Creates a zeroed accumulator.
-    pub fn new() -> Self {
-        SatAccumulator::default()
-    }
-
-    /// Adds `count`, clamping at [`u16::MAX`]; the saturation flag sticks.
-    pub fn add(&mut self, count: u64) {
-        let sum = self.value as u64 + count;
-        if sum > u16::MAX as u64 {
-            self.value = u16::MAX;
-            self.saturated = true;
-        } else {
-            self.value = sum as u16;
-        }
-    }
-
-    /// The current (possibly clamped) value.
-    pub fn value(&self) -> u16 {
-        self.value
-    }
-
-    /// Whether any add has ever clamped.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
-    }
-
-    /// Resets to zero and clears the flag (hardware harvest-and-clear).
-    pub fn reset(&mut self) {
-        *self = SatAccumulator::default();
+        (out, pass.report)
     }
 }
 
@@ -660,11 +654,14 @@ impl SatAccumulator {
 /// with a sticky flag (the 8/16-bit entry widths of paper Figure 8).
 ///
 /// [`finish`](Self::finish) converts back to the software-width
-/// [`DensityHistogram`] and reports whether any counter clamped.
+/// [`DensityHistogram`] and reports whether any register clamped. The
+/// ingest pipeline reaches the same read-out by clamping its histogram in
+/// place; this register model is the reference it is tested against.
 #[derive(Debug, Clone)]
 pub struct SaturatingHistogram {
-    bins: Vec<SatAccumulator>,
-    windows: SatAccumulator,
+    bins: Vec<u16>,
+    windows: u16,
+    saturated: bool,
     delta_t: u64,
 }
 
@@ -682,18 +679,23 @@ impl SaturatingHistogram {
             });
         }
         Ok(SaturatingHistogram {
-            bins: vec![SatAccumulator::new(); HISTOGRAM_BINS],
-            windows: SatAccumulator::new(),
+            bins: vec![0; HISTOGRAM_BINS],
+            windows: 0,
+            saturated: false,
             delta_t,
         })
     }
 
     /// Adds `count` windows of density `bin` (clamped to the last bin, as
-    /// the hardware histogram does).
+    /// the hardware histogram does). Each register clamps at [`u16::MAX`]
+    /// instead of wrapping, and the saturation flag sticks.
     pub fn record(&mut self, bin: usize, count: u64) {
         let bin = bin.min(HISTOGRAM_BINS - 1);
-        self.bins[bin].add(count);
-        self.windows.add(count);
+        for register in [&mut self.bins[bin], &mut self.windows] {
+            let sum = u64::from(*register).saturating_add(count);
+            *register = sum.min(u64::from(u16::MAX)) as u16;
+            self.saturated |= sum > u64::from(u16::MAX);
+        }
     }
 
     /// Accumulates a software-width histogram bin by bin.
@@ -721,7 +723,7 @@ impl SaturatingHistogram {
 
     /// Whether any bin or the window accumulator has clamped.
     pub fn is_saturated(&self) -> bool {
-        self.windows.is_saturated() || self.bins.iter().any(|b| b.is_saturated())
+        self.saturated
     }
 
     /// The Δt this histogram was built with.
@@ -733,10 +735,11 @@ impl SaturatingHistogram {
     /// saturation flag. The caller must treat a saturated read-out as a
     /// lower bound (the ingest pipeline widens `lost_fraction`).
     pub fn finish(&self) -> (DensityHistogram, bool) {
-        let bins: Vec<u64> = self.bins.iter().map(|b| b.value() as u64).collect();
-        let histogram = DensityHistogram::from_bins(bins, self.delta_t)
-            .expect("bin count and Δt are valid by construction");
-        (histogram, self.is_saturated())
+        let mut histogram = DensityHistogram::empty(self.delta_t);
+        for (bin, &count) in self.bins.iter().enumerate() {
+            histogram.record(bin, u64::from(count));
+        }
+        (histogram, self.saturated)
     }
 }
 
@@ -768,6 +771,19 @@ impl IngestStats {
     /// Creates a fresh set of zeroed counters.
     pub fn new() -> Self {
         IngestStats::default()
+    }
+
+    /// Counts one finished quantum (all but the harvest kind).
+    fn record(&self, report: &IngestReport) {
+        self.quanta.inc();
+        self.events_offered.inc_by(report.offered);
+        self.events_shed.inc_by(report.shed);
+        self.events_repaired
+            .inc_by(report.sanitize.repaired_reorder);
+        self.events_dropped.inc_by(report.sanitize.dropped());
+        if report.saturated {
+            self.saturated_quanta.inc();
+        }
     }
 }
 
@@ -827,15 +843,15 @@ pub struct IngestReport {
 }
 
 /// The hardened ingest path for one audited pair: admission queue →
-/// sanitizer → saturating 16-bit histogram → [`Harvest`].
+/// one arrival-order pass (Horvitz–Thompson weight, sanitizer step, Δt
+/// windowing) → 16-bit clamp → [`Harvest`].
 #[derive(Debug)]
 pub struct IngestPipeline {
     config: IngestConfig,
     queue: AdmissionQueue,
     sanitizer: Sanitizer,
-    /// Reused SoA storage for the per-quantum sanitized train: cleared (not
-    /// freed) every quantum so steady state allocates nothing.
-    arena: EventTrainArena,
+    /// The windowing routine's scratch, kept across quanta.
+    tails: Vec<Tail>,
     stats: IngestStats,
 }
 
@@ -862,7 +878,7 @@ impl IngestPipeline {
         Ok(IngestPipeline {
             queue: AdmissionQueue::new(config.admission)?,
             sanitizer: Sanitizer::new(config.sanitizer),
-            arena: EventTrainArena::new(),
+            tails: Vec::new(),
             stats: IngestStats::new(),
             config,
         })
@@ -875,6 +891,7 @@ impl IngestPipeline {
 
     /// A cloneable handle to this pipeline's counters (share it with a
     /// supervisor so ingest totals appear in its `metrics_snapshot()`).
+    /// They advance once per quantum, in [`end_quantum`](Self::end_quantum).
     pub fn stats(&self) -> IngestStats {
         self.stats.clone()
     }
@@ -884,51 +901,58 @@ impl IngestPipeline {
         self.queue.len()
     }
 
-    /// Offers one raw event to the admission queue. O(1), bounded memory.
+    /// Offers one raw event to the admission queue. O(1), bounded memory,
+    /// no shared-counter traffic.
+    #[inline]
     pub fn offer(&mut self, event: RawEvent) {
-        self.stats.events_offered.inc();
-        ingest_offered_total().inc();
         self.queue.offer(event);
     }
 
-    /// Ends the quantum `[start, end)`: drains the queue, sanitizes the
-    /// batch, builds the density histogram through the saturating 16-bit
-    /// accumulators, and folds every form of damage into the returned
-    /// [`Harvest`]'s loss fraction (or refuses the quantum outright — see
-    /// the module docs for the loss semantics).
+    /// Ends the quantum `[start, end)`: one pass over the admitted events
+    /// in arrival order weights, sanitizes and windows them into the
+    /// density histogram, which is then clamped to the 16-bit accumulator
+    /// width; every form of damage folds into the returned [`Harvest`]'s
+    /// loss fraction (or refuses the quantum outright — see the module docs
+    /// for the loss semantics).
     pub fn end_quantum(&mut self, start: u64, end: u64) -> (Harvest, IngestReport) {
         let tracer = span::global();
         let _span = tracer.span("ingest", "quantum");
 
-        let batch = self.queue.drain();
-        let shed_fraction = batch.shed_fraction();
-        let mut events = batch.events;
+        let offered = self.queue.offered();
+        let shed = self.queue.shed;
+        let shed_fraction = if offered == 0 {
+            0.0
+        } else {
+            shed as f64 / offered as f64
+        };
+        let policy = self.config.admission.policy;
 
         // Reservoir shedding is an unbiased subsample: rescale the
         // surviving weights by the inverse keep rate (Horvitz–Thompson) so
         // the expected density histogram matches the unshed quantum.
-        if !self.config.admission.policy.is_biased() && batch.shed > 0 && !events.is_empty() {
-            let inflate =
-                ((batch.offered as f64 / events.len() as f64).round() as u32).clamp(1, 1 << 16);
-            for event in &mut events {
-                event.weight = event.weight.saturating_mul(inflate);
-            }
-        }
+        let admitted = self.queue.len();
+        let inflate = if !policy.is_biased() && shed > 0 && admitted > 0 {
+            ((offered as f64 / admitted as f64).round() as u32).clamp(1, 1 << 16)
+        } else {
+            1
+        };
 
-        self.arena.clear();
-        let (train_idx, sanitize) = self.sanitizer.sanitize_into(&events, &mut self.arena);
-        let software = DensityHistogram::from_view(
-            self.arena.view(train_idx),
-            self.config.delta_t,
-            start,
-            end,
-        );
-        let mut hardware =
-            SaturatingHistogram::new(self.config.delta_t).expect("Δt validated at construction");
-        hardware
-            .accumulate(&software)
-            .expect("same Δt by construction");
-        let (histogram, saturated) = hardware.finish();
+        let mut histogram = DensityHistogram::empty(self.config.delta_t);
+        let mut tally = WindowTally::new(&mut histogram, start, end, &mut self.tails);
+        let mut pass = SanitizePass::default();
+        let sanitizer = self.sanitizer;
+        self.queue.drain_with(|event| {
+            let event = RawEvent {
+                weight: event.weight.saturating_mul(inflate),
+                ..event
+            };
+            if let Some(time) = sanitizer.step(&mut pass, event, event.time, &[event.context]) {
+                tally.push(time, event.weight);
+            }
+        });
+        tally.finish();
+        let sanitize = pass.report;
+        let saturated = histogram.clamp_to_u16();
 
         // Damage composes multiplicatively on the surviving fraction.
         let mut lost = 1.0 - (1.0 - shed_fraction) * (1.0 - sanitize.lost_fraction());
@@ -937,8 +961,7 @@ impl IngestPipeline {
         }
         let lost = lost.clamp(0.0, 1.0);
 
-        let refused =
-            self.config.admission.policy.is_biased() && shed_fraction > self.config.bias_tolerance;
+        let refused = policy.is_biased() && shed_fraction > self.config.bias_tolerance;
         let harvest = if refused {
             Harvest::Missed
         } else if lost > 0.0 {
@@ -950,32 +973,15 @@ impl IngestPipeline {
             Harvest::Complete(histogram)
         };
 
-        self.stats.quanta.inc();
-        ingest_quanta_total().inc();
-        self.stats.events_shed.inc_by(batch.shed);
-        ingest_shed_total().inc_by(batch.shed);
-        self.stats.events_repaired.inc_by(sanitize.repaired_reorder);
-        ingest_repaired_total().inc_by(sanitize.repaired_reorder);
-        self.stats.events_dropped.inc_by(sanitize.dropped());
-        ingest_dropped_total().inc_by(sanitize.dropped());
-        if saturated {
-            self.stats.saturated_quanta.inc();
-            ingest_saturated_total().inc();
-        }
-        match harvest {
-            Harvest::Partial { .. } => self.stats.partial_harvests.inc(),
-            Harvest::Missed => self.stats.missed_harvests.inc(),
-            Harvest::Complete(_) => {}
-        }
-        if tracer.is_enabled() && (batch.shed > 0 || !sanitize.is_clean() || saturated) {
+        if tracer.is_enabled() && (shed > 0 || !sanitize.is_clean() || saturated) {
             tracer.event(
                 "ingest",
                 "degraded-quantum",
                 format!(
                     "policy {} shed {}/{} sanitize [{}] saturated {} -> lost {:.3}{}",
-                    self.config.admission.policy,
-                    batch.shed,
-                    batch.offered,
+                    policy,
+                    shed,
+                    offered,
                     sanitize,
                     saturated,
                     lost,
@@ -985,16 +991,23 @@ impl IngestPipeline {
         }
 
         let report = IngestReport {
-            offered: batch.offered,
-            admitted: batch.offered - batch.shed,
-            shed: batch.shed,
+            offered,
+            admitted: offered - shed,
+            shed,
             shed_fraction,
-            policy: self.config.admission.policy,
+            policy,
             sanitize,
             saturated,
             lost_fraction: if refused { 1.0 } else { lost },
             refused,
         };
+        self.stats.record(&report);
+        totals().record(&report);
+        match harvest {
+            Harvest::Partial { .. } => self.stats.partial_harvests.inc(),
+            Harvest::Missed => self.stats.missed_harvests.inc(),
+            Harvest::Complete(_) => {}
+        }
         (harvest, report)
     }
 }
@@ -1069,7 +1082,7 @@ mod tests {
         assert_eq!(a.shed, 9_900);
         assert!(
             a.events.windows(2).all(|w| w[0].time <= w[1].time),
-            "drain must re-sort the reservoir into time order"
+            "drain must return the reservoir in arrival order (sorted input)"
         );
         // Uniformity (coarse): both halves of the stream are represented.
         let early = a.events.iter().filter(|e| e.time < 5_000).count();
@@ -1077,6 +1090,37 @@ mod tests {
             (20..=80).contains(&early),
             "reservoir should sample the whole quantum, got {early} early"
         );
+    }
+
+    #[test]
+    fn reservoir_restores_arrival_order_of_unsorted_input_after_shedding() {
+        let mut q = AdmissionQueue::new(AdmissionConfig {
+            capacity: 100,
+            policy: ShedPolicy::Reservoir { seed: 9 },
+        })
+        .unwrap();
+        // Arrival number in the weight, scrambled times: arrival order is
+        // not time order, so a time sort would show.
+        let mut rng = SmallRng::seed_from_u64(3);
+        for i in 0..5_000u32 {
+            q.offer(ev(rng.gen_range(0..1_000_000), i, 0));
+        }
+        let batch = q.drain();
+        assert_eq!(batch.shed, 5_000 - 100);
+        assert_eq!(batch.events.len(), 100);
+        assert!(
+            batch.events.windows(2).all(|w| w[0].weight < w[1].weight),
+            "drain must return the reservoir in arrival order"
+        );
+        assert!(
+            batch.events.windows(2).any(|w| w[0].time > w[1].time),
+            "the sample is not time-sorted"
+        );
+        // The next quantum starts over without the arrival index.
+        q.offer(ev(5, 1, 0));
+        q.offer(ev(2, 2, 0));
+        let times: Vec<u64> = q.drain().events.iter().map(|e| e.time).collect();
+        assert_eq!(times, vec![5, 2]);
     }
 
     #[test]
@@ -1214,21 +1258,6 @@ mod tests {
         assert_eq!(report.repaired_reorder, 1);
         assert_eq!(report.time_travel, 1);
         assert_eq!(report.out_of_range, 1);
-    }
-
-    #[test]
-    fn accumulator_clamps_sticky() {
-        let mut a = SatAccumulator::new();
-        a.add(60_000);
-        assert!(!a.is_saturated());
-        a.add(10_000);
-        assert_eq!(a.value(), u16::MAX);
-        assert!(a.is_saturated());
-        a.add(1);
-        assert_eq!(a.value(), u16::MAX, "clamp, never wrap");
-        a.reset();
-        assert_eq!(a.value(), 0);
-        assert!(!a.is_saturated());
     }
 
     #[test]

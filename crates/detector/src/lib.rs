@@ -105,8 +105,8 @@ pub use indicator::{
 };
 pub use ingest::{
     AdmissionConfig, AdmissionQueue, DrainedBatch, IngestConfig, IngestPipeline, IngestReport,
-    IngestStats, RawEvent, SanitizeReport, Sanitizer, SanitizerConfig, SatAccumulator,
-    SaturatingHistogram, ShedPolicy,
+    IngestStats, RawEvent, SanitizeReport, Sanitizer, SanitizerConfig, SaturatingHistogram,
+    ShedPolicy,
 };
 pub use metrics::{
     parse_prometheus, render_prometheus_merged, Counter, Family, Gauge, Histogram, LossyScrape,

@@ -80,20 +80,6 @@ impl<T> SlidingWindow<T> {
             self.slots.get(self.head - 1)
         }
     }
-
-    /// Empties the window, returning the retained values oldest → newest.
-    ///
-    /// The admission queue ([`crate::ingest::AdmissionQueue`]) drains its
-    /// drop-oldest ring once per quantum; the replacement buffer is
-    /// pre-reserved to capacity so the refill never reallocates mid-push.
-    pub fn drain(&mut self) -> Vec<T> {
-        let head = std::mem::take(&mut self.head);
-        let mut out = std::mem::take(&mut self.slots);
-        self.slots.reserve(self.capacity);
-        let pivot = head.min(out.len());
-        out.rotate_left(pivot);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -133,18 +119,5 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         let _ = SlidingWindow::<u8>::new(0);
-    }
-
-    #[test]
-    fn drain_returns_chronological_and_resets() {
-        let mut w = SlidingWindow::new(4);
-        for i in 0..7 {
-            w.push(i);
-        }
-        assert_eq!(w.drain(), vec![3, 4, 5, 6]);
-        assert!(w.is_empty());
-        assert_eq!(w.push(42), None);
-        assert_eq!(w.drain(), vec![42]);
-        assert_eq!(w.drain(), Vec::<i32>::new());
     }
 }

@@ -12,9 +12,10 @@ use cc_hunter::detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cc_hunter::detector::policy::mix_seed;
 use cc_hunter::detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
 use cc_hunter::detector::{
-    AdmissionConfig, CcHunter, CcHunterConfig, DeltaTPolicy, Harvest, IngestConfig, IngestPipeline,
-    OnlineContentionDetector, RawEvent, Sanitizer, SanitizerConfig, SaturatingHistogram,
-    ShardedFleet, ShardedFleetConfig, ShedPolicy, Verdict,
+    AdmissionConfig, AdmissionQueue, CcHunter, CcHunterConfig, DeltaTPolicy, DrainedBatch,
+    EventTrain, Harvest, IngestConfig, IngestPipeline, OnlineContentionDetector, RawEvent,
+    Sanitizer, SanitizerConfig, SaturatingHistogram, ShardedFleet, ShardedFleetConfig, ShedPolicy,
+    Verdict,
 };
 use common::{run_bus_channel, run_cache_channel, run_divider_channel, QUANTUM};
 use rand::rngs::SmallRng;
@@ -413,4 +414,333 @@ fn chaos_soak_keeps_fleet_alive_and_benign_pair_clean() {
         "benign pair must end affirmatively clean: {:?}",
         statuses[0]
     );
+}
+
+fn raw(time: u64, weight: u32, context: u8) -> RawEvent {
+    RawEvent {
+        time,
+        weight,
+        context,
+    }
+}
+
+const POLICIES: [ShedPolicy; 3] = [
+    ShedPolicy::DropOldest,
+    ShedPolicy::DropNewest,
+    ShedPolicy::Reservoir { seed: 0x5EED },
+];
+
+fn pipeline(policy: ShedPolicy, capacity: usize, delta_t: u64) -> IngestPipeline {
+    IngestPipeline::new(IngestConfig {
+        admission: AdmissionConfig { capacity, policy },
+        delta_t,
+        ..IngestConfig::default()
+    })
+    .unwrap()
+}
+
+/// A reservoir that sheds nothing hands the sanitizer its events in
+/// arrival order, like the biased policies: an event backdated past the
+/// reorder tolerance is dropped as time travel under every policy, instead
+/// of being sorted into place and counted. The hostile quantum reads the
+/// same under all three policies whether or not the queue shed in the
+/// quantum before, and a quantum that does shed is sanitized in its own
+/// arrival order under every policy.
+#[test]
+fn reservoir_drops_time_travel_like_the_biased_policies() {
+    // The minimal case: the third offer is backdated 19 000 cycles.
+    for policy in POLICIES {
+        let mut p = pipeline(policy, 64, 10_000);
+        for t in [10_000, 20_000, 1_000, 30_000] {
+            p.offer(raw(t, 1, 0));
+        }
+        let (harvest, report) = p.end_quantum(0, 40_000);
+        assert_eq!(report.sanitize.time_travel, 1, "{policy}");
+        match harvest {
+            Harvest::Partial { lost_fraction, .. } => assert_eq!(lost_fraction, 0.25, "{policy}"),
+            other => panic!("{policy}: expected Partial, got {other:?}"),
+        }
+    }
+
+    // Time travel, duplicates and bad contexts laced through a clean train.
+    let mut hostile = Vec::new();
+    for i in 0..300u64 {
+        let e = raw(10_000 + i * 3_000, 1, (i % 8) as u8);
+        hostile.push(e);
+        match i % 5 {
+            0 => hostile.push(raw(e.time.saturating_sub(50_000), 1, 0)),
+            1 => hostile.push(e),
+            2 => hostile.push(raw(e.time, 1, 9 + (i % 200) as u8)),
+            _ => {}
+        }
+    }
+    let flood: Vec<RawEvent> = (0..5_000u64).map(|i| raw(i * 200, 1, 1)).collect();
+    for shed_before in [false, true] {
+        let reports: Vec<_> = POLICIES
+            .iter()
+            .map(|&policy| {
+                let mut p = pipeline(policy, 1_024, 10_000);
+                if shed_before {
+                    flood.iter().for_each(|&e| p.offer(e));
+                    let (_, report) = p.end_quantum(0, 1_000_000);
+                    assert!(report.shed > 0);
+                }
+                hostile.iter().for_each(|&e| p.offer(e));
+                let (harvest, report) = p.end_quantum(0, 1_000_000);
+                assert_eq!(report.shed, 0);
+                (harvest, report.sanitize)
+            })
+            .collect();
+        assert!(reports[0].1.time_travel > 0 && reports[0].1.duplicates > 0);
+        assert!(reports[0].1.out_of_range > 0);
+        for (i, r) in reports.iter().enumerate().skip(1) {
+            assert_eq!(
+                r, &reports[0],
+                "{} vs {} (shed before {shed_before})",
+                POLICIES[i], POLICIES[0]
+            );
+        }
+    }
+
+    // Shedding quanta: each policy sanitizes its own sample in arrival
+    // order, so a reservoir sample keeps dropping the time travel.
+    let stream: Vec<RawEvent> = hostile.iter().chain(&hostile).copied().collect();
+    for policy in POLICIES {
+        let mut p = pipeline(policy, 200, 10_000);
+        let mut twin = AdmissionQueue::new(AdmissionConfig {
+            capacity: 200,
+            policy,
+        })
+        .unwrap();
+        for &e in &stream {
+            p.offer(e);
+            twin.offer(e);
+        }
+        let (_, report) = p.end_quantum(0, 1_000_000);
+        let batch = twin.drain();
+        assert!(batch.shed > 0);
+        let events = inflated(&batch, policy);
+        let (_, expected) = Sanitizer::new(SanitizerConfig::default()).sanitize(&events);
+        assert_eq!(report.sanitize, expected, "{policy}");
+        assert!(
+            report.sanitize.time_travel > 0,
+            "{policy}: {}",
+            report.sanitize
+        );
+    }
+}
+
+/// The drained batch with the pipeline's Horvitz–Thompson weights: a
+/// reservoir that shed scales every weight by the inverse keep rate.
+fn inflated(batch: &DrainedBatch, policy: ShedPolicy) -> Vec<RawEvent> {
+    let mut events = batch.events.clone();
+    if !policy.is_biased() && batch.shed > 0 && !events.is_empty() {
+        let inflate =
+            ((batch.offered as f64 / events.len() as f64).round() as u32).clamp(1, 1 << 16);
+        for e in &mut events {
+            e.weight = e.weight.saturating_mul(inflate);
+        }
+    }
+    events
+}
+
+/// Per-window event counts by brute force: every unit event of every
+/// in-range run, one at a time.
+fn brute_force_bins(train: &EventTrain, delta_t: u64, start: u64, end: u64) -> Vec<u64> {
+    let windows = (end - start).div_ceil(delta_t) as usize;
+    let mut counts = vec![0u64; windows];
+    for (&time, &weight) in train.times().iter().zip(train.weights()) {
+        if time < start || time >= end {
+            continue;
+        }
+        for cycle in time..(time + u64::from(weight)).min(end) {
+            counts[((cycle - start) / delta_t) as usize] += 1;
+        }
+    }
+    let mut bins = vec![0u64; HISTOGRAM_BINS];
+    for c in counts {
+        bins[(c as usize).min(HISTOGRAM_BINS - 1)] += 1;
+    }
+    bins
+}
+
+/// One seeded hostile quantum: in-tolerance reorders, time travel,
+/// duplicates, zero-Δt packs past the limit, bad contexts, weights 0–3
+/// (runs crossing windows) and events outside `[start, end)`.
+fn random_stream(rng: &mut SmallRng, start: u64, end: u64, len: usize) -> Vec<RawEvent> {
+    let span = end - start;
+    let mut t = start.saturating_sub(span / 8);
+    let mut out: Vec<RawEvent> = Vec::with_capacity(len);
+    while out.len() < len {
+        let e = raw(t, rng.gen_range(0..4u32), rng.gen_range(0..8u8));
+        match rng.gen_range(0..16u32) {
+            0 => out.push(raw(
+                t.saturating_sub(rng.gen_range(1..=1_000)),
+                e.weight,
+                e.context,
+            )),
+            1 => out.push(raw(t.saturating_sub(rng.gen_range(1_001..50_000)), 1, 0)),
+            2 => {
+                out.push(e);
+                out.push(e);
+            }
+            3 => {
+                for i in 0..rng.gen_range(1..40u32) {
+                    out.push(raw(t, 1 + i % 3, (i % 8) as u8));
+                }
+            }
+            4 => out.push(raw(t, e.weight, rng.gen_range(8..=255u8))),
+            _ => out.push(e),
+        }
+        t += rng.gen_range(0..span * 5 / (2 * len as u64) + 1);
+    }
+    out.truncate(len);
+    out
+}
+
+/// The one-pass harvest equals the same quantum assembled from public
+/// pieces — a twin queue's drain, `Sanitizer::sanitize`,
+/// `DensityHistogram::from_train` and the `SaturatingHistogram` register
+/// model — bit for bit, for every policy with and without shedding. The
+/// shared windowing routine and the 16-bit clamp are also checked against
+/// a brute-force count of every window, saturating cases included.
+#[test]
+fn one_pass_harvest_matches_the_piecewise_reference() {
+    let sanitizer_config = SanitizerConfig {
+        reorder_tolerance: 1_000,
+        zero_dt_burst_limit: 24,
+        ..SanitizerConfig::default()
+    };
+    let mut rng = SmallRng::seed_from_u64(0x000E_9A55);
+    for case in 0..240u64 {
+        let policy = POLICIES[(case % 3) as usize];
+        let shedding = case % 2 == 1;
+        // Every eighth case binds one-cycle windows over more than
+        // `u16::MAX` of them, so the 16-bit clamp fires.
+        let (delta_t, quantum) = if case % 8 == 7 {
+            (1, 70_000)
+        } else {
+            (rng.gen_range(1..300u64), rng.gen_range(1_000..200_000u64))
+        };
+        let start = rng.gen_range(0..1_000_000u64);
+        let end = start + quantum;
+        let len = rng.gen_range(50..600usize);
+        let capacity = if shedding { len / 3 + 1 } else { len };
+        let config = IngestConfig {
+            admission: AdmissionConfig { capacity, policy },
+            sanitizer: sanitizer_config,
+            delta_t,
+            ..IngestConfig::default()
+        };
+        let mut p = IngestPipeline::new(config).unwrap();
+        let mut twin = AdmissionQueue::new(config.admission).unwrap();
+        // A warm quantum first, so reused storage is exercised too.
+        for round in 0..2 {
+            for e in random_stream(&mut rng, start, end, len) {
+                p.offer(e);
+                twin.offer(e);
+            }
+            let (harvest, report) = p.end_quantum(start, end);
+            let batch = twin.drain();
+            assert_eq!(report.shed > 0, shedding, "case {case}");
+
+            let (train, sanitize) =
+                Sanitizer::new(sanitizer_config).sanitize(&inflated(&batch, policy));
+            let software = DensityHistogram::from_train(&train, delta_t, start, end);
+            let oracle = brute_force_bins(&train, delta_t, start, end);
+            assert_eq!(software.bins(), &oracle[..], "case {case}: windowing");
+            // The CC-auditor's registers: every bin clamps at `u16::MAX`,
+            // and the flag is set once the window total passes it.
+            let clamped: Vec<u64> = oracle.iter().map(|&b| b.min(u64::from(u16::MAX))).collect();
+            let oracle_saturated = oracle.iter().sum::<u64>() > u64::from(u16::MAX);
+            assert_eq!(
+                oracle_saturated,
+                quantum.div_ceil(delta_t) > u64::from(u16::MAX)
+            );
+            let mut hardware = SaturatingHistogram::new(delta_t).unwrap();
+            hardware.accumulate(&software).unwrap();
+            let (histogram, saturated) = hardware.finish();
+            let shed_fraction = batch.shed_fraction();
+            let mut lost = 1.0 - (1.0 - shed_fraction) * (1.0 - sanitize.lost_fraction());
+            if saturated {
+                lost = 1.0 - (1.0 - lost) * (1.0 - config.saturation_penalty);
+            }
+            let lost = lost.clamp(0.0, 1.0);
+            let refused = policy.is_biased() && shed_fraction > config.bias_tolerance;
+
+            let at = format!("case {case} round {round} {policy}");
+            assert_eq!(report.offered, batch.offered, "{at}");
+            assert_eq!(report.admitted, batch.events.len() as u64, "{at}");
+            assert_eq!(report.shed, batch.shed, "{at}");
+            assert_eq!(
+                report.shed_fraction.to_bits(),
+                shed_fraction.to_bits(),
+                "{at}"
+            );
+            assert_eq!(report.policy, policy, "{at}");
+            assert_eq!(report.sanitize, sanitize, "{at}");
+            assert_eq!(report.saturated, saturated, "{at}");
+            assert_eq!(saturated, oracle_saturated, "{at}");
+            assert_eq!(histogram.bins(), &clamped[..], "{at}");
+            assert_eq!(report.refused, refused, "{at}");
+            let reported_lost = if refused { 1.0f64 } else { lost };
+            assert_eq!(
+                report.lost_fraction.to_bits(),
+                reported_lost.to_bits(),
+                "{at}"
+            );
+            match harvest {
+                Harvest::Missed => assert!(refused, "{at}"),
+                Harvest::Complete(h) => {
+                    assert!(!refused && lost == 0.0, "{at}");
+                    assert_eq!(h, histogram, "{at}");
+                }
+                Harvest::Partial {
+                    histogram: h,
+                    lost_fraction,
+                } => {
+                    assert!(!refused && lost > 0.0, "{at}");
+                    assert_eq!(lost_fraction.to_bits(), lost.to_bits(), "{at}");
+                    assert_eq!(h, histogram, "{at}");
+                    assert_eq!(h.total_windows(), histogram.total_windows(), "{at}");
+                }
+            }
+        }
+    }
+}
+
+/// Long overlapping runs, on either side of the last bin's density, match
+/// the brute-force count too: the windowing routine's settled-window
+/// shortcut is exact.
+#[test]
+fn windowing_matches_brute_force_for_long_overlapping_runs() {
+    let mut rng = SmallRng::seed_from_u64(0x7A11);
+    for case in 0..150u64 {
+        let delta_t = if case % 2 == 0 {
+            rng.gen_range(1..8u64)
+        } else {
+            rng.gen_range(100..400u64)
+        };
+        let start = rng.gen_range(0..10_000u64);
+        let end = start + delta_t * rng.gen_range(1..2_000u64) + rng.gen_range(0..delta_t);
+        let mut train = EventTrain::new();
+        let mut t = start.saturating_sub(500);
+        for _ in 0..rng.gen_range(0..120usize) {
+            t += rng.gen_range(0..(end - start) / 48 + 1);
+            let weight = match rng.gen_range(0..4u32) {
+                0 => 0,
+                1 => rng.gen_range(1..4u32),
+                2 => rng.gen_range(100..2_000u32),
+                _ => rng.gen_range(1..200u32),
+            };
+            train.push(t, weight);
+        }
+        let h = DensityHistogram::from_train(&train, delta_t, start, end);
+        assert_eq!(
+            h.bins(),
+            &brute_force_bins(&train, delta_t, start, end)[..],
+            "case {case}: Δt {delta_t} [{start}, {end})"
+        );
+        assert_eq!(h.total_windows(), (end - start).div_ceil(delta_t));
+    }
 }
