@@ -118,7 +118,10 @@ fn bench_hostile_ingest(c: &mut Criterion) {
 fn bench_density(c: &mut Criterion) {
     let train = bursty_train(100, 25, 100_000);
     c.bench_function("density_histogram_2500_events", |b| {
-        b.iter(|| DensityHistogram::from_train(black_box(&train), 100_000, 0, 10_000_000))
+        b.iter(|| {
+            DensityHistogram::from_train(black_box(&train), 100_000, 0, 10_000_000)
+                .expect("nonzero Δt")
+        })
     });
 }
 

@@ -32,18 +32,14 @@ pub const DISCRETIZATION_LEVELS: u8 = 16;
 /// assert_eq!(s[1], 0);
 /// ```
 pub fn discretize(histogram: &DensityHistogram) -> Vec<u8> {
-    histogram
-        .bins()
-        .iter()
-        .map(|&f| {
-            if f == 0 {
-                0
-            } else {
-                let level = 64 - f.leading_zeros() as u8; // floor(log2(f)) + 1
-                level.min(DISCRETIZATION_LEVELS - 1)
-            }
-        })
-        .collect()
+    histogram.bins().iter().map(|&f| level(f)).collect()
+}
+
+/// The discretization level of one bin frequency: ⌊log₂ f⌋ + 1, capped at
+/// `DISCRETIZATION_LEVELS - 1`; an empty bin is level 0.
+pub(crate) fn level(frequency: u64) -> u8 {
+    let width = u64::BITS - frequency.leading_zeros();
+    width.min(u32::from(DISCRETIZATION_LEVELS) - 1) as u8
 }
 
 /// Configuration of the recurrence analyzer.
@@ -330,32 +326,14 @@ pub struct RecurrenceVerdict {
     pub recurrent: bool,
 }
 
-/// A histogram's discretized string as a k-means feature vector — the form
-/// the online window caches per slot so a quantum is discretized exactly
-/// once. Identical values to `discretize(h)` mapped through `f64::from`,
-/// computed in a single pass without the intermediate `u8` string.
+/// A histogram's discretized string as a k-means feature vector: the
+/// values of `discretize(h)` mapped through `f64::from`, computed in a single
+/// pass without the intermediate `u8` string.
 pub fn discretized_features(histogram: &DensityHistogram) -> Vec<f64> {
-    // Bit width → level, precomputed: `LEVEL_OF_WIDTH[w] = min(w, L-1) as
-    // f64`, with width 0 (an empty bin) mapping to level 0.0 exactly as the
-    // branchy `if f == 0` form did. The table turns the per-bin
-    // convert+clamp into a single branchless load.
-    const LEVEL_OF_WIDTH: [f64; 65] = {
-        let mut t = [0.0f64; 65];
-        let mut w = 1;
-        while w < 65 {
-            t[w] = if w < (DISCRETIZATION_LEVELS - 1) as usize {
-                w as f64
-            } else {
-                (DISCRETIZATION_LEVELS - 1) as f64
-            };
-            w += 1;
-        }
-        t
-    };
     histogram
         .bins()
         .iter()
-        .map(|&f| LEVEL_OF_WIDTH[(u64::BITS - f.leading_zeros()) as usize])
+        .map(|&f| f64::from(level(f)))
         .collect()
 }
 
@@ -365,10 +343,10 @@ pub fn discretized_features(histogram: &DensityHistogram) -> Vec<f64> {
 /// [`ClusterConfig::min_recurring`] of the bursty quanta share a cluster
 /// (i.e. keep producing *similar* burst histograms).
 ///
-/// [`crate::online::OnlineWindow`] calls this over its window's cached
-/// features: given the same bursty feature sequence it returns the same
-/// verdict, which is what lets the window skip re-clustering when a pushed
-/// or evicted quantum leaves that sequence unchanged.
+/// [`crate::online::OnlineWindow`] calls this over its window's stored
+/// levels, widened: given the same bursty feature sequence it returns the
+/// same verdict, which is what lets the window skip re-clustering when a
+/// pushed or evicted quantum leaves that sequence unchanged.
 pub fn recurrence_from_features<F: AsRef<[f64]> + Sync>(
     windows: usize,
     bursty_features: &[F],

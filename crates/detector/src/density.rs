@@ -9,6 +9,7 @@
 
 use crate::events::{EventTrain, TrainView};
 use crate::DetectorError;
+use std::num::NonZeroU64;
 
 /// Number of histogram bins, matching the paper's 128-entry hardware
 /// histogram buffers. Densities of `HISTOGRAM_BINS - 1` or more saturate
@@ -73,14 +74,22 @@ pub struct DensityHistogram {
 impl DensityHistogram {
     /// Creates an empty histogram for windows of `delta_t` cycles.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `delta_t` is zero.
-    pub fn empty(delta_t: u64) -> Self {
-        assert!(delta_t > 0, "Δt must be nonzero");
+    /// Returns [`DetectorError::InvalidConfig`] if `delta_t` is zero.
+    pub fn empty(delta_t: u64) -> Result<Self, DetectorError> {
+        NonZeroU64::new(delta_t)
+            .map(Self::zeroed)
+            .ok_or_else(|| DetectorError::InvalidConfig {
+                reason: "Δt must be nonzero".to_string(),
+            })
+    }
+
+    /// The empty histogram for a Δt already known to be nonzero.
+    pub(crate) fn zeroed(delta_t: NonZeroU64) -> Self {
         DensityHistogram {
             bins: vec![0; HISTOGRAM_BINS],
-            delta_t,
+            delta_t: delta_t.get(),
             windows: 0,
         }
     }
@@ -93,17 +102,34 @@ impl DensityHistogram {
     ///
     /// Every window in the range is counted — windows with no events land in
     /// bin 0 (the paper's "non-contention" bin).
-    pub fn from_train(train: &EventTrain, delta_t: u64, start: u64, end: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::InvalidConfig`] if `delta_t` is zero.
+    pub fn from_train(
+        train: &EventTrain,
+        delta_t: u64,
+        start: u64,
+        end: u64,
+    ) -> Result<Self, DetectorError> {
         Self::from_view(train.as_view(), delta_t, start, end)
     }
 
     /// Builds the histogram from a borrowed [`TrainView`] — the zero-copy
-    /// twin of [`DensityHistogram::from_train`] used by the arena-backed
-    /// ingest path.
-    pub fn from_view(view: TrainView<'_>, delta_t: u64, start: u64, end: u64) -> Self {
-        let mut h = Self::empty(delta_t);
+    /// twin of [`DensityHistogram::from_train`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::InvalidConfig`] if `delta_t` is zero.
+    pub fn from_view(
+        view: TrainView<'_>,
+        delta_t: u64,
+        start: u64,
+        end: u64,
+    ) -> Result<Self, DetectorError> {
+        let mut h = Self::empty(delta_t)?;
         h.accumulate_view(view, start, end);
-        h
+        Ok(h)
     }
 
     /// Adds the windows of `[start, end)` from `train` into this histogram.
@@ -472,7 +498,7 @@ mod tests {
     fn histogram_counts_windows() {
         // Windows of 100 over [0, 400): densities 2, 0, 1, 1.
         let train = EventTrain::from_times(vec![10, 20, 210, 350]);
-        let h = DensityHistogram::from_train(&train, 100, 0, 400);
+        let h = DensityHistogram::from_train(&train, 100, 0, 400).unwrap();
         assert_eq!(h.total_windows(), 4);
         assert_eq!(h.frequency(0), 1);
         assert_eq!(h.frequency(1), 2);
@@ -483,7 +509,7 @@ mod tests {
     #[test]
     fn histogram_saturates_at_last_bin() {
         let train = EventTrain::from_times(vec![5; 500]);
-        let h = DensityHistogram::from_train(&train, 100, 0, 100);
+        let h = DensityHistogram::from_train(&train, 100, 0, 100).unwrap();
         assert_eq!(h.frequency(HISTOGRAM_BINS - 1), 1);
     }
 
@@ -493,7 +519,7 @@ mod tests {
         // window 0, 5 in window 1.
         let mut train = EventTrain::new();
         train.push(95, 10);
-        let h = DensityHistogram::from_train(&train, 100, 0, 200);
+        let h = DensityHistogram::from_train(&train, 100, 0, 200).unwrap();
         assert_eq!(h.frequency(5), 2);
         assert_eq!(h.total_windows(), 2);
     }
@@ -501,7 +527,7 @@ mod tests {
     #[test]
     fn empty_windows_land_in_bin_zero() {
         let train = EventTrain::new();
-        let h = DensityHistogram::from_train(&train, 100, 0, 1000);
+        let h = DensityHistogram::from_train(&train, 100, 0, 1000).unwrap();
         assert_eq!(h.frequency(0), 10);
         assert_eq!(h.contended_windows(), 0);
         assert_eq!(h.mean_nonzero_density(), 0.0);
@@ -510,7 +536,7 @@ mod tests {
     #[test]
     fn partial_last_window_is_counted() {
         let train = EventTrain::from_times(vec![250]);
-        let h = DensityHistogram::from_train(&train, 100, 0, 260);
+        let h = DensityHistogram::from_train(&train, 100, 0, 260).unwrap();
         assert_eq!(h.total_windows(), 3);
         assert_eq!(h.frequency(1), 1);
     }
@@ -519,8 +545,8 @@ mod tests {
     fn merge_adds_bins() {
         let t1 = EventTrain::from_times(vec![10]);
         let t2 = EventTrain::from_times(vec![10, 20]);
-        let mut a = DensityHistogram::from_train(&t1, 100, 0, 100);
-        let b = DensityHistogram::from_train(&t2, 100, 0, 100);
+        let mut a = DensityHistogram::from_train(&t1, 100, 0, 100).unwrap();
+        let b = DensityHistogram::from_train(&t2, 100, 0, 100).unwrap();
         a.merge(&b);
         assert_eq!(a.total_windows(), 2);
         assert_eq!(a.frequency(1), 1);
@@ -528,17 +554,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_delta_t_is_a_typed_error() {
+        let train = EventTrain::from_times(vec![10]);
+        for result in [
+            DensityHistogram::empty(0),
+            DensityHistogram::from_train(&train, 0, 0, 100),
+            DensityHistogram::from_view(train.as_view(), 0, 0, 100),
+        ] {
+            assert!(matches!(result, Err(DetectorError::InvalidConfig { .. })));
+        }
+    }
+
+    #[test]
     fn try_merge_rejects_delta_t_mismatch() {
         let t = EventTrain::from_times(vec![10]);
-        let mut a = DensityHistogram::from_train(&t, 100, 0, 100);
-        let b = DensityHistogram::from_train(&t, 200, 0, 200);
+        let mut a = DensityHistogram::from_train(&t, 100, 0, 100).unwrap();
+        let b = DensityHistogram::from_train(&t, 200, 0, 200).unwrap();
         let before = a.clone();
         assert!(matches!(
             a.try_merge(&b),
             Err(DetectorError::BadHarvest { .. })
         ));
         assert_eq!(a.bins(), before.bins());
-        let c = DensityHistogram::from_train(&t, 100, 0, 100);
+        let c = DensityHistogram::from_train(&t, 100, 0, 100).unwrap();
         a.try_merge(&c).unwrap();
         assert_eq!(a.total_windows(), 2);
     }
@@ -546,7 +584,7 @@ mod tests {
     #[test]
     fn mean_nonzero_density() {
         let train = EventTrain::from_times(vec![0, 1, 2, 100]);
-        let h = DensityHistogram::from_train(&train, 100, 0, 200);
+        let h = DensityHistogram::from_train(&train, 100, 0, 200).unwrap();
         // Densities: 3 and 1 → mean 2.
         assert!((h.mean_nonzero_density() - 2.0).abs() < 1e-12);
     }
@@ -577,7 +615,7 @@ mod tests {
     #[test]
     fn events_outside_range_ignored() {
         let train = EventTrain::from_times(vec![5, 150, 450]);
-        let h = DensityHistogram::from_train(&train, 100, 100, 400);
+        let h = DensityHistogram::from_train(&train, 100, 100, 400).unwrap();
         assert_eq!(h.total_windows(), 3);
         assert_eq!(h.contended_windows(), 1);
     }

@@ -600,7 +600,7 @@ mod tests {
                 train.push(burst * 400 + i * 3, 1);
             }
         }
-        DensityHistogram::from_train(&train, 100, 0, 50 * 400)
+        DensityHistogram::from_train(&train, 100, 0, 50 * 400).unwrap()
     }
 
     /// A sparse benign histogram: a few scattered events.
@@ -609,7 +609,7 @@ mod tests {
         for i in 0..40u64 {
             train.push(i * 497, 1);
         }
-        DensityHistogram::from_train(&train, 100, 0, 20_000)
+        DensityHistogram::from_train(&train, 100, 0, 20_000).unwrap()
     }
 
     /// A covert-style rate trace: the bit clock's square wave.

@@ -74,6 +74,7 @@ use crate::DetectorError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::num::NonZeroU64;
 use std::sync::OnceLock;
 
 /// The process-wide totals over every pipeline, registered as
@@ -662,7 +663,7 @@ pub struct SaturatingHistogram {
     bins: Vec<u16>,
     windows: u16,
     saturated: bool,
-    delta_t: u64,
+    delta_t: NonZeroU64,
 }
 
 impl SaturatingHistogram {
@@ -673,11 +674,9 @@ impl SaturatingHistogram {
     ///
     /// Returns [`DetectorError::InvalidConfig`] if `delta_t` is zero.
     pub fn new(delta_t: u64) -> Result<Self, DetectorError> {
-        if delta_t == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "Δt must be nonzero".to_string(),
-            });
-        }
+        let delta_t = NonZeroU64::new(delta_t).ok_or_else(|| DetectorError::InvalidConfig {
+            reason: "Δt must be nonzero".to_string(),
+        })?;
         Ok(SaturatingHistogram {
             bins: vec![0; HISTOGRAM_BINS],
             windows: 0,
@@ -704,7 +703,7 @@ impl SaturatingHistogram {
     ///
     /// Returns [`DetectorError::BadHarvest`] on a Δt mismatch.
     pub fn accumulate(&mut self, histogram: &DensityHistogram) -> Result<(), DetectorError> {
-        if histogram.delta_t() != self.delta_t {
+        if histogram.delta_t() != self.delta_t.get() {
             return Err(DetectorError::BadHarvest {
                 reason: format!(
                     "Δt mismatch in accumulate: {} vs {}",
@@ -728,14 +727,14 @@ impl SaturatingHistogram {
 
     /// The Δt this histogram was built with.
     pub fn delta_t(&self) -> u64 {
-        self.delta_t
+        self.delta_t.get()
     }
 
     /// Converts to a software-width [`DensityHistogram`] plus the sticky
     /// saturation flag. The caller must treat a saturated read-out as a
     /// lower bound (the ingest pipeline widens `lost_fraction`).
     pub fn finish(&self) -> (DensityHistogram, bool) {
-        let mut histogram = DensityHistogram::empty(self.delta_t);
+        let mut histogram = DensityHistogram::zeroed(self.delta_t);
         for (bin, &count) in self.bins.iter().enumerate() {
             histogram.record(bin, u64::from(count));
         }
@@ -853,6 +852,8 @@ pub struct IngestPipeline {
     /// The windowing routine's scratch, kept across quanta.
     tails: Vec<Tail>,
     stats: IngestStats,
+    /// `config.delta_t`, checked nonzero at construction.
+    delta_t: NonZeroU64,
 }
 
 impl IngestPipeline {
@@ -863,11 +864,10 @@ impl IngestPipeline {
     /// Returns [`DetectorError::InvalidConfig`] for a zero queue capacity,
     /// zero Δt, or tolerances outside `[0, 1]`.
     pub fn new(config: IngestConfig) -> Result<Self, DetectorError> {
-        if config.delta_t == 0 {
-            return Err(DetectorError::InvalidConfig {
+        let delta_t =
+            NonZeroU64::new(config.delta_t).ok_or_else(|| DetectorError::InvalidConfig {
                 reason: "ingest Δt must be nonzero".to_string(),
-            });
-        }
+            })?;
         if !(0.0..=1.0).contains(&config.bias_tolerance)
             || !(0.0..=1.0).contains(&config.saturation_penalty)
         {
@@ -880,6 +880,7 @@ impl IngestPipeline {
             sanitizer: Sanitizer::new(config.sanitizer),
             tails: Vec::new(),
             stats: IngestStats::new(),
+            delta_t,
             config,
         })
     }
@@ -937,7 +938,7 @@ impl IngestPipeline {
             1
         };
 
-        let mut histogram = DensityHistogram::empty(self.config.delta_t);
+        let mut histogram = DensityHistogram::zeroed(self.delta_t);
         let mut tally = WindowTally::new(&mut histogram, start, end, &mut self.tails);
         let mut pass = SanitizePass::default();
         let sanitizer = self.sanitizer;
@@ -1275,7 +1276,7 @@ mod tests {
     #[test]
     fn small_counts_pass_through_unclamped() {
         let train = EventTrain::from_times(vec![10, 20, 250]);
-        let software = DensityHistogram::from_train(&train, 100, 0, 400);
+        let software = DensityHistogram::from_train(&train, 100, 0, 400).unwrap();
         let mut h = SaturatingHistogram::new(100).unwrap();
         h.accumulate(&software).unwrap();
         let (out, saturated) = h.finish();

@@ -49,10 +49,11 @@
 //!         train.push(burst * 400 + i * 3, 1);
 //!     }
 //! }
-//! let histogram = DensityHistogram::from_train(&train, 100, 0, 50 * 400);
+//! let histogram = DensityHistogram::from_train(&train, 100, 0, 50 * 400)?;
 //! let verdict = BurstDetector::default().analyze(&histogram);
 //! assert!(verdict.has_burst_distribution);
 //! assert!(verdict.likelihood_ratio > 0.9);
+//! # Ok::<(), cchunter_detector::DetectorError>(())
 //! ```
 
 #![warn(missing_docs)]

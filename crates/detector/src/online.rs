@@ -37,6 +37,15 @@
 //! exact). The weight sum is rebased from the ring every `capacity` pushes
 //! so round-off cannot accumulate.
 //!
+//! ## Compact storage
+//!
+//! A slot is 16 bytes: its weight and what it keeps of its quantum. A
+//! contention slot's Δt and nonzero bins go to one byte queue as LEB128
+//! varints (a `fleet_10k`-shaped quantum takes about 15 bytes), and a bursty
+//! slot's k-means features go to a second queue as `u8` levels, 128 bytes
+//! instead of 1 KiB of `f64`. The bins are decoded only by `checkpoint`;
+//! the levels are widened to `f64` only when the window re-clusters.
+//!
 //! ## Checkpoint / restore
 //!
 //! A window serializes to the plain-text `cchunter-checkpoint,v1` format of
@@ -46,7 +55,7 @@
 use crate::auditor::ConflictRecord;
 use crate::autocorr::{OscillationDetector, OscillationVerdict};
 use crate::burst::{BurstDetector, BurstVerdict};
-use crate::cluster::{discretized_features, recurrence_from_features, RecurrenceVerdict};
+use crate::cluster::{level, recurrence_from_features, RecurrenceVerdict};
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
 use crate::events::SymbolSeries;
 use crate::metrics::{default_registry, Counter};
@@ -55,10 +64,10 @@ use crate::span;
 use crate::trace::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointSlot};
 use crate::window::SlidingWindow;
 use crate::DetectorError;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
-use std::num::NonZeroU64;
 use std::ops::Deref;
 use std::sync::OnceLock;
 
@@ -222,12 +231,11 @@ struct Slot {
 enum SlotQuantum {
     /// The harvest never arrived.
     Missed,
-    /// A contention quantum. Its nonzero histogram bins, and its k-means
-    /// features when bursty, live in the window's [`BinArena`].
+    /// A contention quantum. Its Δt and nonzero histogram bins, and its
+    /// k-means levels when bursty, live in the window's [`BinArena`].
     Histogram {
-        delta_t: NonZeroU64,
-        /// Bin entries this slot owns in the arena.
-        nonzero_bins: u8,
+        /// Bytes this slot owns in the arena's varint queue.
+        span: u16,
         /// Whether the quantum's burst verdict was significant.
         bursty: bool,
     },
@@ -251,87 +259,118 @@ impl Slot {
     }
 }
 
-/// The contention window's histograms, compacted: every observed slot's
-/// nonzero `(bin, frequency)` entries, oldest slot first, in two parallel
-/// queues (9 bytes an entry), and every bursty slot's k-means features.
-/// Slots leave the window strictly oldest-first, so a push appends the new
-/// quantum's entries at the back and an eviction pops the oldest slot's
-/// entries off the front — in steady state neither allocates. Capacity
-/// grows geometrically but never past `limit`, the most entries the window
-/// can hold, so a window of fully dense histograms costs at most 9/8 of the
-/// dense `u64` bins it replaces.
+/// The most varint bytes one slot can take: Δt, then 128 `(bin, frequency)`
+/// pairs, at one byte per bin and at most ten per `u64`.
+const MAX_SLOT_BYTES: usize = 10 + HISTOGRAM_BINS * 11;
+
+/// The contention window's histograms, compacted. Every observed slot
+/// appends its Δt and then its nonzero `(bin, frequency)` pairs to one byte
+/// queue, each number a LEB128 varint, so any `u64` round-trips exactly; a
+/// bursty slot also appends its `HISTOGRAM_BINS` discretization levels (the
+/// k-means features, computed once at push time) to a second queue. Slots
+/// leave the window strictly oldest-first, so a push appends at the back
+/// and an eviction drains the oldest slot's bytes off the front — in steady
+/// state neither allocates. The byte queue grows to an eighth (at least 64
+/// bytes) past what a push needs, so pushes stay amortized O(1) with little
+/// idle capacity, but never past `limit`, the most a full window can hold.
 #[derive(Debug)]
 struct BinArena {
-    bins: VecDeque<u8>,
-    frequencies: VecDeque<u64>,
-    /// The bursty slots' discretized features, in window order: computed
-    /// once at push time, so a quantum is never re-discretized while it
-    /// slides through the window.
-    features: VecDeque<Vec<f64>>,
-    /// `capacity × HISTOGRAM_BINS`: the entry count of a full window of
-    /// fully dense histograms.
+    bytes: VecDeque<u8>,
+    levels: VecDeque<u8>,
+    /// `capacity × MAX_SLOT_BYTES`.
     limit: usize,
+}
+
+thread_local! {
+    /// The bursty levels widened to `f64` for k-means: reused by every
+    /// window re-clustering on this thread, so no pair retains it and a
+    /// re-clustering allocates nothing beyond k-means itself.
+    static WIDENED: RefCell<Vec<[f64; HISTOGRAM_BINS]>> = const { RefCell::new(Vec::new()) };
 }
 
 impl BinArena {
     fn new(window_capacity: usize) -> Self {
         BinArena {
-            bins: VecDeque::new(),
-            frequencies: VecDeque::new(),
-            features: VecDeque::new(),
-            limit: window_capacity.saturating_mul(HISTOGRAM_BINS),
+            bytes: VecDeque::new(),
+            levels: VecDeque::new(),
+            limit: window_capacity.saturating_mul(MAX_SLOT_BYTES),
         }
     }
 
-    /// Appends `histogram`'s nonzero bins and its `features`, if bursty;
-    /// returns how many bins it appended.
-    fn push(&mut self, histogram: &DensityHistogram, features: Option<Vec<f64>>) -> u8 {
-        self.features.extend(features);
-        let nonzero = histogram.bins().iter().filter(|&&f| f > 0).count();
-        let needed = self.bins.len() + nonzero;
-        if needed > self.bins.capacity() {
-            let target = (2 * self.bins.capacity()).min(self.limit).max(needed);
-            self.bins.reserve_exact(target - self.bins.len());
-            self.frequencies
-                .reserve_exact(target - self.frequencies.len());
+    /// Appends `histogram`'s Δt and nonzero bins, and its levels if
+    /// `bursty`; returns how many bytes the bins took.
+    fn push(&mut self, histogram: &DensityHistogram, bursty: bool) -> u16 {
+        if bursty {
+            self.levels
+                .extend(histogram.bins().iter().map(|&f| level(f)));
         }
+        let mut encoded = [0u8; MAX_SLOT_BYTES];
+        let mut span = put_varint(&mut encoded, 0, histogram.delta_t());
         for (bin, &f) in histogram.bins().iter().enumerate() {
             if f > 0 {
-                // Bin indices (and a slot's entry count) are at most
-                // HISTOGRAM_BINS = 128, so they fit a u8.
-                self.bins.push_back(bin as u8);
-                self.frequencies.push_back(f);
+                span = put_varint(&mut encoded, span, bin as u64);
+                span = put_varint(&mut encoded, span, f);
             }
         }
-        nonzero as u8
+        let needed = self.bytes.len() + span;
+        if needed > self.bytes.capacity() {
+            let target = (needed + (needed / 8).max(64)).min(self.limit);
+            self.bytes.reserve_exact(target - self.bytes.len());
+        }
+        self.bytes.extend(&encoded[..span]);
+        // At most MAX_SLOT_BYTES = 1 418.
+        span as u16
     }
 
-    /// Drops the entries of the oldest slot, which keeps `quantum`.
+    /// Drops the bytes and levels of the oldest slot, which keeps `quantum`.
     fn pop_front(&mut self, quantum: SlotQuantum) {
-        if let SlotQuantum::Histogram {
-            nonzero_bins,
-            bursty,
-            ..
-        } = quantum
-        {
-            let n = usize::from(nonzero_bins);
-            self.bins.drain(..n);
-            self.frequencies.drain(..n);
+        if let SlotQuantum::Histogram { span, bursty } = quantum {
+            self.bytes.drain(..usize::from(span));
             if bursty {
-                self.features.pop_front();
+                self.levels.drain(..HISTOGRAM_BINS);
             }
         }
     }
 
-    /// The `n` entries starting `offset` entries from the front, as
-    /// `(bin, frequency)` pairs.
-    fn entries(&self, offset: usize, n: u8) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let range = offset..offset + usize::from(n);
-        self.bins
-            .range(range.clone())
-            .zip(self.frequencies.range(range))
-            .map(|(&bin, &f)| (usize::from(bin), f))
+    /// Decodes the `span` bytes starting `offset` bytes from the front into
+    /// a histogram's Δt and its nonzero `(bin, frequency)` pairs.
+    fn histogram(&self, offset: usize, span: u16) -> (u64, Vec<(usize, u64)>) {
+        let mut bytes = self
+            .bytes
+            .range(offset..offset + usize::from(span))
+            .copied();
+        let delta_t = get_varint(&mut bytes).unwrap_or_default();
+        let mut sparse = Vec::new();
+        while let Some(bin) = get_varint(&mut bytes) {
+            sparse.push((bin as usize, get_varint(&mut bytes).unwrap_or_default()));
+        }
+        (delta_t, sparse)
     }
+}
+
+/// Writes `value` as a LEB128 varint (7 bits a byte, low bits first, the
+/// high bit set on every byte but the last) into `out` at `at`; returns
+/// the index past it.
+fn put_varint(out: &mut [u8], mut at: usize, mut value: u64) -> usize {
+    while value >= 0x80 {
+        out[at] = value as u8 | 0x80;
+        value >>= 7;
+        at += 1;
+    }
+    out[at] = value as u8;
+    at + 1
+}
+
+/// Reads one LEB128 varint off `bytes`, or `None` if they are exhausted.
+fn get_varint(bytes: &mut impl Iterator<Item = u8>) -> Option<u64> {
+    let mut value = 0;
+    for (i, byte) in bytes.enumerate() {
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte < 0x80 {
+            return Some(value);
+        }
+    }
+    None
 }
 
 /// The gap-aware sliding window of one audited resource: the only code
@@ -363,8 +402,8 @@ pub struct OnlineWindow {
     kind: PairKind,
     config: CcHunterConfig,
     window: SlidingWindow<Slot>,
-    /// The window slots' nonzero histogram bins, oldest slot first (empty
-    /// for oscillation windows).
+    /// The window slots' Δt, nonzero histogram bins and bursty levels,
+    /// oldest slot first (empty for oscillation windows).
     arena: BinArena,
     /// Running observation-weight sum over the window (running confidence
     /// numerator).
@@ -569,13 +608,10 @@ impl OnlineWindow {
         weight: f64,
     ) -> BurstVerdict {
         let verdict = BurstDetector::new(self.config.burst).analyze(histogram);
-        let features = verdict.significant.then(|| discretized_features(histogram));
-        // Δt is nonzero by `DensityHistogram`'s construction.
-        let delta_t = NonZeroU64::new(histogram.delta_t()).unwrap_or(NonZeroU64::MIN);
+        let bursty = verdict.significant;
         self.insert(weight, |arena| SlotQuantum::Histogram {
-            delta_t,
-            bursty: features.is_some(),
-            nonzero_bins: arena.push(histogram, features),
+            span: arena.push(histogram, bursty),
+            bursty,
         });
         verdict
     }
@@ -645,9 +681,18 @@ impl OnlineWindow {
             _ if self.covert < self.config.cluster.min_recurring => (self.covert, false),
             Some(cached) => cached,
             None => {
-                let features = self.arena.features.make_contiguous();
-                let verdict =
-                    recurrence_from_features(self.observed, features, &self.config.cluster);
+                let (front, back) = self.arena.levels.as_slices();
+                let verdict = WIDENED.with_borrow_mut(|features| {
+                    features.resize(self.covert, [0.0; HISTOGRAM_BINS]);
+                    // Levels are below 16, so widening them is exact.
+                    let (head, tail) = features.as_flattened_mut().split_at_mut(front.len());
+                    for (widened, levels) in [(head, front), (tail, back)] {
+                        for (x, &level) in widened.iter_mut().zip(levels) {
+                            *x = f64::from(level);
+                        }
+                    }
+                    recurrence_from_features(self.observed, features, &self.config.cluster)
+                });
                 *self
                     .cache
                     .insert((verdict.largest_burst_cluster, verdict.recurrent))
@@ -721,14 +766,10 @@ impl OnlineWindow {
             .map(|s| {
                 let (histogram, oscillatory) = match &s.quantum {
                     SlotQuantum::Missed => (None, None),
-                    SlotQuantum::Histogram {
-                        delta_t,
-                        nonzero_bins,
-                        ..
-                    } => {
-                        let sparse = self.arena.entries(offset, *nonzero_bins).collect();
-                        offset += usize::from(*nonzero_bins);
-                        (Some((delta_t.get(), sparse)), None)
+                    SlotQuantum::Histogram { span, .. } => {
+                        let histogram = self.arena.histogram(offset, *span);
+                        offset += usize::from(*span);
+                        (Some(histogram), None)
                     }
                     SlotQuantum::Oscillation { oscillatory } => (None, Some(*oscillatory)),
                 };
@@ -1197,6 +1238,39 @@ mod tests {
                 OnlineOscillationDetector::restore(CcHunterConfig::default(), buf.as_slice());
             assert_eq!(restored.unwrap().window_len(), 1, "{lost_fraction}");
         }
+    }
+
+    /// A window holds up to 512 slots per pair, so each stays at 16 bytes:
+    /// its weight plus a span, a flag and the tag.
+    #[test]
+    fn slot_is_at_most_16_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 16);
+    }
+
+    #[test]
+    fn varints_round_trip_at_their_boundaries() {
+        let values = [
+            (0, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (1 << 32, 5),
+            (u64::MAX, 10),
+        ];
+        let mut bytes = [0u8; 64];
+        let mut at = 0;
+        for (v, len) in values {
+            let end = put_varint(&mut bytes, at, v);
+            assert_eq!(end - at, len, "{v}");
+            at = end;
+        }
+        let mut iter = bytes[..at].iter().copied();
+        for (v, _) in values {
+            assert_eq!(get_varint(&mut iter), Some(v));
+        }
+        assert_eq!(get_varint(&mut iter), None);
     }
 
     #[test]

@@ -377,9 +377,11 @@ impl CcHunter {
             .unwrap_or(quantum);
         let mut out = Vec::new();
         let mut lo = start;
-        while lo < end {
+        // A zero quantum has no quanta; otherwise Δt is nonzero (`resolve`
+        // never yields zero), so every histogram builds.
+        while lo < end && quantum > 0 {
             let hi = (lo + quantum).min(end);
-            out.push(DensityHistogram::from_train(train, delta_t, lo, hi));
+            out.extend(DensityHistogram::from_train(train, delta_t, lo, hi).ok());
             lo = hi;
         }
         out

@@ -138,8 +138,8 @@ fn density_view_paths_match_naive_reference() {
         let start = rng.gen_range(0u64..5_000);
         let end = start + rng.gen_range(1u64..20_000);
         let expected = naive_histogram(&train, delta_t, start, end);
-        let owned = DensityHistogram::from_train(&train, delta_t, start, end);
-        let viewed = DensityHistogram::from_view(train.as_view(), delta_t, start, end);
+        let owned = DensityHistogram::from_train(&train, delta_t, start, end).unwrap();
+        let viewed = DensityHistogram::from_view(train.as_view(), delta_t, start, end).unwrap();
         assert_eq!(owned.bins(), &expected[..], "case {case} owned path");
         assert_eq!(viewed.bins(), &expected[..], "case {case} view path");
         assert_eq!(

@@ -61,7 +61,7 @@ fn histogram_window_count_is_exact() {
         let mut rng = SmallRng::seed_from_u64(0xB170_0000 + case);
         let train = EventTrain::from_times(times(&mut rng, 300, 1_000_000));
         let delta_t = rng.gen_range(1u64..10_000);
-        let h = DensityHistogram::from_train(&train, delta_t, 0, 1_000_000);
+        let h = DensityHistogram::from_train(&train, delta_t, 0, 1_000_000).unwrap();
         assert_eq!(
             h.total_windows(),
             1_000_000u64.div_ceil(delta_t),
@@ -87,7 +87,7 @@ fn histogram_preserves_unsaturated_event_mass() {
             .collect();
         let delta_t = rng.gen_range(1_000u64..50_000);
         let train = EventTrain::from_times(times);
-        let h = DensityHistogram::from_train(&train, delta_t, 0, 100_000);
+        let h = DensityHistogram::from_train(&train, delta_t, 0, 100_000).unwrap();
         let mass: u64 = h
             .bins()
             .iter()
@@ -107,9 +107,9 @@ fn histogram_merge_equals_concatenated_accumulation() {
         let delta_t = rng.gen_range(100u64..5_000);
         let ta = EventTrain::from_times(a);
         let tb = EventTrain::from_times(b.iter().map(|t| t + 50_000).collect());
-        let mut merged = DensityHistogram::from_train(&ta, delta_t, 0, 50_000);
-        merged.merge(&DensityHistogram::from_train(&tb, delta_t, 50_000, 100_000));
-        let mut joined = DensityHistogram::empty(delta_t);
+        let mut merged = DensityHistogram::from_train(&ta, delta_t, 0, 50_000).unwrap();
+        merged.merge(&DensityHistogram::from_train(&tb, delta_t, 50_000, 100_000).unwrap());
+        let mut joined = DensityHistogram::empty(delta_t).unwrap();
         joined.accumulate(&ta, 0, 50_000);
         joined.accumulate(&tb, 50_000, 100_000);
         assert_eq!(merged.bins(), joined.bins(), "case {case}");
@@ -269,7 +269,7 @@ fn auditor_signal_path_matches_offline_histogram() {
             auditor.signal(slot, t, w).unwrap();
         }
         let hw = auditor.harvest_histogram(slot, horizon).unwrap();
-        let sw = DensityHistogram::from_train(&train, delta_t, 0, horizon);
+        let sw = DensityHistogram::from_train(&train, delta_t, 0, horizon).unwrap();
         assert_eq!(hw.bins(), sw.bins(), "case {case}");
     }
 }
@@ -342,7 +342,7 @@ fn online_detector_survives_any_fault_sequence() {
         let mut daemon = OnlineContentionDetector::new(hunter, capacity).unwrap();
         for _ in 0..rng.gen_range(1usize..40) {
             let train = EventTrain::from_times(times(&mut rng, 120, quantum));
-            let histogram = DensityHistogram::from_train(&train, 1_000, 0, quantum);
+            let histogram = DensityHistogram::from_train(&train, 1_000, 0, quantum).unwrap();
             let status = daemon.push_quantum(injector.perturb_harvest(histogram));
             assert!(status.window_len <= capacity, "case {case}");
             assert!(
@@ -414,7 +414,7 @@ fn random_quantum(
                 DensityHistogram::from_bins(bins, 1_000).unwrap()
             } else {
                 let train = EventTrain::from_times(times(rng, 120, quantum));
-                DensityHistogram::from_train(&train, 1_000, 0, quantum)
+                DensityHistogram::from_train(&train, 1_000, 0, quantum).unwrap()
             };
             PairInput::Harvest(match loss {
                 None => Harvest::Complete(histogram),
@@ -657,6 +657,70 @@ fn incremental_window_state_matches_from_scratch_replay() {
 }
 
 #[test]
+fn stored_levels_recluster_like_f64_features() {
+    // The window stores each bursty quantum's k-means features as `u8`
+    // levels and widens them only to re-cluster. The oracle keeps the `f64`
+    // features itself: `discretized_features` of every bursty histogram in
+    // the current window, bursty as `BurstDetector` calls it.
+    use cchunter_detector::burst::BurstDetector;
+    use cchunter_detector::cluster::{discretized_features, recurrence_from_features};
+    use cchunter_detector::online::{OnlineWindow, PairKind};
+    use cchunter_detector::supervisor::PairInput;
+    use cchunter_detector::CcHunterConfig;
+    use std::collections::VecDeque;
+
+    let quantum = 100_000u64;
+    let config = CcHunterConfig::default();
+    let (mut recurrent, mut widest) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x1E7E_0000 + case);
+        // Wide windows reach the parallel k-means assignment (64 features).
+        let capacity = if case % 4 == 0 {
+            rng.gen_range(64usize..160)
+        } else {
+            rng.gen_range(1usize..40)
+        };
+        let steps = rng.gen_range(1..2 * capacity + 8);
+        let mut window = OnlineWindow::new(PairKind::Contention, config, capacity).unwrap();
+        // Per slot of the window: `None` if missed, else the features of a
+        // bursty histogram (`Some(None)` if not bursty).
+        let mut slots: VecDeque<Option<Option<Vec<f64>>>> = VecDeque::new();
+        for step in 0..steps {
+            let PairInput::Harvest(harvest) =
+                random_quantum(&mut rng, PairKind::Contention, quantum)
+            else {
+                unreachable!("contention quanta are harvests")
+            };
+            let slot = harvest.histogram().map(|h| {
+                let bursty = BurstDetector::new(config.burst).analyze(h).significant;
+                bursty.then(|| discretized_features(h))
+            });
+            if slots.len() == capacity {
+                slots.pop_front();
+            }
+            slots.push_back(slot);
+            let status = window.push_harvest(harvest).unwrap();
+
+            let observed = slots.iter().flatten().count();
+            let bursty: Vec<&Vec<f64>> = slots.iter().flatten().flatten().collect();
+            let expected = recurrence_from_features(observed, &bursty, &config.cluster);
+            recurrent += usize::from(expected.recurrent);
+            widest = widest.max(bursty.len());
+            assert_eq!(
+                status.recurrence,
+                Some(expected),
+                "case {case} step {step}: capacity {capacity}"
+            );
+        }
+    }
+    assert!(recurrent > 0, "some windows recur");
+    assert!(
+        widest >= 64,
+        "some window clusters {widest} >= 64 bursty quanta"
+    );
+}
+
+#[test]
 fn par_map_is_thread_count_invariant() {
     // The determinism contract of the vendored pool: par_map output is
     // bit-identical to a serial map for any thread count.
@@ -688,7 +752,7 @@ fn random_observation(rng: &mut SmallRng) -> WindowObservation {
     let mut obs = WindowObservation::missed().with_weight(rng.gen_range(0.0..=1.0));
     if rng.gen_bool(0.7) {
         let train = EventTrain::from_times(times(rng, 400, 40_000));
-        obs.histogram = Some(DensityHistogram::from_train(&train, 100, 0, 40_000));
+        obs.histogram = Some(DensityHistogram::from_train(&train, 100, 0, 40_000).unwrap());
     }
     if rng.gen_bool(0.7) {
         let n = rng.gen_range(0usize..200);

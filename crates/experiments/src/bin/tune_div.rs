@@ -47,7 +47,7 @@ fn main() {
             .expect("nonzero quantum")
             .run(&mut m, &mut s, 1)
             .expect("audit harvest");
-        let mut h = DensityHistogram::empty(500);
+        let mut h = DensityHistogram::empty(500).expect("nonzero Δt");
         for x in &data.divider_histograms {
             h.merge(x);
         }

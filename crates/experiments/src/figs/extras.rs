@@ -269,7 +269,7 @@ pub fn delta_t_sensitivity() {
     for &delta_t in &[
         10_000u64, 25_000, 50_000, 100_000, 250_000, 500_000, 1_000_000,
     ] {
-        let h = DensityHistogram::from_train(&train, delta_t, 0, span);
+        let h = DensityHistogram::from_train(&train, delta_t, 0, span).expect("nonzero Δt");
         let v = detector.analyze(&h);
         table.row(vec![
             delta_t.to_string(),

@@ -21,7 +21,8 @@ pub fn run() {
         }
     }
     let histogram =
-        DensityHistogram::from_train(&train, delta_t, 0, densities.len() as u64 * delta_t);
+        DensityHistogram::from_train(&train, delta_t, 0, densities.len() as u64 * delta_t)
+            .expect("nonzero Δt");
 
     println!("event train (Δt windows): {densities:?}");
     println!();

@@ -13,7 +13,8 @@ pub const BANDWIDTH_BPS: f64 = 1_000.0;
 /// Merges per-quantum histograms into one (the figure aggregates a full
 /// transmission).
 pub fn merge(histograms: &[DensityHistogram]) -> DensityHistogram {
-    let mut merged = DensityHistogram::empty(histograms[0].delta_t());
+    let mut merged =
+        DensityHistogram::empty(histograms[0].delta_t()).expect("a histogram's Δt is nonzero");
     for h in histograms {
         merged.merge(h);
     }

@@ -289,7 +289,8 @@ fn train_observations(
     let mut w_start = start;
     while w_start + window_cycles <= end {
         let w_end = w_start + window_cycles;
-        let histogram = DensityHistogram::from_train(train, delta_t, w_start, w_end);
+        let histogram =
+            DensityHistogram::from_train(train, delta_t, w_start, w_end).expect("nonzero Δt");
         let obs = match injector.as_deref_mut() {
             Some(inj) => {
                 let harvest = inj.perturb_harvest(histogram);

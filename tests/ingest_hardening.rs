@@ -646,7 +646,7 @@ fn one_pass_harvest_matches_the_piecewise_reference() {
 
             let (train, sanitize) =
                 Sanitizer::new(sanitizer_config).sanitize(&inflated(&batch, policy));
-            let software = DensityHistogram::from_train(&train, delta_t, start, end);
+            let software = DensityHistogram::from_train(&train, delta_t, start, end).unwrap();
             let oracle = brute_force_bins(&train, delta_t, start, end);
             assert_eq!(software.bins(), &oracle[..], "case {case}: windowing");
             // The CC-auditor's registers: every bin clamps at `u16::MAX`,
@@ -735,7 +735,7 @@ fn windowing_matches_brute_force_for_long_overlapping_runs() {
             };
             train.push(t, weight);
         }
-        let h = DensityHistogram::from_train(&train, delta_t, start, end);
+        let h = DensityHistogram::from_train(&train, delta_t, start, end).unwrap();
         assert_eq!(
             h.bins(),
             &brute_force_bins(&train, delta_t, start, end)[..],
