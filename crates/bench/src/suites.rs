@@ -23,6 +23,7 @@ use criterion::{black_box, Criterion};
 /// Runs every detector benchmark against `c`.
 pub fn detector_suite(c: &mut Criterion) {
     bench_autocorrelation(c);
+    bench_symbol_autocorrelation(c);
     bench_batched_autocorrelation(c);
     bench_density(c);
     bench_arena_ingest(c);
@@ -48,6 +49,27 @@ fn bench_autocorrelation(c: &mut Criterion) {
     // speedup stays visible in every BENCH_detector.json.
     c.bench_function("autocorrelogram_5120_events_1000_lags_naive", |b| {
         b.iter(|| Autocorrelogram::compute_naive(black_box(&samples), 1000))
+    });
+}
+
+fn bench_symbol_autocorrelation(c: &mut Criterion) {
+    // The two production shapes of the oscillation push, through the exact
+    // integer path: churn_1k's 4 032-symbol two-value train at 1 000 lags
+    // (the transform), and a batch of fleet_10k's 128-symbol quanta
+    // (periods 16..=30, the direct loop).
+    let churn = symbol_series(&quantum_conflicts(21, 96), 0, u64::MAX);
+    c.bench_function("autocorrelogram_churn_4032_symbols_1000_lags", |b| {
+        b.iter(|| Autocorrelogram::of_symbols(black_box(&churn), 1000))
+    });
+    let fleet: Vec<_> = (8..16)
+        .map(|sets| symbol_series(&quantum_conflicts(64 / sets as usize, sets), 0, u64::MAX))
+        .collect();
+    c.bench_function("autocorrelogram_fleet_8x128_symbols_1000_lags", |b| {
+        b.iter(|| {
+            for series in &fleet {
+                black_box(Autocorrelogram::of_symbols(black_box(series), 1000));
+            }
+        })
     });
 }
 

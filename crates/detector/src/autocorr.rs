@@ -8,38 +8,8 @@
 //! cache sets used for transmission, while benign workloads show no
 //! sustained periodicity.
 
+use crate::batch::with_planner;
 use crate::events::SymbolSeries;
-
-/// Below this `n × lags` volume the naive O(n·lags) loop beats the FFT's
-/// constant factor; above it [`Autocorrelogram::compute`] switches to the
-/// Wiener–Khinchin path.
-const NAIVE_CUTOFF: usize = 1 << 14;
-
-/// Centers `samples` around their mean and returns `(centered, denominator)`
-/// where the denominator is `Σᵢ (Xᵢ − X̄)²` — the shared first step of every
-/// autocorrelation formula in this module. Returns `None` for series too
-/// short (< 2) or with (numerically) zero variance, where every coefficient
-/// is defined as 0.0.
-fn centered_series(samples: &[f64]) -> Option<(Vec<f64>, f64)> {
-    let n = samples.len();
-    if n < 2 {
-        return None;
-    }
-    let mean = samples.iter().sum::<f64>() / n as f64;
-    let centered: Vec<f64> = samples.iter().map(|x| x - mean).collect();
-    let denom: f64 = centered.iter().map(|x| x * x).sum();
-    if denom <= f64::EPSILON {
-        return None;
-    }
-    Some((centered, denom))
-}
-
-/// The raw lag sum `Σᵢ centered[i]·centered[i+lag]`.
-fn lag_sum(centered: &[f64], lag: usize) -> f64 {
-    (0..centered.len() - lag)
-        .map(|i| centered[i] * centered[i + lag])
-        .sum()
-}
 
 /// The autocorrelation coefficient of `samples` at `lag`:
 ///
@@ -58,9 +28,18 @@ pub fn autocorrelation(samples: &[f64], lag: usize) -> f64 {
     if lag + 2 > samples.len() {
         return 0.0;
     }
-    match centered_series(samples) {
-        Some((centered, denom)) => lag_sum(&centered, lag) / denom,
-        None => 0.0,
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    let c: Vec<f64> = samples.iter().map(|x| x - mean).collect();
+    let denom: f64 = c.iter().map(|x| x * x).sum();
+    let sum: f64 = c[..c.len() - lag]
+        .iter()
+        .zip(&c[lag..])
+        .map(|(a, b)| a * b)
+        .sum();
+    if denom > f64::EPSILON {
+        sum / denom
+    } else {
+        0.0
     }
 }
 
@@ -76,60 +55,58 @@ impl Autocorrelogram {
     ///
     /// Lags beyond the series length yield 0.0 coefficients.
     ///
-    /// Large inputs go through the Wiener–Khinchin FFT path (power spectrum
-    /// → inverse FFT, O((n + lags)·log(n + lags))); tiny inputs use the
-    /// direct O(n·lags) loop, which [`compute_naive`](Self::compute_naive)
-    /// exposes as a reference implementation.
+    /// Large inputs go through the Wiener–Khinchin transform (power
+    /// spectrum → inverse, O((n + lags)·log(n + lags))) of the thread's
+    /// [`crate::batch::BatchPlanner`]; tiny inputs use the direct
+    /// O(n·lags) loop, which [`compute_naive`](Self::compute_naive) exposes
+    /// as a reference implementation.
     pub fn compute(samples: &[f64], max_lag: usize) -> Self {
-        Self::build(samples, max_lag, false)
+        with_planner(|p| Self::padded(p.f64_coefficients(samples, max_lag, false), max_lag))
     }
 
     /// The direct O(n·max_lag) reference implementation of
     /// [`compute`](Self::compute): every coefficient from its definition,
-    /// no FFT. The two agree within floating-point round-off (≈ 1e-12
+    /// no transform. The two agree within floating-point round-off (≈ 1e-12
     /// relative); property tests enforce 1e-9.
     pub fn compute_naive(samples: &[f64], max_lag: usize) -> Self {
-        Self::build(samples, max_lag, true)
+        with_planner(|p| Self::padded(p.f64_coefficients(samples, max_lag, true), max_lag))
     }
 
-    fn build(samples: &[f64], max_lag: usize, force_naive: bool) -> Self {
-        // The thread-local planner caches FFT twiddle tables and scratch
-        // keyed by padded length, so repeated computes (an audit tick over
-        // many pairs, or the online daemon's steady-state pushes) pay table
-        // setup once. Semantics are unchanged: the planner picks the FFT or
-        // direct path by the same NAIVE_CUTOFF volume rule.
-        let coefficients = crate::batch::with_planner(|p| {
-            p.correlogram_coefficients(samples, max_lag, NAIVE_CUTOFF, force_naive)
-        });
-        Autocorrelogram { coefficients }
-    }
-
-    /// Computes the autocorrelograms of many series in one pass over the
-    /// shared thread-local plan cache — the batched entry point of the
-    /// analysis engine. Equivalent to mapping [`compute`](Self::compute)
-    /// over `series` (property-tested against
-    /// [`compute_naive`](Self::compute_naive) to ≤1e-9); series that pad to
-    /// the same transform length share one twiddle table and one set of
-    /// scratch buffers.
+    /// Computes the autocorrelograms of many series on the thread's shared
+    /// plan cache: equivalent to mapping [`compute`](Self::compute) over
+    /// `series`. Series that pad to the same transform length share one
+    /// plan and one set of scratch buffers.
     pub fn compute_batch<S: AsRef<[f64]>>(series: &[S], max_lag: usize) -> Vec<Self> {
-        crate::batch::with_planner(|p| {
-            series
-                .iter()
-                .map(|s| Autocorrelogram {
-                    coefficients: p.correlogram_coefficients(
-                        s.as_ref(),
-                        max_lag,
-                        NAIVE_CUTOFF,
-                        false,
-                    ),
-                })
-                .collect()
+        series
+            .iter()
+            .map(|s| Self::compute(s.as_ref(), max_lag))
+            .collect()
+    }
+
+    /// Computes the autocorrelogram of a labeled symbol series from exact
+    /// integer lag sums: the same coefficients, bit for bit, whether the
+    /// direct loop or the transform built them (see
+    /// [`crate::batch::BatchPlanner`]), and within 1e-9 of
+    /// [`compute_naive`](Self::compute_naive) over the symbols as `f64`.
+    pub fn of_symbols(series: &SymbolSeries, max_lag: usize) -> Self {
+        with_planner(|p| {
+            p.load_symbols(series.symbols().iter().copied());
+            Self::padded(p.symbol_coefficients(max_lag), max_lag)
         })
     }
 
-    /// Computes the autocorrelogram of a labeled symbol series.
-    pub fn of_symbols(series: &SymbolSeries, max_lag: usize) -> Self {
-        Self::compute(&series.as_f64(), max_lag)
+    /// `computed` followed by the exact zeros of the lags past it.
+    fn padded(computed: &[f64], max_lag: usize) -> Self {
+        let mut coefficients = vec![0.0; max_lag + 1];
+        coefficients[..computed.len()].copy_from_slice(computed);
+        Autocorrelogram { coefficients }
+    }
+
+    fn lags(&self) -> Lags<'_> {
+        Lags {
+            computed: &self.coefficients,
+            max_lag: self.max_lag(),
+        }
     }
 
     /// The coefficient at `lag`.
@@ -150,15 +127,7 @@ impl Autocorrelogram {
     /// The `(lag, value)` of the highest coefficient among lags in
     /// `[min_lag, max_lag]`, or `None` if the range is empty.
     pub fn peak_in(&self, min_lag: usize, max_lag: usize) -> Option<(usize, f64)> {
-        let hi = max_lag.min(self.max_lag());
-        if min_lag > hi {
-            return None;
-        }
-        // total_cmp: a degenerate series (NaN coefficients) must yield an
-        // arbitrary-but-stable peak, never panic the daemon.
-        (min_lag..=hi)
-            .map(|lag| (lag, self.coefficients[lag]))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
+        self.lags().peak_in(min_lag, max_lag)
     }
 
     /// The dominant periodic peak: the global maximum *after* the
@@ -170,8 +139,45 @@ impl Autocorrelogram {
     /// shape visible in the paper's Figure 8b. A series that never dips has
     /// no measurable period and yields `None`.
     pub fn dominant_peak(&self, min_lag: usize, dip_threshold: f64) -> Option<(usize, f64)> {
-        let dip = (min_lag..=self.max_lag()).find(|&lag| self.coefficients[lag] < dip_threshold)?;
-        self.peak_in(dip + 1, self.max_lag())
+        self.lags().dominant_peak(min_lag, dip_threshold)
+    }
+}
+
+/// A correlogram up to `max_lag` whose coefficients past `computed` are
+/// exact zeros (a series of n symbols has none past lag n − 2): the scans
+/// read those lags as zeros without storing them.
+#[derive(Debug, Clone, Copy)]
+struct Lags<'a> {
+    computed: &'a [f64],
+    max_lag: usize,
+}
+
+impl Lags<'_> {
+    fn peak_in(&self, min_lag: usize, max_lag: usize) -> Option<(usize, f64)> {
+        let hi = max_lag.min(self.max_lag);
+        if min_lag > hi {
+            return None;
+        }
+        // total_cmp: a degenerate series (NaN coefficients) must yield an
+        // arbitrary-but-stable peak, never panic the daemon.
+        let last = hi.min(self.computed.len().saturating_sub(1));
+        let peak = (min_lag..=last)
+            .filter_map(|lag| Some((lag, *self.computed.get(lag)?)))
+            .max_by(|a, b| a.1.total_cmp(&b.1));
+        // `max_by` keeps the last of equal maxima, so zeros in range win
+        // unless a computed coefficient lies above +0.0.
+        match peak {
+            Some((_, v)) if hi < self.computed.len() || v.total_cmp(&0.0).is_gt() => peak,
+            _ => Some((hi, 0.0)),
+        }
+    }
+
+    fn dominant_peak(&self, min_lag: usize, dip_threshold: f64) -> Option<(usize, f64)> {
+        let zeros = self.computed.len().max(min_lag);
+        let dip = (min_lag..self.computed.len())
+            .find(|&lag| self.computed[lag] < dip_threshold)
+            .or_else(|| (0.0 < dip_threshold && zeros <= self.max_lag).then_some(zeros))?;
+        self.peak_in(dip + 1, self.max_lag)
     }
 }
 
@@ -246,8 +252,27 @@ impl OscillationDetector {
     /// Analyzes a symbol series, computing the autocorrelogram up to
     /// `max_lag` and judging periodicity.
     pub fn analyze(&self, series: &SymbolSeries, max_lag: usize) -> OscillationVerdict {
-        let correlogram = Autocorrelogram::of_symbols(series, max_lag);
-        self.analyze_correlogram(series.len(), &correlogram)
+        self.analyze_symbols(series.symbols().iter().copied(), max_lag)
+    }
+
+    /// [`analyze`](Self::analyze) over symbols as they are produced: they
+    /// go into the thread's planner scratch, and the correlogram is built
+    /// and judged there, so a steady-state call allocates nothing. Series
+    /// shorter than `min_samples` are not correlated at all.
+    pub(crate) fn analyze_symbols(
+        &self,
+        symbols: impl IntoIterator<Item = u8>,
+        max_lag: usize,
+    ) -> OscillationVerdict {
+        with_planner(|p| {
+            let samples = p.load_symbols(symbols);
+            let computed = if samples < self.config.min_samples {
+                &[]
+            } else {
+                p.symbol_coefficients(max_lag)
+            };
+            self.judge(samples, Lags { computed, max_lag })
+        })
     }
 
     /// Judges an already-computed autocorrelogram.
@@ -256,35 +281,35 @@ impl OscillationDetector {
         samples: usize,
         correlogram: &Autocorrelogram,
     ) -> OscillationVerdict {
+        self.judge(samples, correlogram.lags())
+    }
+
+    fn judge(&self, samples: usize, correlogram: Lags<'_>) -> OscillationVerdict {
+        let no_peak = OscillationVerdict {
+            samples,
+            peak: None,
+            harmonic_value: 0.0,
+            oscillatory: false,
+        };
         if samples < self.config.min_samples {
-            return OscillationVerdict {
-                samples,
-                peak: None,
-                harmonic_value: 0.0,
-                oscillatory: false,
-            };
+            return no_peak;
         }
         let peak = correlogram.dominant_peak(self.config.min_lag, self.config.dip_threshold);
         let Some((peak_lag, peak_value)) = peak else {
-            return OscillationVerdict {
-                samples,
-                peak: None,
-                harmonic_value: 0.0,
-                oscillatory: false,
-            };
+            return no_peak;
         };
         // Look for the second harmonic near 2 × peak_lag.
         let center = peak_lag * 2;
         let half_width = ((peak_lag as f64) * self.config.harmonic_tolerance).ceil() as usize;
         let lo = center.saturating_sub(half_width);
         let hi = center + half_width;
-        let harmonic_value = if lo <= correlogram.max_lag() {
+        let harmonic_value = if lo <= correlogram.max_lag {
             correlogram.peak_in(lo, hi).map(|(_, v)| v).unwrap_or(0.0)
         } else {
             0.0
         };
         let strong_peak = peak_value >= self.config.peak_threshold;
-        let harmonic_ok = if center > correlogram.max_lag() {
+        let harmonic_ok = if center > correlogram.max_lag {
             // Cannot observe the second harmonic within the window: demand a
             // decisively strong primary peak instead.
             peak_value >= (self.config.peak_threshold + 1.0) / 2.0
@@ -303,6 +328,8 @@ impl OscillationDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// A square wave of `ones` ones then `zeros` zeros, repeated.
     fn square_wave(ones: usize, zeros: usize, repeats: usize) -> SymbolSeries {
@@ -441,6 +468,54 @@ mod tests {
                 "lag {lag}: {} vs {}",
                 fast.coefficient(lag),
                 naive.coefficient(lag)
+            );
+        }
+    }
+
+    /// The scans read lags past the computed ones as stored `+0.0`s would
+    /// read in the plain scans (the oracles below): same peaks (lag and
+    /// bits), same dips, for ranges reaching into, across and past the
+    /// zeros, with `±0.0` among the coefficients.
+    #[test]
+    fn zero_tail_scans_match_stored_zeros() {
+        let mut rng = SmallRng::seed_from_u64(0x7A11_0000);
+        let bits = |peak: Option<(usize, f64)>| peak.map(|(lag, v)| (lag, v.to_bits()));
+        let peak_in = |c: &[f64], lo: usize, hi: usize| {
+            (lo..=hi.min(c.len() - 1))
+                .map(|lag| (lag, c[lag]))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+        };
+        for case in 0..2_000 {
+            let max_lag = rng.gen_range(0usize..40);
+            let computed: Vec<f64> = (0..rng.gen_range(1..=max_lag + 1))
+                .map(|_| match rng.gen_range(0..6) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect();
+            let mut stored = computed.clone();
+            stored.resize(max_lag + 1, 0.0);
+            let tail = Lags {
+                computed: &computed,
+                max_lag,
+            };
+            for _ in 0..8 {
+                let (lo, hi) = (rng.gen_range(0..50), rng.gen_range(0..50));
+                let (a, b) = (tail.peak_in(lo, hi), peak_in(&stored, lo, hi));
+                assert_eq!(bits(a), bits(b), "case {case}: [{lo}, {hi}]");
+            }
+            let (min_lag, dip) = (
+                rng.gen_range(0..20),
+                [-0.5, -0.0, 0.0, 0.3][rng.gen_range(0..4)],
+            );
+            let dipped = (min_lag..=max_lag).find(|&lag| stored[lag] < dip);
+            let oracle = dipped.and_then(|lag| peak_in(&stored, lag + 1, max_lag));
+            let found = tail.dominant_peak(min_lag, dip);
+            assert_eq!(
+                bits(found),
+                bits(oracle),
+                "case {case}: min_lag {min_lag} dip {dip}"
             );
         }
     }

@@ -1,14 +1,16 @@
-//! The batched analysis engine (ROADMAP item 2): reusable FFT plans,
-//! lane-accumulated inner-loop kernels, and per-thread scratch so auditing
-//! many pairs per tick stops paying per-pair setup.
+//! The batched analysis engine: one reused transform for every
+//! autocorrelogram, lane-accumulated inner-loop kernels, and per-thread
+//! scratch so auditing many pairs per tick stops paying per-pair setup.
 //!
 //! Three ingredients:
 //!
-//! * [`FftPlan`] — precomputed radix-2 twiddle and untangle tables for one
-//!   padded transform length. [`BatchPlanner`] caches plans keyed by length
-//!   and owns the scratch buffers (padded signal, packed/half spectra,
-//!   correlation sums), so an audit tick over many pairs pays table setup
-//!   once per distinct length and allocates nothing per pair.
+//! * [`FftPlan`] — the one transform in production: a structure-of-arrays
+//!   real-input FFT with fused radix-2² stages, a decimation-in-frequency
+//!   forward pass and a decimation-in-time inverse (so no bit-reversal
+//!   pass), and one half-spectrum untangle that squares the spectrum in
+//!   place. [`BatchPlanner`] caches plans keyed by length and owns the
+//!   scratch (packed signal, lag sums, symbols, coefficients), so a
+//!   steady-state correlogram allocates nothing.
 //! * Lane kernels ([`sq_dist`]) — fixed 4-wide accumulator loops in stable
 //!   Rust that the autovectorizer lowers to packed SIMD. Every caller uses
 //!   the same canonical reduction shape
@@ -16,18 +18,17 @@
 //!   paths compute bit-identical results; the plain scalar forms
 //!   ([`sq_dist_scalar`]) stay as property-test oracles.
 //! * [`with_planner`] — a per-thread planner instance. The deterministic
-//!   `par_map` fan-out runs on persistent pool workers, so each worker
-//!   keeps its own warm plan cache and scratch with no locking; the
+//!   `par_map` fan-out and the fleet's shards run on persistent threads, so
+//!   each keeps its own warm plan cache and scratch with no locking; the
 //!   determinism contract is unaffected because plans are pure functions of
 //!   the transform length.
 //!
-//! The twiddle tables evaluate `cos`/`sin` per entry instead of the
-//! incremental `w ·= w_step` recurrence of [`crate::fft::fft_in_place`], so
-//! the planned transform is (slightly) *more* accurate than the unplanned
-//! one; both stay well inside the ≤1e-9 oracle bound the property tests
-//! enforce against the direct O(n·lags) reference.
+//! Symbol series (the oscillation detector's input) get exact integer lag
+//! sums, so their correlograms are the same bits whichever path built them
+//! (`BatchPlanner::symbol_coefficients`). The textbook radix-2 transform
+//! in the test-only `fft` module is the transform's oracle.
 
-use crate::fft::Complex;
+use crate::DetectorError;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -414,61 +415,76 @@ mod x86 {
     }
 }
 
-/// A cached radix-2 FFT plan for one real transform length `n` (a power of
-/// two ≥ 2): the per-stage butterfly twiddle tables of the underlying
-/// `n/2`-point complex FFT plus the untangle table of the real-input
-/// packing. Building a plan is O(n); applying it replaces every
-/// `cos`/`sin` evaluation (and the error-accumulating `w ·= w_step`
-/// recurrence) in the transform hot loop with a table load.
+/// Below this `n × lags` volume the direct lag-product loop beats the
+/// transform's constant factor; above it correlograms go through [`FftPlan`].
+pub(crate) const NAIVE_CUTOFF: usize = 1 << 14;
+
+/// Symbol series whose energy `Σx²` exceeds this take the direct integer
+/// loop at any volume, so the transform's rounding stays exact (see
+/// [`BatchPlanner::exact_lag_sums`]). It is the largest energy the
+/// exactness test covers, 2¹⁶ symbols of 255; real series (symbols below
+/// 64, a few thousand of them) sit far under it.
+const EXACT_FFT_ENERGY: u64 = (1 << 16) * 255 * 255;
+
+/// A cached transform plan for one real length `n` (a power of two ≥ 2).
+///
+/// The `n/2`-point complex transform keeps its data as structure-of-arrays
+/// (separate real and imaginary slices), so every butterfly loop walks
+/// contiguous `f64`s the autovectorizer can pack. Its forward pass runs in
+/// decimation-in-frequency order (natural in, bit-reversed out) and its
+/// inverse in decimation-in-time order (bit-reversed in, natural out), two
+/// radix-2 stages fused per pass, so no bit-reversal pass is made: the
+/// spectrum is touched in between only by one pass that untangles the real
+/// input's half-spectrum, squares it and re-tangles it for the inverse.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
     /// Real transform length.
     n: usize,
-    /// Complex sub-transform length `n / 2`.
-    m: usize,
-    /// `stages[s][k] = e^{-iτk/width}` for butterfly width `2 << s`,
-    /// `k < width/2` — the forward twiddles; the inverse transform uses
-    /// their conjugates.
-    stages: Vec<Vec<Complex>>,
-    /// `untangle[k] = e^{-iτk/n}` for `k ∈ 0..=m` — the half-spectrum
-    /// recombination twiddles of the real-input packing.
-    untangle: Vec<Complex>,
+    /// Per radix-2² stage, largest quarter `q` first (`n/8`, `n/32`, …):
+    /// the turns `w^2j`, `w^j`, `w^3j` of outputs 1–3 (`j < q`,
+    /// `w = e^{-iτ/4q}`), each as `q` real then `q` imaginary parts.
+    twiddles: Vec<f64>,
+    /// `(cos, sin)(τk/n)` of the bin at each position of the lower half of
+    /// a bit-reversed block, blocks `b..2b` in order (see
+    /// [`power_spectrum`](Self::power_spectrum)).
+    untangle: Vec<[f64; 2]>,
 }
 
 impl FftPlan {
     /// Builds the plan for real transform length `n`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `n` is not a power of two ≥ 2.
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n >= 2 && n.is_power_of_two(),
-            "real FFT length must be a power of two >= 2"
-        );
-        let m = n / 2;
-        let mut stages = Vec::new();
-        let mut width = 2usize;
-        while width <= m {
-            let table: Vec<Complex> = (0..width / 2)
-                .map(|k| {
-                    let angle = -std::f64::consts::TAU * k as f64 / width as f64;
-                    Complex::new(angle.cos(), angle.sin())
-                })
-                .collect();
-            stages.push(table);
-            width *= 2;
+    /// Returns [`DetectorError::InvalidConfig`] if `n` is not a power of
+    /// two ≥ 2.
+    pub fn new(n: usize) -> Result<Self, DetectorError> {
+        if n < 2 || !n.is_power_of_two() {
+            return Err(DetectorError::InvalidConfig {
+                reason: format!("real FFT length must be a power of two >= 2, got {n}"),
+            });
         }
-        let untangle: Vec<Complex> = (0..=m)
-            .map(|k| {
-                let angle = -std::f64::consts::TAU * k as f64 / n as f64;
-                Complex::new(angle.cos(), angle.sin())
-            })
+        Ok(Self::build(n))
+    }
+
+    fn build(n: usize) -> Self {
+        let (m, bits) = (n / 2, (n / 2).trailing_zeros());
+        let turn = |k: usize, of: usize| (std::f64::consts::TAU * k as f64 / of as f64).sin_cos();
+        let mut twiddles = Vec::new();
+        for q in (0..bits / 2).map(|stage| m >> (2 * stage + 2)) {
+            for power in [2, 1, 3] {
+                let (sin, cos): (Vec<f64>, Vec<f64>) =
+                    (0..q).map(|j| turn(power * j, 4 * q)).unzip();
+                twiddles.extend(cos.into_iter().chain(sin.into_iter().map(|s| -s)));
+            }
+        }
+        let untangle = (1..bits)
+            .flat_map(|j| (1usize << j)..(3 << j >> 1))
+            .map(|p| turn(p.reverse_bits() >> (usize::BITS - bits), n))
+            .map(|(s, c)| [c, s])
             .collect();
         FftPlan {
             n,
-            m,
-            stages,
+            twiddles,
             untangle,
         }
     }
@@ -483,123 +499,208 @@ impl FftPlan {
         false
     }
 
-    /// In-place complex FFT over `data` (length must be `n/2`) using the
-    /// cached twiddle tables. Mirrors [`crate::fft::fft_in_place`].
-    fn fft_in_place(&self, data: &mut [Complex], inverse: bool) {
-        let m = data.len();
-        debug_assert_eq!(m, self.m, "plan length mismatch");
-        if m <= 1 {
-            return;
+    /// Overwrites `re`/`im` (`n/2` points each: the real signal's even
+    /// samples in `re`, its odd ones in `im`) with its autocorrelation,
+    /// circular over `n` and scaled by `4n`: even lags in `re`, odd in `im`.
+    fn autocorrelate(&self, re: &mut [f64], im: &mut [f64]) {
+        let m = self.n / 2;
+        let odd = m.trailing_zeros() % 2 == 1;
+        let (mut q, mut at) = (m / 4, 0);
+        while q > 0 {
+            radix4::<false>(re, im, &self.twiddles[at..at + 6 * q]);
+            (at, q) = (at + 6 * q, q / 4);
         }
-        let shift = usize::BITS - m.trailing_zeros();
-        for i in 0..m {
-            let j = i.reverse_bits() >> shift;
-            if i < j {
-                data.swap(i, j);
-            }
+        if odd {
+            radix2(re, im);
         }
-        for (s, table) in self.stages.iter().enumerate() {
-            let width = 2usize << s;
-            let half = width / 2;
-            for start in (0..m).step_by(width) {
-                for (k, &tw) in table.iter().enumerate() {
-                    let w = if inverse { tw.conj() } else { tw };
-                    let even = data[start + k];
-                    let odd = data[start + k + half].mul(w);
-                    data[start + k] = even.add(odd);
-                    data[start + k + half] = even.sub(odd);
-                }
-            }
+        self.power_spectrum(re, im);
+        if odd {
+            radix2(re, im);
         }
-        if inverse {
-            let scale = 1.0 / m as f64;
-            for value in data.iter_mut() {
-                *value = value.scale(scale);
-            }
+        let mut q = if odd { 2 } else { 1 };
+        while 4 * q <= m {
+            radix4::<true>(re, im, &self.twiddles[at - 6 * q..at]);
+            (at, q) = (at - 6 * q, q * 4);
         }
     }
 
-    /// Forward real FFT of `signal` (length `n`) into `spectrum`
-    /// (`n/2 + 1` half-spectrum bins), using `packed` as the `n/2`-point
-    /// working buffer. Mirrors [`crate::fft::real_fft`] with the packing
-    /// and untangle twiddles served from the table.
-    fn real_fft_into(
-        &self,
-        signal: &[f64],
-        packed: &mut Vec<Complex>,
-        spectrum: &mut Vec<Complex>,
-    ) {
-        debug_assert_eq!(signal.len(), self.n, "plan length mismatch");
-        let m = self.m;
-        packed.clear();
-        packed.extend((0..m).map(|j| Complex::new(signal[2 * j], signal[2 * j + 1])));
-        self.fft_in_place(packed, false);
-        spectrum.clear();
-        spectrum.reserve(m + 1);
-        for k in 0..=m {
-            let z_k = packed[k % m];
-            let z_mk = packed[(m - k) % m].conj();
-            let even = z_k.add(z_mk).scale(0.5);
-            let diff = z_k.sub(z_mk);
-            let odd = Complex::new(diff.im * 0.5, -diff.re * 0.5);
-            spectrum.push(even.add(self.untangle[k].mul(odd)));
+    /// The one pass over the spectrum, in bit-reversed order. Bins `k` and
+    /// `m − k` of the packed transform give the real spectrum's `X[k]` and
+    /// `X[m − k]`; their squared magnitudes (the power spectrum) are
+    /// re-tangled in place into the inverse's bins `k` and `m − k`.
+    ///
+    /// Positions 0 and 1 hold bins 0 and `m/2`, each its own partner. Any
+    /// other bin sits in a block `b..2b` whose positions all reverse to
+    /// odd multiples of `m/2b`, as does its partner, mirrored: position
+    /// `b + t` pairs with `2b − 1 − t`. So the pass walks each block's two
+    /// halves from both ends.
+    fn power_spectrum(&self, re: &mut [f64], im: &mut [f64]) {
+        let m = self.n / 2;
+        [(re[0], im[0])] = power_pair([(re[0], im[0])], [1.0, 0.0]);
+        if m > 1 {
+            [(re[1], im[1])] = power_pair([(re[1], im[1])], [0.0, 1.0]);
         }
-    }
-
-    /// Inverse of [`FftPlan::real_fft_into`]: reconstructs the length-`n`
-    /// real sequence from its Hermitian half-spectrum into `out`.
-    fn inverse_real_fft_into(
-        &self,
-        spectrum: &[Complex],
-        packed: &mut Vec<Complex>,
-        out: &mut Vec<f64>,
-    ) {
-        let m = self.m;
-        debug_assert_eq!(spectrum.len(), m + 1, "half-spectrum length mismatch");
-        packed.clear();
-        packed.reserve(m);
-        for k in 0..m {
-            let x_k = spectrum[k];
-            let x_mk = spectrum[m - k].conj();
-            let even = x_k.add(x_mk).scale(0.5);
-            let with_twiddle = x_k.sub(x_mk).scale(0.5);
-            // Inverse untangle twiddle: e^{+iτk/n} = conj(forward).
-            let odd = self.untangle[k].conj().mul(with_twiddle);
-            packed.push(Complex::new(even.re - odd.im, even.im + odd.re));
-        }
-        self.fft_in_place(packed, true);
-        out.clear();
-        out.reserve(self.n);
-        for z in packed.iter() {
-            out.push(z.re);
-            out.push(z.im);
+        let mut b = 2;
+        while b < m {
+            let (rl, rh) = re[b..2 * b].split_at_mut(b / 2);
+            let (il, ih) = im[b..2 * b].split_at_mut(b / 2);
+            let low = rl.iter_mut().zip(il);
+            let high = rh.iter_mut().rev().zip(ih.iter_mut().rev());
+            for (((rp, ip), (rr, ir)), &tw) in low.zip(high).zip(&self.untangle[b / 2 - 1..]) {
+                [(*rp, *ip), (*rr, *ir)] = power_pair([(*rp, *ip), (*rr, *ir)], tw);
+            }
+            b *= 2;
         }
     }
 }
 
-/// Reusable working memory of a [`BatchPlanner`]: the padded signal, the
-/// packed/half spectra, and the correlation-sum output of one transform.
-/// Buffers grow to the largest length seen and are then reused verbatim.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    padded: Vec<f64>,
-    packed: Vec<Complex>,
-    spectrum: Vec<Complex>,
-    sums: Vec<f64>,
-    centered: Vec<f64>,
+/// [`FftPlan::power_spectrum`] for bin `k` at `z[0]` and bin `m − k` at
+/// `z[N − 1]` (the same bin when `N` is 1), given `(cos, sin)(τk/n)`:
+/// `2X = 2E ± 2W^k·O` from the even and odd samples' spectra `E`, `O`, and
+/// every constant factor left for the caller's final scale.
+#[inline(always)]
+fn power_pair<const N: usize>(mut z: [Cx; N], [c, s]: [f64; 2]) -> [Cx; N] {
+    let ((ar, ai), (br, bi)) = (z[0], z[N - 1]);
+    let (er, ei, or, oi) = (ar + br, ai - bi, ai + bi, br - ar);
+    let (tr, ti) = (c * or + s * oi, c * oi - s * or);
+    let near = (er + tr) * (er + tr) + (ei + ti) * (ei + ti);
+    let far = (er - tr) * (er - tr) + (ti - ei) * (ti - ei);
+    let (sum, diff) = (near + far, near - far);
+    z[N - 1] = (sum + diff * s, diff * c);
+    z[0] = (sum - diff * s, diff * c);
+    z
 }
 
-/// A plan cache plus scratch buffers for batched spectral analysis.
+/// A complex value as `(re, im)`.
+type Cx = (f64, f64);
+
+/// `z · w`.
+#[inline(always)]
+fn turned((r, i): Cx, (wr, wi): Cx) -> Cx {
+    (r * wr - i * wi, r * wi + i * wr)
+}
+
+/// The radix-2² butterfly: two radix-2 decimation-in-frequency butterflies
+/// (spans `2q` and `q`) with the inner one's `−i` folded in, then outputs
+/// 1–3 turned by `w`. The inverse runs it backwards (decimation in time)
+/// with conjugated turns, to 4 times its input.
+#[inline(always)]
+fn butterfly<const INVERSE: bool>([x0, x1, x2, x3]: [Cx; 4], w: [Cx; 3]) -> [Cx; 4] {
+    let add = |a: Cx, b: Cx| (a.0 + b.0, a.1 + b.1);
+    let sub = |a: Cx, b: Cx| (a.0 - b.0, a.1 - b.1);
+    let rot = |(r, i): Cx| (i, -r); // · −i
+    if INVERSE {
+        let conj = |(x, (wr, wi)): (Cx, Cx)| turned(x, (wr, -wi));
+        let [u1, u2, u3] = [(x1, w[0]), (x2, w[1]), (x3, w[2])].map(conj);
+        let (a, b, c, d) = (add(x0, u1), sub(x0, u1), add(u2, u3), rot(sub(u3, u2)));
+        return [add(a, c), add(b, d), sub(a, c), sub(b, d)];
+    }
+    let (t0, t1, t2, t3) = (add(x0, x2), sub(x0, x2), add(x1, x3), rot(sub(x1, x3)));
+    let [y1, y2, y3] = [sub(t0, t2), add(t1, t3), sub(t1, t3)];
+    [
+        add(t0, t2),
+        turned(y1, w[0]),
+        turned(y2, w[1]),
+        turned(y3, w[2]),
+    ]
+}
+
+/// One radix-2² stage over blocks of `4q`. The last forward stage
+/// (`q = 1`) has only unit turns and runs as a plain loop over 4-point
+/// blocks.
+fn radix4<const INVERSE: bool>(re: &mut [f64], im: &mut [f64], tw: &[f64]) {
+    let q = tw.len() / 6;
+    if q == 1 {
+        for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+            let x = [(r[0], i[0]), (r[1], i[1]), (r[2], i[2]), (r[3], i[3])];
+            let y = butterfly::<INVERSE>(x, [(1.0, 0.0); 3]);
+            (r[0], r[1], r[2], r[3]) = (y[0].0, y[1].0, y[2].0, y[3].0);
+            (i[0], i[1], i[2], i[3]) = (y[0].1, y[1].1, y[2].1, y[3].1);
+        }
+        return;
+    }
+    let (w0, tw) = tw.split_at(q);
+    let (w1, tw) = tw.split_at(q);
+    let (w2, tw) = tw.split_at(q);
+    let (w3, tw) = tw.split_at(q);
+    let (w4, w5) = tw.split_at(q);
+    let w5 = &w5[..q];
+    for (re, im) in re.chunks_exact_mut(4 * q).zip(im.chunks_exact_mut(4 * q)) {
+        let ([r0, r1, r2, r3], [i0, i1, i2, i3]) = (quarters(re, q), quarters(im, q));
+        for j in 0..q {
+            let x = [
+                (r0[j], i0[j]),
+                (r1[j], i1[j]),
+                (r2[j], i2[j]),
+                (r3[j], i3[j]),
+            ];
+            let y = butterfly::<INVERSE>(x, [(w0[j], w1[j]), (w2[j], w3[j]), (w4[j], w5[j])]);
+            ((r0[j], i0[j]), (r1[j], i1[j])) = (y[0], y[1]);
+            ((r2[j], i2[j]), (r3[j], i3[j])) = (y[2], y[3]);
+        }
+    }
+}
+
+/// The span-1 radix-2 stage an odd `log₂(n/2)` leaves over; it is its own
+/// inverse up to a factor of 2.
+fn radix2(re: &mut [f64], im: &mut [f64]) {
+    for pair in re.chunks_exact_mut(2).chain(im.chunks_exact_mut(2)) {
+        (pair[0], pair[1]) = (pair[0] + pair[1], pair[0] - pair[1]);
+    }
+}
+
+/// A `4q` block as its four quarters.
+fn quarters(block: &mut [f64], q: usize) -> [&mut [f64]; 4] {
+    let (a, rest) = block.split_at_mut(q);
+    let (b, rest) = rest.split_at_mut(q);
+    let (c, d) = rest.split_at_mut(q);
+    [a, b, c, &mut d[..q]]
+}
+
+/// Bytes [`dot_blocks`] multiplies at once: four `u32x4` lanes on the
+/// baseline x86-64 vector width.
+const BYTE_LANES: usize = 16;
+
+/// The exact sum `Σᵢ a[i]·b[i]` of two byte series of whole
+/// [`BYTE_LANES`] blocks. A byte product fits a `u16`, and a lane sums at
+/// most 2¹² of them per 64 KiB chunk, so the lanes accumulate in `u32`s
+/// the autovectorizer can pack.
+fn dot_blocks(a: &[u8], b: &[u8]) -> u64 {
+    debug_assert!(a.len() == b.len() && a.len().is_multiple_of(BYTE_LANES));
+    let chunk_sum = |(a, b): (&[u8], &[u8])| {
+        let mut lanes = [0u32; BYTE_LANES];
+        for (a, b) in a.chunks_exact(BYTE_LANES).zip(b.chunks_exact(BYTE_LANES)) {
+            for l in 0..BYTE_LANES {
+                lanes[l] += u32::from(u16::from(a[l]) * u16::from(b[l]));
+            }
+        }
+        lanes.iter().map(|&l| u64::from(l)).sum::<u64>()
+    };
+    let chunks = a.chunks(1 << 16).zip(b.chunks(1 << 16));
+    chunks.map(chunk_sum).sum()
+}
+
+/// A plan cache plus scratch buffers for spectral analysis.
 ///
-/// One planner per thread (see [`with_planner`]) turns the per-pair
-/// allocation profile of an audit tick — fresh twiddle recurrences, fresh
-/// padded buffers, fresh spectra — into table lookups over warm memory.
-/// Plans are keyed by padded transform length; an 8-pair audit whose
-/// series all pad to the same power of two builds exactly one plan.
+/// One planner per thread (see [`with_planner`]) turns the allocation
+/// profile of a correlogram (twiddle tables, padded buffers, spectra,
+/// coefficients) into table lookups over warm memory. Plans are keyed by
+/// padded transform length, and the buffers grow to the largest length
+/// seen and are then reused verbatim.
 #[derive(Debug, Default)]
 pub struct BatchPlanner {
     plans: HashMap<usize, FftPlan>,
-    scratch: BatchScratch,
+    /// The packed transform input and output: even and odd samples.
+    re: Vec<f64>,
+    im: Vec<f64>,
+    /// Lag sums read out of the transform, and exact ones of symbols.
+    sums: Vec<f64>,
+    exact: Vec<i64>,
+    /// A sample series minus its mean; a symbol series.
+    centered: Vec<f64>,
+    symbols: Vec<u8>,
+    /// The coefficients of the last correlogram built.
+    coefficients: Vec<f64>,
 }
 
 impl BatchPlanner {
@@ -615,77 +716,131 @@ impl BatchPlanner {
 
     /// Linear autocorrelation sums `r[lag] = Σᵢ x[i]·x[i+lag]` for
     /// `lag ∈ 0..=max_lag` of an already-centered series, via the
-    /// Wiener–Khinchin theorem on cached plans and scratch. Semantics match
-    /// [`crate::fft::autocorrelation_sums`]; the returned slice lives in
-    /// the planner's scratch and is valid until the next call.
+    /// Wiener–Khinchin theorem on cached plans and scratch. The returned
+    /// slice lives in the planner's scratch until the next call.
     pub fn autocorrelation_sums(&mut self, centered: &[f64], max_lag: usize) -> &[f64] {
-        let n = centered.len();
-        let lags = max_lag.min(n.saturating_sub(1));
-        let len = (n + lags).next_power_of_two().max(2);
-        let plan = self.plans.entry(len).or_insert_with(|| FftPlan::new(len));
-        let scratch = &mut self.scratch;
-        scratch.padded.clear();
-        scratch.padded.extend_from_slice(centered);
-        scratch.padded.resize(len, 0.0);
-        plan.real_fft_into(&scratch.padded, &mut scratch.packed, &mut scratch.spectrum);
-        // Power spectrum: the multiply-accumulate inner loop of the whole
-        // pipeline; in-place over the half-spectrum.
-        for c in scratch.spectrum.iter_mut() {
-            *c = Complex::new(c.norm_sqr(), 0.0);
-        }
-        plan.inverse_real_fft_into(&scratch.spectrum, &mut scratch.packed, &mut scratch.sums);
-        &scratch.sums[..=lags.min(len - 1)]
+        self.lag_sums(centered, max_lag.min(centered.len().saturating_sub(1)))
     }
 
-    /// Autocorrelation *coefficients* of a raw (uncentered) series for
-    /// every lag `0..=max_lag`: centers the series in scratch, picks the
-    /// FFT or direct path by problem volume exactly like
-    /// [`crate::autocorr::Autocorrelogram::compute`], and divides by the
-    /// centered energy. Returns the freshly allocated coefficient vector
-    /// (the one allocation the caller keeps).
-    pub(crate) fn correlogram_coefficients(
-        &mut self,
-        samples: &[f64],
-        max_lag: usize,
-        naive_cutoff: usize,
-        force_naive: bool,
-    ) -> Vec<f64> {
-        let n = samples.len();
-        let mut coefficients = vec![0.0; max_lag + 1];
-        if n < 2 {
-            return coefficients;
+    /// The transform behind every correlogram: zero-pads `samples` past
+    /// `n + lags` (so the circular sums are the linear ones) and returns the
+    /// sums for lags `0..=lags`.
+    fn lag_sums<T: Copy + Into<f64>>(&mut self, samples: &[T], lags: usize) -> &[f64] {
+        let len = (samples.len() + lags).next_power_of_two().max(2);
+        let plan = self.plans.entry(len).or_insert_with(|| FftPlan::build(len));
+        let (re, im, sums) = (&mut self.re, &mut self.im, &mut self.sums);
+        for (part, offset) in [(&mut *re, 0), (&mut *im, 1)] {
+            part.clear();
+            part.extend(samples.iter().skip(offset).step_by(2).map(|&x| x.into()));
+            part.resize(len / 2, 0.0);
         }
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        self.scratch.centered.clear();
-        self.scratch
-            .centered
-            .extend(samples.iter().map(|x| x - mean));
-        let denom: f64 = self.scratch.centered.iter().map(|x| x * x).sum();
-        if denom <= f64::EPSILON {
-            coefficients[0] = 1.0;
-            return coefficients;
-        }
-        let lags = max_lag.min(n - 2);
-        if force_naive || n.saturating_mul(lags) <= naive_cutoff {
-            for (lag, coeff) in coefficients.iter_mut().enumerate().take(lags + 1) {
-                let centered = &self.scratch.centered;
-                let sum: f64 = (0..centered.len() - lag)
-                    .map(|i| centered[i] * centered[i + lag])
-                    .sum();
-                *coeff = sum / denom;
-            }
+        plan.autocorrelate(re, im);
+        let scale = 1.0 / (4 * len) as f64;
+        let interleaved = re.iter().zip(im.iter()).flat_map(|(&r, &i)| [r, i]);
+        sums.clear();
+        sums.extend(interleaved.take(lags + 1).map(|x| x * scale));
+        sums
+    }
+
+    /// Autocorrelation coefficients of a raw (uncentered) series for lags
+    /// `0..=min(max_lag, n − 2)`: centers the series in scratch, runs the
+    /// direct loop when `direct` is set or the `n × lags` volume is below
+    /// [`NAIVE_CUTOFF`] and the transform otherwise, and divides by the
+    /// centered energy. Every lag past the returned slice is exactly zero.
+    pub(crate) fn f64_coefficients(&mut self, x: &[f64], max_lag: usize, direct: bool) -> &[f64] {
+        let (n, mut centered) = (x.len(), std::mem::take(&mut self.centered));
+        let mean = x.iter().sum::<f64>() / n.max(1) as f64;
+        centered.clear();
+        centered.extend(x.iter().map(|x| x - mean));
+        let denom: f64 = centered.iter().map(|x| x * x).sum();
+        let lags = max_lag.min(n.saturating_sub(2));
+        let mut out = std::mem::take(&mut self.coefficients);
+        out.clear();
+        if n < 2 || denom <= f64::EPSILON {
+            out.push(if n < 2 { 0.0 } else { 1.0 });
+        } else if direct || n.saturating_mul(lags) <= NAIVE_CUTOFF {
+            let dot = |k: usize| centered.iter().zip(&centered[k..]).map(|(a, b)| a * b);
+            out.extend((0..=lags).map(|k| dot(k).sum::<f64>() / denom));
         } else {
-            // Move the centered buffer out so the planner can reuse its
-            // spectral scratch without aliasing it.
-            let centered = std::mem::take(&mut self.scratch.centered);
-            let sums = self.autocorrelation_sums(&centered, lags);
-            for (coeff, sum) in coefficients.iter_mut().zip(sums) {
-                *coeff = sum / denom;
-            }
-            self.scratch.centered = centered;
+            out.extend(self.lag_sums(&centered, lags).iter().map(|s| s / denom));
         }
-        coefficients[0] = 1.0;
-        coefficients
+        out[0] = if n < 2 { 0.0 } else { 1.0 };
+        (self.centered, self.coefficients) = (centered, out);
+        &self.coefficients
+    }
+
+    /// Replaces the planner's symbol scratch with `symbols`; returns how
+    /// many there are.
+    pub(crate) fn load_symbols(&mut self, symbols: impl IntoIterator<Item = u8>) -> usize {
+        self.symbols.clear();
+        self.symbols.extend(symbols);
+        self.symbols.len()
+    }
+
+    /// The autocorrelation coefficients of the loaded symbols for lags
+    /// `0..=min(max_lag, n − 2)`: exact integer lag sums
+    /// ([`exact_lag_sums`](Self::exact_lag_sums)) centred afterwards, in
+    /// integers, with prefix sums,
+    ///
+    /// n²·Cₖ = n²Sₖ − nT(Aₖ + Bₖ) + (n − k)T²
+    ///
+    /// (T = Σx, Aₖ the sum of the first n − k symbols, Bₖ of the last
+    /// n − k), so the coefficients Cₖ / C₀ are the same bits whichever path
+    /// built the sums. The variance is zero exactly when nQ = T² (Q = Σx²),
+    /// and then no sums are built. Every lag past the slice is exactly zero.
+    pub(crate) fn symbol_coefficients(&mut self, max_lag: usize) -> &[f64] {
+        let mut symbols = std::mem::take(&mut self.symbols);
+        let mut exact = std::mem::take(&mut self.exact);
+        let n = symbols.len();
+        let energy: u64 = symbols.iter().map(|&x| u64::from(x) * u64::from(x)).sum();
+        let total: u64 = symbols.iter().map(|&x| u64::from(x)).sum();
+        let (len, total) = (n as i128, i128::from(total));
+        let denom = len * (len * i128::from(energy) - total * total);
+        exact.clear();
+        if n >= 2 && denom != 0 {
+            let direct = energy > EXACT_FFT_ENERGY;
+            self.exact_lag_sums(&mut symbols, max_lag.min(n - 2), direct, &mut exact);
+        }
+        let out = &mut self.coefficients;
+        out.clear();
+        if exact.is_empty() {
+            out.push(if n < 2 { 0.0 } else { 1.0 });
+        } else {
+            let (square, cross, offset) = (len * len, len * total, total * total);
+            let (mut head, mut tail, denom) = (total, total, denom as f64);
+            for (k, &sum) in exact.iter().enumerate() {
+                let rows = len - k as i128;
+                let centered = square * i128::from(sum) - cross * (head + tail) + rows * offset;
+                out.push(centered as f64 / denom);
+                head -= i128::from(symbols[n - 1 - k]);
+                tail -= i128::from(symbols[k]);
+            }
+        }
+        (self.symbols, self.exact) = (symbols, exact);
+        &self.coefficients
+    }
+
+    /// Appends the exact lag sums `Sₖ = Σᵢ xᵢxᵢ₊ₖ`, `k ∈ 0..=lags`, of
+    /// `symbols` to `out`: from [`dot_blocks`] below [`NAIVE_CUTOFF`] or
+    /// when `direct` is set, otherwise from the transform of the uncentred
+    /// symbols rounded to the nearest integer. The transform's absolute
+    /// error is ≲ ε·log₂N·Σx² (ε = 2⁻⁵³, N the padded length): below 10⁻⁴
+    /// for n ≤ 2¹⁶ symbols up to 255, far below the ½ rounding tolerates.
+    /// Callers set `direct` above [`EXACT_FFT_ENERGY`], the energy up to
+    /// which that is tested, so both paths give the same integers.
+    fn exact_lag_sums(&mut self, x: &mut Vec<u8>, lags: usize, direct: bool, out: &mut Vec<i64>) {
+        let n = x.len();
+        if direct || n.saturating_mul(lags) <= NAIVE_CUTOFF {
+            x.resize(n + BYTE_LANES, 0); // every lag sums whole blocks
+            out.extend((0..=lags).map(|k| {
+                let len = (n - k).next_multiple_of(BYTE_LANES);
+                dot_blocks(&x[..len], &x[k..k + len]) as i64
+            }));
+            x.truncate(n);
+        } else {
+            let sums = self.lag_sums(x, lags);
+            out.extend(sums.iter().map(|s| s.round() as i64));
+        }
     }
 }
 
@@ -695,22 +850,24 @@ thread_local! {
 
 /// Runs `f` with this thread's [`BatchPlanner`].
 ///
-/// Worker threads of the vendored pool are persistent, so each keeps a warm
-/// plan cache across `par_map` fan-outs — per-thread batch scratch without
-/// locks, and without threading a planner handle through every call site.
-///
-/// # Panics
-///
-/// Panics if called reentrantly from inside `f` (the planner is exclusively
-/// borrowed for the duration of the call).
+/// Worker threads of the vendored pool and the fleet's shards are
+/// persistent, so each keeps a warm plan cache and scratch across calls,
+/// without locks and without threading a planner handle through every call
+/// site. A call made from inside `f` gets a fresh, cold planner instead of
+/// the (borrowed) thread's one.
 pub fn with_planner<R>(f: impl FnOnce(&mut BatchPlanner) -> R) -> R {
-    PLANNER.with(|p| f(&mut p.borrow_mut()))
+    PLANNER.with(|planner| match planner.try_borrow_mut() {
+        Ok(mut planner) => f(&mut planner),
+        Err(_) => f(&mut BatchPlanner::new()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fft;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn lane_sq_dist_matches_scalar() {
@@ -802,6 +959,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `n` seeded symbols over `alphabet` distinct byte values, in runs so
+    /// that some series oscillate.
+    fn seeded_symbols(rng: &mut SmallRng, n: usize, alphabet: usize) -> Vec<u8> {
+        let mut values: Vec<u8> = (0..=255).collect();
+        for i in 0..alphabet {
+            values.swap(i, rng.gen_range(i..256));
+        }
+        let run = rng.gen_range(1usize..300);
+        (0..n)
+            .map(|i| values[((i / run) * 7 + rng.gen_range(0..2)) % alphabet])
+            .collect()
+    }
+
+    /// The property behind the exact oscillation scores: the transform's
+    /// rounded lag sums are the direct loop's integers, lag for lag, for
+    /// alphabets 1–255, n up to 2¹⁶ and lags up to 3 000 (an all-255 series
+    /// among them), and the coefficients built on them stay within 1e-9 of
+    /// the `f64` reference.
+    #[test]
+    fn transform_lag_sums_equal_the_direct_loop() {
+        let mut planner = BatchPlanner::new();
+        let mut rng = SmallRng::seed_from_u64(0xE7AC_7000);
+        let mut cases: Vec<(Vec<u8>, usize)> = (0..24)
+            .map(|case| {
+                let n = rng.gen_range(2usize..4_000);
+                let alphabet = if case < 2 {
+                    1 + 254 * case
+                } else {
+                    rng.gen_range(1..=255)
+                };
+                (
+                    seeded_symbols(&mut rng, n, alphabet),
+                    rng.gen_range(50..=3_000),
+                )
+            })
+            .collect();
+        cases.push((seeded_symbols(&mut rng, 1 << 16, 255), 400));
+        // The largest sums a 2¹⁶-symbol series can have, in closed form.
+        let (mut saturated, mut sums) = (vec![255u8; 1 << 16], Vec::new());
+        planner.exact_lag_sums(&mut saturated, 3_000, false, &mut sums);
+        let closed: Vec<i64> = (0..=3_000).map(|k| 255 * 255 * ((1 << 16) - k)).collect();
+        assert_eq!(sums, closed);
+        for (case, (symbols, max_lag)) in cases.iter().enumerate() {
+            let lags = (*max_lag).min(symbols.len() - 2);
+            let (mut transform, mut direct) = (Vec::new(), Vec::new());
+            let mut scratch = symbols.clone();
+            planner.exact_lag_sums(&mut scratch, lags, false, &mut transform);
+            planner.exact_lag_sums(&mut scratch, lags, true, &mut direct);
+            assert_eq!(
+                scratch, *symbols,
+                "case {case}: the padding is taken off again"
+            );
+            assert_eq!(
+                transform,
+                direct,
+                "case {case}: n {} lags {lags}",
+                symbols.len()
+            );
+            if symbols.len() > 6_000 {
+                continue; // The f64 reference is too slow for a debug build.
+            }
+            let series = crate::events::SymbolSeries::from_symbols(symbols.clone());
+            let exact = crate::autocorr::Autocorrelogram::of_symbols(&series, *max_lag);
+            let naive = crate::autocorr::Autocorrelogram::compute_naive(&series.as_f64(), *max_lag);
+            for lag in 0..=*max_lag {
+                let (e, r) = (exact.coefficient(lag), naive.coefficient(lag));
+                assert!((e - r).abs() <= 1e-9, "case {case} lag {lag}: {e} vs {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn fft_plan_rejects_lengths_it_cannot_transform() {
+        for n in [0usize, 1, 3, 12, 1000] {
+            assert!(
+                matches!(FftPlan::new(n), Err(DetectorError::InvalidConfig { .. })),
+                "{n}"
+            );
+        }
+        assert_eq!(FftPlan::new(4096).map(|p| p.len()).ok(), Some(4096));
+    }
+
+    #[test]
+    fn reentrant_with_planner_gets_a_fresh_planner() {
+        let series: Vec<f64> = (0..300).map(|i| (i % 5) as f64).collect();
+        let outer = with_planner(|p| {
+            let inner = with_planner(|q| q.autocorrelation_sums(&series, 64).to_vec());
+            (p.autocorrelation_sums(&series, 64).to_vec(), inner)
+        });
+        assert_eq!(outer.0, outer.1);
     }
 
     #[test]

@@ -147,11 +147,14 @@ impl BurstDetector {
         // formulas used to re-scan for: burst mass and weighted sum, the
         // non-burst weighted sum, the peak (last-max-wins on ties, matching
         // `max_by_key`), and the first/last non-empty burst bins. All
-        // accumulators are integers, so the fusion is exact.
+        // accumulators are integers, so the fusion is exact. The bin counts
+        // sum within `u64` (every `DensityHistogram` keeps its window total
+        // there), so the counts are plain `u64`; the density-weighted sums
+        // can exceed it and run in `u128`.
         let mut pre_count = 0u64;
-        let mut pre_weight = 0u64;
+        let mut pre_weight = 0u128;
         let mut burst_windows = 0u64;
-        let mut burst_weight = 0u64;
+        let mut burst_weight = 0u128;
         let mut peak_freq = 0u64;
         let mut burst_peak = None;
         let mut first = None;
@@ -159,10 +162,10 @@ impl BurstDetector {
         for (i, &f) in bins.iter().enumerate().skip(1) {
             if i < threshold {
                 pre_count += f;
-                pre_weight += i as u64 * f;
+                pre_weight += i as u128 * u128::from(f);
             } else if f > 0 {
                 burst_windows += f;
-                burst_weight += i as u64 * f;
+                burst_weight += i as u128 * u128::from(f);
                 if first.is_none() {
                     first = Some(i);
                 }
@@ -255,8 +258,8 @@ fn mean_density(bins: &[u64], lo: usize, hi: usize) -> f64 {
     let (sum, count) = bins[lo..hi]
         .iter()
         .enumerate()
-        .fold((0u64, 0u64), |(s, c), (i, &f)| {
-            (s + (lo + i) as u64 * f, c + f)
+        .fold((0u128, 0u128), |(s, c), (i, &f)| {
+            (s + (lo + i) as u128 * u128::from(f), c + u128::from(f))
         });
     if count == 0 {
         0.0

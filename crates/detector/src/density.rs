@@ -38,24 +38,34 @@ pub enum DeltaTPolicy {
 
 impl DeltaTPolicy {
     /// Resolves the policy to a concrete Δt for `train` observed over
-    /// `[start, end)`.
+    /// `[start, end)`: `None` if the rate-based policy sees no events (Δt
+    /// would be unbounded).
     ///
-    /// Returns `None` if the rate-based policy sees no events (Δt would be
-    /// unbounded).
-    pub fn resolve(&self, train: &EventTrain, start: u64, end: u64) -> Option<u64> {
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::InvalidConfig`] for a fixed Δt of zero, or
+    /// a rate-based policy whose α is not positive or whose clamp is not
+    /// `0 < min <= max`.
+    pub fn resolve(
+        &self,
+        train: &EventTrain,
+        start: u64,
+        end: u64,
+    ) -> Result<Option<u64>, DetectorError> {
+        let invalid = |reason: String| Err(DetectorError::InvalidConfig { reason });
         match *self {
-            DeltaTPolicy::Fixed(dt) => {
-                assert!(dt > 0, "Δt must be nonzero");
-                Some(dt)
+            DeltaTPolicy::Fixed(0) => invalid("Δt must be nonzero".to_string()),
+            DeltaTPolicy::Fixed(dt) => Ok(Some(dt)),
+            DeltaTPolicy::FromRate { alpha, min, max }
+                if !(alpha > 0.0 && min > 0 && max >= min) =>
+            {
+                invalid(format!(
+                    "invalid Δt policy: α {alpha}, clamp [{min}, {max}]"
+                ))
             }
             DeltaTPolicy::FromRate { alpha, min, max } => {
-                assert!(alpha > 0.0 && min > 0 && max >= min, "invalid Δt policy");
                 let rate = train.mean_rate(start, end);
-                if rate <= 0.0 {
-                    return None;
-                }
-                let dt = (alpha / rate).round() as u64;
-                Some(dt.clamp(min, max))
+                Ok((rate > 0.0).then(|| ((alpha / rate).round() as u64).clamp(min, max)))
             }
         }
     }
@@ -193,6 +203,7 @@ impl DensityHistogram {
     /// bin 0). The paper's likelihood-ratio computation omits bin 0 "since
     /// it does not contribute to any contention".
     pub fn contended_windows(&self) -> u64 {
+        // Every constructor bounds the bins' sum by `u64::MAX` windows.
         self.bins[1..].iter().sum()
     }
 
@@ -201,8 +212,8 @@ impl DensityHistogram {
         let (sum, count) = self.bins[1..]
             .iter()
             .enumerate()
-            .fold((0u64, 0u64), |(s, c), (i, &f)| {
-                (s + (i as u64 + 1) * f, c + f)
+            .fold((0u128, 0u128), |(s, c), (i, &f)| {
+                (s + (i as u128 + 1) * u128::from(f), c + u128::from(f))
             });
         if count == 0 {
             0.0
@@ -265,7 +276,12 @@ impl DensityHistogram {
                 reason: "Δt must be nonzero".to_string(),
             });
         }
-        let windows = bins.iter().sum();
+        let windows = bins
+            .iter()
+            .try_fold(0u64, |sum, &f| sum.checked_add(f))
+            .ok_or_else(|| DetectorError::BadHarvest {
+                reason: "histogram bins sum past u64::MAX windows".to_string(),
+            })?;
         Ok(DensityHistogram {
             bins,
             delta_t,
@@ -450,7 +466,45 @@ mod tests {
     #[test]
     fn fixed_policy_resolves() {
         let train = EventTrain::from_times(vec![0, 10]);
-        assert_eq!(DeltaTPolicy::Fixed(500).resolve(&train, 0, 100), Some(500));
+        assert_eq!(
+            DeltaTPolicy::Fixed(500).resolve(&train, 0, 100).unwrap(),
+            Some(500)
+        );
+    }
+
+    #[test]
+    fn invalid_policies_are_typed_errors() {
+        let train = EventTrain::from_times(vec![0, 10]);
+        let invalid = [
+            DeltaTPolicy::Fixed(0),
+            DeltaTPolicy::FromRate {
+                alpha: 0.0,
+                min: 1,
+                max: 10,
+            },
+            DeltaTPolicy::FromRate {
+                alpha: f64::NAN,
+                min: 1,
+                max: 10,
+            },
+            DeltaTPolicy::FromRate {
+                alpha: 1.0,
+                min: 0,
+                max: 10,
+            },
+            DeltaTPolicy::FromRate {
+                alpha: 1.0,
+                min: 10,
+                max: 1,
+            },
+        ];
+        for policy in invalid {
+            let err = policy.resolve(&train, 0, 100).unwrap_err();
+            assert!(
+                matches!(err, DetectorError::InvalidConfig { .. }),
+                "{policy:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -463,6 +517,7 @@ mod tests {
             max: 1_000_000,
         }
         .resolve(&train, 0, 1000)
+        .unwrap()
         .unwrap();
         assert_eq!(dt, 500);
     }
@@ -476,6 +531,7 @@ mod tests {
             max: 20,
         }
         .resolve(&train, 0, 1_000_000)
+        .unwrap()
         .unwrap();
         assert_eq!(dt, 20, "huge raw Δt clamps to max");
     }
@@ -489,7 +545,8 @@ mod tests {
                 min: 1,
                 max: 10
             }
-            .resolve(&train, 0, 100),
+            .resolve(&train, 0, 100)
+            .unwrap(),
             None
         );
     }

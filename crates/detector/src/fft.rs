@@ -1,20 +1,16 @@
-//! Iterative radix-2 real-input FFT — the fast path behind the
-//! autocorrelogram (Wiener–Khinchin theorem).
+//! The textbook iterative radix-2 real-input FFT, compiled only for the
+//! crate's unit tests: the oracle that [`crate::batch::FftPlan`], the one
+//! transform in production, is checked against.
 //!
-//! The naive autocorrelogram is O(n·max_lag); for the paper's operating
-//! point (≈5 000 conflict symbols per quantum, 1 000 lags) that is millions
-//! of multiply-adds per quantum per audited pair. The Wiener–Khinchin
-//! theorem turns it into two FFTs: the inverse transform of the power
-//! spectrum *is* the (circular) autocorrelation, and zero-padding the series
-//! by at least `max_lag` makes the circular sums equal the linear ones.
-//!
-//! The real-input transform packs the 2M-point real sequence into an M-point
-//! complex FFT (even samples → real parts, odd samples → imaginary parts)
-//! and untangles the half-spectrum afterwards — the standard trick that
-//! halves both work and memory versus treating the input as complex.
-//!
-//! Everything here is deterministic: no threading, no data-dependent
-//! ordering, plain `f64` arithmetic.
+//! The Wiener–Khinchin theorem turns the O(n·max_lag) autocorrelogram into
+//! two FFTs: the inverse transform of the power spectrum *is* the
+//! (circular) autocorrelation, and zero-padding the series by at least
+//! `max_lag` makes the circular sums equal the linear ones. The real-input
+//! transform packs the 2M-point real sequence into an M-point complex FFT
+//! (even samples → real parts, odd samples → imaginary parts) and untangles
+//! the half-spectrum afterwards. This version keeps every step separate and
+//! plain: an array-of-structs complex type, a bit-reversal permutation, and
+//! twiddles by recurrence.
 
 /// A complex number in rectangular form.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

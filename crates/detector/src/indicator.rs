@@ -329,7 +329,10 @@ impl Indicator for CcHunterIndicator {
         self.contention_status = Some(self.contention.status(burst, None));
 
         let oscillation = match &obs.symbols {
-            Some(s) => Some(self.oscillation.ingest_symbols(s, obs.weight)),
+            Some(s) => Some(
+                self.oscillation
+                    .ingest_symbols(s.symbols().iter().copied(), obs.weight),
+            ),
             None => {
                 self.oscillation.ingest_gap();
                 None

@@ -70,7 +70,8 @@ pub mod cost;
 pub mod density;
 pub mod events;
 pub mod fault;
-pub mod fft;
+#[cfg(test)]
+mod fft;
 pub mod indicator;
 pub mod ingest;
 pub mod metrics;

@@ -57,9 +57,8 @@ use crate::autocorr::{OscillationDetector, OscillationVerdict};
 use crate::burst::{BurstDetector, BurstVerdict};
 use crate::cluster::{level, recurrence_from_features, RecurrenceVerdict};
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
-use crate::events::SymbolSeries;
 use crate::metrics::{default_registry, Counter};
-use crate::pipeline::{symbol_series, CcHunterConfig, Verdict};
+use crate::pipeline::{conflict_symbols, CcHunterConfig, Verdict};
 use crate::span;
 use crate::trace::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointSlot};
 use crate::window::SlidingWindow;
@@ -69,7 +68,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::Deref;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The paper's observation-window limit in OS quanta (§IV-B).
 const MAX_WINDOW_QUANTA: usize = 512;
@@ -400,7 +399,9 @@ fn get_varint(bytes: &mut impl Iterator<Item = u8>) -> Option<u64> {
 #[derive(Debug)]
 pub struct OnlineWindow {
     kind: PairKind,
-    config: CcHunterConfig,
+    /// Shared with every other window built from the same `Arc` (a
+    /// fleet shard's pairs share one).
+    config: Arc<CcHunterConfig>,
     window: SlidingWindow<Slot>,
     /// The window slots' Δt, nonzero histogram bins and bursty levels,
     /// oldest slot first (empty for oscillation windows).
@@ -436,17 +437,17 @@ impl OnlineWindow {
     /// `config.min_oscillatory_windows` is zero.
     pub fn new(
         kind: PairKind,
-        config: CcHunterConfig,
+        config: impl Into<Arc<CcHunterConfig>>,
         window_quanta: usize,
     ) -> Result<Self, DetectorError> {
-        Self::with_capacity(kind, config, window_quanta.min(MAX_WINDOW_QUANTA))
+        Self::with_capacity(kind, config.into(), window_quanta.min(MAX_WINDOW_QUANTA))
     }
 
     /// [`OnlineWindow::new`] without the 512-quantum clamp: a batch replay
     /// sizes its window to the whole input.
     pub(crate) fn with_capacity(
         kind: PairKind,
-        config: CcHunterConfig,
+        config: Arc<CcHunterConfig>,
         capacity: usize,
     ) -> Result<Self, DetectorError> {
         let zero = [
@@ -554,8 +555,8 @@ impl OnlineWindow {
         records: &[ConflictRecord],
         lost_fraction: f64,
     ) -> OnlineStatus {
-        let series = symbol_series(records, 0, u64::MAX);
-        let verdict = self.ingest_symbols(&series, 1.0 - lost_fraction);
+        let symbols = conflict_symbols(records, 0, u64::MAX);
+        let verdict = self.ingest_symbols(symbols, 1.0 - lost_fraction);
         self.publish(None, Some(verdict))
     }
 
@@ -616,15 +617,17 @@ impl OnlineWindow {
         verdict
     }
 
-    /// Analyses an oscillation quantum and slides it into the window with
-    /// observation `weight`.
+    /// Analyses an oscillation quantum's symbols and slides it into the
+    /// window with observation `weight`. The symbols go straight into the
+    /// thread's correlogram scratch, so a steady-state push allocates
+    /// nothing.
     pub(crate) fn ingest_symbols(
         &mut self,
-        series: &SymbolSeries,
+        symbols: impl IntoIterator<Item = u8>,
         weight: f64,
     ) -> OscillationVerdict {
-        let verdict =
-            OscillationDetector::new(self.config.oscillation).analyze(series, self.config.max_lag);
+        let verdict = OscillationDetector::new(self.config.oscillation)
+            .analyze_symbols(symbols, self.config.max_lag);
         self.insert(weight, |_| SlotQuantum::Oscillation {
             oscillatory: verdict.oscillatory,
         });
@@ -807,7 +810,7 @@ impl OnlineWindow {
     /// checkpoint exactly or refuses it.
     pub fn restore<R: Read>(
         kind: PairKind,
-        config: CcHunterConfig,
+        config: impl Into<Arc<CcHunterConfig>>,
         reader: R,
     ) -> Result<Self, DetectorError> {
         let mismatch = |reason: String| DetectorError::CheckpointMismatch { reason };
@@ -868,12 +871,18 @@ pub struct OnlineContentionDetector(OnlineWindow);
 
 impl OnlineContentionDetector {
     /// A contention [`OnlineWindow::new`]; fails as it does.
-    pub fn new(config: CcHunterConfig, window_quanta: usize) -> Result<Self, DetectorError> {
+    pub fn new(
+        config: impl Into<Arc<CcHunterConfig>>,
+        window_quanta: usize,
+    ) -> Result<Self, DetectorError> {
         OnlineWindow::new(PairKind::Contention, config, window_quanta).map(Self)
     }
 
     /// A contention [`OnlineWindow::restore`]; fails as it does.
-    pub fn restore<R: Read>(config: CcHunterConfig, reader: R) -> Result<Self, DetectorError> {
+    pub fn restore<R: Read>(
+        config: impl Into<Arc<CcHunterConfig>>,
+        reader: R,
+    ) -> Result<Self, DetectorError> {
         OnlineWindow::restore(PairKind::Contention, config, reader).map(Self)
     }
 
@@ -901,12 +910,18 @@ pub struct OnlineOscillationDetector(OnlineWindow);
 
 impl OnlineOscillationDetector {
     /// An oscillation [`OnlineWindow::new`]; fails as it does.
-    pub fn new(config: CcHunterConfig, window_quanta: usize) -> Result<Self, DetectorError> {
+    pub fn new(
+        config: impl Into<Arc<CcHunterConfig>>,
+        window_quanta: usize,
+    ) -> Result<Self, DetectorError> {
         OnlineWindow::new(PairKind::Oscillation, config, window_quanta).map(Self)
     }
 
     /// An oscillation [`OnlineWindow::restore`]; fails as it does.
-    pub fn restore<R: Read>(config: CcHunterConfig, reader: R) -> Result<Self, DetectorError> {
+    pub fn restore<R: Read>(
+        config: impl Into<Arc<CcHunterConfig>>,
+        reader: R,
+    ) -> Result<Self, DetectorError> {
         OnlineWindow::restore(PairKind::Oscillation, config, reader).map(Self)
     }
 
@@ -1122,6 +1137,40 @@ mod tests {
             matches!(err, DetectorError::CheckpointMismatch { .. }),
             "{err}"
         );
+    }
+
+    /// Bins summing past `u64::MAX` windows are a typed error in every
+    /// build profile: they used to panic a debug build on the addition and
+    /// wrap a release build's window total to 0.
+    #[test]
+    fn restore_rejects_bins_that_overflow_the_window_count() {
+        let text = "cchunter-checkpoint,v1\nkind,contention\ncapacity,4\n\
+                    slot,1,hist,100,0:18446744073709551615 1:1\nend\n";
+        let err = OnlineWindow::restore(
+            PairKind::Contention,
+            CcHunterConfig::default(),
+            text.as_bytes(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, DetectorError::BadHarvest { .. }), "{err}");
+        // A sum that fits is analysed exactly: its density-weighted burst
+        // sum, 127 · (2⁶⁴ − 2), is past `u64` but the burst mean is 127 and
+        // the restored slot is a significant burst.
+        let text = "cchunter-checkpoint,v1\nkind,contention\ncapacity,4\n\
+                    slot,1,hist,100,1:1 127:18446744073709551614\nend\n";
+        let window = OnlineWindow::restore(
+            PairKind::Contention,
+            CcHunterConfig::default(),
+            text.as_bytes(),
+        )
+        .unwrap();
+        assert_eq!((window.window_len(), window.covert), (1, 1));
+        let mut bins = vec![0; HISTOGRAM_BINS];
+        (bins[1], bins[127]) = (1, u64::MAX - 1);
+        let histogram = DensityHistogram::from_bins(bins, 100).unwrap();
+        let verdict = BurstDetector::new(CcHunterConfig::default().burst).analyze(&histogram);
+        assert_eq!(verdict.burst_mean, 127.0);
+        assert!(verdict.has_burst_distribution && verdict.significant);
     }
 
     #[test]

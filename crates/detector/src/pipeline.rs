@@ -40,6 +40,7 @@ use crate::events::{pair_symbol, EventTrain, SymbolSeries};
 use crate::metrics::{default_registry, Counter, Histogram, LATENCY_BUCKETS_US};
 use crate::online::{Harvest, OnlineStatus, OnlineWindow, PairKind};
 use crate::span;
+use crate::DetectorError;
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -253,8 +254,9 @@ pub struct OscillationReport {
 ///         }
 ///     }
 /// }
-/// let report = hunter.analyze_contention_train(&train, 0, 80_000);
+/// let report = hunter.analyze_contention_train(&train, 0, 80_000)?;
 /// assert!(report.verdict.is_covert());
+/// # Ok::<(), cchunter_detector::DetectorError>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct CcHunter {
@@ -338,7 +340,7 @@ impl CcHunter {
         quanta: usize,
         feed: impl FnOnce(&mut OnlineWindow),
     ) -> OnlineStatus {
-        match OnlineWindow::with_capacity(kind, self.config, quanta.max(1)) {
+        match OnlineWindow::with_capacity(kind, self.config.into(), quanta.max(1)) {
             Ok(mut window) => {
                 feed(&mut window);
                 window.status(None, None)
@@ -350,30 +352,40 @@ impl CcHunter {
 
     /// Convenience: slices an event train into quanta over `[start, end)`,
     /// builds the histograms, and runs the recurrent-burst path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::InvalidConfig`] if the configured Δt policy
+    /// is invalid (see [`DeltaTPolicy::resolve`]).
     pub fn analyze_contention_train(
         &self,
         train: &EventTrain,
         start: u64,
         end: u64,
-    ) -> ContentionReport {
-        let histograms = self.quantum_histograms(train, start, end);
-        self.analyze_contention(histograms)
+    ) -> Result<ContentionReport, DetectorError> {
+        let histograms = self.quantum_histograms(train, start, end)?;
+        Ok(self.analyze_contention(histograms))
     }
 
     /// Builds per-quantum density histograms for a train over `[start,
     /// end)`, resolving Δt from the configured policy (falling back to one
     /// quantum when the rate-based policy sees no events).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::InvalidConfig`] if the configured Δt policy
+    /// is invalid (see [`DeltaTPolicy::resolve`]).
     pub fn quantum_histograms(
         &self,
         train: &EventTrain,
         start: u64,
         end: u64,
-    ) -> Vec<DensityHistogram> {
+    ) -> Result<Vec<DensityHistogram>, DetectorError> {
         let quantum = self.config.quantum_cycles;
         let delta_t = self
             .config
             .delta_t
-            .resolve(train, start, end)
+            .resolve(train, start, end)?
             .unwrap_or(quantum);
         let mut out = Vec::new();
         let mut lo = start;
@@ -384,7 +396,7 @@ impl CcHunter {
             out.extend(DensityHistogram::from_train(train, delta_t, lo, hi).ok());
             lo = hi;
         }
-        out
+        Ok(out)
     }
 
     /// Runs the oscillation path on drained conflict records over
@@ -408,7 +420,7 @@ impl CcHunter {
             let mut lo = start;
             while lo < end {
                 let hi = (lo + window).min(end);
-                window_verdicts.push(core.ingest_symbols(&symbol_series(records, lo, hi), 1.0));
+                window_verdicts.push(core.ingest_symbols(conflict_symbols(records, lo, hi), 1.0));
                 lo = hi;
             }
         });
@@ -552,11 +564,19 @@ pub struct PairAudit {
 /// itself) carry no inter-process signal and are filtered out, matching the
 /// paper's trojan/spy pair identifiers.
 pub fn symbol_series(records: &[ConflictRecord], start: u64, end: u64) -> SymbolSeries {
+    conflict_symbols(records, start, end).collect()
+}
+
+/// The symbols of [`symbol_series`], produced lazily.
+pub(crate) fn conflict_symbols(
+    records: &[ConflictRecord],
+    start: u64,
+    end: u64,
+) -> impl Iterator<Item = u8> + '_ {
     records
         .iter()
-        .filter(|r| r.cycle >= start && r.cycle < end && r.replacer != r.victim)
+        .filter(move |r| r.cycle >= start && r.cycle < end && r.replacer != r.victim)
         .map(|r| pair_symbol(r.replacer, r.victim, 8))
-        .collect()
 }
 
 /// A labeled detection outcome, convenient for experiment summaries.
@@ -662,7 +682,7 @@ mod tests {
     fn contention_path_flags_covert_train() {
         let hunter = CcHunter::new(config());
         let train = covert_train(8, 100_000);
-        let report = hunter.analyze_contention_train(&train, 0, 800_000);
+        let report = hunter.analyze_contention_train(&train, 0, 800_000).unwrap();
         assert!(report.verdict.is_covert());
         assert!(report.peak_likelihood_ratio > 0.9);
         assert_eq!(report.significant_quanta(), 8);
@@ -676,6 +696,7 @@ mod tests {
         let train = covert_train(8, 100_000);
         let harvests: Vec<Harvest> = hunter
             .quantum_histograms(&train, 0, 800_000)
+            .unwrap()
             .into_iter()
             .enumerate()
             .map(|(i, h)| {
@@ -709,7 +730,9 @@ mod tests {
     #[test]
     fn sparsely_observed_batch_is_inconclusive_like_the_daemon() {
         let hunter = CcHunter::new(config());
-        let quiet = hunter.quantum_histograms(&benign_train(1, 100_000), 0, 100_000);
+        let quiet = hunter
+            .quantum_histograms(&benign_train(1, 100_000), 0, 100_000)
+            .unwrap();
         let mut harvests = vec![Harvest::Missed; 7];
         harvests.insert(0, Harvest::Complete(quiet[0].clone()));
         let mut daemon = crate::OnlineContentionDetector::new(config(), 8).unwrap();
@@ -736,7 +759,9 @@ mod tests {
         let mut bad = config();
         bad.cluster.k = 0;
         let hunter = CcHunter::new(bad);
-        let report = hunter.analyze_contention_train(&covert_train(4, 100_000), 0, 400_000);
+        let report = hunter
+            .analyze_contention_train(&covert_train(4, 100_000), 0, 400_000)
+            .unwrap();
         assert_eq!(report.verdict, Verdict::Inconclusive);
         assert_eq!(report.confidence, 0.0);
     }
@@ -745,14 +770,16 @@ mod tests {
     fn contention_path_clears_benign_train() {
         let hunter = CcHunter::new(config());
         let train = benign_train(8, 100_000);
-        let report = hunter.analyze_contention_train(&train, 0, 800_000);
+        let report = hunter.analyze_contention_train(&train, 0, 800_000).unwrap();
         assert_eq!(report.verdict, Verdict::Clean);
     }
 
     #[test]
     fn empty_train_is_clean() {
         let hunter = CcHunter::new(config());
-        let report = hunter.analyze_contention_train(&EventTrain::new(), 0, 800_000);
+        let report = hunter
+            .analyze_contention_train(&EventTrain::new(), 0, 800_000)
+            .unwrap();
         assert_eq!(report.verdict, Verdict::Clean);
         assert_eq!(report.histograms.len(), 8);
     }
@@ -861,11 +888,13 @@ mod tests {
         let hunter = CcHunter::new(config());
         let covert: Vec<Harvest> = hunter
             .quantum_histograms(&covert_train(8, 100_000), 0, 800_000)
+            .unwrap()
             .into_iter()
             .map(Harvest::Complete)
             .collect();
         let benign: Vec<Harvest> = hunter
             .quantum_histograms(&benign_train(8, 100_000), 0, 800_000)
+            .unwrap()
             .into_iter()
             .map(Harvest::Complete)
             .collect();
@@ -910,6 +939,7 @@ mod tests {
         let hunter = CcHunter::new(config());
         let covert: Vec<Harvest> = hunter
             .quantum_histograms(&covert_train(8, 100_000), 0, 800_000)
+            .unwrap()
             .into_iter()
             .map(Harvest::Complete)
             .collect();
@@ -926,9 +956,40 @@ mod tests {
     }
 
     #[test]
+    fn invalid_delta_t_policy_is_a_typed_error() {
+        for delta_t in [
+            DeltaTPolicy::Fixed(0),
+            DeltaTPolicy::FromRate {
+                alpha: -1.0,
+                min: 1,
+                max: 10,
+            },
+            DeltaTPolicy::FromRate {
+                alpha: 1.0,
+                min: 10,
+                max: 1,
+            },
+        ] {
+            let hunter = CcHunter::new(CcHunterConfig {
+                delta_t,
+                ..CcHunterConfig::default()
+            });
+            let err = hunter
+                .analyze_contention_train(&covert_train(2, 100_000), 0, 200_000)
+                .unwrap_err();
+            assert!(
+                matches!(err, DetectorError::InvalidConfig { .. }),
+                "{delta_t:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn detection_summaries_render() {
         let hunter = CcHunter::new(config());
-        let report = hunter.analyze_contention_train(&covert_train(4, 100_000), 0, 400_000);
+        let report = hunter
+            .analyze_contention_train(&covert_train(4, 100_000), 0, 400_000)
+            .unwrap();
         let d = Detection::from_contention("memory-bus", &report);
         assert!(d.verdict.is_covert());
         assert!(d.to_string().contains("memory-bus"));

@@ -961,6 +961,9 @@ pub struct ShadowCheckpoint {
 #[derive(Debug)]
 pub(crate) struct Supervisor {
     config: SupervisorConfig,
+    /// `config.hunter`, shared by every window of the table: fresh,
+    /// restored and imported alike.
+    hunter: Arc<CcHunterConfig>,
     pairs: Vec<Pair>,
     store: Option<CheckpointStore>,
     registry: Registry,
@@ -992,6 +995,7 @@ impl Supervisor {
         config.mitigation.validate()?;
         let metrics = FleetMetrics::register(&registry);
         Ok(Supervisor {
+            hunter: Arc::new(config.hunter),
             config,
             pairs: Vec::new(),
             store: None,
@@ -1039,7 +1043,7 @@ impl Supervisor {
         label: Arc<str>,
         kind: PairKind,
     ) -> Result<usize, DetectorError> {
-        let window = OnlineWindow::new(kind, self.config.hunter, self.config.window_quanta)?;
+        let window = OnlineWindow::new(kind, Arc::clone(&self.hunter), self.config.window_quanta)?;
         self.pairs.push(Pair {
             label,
             kind,
@@ -1565,7 +1569,7 @@ impl Supervisor {
         if let Some(store) = &self.store {
             if let Ok(Some(loaded)) = store.load_latest(&pair_entry_name(idx)) {
                 let payload = loaded.payload.as_slice();
-                if let Ok(window) = OnlineWindow::restore(kind, self.config.hunter, payload) {
+                if let Ok(window) = OnlineWindow::restore(kind, Arc::clone(&self.hunter), payload) {
                     self.pairs[idx].window = window;
                     self.pairs[idx].restored_from = Some(RestoredFrom {
                         generation: loaded.generation,
@@ -1578,7 +1582,7 @@ impl Supervisor {
             }
         }
         self.pairs[idx].window =
-            OnlineWindow::new(kind, self.config.hunter, self.config.window_quanta)
+            OnlineWindow::new(kind, Arc::clone(&self.hunter), self.config.window_quanta)
                 .expect("config validated when the pair was added");
         Recovery::Reset
     }
@@ -1836,8 +1840,11 @@ impl Supervisor {
                 })?;
         let (window, degraded) = match &snapshot.window {
             Some(payload) if !snapshot.degraded => {
-                let window =
-                    OnlineWindow::restore(snapshot.kind, self.config.hunter, payload.as_slice())?;
+                let window = OnlineWindow::restore(
+                    snapshot.kind,
+                    Arc::clone(&self.hunter),
+                    payload.as_slice(),
+                )?;
                 let capacity = window.capacity();
                 let expected = self.config.window_quanta.min(512);
                 if capacity != expected {
@@ -1851,7 +1858,11 @@ impl Supervisor {
                 (window, false)
             }
             _ => (
-                OnlineWindow::new(snapshot.kind, self.config.hunter, self.config.window_quanta)?,
+                OnlineWindow::new(
+                    snapshot.kind,
+                    Arc::clone(&self.hunter),
+                    self.config.window_quanta,
+                )?,
                 true,
             ),
         };
@@ -2611,6 +2622,29 @@ mod tests {
         assert!(saw_skip, "quarantine must skip ticks");
         assert!(recovered, "recovery probes must close the breaker");
         assert_eq!(statuses(&fleet)[0].health, Some(BreakerState::Closed));
+    }
+
+    /// Every window of a pair table shares the table's one configuration:
+    /// fresh, migrated in and rebuilt after a panic alike.
+    #[test]
+    fn windows_share_one_configuration() {
+        let mut table =
+            Supervisor::new(test_config(), Registry::new(), Tracer::disabled()).unwrap();
+        let label: Arc<str> = "bus: t <-> s".into();
+        table
+            .add_pair(Arc::clone(&label), PairKind::Contention)
+            .unwrap();
+        table
+            .add_pair("l2: t <-> s".into(), PairKind::Oscillation)
+            .unwrap();
+        assert_eq!(Arc::strong_count(&table.hunter), 3);
+        let snapshot = table.remove_pair(0).unwrap();
+        assert_eq!(Arc::strong_count(&table.hunter), 2);
+        table
+            .adopt_pair(Some(snapshot), &label, PairKind::Contention)
+            .unwrap();
+        table.rebuild_detector(0);
+        assert_eq!(Arc::strong_count(&table.hunter), 3);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Allocation budget of the steady-state pair-quantum: a fleet fed
-//! pre-built complete harvests must not allocate per pair beyond the
-//! probe's own input copy and covert pairs' k-means reruns.
+//! pre-built complete harvests and conflict drains must not allocate per
+//! pair beyond the probe's own input copy and covert pairs' k-means
+//! reruns. An oscillation push builds its symbols and correlogram in the
+//! thread's reused scratch.
 //!
 //! This file holds exactly one test, because the counting allocator below
 //! sees every thread of the test binary.
 
+use cchunter_detector::auditor::ConflictRecord;
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::online::Harvest;
 use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
@@ -64,6 +67,40 @@ const MEASURED_TICKS: usize = 16;
 /// the window's k-means (about 17 allocations of the detection kernel,
 /// not of telemetry), so a covert-heavy mix reads higher.
 const COVERT_EVERY: usize = 64;
+/// One pair in 16 audits a cache (oscillation), as on `fleet_10k`; every
+/// fourth of those carries a covert channel.
+const OSCILLATION_EVERY: usize = 16;
+/// Conflict records per oscillation quantum, as on `fleet_10k`.
+const CONFLICTS: usize = 128;
+
+fn is_oscillation(pair: usize) -> bool {
+    pair % OSCILLATION_EVERY == 1
+}
+
+/// One quantum's conflict drain: a trojan/spy square wave of period
+/// `2 × sets` records, or a seeded benign mix of contexts.
+fn conflicts(covert: bool, tick: usize) -> Vec<ConflictRecord> {
+    let sets = 8 + tick % 8;
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ tick as u64;
+    (0..CONFLICTS)
+        .map(|i| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (replacer, victim) = if covert {
+                let up = (i / sets).is_multiple_of(2);
+                (u8::from(!up), u8::from(up))
+            } else {
+                ((x % 8) as u8, ((x >> 8) % 8) as u8)
+            };
+            ConflictRecord {
+                cycle: 100 * i as u64,
+                replacer,
+                victim,
+            }
+        })
+        .collect()
+}
 
 fn histogram(covert: bool, tick: usize) -> DensityHistogram {
     let mut bins = vec![0u64; HISTOGRAM_BINS];
@@ -80,12 +117,14 @@ fn histogram(covert: bool, tick: usize) -> DensityHistogram {
 }
 
 /// Steady-state allocations per pair-quantum stay within 2, counting the
-/// probe's clone of its pre-built input (one histogram) and covert pairs'
-/// k-means reruns; the report shares the pair label instead of copying it.
-/// Measured about 1.4 here; copying the label into every report read about
-/// 2.4, and resolving every per-pair metric through its family on every
-/// tick read about 10.4 (a label key per family update, plus three label
-/// copies per pair).
+/// probe's clone of its pre-built input (one histogram or record vector)
+/// and covert pairs' k-means reruns; the report shares the pair label
+/// instead of copying it. Measured about 1.3 here; building each
+/// oscillation push's symbol series, `f64` copy and coefficient vector
+/// read about 1.7, copying the label into every report about 2.4 (without
+/// oscillation pairs), and resolving every per-pair metric through its
+/// family on every tick about 10.4 (a label key per family update, plus
+/// three label copies per pair).
 #[test]
 fn steady_state_pair_quantum_allocates_at_most_twice() {
     let mut fleet = ShardedFleet::new(ShardedFleetConfig {
@@ -99,13 +138,13 @@ fn steady_state_pair_quantum_allocates_at_most_twice() {
     })
     .expect("valid fleet");
     for pair in 0..PAIRS {
-        fleet
-            .add_contention_pair(format!(
-                "memory-bus: pid {} <-> pid {}",
-                2 * pair,
-                2 * pair + 1
-            ))
-            .expect("pair added");
+        let pids = format!("pid {} <-> pid {}", 2 * pair, 2 * pair + 1);
+        let added = if is_oscillation(pair) {
+            fleet.add_oscillation_pair(format!("llc: {pids}"))
+        } else {
+            fleet.add_contention_pair(format!("memory-bus: {pids}"))
+        };
+        added.expect("pair added");
     }
     // Eight input variants per class, built before anything is counted.
     let inputs: Vec<Vec<PairInput>> = [false, true]
@@ -116,9 +155,25 @@ fn steady_state_pair_quantum_allocates_at_most_twice() {
                 .collect()
         })
         .collect();
+    let drains: Vec<Vec<PairInput>> = [false, true]
+        .iter()
+        .map(|&covert| {
+            (0..8)
+                .map(|t| PairInput::Conflicts {
+                    records: conflicts(covert, t),
+                    lost_fraction: 0.0,
+                })
+                .collect()
+        })
+        .collect();
+    let covert_drain = |pair: usize| pair % (4 * OSCILLATION_EVERY) == 1;
     let mut probe = |pair: usize, tick: u64, _attempt: u32| -> Result<PairInput, ProbeFault> {
+        let tick = tick as usize % 8;
+        if is_oscillation(pair) {
+            return Ok(drains[usize::from(covert_drain(pair))][tick].clone());
+        }
         let covert = usize::from(pair.is_multiple_of(COVERT_EVERY));
-        Ok(inputs[covert][tick as usize % 8].clone())
+        Ok(inputs[covert][tick].clone())
     };
 
     // Fill every window and settle verdicts and containment first.
@@ -148,6 +203,10 @@ fn steady_state_pair_quantum_allocates_at_most_twice() {
     let statuses = fleet.pair_statuses();
     assert!(statuses
         .iter()
-        .filter(|s| s.pair.is_multiple_of(COVERT_EVERY))
+        .filter(|s| s.pair.is_multiple_of(COVERT_EVERY) || covert_drain(s.pair))
         .all(|s| s.verdict.is_covert()));
+    assert!(statuses
+        .iter()
+        .filter(|s| is_oscillation(s.pair) && !covert_drain(s.pair))
+        .all(|s| !s.verdict.is_covert()));
 }

@@ -831,3 +831,41 @@ fn indicator_online_push_equals_replay_from_scratch() {
         }
     }
 }
+
+/// The detector judges a correlogram whose lags past n − 2 are implicit
+/// zeros exactly as it judges the same correlogram with those zeros
+/// stored: same flag, same peak lag and value, same harmonic value.
+#[test]
+fn oscillation_verdicts_ignore_how_the_zero_tail_is_kept() {
+    use cchunter_detector::autocorr::{OscillationConfig, OscillationDetector};
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x2E40_0000 + case);
+        let n = rng.gen_range(0usize..700);
+        let period = rng.gen_range(2usize..160);
+        let noisy = rng.gen_range(0..3) == 0;
+        let symbols: Vec<u8> = (0..n)
+            .map(|i| {
+                let level = if (i / period) % 2 == 0 { 1 } else { 8 };
+                if noisy && rng.gen_range(0..4) == 0 {
+                    rng.gen_range(0..64)
+                } else {
+                    level
+                }
+            })
+            .collect();
+        let series = SymbolSeries::from_symbols(symbols);
+        let detector = OscillationDetector::new(OscillationConfig {
+            min_lag: rng.gen_range(0usize..16),
+            dip_threshold: [0.0, 0.2, -0.2][rng.gen_range(0..3)],
+            min_samples: rng.gen_range(0usize..80),
+            ..OscillationConfig::default()
+        });
+        let max_lag = rng.gen_range(0usize..1_200);
+        let stored = Autocorrelogram::of_symbols(&series, max_lag);
+        assert_eq!(
+            detector.analyze(&series, max_lag),
+            detector.analyze_correlogram(series.len(), &stored),
+            "case {case}: n {n} period {period} max_lag {max_lag}"
+        );
+    }
+}

@@ -87,7 +87,9 @@ fn rate_derived_delta_t_also_detects() {
             }
         }
     }
-    let report = hunter.analyze_contention_train(&all, 0, 8 * QUANTUM);
+    let report = hunter
+        .analyze_contention_train(&all, 0, 8 * QUANTUM)
+        .expect("valid Δt policy");
     assert!(report.verdict.is_covert());
     let _ = run;
 }
