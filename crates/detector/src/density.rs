@@ -167,6 +167,22 @@ impl DensityHistogram {
         self.windows = self.windows.saturating_add(count);
     }
 
+    /// Refills this histogram in place: Δt `delta_t`, the `(bin,
+    /// frequency)` pairs of `nonzero`, every other bin zero. A reused
+    /// histogram thus decodes a stored window slot without allocating.
+    /// Bins past the last are ignored and the window total saturates.
+    pub(crate) fn refill(&mut self, delta_t: u64, nonzero: impl Iterator<Item = (usize, u64)>) {
+        self.bins.fill(0);
+        self.delta_t = delta_t;
+        self.windows = 0;
+        for (bin, f) in nonzero {
+            if let Some(slot) = self.bins.get_mut(bin) {
+                *slot = f;
+                self.windows = self.windows.saturating_add(f);
+            }
+        }
+    }
+
     /// Clamps every bin to the CC-auditor's 16-bit width in place; returns
     /// whether anything clamped, which is exactly when the window total
     /// exceeds [`u16::MAX`] (the window accumulator clamps first).
@@ -226,30 +242,42 @@ impl DensityHistogram {
     ///
     /// # Panics
     ///
-    /// Panics if the Δt values differ. Use [`DensityHistogram::try_merge`]
-    /// when the other histogram comes from untrusted input.
+    /// Panics if the Δt values differ or the merged bins would count more
+    /// than `u64::MAX` windows. Use [`DensityHistogram::try_merge`] when
+    /// the other histogram comes from untrusted input.
     pub fn merge(&mut self, other: &DensityHistogram) {
-        assert_eq!(self.delta_t, other.delta_t, "Δt mismatch in merge");
-        for (a, b) in self.bins.iter_mut().zip(other.bins.iter()) {
-            *a += b;
+        if let Err(e) = self.try_merge(other) {
+            panic!("{e}");
         }
-        self.windows += other.windows;
     }
 
     /// Merges another histogram into this one, returning
     /// [`DetectorError::BadHarvest`] (and leaving `self` unchanged) if the
-    /// Δt values differ — the fallible twin of [`DensityHistogram::merge`]
-    /// for histograms reconstructed from external data.
+    /// Δt values differ or the merged bins would count more than
+    /// `u64::MAX` windows — the fallible twin of
+    /// [`DensityHistogram::merge`] for histograms reconstructed from
+    /// external data.
     pub fn try_merge(&mut self, other: &DensityHistogram) -> Result<(), DetectorError> {
+        let bad = |reason: String| Err(DetectorError::BadHarvest { reason });
         if self.delta_t != other.delta_t {
-            return Err(DetectorError::BadHarvest {
-                reason: format!(
-                    "Δt mismatch in merge: {} vs {}",
-                    self.delta_t, other.delta_t
-                ),
-            });
+            return bad(format!(
+                "Δt mismatch in merge: {} vs {}",
+                self.delta_t, other.delta_t
+            ));
         }
-        self.merge(other);
+        let overflows = self.windows.checked_add(other.windows).is_none()
+            || self
+                .bins
+                .iter()
+                .zip(&other.bins)
+                .any(|(a, b)| a.checked_add(*b).is_none());
+        if overflows {
+            return bad("merged histogram counts past u64::MAX windows".to_string());
+        }
+        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+            *a += b;
+        }
+        self.windows += other.windows;
         Ok(())
     }
 
@@ -636,6 +664,20 @@ mod tests {
         let c = DensityHistogram::from_train(&t, 100, 0, 100).unwrap();
         a.try_merge(&c).unwrap();
         assert_eq!(a.total_windows(), 2);
+    }
+
+    #[test]
+    fn try_merge_rejects_bins_that_overflow_the_window_count() {
+        let mut half = vec![0u64; HISTOGRAM_BINS];
+        half[5] = u64::MAX / 2 + 1;
+        let mut a = DensityHistogram::from_bins(half.clone(), 100).unwrap();
+        let b = DensityHistogram::from_bins(half, 100).unwrap();
+        let before = a.clone();
+        assert!(matches!(
+            a.try_merge(&b),
+            Err(DetectorError::BadHarvest { .. })
+        ));
+        assert_eq!(a, before, "a failed merge leaves the histogram unchanged");
     }
 
     #[test]

@@ -526,8 +526,15 @@ impl fmt::Display for SymbolSeries {
 /// let t_to_s = pair_symbol(0, 1, 8);
 /// assert_ne!(s_to_t, t_to_s);
 /// ```
+///
+/// The symbol is computed in `u16`, so no argument overflows it. A symbol
+/// past `u8::MAX`, which only a context outside `0..contexts` or more than
+/// 16 contexts can produce, saturates there; the online oscillation push
+/// rejects records naming a context outside the paper's 3-bit range
+/// before they get here.
 pub fn pair_symbol(replacer: u8, victim: u8, contexts: u8) -> u8 {
-    replacer * contexts + victim
+    let symbol = u16::from(replacer) * u16::from(contexts) + u16::from(victim);
+    u8::try_from(symbol).unwrap_or(u8::MAX)
 }
 
 #[cfg(test)]
@@ -638,5 +645,12 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 64);
+    }
+
+    #[test]
+    fn out_of_range_pair_symbols_saturate_instead_of_overflowing() {
+        assert_eq!(pair_symbol(200, 0, 8), u8::MAX);
+        assert_eq!(pair_symbol(u8::MAX, u8::MAX, u8::MAX), u8::MAX);
+        assert_eq!(pair_symbol(15, 15, 16), u8::MAX, "the largest exact symbol");
     }
 }

@@ -43,8 +43,11 @@
 //! contention slot's Δt and nonzero bins go to one byte queue as LEB128
 //! varints (a `fleet_10k`-shaped quantum takes about 15 bytes), and a bursty
 //! slot's k-means features go to a second queue as `u8` levels, 128 bytes
-//! instead of 1 KiB of `f64`. The bins are decoded only by `checkpoint`;
-//! the levels are widened to `f64` only when the window re-clusters.
+//! instead of 1 KiB of `f64`. A quantum is encoded once: the fleet's
+//! coordinator encodes each harvest at the probe (`encode_slot`), the
+//! shard scores a dense view decoded into reused scratch, and the window
+//! keeps the bytes verbatim. `checkpoint` decodes them again; the levels
+//! are widened to `f64` only when the window re-clusters.
 //!
 //! ## Checkpoint / restore
 //!
@@ -58,7 +61,7 @@ use crate::burst::{BurstDetector, BurstVerdict};
 use crate::cluster::{level, recurrence_from_features, RecurrenceVerdict};
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
 use crate::metrics::{default_registry, Counter};
-use crate::pipeline::{conflict_symbols, CcHunterConfig, Verdict};
+use crate::pipeline::{conflict_symbols, CcHunterConfig, Verdict, CONTEXTS};
 use crate::span;
 use crate::trace::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointSlot};
 use crate::window::SlidingWindow;
@@ -67,6 +70,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
+use std::num::NonZeroU64;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -260,7 +264,34 @@ impl Slot {
 
 /// The most varint bytes one slot can take: Δt, then 128 `(bin, frequency)`
 /// pairs, at one byte per bin and at most ten per `u64`.
-const MAX_SLOT_BYTES: usize = 10 + HISTOGRAM_BINS * 11;
+pub(crate) const MAX_SLOT_BYTES: usize = 10 + HISTOGRAM_BINS * 11;
+
+/// Writes `histogram`'s slot encoding — its Δt, then its nonzero `(bin,
+/// frequency)` pairs, each a LEB128 varint — into `out`; returns how many
+/// bytes it took. The one encoder of contention quanta: a window's arena
+/// keeps these bytes verbatim, and the fleet's coordinator writes them at
+/// the probe.
+pub(crate) fn encode_slot(histogram: &DensityHistogram, out: &mut [u8; MAX_SLOT_BYTES]) -> usize {
+    let mut len = put_varint(out, 0, histogram.delta_t());
+    for (bin, &f) in histogram.bins().iter().enumerate() {
+        if f > 0 {
+            len = put_varint(out, len, bin as u64);
+            len = put_varint(out, len, f);
+        }
+    }
+    len
+}
+
+/// Reads a slot encoding back: its Δt and its nonzero `(bin, frequency)`
+/// pairs.
+fn decode_slot(mut bytes: impl Iterator<Item = u8>) -> (u64, impl Iterator<Item = (usize, u64)>) {
+    let delta_t = get_varint(&mut bytes).unwrap_or_default();
+    let pairs = std::iter::from_fn(move || {
+        let bin = get_varint(&mut bytes)?;
+        Some((bin as usize, get_varint(&mut bytes).unwrap_or_default()))
+    });
+    (delta_t, pairs)
+}
 
 /// The contention window's histograms, compacted. Every observed slot
 /// appends its Δt and then its nonzero `(bin, frequency)` pairs to one byte
@@ -285,6 +316,10 @@ thread_local! {
     /// window re-clustering on this thread, so no pair retains it and a
     /// re-clustering allocates nothing beyond k-means itself.
     static WIDENED: RefCell<Vec<[f64; HISTOGRAM_BINS]>> = const { RefCell::new(Vec::new()) };
+
+    /// The dense view of an encoded quantum ([`OnlineWindow::push_encoded`]),
+    /// refilled in place by every push on this thread.
+    static DECODED: RefCell<DensityHistogram> = RefCell::new(DensityHistogram::zeroed(NonZeroU64::MIN));
 }
 
 impl BinArena {
@@ -296,29 +331,21 @@ impl BinArena {
         }
     }
 
-    /// Appends `histogram`'s Δt and nonzero bins, and its levels if
-    /// `bursty`; returns how many bytes the bins took.
-    fn push(&mut self, histogram: &DensityHistogram, bursty: bool) -> u16 {
+    /// Appends `slot`, the encoding of `histogram`, and the histogram's
+    /// levels if `bursty`; returns how many bytes the slot took.
+    fn push(&mut self, slot: &[u8], histogram: &DensityHistogram, bursty: bool) -> u16 {
         if bursty {
             self.levels
                 .extend(histogram.bins().iter().map(|&f| level(f)));
         }
-        let mut encoded = [0u8; MAX_SLOT_BYTES];
-        let mut span = put_varint(&mut encoded, 0, histogram.delta_t());
-        for (bin, &f) in histogram.bins().iter().enumerate() {
-            if f > 0 {
-                span = put_varint(&mut encoded, span, bin as u64);
-                span = put_varint(&mut encoded, span, f);
-            }
-        }
-        let needed = self.bytes.len() + span;
+        let needed = self.bytes.len() + slot.len();
         if needed > self.bytes.capacity() {
             let target = (needed + (needed / 8).max(64)).min(self.limit);
             self.bytes.reserve_exact(target - self.bytes.len());
         }
-        self.bytes.extend(&encoded[..span]);
+        self.bytes.extend(slot);
         // At most MAX_SLOT_BYTES = 1 418.
-        span as u16
+        slot.len() as u16
     }
 
     /// Drops the bytes and levels of the oldest slot, which keeps `quantum`.
@@ -334,16 +361,9 @@ impl BinArena {
     /// Decodes the `span` bytes starting `offset` bytes from the front into
     /// a histogram's Δt and its nonzero `(bin, frequency)` pairs.
     fn histogram(&self, offset: usize, span: u16) -> (u64, Vec<(usize, u64)>) {
-        let mut bytes = self
-            .bytes
-            .range(offset..offset + usize::from(span))
-            .copied();
-        let delta_t = get_varint(&mut bytes).unwrap_or_default();
-        let mut sparse = Vec::new();
-        while let Some(bin) = get_varint(&mut bytes) {
-            sparse.push((bin as usize, get_varint(&mut bytes).unwrap_or_default()));
-        }
-        (delta_t, sparse)
+        let bytes = self.bytes.range(offset..offset + usize::from(span));
+        let (delta_t, pairs) = decode_slot(bytes.copied());
+        (delta_t, pairs.collect())
     }
 }
 
@@ -370,6 +390,23 @@ fn get_varint(bytes: &mut impl Iterator<Item = u8>) -> Option<u64> {
         }
     }
     None
+}
+
+/// Rejects a drain naming a hardware context outside `0..CONTEXTS`: its
+/// pair symbols would collide with valid ones, or leave the `u8` alphabet.
+fn check_contexts(records: &[ConflictRecord]) -> Result<(), DetectorError> {
+    let Some(r) = records
+        .iter()
+        .find(|r| r.replacer.max(r.victim) >= CONTEXTS)
+    else {
+        return Ok(());
+    };
+    let (replacer, victim) = (r.replacer, r.victim);
+    Err(DetectorError::BadHarvest {
+        reason: format!(
+            "conflict record names context {replacer} -> {victim}, outside 0..{CONTEXTS}"
+        ),
+    })
 }
 
 /// The gap-aware sliding window of one audited resource: the only code
@@ -506,8 +543,8 @@ impl OnlineWindow {
             PairKind::Contention,
             "density harvest delivered to an oscillation pair",
         )?;
-        // The dense histogram is analysed, its nonzero bins are copied into
-        // the arena, and it is dropped here while still hot.
+        // The dense histogram is analysed and encoded into the arena, and
+        // dropped here while still hot.
         let burst = self.ingest_harvest(&harvest.into());
         Ok(self.publish(burst, None))
     }
@@ -521,7 +558,8 @@ impl OnlineWindow {
     /// # Errors
     ///
     /// Returns [`DetectorError::BadHarvest`], and pushes nothing, if this
-    /// is a contention window.
+    /// is a contention window or a record names a hardware context outside
+    /// the paper's 3-bit range.
     pub fn push_conflicts(
         &mut self,
         records: &[ConflictRecord],
@@ -531,6 +569,7 @@ impl OnlineWindow {
             PairKind::Oscillation,
             "conflict records delivered to a contention pair",
         )?;
+        check_contexts(records)?;
         Ok(self.publish_conflicts(records, lost_fraction))
     }
 
@@ -608,10 +647,46 @@ impl OnlineWindow {
         histogram: &DensityHistogram,
         weight: f64,
     ) -> BurstVerdict {
+        let mut slot = [0u8; MAX_SLOT_BYTES];
+        let len = encode_slot(histogram, &mut slot);
+        self.ingest_encoded(&slot[..len], histogram, weight)
+    }
+
+    /// [`OnlineWindow::push_harvest`] for a contention quantum already
+    /// encoded by [`encode_slot`] and observed with `weight`: the fleet's
+    /// shard path. The bytes are decoded into the thread's reused dense
+    /// view for scoring and kept as they are.
+    pub(crate) fn push_encoded(
+        &mut self,
+        slot: &[u8],
+        weight: f64,
+    ) -> Result<OnlineStatus, DetectorError> {
+        self.expect_kind(
+            PairKind::Contention,
+            "density harvest delivered to an oscillation pair",
+        )?;
+        let burst = DECODED.with_borrow_mut(|histogram| {
+            let (delta_t, pairs) = decode_slot(slot.iter().copied());
+            histogram.refill(delta_t, pairs);
+            self.ingest_encoded(slot, histogram, weight)
+        });
+        Ok(self.publish(Some(burst), None))
+    }
+
+    /// The one contention ingest: scores `histogram`, the dense view of
+    /// the encoded quantum `slot`, and slides the quantum into the window
+    /// with observation `weight`. The arena keeps `slot` verbatim and the
+    /// view's k-means levels when the quantum is bursty.
+    fn ingest_encoded(
+        &mut self,
+        slot: &[u8],
+        histogram: &DensityHistogram,
+        weight: f64,
+    ) -> BurstVerdict {
         let verdict = BurstDetector::new(self.config.burst).analyze(histogram);
         let bursty = verdict.significant;
         self.insert(weight, |arena| SlotQuantum::Histogram {
-            span: arena.push(histogram, bursty),
+            span: arena.push(slot, histogram, bursty),
             bursty,
         });
         verdict
@@ -930,14 +1005,18 @@ impl OnlineOscillationDetector {
         self.push_quantum_degraded(records, 0.0)
     }
 
-    /// [`OnlineWindow::push_conflicts`], which cannot fail on an
-    /// oscillation window.
+    /// [`OnlineWindow::push_conflicts`] on an oscillation window. A drain
+    /// it would reject, naming a context outside the paper's 3-bit range,
+    /// is corrupt and counts as a missed quantum.
     pub fn push_quantum_degraded(
         &mut self,
         records: &[ConflictRecord],
         lost_fraction: f64,
     ) -> OnlineStatus {
-        self.0.publish_conflicts(records, lost_fraction)
+        match check_contexts(records) {
+            Ok(()) => self.0.publish_conflicts(records, lost_fraction),
+            Err(_) => self.0.push_missed(),
+        }
     }
 
     /// [`OnlineWindow::push_missed`].
@@ -1371,5 +1450,29 @@ mod tests {
         let err = oscillation.push_harvest(Harvest::Missed).unwrap_err();
         assert!(matches!(err, DetectorError::BadHarvest { .. }), "{err}");
         assert_eq!(contention.window_len() + oscillation.window_len(), 0);
+    }
+
+    #[test]
+    fn out_of_range_contexts_are_a_bad_harvest_not_a_symbol() {
+        // `replacer * 8` leaves the `u8` alphabet from replacer 32 on: the
+        // record must be refused, never panic or fold into another
+        // pair's symbol.
+        let records: Vec<ConflictRecord> = (0..64)
+            .map(|i| ConflictRecord {
+                cycle: 50 * i,
+                replacer: if i == 7 { 200 } else { (i % 2) as u8 },
+                victim: if i == 7 { 0 } else { 1 - (i % 2) as u8 },
+            })
+            .collect();
+        let config = CcHunterConfig::default();
+        let mut window = OnlineWindow::new(PairKind::Oscillation, config, 4).unwrap();
+        let err = window.push_conflicts(&records, 0.0).unwrap_err();
+        assert!(matches!(err, DetectorError::BadHarvest { .. }), "{err}");
+        assert_eq!(window.window_len(), 0, "a rejected drain pushes nothing");
+        // The infallible handle counts the corrupt drain as a missed quantum.
+        let mut daemon = OnlineOscillationDetector::new(config, 4).unwrap();
+        let status = daemon.push_quantum(&records);
+        assert_eq!((status.window_len, status.observed_in_window), (1, 0));
+        assert!(status.quantum_oscillation.is_none());
     }
 }

@@ -567,6 +567,10 @@ pub fn symbol_series(records: &[ConflictRecord], start: u64, end: u64) -> Symbol
     conflict_symbols(records, start, end).collect()
 }
 
+/// Hardware contexts a conflict record can name: the paper's context IDs
+/// are 3-bit.
+pub(crate) const CONTEXTS: u8 = 8;
+
 /// The symbols of [`symbol_series`], produced lazily.
 pub(crate) fn conflict_symbols(
     records: &[ConflictRecord],
@@ -576,7 +580,7 @@ pub(crate) fn conflict_symbols(
     records
         .iter()
         .filter(move |r| r.cycle >= start && r.cycle < end && r.replacer != r.victim)
-        .map(|r| pair_symbol(r.replacer, r.victim, 8))
+        .map(|r| pair_symbol(r.replacer, r.victim, CONTEXTS))
 }
 
 /// A labeled detection outcome, convenient for experiment summaries.

@@ -17,9 +17,10 @@
 //! * **One tick** — the coordinator's loop is the only probe/retry loop
 //!   and its tick number the only clock. It asks each pair's breaker
 //!   first (quarantined pairs are probed only on recovery ticks), then
-//!   moves the input, its retry count and virtual backoff into a bounded
-//!   per-shard batch. Overflow widens harvests to partial — backpressure,
-//!   never loss.
+//!   files the input, its retry count and virtual backoff in a bounded
+//!   per-shard batch, reused every tick; a contention harvest goes in as
+//!   its window-slot bytes. Overflow widens harvests to partial —
+//!   backpressure, never loss.
 //! * **Heartbeats** — shard ticks fan out under `catch_unwind` with a
 //!   deadline; [`ShardedFleetConfig::dead_after`] consecutive misses
 //!   declare a shard dead.
@@ -53,7 +54,7 @@ use crate::span::{self, Tracer};
 use crate::store::{CheckpointStore, StorageMedium};
 use crate::supervisor::{
     probe_with_retry, Durability, IngestSnapshot, LatencySummary, MetricsSnapshot, PairKind,
-    PairSnapshot, ProbeSource, ProbedInput, RestoredFrom, ShadowCheckpoint, Supervisor,
+    PairSnapshot, ProbeSource, RestoredFrom, ShadowCheckpoint, ShardBatch, Supervisor,
     SupervisorConfig, TickReport,
 };
 use crate::DetectorError;
@@ -401,6 +402,8 @@ struct Shard {
     ingest: Option<IngestPipeline>,
     /// Global pair index hosted at each local slot.
     slots: Vec<usize>,
+    /// This tick's probed inputs, one cell per slot; refilled every tick.
+    batch: ShardBatch,
     /// Latency-SLO suspicion state, when configured.
     suspicion: Option<SloState>,
     /// Consecutive heartbeat misses.
@@ -856,6 +859,7 @@ impl ShardedFleet {
             enforcer: Box::new(AdvisoryEnforcer),
             ingest,
             slots: Vec::new(),
+            batch: ShardBatch::default(),
             suspicion,
             misses: 0,
             deaths: 0,
@@ -1092,41 +1096,37 @@ impl ShardedFleet {
         let mut tick_span = self.tracer.span("fleet", "tick");
 
         // Phase A (serial): probe each due pair once, with retries, into
-        // its shard's batch (one entry per slot; `None` = quarantined).
-        let mut batches: Vec<Vec<Option<ProbedInput>>> = self
-            .shards
-            .iter()
-            .map(|s| match &s.supervisor {
-                Some(sup) => (0..sup.len()).map(|_| None).collect(),
-                None => Vec::new(),
-            })
-            .collect();
-        let mut batch_fill = vec![0usize; shard_count];
+        // its shard's batch (one cell per slot; `None` = quarantined). A
+        // contention harvest is encoded there and its histogram dropped.
+        for shard in &mut self.shards {
+            let slots = shard.supervisor.as_ref().map_or(0, Supervisor::len);
+            shard.batch.reset(slots);
+        }
         let mut overflow_degraded = 0usize;
         let mut probe_retries = 0u64;
         for (global, entry) in self.table.iter().enumerate() {
             let PairHome::Assigned { shard, slot } = entry.home else {
                 continue;
             };
-            let Some(sup) = &self.shards[shard].supervisor else {
-                continue;
-            };
-            if !sup.should_attempt(slot, tick) {
+            let host = &mut self.shards[shard];
+            if !host
+                .supervisor
+                .as_ref()
+                .is_some_and(|sup| sup.should_attempt(slot, tick))
+            {
                 continue;
             }
             let seed = mix_seed(self.config.base.seed, global as u64, tick);
             let mut probed =
                 probe_with_retry(source, &self.config.base.backoff, seed, global, tick);
             probe_retries += u64::from(probed.retries);
-            if self.config.mailbox_capacity > 0 && batch_fill[shard] >= self.config.mailbox_capacity
+            if self.config.mailbox_capacity > 0
+                && host.batch.filed() >= self.config.mailbox_capacity
             {
                 overflow_degraded += 1;
-                probed.input = probed.input.widen_loss(self.config.overflow_loss);
+                probed.input.widen_loss(self.config.overflow_loss);
             }
-            batch_fill[shard] += 1;
-            if let Some(cell) = batches[shard].get_mut(slot) {
-                *cell = Some(probed);
-            }
+            host.batch.file(slot, entry.kind, probed);
         }
         if probe_retries > 0 {
             self.metrics.probe_retries.inc_by(probe_retries);
@@ -1137,56 +1137,26 @@ impl ShardedFleet {
                 .inc_by(overflow_degraded as u64);
         }
 
-        // Phase B (parallel): one job per live shard, each under
-        // catch_unwind; a panicking shard is contained in its own slot.
-        struct ShardJob<'a> {
-            supervisor: &'a mut Supervisor,
-            enforcer: &'a mut (dyn MitigationEnforcer + Send),
-            chaos_panic_ticks: &'a mut u32,
-            chaos_stall_us: &'a mut u64,
-            inputs: Vec<Option<ProbedInput>>,
-        }
-        let mut jobs: Vec<ShardJob<'_>> = Vec::new();
-        let mut job_ids: Vec<usize> = Vec::new();
-        for (i, (shard, batch)) in self.shards.iter_mut().zip(batches).enumerate() {
-            let Shard {
-                supervisor: Some(supervisor),
-                enforcer,
-                chaos_panic_ticks,
-                chaos_stall_us,
-                ..
-            } = shard
-            else {
-                continue;
-            };
-            jobs.push(ShardJob {
-                supervisor,
-                enforcer: enforcer.as_mut(),
-                chaos_panic_ticks,
-                chaos_stall_us,
-                inputs: batch,
-            });
-            job_ids.push(i);
-        }
-        let results = threadpool::par_catch_map_mut(&mut jobs, |job| {
-            if *job.chaos_panic_ticks > 0 {
-                *job.chaos_panic_ticks -= 1;
+        // Phase B (parallel): each live shard ticks under catch_unwind; a
+        // panicking shard is contained in its own slot.
+        let results = threadpool::par_catch_map_mut(&mut self.shards, |shard| {
+            let supervisor = shard.supervisor.as_mut()?;
+            if shard.chaos_panic_ticks > 0 {
+                shard.chaos_panic_ticks -= 1;
                 panic!("chaos: injected shard failure");
             }
             // The chaos stall counts as shard work: a stalled shard is a
             // *slow* shard, visible to both the hard deadline watchdog
             // and the latency-SLO suspicion tracker.
             let shard_started = Instant::now();
-            let stall = std::mem::take(job.chaos_stall_us);
+            let stall = std::mem::take(&mut shard.chaos_stall_us);
             if stall > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(stall));
             }
-            let inputs = std::mem::take(&mut job.inputs);
-            let report = job.supervisor.tick(tick, inputs, &mut *job.enforcer);
+            let report = supervisor.tick(tick, &mut shard.batch, shard.enforcer.as_mut());
             let elapsed_us = shard_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            (report, elapsed_us)
+            Some((report, elapsed_us))
         });
-        drop(jobs);
 
         // Phase C (serial): heartbeat settlement and death declaration.
         let mut shard_reports: Vec<Option<TickReport>> = (0..shard_count).map(|_| None).collect();
@@ -1195,28 +1165,23 @@ impl ShardedFleet {
         let mut suspected = Vec::new();
         let mut cleared = Vec::new();
         let deadline_us = self.config.shard_deadline_us;
-        for (i, result) in job_ids.into_iter().zip(results) {
+        for (i, result) in results.into_iter().enumerate() {
+            // Dead shards ran no tick.
+            let Some(result) = result.transpose() else {
+                continue;
+            };
             let shard = &mut self.shards[i];
             // The gray-failure (latency-SLO) verdict for this shard tick:
             // Some(over_budget) to feed the suspicion tracker, None to
             // leave it alone.
             let mut slo_breach = None;
-            match result {
+            let miss = match result {
                 Err(panic) => {
                     shard.panics += 1;
-                    shard.misses += 1;
-                    heartbeat_misses.push(i);
                     // A panicked tick produced no latency sample, but it is
                     // certainly not *within* the latency budget.
                     slo_breach = Some(true);
-                    self.metrics.heartbeat_miss(i);
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            "fleet",
-                            "shard-panic",
-                            format_args!("shard {i}: {} (miss {})", panic.message, shard.misses),
-                        );
-                    }
+                    Some(("shard-panic", panic.message))
                 }
                 Ok((report, elapsed_us)) => {
                     shard.last_tick_us = elapsed_us;
@@ -1233,26 +1198,28 @@ impl ShardedFleet {
                             state.window.reset();
                         }
                     }
-                    if deadline_us > 0 && elapsed_us > deadline_us {
-                        shard.tick_deadline_misses += 1;
-                        shard.misses += 1;
-                        heartbeat_misses.push(i);
-                        self.metrics.heartbeat_miss(i);
-                        if self.tracer.is_enabled() {
-                            self.tracer.event(
-                                "fleet",
-                                "shard-deadline-miss",
-                                format_args!(
-                                    "shard {i}: {elapsed_us} µs > {deadline_us} µs budget (miss {})",
-                                    shard.misses
-                                ),
-                            );
-                        }
-                    } else {
-                        shard.misses = 0;
-                    }
                     shard_reports[i] = Some(report);
+                    (deadline_us > 0 && elapsed_us > deadline_us).then(|| {
+                        shard.tick_deadline_misses += 1;
+                        let detail = format!("{elapsed_us} µs > {deadline_us} µs budget");
+                        ("shard-deadline-miss", detail)
+                    })
                 }
+            };
+            match miss {
+                Some((event, detail)) => {
+                    shard.misses += 1;
+                    heartbeat_misses.push(i);
+                    self.metrics.heartbeat_miss(i);
+                    if self.tracer.is_enabled() {
+                        self.tracer.event(
+                            "fleet",
+                            event,
+                            format_args!("shard {i}: {detail} (miss {})", shard.misses),
+                        );
+                    }
+                }
+                None => shard.misses = 0,
             }
             if let (Some(over), Some(state)) = (slo_breach, shard.suspicion.as_mut()) {
                 let transition = state.tracker.observe(over);
@@ -1893,25 +1860,9 @@ impl ShardedFleet {
             .map(|(global, entry)| {
                 let hosted = self
                     .host_of(global)
-                    .and_then(|(shard, sup, slot)| Some((shard, sup.pair_status(slot)?)));
+                    .and_then(|(shard, sup, slot)| sup.pair_status(slot, global, shard));
                 match hosted {
-                    Some((shard, status)) => FleetPairStatus {
-                        pair: global,
-                        label: status.label,
-                        kind: entry.kind,
-                        shard: Some(shard),
-                        verdict: status.verdict,
-                        degraded: status.degraded,
-                        containment: status.containment,
-                        health: Some(status.health),
-                        restored_from: status.restored_from,
-                        confidence: status.confidence,
-                        failure_rate: status.failure_rate,
-                        failures: status.failures,
-                        panics: status.panics,
-                        deadline_misses: status.deadline_misses,
-                        retries: status.retries,
-                    },
+                    Some(status) => status,
                     None => FleetPairStatus {
                         pair: global,
                         label: entry.label.to_string(),
@@ -2186,10 +2137,13 @@ impl ShardedFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::auditor::ConflictRecord;
     use crate::density::{DensityHistogram, HISTOGRAM_BINS};
-    use crate::online::Harvest;
-    use crate::policy::BackoffConfig;
-    use crate::supervisor::{PairInput, ProbeFault};
+    use crate::online::{Harvest, OnlineWindow};
+    use crate::policy::{BackoffConfig, QuarantineConfig};
+    use crate::supervisor::{PairInput, PairOutcome, ProbeFault};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn covert_histogram() -> DensityHistogram {
         let mut bins = vec![0u64; HISTOGRAM_BINS];
@@ -2737,5 +2691,185 @@ mod tests {
             ..ShardedFleetConfig::default()
         })
         .is_err());
+    }
+
+    /// One seeded contention histogram: all zero, one `u64::MAX` bin,
+    /// every bin at or near the 16-bit register ceiling, covert-shaped or
+    /// quiet, with a Δt whose varint takes one to ten bytes.
+    fn random_histogram(rng: &mut SmallRng) -> DensityHistogram {
+        let mut bins = vec![0u64; HISTOGRAM_BINS];
+        match rng.gen_range(0u32..5) {
+            0 => {}
+            1 => bins[rng.gen_range(0..HISTOGRAM_BINS)] = u64::MAX,
+            2 => bins
+                .iter_mut()
+                .for_each(|b| *b = u64::from(u16::MAX) - rng.gen_range(0..2)),
+            3 => {
+                bins[0] = 2_400;
+                let peak = rng.gen_range(16usize..24);
+                bins[peak] = rng.gen_range(80..160);
+                bins[peak + 1] = rng.gen_range(5..30);
+            }
+            _ => {
+                bins[0] = 2_400;
+                bins[1] = rng.gen_range(0..60);
+                bins[2] = rng.gen_range(0..20);
+            }
+        }
+        let delta_t = [1, 1_000, 100_000, u64::MAX][rng.gen_range(0..4)];
+        DensityHistogram::from_bins(bins, delta_t).unwrap()
+    }
+
+    /// One seeded input for a `kind` pair: complete, partial (NaN and
+    /// out-of-range losses among them) or missed, with a wrong-kind input
+    /// now and then and, for oscillation pairs, drains naming a context
+    /// outside the 3-bit range.
+    fn random_input(rng: &mut SmallRng, kind: PairKind) -> PairInput {
+        let histogram = random_histogram(rng);
+        let harvest = match rng.gen_range(0u32..6) {
+            0 => Harvest::Missed,
+            1 => Harvest::Complete(histogram),
+            2 => Harvest::Partial {
+                histogram,
+                lost_fraction: f64::NAN,
+            },
+            3 => Harvest::Partial {
+                histogram,
+                lost_fraction: [-0.5, 1.5][rng.gen_range(0..2)],
+            },
+            _ => Harvest::Partial {
+                histogram,
+                lost_fraction: rng.gen_range(0.0..1.0),
+            },
+        };
+        let wrong_kind = rng.gen_range(0u32..8) == 0;
+        if (kind == PairKind::Contention) != wrong_kind {
+            return PairInput::Harvest(harvest);
+        }
+        let group = rng.gen_range(4..40);
+        let mut records: Vec<ConflictRecord> = (0..rng.gen_range(0..256))
+            .map(|i| {
+                let up = (i / group) % 2 == 0;
+                ConflictRecord {
+                    cycle: 50 * i as u64,
+                    replacer: u8::from(up),
+                    victim: u8::from(!up),
+                }
+            })
+            .collect();
+        if let (Some(r), true) = (records.first_mut(), rng.gen_range(0u32..6) == 0) {
+            r.replacer = 200;
+        }
+        PairInput::Conflicts {
+            records,
+            lost_fraction: rng.gen_range(0.0..1.0),
+        }
+    }
+
+    #[test]
+    fn encoded_harvests_score_like_a_bare_window_replay() {
+        // The coordinator encodes each contention harvest at the probe and
+        // the shard scores it from those bytes. Over seeded schedules —
+        // mailbox overflow widening the later pairs' losses — every fleet
+        // tick reports the status a bare window reports for the same
+        // (widened) input, wrong-kind and out-of-range inputs degrade the
+        // pair with `BadHarvest` after a gap, and every window ends up
+        // checkpointing byte for byte like its bare twin.
+        const PAIRS: usize = 5;
+        const MAILBOX: usize = 2;
+        for case in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(0xE4C0_DE00 + case);
+            let capacity = rng.gen_range(1usize..24);
+            let overflow_loss = rng.gen_range(0.0..1.0);
+            let config = ShardedFleetConfig {
+                shards: 1,
+                base: SupervisorConfig {
+                    window_quanta: capacity,
+                    backoff: BackoffConfig {
+                        max_retries: 0,
+                        ..BackoffConfig::default()
+                    },
+                    // Gaps must not quarantine a pair: every tick is analysed.
+                    quarantine: QuarantineConfig {
+                        min_observations: usize::MAX,
+                        ..QuarantineConfig::default()
+                    },
+                    ..SupervisorConfig::default()
+                },
+                mailbox_capacity: MAILBOX,
+                overflow_loss,
+                ..ShardedFleetConfig::default()
+            };
+            let hunter = config.base.hunter;
+            let mut fleet = ShardedFleet::new(config).unwrap();
+            let kinds: Vec<PairKind> = (0..PAIRS)
+                .map(|pair| match pair % 3 {
+                    2 => PairKind::Oscillation,
+                    _ => PairKind::Contention,
+                })
+                .collect();
+            let mut bare = Vec::new();
+            for (pair, &kind) in kinds.iter().enumerate() {
+                match kind {
+                    PairKind::Contention => fleet.add_contention_pair(format!("pair {pair}")),
+                    PairKind::Oscillation => fleet.add_oscillation_pair(format!("pair {pair}")),
+                }
+                .unwrap();
+                bare.push(OnlineWindow::new(kind, hunter, capacity).unwrap());
+            }
+            for step in 0..rng.gen_range(1usize..48) {
+                let inputs: Vec<PairInput> =
+                    kinds.iter().map(|&k| random_input(&mut rng, k)).collect();
+                let report = fleet.tick(&mut |pair: usize, _tick: u64, _attempt: u32| {
+                    Ok::<_, ProbeFault>(inputs[pair].clone())
+                });
+                let reports = &report.shard_reports[0].as_ref().unwrap().reports;
+                for (pair, window) in bare.iter_mut().enumerate() {
+                    let mut input = inputs[pair].clone();
+                    if pair >= MAILBOX {
+                        input.widen_loss(overflow_loss);
+                    }
+                    let pushed = match &input {
+                        PairInput::Harvest(h) => window.push_harvest(h.clone()),
+                        PairInput::Conflicts {
+                            records,
+                            lost_fraction,
+                        } => window.push_conflicts(records, *lost_fraction),
+                        _ => Ok(window.push_missed()),
+                    };
+                    let (expected, rejected) = match pushed {
+                        Ok(status) => (status, false),
+                        Err(_) => (window.push_missed(), true),
+                    };
+                    let at = format!("case {case} step {step} pair {pair}: {input:?}");
+                    let status = match &reports[pair].outcome {
+                        PairOutcome::Analyzed(status) => status,
+                        PairOutcome::Degraded {
+                            status,
+                            error: DetectorError::BadHarvest { .. },
+                        } => status,
+                        other => panic!("{at}: {other:?}"),
+                    };
+                    assert_eq!(format!("{status:?}"), format!("{expected:?}"), "{at}");
+                    if rejected {
+                        assert!(
+                            matches!(reports[pair].outcome, PairOutcome::Degraded { .. }),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+            let supervisor = fleet.shards[0].supervisor.as_mut().unwrap();
+            for (slot, window) in bare.iter().enumerate().rev() {
+                let mut expected = Vec::new();
+                window.checkpoint(&mut expected).unwrap();
+                let snapshot = supervisor.remove_pair(slot).unwrap();
+                assert_eq!(
+                    snapshot.window.unwrap(),
+                    expected,
+                    "case {case} pair {slot}"
+                );
+            }
+        }
     }
 }

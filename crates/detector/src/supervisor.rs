@@ -7,10 +7,10 @@
 //! fleet; each of its shards owns a crate-private `Supervisor`: the pair
 //! table that makes one shard's tick crash-safe end to end:
 //!
-//! * **Per-pair watchdogs** — every pair's analysis runs under
-//!   `catch_unwind` (via the thread pool's panic-safe
-//!   [`threadpool::par_catch_map_mut`] fan-out) with a deadline budget. A
-//!   panic or deadline miss becomes a typed
+//! * **Per-pair watchdogs** — a shard tick is one pass over its slots,
+//!   and every pair's push runs under `catch_unwind`
+//!   ([`threadpool::catch`]) with a deadline budget; shards are what run
+//!   in parallel. A panic or deadline miss becomes a typed
 //!   [`DetectorError::AnalysisPanicked`] /
 //!   [`DetectorError::DeadlineExceeded`], counts against that pair alone,
 //!   and yields a degraded per-pair report instead of poisoning the batch.
@@ -49,18 +49,20 @@ use crate::ingest::IngestStats;
 use crate::metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_US};
 use crate::mitigation::{ContainmentState, MitigationConfig, MitigationEnforcer, MitigationPolicy};
 pub use crate::online::PairKind;
-use crate::online::{Harvest, OnlineStatus, OnlineWindow};
+use crate::online::{encode_slot, Harvest, OnlineStatus, OnlineWindow, MAX_SLOT_BYTES};
 use crate::pipeline::{CcHunterConfig, Verdict};
 use crate::policy::{
     backoff_delay, reconcile_quarantine_recovery, BackoffConfig, BreakerState, CircuitBreaker,
     QuarantineConfig,
 };
+use crate::shard::FleetPairStatus;
 use crate::span::Tracer;
 use crate::store::CheckpointStore;
 use crate::DetectorError;
 use std::fmt;
 use std::io::{BufRead, BufReader};
 use std::mem::discriminant;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -145,29 +147,21 @@ impl PairInput {
     /// Widens the input's loss by `loss` (the mailbox-overflow
     /// backpressure signal): complete evidence becomes partial,
     /// already-partial evidence widens further; nothing is dropped.
-    pub(crate) fn widen_loss(self, loss: f64) -> PairInput {
+    pub(crate) fn widen_loss(&mut self, loss: f64) {
         match self {
-            PairInput::Harvest(Harvest::Complete(histogram)) => {
-                PairInput::Harvest(Harvest::Partial {
-                    histogram,
-                    lost_fraction: loss,
-                })
+            PairInput::Harvest(Harvest::Partial { lost_fraction, .. })
+            | PairInput::Conflicts { lost_fraction, .. } => {
+                *lost_fraction = (*lost_fraction + loss).min(1.0);
             }
-            PairInput::Harvest(Harvest::Partial {
-                histogram,
-                lost_fraction,
-            }) => PairInput::Harvest(Harvest::Partial {
-                histogram,
-                lost_fraction: (lost_fraction + loss).min(1.0),
-            }),
-            PairInput::Conflicts {
-                records,
-                lost_fraction,
-            } => PairInput::Conflicts {
-                records,
-                lost_fraction: (lost_fraction + loss).min(1.0),
-            },
-            other => other,
+            PairInput::Harvest(harvest @ Harvest::Complete(_)) => {
+                if let Harvest::Complete(histogram) = std::mem::replace(harvest, Harvest::Missed) {
+                    *harvest = Harvest::Partial {
+                        histogram,
+                        lost_fraction: loss,
+                    };
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -212,12 +206,77 @@ where
 
 /// One pair's probed input for one tick, with what it cost to obtain.
 #[derive(Debug)]
-pub(crate) struct ProbedInput {
-    pub(crate) input: PairInput,
+pub(crate) struct ProbedInput<I = PairInput> {
+    pub(crate) input: I,
     /// Probe retries spent.
     pub(crate) retries: u32,
     /// Virtual microseconds of backoff scheduled across those retries.
     pub(crate) backoff_us: u64,
+}
+
+/// What a shard slot receives for one tick.
+#[derive(Debug)]
+pub(crate) enum SlotInput {
+    /// A contention pair's observed harvest, encoded at the probe by
+    /// [`encode_slot`]: these bytes of its [`ShardBatch`], observed with
+    /// `weight`.
+    Encoded { bytes: Range<usize>, weight: f64 },
+    /// Any other input, as probed: oscillation drains, misses, chaos, and
+    /// harvests sent to the wrong kind of pair.
+    Probed(PairInput),
+}
+
+/// One shard's inputs for one tick: a cell per slot (`None` = not probed)
+/// and the bytes of its encoded harvests. The fleet owns one per shard and
+/// refills it every tick, so steady-state ticks reuse its buffers.
+#[derive(Debug, Default)]
+pub(crate) struct ShardBatch {
+    cells: Vec<Option<ProbedInput<SlotInput>>>,
+    bytes: Vec<u8>,
+    filed: usize,
+}
+
+impl ShardBatch {
+    /// Empties the batch for a tick of a `slots`-pair table, keeping its
+    /// buffers.
+    pub(crate) fn reset(&mut self, slots: usize) {
+        self.cells.clear();
+        self.cells.resize_with(slots, || None);
+        self.bytes.clear();
+        self.filed = 0;
+    }
+
+    /// Cells filed since the last reset.
+    pub(crate) fn filed(&self) -> usize {
+        self.filed
+    }
+
+    /// Files `probed` under `slot`, a `kind` pair. A contention pair's
+    /// observed harvest is encoded into the batch's bytes here, and its
+    /// dense histogram dropped on the thread that allocated it.
+    pub(crate) fn file(&mut self, slot: usize, kind: PairKind, probed: ProbedInput) {
+        let encoded = match &probed.input {
+            PairInput::Harvest(harvest) if kind == PairKind::Contention => {
+                harvest.histogram().map(|histogram| {
+                    let mut encoded = [0u8; MAX_SLOT_BYTES];
+                    let len = encode_slot(histogram, &mut encoded);
+                    let start = self.bytes.len();
+                    self.bytes.extend_from_slice(&encoded[..len]);
+                    let (bytes, weight) = (start..self.bytes.len(), harvest.observed_weight());
+                    SlotInput::Encoded { bytes, weight }
+                })
+            }
+            _ => None,
+        };
+        if let Some(cell) = self.cells.get_mut(slot) {
+            *cell = Some(ProbedInput {
+                input: encoded.unwrap_or(SlotInput::Probed(probed.input)),
+                retries: probed.retries,
+                backoff_us: probed.backoff_us,
+            });
+        }
+        self.filed += 1;
+    }
 }
 
 /// The fleet's one retry loop: probes `pair` for `tick`, retrying
@@ -265,7 +324,7 @@ pub(crate) fn probe_with_retry<S: ProbeSource + ?Sized>(
 type AnalysisResult = Result<(OnlineStatus, bool), DetectorError>;
 
 /// An [`AnalysisResult`] paired with its elapsed microseconds, as it
-/// comes back from the panic-catching fan-out.
+/// comes back from under `catch_unwind`.
 type TimedAnalysis = Result<(AnalysisResult, u64), threadpool::JobPanic>;
 
 /// How a panicked pair's detector was brought back.
@@ -393,37 +452,6 @@ pub struct TickReport {
     /// Error from this tick's automatic checkpoint, if it failed (the tick
     /// itself still completes).
     pub checkpoint_error: Option<String>,
-}
-
-/// A pair's standing in its shard's table; the fleet publishes it as
-/// [`FleetPairStatus`](crate::shard::FleetPairStatus).
-#[derive(Debug, Clone)]
-pub(crate) struct PairStatus {
-    /// Pair label.
-    pub label: String,
-    /// Breaker state.
-    pub health: BreakerState,
-    /// Failure rate over the breaker's window.
-    pub failure_rate: f64,
-    /// The pair's current verdict (last analyzed status).
-    pub verdict: Verdict,
-    /// Where the pair stands on the containment ladder.
-    pub containment: ContainmentState,
-    /// Where the pair's state was restored from, if it was.
-    pub restored_from: Option<RestoredFrom>,
-    /// Whether the pair runs in degraded mode (untrusted window
-    /// provenance; Clean verdicts floor to [`Verdict::Inconclusive`]).
-    pub degraded: bool,
-    /// Current covert-channel confidence (decays while quarantined).
-    pub confidence: f64,
-    /// Total probe/analysis failures recorded.
-    pub failures: u64,
-    /// Contained analysis panics.
-    pub panics: u64,
-    /// Deadline misses.
-    pub deadline_misses: u64,
-    /// Total probe retries.
-    pub retries: u64,
 }
 
 /// One pair's portable state: everything needed to re-create the pair in
@@ -1072,41 +1100,44 @@ impl Supervisor {
             .is_some_and(|p| p.breaker.should_attempt(tick))
     }
 
-    /// Runs one shard tick at the coordinator's `tick`. `inputs` holds one
-    /// entry per slot: the probed input, or `None` for a pair the
+    /// Runs one shard tick at the coordinator's `tick`. `batch` holds one
+    /// cell per slot: the probed input, or `None` for a pair the
     /// coordinator did not probe because [`Supervisor::should_attempt`]
-    /// said no — the pair is skipped with decaying confidence. Analyses fan out across the thread
-    /// pool under the panic/deadline watchdogs; then every breaker,
-    /// verdict and containment ladder (actuated through `enforcer`) is
-    /// settled and, when due, the shard auto-checkpoints.
+    /// said no — the pair is skipped with decaying confidence. One pass
+    /// over the slots pushes each input under the panic/deadline
+    /// watchdogs, settles its breaker and verdict, and drives its
+    /// containment ladder (actuated through `enforcer`); then, when due,
+    /// the shard auto-checkpoints.
     ///
     /// Never panics and never aborts the batch: every per-pair failure is
     /// contained and reported in the returned [`TickReport`].
     pub(crate) fn tick<E: MitigationEnforcer + ?Sized>(
         &mut self,
         tick: u64,
-        mut inputs: Vec<Option<ProbedInput>>,
+        batch: &mut ShardBatch,
         enforcer: &mut E,
     ) -> TickReport {
         let deadline_us = self.config.deadline_us;
         let tick_started = Instant::now();
         let mut tick_span = self.tracer.span("supervisor", "tick");
 
-        // Phase 1 (serial): quarantine skips and retry bookkeeping.
-        enum Plan {
-            Skip {
-                confidence: f64,
-            },
-            Analyze {
-                input: PairInput,
-                retries: u32,
-                backoff_us: u64,
-            },
-        }
-        let mut plans: Vec<Plan> = Vec::with_capacity(self.pairs.len());
-        for (idx, pair) in self.pairs.iter_mut().enumerate() {
-            let probed = match inputs.get_mut(idx).and_then(Option::take) {
-                Some(probed) => probed,
+        let mut reports = Vec::with_capacity(self.pairs.len());
+        for idx in 0..self.pairs.len() {
+            let pair = &mut self.pairs[idx];
+            let cell = batch.cells.get_mut(idx).and_then(Option::take);
+            let (retries, backoff_us) = cell.as_ref().map_or((0, 0), |c| (c.retries, c.backoff_us));
+            pair.retries += u64::from(retries);
+            if retries > 0 && self.tracer.is_enabled() {
+                self.tracer.event(
+                    "policy",
+                    "retry-backoff",
+                    format_args!(
+                        "{}: {retries} retries, {backoff_us} µs scheduled at tick {tick}",
+                        pair.label
+                    ),
+                );
+            }
+            let outcome = match cell {
                 None => {
                     pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
                     self.metrics.quarantine_skips.inc();
@@ -1120,78 +1151,20 @@ impl Supervisor {
                             ),
                         );
                     }
-                    plans.push(Plan::Skip {
-                        confidence: pair.quarantine_confidence,
-                    });
-                    continue;
+                    let confidence = pair.quarantine_confidence;
+                    PairOutcome::Skipped { confidence }
                 }
-            };
-            let ProbedInput {
-                input,
-                retries,
-                backoff_us,
-            } = probed;
-            pair.retries += u64::from(retries);
-            if retries > 0 && self.tracer.is_enabled() {
-                self.tracer.event(
-                    "policy",
-                    "retry-backoff",
-                    format_args!(
-                        "{}: {retries} retries, {backoff_us} µs scheduled at tick {tick}",
-                        pair.label
-                    ),
-                );
-            }
-            plans.push(Plan::Analyze {
-                input,
-                retries,
-                backoff_us,
-            });
-        }
-
-        // Phase 2 (parallel): run every planned analysis under the
-        // watchdogs. Jobs are per-pair &mut state and own their input; a
-        // panicking job is contained in its own slot.
-        struct Job<'a> {
-            pair: &'a mut Pair,
-            input: PairInput,
-        }
-        let mut jobs: Vec<Job<'_>> = Vec::new();
-        for (pair, plan) in self.pairs.iter_mut().zip(&mut plans) {
-            if let Plan::Analyze { input, .. } = plan {
-                jobs.push(Job {
-                    pair,
-                    input: std::mem::replace(input, PairInput::Missed),
-                });
-            }
-        }
-        let results = threadpool::par_catch_map_mut(&mut jobs, |job| {
-            let input = std::mem::replace(&mut job.input, PairInput::Missed);
-            let start = Instant::now();
-            let pushed = analyze(&mut job.pair.window, input);
-            let elapsed_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            (pushed, elapsed_us)
-        });
-        drop(jobs);
-
-        // Phase 3 (serial): bookkeeping — breakers, verdicts, recovery.
-        let mut analysis_results = results.into_iter();
-        let mut reports = Vec::with_capacity(self.pairs.len());
-        for (idx, plan) in plans.into_iter().enumerate() {
-            let (outcome, retries, backoff_us) = match plan {
-                Plan::Skip { confidence } => (PairOutcome::Skipped { confidence }, 0, 0),
-                Plan::Analyze {
-                    retries,
-                    backoff_us,
-                    ..
-                } => {
-                    // One result per planned job, in plan order.
-                    let outcome = match analysis_results.next() {
-                        Some(result) => self.settle_pair(idx, tick, deadline_us, result),
-                        None => continue,
-                    };
+                Some(ProbedInput { input, .. }) => {
+                    let bytes = &batch.bytes;
+                    let result = threadpool::catch(|| {
+                        let start = Instant::now();
+                        let pushed = analyze(&mut pair.window, input, bytes);
+                        let elapsed_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                        (pushed, elapsed_us)
+                    });
+                    let outcome = self.settle_pair(idx, tick, deadline_us, result);
                     self.drive_mitigation(idx, tick, enforcer);
-                    (outcome, retries, backoff_us)
+                    outcome
                 }
             };
             let pair = &self.pairs[idx];
@@ -1206,7 +1179,7 @@ impl Supervisor {
             });
         }
 
-        // Phase 4: automatic checkpoint, if due. Every due tick attempts a
+        // Automatic checkpoint, if due. Every due tick attempts a
         // full durable checkpoint — while degraded that doubles as the
         // heal probe (success *is* the full re-persist) — and a storage
         // fault degrades durability to in-memory shadows instead of
@@ -1298,81 +1271,50 @@ impl Supervisor {
             Ok((pushed, elapsed_us)) => {
                 self.metrics.audit_latency_us.observe(elapsed_us as f64);
                 let pair = &mut self.pairs[idx];
-                let deadline_missed = deadline_us > 0 && elapsed_us > deadline_us;
-                match pushed {
-                    Ok((mut status, observed)) => {
-                        if pair.degraded && status.verdict == Verdict::Clean {
-                            status.verdict = Verdict::Inconclusive;
-                        }
-                        pair.last_verdict = status.verdict;
-                        pair.quarantine_confidence = status.confidence;
-                        pair.evidence = evidence_share(&status);
-                        if deadline_missed {
-                            pair.deadline_misses += 1;
-                            pair.failures += 1;
-                            pair.breaker.record_failure(tick);
-                            self.metrics.degraded.inc();
-                            if self.tracer.is_enabled() {
-                                self.tracer.event(
-                                    "supervisor",
-                                    "deadline-miss",
-                                    format_args!(
-                                        "{}: {elapsed_us} µs > {deadline_us} µs budget",
-                                        pair.label
-                                    ),
-                                );
-                            }
-                            PairOutcome::Degraded {
-                                status,
-                                error: DetectorError::DeadlineExceeded {
-                                    context: pair.label.to_string(),
-                                    budget_us: deadline_us,
-                                    elapsed_us,
-                                },
-                            }
-                        } else if observed {
-                            pair.breaker.record_success(tick);
-                            self.metrics.analyzed.inc();
-                            PairOutcome::Analyzed(status)
-                        } else {
-                            // The window advanced with a gap: the analysis
-                            // behaved, but the probe ultimately failed.
-                            pair.failures += 1;
-                            pair.breaker.record_failure(tick);
-                            self.metrics.degraded.inc();
-                            if self.tracer.is_enabled() {
-                                self.tracer.event(
-                                    "supervisor",
-                                    "probe-gap",
-                                    format_args!(
-                                        "{}: probe missed after exhausting retries",
-                                        pair.label
-                                    ),
-                                );
-                            }
-                            PairOutcome::Degraded {
-                                status,
-                                error: DetectorError::BadHarvest {
-                                    reason: "probe missed after exhausting retries".to_string(),
-                                },
-                            }
-                        }
+                // A failed analysis pushed nothing: the window advances
+                // with a gap.
+                let (mut status, observed, error) = match pushed {
+                    Ok((status, observed)) => (status, observed, None),
+                    Err(error) => (pair.window.push_missed(), false, Some(error)),
+                };
+                if pair.degraded && status.verdict == Verdict::Clean {
+                    status.verdict = Verdict::Inconclusive;
+                }
+                pair.last_verdict = status.verdict;
+                pair.quarantine_confidence = status.confidence;
+                pair.evidence = evidence_share(&status);
+                let failure = match error {
+                    Some(error) => Some(("analysis-error", error)),
+                    None if deadline_us > 0 && elapsed_us > deadline_us => {
+                        pair.deadline_misses += 1;
+                        let error = DetectorError::DeadlineExceeded {
+                            context: pair.label.to_string(),
+                            budget_us: deadline_us,
+                            elapsed_us,
+                        };
+                        Some(("deadline-miss", error))
                     }
-                    Err(error) => {
+                    None if observed => None,
+                    // The analysis behaved, but the probe ultimately failed.
+                    None => {
+                        let reason = "probe missed after exhausting retries".to_string();
+                        Some(("probe-gap", DetectorError::BadHarvest { reason }))
+                    }
+                };
+                match failure {
+                    None => {
+                        pair.breaker.record_success(tick);
+                        self.metrics.analyzed.inc();
+                        PairOutcome::Analyzed(status)
+                    }
+                    Some((event, error)) => {
                         pair.failures += 1;
                         pair.breaker.record_failure(tick);
-                        let mut status = pair.window.push_missed();
-                        if pair.degraded && status.verdict == Verdict::Clean {
-                            status.verdict = Verdict::Inconclusive;
-                        }
-                        pair.last_verdict = status.verdict;
-                        pair.quarantine_confidence = status.confidence;
-                        pair.evidence = evidence_share(&status);
                         self.metrics.degraded.inc();
                         if self.tracer.is_enabled() {
                             self.tracer.event(
                                 "supervisor",
-                                "analysis-error",
+                                event,
                                 format_args!("{}: {error}", pair.label),
                             );
                         }
@@ -1587,18 +1529,27 @@ impl Supervisor {
         Recovery::Reset
     }
 
-    /// One pair's standing (None for an out-of-range slot).
-    pub(crate) fn pair_status(&self, slot: usize) -> Option<PairStatus> {
+    /// The standing of `slot`, global pair `global` on shard `shard`, as
+    /// the fleet publishes it (None for an out-of-range slot).
+    pub(crate) fn pair_status(
+        &self,
+        slot: usize,
+        global: usize,
+        shard: usize,
+    ) -> Option<FleetPairStatus> {
         let pair = self.pairs.get(slot)?;
-        Some(PairStatus {
+        Some(FleetPairStatus {
+            pair: global,
             label: pair.label.to_string(),
-            health: pair.breaker.state(),
-            failure_rate: pair.breaker.failure_rate(),
+            kind: pair.kind,
+            shard: Some(shard),
             verdict: pair.last_verdict,
-            containment: pair.mitigation.state(),
-            restored_from: pair.restored_from,
             degraded: pair.degraded,
+            containment: pair.mitigation.state(),
+            health: Some(pair.breaker.state()),
+            restored_from: pair.restored_from,
             confidence: pair.quarantine_confidence,
+            failure_rate: pair.breaker.failure_rate(),
             failures: pair.failures,
             panics: pair.panics,
             deadline_misses: pair.deadline_misses,
@@ -2087,11 +2038,18 @@ fn pair_entry_name(idx: usize) -> String {
     format!("pair-{idx:04}")
 }
 
-/// Runs one input through a pair's window. The bool reports whether the
-/// quantum was actually observed (false = gap). A wrong-kind input is the
+/// Runs one input through a pair's window, reading an encoded harvest's
+/// bytes from its `batch` bytes. The bool reports whether the quantum was actually
+/// observed (false = gap). A wrong-kind input is the
 /// window's typed [`DetectorError::BadHarvest`]. May panic only for
 /// [`ChaosOp::Panic`] — which the caller contains.
-fn analyze(window: &mut OnlineWindow, input: PairInput) -> AnalysisResult {
+fn analyze(window: &mut OnlineWindow, input: SlotInput, batch: &[u8]) -> AnalysisResult {
+    let input = match input {
+        SlotInput::Encoded { bytes, weight } => {
+            return Ok((window.push_encoded(&batch[bytes], weight)?, true));
+        }
+        SlotInput::Probed(input) => input,
+    };
     match input {
         PairInput::Harvest(h) => {
             let observed = !matches!(h, Harvest::Missed);
@@ -2336,7 +2294,7 @@ fn parse_manifest(
 mod tests {
     use super::*;
     use crate::density::{DensityHistogram, HISTOGRAM_BINS};
-    use crate::mitigation::{ApplyError, MitigationLevel};
+    use crate::mitigation::{AdvisoryEnforcer, ApplyError, MitigationLevel};
     use crate::shard::{ShardedFleet, ShardedFleetConfig};
     use std::path::{Path, PathBuf};
     use std::sync::{Arc, Mutex};
@@ -3096,5 +3054,44 @@ mod tests {
         assert!(healed_generation > first_generation, "fresh generation");
         drop(restored);
         cleanup(&root);
+    }
+
+    #[test]
+    fn steady_state_ticks_reuse_the_batch_buffers() {
+        let mut table =
+            Supervisor::new(test_config(), Registry::new(), Tracer::disabled()).unwrap();
+        for pair in 0..16 {
+            let label = format!("bus: pair {pair}");
+            table.add_pair(label.into(), PairKind::Contention).unwrap();
+        }
+        let mut batch = ShardBatch::default();
+        let mut capacities = Vec::new();
+        for tick in 0..16u64 {
+            batch.reset(table.len());
+            for slot in 0..table.len() {
+                let histogram = match (slot as u64 + tick) % 3 {
+                    0 => covert_histogram(),
+                    _ => quiet_histogram(),
+                };
+                let input = PairInput::Harvest(Harvest::Complete(histogram));
+                let probed = ProbedInput {
+                    input,
+                    retries: 0,
+                    backoff_us: 0,
+                };
+                batch.file(slot, PairKind::Contention, probed);
+            }
+            let report = table.tick(tick, &mut batch, &mut AdvisoryEnforcer);
+            assert_eq!(report.reports.len(), 16);
+            assert!(
+                batch.cells.iter().all(Option::is_none),
+                "every cell is taken"
+            );
+            capacities.push((batch.cells.capacity(), batch.bytes.capacity()));
+        }
+        // Each slot's covert/quiet phase repeats every three ticks.
+        let warm = capacities[2];
+        assert!(warm.0 >= 16 && warm.1 > 0);
+        assert!(capacities[2..].iter().all(|&c| c == warm), "{capacities:?}");
     }
 }

@@ -116,17 +116,19 @@ fn histogram(covert: bool, tick: usize) -> DensityHistogram {
     DensityHistogram::from_bins(bins, 1_000).expect("valid histogram")
 }
 
-/// Steady-state allocations per pair-quantum stay within 2, counting the
-/// probe's clone of its pre-built input (one histogram or record vector)
-/// and covert pairs' k-means reruns; the report shares the pair label
-/// instead of copying it. Measured about 1.3 here; building each
-/// oscillation push's symbol series, `f64` copy and coefficient vector
-/// read about 1.7, copying the label into every report about 2.4 (without
-/// oscillation pairs), and resolving every per-pair metric through its
-/// family on every tick about 10.4 (a label key per family update, plus
-/// three label copies per pair).
+/// Steady-state allocations per pair-quantum stay within 1.25, counting
+/// the probe's clone of its pre-built input (one histogram or record
+/// vector) and covert pairs' k-means reruns; the report shares the pair
+/// label instead of copying it, and the fleet encodes each contention
+/// harvest into its reused per-shard batch at the probe. Measured about
+/// 1.22 here; passing each shard a fresh batch of dense inputs every tick
+/// read about 1.3, building each oscillation push's symbol series, `f64`
+/// copy and coefficient vector about 1.7, copying the label into every
+/// report about 2.4 (without oscillation pairs), and resolving every
+/// per-pair metric through its family on every tick about 10.4 (a label
+/// key per family update, plus three label copies per pair).
 #[test]
-fn steady_state_pair_quantum_allocates_at_most_twice() {
+fn steady_state_pair_quantum_allocates_at_most_one_and_a_quarter_times() {
     let mut fleet = ShardedFleet::new(ShardedFleetConfig {
         shards: 2,
         base: SupervisorConfig {
@@ -194,7 +196,7 @@ fn steady_state_pair_quantum_allocates_at_most_twice() {
 
     let per_pair_quantum = allocations as f64 / (PAIRS * MEASURED_TICKS) as f64;
     assert!(
-        per_pair_quantum <= 2.0,
+        per_pair_quantum <= 1.25,
         "{per_pair_quantum:.2} allocations per pair-quantum ({allocations} over \
          {MEASURED_TICKS} ticks of {PAIRS} pairs)"
     );
