@@ -7,7 +7,7 @@
 //!   (0.02 s with feature dimension reduction).
 
 use cchunter_bench::{covert_histogram, quantum_conflicts};
-use cchunter_detector::cluster::{discretized_features, recurrence_from_features, ClusterConfig};
+use cchunter_detector::cluster::{discretize, recurrence_from_levels, ClusterConfig, LevelString};
 use cchunter_detector::pipeline::{symbol_series, CcHunter, CcHunterConfig};
 use cchunter_detector::{BurstDetector, DensityHistogram};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -34,14 +34,14 @@ fn bench_cluster_window(c: &mut Criterion) {
     let histograms: Vec<DensityHistogram> = (0..512)
         .map(|i| covert_histogram(18 + (i % 5), 2_500))
         .collect();
-    let bursty: Vec<Vec<f64>> = histograms
+    let bursty: Vec<LevelString> = histograms
         .iter()
         .filter(|h| detector.analyze(h).significant)
-        .map(discretized_features)
+        .map(discretize)
         .collect();
     let config = ClusterConfig::default();
     c.bench_function("recurrence_over_512_quanta", |b| {
-        b.iter(|| recurrence_from_features(histograms.len(), black_box(&bursty), &config))
+        b.iter(|| recurrence_from_levels(histograms.len(), black_box(&bursty), &config))
     });
 }
 

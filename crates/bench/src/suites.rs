@@ -6,9 +6,9 @@
 use crate::{bursty_train, covert_histogram, hostile_events, quantum_conflicts, random_blocks};
 use cchunter_detector::autocorr::Autocorrelogram;
 use cchunter_detector::burst::BurstDetector;
-use cchunter_detector::cluster::{discretize, kmeans};
+use cchunter_detector::cluster::{discretize, kmeans, LevelString};
 use cchunter_detector::conflict::{GenerationTracker, IdealLruTracker, MissClassifier};
-use cchunter_detector::density::DensityHistogram;
+use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::ingest::{
     AdmissionConfig, IngestConfig, IngestPipeline, RawEvent, ShedPolicy,
 };
@@ -19,6 +19,8 @@ use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
 use cchunter_detector::{BloomFilter, CcHunter, CcHunterConfig, PairAudit, PairEvidence};
 use criterion::{black_box, Criterion};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Runs every detector benchmark against `c`.
 pub fn detector_suite(c: &mut Criterion) {
@@ -155,16 +157,38 @@ fn bench_burst(c: &mut Criterion) {
     });
 }
 
+/// `n` pairwise-distinct bursty level strings, seeded: a heavy bin 0, light
+/// contention at bins 1–3 and a burst cluster at bins 17–23, each of their
+/// levels drawn at random. No string repeats: the worst case for k-means
+/// over distinct strings.
+fn distinct_level_strings(n: usize) -> Vec<LevelString> {
+    let mut rng = SmallRng::seed_from_u64(0xD157_1AC7);
+    let mut strings: Vec<LevelString> = Vec::with_capacity(n);
+    while strings.len() < n {
+        let mut s = [0; HISTOGRAM_BINS];
+        s[0] = 12;
+        for bin in (1..4).chain(17..24) {
+            s[bin] = rng.gen_range(0..12);
+        }
+        if !strings.contains(&s) {
+            strings.push(s);
+        }
+    }
+    strings
+}
+
 fn bench_clustering(c: &mut Criterion) {
-    // 512 quanta of discretized histograms: the paper's clustering window.
-    let features: Vec<Vec<f64>> = (0..512)
-        .map(|i| {
-            let h = covert_histogram(18 + (i % 5), 2_500);
-            discretize(&h).into_iter().map(f64::from).collect()
-        })
+    // 512 quanta of discretized histograms: the paper's clustering window,
+    // five distinct strings as a recurring channel produces.
+    let strings: Vec<LevelString> = (0..512)
+        .map(|i| discretize(&covert_histogram(18 + (i % 5), 2_500)))
         .collect();
     c.bench_function("kmeans_512_quanta_window", |b| {
-        b.iter(|| kmeans(black_box(&features), 3, 42, 50))
+        b.iter(|| kmeans(black_box(&strings), 3, 42, 50))
+    });
+    let distinct = distinct_level_strings(512);
+    c.bench_function("kmeans_512_distinct_strings", |b| {
+        b.iter(|| kmeans(black_box(&distinct), 3, 42, 50))
     });
 }
 

@@ -93,19 +93,20 @@ pub fn sq_dist_scalar(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Element-wise `dst[i] += src[i]` over the common prefix — the k-means
-/// centroid-update accumulation. Each element's add is independent (no
+/// Element-wise `dst[i] += weight * src[i]` over the common prefix — the
+/// k-means centroid update, which adds each distinct string times its
+/// multiplicity. Each element's multiply and add are independent (no
 /// reduction, no reassociation), so every lowering is bit-identical by
 /// construction; the AVX2 path just does four at a time.
-pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
+pub(crate) fn add_scaled(dst: &mut [f64], src: &[f64], weight: f64) {
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_available() {
         // SAFETY: gated on runtime AVX2 detection.
-        unsafe { x86::add_assign_avx2(dst, src) };
+        unsafe { x86::add_scaled_avx2(dst, src, weight) };
         return;
     }
     for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
+        *d += weight * s;
     }
 }
 
@@ -187,7 +188,11 @@ pub(crate) const MAX_FUSED_K: usize = 4;
 /// Panics (in debug builds) when `centroids.len() > MAX_FUSED_K` or any
 /// centroid's length differs from the point's; release builds take the
 /// shorter length per centroid like [`sq_dist`].
-pub(crate) fn sq_dists_fused(point: &[f64], centroids: &[Vec<f64>], out: &mut [f64; MAX_FUSED_K]) {
+pub(crate) fn sq_dists_fused<C: AsRef<[f64]>>(
+    point: &[f64],
+    centroids: &[C],
+    out: &mut [f64; MAX_FUSED_K],
+) {
     #[cfg(target_arch = "x86_64")]
     if x86::avx2_available() {
         // SAFETY: gated on runtime AVX2 detection.
@@ -201,18 +206,18 @@ pub(crate) fn sq_dists_fused(point: &[f64], centroids: &[Vec<f64>], out: &mut [f
 /// chunk loop is outermost — one pass over the point row folds into every
 /// centroid's lanes — with a per-centroid [`sq_dist_portable`] fallback for
 /// ragged lengths (which [`kmeans`](crate::cluster::kmeans) never produces).
-pub(crate) fn sq_dists_fused_portable(
+pub(crate) fn sq_dists_fused_portable<C: AsRef<[f64]>>(
     point: &[f64],
-    centroids: &[Vec<f64>],
+    centroids: &[C],
     out: &mut [f64; MAX_FUSED_K],
 ) {
     debug_assert!(centroids.len() <= MAX_FUSED_K, "too many fused centroids");
     let k = centroids.len().min(MAX_FUSED_K);
     let n = point.len();
-    if centroids.iter().take(k).any(|c| c.len() != n) {
+    if centroids.iter().take(k).any(|c| c.as_ref().len() != n) {
         debug_assert!(false, "sq_dist length mismatch");
         for (o, c) in out.iter_mut().zip(centroids) {
-            *o = sq_dist_portable(point, c);
+            *o = sq_dist_portable(point, c.as_ref());
         }
         return;
     }
@@ -222,7 +227,7 @@ pub(crate) fn sq_dists_fused_portable(
     while base < main {
         let p = &point[base..base + LANE_WIDTH];
         for (j, lane) in lanes.iter_mut().enumerate().take(k) {
-            let c = &centroids[j][base..base + LANE_WIDTH];
+            let c = &centroids[j].as_ref()[base..base + LANE_WIDTH];
             for l in 0..LANE_WIDTH {
                 let d = p[l] - c[l];
                 lane[l] += d * d;
@@ -231,7 +236,7 @@ pub(crate) fn sq_dists_fused_portable(
         base += LANE_WIDTH;
     }
     for (j, lane) in lanes.iter().enumerate().take(k) {
-        let c = &centroids[j];
+        let c = centroids[j].as_ref();
         let mut tail = 0.0;
         for (x, y) in point[main..n].iter().zip(&c[main..n]) {
             let d = x - y;
@@ -257,29 +262,31 @@ pub(crate) fn sq_dists_fused_portable(
 mod x86 {
     use super::{CHECK_EVERY, LANE_WIDTH};
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-        _mm256_sub_pd,
+        _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm256_sub_pd,
     };
 
-    /// AVX2 [`super::add_assign`]: packed element-wise adds, no reduction.
+    /// AVX2 [`super::add_scaled`]: packed multiplies and adds (not fused,
+    /// so each rounds as the portable loop's does), no reduction.
     ///
     /// # Safety
     ///
     /// Caller must ensure the CPU supports AVX2 ([`avx2_available`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign_avx2(dst: &mut [f64], src: &[f64]) {
+    pub unsafe fn add_scaled_avx2(dst: &mut [f64], src: &[f64], weight: f64) {
         let n = dst.len().min(src.len());
         let main = n - n % LANE_WIDTH;
+        let w = _mm256_set1_pd(weight);
         let mut i = 0usize;
         while i < main {
             // SAFETY: i + LANE_WIDTH <= main <= both slice lengths.
             let d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
+            let s = _mm256_mul_pd(w, _mm256_loadu_pd(src.as_ptr().add(i)));
             _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(d, s));
             i += LANE_WIDTH;
         }
         for (d, s) in dst[main..n].iter_mut().zip(&src[main..n]) {
-            *d += s;
+            *d += weight * s;
         }
     }
 
@@ -329,9 +336,9 @@ mod x86 {
     ///
     /// Caller must ensure the CPU supports AVX2 ([`avx2_available`]).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq_dists_fused_avx2(
+    pub unsafe fn sq_dists_fused_avx2<C: AsRef<[f64]>>(
         point: &[f64],
-        centroids: &[Vec<f64>],
+        centroids: &[C],
         out: &mut [f64; super::MAX_FUSED_K],
     ) {
         debug_assert!(
@@ -340,10 +347,10 @@ mod x86 {
         );
         let k = centroids.len().min(super::MAX_FUSED_K);
         let n = point.len();
-        if centroids.iter().take(k).any(|c| c.len() != n) {
+        if centroids.iter().take(k).any(|c| c.as_ref().len() != n) {
             debug_assert!(false, "sq_dist length mismatch");
             for (o, c) in out.iter_mut().zip(centroids) {
-                *o = sq_dist_avx2(point, c);
+                *o = sq_dist_avx2(point, c.as_ref());
             }
             return;
         }
@@ -354,7 +361,7 @@ mod x86 {
             // SAFETY: i + LANE_WIDTH <= main <= every slice length.
             let p = _mm256_loadu_pd(point.as_ptr().add(i));
             for (j, a) in acc.iter_mut().enumerate().take(k) {
-                let c = _mm256_loadu_pd(centroids[j].as_ptr().add(i));
+                let c = _mm256_loadu_pd(centroids[j].as_ref().as_ptr().add(i));
                 let d = _mm256_sub_pd(p, c);
                 *a = _mm256_add_pd(*a, _mm256_mul_pd(d, d));
             }
@@ -363,7 +370,7 @@ mod x86 {
         for (j, a) in acc.iter().enumerate().take(k) {
             let mut lanes = [0.0f64; LANE_WIDTH];
             _mm256_storeu_pd(lanes.as_mut_ptr(), *a);
-            let c = &centroids[j];
+            let c = centroids[j].as_ref();
             let mut tail = 0.0;
             for (x, y) in point[main..n].iter().zip(&c[main..n]) {
                 let d = x - y;

@@ -10,6 +10,10 @@
 //! by all samples excluding bin 0 — separates covert channels (≥ 0.9
 //! empirically, even at 0.1 bps) from benign programs (< 0.5). CC-Hunter's
 //! decision threshold is a conservative 0.5.
+//!
+//! The analysis walks only the nonzero bins (a covert quantum has ~7): a
+//! zero bin right after a nonzero one is a local minimum, and every
+//! statistic is an integer sum, so the walk is exact against a dense scan.
 
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
 
@@ -127,89 +131,70 @@ impl BurstDetector {
 
     /// Analyzes one event-density histogram.
     pub fn analyze(&self, histogram: &DensityHistogram) -> BurstVerdict {
-        let bins = histogram.bins();
-        let contended = histogram.contended_windows();
-        if contended == 0 {
-            return BurstVerdict::quiet(histogram.delta_t());
+        let nonzero = histogram.bins().iter().copied().enumerate();
+        self.analyze_nonzero(histogram.delta_t(), nonzero.filter(|p| p.1 > 0))
+    }
+
+    /// The one analysis, over a histogram's nonzero `(bin, frequency)`
+    /// pairs gathered on the stack (bins ascending, bins past the last
+    /// ignored, frequencies summing within `u64`): a stored window slot is
+    /// scored without a dense view, with the dense histogram's statistics.
+    pub(crate) fn analyze_nonzero(
+        &self,
+        delta_t: u64,
+        pairs: impl IntoIterator<Item = (usize, u64)>,
+    ) -> BurstVerdict {
+        let mut gathered = [(0, 0); HISTOGRAM_BINS];
+        let mut len = 0;
+        let pairs = pairs.into_iter().filter(|p| p.0 < HISTOGRAM_BINS);
+        for (slot, pair) in gathered.iter_mut().zip(pairs) {
+            *slot = pair;
+            len += 1;
         }
-        let threshold = self
-            .local_minimum_threshold(bins)
-            .or_else(|| self.gentle_slope_threshold(bins));
+        let nonzero = &gathered[..len];
+        let quiet = BurstVerdict::quiet(delta_t);
+        let contended: u64 = nonzero.iter().filter(|p| p.0 > 0).map(|p| p.1).sum();
+        if contended == 0 {
+            return quiet;
+        }
+        let threshold =
+            local_minimum_threshold(nonzero).or_else(|| self.gentle_slope_threshold(nonzero));
         let Some(threshold) = threshold else {
+            let (weight, count) = weighted(nonzero);
             return BurstVerdict {
                 contended_windows: contended,
-                nonburst_mean: mean_density(bins, 0, HISTOGRAM_BINS),
-                ..BurstVerdict::quiet(histogram.delta_t())
+                nonburst_mean: ratio(weight, count),
+                ..quiet
             };
         };
-
-        // One fused pass over the bins computes everything the split
-        // formulas used to re-scan for: burst mass and weighted sum, the
-        // non-burst weighted sum, the peak (last-max-wins on ties, matching
-        // `max_by_key`), and the first/last non-empty burst bins. All
-        // accumulators are integers, so the fusion is exact. The bin counts
-        // sum within `u64` (every `DensityHistogram` keeps its window total
-        // there), so the counts are plain `u64`; the density-weighted sums
-        // can exceed it and run in `u128`.
-        let mut pre_count = 0u64;
-        let mut pre_weight = 0u128;
-        let mut burst_windows = 0u64;
-        let mut burst_weight = 0u128;
-        let mut peak_freq = 0u64;
-        let mut burst_peak = None;
-        let mut first = None;
-        let mut last = None;
-        for (i, &f) in bins.iter().enumerate().skip(1) {
-            if i < threshold {
-                pre_count += f;
-                pre_weight += i as u128 * u128::from(f);
-            } else if f > 0 {
-                burst_windows += f;
-                burst_weight += i as u128 * u128::from(f);
-                if first.is_none() {
-                    first = Some(i);
-                }
-                last = Some(i);
-                if f >= peak_freq {
-                    peak_freq = f;
-                    burst_peak = Some(i);
-                }
-            }
-        }
-        let nonburst_count = bins[0] + pre_count;
-        let nonburst_mean = if nonburst_count == 0 {
-            0.0
-        } else {
-            pre_weight as f64 / nonburst_count as f64
-        };
-        let burst_mean = if burst_windows == 0 {
-            0.0
-        } else {
-            burst_weight as f64 / burst_windows as f64
-        };
+        // Bins left of the threshold, bin 0 included, hold the non-burst
+        // distribution; the rest hold the burst distribution.
+        let (nonburst, burst) = nonzero.split_at(nonzero.partition_point(|p| p.0 < threshold));
+        let (nonburst_weight, nonburst_count) = weighted(nonburst);
+        let (burst_weight, burst_count) = weighted(burst);
+        let burst_windows = u64::try_from(burst_count).unwrap_or(u64::MAX);
+        // The last of tied peaks, as `max_by_key` picks.
+        let burst_peak = burst.iter().max_by_key(|p| p.1).map(|p| p.0);
+        let coherence = burst_peak.map_or(0.0, |peak| {
+            let half_width =
+                ((peak as f64 * self.config.coherence_width_fraction).round() as usize).max(2);
+            let near = peak.saturating_sub(half_width).max(threshold)
+                ..=(peak + half_width).min(HISTOGRAM_BINS - 1);
+            let near: u64 = burst
+                .iter()
+                .filter(|p| near.contains(&p.0))
+                .map(|p| p.1)
+                .sum();
+            near as f64 / burst_windows as f64
+        });
+        let burst_mean = ratio(burst_weight, burst_count);
         let likelihood_ratio = burst_windows as f64 / contended as f64;
-        let coherence = match burst_peak {
-            Some(peak) if burst_windows > 0 => {
-                let half_width =
-                    ((peak as f64 * self.config.coherence_width_fraction).round() as usize).max(2);
-                let lo = peak.saturating_sub(half_width).max(threshold);
-                let hi = (peak + half_width).min(HISTOGRAM_BINS - 1);
-                let near: u64 = bins[lo..=hi].iter().sum();
-                near as f64 / burst_windows as f64
-            }
-            _ => 0.0,
-        };
         let has_burst = burst_windows >= self.config.min_burst_windows
             && burst_mean > 1.0
             && coherence >= self.config.min_coherence;
-        let burst_range = match (first, last) {
-            (Some(a), Some(b)) => Some((a, b)),
-            _ => None,
-        };
         BurstVerdict {
-            delta_t: histogram.delta_t(),
             threshold_density: Some(threshold),
-            nonburst_mean,
+            nonburst_mean: ratio(nonburst_weight, nonburst_count),
             burst_mean,
             burst_windows,
             contended_windows: contended,
@@ -218,53 +203,80 @@ impl BurstDetector {
             has_burst_distribution: has_burst,
             significant: has_burst && likelihood_ratio > self.config.likelihood_threshold,
             burst_peak,
-            burst_range,
+            burst_range: burst.first().zip(burst.last()).map(|(a, b)| (a.0, b.0)),
+            ..quiet
         }
-    }
-
-    /// "From left to right in the histogram, threshold density is the first
-    /// bin which is smaller than the preceding bin, and equal or smaller
-    /// than the next bin."
-    fn local_minimum_threshold(&self, bins: &[u64]) -> Option<usize> {
-        (1..bins.len() - 1).find(|&i| bins[i] < bins[i - 1] && bins[i] <= bins[i + 1])
     }
 
     /// Fallback: "the bin at which the slope of the fitted curve becomes
     /// gentle". The curve is monotonically decreasing here (no local
     /// minimum exists), so the knee is the first bin whose drop from its
-    /// predecessor falls below a fraction of the largest drop.
-    fn gentle_slope_threshold(&self, bins: &[u64]) -> Option<usize> {
-        let largest_drop = bins
-            .windows(2)
-            .map(|w| w[0].saturating_sub(w[1]))
-            .max()
-            .unwrap_or(0);
+    /// predecessor falls below a fraction of the largest drop. Only a
+    /// nonzero bin can drop into its successor, and the first bin after a
+    /// zero one drops by nothing.
+    fn gentle_slope_threshold(&self, nonzero: &[(usize, u64)]) -> Option<usize> {
+        // The drop from pair `j`'s bin into the next bin.
+        let drop = |j: usize| {
+            let (bin, f) = nonzero[j];
+            f.saturating_sub(frequency_at(nonzero, j + 1, bin + 1))
+        };
+        let drops = (0..nonzero.len()).filter(|&j| nonzero[j].0 < HISTOGRAM_BINS - 1);
+        let largest_drop = drops.map(drop).max().unwrap_or(0);
         if largest_drop == 0 {
             return None;
         }
         let gentle = (largest_drop as f64 * self.config.gentle_slope_fraction).ceil() as u64;
-        for i in 1..bins.len() {
-            let drop = bins[i - 1].saturating_sub(bins[i]);
-            if drop <= gentle {
-                return Some(i);
-            }
+        // Bins 0, 1, … before the first zero bin are pairs 0, 1, ….
+        let mut run = 0;
+        while nonzero.get(run).is_some_and(|p| p.0 == run) {
+            run += 1;
         }
-        None
+        let knee = (0..run).find(|&j| drop(j) <= gentle).unwrap_or(run) + 1;
+        (knee < HISTOGRAM_BINS).then_some(knee)
     }
 }
 
-/// Frequency-weighted mean density of `bins[lo..hi]`.
-fn mean_density(bins: &[u64], lo: usize, hi: usize) -> f64 {
-    let (sum, count) = bins[lo..hi]
-        .iter()
-        .enumerate()
-        .fold((0u128, 0u128), |(s, c), (i, &f)| {
-            (s + (lo + i) as u128 * u128::from(f), c + u128::from(f))
-        });
-    if count == 0 {
+/// "From left to right in the histogram, threshold density is the first
+/// bin which is smaller than the preceding bin, and equal or smaller than
+/// the next bin." Over the nonzero pairs that is a walk: a nonzero bin
+/// between a larger predecessor and a successor at least as large, or the
+/// zero bin right after a nonzero bin — within bins `1..=126` either way.
+fn local_minimum_threshold(nonzero: &[(usize, u64)]) -> Option<usize> {
+    let inner = 1..=HISTOGRAM_BINS - 2;
+    for (j, &(bin, f)) in nonzero.iter().enumerate() {
+        let next = frequency_at(nonzero, j + 1, bin + 1);
+        let prev = frequency_at(nonzero, j.wrapping_sub(1), bin.wrapping_sub(1));
+        if inner.contains(&bin) && f < prev && f <= next {
+            return Some(bin);
+        }
+        if next == 0 && inner.contains(&(bin + 1)) {
+            return Some(bin + 1);
+        }
+    }
+    None
+}
+
+/// The frequency of `bin` if pair `j` holds it, else 0 (a nonzero bin's
+/// neighbour is the adjacent pair or absent).
+fn frequency_at(nonzero: &[(usize, u64)], j: usize, bin: usize) -> u64 {
+    nonzero.get(j).filter(|p| p.0 == bin).map_or(0, |p| p.1)
+}
+
+/// The density-weighted sum and the count of `pairs`' windows: integers,
+/// exact in any order. The count stays within the window total, a `u64`;
+/// the weighted sum can exceed it.
+fn weighted(pairs: &[(usize, u64)]) -> (u128, u128) {
+    pairs.iter().fold((0, 0), |(sum, count), &(i, f)| {
+        (sum + i as u128 * u128::from(f), count + u128::from(f))
+    })
+}
+
+/// `num / den`, or 0 for an empty distribution.
+fn ratio(num: u128, den: u128) -> f64 {
+    if den == 0 {
         0.0
     } else {
-        sum as f64 / count as f64
+        num as f64 / den as f64
     }
 }
 
@@ -279,6 +291,178 @@ mod tests {
             bins[bin] = freq;
         }
         DensityHistogram::from_bins(bins, 100_000).expect("test bins are 128 long")
+    }
+
+    /// The dense form of the analysis: bin-by-bin scans of all 128 bins.
+    /// The oracle [`BurstDetector::analyze_nonzero`] must match field for
+    /// field.
+    fn analyze_dense(config: &BurstConfig, histogram: &DensityHistogram) -> BurstVerdict {
+        let bins = histogram.bins();
+        let contended = histogram.contended_windows();
+        let quiet = BurstVerdict::quiet(histogram.delta_t());
+        if contended == 0 {
+            return quiet;
+        }
+        let largest_drop = bins.windows(2).map(|w| w[0].saturating_sub(w[1])).max();
+        let gentle = |largest: u64| (largest as f64 * config.gentle_slope_fraction).ceil() as u64;
+        let threshold = (1..bins.len() - 1)
+            .find(|&i| bins[i] < bins[i - 1] && bins[i] <= bins[i + 1])
+            .or_else(|| {
+                let largest = largest_drop.filter(|&d| d > 0)?;
+                (1..bins.len()).find(|&i| bins[i - 1].saturating_sub(bins[i]) <= gentle(largest))
+            });
+        let weighted = |range: std::ops::Range<usize>| -> (u128, u128) {
+            range.fold((0, 0), |(s, c), i| {
+                (s + i as u128 * u128::from(bins[i]), c + u128::from(bins[i]))
+            })
+        };
+        let Some(threshold) = threshold else {
+            let (sum, count) = weighted(0..HISTOGRAM_BINS);
+            return BurstVerdict {
+                contended_windows: contended,
+                nonburst_mean: sum as f64 / count as f64,
+                ..quiet
+            };
+        };
+        let (pre_weight, pre_count) = weighted(1..threshold);
+        let (burst_weight, burst_windows) = weighted(threshold..HISTOGRAM_BINS);
+        let burst_windows = burst_windows as u64;
+        let nonburst_count = u128::from(bins[0]) + pre_count;
+        let mean = |w: u128, c: u128| if c == 0 { 0.0 } else { w as f64 / c as f64 };
+        let burst: Vec<usize> = (threshold..HISTOGRAM_BINS)
+            .filter(|&i| bins[i] > 0)
+            .collect();
+        let burst_peak = burst.iter().copied().max_by_key(|&i| bins[i]);
+        let coherence = burst_peak.map_or(0.0, |peak| {
+            let half = ((peak as f64 * config.coherence_width_fraction).round() as usize).max(2);
+            let lo = peak.saturating_sub(half).max(threshold);
+            let hi = (peak + half).min(HISTOGRAM_BINS - 1);
+            bins[lo..=hi].iter().sum::<u64>() as f64 / burst_windows as f64
+        });
+        let burst_mean = mean(burst_weight, u128::from(burst_windows));
+        let likelihood_ratio = burst_windows as f64 / contended as f64;
+        let has_burst = burst_windows >= config.min_burst_windows
+            && burst_mean > 1.0
+            && coherence >= config.min_coherence;
+        BurstVerdict {
+            threshold_density: Some(threshold),
+            nonburst_mean: mean(pre_weight, nonburst_count),
+            burst_mean,
+            burst_windows,
+            contended_windows: contended,
+            likelihood_ratio,
+            coherence,
+            has_burst_distribution: has_burst,
+            significant: has_burst && likelihood_ratio > config.likelihood_threshold,
+            burst_peak,
+            burst_range: burst.first().zip(burst.last()).map(|(&a, &b)| (a, b)),
+            ..quiet
+        }
+    }
+
+    fn assert_matches_dense(config: BurstConfig, h: &DensityHistogram) {
+        let sparse = BurstDetector::new(config).analyze(h);
+        assert_eq!(sparse, analyze_dense(&config, h), "bins {:?}", h.bins());
+    }
+
+    #[test]
+    fn sparse_core_matches_the_dense_scan_on_edge_shapes() {
+        let max = u64::MAX;
+        let shapes: &[&[(usize, u64)]] = &[
+            // All-zero contended mass, and an empty histogram.
+            &[(0, 1000)],
+            &[],
+            // Edge bins alone and together.
+            &[(1, 5)],
+            &[(127, 9)],
+            &[(126, 9)],
+            &[(126, 3), (127, 9)],
+            &[(0, 4), (1, 9), (126, 3), (127, 9)],
+            &[(0, 7), (127, 1)],
+            // Ties and plateaus: equal neighbours, flat runs, tied peaks.
+            &[(0, 10), (1, 5), (2, 5), (3, 5), (20, 8), (21, 8)],
+            &[(0, 10), (1, 10), (2, 10), (3, 10)],
+            &[(1, 4), (2, 4), (3, 2), (4, 2), (5, 6), (9, 6)],
+            &[(0, 50), (1, 20), (2, 20), (3, 30), (4, 30)],
+            // Monotone, no zero gap: the gentle-slope fallback.
+            &[(0, 1000), (1, 400), (2, 100), (3, 96), (4, 93)],
+            &[
+                (0, 1000),
+                (1, 400),
+                (2, 100),
+                (3, 96),
+                (4, 93),
+                (5, 93),
+                (6, 2),
+            ],
+            &[(0, 2), (1, 3), (2, 4), (3, 5)],
+            &[(2, 1), (3, 2), (4, 3)],
+            // u64::MAX bins (one carries the whole window total).
+            &[(1, max)],
+            &[(127, max)],
+            &[(0, max)],
+            &[(0, max - 10), (40, 10)],
+        ];
+        let configs = [
+            BurstConfig::default(),
+            BurstConfig {
+                gentle_slope_fraction: 0.5,
+                min_burst_windows: 1,
+                min_coherence: 0.0,
+                ..BurstConfig::default()
+            },
+        ];
+        for pairs in shapes {
+            for config in configs {
+                assert_matches_dense(config, &histogram_from(pairs));
+            }
+        }
+        // Every bin nonzero, strictly decreasing: no local minimum, and the
+        // gentle-slope knee is past the last bin.
+        let falling = DensityHistogram::from_bins((0..128).map(|i| (128 - i) * 1000).collect(), 9)
+            .expect("128 bins");
+        let steps = DensityHistogram::from_bins((0..128).rev().collect(), 9).expect("128 bins");
+        let rising = DensityHistogram::from_bins((1..129).collect(), 9).expect("128 bins");
+        for h in [falling, steps, rising] {
+            for config in configs {
+                assert_matches_dense(config, &h);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_core_matches_the_dense_scan_on_fuzzed_histograms() {
+        let mut x = 0x5EED_B125_7000_0001u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..20_000 {
+            // Few nonzero bins (the covert and benign shapes), dense runs
+            // near the left, or every bin; small frequencies make ties.
+            let mut bins = vec![0u64; HISTOGRAM_BINS];
+            let (count, span, scale) = match case % 4 {
+                0 => (next() % 8, 128, 1 + next() % 300),
+                1 => (next() % 24, 8 + next() % 24, 1 + next() % 6),
+                2 => (128, 128, 1 + next() % 4),
+                _ => (next() % 40, 128, 1 + next() % 1_000_000),
+            };
+            for _ in 0..count {
+                bins[(next() % span) as usize] = next() % (scale + 1);
+            }
+            if case % 3 == 0 {
+                bins[0] = next() % 5000;
+            }
+            let h = DensityHistogram::from_bins(bins, 1 + next() % 1000).expect("128 bins");
+            let config = BurstConfig {
+                gentle_slope_fraction: [0.05, 0.3, 0.9][case % 3],
+                min_burst_windows: next() % 6,
+                ..BurstConfig::default()
+            };
+            assert_matches_dense(config, &h);
+        }
     }
 
     #[test]

@@ -167,22 +167,6 @@ impl DensityHistogram {
         self.windows = self.windows.saturating_add(count);
     }
 
-    /// Refills this histogram in place: Δt `delta_t`, the `(bin,
-    /// frequency)` pairs of `nonzero`, every other bin zero. A reused
-    /// histogram thus decodes a stored window slot without allocating.
-    /// Bins past the last are ignored and the window total saturates.
-    pub(crate) fn refill(&mut self, delta_t: u64, nonzero: impl Iterator<Item = (usize, u64)>) {
-        self.bins.fill(0);
-        self.delta_t = delta_t;
-        self.windows = 0;
-        for (bin, f) in nonzero {
-            if let Some(slot) = self.bins.get_mut(bin) {
-                *slot = f;
-                self.windows = self.windows.saturating_add(f);
-            }
-        }
-    }
-
     /// Clamps every bin to the CC-auditor's 16-bit width in place; returns
     /// whether anything clamped, which is exactly when the window total
     /// exceeds [`u16::MAX`] (the window accumulator clamps first).
@@ -265,13 +249,8 @@ impl DensityHistogram {
                 self.delta_t, other.delta_t
             ));
         }
-        let overflows = self.windows.checked_add(other.windows).is_none()
-            || self
-                .bins
-                .iter()
-                .zip(&other.bins)
-                .any(|(a, b)| a.checked_add(*b).is_none());
-        if overflows {
+        // No bin exceeds its window total, so the totals bound every bin.
+        if self.windows.checked_add(other.windows).is_none() {
             return bad("merged histogram counts past u64::MAX windows".to_string());
         }
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {

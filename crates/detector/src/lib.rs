@@ -74,6 +74,8 @@ pub mod fault;
 mod fft;
 pub mod indicator;
 pub mod ingest;
+#[cfg(test)]
+mod kmeans_f64;
 pub mod metrics;
 pub mod mitigation;
 pub mod online;

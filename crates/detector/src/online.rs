@@ -31,23 +31,24 @@
 //!
 //! Running aggregates (observation weight, observed and covert-evidence
 //! counts) make a push O(1) plus the analysis of the new quantum. k-means is
-//! memoized on the window's bursty-feature sequence: a quantum is
+//! memoized on the window's sequence of bursty level strings: a quantum is
 //! discretized once, and clustering reruns only when a push or eviction
 //! changes that sequence (the seeded k-means is deterministic, so reuse is
-//! exact). The weight sum is rebased from the ring every `capacity` pushes
-//! so round-off cannot accumulate.
+//! exact); a rerun clusters each distinct string once ([`crate::cluster`]).
+//! The weight sum is rebased from the ring every `capacity` pushes so
+//! round-off cannot accumulate.
 //!
 //! ## Compact storage
 //!
 //! A slot is 16 bytes: its weight and what it keeps of its quantum. A
 //! contention slot's Δt and nonzero bins go to one byte queue as LEB128
 //! varints (a `fleet_10k`-shaped quantum takes about 15 bytes), and a bursty
-//! slot's k-means features go to a second queue as `u8` levels, 128 bytes
-//! instead of 1 KiB of `f64`. A quantum is encoded once: the fleet's
-//! coordinator encodes each harvest at the probe (`encode_slot`), the
-//! shard scores a dense view decoded into reused scratch, and the window
-//! keeps the bytes verbatim. `checkpoint` decodes them again; the levels
-//! are widened to `f64` only when the window re-clusters.
+//! slot's level string to a second queue, 128 bytes instead of 1 KiB of
+//! `f64`. The window scores that compact form: the fleet's coordinator
+//! encodes each harvest once, at the probe (`encode_slot`), and the shard
+//! takes the burst statistics and the level string from the decoded
+//! nonzero `(bin, frequency)` pairs and keeps the bytes verbatim.
+//! `checkpoint` decodes them again.
 //!
 //! ## Checkpoint / restore
 //!
@@ -58,19 +59,17 @@
 use crate::auditor::ConflictRecord;
 use crate::autocorr::{OscillationDetector, OscillationVerdict};
 use crate::burst::{BurstDetector, BurstVerdict};
-use crate::cluster::{level, recurrence_from_features, RecurrenceVerdict};
+use crate::cluster::{discretize_nonzero, Groups, LevelString, RecurrenceVerdict};
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
 use crate::metrics::{default_registry, Counter};
-use crate::pipeline::{conflict_symbols, CcHunterConfig, Verdict, CONTEXTS};
+use crate::pipeline::{check_contexts, conflict_symbols, CcHunterConfig, Verdict};
 use crate::span;
 use crate::trace::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointSlot};
 use crate::window::SlidingWindow;
 use crate::DetectorError;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
-use std::num::NonZeroU64;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -283,7 +282,7 @@ pub(crate) fn encode_slot(histogram: &DensityHistogram, out: &mut [u8; MAX_SLOT_
 }
 
 /// Reads a slot encoding back: its Δt and its nonzero `(bin, frequency)`
-/// pairs.
+/// pairs, bins ascending.
 fn decode_slot(mut bytes: impl Iterator<Item = u8>) -> (u64, impl Iterator<Item = (usize, u64)>) {
     let delta_t = get_varint(&mut bytes).unwrap_or_default();
     let pairs = std::iter::from_fn(move || {
@@ -296,30 +295,19 @@ fn decode_slot(mut bytes: impl Iterator<Item = u8>) -> (u64, impl Iterator<Item 
 /// The contention window's histograms, compacted. Every observed slot
 /// appends its Δt and then its nonzero `(bin, frequency)` pairs to one byte
 /// queue, each number a LEB128 varint, so any `u64` round-trips exactly; a
-/// bursty slot also appends its `HISTOGRAM_BINS` discretization levels (the
-/// k-means features, computed once at push time) to a second queue. Slots
-/// leave the window strictly oldest-first, so a push appends at the back
-/// and an eviction drains the oldest slot's bytes off the front — in steady
-/// state neither allocates. The byte queue grows to an eighth (at least 64
-/// bytes) past what a push needs, so pushes stay amortized O(1) with little
-/// idle capacity, but never past `limit`, the most a full window can hold.
+/// bursty slot also appends its level string (the k-means input, computed
+/// once at push time) to a second queue. Slots leave the window strictly
+/// oldest-first, so a push appends at the back and an eviction drains the
+/// oldest slot's bytes off the front — in steady state neither allocates.
+/// The byte queue grows to an eighth (at least 64 bytes) past what a push
+/// needs, so pushes stay amortized O(1) with little idle capacity, but
+/// never past `limit`, the most a full window can hold.
 #[derive(Debug)]
 struct BinArena {
     bytes: VecDeque<u8>,
-    levels: VecDeque<u8>,
+    levels: VecDeque<LevelString>,
     /// `capacity × MAX_SLOT_BYTES`.
     limit: usize,
-}
-
-thread_local! {
-    /// The bursty levels widened to `f64` for k-means: reused by every
-    /// window re-clustering on this thread, so no pair retains it and a
-    /// re-clustering allocates nothing beyond k-means itself.
-    static WIDENED: RefCell<Vec<[f64; HISTOGRAM_BINS]>> = const { RefCell::new(Vec::new()) };
-
-    /// The dense view of an encoded quantum ([`OnlineWindow::push_encoded`]),
-    /// refilled in place by every push on this thread.
-    static DECODED: RefCell<DensityHistogram> = RefCell::new(DensityHistogram::zeroed(NonZeroU64::MIN));
 }
 
 impl BinArena {
@@ -331,12 +319,16 @@ impl BinArena {
         }
     }
 
-    /// Appends `slot`, the encoding of `histogram`, and the histogram's
-    /// levels if `bursty`; returns how many bytes the slot took.
-    fn push(&mut self, slot: &[u8], histogram: &DensityHistogram, bursty: bool) -> u16 {
-        if bursty {
-            self.levels
-                .extend(histogram.bins().iter().map(|&f| level(f)));
+    /// Appends `slot`, and `levels` if the slot is bursty; returns how many
+    /// bytes the slot took.
+    fn push(&mut self, slot: &[u8], levels: Option<LevelString>) -> u16 {
+        if let Some(levels) = levels {
+            // Grow by doubling from one string: a window with few bursty
+            // quanta keeps little.
+            if self.levels.len() == self.levels.capacity() {
+                self.levels.reserve_exact(self.levels.len().max(1));
+            }
+            self.levels.push_back(levels);
         }
         let needed = self.bytes.len() + slot.len();
         if needed > self.bytes.capacity() {
@@ -353,7 +345,7 @@ impl BinArena {
         if let SlotQuantum::Histogram { span, bursty } = quantum {
             self.bytes.drain(..usize::from(span));
             if bursty {
-                self.levels.drain(..HISTOGRAM_BINS);
+                self.levels.pop_front();
             }
         }
     }
@@ -390,23 +382,6 @@ fn get_varint(bytes: &mut impl Iterator<Item = u8>) -> Option<u64> {
         }
     }
     None
-}
-
-/// Rejects a drain naming a hardware context outside `0..CONTEXTS`: its
-/// pair symbols would collide with valid ones, or leave the `u8` alphabet.
-fn check_contexts(records: &[ConflictRecord]) -> Result<(), DetectorError> {
-    let Some(r) = records
-        .iter()
-        .find(|r| r.replacer.max(r.victim) >= CONTEXTS)
-    else {
-        return Ok(());
-    };
-    let (replacer, victim) = (r.replacer, r.victim);
-    Err(DetectorError::BadHarvest {
-        reason: format!(
-            "conflict record names context {replacer} -> {victim}, outside 0..{CONTEXTS}"
-        ),
-    })
 }
 
 /// The gap-aware sliding window of one audited resource: the only code
@@ -649,13 +624,12 @@ impl OnlineWindow {
     ) -> BurstVerdict {
         let mut slot = [0u8; MAX_SLOT_BYTES];
         let len = encode_slot(histogram, &mut slot);
-        self.ingest_encoded(&slot[..len], histogram, weight)
+        self.ingest_encoded(&slot[..len], weight)
     }
 
     /// [`OnlineWindow::push_harvest`] for a contention quantum already
     /// encoded by [`encode_slot`] and observed with `weight`: the fleet's
-    /// shard path. The bytes are decoded into the thread's reused dense
-    /// view for scoring and kept as they are.
+    /// shard path.
     pub(crate) fn push_encoded(
         &mut self,
         slot: &[u8],
@@ -665,28 +639,21 @@ impl OnlineWindow {
             PairKind::Contention,
             "density harvest delivered to an oscillation pair",
         )?;
-        let burst = DECODED.with_borrow_mut(|histogram| {
-            let (delta_t, pairs) = decode_slot(slot.iter().copied());
-            histogram.refill(delta_t, pairs);
-            self.ingest_encoded(slot, histogram, weight)
-        });
+        let burst = self.ingest_encoded(slot, weight);
         Ok(self.publish(Some(burst), None))
     }
 
-    /// The one contention ingest: scores `histogram`, the dense view of
-    /// the encoded quantum `slot`, and slides the quantum into the window
-    /// with observation `weight`. The arena keeps `slot` verbatim and the
-    /// view's k-means levels when the quantum is bursty.
-    fn ingest_encoded(
-        &mut self,
-        slot: &[u8],
-        histogram: &DensityHistogram,
-        weight: f64,
-    ) -> BurstVerdict {
-        let verdict = BurstDetector::new(self.config.burst).analyze(histogram);
+    /// The one contention ingest: scores the quantum encoded by
+    /// [`encode_slot`] as `slot` from its decoded nonzero bins, and slides
+    /// it into the window with observation `weight`. The arena keeps `slot`
+    /// verbatim, and the quantum's level string when it is bursty.
+    fn ingest_encoded(&mut self, slot: &[u8], weight: f64) -> BurstVerdict {
+        let decode = || decode_slot(slot.iter().copied());
+        let (delta_t, nonzero) = decode();
+        let verdict = BurstDetector::new(self.config.burst).analyze_nonzero(delta_t, nonzero);
         let bursty = verdict.significant;
         self.insert(weight, |arena| SlotQuantum::Histogram {
-            span: arena.push(slot, histogram, bursty),
+            span: arena.push(slot, bursty.then(|| discretize_nonzero(decode().1))),
             bursty,
         });
         verdict
@@ -759,18 +726,8 @@ impl OnlineWindow {
             _ if self.covert < self.config.cluster.min_recurring => (self.covert, false),
             Some(cached) => cached,
             None => {
-                let (front, back) = self.arena.levels.as_slices();
-                let verdict = WIDENED.with_borrow_mut(|features| {
-                    features.resize(self.covert, [0.0; HISTOGRAM_BINS]);
-                    // Levels are below 16, so widening them is exact.
-                    let (head, tail) = features.as_flattened_mut().split_at_mut(front.len());
-                    for (widened, levels) in [(head, front), (tail, back)] {
-                        for (x, &level) in widened.iter_mut().zip(levels) {
-                            *x = f64::from(level);
-                        }
-                    }
-                    recurrence_from_features(self.observed, features, &self.config.cluster)
-                });
+                let groups: Groups = self.arena.levels.iter().copied().collect();
+                let verdict = groups.recurrence(self.observed, &self.config.cluster);
                 *self
                     .cache
                     .insert((verdict.largest_burst_cluster, verdict.recurrent))
@@ -1063,6 +1020,41 @@ mod tests {
         assert!(second.recurrence.as_ref().unwrap().recurrent);
         assert_eq!(second.confidence, 1.0);
         assert!(!second.is_degraded());
+    }
+
+    #[test]
+    fn a_wrapped_level_ring_reclusters_like_the_f64_oracle() {
+        use crate::cluster::discretized_features;
+        use crate::kmeans_f64::recurrence_f64;
+        // Bursty quanta with a few peak shapes, some quiet ones between:
+        // the window's level ring fills, wraps and keeps wrapping.
+        let config = CcHunterConfig::default();
+        let mut window = OnlineWindow::new(PairKind::Contention, config, 24).unwrap();
+        let mut kept: VecDeque<Option<Vec<f64>>> = VecDeque::new();
+        let mut wrapped = false;
+        for step in 0..200usize {
+            let mut bins = vec![0u64; HISTOGRAM_BINS];
+            bins[0] = 2_400;
+            let peak = 16 + (step * 7) % 23;
+            bins[peak] = 100 + (step % 5) as u64 * 60;
+            bins[peak + 1] = 25;
+            if step % 4 == 3 {
+                bins[peak] = 0;
+                bins[1] = 40;
+            }
+            let h = DensityHistogram::from_bins(bins, 100_000).unwrap();
+            let bursty = BurstDetector::new(config.burst).analyze(&h).significant;
+            if kept.len() == 24 {
+                kept.pop_front();
+            }
+            kept.push_back(bursty.then(|| discretized_features(&h)));
+            let status = window.push_harvest(h).unwrap();
+            wrapped |= !window.arena.levels.as_slices().1.is_empty();
+            let features: Vec<&Vec<f64>> = kept.iter().flatten().collect();
+            let expected = recurrence_f64(kept.len(), &features, &config.cluster);
+            assert_eq!(status.recurrence, Some(expected), "step {step}");
+        }
+        assert!(wrapped, "the level ring wrapped");
     }
 
     #[test]

@@ -405,12 +405,19 @@ impl CcHunter {
     /// Records are windowed by time (quantum / `windows_per_quantum`), each
     /// window's cross-context conflicts become a symbol series, and each
     /// series is tested for sustained periodicity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::BadHarvest`], as the online push does, if a
+    /// record names a hardware context outside the paper's 3-bit range: its
+    /// symbol would collide with valid ones or leave the alphabet.
     pub fn analyze_oscillation(
         &self,
         records: &[ConflictRecord],
         start: u64,
         end: u64,
-    ) -> OscillationReport {
+    ) -> Result<OscillationReport, DetectorError> {
+        check_contexts(records)?;
         let window =
             (self.config.quantum_cycles / self.config.windows_per_quantum.max(1) as u64).max(1);
         let windows =
@@ -428,15 +435,17 @@ impl CcHunter {
             .iter()
             .filter_map(|v| v.peak)
             .max_by(|a, b| a.1.total_cmp(&b.1));
-        OscillationReport {
+        Ok(OscillationReport {
             window_verdicts,
             peak,
             oscillatory_windows: status.oscillatory_in_window,
             verdict: status.verdict,
-        }
+        })
     }
 
-    /// Runs the full analysis for one labeled pair's evidence.
+    /// Runs the full analysis for one labeled pair's evidence. Conflict
+    /// records [`CcHunter::analyze_oscillation`] refuses make an
+    /// `Inconclusive` detection whose evidence is the error.
     pub fn audit_pair(&self, audit: &PairAudit) -> Detection {
         let detection = match &audit.evidence {
             // Analyzed where it sits: the summary keeps no histogram copies.
@@ -447,10 +456,15 @@ impl CcHunter {
                 records,
                 start,
                 end,
-            } => {
-                let report = self.analyze_oscillation(records, *start, *end);
-                Detection::from_oscillation(audit.label.clone(), &report)
-            }
+            } => match self.analyze_oscillation(records, *start, *end) {
+                Ok(report) => Detection::from_oscillation(audit.label.clone(), &report),
+                Err(e) => Detection {
+                    resource: audit.label.clone(),
+                    kind: ResourceKind::Memory,
+                    verdict: Verdict::Inconclusive,
+                    evidence: e.to_string(),
+                },
+            },
         };
         pipeline_audits_total().inc();
         if detection.verdict.is_covert() {
@@ -562,7 +576,10 @@ pub struct PairAudit {
 /// Builds the cross-context conflict symbol series for records within
 /// `[start, end)`. Same-context replacements (a thread conflicting with
 /// itself) carry no inter-process signal and are filtered out, matching the
-/// paper's trojan/spy pair identifiers.
+/// paper's trojan/spy pair identifiers. Contexts are not range-checked
+/// here: a record naming a context of 8 or more folds into a symbol outside
+/// the 3-bit alphabet, so check untrusted drains first (the window pushes
+/// and [`CcHunter::analyze_oscillation`] refuse them).
 pub fn symbol_series(records: &[ConflictRecord], start: u64, end: u64) -> SymbolSeries {
     conflict_symbols(records, start, end).collect()
 }
@@ -570,6 +587,24 @@ pub fn symbol_series(records: &[ConflictRecord], start: u64, end: u64) -> Symbol
 /// Hardware contexts a conflict record can name: the paper's context IDs
 /// are 3-bit.
 pub(crate) const CONTEXTS: u8 = 8;
+
+/// Rejects a drain naming a hardware context outside `0..CONTEXTS`: its
+/// pair symbols would collide with valid ones, or leave the `u8` alphabet.
+/// Both the window pushes and the batch path check drains with it.
+pub(crate) fn check_contexts(records: &[ConflictRecord]) -> Result<(), DetectorError> {
+    let Some(r) = records
+        .iter()
+        .find(|r| r.replacer.max(r.victim) >= CONTEXTS)
+    else {
+        return Ok(());
+    };
+    let (replacer, victim) = (r.replacer, r.victim);
+    Err(DetectorError::BadHarvest {
+        reason: format!(
+            "conflict record names context {replacer} -> {victim}, outside 0..{CONTEXTS}"
+        ),
+    })
+}
 
 /// The symbols of [`symbol_series`], produced lazily.
 pub(crate) fn conflict_symbols(
@@ -824,7 +859,7 @@ mod tests {
         });
         let records = cache_records(64, 128);
         let end = records.last().unwrap().cycle + 1;
-        let report = hunter.analyze_oscillation(&records, 0, end);
+        let report = hunter.analyze_oscillation(&records, 0, end).unwrap();
         assert!(report.verdict.is_covert(), "{report:?}");
         let (lag, value) = report.peak.unwrap();
         assert!(
@@ -853,7 +888,7 @@ mod tests {
             quantum_cycles: 2_500_000,
             ..CcHunterConfig::default()
         });
-        let report = hunter.analyze_oscillation(&records, 0, 10_000_000);
+        let report = hunter.analyze_oscillation(&records, 0, 10_000_000).unwrap();
         assert_eq!(report.verdict, Verdict::Clean, "{report:?}");
     }
 
@@ -876,6 +911,44 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_contexts_are_refused_by_the_batch_path() {
+        let hunter = CcHunter::new(CcHunterConfig::default());
+        // Replacer 200 once overflowed the `u8` pair symbol; context 8 is
+        // the first past the paper's 3-bit IDs.
+        for (replacer, victim) in [(200, 0), (0, 8), (8, 1)] {
+            let mut records = cache_records(16, 64);
+            records.insert(
+                7,
+                ConflictRecord {
+                    cycle: records[6].cycle,
+                    replacer,
+                    victim,
+                },
+            );
+            let refused = hunter.analyze_oscillation(&records, 0, 10_000_000);
+            assert!(
+                matches!(refused, Err(DetectorError::BadHarvest { .. })),
+                "{replacer} -> {victim}: {refused:?}"
+            );
+            let audit = PairAudit {
+                label: "llc: pid 1 <-> pid 2".to_string(),
+                evidence: PairEvidence::Memory {
+                    records,
+                    start: 0,
+                    end: 10_000_000,
+                },
+            };
+            let detection = hunter.audit_pair(&audit);
+            assert_eq!(detection.verdict, Verdict::Inconclusive);
+            assert_eq!(detection.kind, ResourceKind::Memory);
+            assert!(detection.evidence.contains("outside 0..8"), "{detection}");
+        }
+        // In range, the same drain is scored.
+        let records = cache_records(16, 64);
+        assert!(hunter.analyze_oscillation(&records, 0, 10_000_000).is_ok());
+    }
+
+    #[test]
     fn fractional_windows_slice_records() {
         let hunter = CcHunter::new(CcHunterConfig {
             quantum_cycles: 1_000_000,
@@ -883,7 +956,7 @@ mod tests {
             ..CcHunterConfig::default()
         });
         let records = cache_records(16, 64);
-        let report = hunter.analyze_oscillation(&records, 0, 1_000_000);
+        let report = hunter.analyze_oscillation(&records, 0, 1_000_000).unwrap();
         assert_eq!(report.window_verdicts.len(), 4);
     }
 

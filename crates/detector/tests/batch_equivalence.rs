@@ -9,7 +9,7 @@
 
 use cchunter_detector::autocorr::Autocorrelogram;
 use cchunter_detector::batch::{sq_dist, sq_dist_scalar};
-use cchunter_detector::cluster::kmeans;
+use cchunter_detector::cluster::{kmeans, LevelString};
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::events::{EventTrain, EventTrainArena};
 use rand::rngs::SmallRng;
@@ -79,12 +79,19 @@ fn batched_kmeans_assignments_are_nearest_by_scalar_distance() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x6B3A_0000 + case);
         let n = rng.gen_range(2usize..60);
-        let dim = rng.gen_range(1usize..40);
-        let k = rng.gen_range(1usize..5);
-        let features: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..dim).map(|_| rng.gen_range(0.0..16.0)).collect())
+        let k = rng.gen_range(1usize..6);
+        // Strings from a few templates, so equal strings group.
+        let templates: Vec<LevelString> = (0..rng.gen_range(1usize..n))
+            .map(|_| std::array::from_fn(|_| rng.gen_range(0u8..16)))
             .collect();
-        let clustering = kmeans(&features, k, 0x5EED ^ case, 30);
+        let strings: Vec<LevelString> = (0..n)
+            .map(|_| templates[rng.gen_range(0..templates.len())])
+            .collect();
+        let features: Vec<Vec<f64>> = strings
+            .iter()
+            .map(|s| s.iter().map(|&l| f64::from(l)).collect())
+            .collect();
+        let clustering = kmeans(&strings, k, 0x5EED ^ case, 30).unwrap();
         for (i, f) in features.iter().enumerate() {
             let assigned = clustering.assignments[i];
             let d_assigned = sq_dist_scalar(f, &clustering.centroids[assigned]);

@@ -8,7 +8,7 @@
 
 use cchunter_detector::auditor::{AuditorConfig, CcAuditor, HardwareUnit, Privilege};
 use cchunter_detector::autocorr::Autocorrelogram;
-use cchunter_detector::cluster::{discretize, kmeans};
+use cchunter_detector::cluster::{discretize, kmeans, LevelString};
 use cchunter_detector::conflict::{
     ConflictClass, GenerationTracker, IdealLruTracker, MissClassifier,
 };
@@ -20,6 +20,12 @@ use cchunter_detector::indicator::{
 use cchunter_detector::BloomFilter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+// The `f64` k-means oracle of the crate's own tests reaches `batch` and
+// `cluster` through this root.
+use cchunter_detector::{batch, cluster};
+#[path = "../src/kmeans_f64.rs"]
+mod kmeans_f64;
 
 const CASES: u64 = 48;
 
@@ -152,11 +158,11 @@ fn kmeans_assignments_are_consistent() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x1670_0000 + case);
         let n = rng.gen_range(1usize..60);
-        let features: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..4).map(|_| rng.gen_range(-10.0..10.0)).collect())
+        let features: Vec<LevelString> = (0..n)
+            .map(|_| std::array::from_fn(|_| rng.gen_range(0u8..16)))
             .collect();
         let k = rng.gen_range(1usize..6);
-        let clusters = kmeans(&features, k, 99, 30);
+        let clusters = kmeans(&features, k, 99, 30).unwrap();
         assert_eq!(clusters.assignments.len(), features.len(), "case {case}");
         let k_eff = k.min(features.len());
         for &a in &clusters.assignments {
@@ -168,7 +174,7 @@ fn kmeans_assignments_are_consistent() {
             "case {case}"
         );
         // Determinism.
-        let again = kmeans(&features, k, 99, 30);
+        let again = kmeans(&features, k, 99, 30).unwrap();
         assert_eq!(clusters.assignments, again.assignments, "case {case}");
     }
 }
@@ -644,7 +650,9 @@ fn incremental_window_state_matches_from_scratch_replay() {
                         r
                     }));
                 }
-                let batch = hunter.analyze_oscillation(&records, 0, tail.len() as u64 * quantum);
+                let batch = hunter
+                    .analyze_oscillation(&records, 0, tail.len() as u64 * quantum)
+                    .unwrap();
                 let last = expected.last().unwrap();
                 assert_eq!(batch.verdict, last.verdict, "case {case}");
                 assert_eq!(batch.oscillatory_windows, last.oscillatory_in_window);
@@ -658,12 +666,13 @@ fn incremental_window_state_matches_from_scratch_replay() {
 
 #[test]
 fn stored_levels_recluster_like_f64_features() {
-    // The window stores each bursty quantum's k-means features as `u8`
-    // levels and widens them only to re-cluster. The oracle keeps the `f64`
-    // features itself: `discretized_features` of every bursty histogram in
-    // the current window, bursty as `BurstDetector` calls it.
+    // The window stores each bursty quantum's level string and clusters
+    // its distinct strings. The oracle keeps the `f64` features itself —
+    // `discretized_features` of every bursty histogram in the current
+    // window, bursty as `BurstDetector` calls it — and clusters every one
+    // with the textbook `f64` k-means.
     use cchunter_detector::burst::BurstDetector;
-    use cchunter_detector::cluster::{discretized_features, recurrence_from_features};
+    use cchunter_detector::cluster::discretized_features;
     use cchunter_detector::online::{OnlineWindow, PairKind};
     use cchunter_detector::supervisor::PairInput;
     use cchunter_detector::CcHunterConfig;
@@ -674,7 +683,9 @@ fn stored_levels_recluster_like_f64_features() {
     let (mut recurrent, mut widest) = (0, 0);
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x1E7E_0000 + case);
-        // Wide windows reach the parallel k-means assignment (64 features).
+        // Wide windows cluster 64 and more bursty strings (the parallel
+        // assignment, keyed on 64 *distinct* strings, is checked against
+        // the same oracle in `cluster`'s unit tests).
         let capacity = if case % 4 == 0 {
             rng.gen_range(64usize..160)
         } else {
@@ -703,7 +714,7 @@ fn stored_levels_recluster_like_f64_features() {
 
             let observed = slots.iter().flatten().count();
             let bursty: Vec<&Vec<f64>> = slots.iter().flatten().flatten().collect();
-            let expected = recurrence_from_features(observed, &bursty, &config.cluster);
+            let expected = kmeans_f64::recurrence_f64(observed, &bursty, &config.cluster);
             recurrent += usize::from(expected.recurrent);
             widest = widest.max(bursty.len());
             assert_eq!(

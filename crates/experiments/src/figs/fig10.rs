@@ -63,8 +63,9 @@ pub fn run() {
             delta_t: DeltaTPolicy::Fixed(paper::BUS_DELTA_T),
             ..CcHunterConfig::default()
         });
-        let cache_r =
-            hunter.analyze_oscillation(&cache.data.conflicts, cache.data.start, cache.data.end);
+        let cache_r = hunter
+            .analyze_oscillation(&cache.data.conflicts, cache.data.start, cache.data.end)
+            .expect("simulated contexts are 3-bit");
         let (cache_lag, cache_peak) = cache_r.peak.unwrap_or((0, 0.0));
 
         table.row(vec![

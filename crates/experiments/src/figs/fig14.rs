@@ -123,11 +123,9 @@ pub fn run() {
             quantum_cycles: paper::QUANTUM,
             ..CcHunterConfig::default()
         });
-        let cache_report = hunter_cache.analyze_oscillation(
-            &cache_data.conflicts,
-            cache_data.start,
-            cache_data.end,
-        );
+        let cache_report = hunter_cache
+            .analyze_oscillation(&cache_data.conflicts, cache_data.start, cache_data.end)
+            .expect("simulated contexts are 3-bit");
 
         let clean = !bus_report.verdict.is_covert()
             && !div_report.verdict.is_covert()

@@ -107,7 +107,9 @@ pub fn run() {
             .run(&mut m, &mut session, quanta())
             .expect("audit harvest");
         let mul = hunter_div.analyze_contention(data.multiplier_histograms);
-        let cache = hunter_cache.analyze_oscillation(&data.conflicts, data.start, data.end);
+        let cache = hunter_cache
+            .analyze_oscillation(&data.conflicts, data.start, data.end)
+            .expect("simulated contexts are 3-bit");
 
         let clean = !bus.verdict.is_covert()
             && !div.verdict.is_covert()

@@ -84,7 +84,9 @@ fn main() {
         quantum_cycles: quantum,
         ..CcHunterConfig::default()
     });
-    let report = hunter.analyze_oscillation(&data.conflicts, data.start, data.end);
+    let report = hunter
+        .analyze_oscillation(&data.conflicts, data.start, data.end)
+        .expect("simulated contexts are 3-bit");
     println!("{}", Detection::from_oscillation("shared-L2", &report));
     assert!(report.verdict.is_covert(), "the channel must be detected");
 }

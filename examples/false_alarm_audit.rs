@@ -66,7 +66,9 @@ fn main() {
             .expect("nonzero quantum")
             .run(&mut machine, &mut session, quanta)
             .expect("audit harvest");
-        let cache = hunter.analyze_oscillation(&data.conflicts, data.start, data.end);
+        let cache = hunter
+            .analyze_oscillation(&data.conflicts, data.start, data.end)
+            .expect("simulated contexts are 3-bit");
 
         let clean =
             !bus.verdict.is_covert() && !div.verdict.is_covert() && !cache.verdict.is_covert();

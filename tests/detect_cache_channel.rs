@@ -33,7 +33,9 @@ fn spy_decodes_and_hunter_detects() {
         0.0,
         "channel must work: sent {message} got {decoded}"
     );
-    let report = hunter().analyze_oscillation(&run.data.conflicts, run.data.start, run.data.end);
+    let report = hunter()
+        .analyze_oscillation(&run.data.conflicts, run.data.start, run.data.end)
+        .unwrap();
     assert!(report.verdict.is_covert(), "{report:?}");
     let (_, value) = report.peak.expect("peak");
     assert!(value > 0.8, "strong periodicity expected, got {value}");
@@ -63,12 +65,16 @@ fn ideal_and_practical_trackers_agree_on_the_verdict() {
     let practical = run_cache_channel(message.clone(), 2_500_000, 256, TrackerKind::Practical, 13);
     let ideal = run_cache_channel(message, 2_500_000, 256, TrackerKind::Ideal, 13);
     let h = hunter();
-    let rp = h.analyze_oscillation(
-        &practical.data.conflicts,
-        practical.data.start,
-        practical.data.end,
-    );
-    let ri = h.analyze_oscillation(&ideal.data.conflicts, ideal.data.start, ideal.data.end);
+    let rp = h
+        .analyze_oscillation(
+            &practical.data.conflicts,
+            practical.data.start,
+            practical.data.end,
+        )
+        .unwrap();
+    let ri = h
+        .analyze_oscillation(&ideal.data.conflicts, ideal.data.start, ideal.data.end)
+        .unwrap();
     assert!(rp.verdict.is_covert());
     assert!(ri.verdict.is_covert());
     // The practical tracker may over-report slightly (Bloom false
@@ -117,7 +123,9 @@ fn quiet_cache_has_no_oscillation() {
         TrackerKind::Practical,
         7,
     );
-    let report = hunter().analyze_oscillation(&run.data.conflicts, run.data.start, run.data.end);
+    let report = hunter()
+        .analyze_oscillation(&run.data.conflicts, run.data.start, run.data.end)
+        .unwrap();
     // A constant-group channel still oscillates T→S/S→T on G0 — that IS a
     // covert channel pattern and may legitimately be flagged. What must
     // hold: the dominant lag reflects the G0 set count (64 × 2), not noise.

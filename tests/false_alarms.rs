@@ -94,7 +94,9 @@ fn cache_audits_stay_clean_for_all_pairs() {
             quantum_cycles: QUANTUM,
             ..CcHunterConfig::default()
         });
-        let report = hunter.analyze_oscillation(&data.conflicts, data.start, data.end);
+        let report = hunter
+            .analyze_oscillation(&data.conflicts, data.start, data.end)
+            .unwrap();
         assert!(
             !report.verdict.is_covert(),
             "{label}: cache false alarm ({report:?})"

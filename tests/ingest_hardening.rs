@@ -97,7 +97,9 @@ fn cache_channel_detected_through_conflict_sanitizer() {
         quantum_cycles: 8 * QUANTUM,
         ..CcHunterConfig::default()
     });
-    let report = hunter.analyze_oscillation(&clean, run.data.start, run.data.end);
+    let report = hunter
+        .analyze_oscillation(&clean, run.data.start, run.data.end)
+        .unwrap();
     assert!(report.verdict.is_covert(), "{report:?}");
 }
 

@@ -99,6 +99,8 @@ fn cache_channel_survives_smt_slot_swap() {
         quantum_cycles: 8 * QUANTUM,
         ..CcHunterConfig::default()
     });
-    let report = hunter.analyze_oscillation(&all, first.start, second.end);
+    let report = hunter
+        .analyze_oscillation(&all, first.start, second.end)
+        .unwrap();
     assert!(report.verdict.is_covert(), "{report:?}");
 }
