@@ -342,14 +342,14 @@ fn bench_bloom(c: &mut Criterion) {
     let blocks = random_blocks(4_096, 4_096, 7);
     c.bench_function("bloom_insert_4096", |b| {
         b.iter(|| {
-            let mut f = BloomFilter::new(4_096, 3);
+            let mut f = BloomFilter::new(4_096, 3).expect("nonzero bits and hashes");
             for &k in &blocks {
                 f.insert(k);
             }
             f
         })
     });
-    let mut filter = BloomFilter::new(4_096, 3);
+    let mut filter = BloomFilter::new(4_096, 3).expect("nonzero bits and hashes");
     for &k in &blocks[..1024] {
         filter.insert(k);
     }
@@ -367,7 +367,7 @@ fn bench_trackers(c: &mut Criterion) {
     let accesses = random_blocks(100_000, 8_192, 11);
     c.bench_function("generation_tracker_100k_accesses", |b| {
         b.iter(|| {
-            let mut t = GenerationTracker::for_cache(4_096);
+            let mut t = GenerationTracker::for_cache(4_096).expect("at least 4 blocks");
             for &block in &accesses {
                 if t.classify_miss(block).is_conflict() {
                     black_box(());
@@ -379,7 +379,7 @@ fn bench_trackers(c: &mut Criterion) {
     });
     c.bench_function("ideal_lru_tracker_100k_accesses", |b| {
         b.iter(|| {
-            let mut t = IdealLruTracker::new(4_096);
+            let mut t = IdealLruTracker::new(4_096).expect("nonzero capacity");
             for &block in &accesses {
                 if t.classify_miss(block).is_conflict() {
                     black_box(());

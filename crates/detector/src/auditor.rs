@@ -97,6 +97,9 @@ pub enum AuditorError {
     WrongDatapath,
     /// The unit is already under audit.
     AlreadyAudited,
+    /// The audited cache has too few blocks for its conflict-miss
+    /// tracker (the generation tracker needs one per generation).
+    CacheTooSmall,
 }
 
 impl fmt::Display for AuditorError {
@@ -107,6 +110,7 @@ impl fmt::Display for AuditorError {
             AuditorError::BadSlot => "no such audit slot",
             AuditorError::WrongDatapath => "operation does not match the slot's datapath",
             AuditorError::AlreadyAudited => "unit is already under audit",
+            AuditorError::CacheTooSmall => "cache is too small for a conflict-miss tracker",
         };
         f.write_str(msg)
     }

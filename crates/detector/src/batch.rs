@@ -466,9 +466,9 @@ impl FftPlan {
     /// two ≥ 2.
     pub fn new(n: usize) -> Result<Self, DetectorError> {
         if n < 2 || !n.is_power_of_two() {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("real FFT length must be a power of two >= 2, got {n}"),
-            });
+            return Err(DetectorError::invalid(format!(
+                "real FFT length must be a power of two >= 2, got {n}"
+            )));
         }
         Ok(Self::build(n))
     }

@@ -2,6 +2,8 @@
 //! tracker to remember prematurely replaced cache blocks (paper Figure 9:
 //! "a compact three-hash bloom filter" per generation).
 
+use crate::DetectorError;
+
 /// A fixed-size Bloom filter over `u64` keys with `k` derived hash
 //  functions.
 ///
@@ -12,9 +14,10 @@
 ///
 /// ```
 /// use cchunter_detector::BloomFilter;
-/// let mut f = BloomFilter::new(4096, 3);
+/// let mut f = BloomFilter::new(4096, 3)?;
 /// f.insert(0xDEAD_BEEF);
 /// assert!(f.contains(0xDEAD_BEEF));
+/// # Ok::<(), cchunter_detector::DetectorError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -27,18 +30,21 @@ pub struct BloomFilter {
 impl BloomFilter {
     /// Creates a filter with `num_bits` bits and `hashes` hash functions.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `num_bits` or `hashes` is zero.
-    pub fn new(num_bits: usize, hashes: u32) -> Self {
-        assert!(num_bits > 0, "bloom filter needs at least one bit");
-        assert!(hashes > 0, "bloom filter needs at least one hash");
-        BloomFilter {
+    /// Returns [`DetectorError::InvalidConfig`] if `num_bits` or `hashes`
+    /// is zero.
+    pub fn new(num_bits: usize, hashes: u32) -> Result<Self, DetectorError> {
+        if num_bits == 0 || hashes == 0 {
+            let reason = format!("a bloom filter of {num_bits} bits and {hashes} hashes");
+            return Err(DetectorError::invalid(reason));
+        }
+        Ok(BloomFilter {
             bits: vec![0; num_bits.div_ceil(64)],
             num_bits,
             hashes,
             inserted: 0,
-        }
+        })
     }
 
     /// Number of bits in the filter.
@@ -122,7 +128,7 @@ mod tests {
 
     #[test]
     fn no_false_negatives() {
-        let mut f = BloomFilter::new(4096, 3);
+        let mut f = BloomFilter::new(4096, 3).unwrap();
         let keys: Vec<u64> = (0..256).map(|i| i * 64 + 0x10_0000).collect();
         for &k in &keys {
             f.insert(k);
@@ -135,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_filter_contains_nothing() {
-        let f = BloomFilter::new(1024, 3);
+        let f = BloomFilter::new(1024, 3).unwrap();
         for k in 0..1000u64 {
             assert!(!f.contains(k * 997));
         }
@@ -144,7 +150,7 @@ mod tests {
 
     #[test]
     fn clear_is_flash_clear() {
-        let mut f = BloomFilter::new(256, 3);
+        let mut f = BloomFilter::new(256, 3).unwrap();
         f.insert(42);
         assert!(f.contains(42));
         f.clear();
@@ -159,7 +165,7 @@ mod tests {
         // blocks in an N = 4096-bit filter with 3 hashes. With replacement
         // traffic far below the cap in practice, spot-check FP rate under a
         // quarter load.
-        let mut f = BloomFilter::new(4096, 3);
+        let mut f = BloomFilter::new(4096, 3).unwrap();
         for i in 0..256u64 {
             f.insert(i * 64);
         }
@@ -173,7 +179,7 @@ mod tests {
 
     #[test]
     fn fill_ratio_grows_monotonically() {
-        let mut f = BloomFilter::new(512, 3);
+        let mut f = BloomFilter::new(512, 3).unwrap();
         let mut last = 0.0;
         for i in 0..64u64 {
             f.insert(i.wrapping_mul(0x1234_5678_9ABC));
@@ -185,14 +191,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one bit")]
     fn zero_bits_rejected() {
-        let _ = BloomFilter::new(0, 3);
+        for (bits, hashes) in [(0, 3), (1024, 0), (0, 0)] {
+            assert!(
+                matches!(
+                    BloomFilter::new(bits, hashes),
+                    Err(DetectorError::InvalidConfig { .. })
+                ),
+                "{bits} bits, {hashes} hashes"
+            );
+        }
     }
 
     #[test]
     fn distinct_keys_hash_differently() {
-        let f = BloomFilter::new(1 << 16, 3);
+        let f = BloomFilter::new(1 << 16, 3).unwrap();
         assert_ne!(f.probe_start(1), f.probe_start(2));
     }
 
@@ -203,7 +216,7 @@ mod tests {
         // probe derivation against regressions by checking the measured
         // rate stays within 2× of the theoretical (1 - e^{-kn/m})^k.
         let (m, k, n) = (4096usize, 3u32, 512u64);
-        let mut f = BloomFilter::new(m, k);
+        let mut f = BloomFilter::new(m, k).unwrap();
         for i in 0..n {
             f.insert(splitmix64(i)); // spread keys over the full u64 space
         }

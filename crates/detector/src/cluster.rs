@@ -153,10 +153,6 @@ impl PatternClusters {
     }
 }
 
-/// Below this many distinct strings the assignment step stays serial — the
-/// fan-out cost of [`threadpool::par_map`] only pays off on wide windows.
-const PAR_ASSIGN_MIN: usize = 64;
-
 /// A string widened to `f64`, or a centroid.
 type Point = [f64; HISTOGRAM_BINS];
 
@@ -224,9 +220,7 @@ fn groups<L: Level, S: AsRef<[L]>>(
     k: usize,
 ) -> Result<Groups, DetectorError> {
     if k == 0 {
-        return Err(DetectorError::InvalidConfig {
-            reason: "k-means needs k of at least one".to_string(),
-        });
+        return Err(DetectorError::invalid("k-means needs k of at least one"));
     }
     let string = |(i, s): (usize, S)| {
         L::string(s.as_ref()).ok_or_else(|| DetectorError::BadHarvest {
@@ -345,10 +339,6 @@ impl Groups {
         for iteration in 0..iters {
             let changed = if iteration == 0 {
                 assignment.iter().any(|&a| a != 0)
-            } else if points.len() >= PAR_ASSIGN_MIN {
-                // Independent per string, so safe to parallelize.
-                let near = threadpool::par_map(&points, |p| nearest_centroid(p, &centroids));
-                std::mem::replace(&mut assignment, near) != assignment
             } else {
                 let mut changed = false;
                 for (a, p) in assignment.iter_mut().zip(&points) {
@@ -396,10 +386,7 @@ impl Groups {
 /// [`HISTOGRAM_BINS`] levels each: [`LevelString`]s, or their `f64` form
 /// from [`discretized_features`].
 /// Equal strings are clustered once, and the result is bit-identical to
-/// k-means over every input's `f64` features (module docs). The assignment
-/// step fans out across the process thread pool when there are many
-/// distinct strings, bit-identically for any thread count: each string's
-/// nearest centroid is computed on its own, with the same tie-break.
+/// k-means over every input's `f64` features (module docs).
 ///
 /// # Errors
 ///

@@ -21,6 +21,7 @@
 //! [`MissClassifier::record_replacement`] for each eviction.
 
 use crate::bloom::BloomFilter;
+use crate::DetectorError;
 use std::collections::{HashMap, VecDeque};
 
 /// Classification of a cache miss.
@@ -60,7 +61,7 @@ pub trait MissClassifier {
 ///
 /// ```
 /// use cchunter_detector::{ConflictClass, IdealLruTracker, MissClassifier};
-/// let mut t = IdealLruTracker::new(2);
+/// let mut t = IdealLruTracker::new(2)?;
 /// t.record_access(0xA0);
 /// t.record_access(0xB0);
 /// // 0xA0 is within the last 2 distinct blocks: an eviction of it by the
@@ -69,6 +70,7 @@ pub trait MissClassifier {
 /// t.record_access(0xC0); // pushes 0xB0 out of the 2-entry shadow
 /// t.record_access(0xD0);
 /// assert_eq!(t.classify_miss(0xB0), ConflictClass::NonConflict);
+/// # Ok::<(), cchunter_detector::DetectorError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct IdealLruTracker {
@@ -87,17 +89,20 @@ pub struct IdealLruTracker {
 impl IdealLruTracker {
     /// Creates a tracker for a cache of `capacity_blocks` blocks.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `capacity_blocks` is zero.
-    pub fn new(capacity_blocks: usize) -> Self {
-        assert!(capacity_blocks > 0, "capacity must be nonzero");
-        IdealLruTracker {
+    /// Returns [`DetectorError::InvalidConfig`] if `capacity_blocks` is
+    /// zero.
+    pub fn new(capacity_blocks: usize) -> Result<Self, DetectorError> {
+        if capacity_blocks == 0 {
+            return Err(DetectorError::invalid("an empty conflict-miss tracker"));
+        }
+        Ok(IdealLruTracker {
             capacity: capacity_blocks,
             stamps: HashMap::new(),
             queue: VecDeque::new(),
             tick: 0,
-        }
+        })
     }
 
     /// Number of blocks currently in the shadow cache.
@@ -198,25 +203,35 @@ pub struct GenerationTracker {
 impl GenerationTracker {
     /// Creates a tracker for the given configuration.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `total_blocks < 4`.
-    pub fn new(config: GenerationConfig) -> Self {
-        assert!(config.total_blocks >= 4, "need at least 4 blocks");
+    /// Returns [`DetectorError::InvalidConfig`] if `total_blocks < 4` (one
+    /// block per generation) or a generation's Bloom filter would have no
+    /// bits or no hashes.
+    pub fn new(config: GenerationConfig) -> Result<Self, DetectorError> {
+        let blocks = config.total_blocks;
+        if blocks < 4 {
+            let reason = format!("a generation tracker needs 4 blocks, got {blocks}");
+            return Err(DetectorError::invalid(reason));
+        }
         let bloom = || BloomFilter::new(config.bloom_bits, config.bloom_hashes);
-        GenerationTracker {
+        Ok(GenerationTracker {
             config,
             current_gen: 3, // live generations 0..=3 from the start
             marked_in_current: 0,
             threshold: config.total_blocks / 4,
             last_gen: HashMap::new(),
-            blooms: [bloom(), bloom(), bloom(), bloom()],
+            blooms: [bloom()?, bloom()?, bloom()?, bloom()?],
             rotations: 0,
-        }
+        })
     }
 
     /// Paper-faithful tracker for a cache of `total_blocks` blocks.
-    pub fn for_cache(total_blocks: usize) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// As [`GenerationTracker::new`].
+    pub fn for_cache(total_blocks: usize) -> Result<Self, DetectorError> {
         Self::new(GenerationConfig::for_cache(total_blocks))
     }
 
@@ -298,12 +313,41 @@ mod tests {
         range.map(|i| i * 64)
     }
 
+    #[test]
+    fn refused_sizes_are_typed_errors() {
+        let invalid = |r: Result<(), DetectorError>| {
+            assert!(
+                matches!(r, Err(DetectorError::InvalidConfig { .. })),
+                "{r:?}"
+            );
+        };
+        invalid(IdealLruTracker::new(0).map(drop));
+        for total_blocks in 0..4 {
+            invalid(GenerationTracker::for_cache(total_blocks).map(drop));
+        }
+        let sized = GenerationConfig::for_cache(64);
+        for config in [
+            GenerationConfig {
+                bloom_bits: 0,
+                ..sized
+            },
+            GenerationConfig {
+                bloom_hashes: 0,
+                ..sized
+            },
+        ] {
+            invalid(GenerationTracker::new(config).map(drop));
+        }
+        assert!(GenerationTracker::for_cache(4).is_ok());
+        assert!(IdealLruTracker::new(1).is_ok());
+    }
+
     mod ideal {
         use super::*;
 
         #[test]
         fn recently_evicted_block_is_conflict() {
-            let mut t = IdealLruTracker::new(8);
+            let mut t = IdealLruTracker::new(8).unwrap();
             for b in blocks(0..8) {
                 t.record_access(b);
             }
@@ -312,14 +356,14 @@ mod tests {
 
         #[test]
         fn cold_block_is_not_conflict() {
-            let mut t = IdealLruTracker::new(8);
+            let mut t = IdealLruTracker::new(8).unwrap();
             t.record_access(0);
             assert_eq!(t.classify_miss(0x9999 * 64), ConflictClass::NonConflict);
         }
 
         #[test]
         fn capacity_distance_becomes_capacity_miss() {
-            let mut t = IdealLruTracker::new(4);
+            let mut t = IdealLruTracker::new(4).unwrap();
             for b in blocks(0..10) {
                 t.record_access(b);
             }
@@ -333,7 +377,7 @@ mod tests {
 
         #[test]
         fn refresh_keeps_block_recent() {
-            let mut t = IdealLruTracker::new(4);
+            let mut t = IdealLruTracker::new(4).unwrap();
             t.record_access(0);
             for b in blocks(1..4) {
                 t.record_access(b);
@@ -356,6 +400,7 @@ mod tests {
                 bloom_bits: 1024,
                 bloom_hashes: 3,
             })
+            .unwrap()
         }
 
         #[test]
@@ -433,12 +478,13 @@ mod tests {
             // The cache-channel steady state: a working set well inside
             // capacity, repeatedly evicted by set conflicts.
             let capacity = 256;
-            let mut ideal = IdealLruTracker::new(capacity);
+            let mut ideal = IdealLruTracker::new(capacity).unwrap();
             let mut practical = GenerationTracker::new(GenerationConfig {
                 total_blocks: capacity,
                 bloom_bits: 4096,
                 bloom_hashes: 3,
-            });
+            })
+            .unwrap();
             let working_set: Vec<u64> = blocks(0..32).collect();
             // Warm up.
             for &b in &working_set {

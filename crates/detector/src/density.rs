@@ -90,9 +90,7 @@ impl DensityHistogram {
     pub fn empty(delta_t: u64) -> Result<Self, DetectorError> {
         NonZeroU64::new(delta_t)
             .map(Self::zeroed)
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: "Δt must be nonzero".to_string(),
-            })
+            .ok_or_else(|| DetectorError::invalid("Δt must be nonzero"))
     }
 
     /// The empty histogram for a Δt already known to be nonzero.
@@ -224,24 +222,12 @@ impl DensityHistogram {
 
     /// Merges another histogram built with the same Δt into this one.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the Δt values differ or the merged bins would count more
-    /// than `u64::MAX` windows. Use [`DensityHistogram::try_merge`] when
-    /// the other histogram comes from untrusted input.
-    pub fn merge(&mut self, other: &DensityHistogram) {
-        if let Err(e) = self.try_merge(other) {
-            panic!("{e}");
-        }
-    }
-
-    /// Merges another histogram into this one, returning
-    /// [`DetectorError::BadHarvest`] (and leaving `self` unchanged) if the
-    /// Δt values differ or the merged bins would count more than
-    /// `u64::MAX` windows — the fallible twin of
-    /// [`DensityHistogram::merge`] for histograms reconstructed from
-    /// external data.
-    pub fn try_merge(&mut self, other: &DensityHistogram) -> Result<(), DetectorError> {
+    /// Returns [`DetectorError::BadHarvest`], and leaves `self` unchanged,
+    /// if the Δt values differ or the merged bins would count more than
+    /// `u64::MAX` windows.
+    pub fn merge(&mut self, other: &DensityHistogram) -> Result<(), DetectorError> {
         let bad = |reason: String| Err(DetectorError::BadHarvest { reason });
         if self.delta_t != other.delta_t {
             return bad(format!(
@@ -611,7 +597,7 @@ mod tests {
         let t2 = EventTrain::from_times(vec![10, 20]);
         let mut a = DensityHistogram::from_train(&t1, 100, 0, 100).unwrap();
         let b = DensityHistogram::from_train(&t2, 100, 0, 100).unwrap();
-        a.merge(&b);
+        a.merge(&b).unwrap();
         assert_eq!(a.total_windows(), 2);
         assert_eq!(a.frequency(1), 1);
         assert_eq!(a.frequency(2), 1);
@@ -630,32 +616,26 @@ mod tests {
     }
 
     #[test]
-    fn try_merge_rejects_delta_t_mismatch() {
+    fn merge_rejects_delta_t_mismatch() {
         let t = EventTrain::from_times(vec![10]);
         let mut a = DensityHistogram::from_train(&t, 100, 0, 100).unwrap();
         let b = DensityHistogram::from_train(&t, 200, 0, 200).unwrap();
         let before = a.clone();
-        assert!(matches!(
-            a.try_merge(&b),
-            Err(DetectorError::BadHarvest { .. })
-        ));
+        assert!(matches!(a.merge(&b), Err(DetectorError::BadHarvest { .. })));
         assert_eq!(a.bins(), before.bins());
         let c = DensityHistogram::from_train(&t, 100, 0, 100).unwrap();
-        a.try_merge(&c).unwrap();
+        a.merge(&c).unwrap();
         assert_eq!(a.total_windows(), 2);
     }
 
     #[test]
-    fn try_merge_rejects_bins_that_overflow_the_window_count() {
+    fn merge_rejects_bins_that_overflow_the_window_count() {
         let mut half = vec![0u64; HISTOGRAM_BINS];
         half[5] = u64::MAX / 2 + 1;
         let mut a = DensityHistogram::from_bins(half.clone(), 100).unwrap();
         let b = DensityHistogram::from_bins(half, 100).unwrap();
         let before = a.clone();
-        assert!(matches!(
-            a.try_merge(&b),
-            Err(DetectorError::BadHarvest { .. })
-        ));
+        assert!(matches!(a.merge(&b), Err(DetectorError::BadHarvest { .. })));
         assert_eq!(a, before, "a failed merge leaves the histogram unchanged");
     }
 

@@ -20,8 +20,8 @@
 //! is a [`StorageMedium`] that wraps the real disk (or any other medium)
 //! and injects the *gray* storage failures a sick disk produces — ENOSPC,
 //! EIO, failed fsyncs, silently torn writes, stalled writes — again
-//! seedable and per-class toggleable, so checkpoint-durability chaos
-//! drills replay exactly.
+//! seedable and per-class toggleable, so checkpoint-durability soak
+//! scenarios replay exactly.
 
 use crate::auditor::ConflictRecord;
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
@@ -603,7 +603,7 @@ impl StorageFaultInjector {
     }
 
     /// Replaces the fault rates on every clone at once — the brownout /
-    /// heal switch of the chaos drills.
+    /// heal switch of the soak scenarios.
     pub fn set_config(&self, config: StorageFaultConfig) {
         self.lock().config = config;
     }
@@ -701,6 +701,53 @@ impl StorageMedium for StorageFaultInjector {
             return Err(io::Error::other("directory fsync failed (injected)"));
         }
         self.inner.sync_dir(dir)
+    }
+}
+
+/// A failure armed inside a fleet by [`ShardedFleet::arm`](crate::ShardedFleet::arm),
+/// for its watchdogs to contain. Shards and pairs are global indices. A
+/// shard failure fires as its shard tick starts, a pair failure as the
+/// pair's analysis starts, each under the `catch_unwind` that contains a
+/// real one; a stall counts as that work, for the deadline watchdogs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetFault {
+    /// `ShardPanic(shard, n)`: the shard's next `n` ticks panic; `dead_after` in a row kill it.
+    ShardPanic(usize, u32),
+    /// `ShardStall(shard, us)`: the shard's next tick first stalls `us` µs.
+    ShardStall(usize, u32),
+    /// `PairPanic(pair, n)`: the pair's next `n` analyses panic.
+    PairPanic(usize, u32),
+    /// `PairStall(pair, us)`: the pair's next analysis first stalls `us` µs.
+    PairStall(usize, u32),
+}
+
+/// The [`FleetFault`]s armed on one shard or pair.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Armed {
+    panics: u32,
+    stall_us: u32,
+}
+
+impl Armed {
+    /// Arms `fault` here, replacing an armed fault of its kind.
+    pub(crate) fn arm(&mut self, fault: FleetFault) {
+        match fault {
+            FleetFault::ShardPanic(_, n) | FleetFault::PairPanic(_, n) => self.panics = n,
+            FleetFault::ShardStall(_, us) | FleetFault::PairStall(_, us) => self.stall_us = us,
+        }
+    }
+
+    /// Fires what is armed, using it up: the stall, then one panic.
+    #[inline]
+    pub(crate) fn fire(&mut self) {
+        if self.stall_us > 0 {
+            let stall = std::mem::take(&mut self.stall_us);
+            std::thread::sleep(std::time::Duration::from_micros(stall.into()));
+        }
+        if self.panics > 0 {
+            self.panics -= 1;
+            panic!("injected fleet fault");
+        }
     }
 }
 

@@ -29,7 +29,7 @@
 //!   counts clamp at [`u16::MAX`] and set a sticky saturation flag that
 //!   widens verdict uncertainty downstream.
 //! * [`IngestStats`] — cloneable shared counters so a supervisor (or the
-//!   chaos soak harness) can observe every shed / sanitize / saturation
+//!   soak runner) can observe every shed / sanitize / saturation
 //!   event in its `metrics_snapshot()`. They advance once per quantum.
 //!
 //! ## One-pass harvest
@@ -249,9 +249,9 @@ impl AdmissionQueue {
     /// Returns [`DetectorError::InvalidConfig`] if the capacity is zero.
     pub fn new(config: AdmissionConfig) -> Result<Self, DetectorError> {
         if config.capacity == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "admission queue needs capacity >= 1".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "admission queue needs capacity >= 1",
+            ));
         }
         let seed = match config.policy {
             ShedPolicy::Reservoir { seed } => seed,
@@ -674,9 +674,8 @@ impl SaturatingHistogram {
     ///
     /// Returns [`DetectorError::InvalidConfig`] if `delta_t` is zero.
     pub fn new(delta_t: u64) -> Result<Self, DetectorError> {
-        let delta_t = NonZeroU64::new(delta_t).ok_or_else(|| DetectorError::InvalidConfig {
-            reason: "Δt must be nonzero".to_string(),
-        })?;
+        let delta_t =
+            NonZeroU64::new(delta_t).ok_or_else(|| DetectorError::invalid("Δt must be nonzero"))?;
         Ok(SaturatingHistogram {
             bins: vec![0; HISTOGRAM_BINS],
             windows: 0,
@@ -864,16 +863,14 @@ impl IngestPipeline {
     /// Returns [`DetectorError::InvalidConfig`] for a zero queue capacity,
     /// zero Δt, or tolerances outside `[0, 1]`.
     pub fn new(config: IngestConfig) -> Result<Self, DetectorError> {
-        let delta_t =
-            NonZeroU64::new(config.delta_t).ok_or_else(|| DetectorError::InvalidConfig {
-                reason: "ingest Δt must be nonzero".to_string(),
-            })?;
+        let delta_t = NonZeroU64::new(config.delta_t)
+            .ok_or_else(|| DetectorError::invalid("ingest Δt must be nonzero"))?;
         if !(0.0..=1.0).contains(&config.bias_tolerance)
             || !(0.0..=1.0).contains(&config.saturation_penalty)
         {
-            return Err(DetectorError::InvalidConfig {
-                reason: "bias_tolerance and saturation_penalty must be in [0, 1]".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "bias_tolerance and saturation_penalty must be in [0, 1]",
+            ));
         }
         Ok(IngestPipeline {
             queue: AdmissionQueue::new(config.admission)?,

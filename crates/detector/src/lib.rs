@@ -100,7 +100,7 @@ pub use cost::{CostEstimate, CostModel};
 pub use density::{DeltaTPolicy, DensityHistogram, HISTOGRAM_BINS};
 pub use events::{EventTrain, EventTrainArena, SymbolSeries, TrainView};
 pub use fault::{
-    FaultClass, FaultConfig, FaultInjector, StorageFaultClass, StorageFaultConfig,
+    FaultClass, FaultConfig, FaultInjector, FleetFault, StorageFaultClass, StorageFaultConfig,
     StorageFaultInjector,
 };
 pub use indicator::{
@@ -236,6 +236,15 @@ pub enum DetectorError {
         /// The observed elapsed time in microseconds.
         elapsed_us: u64,
     },
+}
+
+impl DetectorError {
+    /// [`DetectorError::InvalidConfig`] with `reason`.
+    pub(crate) fn invalid(reason: impl Into<String>) -> Self {
+        DetectorError::InvalidConfig {
+            reason: reason.into(),
+        }
+    }
 }
 
 impl fmt::Display for DetectorError {

@@ -159,19 +159,18 @@ impl MitigationConfig {
     /// deadline, or a residual cap outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), DetectorError> {
         if self.convict_streak == 0 || self.step_down_streak == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "mitigation streaks must be nonzero".to_string(),
-            });
+            return Err(DetectorError::invalid("mitigation streaks must be nonzero"));
         }
         if self.apply_deadline_ticks == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "mitigation apply deadline must be at least one tick".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "mitigation apply deadline must be at least one tick",
+            ));
         }
         if !(0.0..=1.0).contains(&self.residual_cap) {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("residual cap {} outside [0, 1]", self.residual_cap),
-            });
+            return Err(DetectorError::invalid(format!(
+                "residual cap {} outside [0, 1]",
+                self.residual_cap
+            )));
         }
         Ok(())
     }
@@ -332,18 +331,14 @@ impl ResidualProbe {
     /// non-positive or non-finite.
     pub fn new(baseline_bps: f64, baseline_benign_ops: f64) -> Result<Self, DetectorError> {
         if !(baseline_bps > 0.0 && baseline_bps.is_finite()) {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!(
-                    "baseline bandwidth must be positive and finite, got {baseline_bps}"
-                ),
-            });
+            return Err(DetectorError::invalid(format!(
+                "baseline bandwidth must be positive and finite, got {baseline_bps}"
+            )));
         }
         if !(baseline_benign_ops > 0.0 && baseline_benign_ops.is_finite()) {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!(
-                    "baseline benign throughput must be positive and finite, got {baseline_benign_ops}"
-                ),
-            });
+            return Err(DetectorError::invalid(format!(
+                "baseline benign throughput must be positive and finite, got {baseline_benign_ops}"
+            )));
         }
         Ok(ResidualProbe {
             baseline_bps,

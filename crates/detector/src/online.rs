@@ -471,9 +471,9 @@ impl OnlineWindow {
         .into_iter()
         .find(|&(value, _)| value == 0);
         if let Some((_, what)) = zero {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("{what} must be at least one"),
-            });
+            return Err(DetectorError::invalid(format!(
+                "{what} must be at least one"
+            )));
         }
         Ok(OnlineWindow {
             kind,

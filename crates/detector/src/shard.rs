@@ -41,6 +41,7 @@
 //! Shard count comes from [`ShardedFleetConfig`] or the `CCHUNTER_SHARDS`
 //! knob ([`shard_count_from_env`]).
 
+use crate::fault::{Armed, FleetFault};
 use crate::ingest::{IngestConfig, IngestPipeline, IngestStats};
 use crate::metrics::{
     render_prometheus_merged, Counter, Family, Gauge, Histogram, Registry, LATENCY_BUCKETS_US,
@@ -165,40 +166,42 @@ impl Default for LatencySloConfig {
 impl ShardedFleetConfig {
     fn validate(&self) -> Result<(), DetectorError> {
         if self.shards == 0 || self.shards > MAX_SHARDS {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("shard count {} out of range 1..={MAX_SHARDS}", self.shards),
-            });
+            return Err(DetectorError::invalid(format!(
+                "shard count {} out of range 1..={MAX_SHARDS}",
+                self.shards
+            )));
         }
         if !self.overflow_loss.is_finite() || !(0.0..=1.0).contains(&self.overflow_loss) {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("overflow loss {} out of [0, 1]", self.overflow_loss),
-            });
+            return Err(DetectorError::invalid(format!(
+                "overflow loss {} out of [0, 1]",
+                self.overflow_loss
+            )));
         }
         if self.dead_after == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "dead_after must be at least one missed heartbeat".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "dead_after must be at least one missed heartbeat",
+            ));
         }
         if self.keep_generations == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "shard stores must keep at least one generation".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "shard stores must keep at least one generation",
+            ));
         }
         if let Some(slo) = &self.latency_slo {
             if slo.p99_budget_us == 0 {
-                return Err(DetectorError::InvalidConfig {
-                    reason: "latency-SLO p99 budget must be positive".to_string(),
-                });
+                return Err(DetectorError::invalid(
+                    "latency-SLO p99 budget must be positive",
+                ));
             }
             if slo.window_ticks == 0 {
-                return Err(DetectorError::InvalidConfig {
-                    reason: "latency-SLO window must cover at least one tick".to_string(),
-                });
+                return Err(DetectorError::invalid(
+                    "latency-SLO window must cover at least one tick",
+                ));
             }
             if slo.drain_per_tick == 0 {
-                return Err(DetectorError::InvalidConfig {
-                    reason: "suspected shards must drain at least one pair per tick".to_string(),
-                });
+                return Err(DetectorError::invalid(
+                    "suspected shards must drain at least one pair per tick",
+                ));
             }
         }
         Ok(())
@@ -412,10 +415,8 @@ struct Shard {
     panics: u64,
     tick_deadline_misses: u64,
     last_tick_us: u64,
-    /// Chaos injection: panic the next N shard ticks.
-    chaos_panic_ticks: u32,
-    /// Chaos injection: stall the next shard tick this long.
-    chaos_stall_us: u64,
+    /// Failures armed by [`ShardedFleet::arm`].
+    faults: Armed,
 }
 
 impl Shard {
@@ -639,7 +640,7 @@ pub struct ShardedFleet {
     store_root: Option<PathBuf>,
     /// The storage medium every shard store writes through; `None` uses
     /// the real disk. A [`crate::fault::StorageFaultInjector`] here puts
-    /// the whole fleet's persistence under chaos control.
+    /// the whole fleet's persistence under fault-injection control.
     medium: Option<Arc<dyn StorageMedium>>,
     shards: Vec<Shard>,
     table: Vec<PairEntry>,
@@ -739,8 +740,8 @@ impl ShardedFleet {
     }
 
     /// [`ShardedFleet::with_store_root`] with an explicit
-    /// [`StorageMedium`] every shard store writes through — the
-    /// chaos-engineering entry point: pass a
+    /// [`StorageMedium`] every shard store writes through — the storage
+    /// fault-injection entry point: pass a
     /// [`crate::fault::StorageFaultInjector`] (keeping a clone as the
     /// control handle) to brown out and heal the whole fleet's
     /// persistence at runtime.
@@ -866,8 +867,7 @@ impl ShardedFleet {
             panics: 0,
             tick_deadline_misses: 0,
             last_tick_us: 0,
-            chaos_panic_ticks: 0,
-            chaos_stall_us: 0,
+            faults: Armed::default(),
         })
     }
 
@@ -908,9 +908,7 @@ impl ShardedFleet {
         let slot = self
             .shards
             .get_mut(shard)
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("no shard {shard}"),
-            })?;
+            .ok_or_else(|| DetectorError::invalid(format!("no shard {shard}")))?;
         slot.enforcer = enforcer;
         Ok(())
     }
@@ -1040,9 +1038,7 @@ impl ShardedFleet {
             Some(shard) => {
                 let host = &mut self.shards[shard];
                 let Some(sup) = host.supervisor.as_mut() else {
-                    return Err(DetectorError::InvalidConfig {
-                        reason: format!("shard {shard} is not live"),
-                    });
+                    return Err(DetectorError::invalid(format!("shard {shard} is not live")));
                 };
                 let slot = match self.recovered.remove(&*label) {
                     // A restart: the pair comes back the way a migrated
@@ -1141,18 +1137,8 @@ impl ShardedFleet {
         // panicking shard is contained in its own slot.
         let results = threadpool::par_catch_map_mut(&mut self.shards, |shard| {
             let supervisor = shard.supervisor.as_mut()?;
-            if shard.chaos_panic_ticks > 0 {
-                shard.chaos_panic_ticks -= 1;
-                panic!("chaos: injected shard failure");
-            }
-            // The chaos stall counts as shard work: a stalled shard is a
-            // *slow* shard, visible to both the hard deadline watchdog
-            // and the latency-SLO suspicion tracker.
             let shard_started = Instant::now();
-            let stall = std::mem::take(&mut shard.chaos_stall_us);
-            if stall > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(stall));
-            }
+            shard.faults.fire();
             let report = supervisor.tick(tick, &mut shard.batch, shard.enforcer.as_mut());
             let elapsed_us = shard_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
             Some((report, elapsed_us))
@@ -1427,15 +1413,15 @@ impl ShardedFleet {
             slot,
         } = self.table[global].home
         else {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("pair {global} is not assigned to a shard"),
-            });
+            return Err(DetectorError::invalid(format!(
+                "pair {global} is not assigned to a shard"
+            )));
         };
         let snapshot = self.shards[source]
             .supervisor
             .as_mut()
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("pair {global}'s hosting shard {source} is dead"),
+            .ok_or_else(|| {
+                DetectorError::invalid(format!("pair {global}'s hosting shard {source} is dead"))
             })?
             .remove_pair(slot)?;
         let source_slots = &mut self.shards[source].slots;
@@ -1447,10 +1433,11 @@ impl ShardedFleet {
                 slot,
             };
         }
-        self.adopt(global, target, Some(snapshot))
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("pair {global} could not be hosted on shard {target}; orphaned"),
-            })
+        self.adopt(global, target, Some(snapshot)).ok_or_else(|| {
+            DetectorError::invalid(format!(
+                "pair {global} could not be hosted on shard {target}; orphaned"
+            ))
+        })
     }
 
     /// Imports pair `global` onto live shard `target` (see
@@ -1486,7 +1473,7 @@ impl ShardedFleet {
     }
 
     /// Declares `shard` dead immediately (as if its heartbeat budget had
-    /// run out) and migrates its pairs: the chaos-drill entry point for
+    /// run out) and migrates its pairs: the forced-death entry point for
     /// the same path the watchdog takes. Crash semantics — no parting
     /// checkpoint is written; recovery works from whatever the shard's
     /// store already holds. A no-op report for an already-dead shard.
@@ -1496,46 +1483,41 @@ impl ShardedFleet {
     /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index.
     pub fn kill_shard(&mut self, shard: usize) -> Result<MigrationReport, DetectorError> {
         if shard >= self.shards.len() {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("no shard {shard}"),
-            });
+            return Err(DetectorError::invalid(format!("no shard {shard}")));
         }
         let report = self.bury_shard(shard);
         self.refresh_gauges();
         Ok(report)
     }
 
-    /// Injects a panic into `shard`'s next `ticks` shard ticks (heartbeat
-    /// misses; enough of them kill the shard through the watchdog path).
+    /// Arms `fault` inside the fleet's machinery, where the watchdogs must
+    /// contain it (see [`FleetFault`]). A pair's armed faults stay with it
+    /// until fired; they are not carried through a migration.
     ///
     /// # Errors
     ///
-    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index.
-    pub fn panic_shard(&mut self, shard: usize, ticks: u32) -> Result<(), DetectorError> {
-        let slot = self
-            .shards
-            .get_mut(shard)
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("no shard {shard}"),
-            })?;
-        slot.chaos_panic_ticks = ticks;
-        Ok(())
-    }
-
-    /// Stalls `shard`'s next shard tick by `us` wall-clock microseconds
-    /// (to trip the shard deadline watchdog).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range index.
-    pub fn stall_shard(&mut self, shard: usize, us: u64) -> Result<(), DetectorError> {
-        let slot = self
-            .shards
-            .get_mut(shard)
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("no shard {shard}"),
-            })?;
-        slot.chaos_stall_us = us;
+    /// Returns [`DetectorError::InvalidConfig`] for a shard that is unknown
+    /// or dead, or a pair that is unknown or has no live home.
+    pub fn arm(&mut self, fault: FleetFault) -> Result<(), DetectorError> {
+        let armed = match fault {
+            FleetFault::ShardPanic(shard, _) | FleetFault::ShardStall(shard, _) => {
+                match self.shards.get_mut(shard) {
+                    Some(live) if live.supervisor.is_some() => Some(&mut live.faults),
+                    _ => None,
+                }
+            }
+            FleetFault::PairPanic(pair, _) | FleetFault::PairStall(pair, _) => {
+                match self.table.get(pair).map(|entry| entry.home) {
+                    Some(PairHome::Assigned { shard, slot }) => self.shards[shard]
+                        .supervisor
+                        .as_mut()
+                        .and_then(|sup| sup.faults_mut(slot)),
+                    _ => None,
+                }
+            }
+        };
+        let reason = format!("no live target for {fault:?}");
+        armed.ok_or(DetectorError::invalid(reason))?.arm(fault);
         Ok(())
     }
 
@@ -1661,14 +1643,12 @@ impl ShardedFleet {
     /// errors (in which case the shard stays dead).
     pub fn revive_shard(&mut self, shard: usize) -> Result<MigrationReport, DetectorError> {
         if shard >= self.shards.len() {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("no shard {shard}"),
-            });
+            return Err(DetectorError::invalid(format!("no shard {shard}")));
         }
         if self.shards[shard].supervisor.is_some() {
-            return Err(DetectorError::InvalidConfig {
-                reason: format!("shard {shard} is still live"),
-            });
+            return Err(DetectorError::invalid(format!(
+                "shard {shard} is still live"
+            )));
         }
         if let Some(root) = &self.store_root {
             let _ = std::fs::remove_dir_all(shard_dir(root, shard));
@@ -1786,9 +1766,8 @@ impl ShardedFleet {
         residual_fraction: f64,
         overhead_fraction: f64,
     ) -> Result<(), DetectorError> {
-        let unhosted = || DetectorError::InvalidConfig {
-            reason: format!("pair {pair} is not hosted by a live shard"),
-        };
+        let unhosted =
+            || DetectorError::invalid(format!("pair {pair} is not hosted by a live shard"));
         let PairHome::Assigned { shard, slot } = self.table.get(pair).ok_or_else(unhosted)?.home
         else {
             return Err(unhosted());
@@ -1901,8 +1880,8 @@ impl ShardedFleet {
     /// whatever sequence of kills, migrations, revivals, drains, and
     /// rebalances came before.
     ///
-    /// Cheap enough to run after every chaos-drill step; CI's soaks call
-    /// it at each epoch.
+    /// Cheap enough to run after every fault-injection step; the soak
+    /// scenarios call it at each epoch.
     ///
     /// # Errors
     ///
@@ -2321,6 +2300,47 @@ mod tests {
     }
 
     #[test]
+    fn an_armed_pair_panic_counts_once_against_that_pair_only() {
+        let mut fleet = ShardedFleet::new(test_config(2)).unwrap();
+        for pair in 0..6 {
+            fleet
+                .add_contention_pair(format!("memory-bus: pair {pair}"))
+                .unwrap();
+        }
+        fleet.arm(FleetFault::PairPanic(4, 1)).unwrap();
+        for _ in 0..3 {
+            fleet.tick(&mut covert_source);
+        }
+        let snap = fleet.metrics_snapshot();
+        assert_eq!(snap.panics, 1, "{snap:?}");
+        let panics: Vec<u64> = fleet.pair_statuses().iter().map(|s| s.panics).collect();
+        assert_eq!(panics, [0, 0, 0, 0, 1, 0]);
+        assert!(fleet.shard_statuses().iter().all(|s| s.panics == 0));
+
+        let out_of_range = [
+            FleetFault::PairPanic(6, 1),
+            FleetFault::PairStall(usize::MAX, 1),
+            FleetFault::ShardPanic(2, 1),
+            FleetFault::ShardStall(9, 1),
+        ];
+        for fault in out_of_range {
+            assert!(
+                matches!(fleet.arm(fault), Err(DetectorError::InvalidConfig { .. })),
+                "{fault:?}"
+            );
+        }
+        // A dead shard, and an orphaned pair, have nothing live to arm.
+        fleet.kill_shard(0).unwrap();
+        fleet.kill_shard(1).unwrap();
+        for fault in [FleetFault::ShardPanic(0, 1), FleetFault::PairPanic(0, 1)] {
+            assert!(
+                matches!(fleet.arm(fault), Err(DetectorError::InvalidConfig { .. })),
+                "{fault:?}"
+            );
+        }
+    }
+
+    #[test]
     fn heartbeat_watchdog_declares_death_after_consecutive_panics() {
         let mut config = test_config(2);
         config.dead_after = 2;
@@ -2331,7 +2351,7 @@ mod tests {
                 .unwrap();
         }
         let victim = fleet.shard_of(0).unwrap();
-        fleet.panic_shard(victim, 2).unwrap();
+        fleet.arm(FleetFault::ShardPanic(victim, 2)).unwrap();
         let first = fleet.tick(&mut covert_source);
         assert_eq!(first.heartbeat_misses, vec![victim]);
         assert!(first.deaths.is_empty());
@@ -2386,7 +2406,7 @@ mod tests {
         let mut drained_total = 0usize;
         let mut suspect_seen = false;
         for _ in 0..10 {
-            fleet.stall_shard(victim, 100_000).unwrap();
+            fleet.arm(FleetFault::ShardStall(victim, 100_000)).unwrap();
             let report = fleet.tick(&mut quiet);
             drained_total += report.drained;
             if report.suspected.contains(&victim) {
@@ -2408,7 +2428,7 @@ mod tests {
             if fleet.shard_statuses()[victim].pairs == 0 {
                 break;
             }
-            fleet.stall_shard(victim, 100_000).unwrap();
+            fleet.arm(FleetFault::ShardStall(victim, 100_000)).unwrap();
             let report = fleet.tick(&mut quiet);
             drained_total += report.drained;
         }
@@ -2639,7 +2659,7 @@ mod tests {
             if fleet.shard_statuses()[victim].pairs == 0 {
                 break;
             }
-            fleet.stall_shard(victim, 100_000).unwrap();
+            fleet.arm(FleetFault::ShardStall(victim, 100_000)).unwrap();
             fleet.tick(&mut quiet);
         }
         assert_eq!(fleet.suspected_shard_ids(), vec![victim]);

@@ -269,8 +269,8 @@ pub fn classify_io(op: &'static str, e: &io::Error) -> (StorageFaultKind, bool) 
 /// The narrow filesystem surface [`CheckpointStore`] performs all I/O
 /// through.
 ///
-/// Production uses [`DiskMedium`] (thin `std::fs` wrappers). Chaos drills
-/// and tests substitute
+/// Production uses [`DiskMedium`] (thin `std::fs` wrappers). Soak
+/// scenarios and tests substitute
 /// [`StorageFaultInjector`](crate::fault::StorageFaultInjector) to inject
 /// ENOSPC, EIO, failed fsyncs, torn writes, and stalls without touching a
 /// real disk. The trait is object-safe on purpose: the store holds an
@@ -482,7 +482,7 @@ pub struct CheckpointStore {
     dir: PathBuf,
     keep: usize,
     /// The filesystem the store performs all I/O through: the real disk
-    /// by default, a fault injector under chaos drills.
+    /// by default, a fault injector under soak scenarios.
     medium: Arc<dyn StorageMedium>,
     /// Bounded retry policy for transient write-path faults. Delays are
     /// *virtual* — deterministic, recorded in [`RetryStats`], never slept.
@@ -539,8 +539,8 @@ impl CheckpointStore {
     }
 
     /// Like [`CheckpointStore::open`], but all I/O goes through `medium`
-    /// instead of the real disk — the injection point for storage chaos
-    /// drills ([`crate::fault::StorageFaultInjector`]).
+    /// instead of the real disk — the injection point for storage faults
+    /// ([`crate::fault::StorageFaultInjector`]).
     ///
     /// # Errors
     ///
@@ -552,9 +552,9 @@ impl CheckpointStore {
         medium: Arc<dyn StorageMedium>,
     ) -> Result<Self, DetectorError> {
         if keep == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "checkpoint store must keep at least one generation".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "checkpoint store must keep at least one generation",
+            ));
         }
         let dir = dir.into();
         let store = CheckpointStore {
@@ -715,11 +715,9 @@ impl CheckpointStore {
         if ok {
             Ok(())
         } else {
-            Err(DetectorError::InvalidConfig {
-                reason: format!(
-                    "checkpoint entry name {name:?} must be 1..=128 chars of [A-Za-z0-9._-]"
-                ),
-            })
+            Err(DetectorError::invalid(format!(
+                "checkpoint entry name {name:?} must be 1..=128 chars of [A-Za-z0-9._-]"
+            )))
         }
     }
 

@@ -45,6 +45,7 @@
 //! fires and the contract is exact.)
 
 use crate::auditor::ConflictRecord;
+use crate::fault::Armed;
 use crate::ingest::IngestStats;
 use crate::metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_US};
 use crate::mitigation::{ContainmentState, MitigationConfig, MitigationEnforcer, MitigationPolicy};
@@ -105,18 +106,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// A chaos-engineering input for exercising the watchdogs: first-class so
-/// robustness tests and drills can inject the exact failure modes the
-/// supervisor must contain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosOp {
-    /// The pair's analysis panics mid-push.
-    Panic,
-    /// The pair's analysis stalls for the given number of microseconds
-    /// before completing (to trip the deadline watchdog).
-    StallUs(u64),
-}
-
 /// One pair's harvested input for one tick.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PairInput {
@@ -131,8 +120,6 @@ pub enum PairInput {
     },
     /// The probe produced nothing at all (kind-agnostic gap).
     Missed,
-    /// An injected failure (see [`ChaosOp`]).
-    Chaos(ChaosOp),
 }
 
 impl PairInput {
@@ -221,7 +208,7 @@ pub(crate) enum SlotInput {
     /// [`encode_slot`]: these bytes of its [`ShardBatch`], observed with
     /// `weight`.
     Encoded { bytes: Range<usize>, weight: f64 },
-    /// Any other input, as probed: oscillation drains, misses, chaos, and
+    /// Any other input, as probed: oscillation drains, misses, and
     /// harvests sent to the wrong kind of pair.
     Probed(PairInput),
 }
@@ -375,6 +362,8 @@ struct Pair {
     /// or oscillatory (oscillation). Ranks the fleet's top-k suspicious
     /// pairs; not persisted, so an imported pair starts at zero.
     evidence: f64,
+    /// Failures armed by [`crate::ShardedFleet::arm`]; not persisted.
+    faults: Armed,
 }
 
 /// The fraction of `status`'s window that carries covert-looking
@@ -1016,9 +1005,9 @@ impl Supervisor {
         tracer: Tracer,
     ) -> Result<Self, DetectorError> {
         if config.window_quanta == 0 {
-            return Err(DetectorError::InvalidConfig {
-                reason: "supervisor window must hold at least one quantum".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "supervisor window must hold at least one quantum",
+            ));
         }
         config.mitigation.validate()?;
         let metrics = FleetMetrics::register(&registry);
@@ -1087,8 +1076,14 @@ impl Supervisor {
             deadline_misses: 0,
             retries: 0,
             evidence: 0.0,
+            faults: Armed::default(),
         });
         Ok(self.pairs.len() - 1)
+    }
+
+    /// The failures armed on `slot`'s pair.
+    pub(crate) fn faults_mut(&mut self, slot: usize) -> Option<&mut Armed> {
+        self.pairs.get_mut(slot).map(|p| &mut p.faults)
     }
 
     /// Whether `slot`'s breaker lets it be probed at `tick`: false while
@@ -1158,6 +1153,7 @@ impl Supervisor {
                     let bytes = &batch.bytes;
                     let result = threadpool::catch(|| {
                         let start = Instant::now();
+                        pair.faults.fire();
                         let pushed = analyze(&mut pair.window, input, bytes);
                         let elapsed_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
                         (pushed, elapsed_us)
@@ -1461,16 +1457,14 @@ impl Supervisor {
         overhead_fraction: f64,
     ) -> Result<(), DetectorError> {
         if !residual_fraction.is_finite() || !overhead_fraction.is_finite() {
-            return Err(DetectorError::InvalidConfig {
-                reason: "residual and overhead fractions must be finite".to_string(),
-            });
+            return Err(DetectorError::invalid(
+                "residual and overhead fractions must be finite",
+            ));
         }
         let pair = self
             .pairs
             .get_mut(pair)
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("no supervised pair {pair}"),
-            })?;
+            .ok_or_else(|| DetectorError::invalid(format!("no supervised pair {pair}")))?;
         pair.mitigation
             .record_residual(crate::mitigation::ResidualReading {
                 residual_fraction: residual_fraction.clamp(0.0, 1.0),
@@ -1573,9 +1567,7 @@ impl Supervisor {
         let entry = self
             .pairs
             .get_mut(pair)
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("no supervised pair {pair}"),
-            })?;
+            .ok_or_else(|| DetectorError::invalid(format!("no supervised pair {pair}")))?;
         entry.degraded = degraded;
         if degraded && entry.last_verdict == Verdict::Clean {
             entry.last_verdict = Verdict::Inconclusive;
@@ -1593,9 +1585,10 @@ impl Supervisor {
     /// and any store/serialization error. A failed checkpoint never
     /// corrupts previously stored generations (every write is atomic).
     pub(crate) fn checkpoint(&self, tick: u64) -> Result<u64, DetectorError> {
-        let store = self.store.as_ref().ok_or(DetectorError::InvalidConfig {
-            reason: "no checkpoint store attached".to_string(),
-        })?;
+        let store = self
+            .store
+            .as_ref()
+            .ok_or(DetectorError::invalid("no checkpoint store attached"))?;
         let entries = self.build_checkpoint_entries(tick)?;
         let mut generation = 0;
         for (name, payload) in &entries {
@@ -1742,9 +1735,7 @@ impl Supervisor {
         let p = self
             .pairs
             .get(pair)
-            .ok_or_else(|| DetectorError::InvalidConfig {
-                reason: format!("no supervised pair {pair}"),
-            })?;
+            .ok_or_else(|| DetectorError::invalid(format!("no supervised pair {pair}")))?;
         let mut window = Vec::new();
         p.window.checkpoint(&mut window)?;
         let snapshot = PairSnapshot {
@@ -1839,6 +1830,7 @@ impl Supervisor {
             deadline_misses: snapshot.deadline_misses,
             retries: snapshot.retries,
             evidence: 0.0,
+            faults: Armed::default(),
         });
         let idx = self.pairs.len() - 1;
         if self.tracer.is_enabled() {
@@ -2041,8 +2033,7 @@ fn pair_entry_name(idx: usize) -> String {
 /// Runs one input through a pair's window, reading an encoded harvest's
 /// bytes from its `batch` bytes. The bool reports whether the quantum was actually
 /// observed (false = gap). A wrong-kind input is the
-/// window's typed [`DetectorError::BadHarvest`]. May panic only for
-/// [`ChaosOp::Panic`] — which the caller contains.
+/// window's typed [`DetectorError::BadHarvest`].
 fn analyze(window: &mut OnlineWindow, input: SlotInput, batch: &[u8]) -> AnalysisResult {
     let input = match input {
         SlotInput::Encoded { bytes, weight } => {
@@ -2060,11 +2051,6 @@ fn analyze(window: &mut OnlineWindow, input: SlotInput, batch: &[u8]) -> Analysi
             lost_fraction,
         } => Ok((window.push_conflicts(&records, lost_fraction)?, true)),
         PairInput::Missed => Ok((window.push_missed(), false)),
-        PairInput::Chaos(ChaosOp::Panic) => panic!("chaos: injected analysis panic"),
-        PairInput::Chaos(ChaosOp::StallUs(us)) => {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-            Ok((window.push_missed(), false))
-        }
     }
 }
 
@@ -2294,6 +2280,7 @@ fn parse_manifest(
 mod tests {
     use super::*;
     use crate::density::{DensityHistogram, HISTOGRAM_BINS};
+    use crate::fault::FleetFault;
     use crate::mitigation::{AdvisoryEnforcer, ApplyError, MitigationLevel};
     use crate::shard::{ShardedFleet, ShardedFleetConfig};
     use std::path::{Path, PathBuf};
@@ -2313,6 +2300,10 @@ mod tests {
         bins[0] = 2_495;
         bins[1] = 5;
         DensityHistogram::from_bins(bins, 100_000).unwrap()
+    }
+
+    fn covert_source(_pair: usize, _tick: u64, _attempt: u32) -> Result<PairInput, ProbeFault> {
+        Ok(PairInput::Harvest(Harvest::Complete(covert_histogram())))
     }
 
     fn test_config() -> SupervisorConfig {
@@ -2394,13 +2385,8 @@ mod tests {
         let mut fleet = fleet(test_config());
         fleet.add_contention_pair("healthy").unwrap();
         fleet.add_contention_pair("panicky").unwrap();
-        let mut source = |pair: usize, _tick: u64, _attempt: u32| {
-            Ok::<_, ProbeFault>(if pair == 1 {
-                PairInput::Chaos(ChaosOp::Panic)
-            } else {
-                PairInput::Harvest(Harvest::Complete(covert_histogram()))
-            })
-        };
+        fleet.arm(FleetFault::PairPanic(1, 1)).unwrap();
+        let mut source = covert_source;
         let report = tick(&mut fleet, &mut source);
         assert!(matches!(
             report.reports[0].outcome,
@@ -2429,9 +2415,8 @@ mod tests {
             ..test_config()
         });
         fleet.add_contention_pair("slow").unwrap();
-        let mut source = |_pair: usize, _tick: u64, _attempt: u32| {
-            Ok::<_, ProbeFault>(PairInput::Chaos(ChaosOp::StallUs(5_000)))
-        };
+        fleet.arm(FleetFault::PairStall(0, 5_000)).unwrap();
+        let mut source = covert_source;
         let report = tick(&mut fleet, &mut source);
         match &report.reports[0].outcome {
             PairOutcome::Degraded { error, .. } => {
@@ -2660,13 +2645,8 @@ mod tests {
         let mut fleet = fleet(test_config()).with_tracer(tracer.clone());
         fleet.add_contention_pair("bus").unwrap();
         fleet.add_contention_pair("chaotic").unwrap();
-        let mut source = |pair: usize, tick: u64, _attempt: u32| {
-            Ok::<_, ProbeFault>(if pair == 1 && tick == 0 {
-                PairInput::Chaos(ChaosOp::Panic)
-            } else {
-                PairInput::Harvest(Harvest::Complete(covert_histogram()))
-            })
-        };
+        fleet.arm(FleetFault::PairPanic(1, 1)).unwrap();
+        let mut source = covert_source;
         for _ in 0..6 {
             fleet.tick(&mut source);
         }

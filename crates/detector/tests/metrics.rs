@@ -7,6 +7,7 @@
 //! bounded by configuration rather than by the pair count.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
+use cchunter_detector::fault::FleetFault;
 use cchunter_detector::metrics::{parse_prometheus, Registry, LATENCY_BUCKETS_US};
 use cchunter_detector::mitigation::{
     ApplyError, MitigationConfig, MitigationEnforcer, MitigationLevel,
@@ -15,7 +16,7 @@ use cchunter_detector::online::Harvest;
 use cchunter_detector::policy::{BackoffConfig, QuarantineConfig};
 use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig, TOP_SUSPICIOUS};
 use cchunter_detector::span::Tracer;
-use cchunter_detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
+use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -449,14 +450,16 @@ fn metrics_snapshot_totals_are_pinned_across_a_scripted_run() {
             2 if tick < 14 => Err(ProbeFault {
                 reason: "hardware interface wedged".to_string(),
             }),
-            p if p == chaotic && tick == 2 && attempt == 0 => Ok(PairInput::Chaos(ChaosOp::Panic)),
             0 if tick < 16 => Ok(PairInput::Harvest(Harvest::Complete(covert_histogram(
                 tick,
             )))),
             _ => Ok(PairInput::Harvest(Harvest::Complete(quiet_histogram(tick)))),
         }
     };
-    for _ in 0..10 {
+    for tick in 0..10 {
+        if tick == 2 {
+            fleet.arm(FleetFault::PairPanic(chaotic, 1)).unwrap();
+        }
         fleet.tick(&mut probe);
     }
     assert!(fleet.containment(0).unwrap().is_active());

@@ -114,7 +114,9 @@ fn histogram_merge_equals_concatenated_accumulation() {
         let ta = EventTrain::from_times(a);
         let tb = EventTrain::from_times(b.iter().map(|t| t + 50_000).collect());
         let mut merged = DensityHistogram::from_train(&ta, delta_t, 0, 50_000).unwrap();
-        merged.merge(&DensityHistogram::from_train(&tb, delta_t, 50_000, 100_000).unwrap());
+        merged
+            .merge(&DensityHistogram::from_train(&tb, delta_t, 50_000, 100_000).unwrap())
+            .unwrap();
         let mut joined = DensityHistogram::empty(delta_t).unwrap();
         joined.accumulate(&ta, 0, 50_000);
         joined.accumulate(&tb, 50_000, 100_000);
@@ -143,7 +145,7 @@ fn bloom_has_no_false_negatives() {
             (0..n).map(|_| rng.gen_range(0..u64::MAX)).collect();
         let bits = rng.gen_range(64usize..8_192);
         let hashes = rng.gen_range(1u32..6);
-        let mut filter = BloomFilter::new(bits, hashes);
+        let mut filter = BloomFilter::new(bits, hashes).unwrap();
         for &k in &keys {
             filter.insert(k);
         }
@@ -211,7 +213,7 @@ fn practical_tracker_never_misses_recent_conflicts() {
         let rounds = rng.gen_range(1usize..20);
         // Blocks evicted and promptly re-accessed within a working set far
         // below the tracker window must always classify as conflicts.
-        let mut tracker = GenerationTracker::for_cache(4_096);
+        let mut tracker = GenerationTracker::for_cache(4_096).unwrap();
         let blocks: Vec<u64> = (0..working_set).map(|i| i * 64).collect();
         for &b in &blocks {
             tracker.record_access(b);
@@ -237,7 +239,7 @@ fn ideal_tracker_matches_reference_recency_model() {
         let n = rng.gen_range(1usize..300);
         let accesses: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..64)).collect();
         let capacity = rng.gen_range(4usize..32);
-        let mut tracker = IdealLruTracker::new(capacity);
+        let mut tracker = IdealLruTracker::new(capacity).unwrap();
         let mut reference: Vec<u64> = Vec::new(); // recency list, MRU front
         for &a in &accesses {
             let block = a * 64;

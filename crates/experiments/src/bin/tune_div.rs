@@ -49,7 +49,7 @@ fn main() {
             .expect("audit harvest");
         let mut h = DensityHistogram::empty(500).expect("nonzero Δt");
         for x in &data.divider_histograms {
-            h.merge(x);
+            h.merge(x).expect("every divider histogram shares one Δt");
         }
         let v = BurstDetector::default().analyze(&h);
         let nz: Vec<(usize, u64)> = h

@@ -16,7 +16,9 @@ pub fn merge(histograms: &[DensityHistogram]) -> DensityHistogram {
     let mut merged =
         DensityHistogram::empty(histograms[0].delta_t()).expect("a histogram's Δt is nonzero");
     for h in histograms {
-        merged.merge(h);
+        merged
+            .merge(h)
+            .expect("every per-quantum histogram shares one Δt");
     }
     merged
 }

@@ -23,10 +23,10 @@ use cc_hunter::detector::policy::{BreakerState, QuarantineConfig};
 use cc_hunter::detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cc_hunter::detector::span::{self, Tracer};
 use cc_hunter::detector::store::{CheckpointStore, StorageMedium};
-use cc_hunter::detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
+use cc_hunter::detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
 use cc_hunter::detector::{
-    CcHunterConfig, DeltaTPolicy, StorageFaultClass, StorageFaultConfig, StorageFaultInjector,
-    Verdict,
+    CcHunterConfig, DeltaTPolicy, FleetFault, StorageFaultClass, StorageFaultConfig,
+    StorageFaultInjector, Verdict,
 };
 use cc_hunter::sim::{Machine, MachineConfig};
 use cc_hunter::{FaultClass, FaultConfig, FaultInjector};
@@ -183,7 +183,7 @@ fn open_fleet(store_root: &Path, medium: Arc<dyn StorageMedium>) -> ShardedFleet
         .add_oscillation_pair("l2-cache: pid 17 <-> pid 23")
         .expect("valid pair");
     fleet
-        .add_contention_pair("multiplier: pid 5 <-> pid 12 (chaos panic)")
+        .add_contention_pair("multiplier: pid 5 <-> pid 12 (injected panic)")
         .expect("valid pair");
     fleet
         .add_contention_pair("memory-bus: pid 50 <-> pid 51 (wedged monitor)")
@@ -248,7 +248,6 @@ fn main() {
                 records: covert_conflicts(tick),
                 lost_fraction: 0.0,
             },
-            3 if tick == PANIC_AT && attempt == 0 => PairInput::Chaos(ChaosOp::Panic),
             3 => PairInput::Harvest(Harvest::Complete(covert_histogram(tick))),
             _ if tick < WEDGED_UNTIL => {
                 return Err(ProbeFault {
@@ -259,14 +258,14 @@ fn main() {
         })
     };
 
-    // The injected chaos panic is contained by the fleet's watchdog;
+    // The injected analysis panic is contained by the fleet's watchdog;
     // keep the default hook for anything else.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let expected = info
             .payload()
             .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("chaos:"));
+            .is_some_and(|m| m.contains("injected fleet fault"));
         if !expected {
             default_hook(info);
         }
@@ -283,7 +282,17 @@ fn main() {
     let storage_injector = StorageFaultInjector::new(StorageFaultConfig::none(), 0x0B5E_0003);
     let medium: Arc<dyn StorageMedium> = Arc::new(storage_injector.clone());
     let mut fleet = open_fleet(&store_dir, Arc::clone(&medium));
+    // Pair 3's analysis panics at quantum PANIC_AT, and again when the
+    // rollback below replays that quantum.
+    let arm_panic = |fleet: &mut ShardedFleet| {
+        if fleet.tick_count() == PANIC_AT {
+            fleet
+                .arm(FleetFault::PairPanic(3, 1))
+                .expect("the panicking pair is hosted");
+        }
+    };
     for _ in 0..CRASH_AT {
+        arm_panic(&mut fleet);
         fleet.tick(&mut probe);
     }
 
@@ -336,6 +345,7 @@ fn main() {
             println!("*** storage healed before quantum 20 ***");
             storage_injector.set_config(StorageFaultConfig::none());
         }
+        arm_panic(&mut fleet);
         fleet.tick(&mut probe);
         if fleet.tick_count() == 16 {
             println!("durability after quantum 15: {}", fleet.durability());
@@ -447,7 +457,7 @@ fn main() {
     let snap = &status.metrics;
     assert!(snap.quarantine_skips > 0, "wedged pair was quarantined");
     assert!(snap.restore_rollbacks > 0, "corrupt generation rolled back");
-    assert!(snap.panics >= 1, "chaos panic contained");
+    assert!(snap.panics >= 1, "injected panic contained");
     assert!(snap.checkpoints > 0, "periodic checkpoints ran");
     assert!(
         snap.shadow_checkpoints > 0,

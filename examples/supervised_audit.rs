@@ -14,10 +14,8 @@ use cc_hunter::detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cc_hunter::detector::online::Harvest;
 use cc_hunter::detector::policy::{BreakerState, QuarantineConfig};
 use cc_hunter::detector::shard::{FleetTickReport, ShardedFleet, ShardedFleetConfig};
-use cc_hunter::detector::supervisor::{
-    ChaosOp, PairInput, PairOutcome, ProbeFault, SupervisorConfig,
-};
-use cc_hunter::detector::{CcHunterConfig, DeltaTPolicy, Verdict};
+use cc_hunter::detector::supervisor::{PairInput, PairOutcome, ProbeFault, SupervisorConfig};
+use cc_hunter::detector::{CcHunterConfig, DeltaTPolicy, FleetFault, Verdict};
 use cc_hunter::sim::{Machine, MachineConfig};
 use cc_hunter::{FaultClass, FaultConfig, FaultInjector};
 use std::path::Path;
@@ -232,7 +230,6 @@ fn main() {
                 records: quiet_conflicts(tick),
                 lost_fraction: 0.0,
             },
-            6 if tick == PANIC_AT && attempt == 0 => PairInput::Chaos(ChaosOp::Panic),
             6 => PairInput::Harvest(Harvest::Complete(covert_histogram(tick))),
             _ if tick < WEDGED_UNTIL => {
                 return Err(ProbeFault {
@@ -243,7 +240,7 @@ fn main() {
         })
     };
 
-    // The injected chaos panic is caught by the supervisor's watchdog, but
+    // The injected analysis panic is caught by the supervisor's watchdog, but
     // the default panic hook would still splat a backtrace over the demo;
     // keep the hook for everything except that expected panic.
     let default_hook = std::panic::take_hook();
@@ -251,7 +248,7 @@ fn main() {
         let expected = info
             .payload()
             .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("chaos:"));
+            .is_some_and(|m| m.contains("injected fleet fault"));
         if !expected {
             default_hook(info);
         }
@@ -297,7 +294,12 @@ fn main() {
         }
     };
 
-    for _ in 0..CRASH_AT {
+    for tick in 0..CRASH_AT {
+        if tick == PANIC_AT {
+            fleet
+                .arm(FleetFault::PairPanic(6, 1))
+                .expect("the panicking pair is hosted");
+        }
         let report = fleet.tick(&mut probe);
         log_tick(&report);
     }

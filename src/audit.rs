@@ -324,22 +324,27 @@ impl AuditSession {
     ///
     /// # Errors
     ///
-    /// Propagates [`AuditorError`].
+    /// Returns [`AuditorError::CacheTooSmall`] if the tracker cannot be
+    /// sized for `total_blocks` (fewer than 4 for the practical tracker,
+    /// 0 for the ideal one); otherwise propagates [`AuditorError`].
     pub fn audit_cache(
         &mut self,
         core: u8,
         total_blocks: usize,
         tracker: TrackerKind,
     ) -> Result<(), AuditorError> {
+        let tracker: Result<Box<dyn MissClassifier>, _> = match tracker {
+            TrackerKind::Practical => {
+                GenerationTracker::for_cache(total_blocks).map(|t| Box::new(t) as _)
+            }
+            TrackerKind::Ideal => IdealLruTracker::new(total_blocks).map(|t| Box::new(t) as _),
+        };
+        let tracker = tracker.map_err(|_| AuditorError::CacheTooSmall)?;
         let mut inner = self.inner.borrow_mut();
         let slot =
             inner
                 .auditor
                 .program(HardwareUnit::SharedCache { core }, 0, Privilege::Supervisor)?;
-        let tracker: Box<dyn MissClassifier> = match tracker {
-            TrackerKind::Practical => Box::new(GenerationTracker::for_cache(total_blocks)),
-            TrackerKind::Ideal => Box::new(IdealLruTracker::new(total_blocks)),
-        };
         inner.cache = Some(CacheAudit {
             slot,
             core,
@@ -860,6 +865,17 @@ mod tests {
             .audit_cache(0, 4096, TrackerKind::Practical)
             .unwrap_err();
         assert_eq!(err, AuditorError::SlotsExhausted);
+    }
+
+    #[test]
+    fn undersized_cache_audit_is_refused_without_taking_a_slot() {
+        let mut session = AuditSession::new();
+        for (blocks, kind) in [(3, TrackerKind::Practical), (0, TrackerKind::Ideal)] {
+            let err = session.audit_cache(0, blocks, kind).unwrap_err();
+            assert_eq!(err, AuditorError::CacheTooSmall);
+        }
+        session.audit_bus(1_000).unwrap();
+        session.audit_divider(0, 500).unwrap();
     }
 
     #[test]

@@ -10,12 +10,12 @@ use cc_hunter::audit::TrackerKind;
 use cc_hunter::channels::Message;
 use cc_hunter::detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cc_hunter::detector::policy::mix_seed;
-use cc_hunter::detector::supervisor::{ChaosOp, PairInput, ProbeFault, SupervisorConfig};
+use cc_hunter::detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
 use cc_hunter::detector::{
     AdmissionConfig, AdmissionQueue, CcHunter, CcHunterConfig, DeltaTPolicy, DrainedBatch,
-    EventTrain, Harvest, IngestConfig, IngestPipeline, OnlineContentionDetector, RawEvent,
-    Sanitizer, SanitizerConfig, SaturatingHistogram, ShardedFleet, ShardedFleetConfig, ShedPolicy,
-    Verdict,
+    EventTrain, FleetFault, Harvest, IngestConfig, IngestPipeline, OnlineContentionDetector,
+    RawEvent, Sanitizer, SanitizerConfig, SaturatingHistogram, ShardedFleet, ShardedFleetConfig,
+    ShedPolicy, Verdict,
 };
 use common::{run_bus_channel, run_cache_channel, run_divider_channel, QUANTUM};
 use rand::rngs::SmallRng;
@@ -368,10 +368,6 @@ fn chaos_soak_keeps_fleet_alive_and_benign_pair_clean() {
     }
 
     let mut probe = |pair: usize, tick: u64, _attempt: u32| -> Result<PairInput, ProbeFault> {
-        if pair == 2 && tick.is_multiple_of(41) {
-            // The analysis itself blows up; the watchdog must contain it.
-            return Ok(PairInput::Chaos(ChaosOp::Panic));
-        }
         let start = tick * QUANTUM;
         let end = start + QUANTUM;
         let pipeline = &mut pipelines[pair];
@@ -387,6 +383,10 @@ fn chaos_soak_keeps_fleet_alive_and_benign_pair_clean() {
     };
 
     for tick in 0..SOAK_TICKS {
+        if tick.is_multiple_of(41) {
+            // The analysis itself blows up; the watchdog must contain it.
+            fleet.arm(FleetFault::PairPanic(2, 1)).unwrap();
+        }
         fleet.tick(&mut probe);
         if tick.is_multiple_of(50) {
             let benign = &fleet.pair_statuses()[0];
