@@ -12,6 +12,7 @@
 
 use crate::DetectorError;
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// A time-ordered train of (possibly weighted) events.
 ///
@@ -168,12 +169,11 @@ impl EventTrain {
 
     /// Splits the train into consecutive windows of `window_cycles` covering
     /// `[start, end)` (the last window may be partial).
-    pub fn windows(&self, start: u64, end: u64, window_cycles: u64) -> Vec<EventTrain> {
-        assert!(window_cycles > 0, "window length must be nonzero");
+    pub fn windows(&self, start: u64, end: u64, window_cycles: NonZeroU64) -> Vec<EventTrain> {
         let mut out = Vec::new();
         let mut lo = start;
         while lo < end {
-            let hi = (lo + window_cycles).min(end);
+            let hi = lo.saturating_add(window_cycles.get()).min(end);
             out.push(self.window(lo, hi));
             lo = hi;
         }
@@ -259,16 +259,11 @@ impl<'a> TrainView<'a> {
 
     /// Consecutive zero-copy windows of `window_cycles` covering
     /// `[start, end)` (the last window may be partial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_cycles` is zero.
-    pub fn windows(&self, start: u64, end: u64, window_cycles: u64) -> Vec<TrainView<'a>> {
-        assert!(window_cycles > 0, "window length must be nonzero");
+    pub fn windows(&self, start: u64, end: u64, window_cycles: NonZeroU64) -> Vec<TrainView<'a>> {
         let mut out = Vec::new();
         let mut lo = start;
         while lo < end {
-            let hi = (lo + window_cycles).min(end);
+            let hi = lo.saturating_add(window_cycles.get()).min(end);
             out.push(self.window(lo, hi));
             lo = hi;
         }
@@ -486,18 +481,6 @@ impl SymbolSeries {
     pub fn as_f64(&self) -> Vec<f64> {
         self.symbols.iter().map(|&s| s as f64).collect()
     }
-
-    /// Splits into consecutive chunks of at most `chunk` symbols.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn chunks(&self, chunk: usize) -> impl Iterator<Item = SymbolSeries> + '_ {
-        assert!(chunk > 0, "chunk size must be nonzero");
-        self.symbols
-            .chunks(chunk)
-            .map(|c| SymbolSeries::from_symbols(c.to_vec()))
-    }
 }
 
 impl FromIterator<u8> for SymbolSeries {
@@ -589,7 +572,7 @@ mod tests {
     #[test]
     fn windows_cover_range() {
         let t = EventTrain::from_times(vec![0, 10, 20, 30, 40]);
-        let ws = t.windows(0, 50, 20);
+        let ws = t.windows(0, 50, NonZeroU64::new(20).unwrap());
         assert_eq!(ws.len(), 3);
         assert_eq!(ws[0].len(), 2);
         assert_eq!(ws[1].len(), 2);
@@ -626,14 +609,6 @@ mod tests {
         let s = SymbolSeries::from_symbols(vec![3, 3, 7, 3, 9]);
         assert_eq!(s.alphabet_size(), 3);
         assert_eq!(s.as_f64()[2], 7.0);
-    }
-
-    #[test]
-    fn symbol_chunks_partition() {
-        let s: SymbolSeries = (0..10u8).collect();
-        let chunks: Vec<_> = s.chunks(4).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[2].len(), 2);
     }
 
     #[test]

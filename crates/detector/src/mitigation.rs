@@ -801,6 +801,19 @@ impl MitigationPolicy {
         self.last_residual = None;
     }
 
+    /// Prepares the policy for another shard's enforcer, exactly as a
+    /// checkpoint round trip does
+    /// (`deserialize(config, &serialize())` equals the result): an active
+    /// containment is flagged for re-assertion (the new enforcer never
+    /// applied it), the last residual reading is dropped (it measured the
+    /// old enforcer's rung), and refused releases fold into refused
+    /// applies (the manifest keeps one refusal count).
+    pub fn hand_over(&mut self) {
+        self.needs_reassert = self.state.is_active();
+        self.last_residual = None;
+        self.apply_failures += std::mem::take(&mut self.release_failures);
+    }
+
     /// Serializes the policy for the checkpoint manifest (one
     /// comma-free field; `;`-separated).
     pub fn serialize(&self) -> String {
@@ -1201,6 +1214,47 @@ mod tests {
         assert_eq!(r.applied, 1, "containment re-applied after restore");
         assert_eq!(fresh.applied, vec![(5, MitigationLevel::FlushOnSwitch)]);
         assert!(policy.is_contained());
+    }
+
+    /// Handing a policy over to another enforcer equals its checkpoint
+    /// round trip at every point of a conviction, a refused apply, an
+    /// escalation past a refused release, residual readings and a
+    /// step-down.
+    #[test]
+    fn hand_over_equals_a_checkpoint_round_trip() {
+        let config = quick_config();
+        let mut policy = MitigationPolicy::new(config).unwrap();
+        let mut enforcer = FlakyEnforcer::new();
+        let reading = |residual_fraction, tick| ResidualReading {
+            residual_fraction,
+            overhead_fraction: 0.0,
+            tick,
+        };
+        let check = |policy: &MitigationPolicy, at: &str| {
+            let mut handed = policy.clone();
+            handed.hand_over();
+            let text = MitigationPolicy::deserialize(config, &policy.serialize());
+            assert_eq!(Some(handed), text, "{at}");
+        };
+        check(&policy, "idle");
+        enforcer.fail_applies = 1;
+        for tick in 0..2 {
+            policy.drive(true, tick, 7, 5, &mut enforcer);
+            check(&policy, "convicting");
+        }
+        assert!(policy.is_contained() && policy.apply_failures() == 1);
+        policy.record_residual(reading(0.5, 2));
+        check(&policy, "residual above the cap");
+        enforcer.fail_releases = 1;
+        policy.drive(false, 2, 7, 5, &mut enforcer);
+        check(&policy, "escalated past a refused release");
+        assert_eq!((policy.escalations(), policy.apply_failures()), (1, 2));
+        policy.record_residual(reading(0.01, 3));
+        for tick in 3..6 {
+            policy.drive(false, tick, 7, 5, &mut enforcer);
+            check(&policy, "stepping down");
+        }
+        assert!(policy.step_downs() >= 1, "{policy:?}");
     }
 
     #[test]

@@ -70,6 +70,7 @@ use crate::DetectorError;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{Read, Write};
+use std::num::NonZeroUsize;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -462,8 +463,10 @@ impl OnlineWindow {
         config: Arc<CcHunterConfig>,
         capacity: usize,
     ) -> Result<Self, DetectorError> {
+        let Some(capacity) = NonZeroUsize::new(capacity) else {
+            return Err(DetectorError::invalid("the window must be at least one"));
+        };
         let zero = [
-            (capacity, "the window"),
             (config.cluster.k, "cluster.k"),
             (config.cluster.min_recurring, "cluster.min_recurring"),
             (config.min_oscillatory_windows, "min_oscillatory_windows"),
@@ -475,18 +478,46 @@ impl OnlineWindow {
                 "{what} must be at least one"
             )));
         }
-        Ok(OnlineWindow {
+        Ok(Self::empty(kind, config, capacity))
+    }
+
+    fn empty(kind: PairKind, config: Arc<CcHunterConfig>, capacity: NonZeroUsize) -> Self {
+        OnlineWindow {
             kind,
             config,
             window: SlidingWindow::new(capacity),
-            arena: BinArena::new(capacity),
+            arena: BinArena::new(capacity.get()),
             weight_sum: 0.0,
             observed: 0,
             covert: 0,
             pushes_since_rebase: 0,
             cache: None,
             last_verdict: Verdict::Clean,
-        })
+        }
+    }
+
+    /// An empty `kind` window with this window's configuration (the same
+    /// `Arc`) and capacity. Infallible: both were validated when this
+    /// window was built.
+    pub(crate) fn blank(&self, kind: PairKind) -> Self {
+        Self::empty(kind, Arc::clone(&self.config), self.window.capacity())
+    }
+
+    /// The configuration this window scores with, shared by `Arc`.
+    pub(crate) fn config(&self) -> &Arc<CcHunterConfig> {
+        &self.config
+    }
+
+    /// Re-points this window at `config`, an `Arc` of an equal
+    /// configuration: a window moved into another pair table shares that
+    /// table's.
+    pub(crate) fn share_config(&mut self, config: &Arc<CcHunterConfig>) {
+        self.config = Arc::clone(config);
+    }
+
+    /// The kind of evidence this window scores.
+    pub(crate) fn kind(&self) -> PairKind {
+        self.kind
     }
 
     /// Quanta currently retained (missed quanta included).
@@ -496,7 +527,7 @@ impl OnlineWindow {
 
     /// The sliding-window capacity in quanta.
     pub fn capacity(&self) -> usize {
-        self.window.capacity()
+        self.window.capacity().get()
     }
 
     /// Feeds one contention quantum's harvest (a bare [`DensityHistogram`]
@@ -709,7 +740,7 @@ impl OnlineWindow {
             }
         }
         self.pushes_since_rebase += 1;
-        if self.pushes_since_rebase >= self.window.capacity() {
+        if self.pushes_since_rebase >= self.window.capacity().get() {
             self.weight_sum = self.window.iter().map(|s| s.weight).sum();
             self.pushes_since_rebase = 0;
         }
@@ -817,7 +848,7 @@ impl OnlineWindow {
             .collect();
         let cp = Checkpoint {
             kind: self.kind.to_string(),
-            capacity: self.window.capacity(),
+            capacity: self.window.capacity().get(),
             slots,
         };
         write_checkpoint(&cp, writer).map_err(Into::into)

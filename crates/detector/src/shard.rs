@@ -24,15 +24,21 @@
 //! * **Heartbeats** — shard ticks fan out under `catch_unwind` with a
 //!   deadline; [`ShardedFleetConfig::dead_after`] consecutive misses
 //!   declare a shard dead.
-//! * **Migration and restart** — one path: pairs are read back from a
-//!   checkpoint store (rolling back over corrupt generations) and
-//!   imported, whether off a dead shard or, after
-//!   [`ShardedFleet::with_store_root`] reopens a root, when `add_*_pair`
-//!   names a recovered label. The pair reports [`Verdict::Inconclusive`]
-//!   until fresh evidence and re-asserts any active containment; an
-//!   unrecoverable pair is re-created *degraded* (Clean floors to
-//!   Inconclusive). With no live shard, pairs are carried as orphans. A
-//!   store that cannot be read back at all fails the reopen instead.
+//! * **Moves, migration and restart** — one way in: every pair enters a
+//!   shard through the supervisor's admit path. A rebalance or drain
+//!   hands the live pair over by value, window included. A dead shard's
+//!   pairs and, after [`ShardedFleet::with_store_root`] reopens a root,
+//!   recovered labels named again by `add_*_pair` are read back from a
+//!   checkpoint store by label (rolling back over corrupt generations).
+//!   An admitted pair reports [`Verdict::Inconclusive`] until fresh
+//!   evidence and re-asserts any active containment; an unrecoverable
+//!   pair is re-created *degraded* (Clean floors to Inconclusive). With no
+//!   live shard, pairs are carried as orphans. A store that cannot be read
+//!   back at all fails the reopen instead.
+//!
+//! A label is a pair's store identity, so `add_*_pair` refuses one the
+//! manifest could not carry back (empty, with control characters, or with
+//! leading or trailing whitespace) and one already in the table.
 //!
 //! The global pair table is the source of truth: every pair ever added is
 //! accounted for in [`ShardedFleet::pair_statuses`] — monitored,
@@ -46,7 +52,7 @@ use crate::ingest::{IngestConfig, IngestPipeline, IngestStats};
 use crate::metrics::{
     render_prometheus_merged, Counter, Family, Gauge, Histogram, Registry, LATENCY_BUCKETS_US,
 };
-use crate::mitigation::{AdvisoryEnforcer, ContainmentState, MitigationEnforcer};
+use crate::mitigation::{AdvisoryEnforcer, ContainmentState, MitigationEnforcer, MitigationPolicy};
 use crate::pipeline::Verdict;
 use crate::policy::{
     mix_seed, BreakerState, SuspicionConfig, SuspicionTracker, SuspicionTransition,
@@ -55,11 +61,11 @@ use crate::span::{self, Tracer};
 use crate::store::{CheckpointStore, StorageMedium};
 use crate::supervisor::{
     probe_with_retry, Durability, IngestSnapshot, LatencySummary, MetricsSnapshot, PairKind,
-    PairSnapshot, ProbeSource, RestoredFrom, ShadowCheckpoint, ShardBatch, Supervisor,
-    SupervisorConfig, TickReport,
+    PairRecord, ProbeSource, RestoredFrom, Roster, ShadowCheckpoint, ShardBatch, Supervisor,
+    SupervisorConfig, TickReport, WindowSource,
 };
 use crate::DetectorError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -644,10 +650,12 @@ pub struct ShardedFleet {
     medium: Option<Arc<dyn StorageMedium>>,
     shards: Vec<Shard>,
     table: Vec<PairEntry>,
+    /// Every label in `table`: a label names one pair.
+    labels: HashSet<Arc<str>>,
     /// Pairs read back from the store root at open, keyed by label, each
-    /// with the tick of the manifest it came from; imported when
+    /// with the tick of the manifest it came from; admitted when
     /// `add_*_pair` names the label again, counted as orphans until then.
-    recovered: HashMap<String, (u64, PairSnapshot)>,
+    recovered: HashMap<Arc<str>, (u64, PairRecord, WindowSource)>,
     /// Ingest counters of caller-owned pipelines, summed into the digest.
     ingest_stats: Vec<IngestStats>,
     tick: u64,
@@ -715,7 +723,7 @@ impl ShardedFleet {
     /// Restarting a process is reopening its root: every shard store that
     /// already holds a checkpoint is read back (rolling back over corrupt
     /// generations), the coordinator tick resumes at the newest manifest's
-    /// tick, and each later `add_*_pair` naming a recovered label imports
+    /// tick, and each later `add_*_pair` naming a recovered label admits
     /// that pair's window, breaker, containment and counters — the same
     /// path a migration takes. When a label was saved by more than one
     /// shard (a dead shard's store stays on disk), the newest manifest
@@ -782,6 +790,7 @@ impl ShardedFleet {
             medium,
             shards,
             table: Vec::new(),
+            labels: HashSet::new(),
             recovered: HashMap::new(),
             ingest_stats: Vec::new(),
             tick: 0,
@@ -808,23 +817,29 @@ impl ShardedFleet {
             let Some(store) = sup.store() else {
                 continue;
             };
-            let Some(recovered) =
-                Supervisor::recover_pairs(&shard_config(&self.config.base, i), store)?
-            else {
+            let Some(roster) = Roster::read(store, &shard_config(&self.config.base, i))? else {
                 continue;
             };
-            sup.note_restore(&recovered);
-            self.tick = self.tick.max(recovered.tick);
-            for snapshot in recovered.pairs {
+            let mut rolled_back = roster.from.rolled_back;
+            for listed in &roster.records {
+                let Some((record, window)) = roster.recall(store, &listed.label, listed.kind)
+                else {
+                    continue;
+                };
+                if let WindowSource::Stored(loaded) = &window {
+                    rolled_back += loaded.rolled_back;
+                }
                 let newer = self
                     .recovered
-                    .get(&snapshot.label)
-                    .is_none_or(|(tick, _)| recovered.tick > *tick);
+                    .get(&*record.label)
+                    .is_none_or(|(tick, ..)| roster.tick > *tick);
                 if newer {
-                    self.recovered
-                        .insert(snapshot.label.clone(), (recovered.tick, snapshot));
+                    let label = Arc::clone(&record.label);
+                    self.recovered.insert(label, (roster.tick, record, window));
                 }
             }
+            sup.note_restore(&roster, rolled_back as u64);
+            self.tick = self.tick.max(roster.tick);
         }
         self.metrics.ticks.seed(self.tick);
         Ok(())
@@ -997,7 +1012,11 @@ impl ShardedFleet {
     ///
     /// # Errors
     ///
-    /// Propagates daemon-construction errors from the hosting shard.
+    /// Returns [`DetectorError::InvalidConfig`] for a label the checkpoint
+    /// manifest could not carry back (empty, with control characters, or
+    /// with leading or trailing whitespace) or one already in the fleet,
+    /// and [`DetectorError::CheckpointMismatch`] for a recovered label
+    /// re-added under the other pair kind.
     pub fn add_contention_pair(
         &mut self,
         label: impl Into<String>,
@@ -1010,7 +1029,7 @@ impl ShardedFleet {
     ///
     /// # Errors
     ///
-    /// Propagates daemon-construction errors from the hosting shard.
+    /// As for [`ShardedFleet::add_contention_pair`].
     pub fn add_oscillation_pair(
         &mut self,
         label: impl Into<String>,
@@ -1019,62 +1038,61 @@ impl ShardedFleet {
     }
 
     fn add_pair(&mut self, label: Arc<str>, kind: PairKind) -> Result<usize, DetectorError> {
-        if let Some((_, snapshot)) = self.recovered.get(&*label) {
-            if snapshot.kind != kind {
+        if label.is_empty() || label.trim() != &*label || label.chars().any(char::is_control) {
+            return Err(DetectorError::invalid(format!(
+                "pair label {label:?} cannot be checkpointed: it must be nonempty, without \
+                 control characters or leading or trailing whitespace"
+            )));
+        }
+        if self.labels.contains(&label) {
+            return Err(DetectorError::invalid(format!(
+                "pair label {label:?} is already in the fleet"
+            )));
+        }
+        if let Some((_, record, _)) = self.recovered.get(&*label) {
+            if record.kind != kind {
                 return Err(DetectorError::CheckpointMismatch {
                     reason: format!(
                         "pair {label:?} was checkpointed as a {} pair, not {kind}",
-                        snapshot.kind
+                        record.kind
                     ),
                 });
             }
         }
+        let recovered = self.recovered.remove(&*label);
+        // A recovered record already holds the label: share its `Arc`.
+        let label = recovered
+            .as_ref()
+            .map_or(label, |(_, record, _)| Arc::clone(&record.label));
         let key = pair_key(&label);
         let global = self.table.len();
-        let live = self.live_shard_ids();
-        // The shard a fresh (not recovered) pair joined, if it joined one.
-        let mut fresh_on = None;
-        let home = match rendezvous_shard(key, &live) {
-            Some(shard) => {
-                let host = &mut self.shards[shard];
-                let Some(sup) = host.supervisor.as_mut() else {
-                    return Err(DetectorError::invalid(format!("shard {shard} is not live")));
-                };
-                let slot = match self.recovered.remove(&*label) {
-                    // A restart: the pair comes back the way a migrated
-                    // pair does.
-                    Some((_, snapshot)) => sup.adopt_pair(Some(snapshot), &label, kind)?.0,
-                    None => {
-                        fresh_on = Some(shard);
-                        sup.add_pair(Arc::clone(&label), kind)?
-                    }
-                };
-                host.slots.push(global);
-                PairHome::Assigned { shard, slot }
-            }
-            None => {
-                // Revival adopts orphans degraded, as after a migration
-                // with no live shard.
-                self.recovered.remove(&*label);
-                PairHome::Orphaned
-            }
-        };
+        self.labels.insert(Arc::clone(&label));
         self.table.push(PairEntry {
             label,
             kind,
             key,
-            home,
+            home: PairHome::Orphaned,
         });
         self.placement_unsettled = true;
-        // A fresh pair on a live shard moves only that shard's pair gauge.
-        // A restart import or an orphan can move the degraded and orphan
-        // gauges, whose full refresh walks every pair: doing that on every
-        // add made registering a fleet quadratic in its size.
-        match fresh_on {
-            Some(shard) => self.metrics.per_shard[shard]
-                .pairs
-                .set(self.shards[shard].slots.len() as f64),
-            None => self.refresh_gauges(),
+        match (rendezvous_shard(key, &self.live_shard_ids()), recovered) {
+            // A fresh pair on a live shard moves only that shard's pair
+            // gauge. A restart or an orphan can move the degraded and
+            // orphan gauges, whose full refresh walks every pair: doing
+            // that on every add made registering a fleet quadratic in its
+            // size.
+            (Some(shard), None) => {
+                self.adopt(global, shard, None, WindowSource::Fresh);
+                let pairs = self.shards[shard].slots.len() as f64;
+                self.metrics.per_shard[shard].pairs.set(pairs);
+            }
+            // A restart: the pair comes back the way a migrated pair does.
+            (Some(shard), Some((_, record, window))) => {
+                self.adopt(global, shard, Some(record), window);
+                self.refresh_gauges();
+            }
+            // Revival adopts orphans degraded, as after a migration with no
+            // live shard.
+            (None, _) => self.refresh_gauges(),
         }
         Ok(global)
     }
@@ -1288,9 +1306,8 @@ impl ShardedFleet {
     /// One bounded-churn pass of the placement repairer. Each assigned
     /// pair's *preferred* shard is its rendezvous choice over the
     /// **eligible** set (live and unsuspected); a pair hosted elsewhere is
-    /// moved there through the checkpoint-restore path
-    /// ([`Supervisor::remove_pair`] → [`Supervisor::adopt_pair`]),
-    /// window and containment intact. Two budgets cap the churn:
+    /// moved there by value ([`ShardedFleet::move_pair`]), window and
+    /// containment intact. Two budgets cap the churn:
     ///
     /// * moves *off a suspected shard* (the proactive drain, racing the
     ///   watchdog) spend [`LatencySloConfig::drain_per_tick`];
@@ -1357,73 +1374,60 @@ impl ShardedFleet {
                 unsettled = true;
                 continue;
             }
-            match self.move_pair(global, preferred) {
-                Ok(degraded) => {
+            // A move always lands: the target is live and admission
+            // cannot fail.
+            let Some(degraded) = self.move_pair(global, preferred) else {
+                unsettled = true;
+                continue;
+            };
+            if from_suspected {
+                drained += 1;
+                drain_left -= 1;
+                self.metrics.drained_pairs.inc();
+            } else {
+                rebalanced += 1;
+                rebalance_left -= 1;
+                self.metrics.rebalanced_pairs.inc();
+            }
+            if self.tracer.is_enabled() {
+                self.tracer.event(
+                    "fleet",
                     if from_suspected {
-                        drained += 1;
-                        drain_left -= 1;
-                        self.metrics.drained_pairs.inc();
+                        "pair-drained"
                     } else {
-                        rebalanced += 1;
-                        rebalance_left -= 1;
-                        self.metrics.rebalanced_pairs.inc();
-                    }
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            "fleet",
-                            if from_suspected {
-                                "pair-drained"
-                            } else {
-                                "pair-rebalanced"
-                            },
-                            format_args!(
-                                "{}: shard {current} -> {preferred}{}",
-                                self.table[global].label,
-                                if degraded { " (degraded)" } else { "" }
-                            ),
-                        );
-                    }
-                }
-                Err(e) => {
-                    // A pair that cannot be exported stays where it is —
-                    // it is still monitored, just not where we'd like.
-                    unsettled = true;
-                    if self.tracer.is_enabled() {
-                        self.tracer.event(
-                            "fleet",
-                            "pair-move-failed",
-                            format_args!("{}: {e}", self.table[global].label),
-                        );
-                    }
-                }
+                        "pair-rebalanced"
+                    },
+                    format_args!(
+                        "{}: shard {current} -> {preferred}{}",
+                        self.table[global].label,
+                        if degraded { " (degraded)" } else { "" }
+                    ),
+                );
             }
         }
         self.placement_unsettled = unsettled;
         (drained, rebalanced)
     }
 
-    /// Moves one assigned pair to the live shard `target` through the
-    /// checkpoint-restore path, preserving its window, verdict, and
-    /// containment. Fixes up both shards' slot maps (the source
+    /// Moves one assigned pair to the live shard `target` by value: its
+    /// record and live window leave the source table and are admitted on
+    /// the target ([`Supervisor::remove_pair`] → [`Supervisor::admit`]),
+    /// window, verdict streaks and containment intact, with no checkpoint
+    /// text in between. Fixes up both shards' slot maps (the source
     /// supervisor's removal is a `swap_remove`, so its last pair takes the
-    /// vacated slot). Returns whether the import fell back to degraded.
-    fn move_pair(&mut self, global: usize, target: usize) -> Result<bool, DetectorError> {
+    /// vacated slot). Returns whether the pair runs degraded, or `None`
+    /// when it is not hosted by a live shard or `target` is dead (the pair
+    /// is then orphaned).
+    fn move_pair(&mut self, global: usize, target: usize) -> Option<bool> {
         let PairHome::Assigned {
             shard: source,
             slot,
         } = self.table[global].home
         else {
-            return Err(DetectorError::invalid(format!(
-                "pair {global} is not assigned to a shard"
-            )));
+            return None;
         };
-        let snapshot = self.shards[source]
-            .supervisor
-            .as_mut()
-            .ok_or_else(|| {
-                DetectorError::invalid(format!("pair {global}'s hosting shard {source} is dead"))
-            })?
-            .remove_pair(slot)?;
+        let sup = self.shards[source].supervisor.as_mut()?;
+        let (record, window) = sup.remove_pair(slot)?;
         let source_slots = &mut self.shards[source].slots;
         let removed = source_slots.swap_remove(slot);
         debug_assert_eq!(removed, global);
@@ -1433,43 +1437,35 @@ impl ShardedFleet {
                 slot,
             };
         }
-        self.adopt(global, target, Some(snapshot)).ok_or_else(|| {
-            DetectorError::invalid(format!(
-                "pair {global} could not be hosted on shard {target}; orphaned"
-            ))
-        })
+        self.adopt(global, target, Some(record), WindowSource::Live(window))
     }
 
-    /// Imports pair `global` onto live shard `target` (see
-    /// `Supervisor::adopt_pair`) and records its new home. Returns whether
-    /// the import was degraded, or `None` when the pair could not be hosted
-    /// and was orphaned instead — carried, never lost.
+    /// Admits pair `global` onto shard `target` with `record` (a new one
+    /// when `None`) and its window from `source`, and records its new
+    /// home. Returns whether the pair runs degraded, or `None` when
+    /// `target` is dead and the pair was orphaned instead — carried, never
+    /// lost.
     fn adopt(
         &mut self,
         global: usize,
         target: usize,
-        snapshot: Option<PairSnapshot>,
+        record: Option<PairRecord>,
+        source: WindowSource,
     ) -> Option<bool> {
         let entry = &self.table[global];
         let host = &mut self.shards[target];
-        let imported = host
-            .supervisor
-            .as_mut()
-            .and_then(|sup| sup.adopt_pair(snapshot, &entry.label, entry.kind).ok());
-        match imported {
-            Some((slot, degraded)) => {
-                host.slots.push(global);
-                self.table[global].home = PairHome::Assigned {
-                    shard: target,
-                    slot,
-                };
-                Some(degraded)
-            }
-            None => {
-                self.table[global].home = PairHome::Orphaned;
-                None
-            }
-        }
+        let Some(sup) = host.supervisor.as_mut() else {
+            self.table[global].home = PairHome::Orphaned;
+            return None;
+        };
+        let record = record.unwrap_or_else(|| sup.record(Arc::clone(&entry.label), entry.kind));
+        let (slot, degraded) = sup.admit(record, source);
+        host.slots.push(global);
+        self.table[global].home = PairHome::Assigned {
+            shard: target,
+            slot,
+        };
+        Some(degraded)
     }
 
     /// Declares `shard` dead immediately (as if its heartbeat budget had
@@ -1559,48 +1555,38 @@ impl ShardedFleet {
         // temporary exclusive claim (the dead supervisor just released
         // its own). Any failure here degrades the migration, never
         // aborts it.
-        let recover_cfg = shard_config(&self.config.base, victim);
-        let recovered: Vec<PairSnapshot> = match &self.store_root {
-            Some(root) => {
-                let dir = shard_dir(root, victim);
-                let owner = format!("migrator:shard-{victim:02}");
-                match open_store(
-                    dir,
-                    self.config.keep_generations,
-                    owner,
-                    self.medium.as_ref(),
-                ) {
-                    Ok(store) => match Supervisor::recover_pairs(&recover_cfg, &store) {
-                        Ok(Some(fleet)) => fleet.pairs,
-                        Ok(None) | Err(_) => Vec::new(),
-                    },
-                    Err(_) => Vec::new(),
-                }
-            }
-            None => Vec::new(),
-        };
+        let config = shard_config(&self.config.base, victim);
+        let recalled = self.store_root.as_ref().and_then(|root| {
+            let owner = format!("migrator:shard-{victim:02}");
+            let keep = self.config.keep_generations;
+            let store = open_store(shard_dir(root, victim), keep, owner, self.medium.as_ref());
+            let store = store.ok()?;
+            let roster = Roster::read(&store, &config).ok().flatten()?;
+            Some((store, roster))
+        });
 
-        let victims: Vec<(usize, usize)> = self
+        let victims: Vec<usize> = self
             .table
             .iter()
             .enumerate()
             .filter_map(|(global, entry)| match entry.home {
-                PairHome::Assigned { shard, slot } if shard == victim => Some((global, slot)),
+                PairHome::Assigned { shard, .. } if shard == victim => Some(global),
                 _ => None,
             })
             .collect();
         let live = self.live_shard_ids();
-        for (global, slot) in victims {
+        for global in victims {
             let entry = &self.table[global];
-            // A stale store could hold some other pair's state under this
-            // slot index; the authoritative identity check guards against
-            // migrating the wrong window.
-            let snapshot = recovered
-                .get(slot)
-                .filter(|s| *s.label == *entry.label && s.kind == entry.kind)
-                .cloned();
+            // The state listed under the pair's own label, if any: pairs
+            // added since the last checkpoint come back degraded.
+            let (record, window) = recalled
+                .as_ref()
+                .and_then(|(store, roster)| roster.recall(store, &entry.label, entry.kind))
+                .map_or((None, WindowSource::Lost), |(record, window)| {
+                    (Some(record), window)
+                });
             let adopted = rendezvous_shard(entry.key, &live)
-                .and_then(|target| Some((target, self.adopt(global, target, snapshot)?)));
+                .and_then(|target| Some((target, self.adopt(global, target, record, window)?)));
             let Some((target, degraded)) = adopted else {
                 self.table[global].home = PairHome::Orphaned;
                 report.orphaned += 1;
@@ -1689,7 +1675,10 @@ impl ShardedFleet {
             let Some(target) = rendezvous_shard(self.table[global].key, &live) else {
                 continue;
             };
-            if self.adopt(global, target, None).is_some() {
+            if self
+                .adopt(global, target, None, WindowSource::Lost)
+                .is_some()
+            {
                 report.migrated += 1;
                 report.degraded_imports += 1;
             }
@@ -1736,7 +1725,7 @@ impl ShardedFleet {
         match self.table.get(pair)?.home {
             PairHome::Assigned { .. } => {
                 let (_, sup, slot) = self.host_of(pair)?;
-                sup.containment(slot)
+                sup.mitigation(slot).map(MitigationPolicy::state)
             }
             PairHome::Orphaned => Some(ContainmentState::Inactive),
         }
@@ -1746,7 +1735,7 @@ impl ShardedFleet {
     /// current episode's first rung has taken force (None for orphans).
     pub fn containment_latency_ticks(&self, pair: usize) -> Option<u64> {
         let (_, sup, slot) = self.host_of(pair)?;
-        sup.containment_latency_ticks(slot)
+        sup.mitigation(slot)?.containment_latency_ticks()
     }
 
     /// Feeds a post-mitigation re-measurement into `pair`'s containment
@@ -2883,13 +2872,391 @@ mod tests {
             for (slot, window) in bare.iter().enumerate().rev() {
                 let mut expected = Vec::new();
                 window.checkpoint(&mut expected).unwrap();
-                let snapshot = supervisor.remove_pair(slot).unwrap();
-                assert_eq!(
-                    snapshot.window.unwrap(),
-                    expected,
-                    "case {case} pair {slot}"
-                );
+                let (_, window) = supervisor.remove_pair(slot).unwrap();
+                let mut written = Vec::new();
+                window.checkpoint(&mut written).unwrap();
+                assert_eq!(written, expected, "case {case} pair {slot}");
             }
+        }
+    }
+    fn temp_root(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "cchunter-shard-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A panicked pair's window is rebuilt from the checkpoint listed
+    /// under its own label, even after a move reused its slot: B takes
+    /// A's slot when A moves away, and B's rebuild must not read A's
+    /// checkpointed window (which would convict quiet B at once).
+    #[test]
+    fn panic_rebuild_after_a_move_restores_the_pairs_own_window() {
+        let root = temp_root("rebuild");
+        let mut fleet = ShardedFleet::with_store_root(test_config(2), &root).unwrap();
+        for pair in 0..8 {
+            fleet
+                .add_contention_pair(format!("memory-bus: pair {pair}"))
+                .unwrap();
+        }
+        let shard = fleet.shard_of(0).unwrap();
+        let slots = &fleet.shards[shard].slots;
+        let (a, b) = (slots[0], *slots.last().unwrap());
+        assert_ne!(a, b, "shard {shard} hosts two pairs");
+        let mut source = |pair: usize, _tick: u64, _attempt: u32| {
+            let histogram = if pair == a {
+                covert_histogram()
+            } else {
+                quiet_histogram()
+            };
+            Ok::<PairInput, ProbeFault>(PairInput::Harvest(Harvest::Complete(histogram)))
+        };
+        for _ in 0..6 {
+            fleet.tick(&mut source);
+        }
+        assert!(fleet.pair_statuses()[a].verdict.is_covert());
+        assert_eq!(fleet.pair_statuses()[b].verdict, Verdict::Clean);
+        fleet.checkpoint().unwrap();
+        let window = |fleet: &ShardedFleet, slot: usize| {
+            let mut text = Vec::new();
+            let sup = fleet.shards[shard].supervisor.as_ref().unwrap();
+            sup.window_of(slot).unwrap().checkpoint(&mut text).unwrap();
+            String::from_utf8(text).unwrap()
+        };
+        let checkpointed = window(&fleet, fleet.shards[shard].slots.len() - 1);
+
+        fleet.move_pair(a, 1 - shard).unwrap();
+        assert_eq!(fleet.table[b].home, PairHome::Assigned { shard, slot: 0 });
+        fleet.arm(FleetFault::PairPanic(b, 1)).unwrap();
+        fleet.tick(&mut source);
+        assert_eq!(window(&fleet, 0), checkpointed, "B restores its own window");
+        for _ in 0..4 {
+            fleet.tick(&mut source);
+            let status = &fleet.pair_statuses()[b];
+            assert!(!status.verdict.is_covert(), "{status:?}");
+        }
+        assert!(fleet.pair_statuses()[a].verdict.is_covert());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A label is a pair's store identity: one with leading or trailing
+    /// whitespace would come back trimmed from the manifest, its state
+    /// orphaned.
+    #[test]
+    fn labels_with_edge_whitespace_are_refused() {
+        let mut fleet = ShardedFleet::new(test_config(2)).unwrap();
+        for label in [" bus", "bus ", "bus\t", "\u{a0}bus", ""] {
+            assert!(
+                matches!(
+                    fleet.add_contention_pair(label),
+                    Err(DetectorError::InvalidConfig { .. })
+                ),
+                "{label:?}"
+            );
+        }
+        assert!(fleet.is_empty());
+        fleet.add_contention_pair("bus, core 0 <-> core 1").unwrap();
+    }
+
+    /// A control character would break the manifest line it rides in
+    /// (a newline makes the shard's store unreadable).
+    #[test]
+    fn labels_with_control_characters_are_refused() {
+        let mut fleet = ShardedFleet::new(test_config(2)).unwrap();
+        for label in ["bus\nend", "bus\r", "bus\u{0}spy", "bus\u{7f}"] {
+            assert!(
+                matches!(
+                    fleet.add_oscillation_pair(label),
+                    Err(DetectorError::InvalidConfig { .. })
+                ),
+                "{label:?}"
+            );
+        }
+        assert!(fleet.is_empty());
+    }
+
+    /// Two live pairs under one label would share one store identity, and
+    /// a restart could bring back only one of them.
+    #[test]
+    fn duplicate_live_labels_are_refused() {
+        let mut fleet = ShardedFleet::new(test_config(2)).unwrap();
+        fleet.add_contention_pair("bus").unwrap();
+        for kind in [PairKind::Contention, PairKind::Oscillation] {
+            let added = match kind {
+                PairKind::Contention => fleet.add_contention_pair("bus"),
+                PairKind::Oscillation => fleet.add_oscillation_pair("bus"),
+            };
+            assert!(matches!(added, Err(DetectorError::InvalidConfig { .. })));
+        }
+        assert_eq!(fleet.len(), 1);
+        fleet.verify_accounting().unwrap();
+    }
+
+    /// The quantum `tick` of pair `pair` in the move-equivalence schedule:
+    /// even pairs covert, odd pairs quiet, with partial and missed quanta.
+    fn scheduled_input(pair: usize, tick: u64, kind: PairKind) -> PairInput {
+        let covert = pair.is_multiple_of(2);
+        let lost_fraction = 0.25 + 0.125 * (tick % 3) as f64;
+        let shape = (tick + pair as u64) % 5;
+        match kind {
+            _ if shape == 0 => PairInput::Missed,
+            PairKind::Contention => {
+                let histogram = if covert {
+                    covert_histogram()
+                } else {
+                    quiet_histogram()
+                };
+                PairInput::Harvest(match shape {
+                    1 => Harvest::Partial {
+                        histogram,
+                        lost_fraction,
+                    },
+                    _ => Harvest::Complete(histogram),
+                })
+            }
+            PairKind::Oscillation => {
+                let mut rng = SmallRng::seed_from_u64(tick << 8 | pair as u64);
+                let records = (0..192)
+                    .map(|i| {
+                        let up = if covert {
+                            (i / 16) % 2 == 0
+                        } else {
+                            rng.gen_range(0u32..2) == 0
+                        };
+                        ConflictRecord {
+                            cycle: 50 * i as u64,
+                            replacer: u8::from(up),
+                            victim: u8::from(!up),
+                        }
+                    })
+                    .collect();
+                PairInput::Conflicts {
+                    records,
+                    lost_fraction: if shape == 1 { lost_fraction } else { 0.0 },
+                }
+            }
+        }
+    }
+
+    /// Moving a pair by value is moving it through checkpoint text: for
+    /// each pair of both kinds, contained or not, after complete, partial
+    /// and missed quanta, two twin fleets — one moving the pair by value,
+    /// the other after sending its window through `checkpoint` →
+    /// `restore` and its breaker and containment through their text forms
+    /// — report the same statuses, shard aside, for 16 ticks.
+    #[test]
+    fn moving_by_value_reports_like_moving_through_text() {
+        let kinds = [
+            PairKind::Contention,
+            PairKind::Contention,
+            PairKind::Oscillation,
+            PairKind::Oscillation,
+        ];
+        let build = || {
+            let mut fleet = ShardedFleet::new(test_config(2)).unwrap();
+            for (pair, kind) in kinds.iter().enumerate() {
+                let label = format!("pair {pair}");
+                match kind {
+                    PairKind::Contention => fleet.add_contention_pair(label),
+                    PairKind::Oscillation => fleet.add_oscillation_pair(label),
+                }
+                .unwrap();
+            }
+            fleet
+        };
+        let mut source = |pair: usize, tick: u64, _attempt: u32| {
+            Ok::<PairInput, ProbeFault>(scheduled_input(pair, tick, kinds[pair]))
+        };
+        let statuses = |fleet: &ShardedFleet| -> Vec<String> {
+            let statuses = fleet.pair_statuses().into_iter();
+            statuses
+                .map(|status| {
+                    format!(
+                        "{:?}",
+                        FleetPairStatus {
+                            shard: None,
+                            ..status
+                        }
+                    )
+                })
+                .collect()
+        };
+        let mut contained = [false; 4];
+        for (moved, was_contained) in contained.iter_mut().enumerate() {
+            let (mut by_value, mut by_text) = (build(), build());
+            for _ in 0..12 {
+                by_value.tick(&mut source);
+                by_text.tick(&mut source);
+            }
+            *was_contained = by_value.containment(moved).unwrap().is_active();
+            let PairHome::Assigned { shard, slot } = by_text.table[moved].home else {
+                panic!("pair {moved} is hosted");
+            };
+            let sup = by_text.shards[shard].supervisor.as_mut().unwrap();
+            sup.round_trip_through_text(slot);
+            by_value.move_pair(moved, 1 - shard).unwrap();
+            by_text.move_pair(moved, 1 - shard).unwrap();
+            assert_eq!(
+                by_value.pair_statuses()[moved].verdict,
+                Verdict::Inconclusive
+            );
+            for tick in 0..16 {
+                by_value.tick(&mut source);
+                by_text.tick(&mut source);
+                let value = statuses(&by_value);
+                assert_eq!(value, statuses(&by_text), "pair {moved} tick {tick}");
+            }
+        }
+        assert_eq!(contained, [true, false, true, false]);
+    }
+
+    /// A pair's fingerprint: a Δt no other pair's harvests carry; even
+    /// pairs burst like a covert channel, odd ones stay quiet.
+    fn fingerprint(pair: usize) -> DensityHistogram {
+        let histogram = if pair.is_multiple_of(2) {
+            covert_histogram()
+        } else {
+            quiet_histogram()
+        };
+        DensityHistogram::from_bins(histogram.bins().to_vec(), 10_000 + pair as u64).unwrap()
+    }
+
+    /// A seeded schedule test of every path a pair can take: on a
+    /// three-shard fleet with a store root (which also checkpoints itself
+    /// every third tick), each step ticks, arms a pair panic, kills or
+    /// revives a shard, checkpoints, or restarts (drop the fleet, reopen
+    /// the root, re-add every label). Each pair's harvests
+    /// carry its own fingerprint. After every step the books balance,
+    /// every pair's window holds only its own fingerprint or gaps, no
+    /// degraded pair reports Clean, and a moved, migrated or restored pair
+    /// reports Inconclusive until its first analysis on its new shard.
+    #[test]
+    fn seeded_schedules_keep_every_pair_on_its_own_evidence() {
+        const PAIRS: usize = 6;
+        let mut config = ShardedFleetConfig {
+            rebalance_per_tick: 4,
+            ..test_config(3)
+        };
+        config.base.checkpoint_every = 3;
+        let open = |root: &Path| {
+            let mut fleet = ShardedFleet::with_store_root(config.clone(), root).unwrap();
+            for pair in 0..PAIRS {
+                fleet
+                    .add_contention_pair(format!("bus: pair {pair}"))
+                    .unwrap();
+            }
+            fleet
+        };
+        let mut source = |pair: usize, tick: u64, _attempt: u32| {
+            let histogram = fingerprint(pair);
+            Ok::<PairInput, ProbeFault>(PairInput::Harvest(match (tick + pair as u64) % 7 {
+                0 => Harvest::Missed,
+                1 => Harvest::Partial {
+                    histogram,
+                    lost_fraction: 0.5,
+                },
+                _ => Harvest::Complete(histogram),
+            }))
+        };
+        for seed in 0..48u64 {
+            let root = temp_root(&format!("schedule-{seed}"));
+            let mut rng = SmallRng::seed_from_u64(0x5C4E_D000 + seed);
+            let mut fleet = open(&root);
+            // Pairs admitted onto a shard and not analyzed there since.
+            let mut unanalyzed = HashSet::new();
+            for step in 0..60 {
+                let at = format!("seed {seed} step {step}");
+                let mut homes: Vec<Option<usize>> = (0..PAIRS).map(|p| fleet.shard_of(p)).collect();
+                match rng.gen_range(0u32..13) {
+                    0..=3 => {
+                        let report = fleet.tick(&mut source);
+                        for shard_report in report.shard_reports.iter().flatten() {
+                            for pair_report in &shard_report.reports {
+                                if let PairOutcome::Analyzed(_) | PairOutcome::Degraded { .. } =
+                                    pair_report.outcome
+                                {
+                                    let global = fleet
+                                        .table
+                                        .iter()
+                                        .position(|e| e.label == pair_report.label);
+                                    unanalyzed.remove(&global.unwrap());
+                                }
+                            }
+                        }
+                    }
+                    4..=7 => {
+                        let pair = rng.gen_range(0..PAIRS);
+                        let _ = fleet.arm(FleetFault::PairPanic(pair, 1));
+                    }
+                    8 => {
+                        fleet.kill_shard(rng.gen_range(0..3)).unwrap();
+                    }
+                    9 | 10 => {
+                        let dead: Vec<usize> = (0..3)
+                            .filter(|&s| fleet.shard_health(s) == Some(ShardHealth::Dead))
+                            .collect();
+                        if !dead.is_empty() {
+                            fleet
+                                .revive_shard(dead[rng.gen_range(0..dead.len())])
+                                .unwrap();
+                        }
+                    }
+                    11 => {
+                        fleet.checkpoint().unwrap();
+                    }
+                    _ => {
+                        // A pair with no checkpoint comes back fresh.
+                        drop(fleet);
+                        fleet = open(&root);
+                        unanalyzed = fleet
+                            .pair_statuses()
+                            .iter()
+                            .filter(|s| s.restored_from.is_some() || s.degraded)
+                            .map(|s| s.pair)
+                            .collect();
+                        homes.clear();
+                    }
+                }
+                for (pair, home) in homes.iter().enumerate() {
+                    if fleet.shard_of(pair) != *home {
+                        unanalyzed.insert(pair);
+                    }
+                }
+
+                fleet
+                    .verify_accounting()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                for status in fleet.pair_statuses() {
+                    let pair = status.pair;
+                    assert!(
+                        !(status.degraded && status.verdict == Verdict::Clean),
+                        "{at}: {status:?}"
+                    );
+                    if unanalyzed.contains(&pair) {
+                        assert_eq!(status.verdict, Verdict::Inconclusive, "{at}: {status:?}");
+                    }
+                    let PairHome::Assigned { shard, slot } = fleet.table[pair].home else {
+                        continue;
+                    };
+                    let mut text = Vec::new();
+                    let sup = fleet.shards[shard].supervisor.as_ref().unwrap();
+                    sup.window_of(slot).unwrap().checkpoint(&mut text).unwrap();
+                    let own = format!("hist,{},", 10_000 + pair);
+                    for line in String::from_utf8(text).unwrap().lines() {
+                        if line.starts_with("slot,") {
+                            assert!(
+                                line.ends_with(",missed") || line.contains(&own),
+                                "{at}: pair {pair} holds {line:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            drop(fleet);
+            let _ = std::fs::remove_dir_all(&root);
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   [`DetectorError::AnalysisPanicked`] /
 //!   [`DetectorError::DeadlineExceeded`], counts against that pair alone,
 //!   and yields a degraded per-pair report instead of poisoning the batch.
-//!   A panicked detector is rebuilt from the checkpoint store (or reset)
+//!   A panicked detector is rebuilt from its own checkpoint (or reset)
 //!   so the fleet keeps ticking.
 //! * **Retry with deterministic backoff** — `probe_with_retry`, the
 //!   fleet's only retry loop, retries a transiently missed probe up to the
@@ -27,12 +27,21 @@
 //!   failure rate over a sliding window exceeds the threshold are skipped
 //!   (with decaying reported confidence) and probed only on recovery
 //!   ticks, so one broken monitor cannot starve the fleet's audit budget.
-//! * **Crash-safe state** — a shard checkpoint writes every pair's sliding
-//!   window plus a manifest (tick, pair roster, breaker states) through
-//!   the CRC-framed, generational [`CheckpointStore`]. Restart and
-//!   migration share one path: `Supervisor::recover_pairs` reads a store
-//!   back (rolling over corrupt generations and recording that in each
-//!   pair's provenance) and `Supervisor::adopt_pair` re-creates a pair.
+//! * **Crash-safe state** — a pair's durable state is one `PairRecord`
+//!   (label, kind, breaker, containment, confidence, degraded flag,
+//!   provenance, counters), whose only text form is its manifest line. A
+//!   shard checkpoint writes every pair's sliding window plus the manifest
+//!   (tick and the roster of records) through the CRC-framed,
+//!   generational [`CheckpointStore`].
+//! * **One way in** — `Supervisor::admit` places every pair: a new one
+//!   with a fresh window, a moved one with its live window, a restarted or
+//!   migrated one with its stored window. A stored window is read by
+//!   identity (`Roster::recall`): the pair takes the payload its own
+//!   label lists in the store's newest valid manifest, rolling over
+//!   corrupt generations and recording that in its provenance. A panicked
+//!   pair's rebuild reads and re-admits it the same way. A lost or invalid
+//!   window becomes a fresh one and the pair runs degraded, so admission
+//!   never fails.
 //!
 //! One clock: a shard has no tick counter of its own. Every tick-stamped
 //! state (breaker `since_tick`, containment ticks, manifest tick) uses the
@@ -58,7 +67,7 @@ use crate::policy::{
 };
 use crate::shard::FleetPairStatus;
 use crate::span::Tracer;
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, LoadedCheckpoint};
 use crate::DetectorError;
 use std::fmt;
 use std::io::{BufRead, BufReader};
@@ -336,31 +345,42 @@ pub struct RestoredFrom {
     pub rolled_back: usize,
 }
 
-#[derive(Debug)]
-struct Pair {
+/// Everything a pair carries across shards and restarts: its identity,
+/// supervision state, provenance and counters. A hosted [`Pair`] embeds
+/// it; its only text form is its manifest line ([`PairRecord::write`],
+/// beside [`parse_manifest`]).
+#[derive(Debug, Clone)]
+pub(crate) struct PairRecord {
     /// Shared with the fleet's pair table and every [`PairReport`].
-    label: Arc<str>,
-    kind: PairKind,
-    window: OnlineWindow,
+    pub(crate) label: Arc<str>,
+    pub(crate) kind: PairKind,
     breaker: CircuitBreaker,
     mitigation: MitigationPolicy,
     /// Confidence reported while quarantined; decays per skipped tick.
-    quarantine_confidence: f64,
-    last_verdict: Verdict,
-    restored_from: Option<RestoredFrom>,
+    confidence: f64,
     /// Degraded mode: the pair's window provenance is untrusted (e.g. its
     /// checkpoint was unrecoverable after a shard death), so Clean
     /// verdicts floor to [`Verdict::Inconclusive`] — a blinded monitor
     /// must never acquit.
     degraded: bool,
+    restored_from: Option<RestoredFrom>,
     failures: u64,
     panics: u64,
     deadline_misses: u64,
     retries: u64,
+}
+
+/// One hosted pair: its record, its window, and what lives only on this
+/// shard.
+#[derive(Debug)]
+struct Pair {
+    record: PairRecord,
+    window: OnlineWindow,
+    last_verdict: Verdict,
     /// Evidence share of the pair's last analysis on this shard: the
     /// fraction of its window in the largest burst cluster (contention)
     /// or oscillatory (oscillation). Ranks the fleet's top-k suspicious
-    /// pairs; not persisted, so an imported pair starts at zero.
+    /// pairs; not persisted, so an admitted pair starts at zero.
     evidence: f64,
     /// Failures armed by [`crate::ShardedFleet::arm`]; not persisted.
     faults: Armed,
@@ -443,75 +463,94 @@ pub struct TickReport {
     pub checkpoint_error: Option<String>,
 }
 
-/// One pair's portable state: everything needed to re-create the pair in
-/// another shard running the same configuration. This is the unit of
-/// migration and of restart — [`Supervisor::remove_pair`] produces one
-/// from a live pair, [`Supervisor::recover_pairs`] reads a whole store's
-/// worth back, and [`Supervisor::adopt_pair`] re-creates the pair.
-///
-/// Breaker and containment states travel in their serialized (manifest)
-/// form so the importing shard re-validates them against *its* config —
-/// and so an imported active containment comes back flagged for
-/// re-assertion through the new shard's enforcer.
-#[derive(Debug, Clone)]
-pub(crate) struct PairSnapshot {
-    pub(crate) label: String,
-    pub(crate) kind: PairKind,
-    /// The detector's window checkpoint. `None` means the window was
-    /// unrecoverable: the pair can only be imported degraded.
-    pub(crate) window: Option<Vec<u8>>,
-    pub(crate) breaker: String,
-    pub(crate) mitigation: String,
-    pub(crate) quarantine_confidence: f64,
-    pub(crate) degraded: bool,
-    pub(crate) provenance: Option<RestoredFrom>,
-    pub(crate) failures: u64,
-    pub(crate) panics: u64,
-    pub(crate) deadline_misses: u64,
-    pub(crate) retries: u64,
+/// Where an admitted pair's window comes from (see [`Supervisor::admit`]).
+#[derive(Debug)]
+pub(crate) enum WindowSource {
+    /// A new, empty window.
+    Fresh,
+    /// The live window of a pair moved from another shard.
+    Live(OnlineWindow),
+    /// A window checkpoint read back by [`Roster::recall`].
+    Stored(LoadedCheckpoint),
+    /// The pair's window could not be recovered.
+    Lost,
 }
 
-impl PairSnapshot {
-    /// Whether importing this snapshot yields a degraded pair.
-    pub(crate) fn is_degraded(&self) -> bool {
-        self.degraded || self.window.is_none()
-    }
-
-    /// Discards the window checkpoint, forcing a degraded import: the
-    /// fallback when a snapshot's window fails validation on the
-    /// importing shard.
-    pub(crate) fn degrade(mut self) -> Self {
-        self.window = None;
-        self.degraded = true;
-        self
-    }
-}
-
-/// Everything [`Supervisor::recover_pairs`] could read back from a
-/// (possibly dead) shard's checkpoint store.
-#[derive(Debug, Clone)]
-pub(crate) struct RecoveredFleet {
+/// A shard store's newest valid manifest: the pair records it lists, in
+/// the shard's slot order at checkpoint time.
+#[derive(Debug)]
+pub(crate) struct Roster {
     /// The coordinator tick the manifest was written at.
     pub(crate) tick: u64,
     /// Manifest provenance (generation loaded, corrupt generations rolled
     /// over).
-    pub(crate) manifest: RestoredFrom,
-    /// Recovered pair snapshots, in the shard's slot order. Pairs whose
-    /// windows were unrecoverable are present without a window, never
-    /// silently dropped.
-    pub(crate) pairs: Vec<PairSnapshot>,
+    pub(crate) from: RestoredFrom,
+    pub(crate) records: Vec<PairRecord>,
 }
 
-impl RecoveredFleet {
-    /// Corrupt generations rolled over across the manifest and every pair.
-    pub(crate) fn rolled_back(&self) -> usize {
-        self.manifest.rolled_back
-            + self
-                .pairs
-                .iter()
-                .filter_map(|p| p.provenance)
-                .map(|p| p.rolled_back)
-                .sum::<usize>()
+impl Roster {
+    /// Reads the newest valid manifest of `store`, rolling back over
+    /// corrupt generations. `None` means the store has never held a
+    /// manifest.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::CorruptCheckpoint`] when manifests exist
+    /// but no generation validates, storage faults, manifest parse errors,
+    /// and config-validation errors.
+    pub(crate) fn read(
+        store: &CheckpointStore,
+        config: &SupervisorConfig,
+    ) -> Result<Option<Self>, DetectorError> {
+        let Some(loaded) = store.load_latest(MANIFEST_NAME)? else {
+            return Ok(None);
+        };
+        let (tick, records) =
+            parse_manifest(&loaded.payload, config.quarantine, config.mitigation)?;
+        Ok(Some(Roster {
+            tick,
+            from: provenance(&loaded),
+            records,
+        }))
+    }
+
+    /// The record (sharing `label`'s `Arc`) and checkpointed window
+    /// listed under `label` of `kind`: the one read of a pair's stored
+    /// state, shared by restart, dead-shard migration and panic rebuild.
+    /// A pair only ever takes the payload listed under its own label,
+    /// whatever slot it holds now, so a slot reused since the checkpoint
+    /// cannot hand it another pair's window. `None` when the roster does
+    /// not list the pair; a listed pair whose window cannot be read back
+    /// comes with [`WindowSource::Lost`].
+    pub(crate) fn recall(
+        &self,
+        store: &CheckpointStore,
+        label: &Arc<str>,
+        kind: PairKind,
+    ) -> Option<(PairRecord, WindowSource)> {
+        let idx = self
+            .records
+            .iter()
+            .position(|r| r.label == *label && r.kind == kind)?;
+        let window = match store.load_latest(&pair_entry_name(idx)) {
+            Ok(Some(loaded)) => WindowSource::Stored(loaded),
+            Ok(None) | Err(_) => WindowSource::Lost,
+        };
+        let label = Arc::clone(label);
+        Some((
+            PairRecord {
+                label,
+                ..self.records[idx].clone()
+            },
+            window,
+        ))
+    }
+}
+
+fn provenance(loaded: &LoadedCheckpoint) -> RestoredFrom {
+    RestoredFrom {
+        generation: loaded.generation,
+        rolled_back: loaded.rolled_back,
     }
 }
 
@@ -978,9 +1017,12 @@ pub struct ShadowCheckpoint {
 #[derive(Debug)]
 pub(crate) struct Supervisor {
     config: SupervisorConfig,
-    /// `config.hunter`, shared by every window of the table: fresh,
-    /// restored and imported alike.
-    hunter: Arc<CcHunterConfig>,
+    /// An empty window built from `config`: every window of the table
+    /// (fresh, moved in, restored or rebuilt) shares its configuration
+    /// `Arc` and has its capacity.
+    blank: OnlineWindow,
+    /// The containment policy a new pair starts with.
+    idle: MitigationPolicy,
     pairs: Vec<Pair>,
     store: Option<CheckpointStore>,
     registry: Registry,
@@ -998,21 +1040,18 @@ impl Supervisor {
     /// # Errors
     ///
     /// Returns [`DetectorError::InvalidConfig`] if `window_quanta` is zero
-    /// or the mitigation config is invalid.
+    /// or the detection or mitigation config is invalid.
     pub(crate) fn new(
         config: SupervisorConfig,
         registry: Registry,
         tracer: Tracer,
     ) -> Result<Self, DetectorError> {
-        if config.window_quanta == 0 {
-            return Err(DetectorError::invalid(
-                "supervisor window must hold at least one quantum",
-            ));
-        }
-        config.mitigation.validate()?;
+        let blank = OnlineWindow::new(PairKind::Contention, config.hunter, config.window_quanta)?;
+        let idle = MitigationPolicy::new(config.mitigation)?;
         let metrics = FleetMetrics::register(&registry);
         Ok(Supervisor {
-            hunter: Arc::new(config.hunter),
+            blank,
+            idle,
             config,
             pairs: Vec::new(),
             store: None,
@@ -1047,38 +1086,92 @@ impl Supervisor {
 
     /// Number of pairs currently running in degraded mode.
     pub(crate) fn degraded_pairs(&self) -> usize {
-        self.pairs.iter().filter(|p| p.degraded).count()
+        self.pairs.iter().filter(|p| p.record.degraded).count()
     }
 
-    /// Adds a fresh pair at the next slot; returns the slot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates daemon-construction errors.
-    pub(crate) fn add_pair(
-        &mut self,
-        label: Arc<str>,
-        kind: PairKind,
-    ) -> Result<usize, DetectorError> {
-        let window = OnlineWindow::new(kind, Arc::clone(&self.hunter), self.config.window_quanta)?;
-        self.pairs.push(Pair {
+    /// A new pair's record: closed breaker, idle containment, no history.
+    pub(crate) fn record(&self, label: Arc<str>, kind: PairKind) -> PairRecord {
+        PairRecord {
             label,
             kind,
-            window,
             breaker: CircuitBreaker::new(self.config.quarantine),
-            mitigation: MitigationPolicy::new(self.config.mitigation)?,
-            quarantine_confidence: 0.0,
-            last_verdict: Verdict::Clean,
-            restored_from: None,
+            mitigation: self.idle.clone(),
+            confidence: 0.0,
             degraded: false,
+            restored_from: None,
             failures: 0,
             panics: 0,
             deadline_misses: 0,
             retries: 0,
+        }
+    }
+
+    /// Admits the pair `record` describes at the next slot, with its
+    /// window from `source`: the one way into a pair table for new,
+    /// moved, restarted and migrated pairs alike. Returns the slot and
+    /// whether the pair runs degraded.
+    pub(crate) fn admit(&mut self, record: PairRecord, source: WindowSource) -> (usize, bool) {
+        let pair = self.admitted(record, source);
+        let degraded = pair.record.degraded;
+        self.pairs.push(pair);
+        (self.pairs.len() - 1, degraded)
+    }
+
+    /// Builds the pair `record` describes around its window from `source`.
+    /// A stored payload is restored here and nowhere else; a stored or
+    /// live window must be of the record's kind and of this table's
+    /// capacity (the window's own clamp of `window_quanta`), and a live
+    /// one is re-pointed at this table's configuration and its containment
+    /// handed over to this shard's enforcer. A lost or invalid window
+    /// becomes a fresh one and the pair runs degraded with zero
+    /// confidence. The record's provenance becomes the window's: the
+    /// generation a stored window came from, a live window's own, none
+    /// for an empty one. A new pair (fresh and undegraded) reports Clean
+    /// before its first analysis here; every other admission reports
+    /// Inconclusive, so no path acquits a pair without fresh evidence.
+    fn admitted(&self, mut record: PairRecord, source: WindowSource) -> Pair {
+        let fresh = matches!(source, WindowSource::Fresh);
+        let supplied = match source {
+            WindowSource::Fresh | WindowSource::Lost => None,
+            WindowSource::Live(mut window) => {
+                window.share_config(self.blank.config());
+                record.mitigation.hand_over();
+                Some((window, record.restored_from))
+            }
+            WindowSource::Stored(loaded) => {
+                let config = Arc::clone(self.blank.config());
+                let restored =
+                    OnlineWindow::restore(record.kind, config, loaded.payload.as_slice());
+                restored
+                    .ok()
+                    .map(|window| (window, Some(provenance(&loaded))))
+            }
+        };
+        let fits =
+            |w: &OnlineWindow| w.kind() == record.kind && w.capacity() == self.blank.capacity();
+        let (window, from) = match supplied.filter(|(window, _)| fits(window)) {
+            Some(supplied) => supplied,
+            None => {
+                if !fresh {
+                    record.degraded = true;
+                    record.confidence = 0.0;
+                }
+                (self.blank.blank(record.kind), None)
+            }
+        };
+        record.restored_from = from;
+        let last_verdict = if fresh && !record.degraded {
+            Verdict::Clean
+        } else {
+            Verdict::Inconclusive
+        };
+        Pair {
+            record,
+            window,
+            last_verdict,
             evidence: 0.0,
             faults: Armed::default(),
-        });
-        Ok(self.pairs.len() - 1)
+        }
     }
 
     /// The failures armed on `slot`'s pair.
@@ -1092,7 +1185,7 @@ impl Supervisor {
     pub(crate) fn should_attempt(&self, slot: usize, tick: u64) -> bool {
         self.pairs
             .get(slot)
-            .is_some_and(|p| p.breaker.should_attempt(tick))
+            .is_some_and(|p| p.record.breaker.should_attempt(tick))
     }
 
     /// Runs one shard tick at the coordinator's `tick`. `batch` holds one
@@ -1121,20 +1214,20 @@ impl Supervisor {
             let pair = &mut self.pairs[idx];
             let cell = batch.cells.get_mut(idx).and_then(Option::take);
             let (retries, backoff_us) = cell.as_ref().map_or((0, 0), |c| (c.retries, c.backoff_us));
-            pair.retries += u64::from(retries);
+            pair.record.retries += u64::from(retries);
             if retries > 0 && self.tracer.is_enabled() {
                 self.tracer.event(
                     "policy",
                     "retry-backoff",
                     format_args!(
                         "{}: {retries} retries, {backoff_us} µs scheduled at tick {tick}",
-                        pair.label
+                        pair.record.label
                     ),
                 );
             }
             let outcome = match cell {
                 None => {
-                    pair.quarantine_confidence *= pair.breaker.config().confidence_decay;
+                    pair.record.confidence *= pair.record.breaker.config().confidence_decay;
                     self.metrics.quarantine_skips.inc();
                     if self.tracer.is_enabled() {
                         self.tracer.event(
@@ -1142,11 +1235,11 @@ impl Supervisor {
                             "quarantine-skip",
                             format_args!(
                                 "{} (confidence {:.3})",
-                                pair.label, pair.quarantine_confidence
+                                pair.record.label, pair.record.confidence
                             ),
                         );
                     }
-                    let confidence = pair.quarantine_confidence;
+                    let confidence = pair.record.confidence;
                     PairOutcome::Skipped { confidence }
                 }
                 Some(ProbedInput { input, .. }) => {
@@ -1166,10 +1259,10 @@ impl Supervisor {
             let pair = &self.pairs[idx];
             reports.push(PairReport {
                 pair: idx,
-                label: Arc::clone(&pair.label),
+                label: Arc::clone(&pair.record.label),
                 outcome,
-                health: pair.breaker.state(),
-                containment: pair.mitigation.state(),
+                health: pair.record.breaker.state(),
+                containment: pair.record.mitigation.state(),
                 retries,
                 backoff_us,
             });
@@ -1218,9 +1311,9 @@ impl Supervisor {
         let (mut covert, mut quarantined, mut contained) = (0usize, 0usize, 0usize);
         for pair in &self.pairs {
             covert += usize::from(pair.last_verdict.is_covert());
-            quarantined += usize::from(pair.breaker.state() != BreakerState::Closed);
-            contained += usize::from(pair.mitigation.state().is_active());
-            metrics.confidence.observe(pair.quarantine_confidence);
+            quarantined += usize::from(pair.record.breaker.state() != BreakerState::Closed);
+            contained += usize::from(pair.record.mitigation.state().is_active());
+            metrics.confidence.observe(pair.record.confidence);
         }
         metrics.covert_pairs.set(covert as f64);
         metrics.quarantined_pairs.set(quarantined as f64);
@@ -1237,28 +1330,28 @@ impl Supervisor {
         deadline_us: u64,
         result: TimedAnalysis,
     ) -> PairOutcome {
-        let breaker_before = self.pairs[idx].breaker.state();
+        let breaker_before = self.pairs[idx].record.breaker.state();
         let verdict_before = self.pairs[idx].last_verdict;
         let outcome = match result {
             Err(panic) => {
                 let recovery = self.rebuild_detector(idx);
                 let pair = &mut self.pairs[idx];
-                pair.panics += 1;
-                pair.failures += 1;
-                pair.quarantine_confidence = 0.0;
+                pair.record.panics += 1;
+                pair.record.failures += 1;
+                pair.record.confidence = 0.0;
                 pair.evidence = 0.0;
-                pair.breaker.record_failure(tick);
+                pair.record.breaker.record_failure(tick);
                 self.metrics.recoveries.inc();
                 if self.tracer.is_enabled() {
                     self.tracer.event(
                         "supervisor",
                         "panic-contained",
-                        format_args!("{}: {} ({recovery:?})", pair.label, panic.message),
+                        format_args!("{}: {} ({recovery:?})", pair.record.label, panic.message),
                     );
                 }
                 PairOutcome::Failed {
                     error: DetectorError::AnalysisPanicked {
-                        context: pair.label.to_string(),
+                        context: pair.record.label.to_string(),
                         message: panic.message,
                     },
                     recovery,
@@ -1273,18 +1366,18 @@ impl Supervisor {
                     Ok((status, observed)) => (status, observed, None),
                     Err(error) => (pair.window.push_missed(), false, Some(error)),
                 };
-                if pair.degraded && status.verdict == Verdict::Clean {
+                if pair.record.degraded && status.verdict == Verdict::Clean {
                     status.verdict = Verdict::Inconclusive;
                 }
                 pair.last_verdict = status.verdict;
-                pair.quarantine_confidence = status.confidence;
+                pair.record.confidence = status.confidence;
                 pair.evidence = evidence_share(&status);
                 let failure = match error {
                     Some(error) => Some(("analysis-error", error)),
                     None if deadline_us > 0 && elapsed_us > deadline_us => {
-                        pair.deadline_misses += 1;
+                        pair.record.deadline_misses += 1;
                         let error = DetectorError::DeadlineExceeded {
-                            context: pair.label.to_string(),
+                            context: pair.record.label.to_string(),
                             budget_us: deadline_us,
                             elapsed_us,
                         };
@@ -1299,19 +1392,19 @@ impl Supervisor {
                 };
                 match failure {
                     None => {
-                        pair.breaker.record_success(tick);
+                        pair.record.breaker.record_success(tick);
                         self.metrics.analyzed.inc();
                         PairOutcome::Analyzed(status)
                     }
                     Some((event, error)) => {
-                        pair.failures += 1;
-                        pair.breaker.record_failure(tick);
+                        pair.record.failures += 1;
+                        pair.record.breaker.record_failure(tick);
                         self.metrics.degraded.inc();
                         if self.tracer.is_enabled() {
                             self.tracer.event(
                                 "supervisor",
                                 event,
-                                format_args!("{}: {error}", pair.label),
+                                format_args!("{}: {error}", pair.record.label),
                             );
                         }
                         PairOutcome::Degraded { status, error }
@@ -1320,7 +1413,7 @@ impl Supervisor {
             }
         };
         let pair = &mut self.pairs[idx];
-        let breaker_after = pair.breaker.state();
+        let breaker_after = pair.record.breaker.state();
         if discriminant(&breaker_after) != discriminant(&breaker_before) {
             self.metrics.breaker_transitions.inc();
         }
@@ -1332,14 +1425,14 @@ impl Supervisor {
         if let Some(reconciliation) = reconcile_quarantine_recovery(
             breaker_before,
             breaker_after,
-            pair.mitigation.is_contained(),
+            pair.record.mitigation.is_contained(),
         ) {
-            pair.mitigation.reconcile_recovery(reconciliation);
+            pair.record.mitigation.reconcile_recovery(reconciliation);
             if reconciliation.restore_confidence {
                 // `quarantine_confidence` already tracks the freshly
                 // reported status on the success path; clamp out any
                 // residue of the quarantine decay for the degraded paths.
-                pair.quarantine_confidence = pair.quarantine_confidence.clamp(0.0, 1.0);
+                pair.record.confidence = pair.record.confidence.clamp(0.0, 1.0);
             }
             if self.tracer.is_enabled() {
                 self.tracer.event(
@@ -1347,7 +1440,7 @@ impl Supervisor {
                     "quarantine-recovered",
                     format_args!(
                         "{}: breaker closed, streaks {}",
-                        pair.label,
+                        pair.record.label,
                         if reconciliation.reset_covert_streak {
                             "reset (contained)"
                         } else {
@@ -1365,7 +1458,7 @@ impl Supervisor {
                     "verdict-flip",
                     format_args!(
                         "{}: {verdict_before} -> {} at tick {tick} (confidence {:.3})",
-                        pair.label, pair.last_verdict, pair.quarantine_confidence
+                        pair.record.label, pair.last_verdict, pair.record.confidence
                     ),
                 );
             }
@@ -1385,8 +1478,11 @@ impl Supervisor {
         let seed = self.config.seed;
         let pair = &mut self.pairs[idx];
         let covert = pair.last_verdict.is_covert();
-        let report = pair.mitigation.drive(covert, tick, seed, idx, enforcer);
-        let label = &*pair.label;
+        let report = pair
+            .record
+            .mitigation
+            .drive(covert, tick, seed, idx, enforcer);
+        let label = &*pair.record.label;
         let metrics = &self.metrics;
         if report.applied > 0 {
             metrics.mitigations_applied.inc_by(report.applied as u64);
@@ -1465,7 +1561,8 @@ impl Supervisor {
             .pairs
             .get_mut(pair)
             .ok_or_else(|| DetectorError::invalid(format!("no supervised pair {pair}")))?;
-        pair.mitigation
+        pair.record
+            .mitigation
             .record_residual(crate::mitigation::ResidualReading {
                 residual_fraction: residual_fraction.clamp(0.0, 1.0),
                 overhead_fraction: overhead_fraction.clamp(0.0, 1.0),
@@ -1477,50 +1574,44 @@ impl Supervisor {
                 "residual",
                 format_args!(
                     "{}: residual {:.3} of baseline, overhead {:.3}",
-                    pair.label, residual_fraction, overhead_fraction
+                    pair.record.label, residual_fraction, overhead_fraction
                 ),
             );
         }
         Ok(())
     }
 
-    /// One pair's containment standing (None for an out-of-range slot).
-    pub(crate) fn containment(&self, pair: usize) -> Option<ContainmentState> {
-        self.pairs.get(pair).map(|p| p.mitigation.state())
+    /// One pair's containment policy (None for an out-of-range slot).
+    pub(crate) fn mitigation(&self, slot: usize) -> Option<&MitigationPolicy> {
+        self.pairs.get(slot).map(|p| &p.record.mitigation)
     }
 
-    /// One pair's detection-to-containment latency in ticks, once the
-    /// current episode's first rung has taken force.
-    pub(crate) fn containment_latency_ticks(&self, pair: usize) -> Option<u64> {
-        self.pairs
-            .get(pair)
-            .and_then(|p| p.mitigation.containment_latency_ticks())
-    }
-
-    /// Brings a panicked pair's detector back: from the store when
-    /// possible, otherwise a fresh (empty-window) daemon. Never fails —
-    /// a rebuild error degrades to the reset path.
+    /// Brings a panicked pair's detector back through the admit path, with
+    /// the window its own label lists in the store's newest valid manifest
+    /// when there is one, otherwise an empty one. The pair stays on this
+    /// shard, so it keeps reporting its last verdict until its next
+    /// analysis (a Clean one floors to Inconclusive if the rebuild
+    /// degraded it), and its armed failures stay armed. Never fails.
     fn rebuild_detector(&mut self, idx: usize) -> Recovery {
-        let kind = self.pairs[idx].kind;
-        if let Some(store) = &self.store {
-            if let Ok(Some(loaded)) = store.load_latest(&pair_entry_name(idx)) {
-                let payload = loaded.payload.as_slice();
-                if let Ok(window) = OnlineWindow::restore(kind, Arc::clone(&self.hunter), payload) {
-                    self.pairs[idx].window = window;
-                    self.pairs[idx].restored_from = Some(RestoredFrom {
-                        generation: loaded.generation,
-                        rolled_back: loaded.rolled_back,
-                    });
-                    return Recovery::RestoredFromStore {
-                        generation: loaded.generation,
-                    };
-                }
-            }
+        let (record, kept) = (&self.pairs[idx].record, self.pairs[idx].last_verdict);
+        let stored = self.store.as_ref().and_then(|store| {
+            let roster = Roster::read(store, &self.config).ok().flatten()?;
+            roster.recall(store, &record.label, record.kind)
+        });
+        let source = stored.map_or(WindowSource::Fresh, |(_, window)| window);
+        let mut rebuilt = self.admitted(record.clone(), source);
+        if !(rebuilt.record.degraded && kept == Verdict::Clean) {
+            rebuilt.last_verdict = kept;
         }
-        self.pairs[idx].window =
-            OnlineWindow::new(kind, Arc::clone(&self.hunter), self.config.window_quanta)
-                .expect("config validated when the pair was added");
-        Recovery::Reset
+        rebuilt.faults = std::mem::take(&mut self.pairs[idx].faults);
+        let recovery = match rebuilt.record.restored_from {
+            Some(from) => Recovery::RestoredFromStore {
+                generation: from.generation,
+            },
+            None => Recovery::Reset,
+        };
+        self.pairs[idx] = rebuilt;
+        recovery
     }
 
     /// The standing of `slot`, global pair `global` on shard `shard`, as
@@ -1534,45 +1625,21 @@ impl Supervisor {
         let pair = self.pairs.get(slot)?;
         Some(FleetPairStatus {
             pair: global,
-            label: pair.label.to_string(),
-            kind: pair.kind,
+            label: pair.record.label.to_string(),
+            kind: pair.record.kind,
             shard: Some(shard),
             verdict: pair.last_verdict,
-            degraded: pair.degraded,
-            containment: pair.mitigation.state(),
-            health: Some(pair.breaker.state()),
-            restored_from: pair.restored_from,
-            confidence: pair.quarantine_confidence,
-            failure_rate: pair.breaker.failure_rate(),
-            failures: pair.failures,
-            panics: pair.panics,
-            deadline_misses: pair.deadline_misses,
-            retries: pair.retries,
+            degraded: pair.record.degraded,
+            containment: pair.record.mitigation.state(),
+            health: Some(pair.record.breaker.state()),
+            restored_from: pair.record.restored_from,
+            confidence: pair.record.confidence,
+            failure_rate: pair.record.breaker.failure_rate(),
+            failures: pair.record.failures,
+            panics: pair.record.panics,
+            deadline_misses: pair.record.deadline_misses,
+            retries: pair.record.retries,
         })
-    }
-
-    /// Marks `pair` degraded (or lifts the mark): while degraded, the
-    /// pair's Clean verdicts floor to [`Verdict::Inconclusive`] because
-    /// its window provenance is untrusted. The fleet sets this when a pair
-    /// is imported without a recoverable checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range slot.
-    pub(crate) fn set_degraded(
-        &mut self,
-        pair: usize,
-        degraded: bool,
-    ) -> Result<(), DetectorError> {
-        let entry = self
-            .pairs
-            .get_mut(pair)
-            .ok_or_else(|| DetectorError::invalid(format!("no supervised pair {pair}")))?;
-        entry.degraded = degraded;
-        if degraded && entry.last_verdict == Verdict::Clean {
-            entry.last_verdict = Verdict::Inconclusive;
-        }
-        Ok(())
     }
 
     /// Durably checkpoints the shard (every pair's window plus the
@@ -1622,32 +1689,7 @@ impl Supervisor {
             pair.window.checkpoint(&mut payload)?;
             entries.push((pair_entry_name(idx), payload));
         }
-        let mut manifest = String::new();
-        manifest.push_str(MANIFEST_MAGIC);
-        manifest.push('\n');
-        manifest.push_str(&format!("tick,{tick}\n"));
-        manifest.push_str(&format!("pairs,{}\n", self.pairs.len()));
-        for (idx, pair) in self.pairs.iter().enumerate() {
-            manifest.push_str(&format!(
-                "pair,{idx},{},{},{},{},{},{},{},{}\n",
-                pair.kind,
-                pair.breaker.serialize(),
-                pair.quarantine_confidence,
-                pair.failures,
-                pair.panics,
-                pair.deadline_misses,
-                pair.retries,
-                pair.label
-            ));
-            // Containment state rides in its own tagged line (after its
-            // pair line) so v1 manifests without it still parse.
-            manifest.push_str(&format!("mit,{idx},{}\n", pair.mitigation.serialize()));
-            // Degraded mode likewise: optional, absent in older manifests.
-            if pair.degraded {
-                manifest.push_str(&format!("deg,{idx}\n"));
-            }
-        }
-        manifest.push_str("end\n");
+        let manifest = write_manifest(tick, self.pairs.iter().map(|p| &p.record));
         entries.push((MANIFEST_NAME.to_string(), manifest.into_bytes()));
         Ok(entries)
     }
@@ -1721,236 +1763,24 @@ impl Supervisor {
         self.shadow.as_ref()
     }
 
-    /// Removes `pair` from this shard and returns its portable snapshot
-    /// (the drain/rebalance primitive). The removal is `swap_remove` — the
-    /// *last* pair takes the removed pair's slot, and the caller owns
-    /// fixing any external slot maps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::InvalidConfig`] for an out-of-range slot
-    /// and propagates window-serialization errors (in which case the pair
-    /// is *not* removed).
-    pub(crate) fn remove_pair(&mut self, pair: usize) -> Result<PairSnapshot, DetectorError> {
-        let p = self
-            .pairs
-            .get(pair)
-            .ok_or_else(|| DetectorError::invalid(format!("no supervised pair {pair}")))?;
-        let mut window = Vec::new();
-        p.window.checkpoint(&mut window)?;
-        let snapshot = PairSnapshot {
-            label: p.label.to_string(),
-            kind: p.kind,
-            window: Some(window),
-            breaker: p.breaker.serialize(),
-            mitigation: p.mitigation.serialize(),
-            quarantine_confidence: p.quarantine_confidence,
-            degraded: p.degraded,
-            provenance: p.restored_from,
-            failures: p.failures,
-            panics: p.panics,
-            deadline_misses: p.deadline_misses,
-            retries: p.retries,
-        };
-        self.pairs.swap_remove(pair);
-        Ok(snapshot)
-    }
-
-    /// Imports a migrated or restored pair into this shard, appending it at
-    /// the next index. A snapshot without a
-    /// window (or marked degraded) comes in with a fresh empty window and
-    /// runs degraded — its Clean verdicts floor to
-    /// [`Verdict::Inconclusive`]. An imported active containment is
-    /// re-asserted through this fleet's enforcer on the next tick.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::CheckpointMismatch`] when the snapshot's
-    /// breaker/containment state cannot be decoded under this fleet's
-    /// config, or its window fails validation (wrong kind or capacity) —
-    /// callers that must not lose the pair retry with
-    /// [`PairSnapshot::degrade`].
-    fn import_pair(&mut self, snapshot: PairSnapshot) -> Result<usize, DetectorError> {
-        let breaker = CircuitBreaker::deserialize(self.config.quarantine, &snapshot.breaker)
-            .ok_or_else(|| DetectorError::CheckpointMismatch {
-                reason: format!("pair {:?}: undecodable breaker state", snapshot.label),
-            })?;
-        let mitigation =
-            MitigationPolicy::deserialize(self.config.mitigation, &snapshot.mitigation)
-                .ok_or_else(|| DetectorError::CheckpointMismatch {
-                    reason: format!("pair {:?}: undecodable containment state", snapshot.label),
-                })?;
-        let (window, degraded) = match &snapshot.window {
-            Some(payload) if !snapshot.degraded => {
-                let window = OnlineWindow::restore(
-                    snapshot.kind,
-                    Arc::clone(&self.hunter),
-                    payload.as_slice(),
-                )?;
-                let capacity = window.capacity();
-                let expected = self.config.window_quanta.min(512);
-                if capacity != expected {
-                    return Err(DetectorError::CheckpointMismatch {
-                        reason: format!(
-                            "pair {:?}: window capacity {capacity} does not match the configured {expected}",
-                            snapshot.label
-                        ),
-                    });
-                }
-                (window, false)
-            }
-            _ => (
-                OnlineWindow::new(
-                    snapshot.kind,
-                    Arc::clone(&self.hunter),
-                    self.config.window_quanta,
-                )?,
-                true,
-            ),
-        };
-        self.pairs.push(Pair {
-            label: snapshot.label.into(),
-            kind: snapshot.kind,
-            window,
-            breaker,
-            mitigation,
-            quarantine_confidence: if degraded {
-                0.0
-            } else {
-                snapshot.quarantine_confidence
-            },
-            // Until the adoptive fleet's first analysis, the pair's
-            // standing is unknown here — reporting Clean would let a
-            // migration silently acquit a convicted pair.
-            last_verdict: Verdict::Inconclusive,
-            restored_from: snapshot.provenance,
-            degraded,
-            failures: snapshot.failures,
-            panics: snapshot.panics,
-            deadline_misses: snapshot.deadline_misses,
-            retries: snapshot.retries,
-            evidence: 0.0,
-            faults: Armed::default(),
-        });
-        let idx = self.pairs.len() - 1;
-        if self.tracer.is_enabled() {
-            self.tracer.event(
-                "supervisor",
-                "pair-imported",
-                format_args!(
-                    "{} as pair {idx}{}",
-                    self.pairs[idx].label,
-                    if degraded { " (degraded)" } else { "" }
-                ),
-            );
-        }
-        Ok(idx)
-    }
-
-    /// Imports a migrated or restored pair without ever losing it: a
-    /// snapshot that fails validation retries degraded; no snapshot at all
-    /// becomes a fresh pair under the caller's authoritative identity,
-    /// marked degraded. Returns `(slot, imported_degraded)`.
-    ///
-    /// # Errors
-    ///
-    /// Only when even a fresh pair cannot be constructed.
-    pub(crate) fn adopt_pair(
-        &mut self,
-        snapshot: Option<PairSnapshot>,
-        label: &Arc<str>,
-        kind: PairKind,
-    ) -> Result<(usize, bool), DetectorError> {
-        if let Some(snap) = snapshot {
-            let degraded = snap.is_degraded();
-            match self.import_pair(snap.clone()) {
-                Ok(slot) => return Ok((slot, degraded)),
-                Err(_) => {
-                    if let Ok(slot) = self.import_pair(snap.degrade()) {
-                        return Ok((slot, true));
-                    }
-                }
-            }
-        }
-        let slot = self.add_pair(Arc::clone(label), kind)?;
-        self.set_degraded(slot, true)?;
-        Ok((slot, true))
-    }
-
-    /// Reads everything recoverable about a (possibly dead) fleet out of
-    /// its checkpoint store without constructing a `Supervisor`: the
-    /// newest valid manifest generation, then every listed pair's newest
-    /// valid window, rolling back over corrupt generations. Pairs whose
-    /// windows are unrecoverable are returned without a window (forcing a
-    /// degraded import), never dropped — the migration path's zero-lost-
-    /// pairs guarantee starts here. `None` means the store has never held
-    /// a manifest.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::CorruptCheckpoint`] when manifests exist
-    /// but no generation validates, storage faults, manifest parse errors,
-    /// and config-validation errors; per-pair window failures degrade
-    /// instead of erroring.
-    pub(crate) fn recover_pairs(
-        config: &SupervisorConfig,
-        store: &CheckpointStore,
-    ) -> Result<Option<RecoveredFleet>, DetectorError> {
-        config.mitigation.validate()?;
-        let Some(loaded) = store.load_latest(MANIFEST_NAME)? else {
-            return Ok(None);
-        };
-        let manifest_from = RestoredFrom {
-            generation: loaded.generation,
-            rolled_back: loaded.rolled_back,
-        };
-        let manifest = parse_manifest(&loaded.payload, config.quarantine, config.mitigation)?;
-        let fallback_policy = MitigationPolicy::new(config.mitigation)?;
-        let mut pairs = Vec::with_capacity(manifest.pairs.len());
-        for (idx, entry) in manifest.pairs.into_iter().enumerate() {
-            let (window, provenance) = match store.load_latest(&pair_entry_name(idx)) {
-                Ok(Some(l)) => {
-                    let provenance = RestoredFrom {
-                        generation: l.generation,
-                        rolled_back: l.rolled_back,
-                    };
-                    (Some(l.payload), Some(provenance))
-                }
-                Ok(None) | Err(_) => (None, None),
-            };
-            let degraded = entry.degraded || window.is_none();
-            pairs.push(PairSnapshot {
-                label: entry.label,
-                kind: entry.kind,
-                window,
-                breaker: entry.breaker.serialize(),
-                mitigation: entry
-                    .mitigation
-                    .as_ref()
-                    .unwrap_or(&fallback_policy)
-                    .serialize(),
-                quarantine_confidence: entry.quarantine_confidence,
-                degraded,
-                provenance,
-                failures: entry.failures,
-                panics: entry.panics,
-                deadline_misses: entry.deadline_misses,
-                retries: entry.retries,
-            });
-        }
-        Ok(Some(RecoveredFleet {
-            tick: manifest.tick,
-            manifest: manifest_from,
-            pairs,
-        }))
+    /// Removes the pair at `slot` and hands back its record and live
+    /// window, for admission on another shard (the drain/rebalance
+    /// primitive). The removal is `swap_remove` — the *last* pair takes
+    /// the removed pair's slot, and the caller owns fixing any external
+    /// slot maps. `None` for an out-of-range slot.
+    pub(crate) fn remove_pair(&mut self, slot: usize) -> Option<(PairRecord, OnlineWindow)> {
+        (slot < self.pairs.len()).then(|| {
+            let pair = self.pairs.swap_remove(slot);
+            (pair.record, pair.window)
+        })
     }
 
     /// Records that this shard's store was read back at restart: seeds the
     /// shard tick counter with the manifest's tick so scrapes stay
-    /// monotonic, and counts the corrupt generations rolled over.
-    pub(crate) fn note_restore(&self, recovered: &RecoveredFleet) {
-        self.metrics.ticks.seed(recovered.tick);
-        let rolled_back = recovered.rolled_back() as u64;
+    /// monotonic, and counts the `rolled_back` corrupt generations the
+    /// manifest and its windows were read past.
+    pub(crate) fn note_restore(&self, roster: &Roster, rolled_back: u64) {
+        self.metrics.ticks.seed(roster.tick);
         if rolled_back > 0 {
             self.metrics.restore_rollbacks.inc_by(rolled_back);
         }
@@ -1960,8 +1790,8 @@ impl Supervisor {
                 "restore",
                 format_args!(
                     "{} pairs recovered at tick {}, {rolled_back} generations rolled back",
-                    recovered.pairs.len(),
-                    recovered.tick
+                    roster.records.len(),
+                    roster.tick
                 ),
             );
         }
@@ -1971,7 +1801,7 @@ impl Supervisor {
     /// here, in slot order: the input of the fleet's top-k suspicious-pairs
     /// gauge.
     pub(crate) fn evidence(&self) -> impl Iterator<Item = (&Arc<str>, f64)> + '_ {
-        self.pairs.iter().map(|p| (&p.label, p.evidence))
+        self.pairs.iter().map(|p| (&p.record.label, p.evidence))
     }
 
     /// The per-pair analysis latency distribution, for fleet rollups.
@@ -2006,18 +1836,19 @@ impl Supervisor {
         };
         let mut confidence_sum = 0.0f64;
         for pair in &self.pairs {
-            snap.failures += pair.failures;
-            snap.panics += pair.panics;
-            snap.deadline_misses += pair.deadline_misses;
-            snap.retries += pair.retries;
-            snap.quarantined_pairs += usize::from(pair.breaker.state() != BreakerState::Closed);
+            snap.failures += pair.record.failures;
+            snap.panics += pair.record.panics;
+            snap.deadline_misses += pair.record.deadline_misses;
+            snap.retries += pair.record.retries;
+            snap.quarantined_pairs +=
+                usize::from(pair.record.breaker.state() != BreakerState::Closed);
             snap.covert_pairs += usize::from(pair.last_verdict.is_covert());
-            snap.contained_pairs += usize::from(pair.mitigation.state().is_active());
-            snap.mitigations_applied += pair.mitigation.applies();
-            snap.mitigation_failures += pair.mitigation.apply_failures();
-            snap.mitigation_escalations += pair.mitigation.escalations();
-            snap.mitigation_stepdowns += pair.mitigation.step_downs();
-            confidence_sum += pair.quarantine_confidence;
+            snap.contained_pairs += usize::from(pair.record.mitigation.state().is_active());
+            snap.mitigations_applied += pair.record.mitigation.applies();
+            snap.mitigation_failures += pair.record.mitigation.apply_failures();
+            snap.mitigation_escalations += pair.record.mitigation.escalations();
+            snap.mitigation_stepdowns += pair.record.mitigation.step_downs();
+            confidence_sum += pair.record.confidence;
         }
         if !self.pairs.is_empty() {
             snap.mean_confidence = confidence_sum / self.pairs.len() as f64;
@@ -2054,22 +1885,41 @@ fn analyze(window: &mut OnlineWindow, input: SlotInput, batch: &[u8]) -> Analysi
     }
 }
 
-struct ManifestPair {
-    kind: PairKind,
-    breaker: CircuitBreaker,
-    mitigation: Option<MitigationPolicy>,
-    quarantine_confidence: f64,
-    degraded: bool,
-    failures: u64,
-    panics: u64,
-    deadline_misses: u64,
-    retries: u64,
-    label: String,
+/// The manifest of a shard holding `records`, in slot order, at
+/// coordinator tick `tick`; [`parse_manifest`] reads it back.
+fn write_manifest<'a>(tick: u64, records: impl ExactSizeIterator<Item = &'a PairRecord>) -> String {
+    let mut manifest = format!("{MANIFEST_MAGIC}\ntick,{tick}\npairs,{}\n", records.len());
+    for (idx, record) in records.enumerate() {
+        record.write(idx, &mut manifest);
+    }
+    manifest.push_str("end\n");
+    manifest
 }
 
-struct Manifest {
-    tick: u64,
-    pairs: Vec<ManifestPair>,
+impl PairRecord {
+    /// Appends this record's manifest lines as roster entry `idx`:
+    /// `pair,<idx>,<kind>,<breaker>,<confidence>,<failures>,<panics>,
+    /// <deadline-misses>,<retries>,<label…>`, then `mit,<idx>,<policy>`,
+    /// then `deg,<idx>` when degraded. The tagged lines follow their pair
+    /// line, so manifests written before containment and degraded mode
+    /// existed still parse.
+    fn write(&self, idx: usize, out: &mut String) {
+        out.push_str(&format!(
+            "pair,{idx},{},{},{},{},{},{},{},{}\nmit,{idx},{}\n",
+            self.kind,
+            self.breaker.serialize(),
+            self.confidence,
+            self.failures,
+            self.panics,
+            self.deadline_misses,
+            self.retries,
+            self.label,
+            self.mitigation.serialize()
+        ));
+        if self.degraded {
+            out.push_str(&format!("deg,{idx}\n"));
+        }
+    }
 }
 
 fn manifest_error(line: usize, reason: impl Into<String>) -> DetectorError {
@@ -2079,14 +1929,20 @@ fn manifest_error(line: usize, reason: impl Into<String>) -> DetectorError {
     })
 }
 
+/// Parses a manifest written by [`PairRecord::write`] into its tick and
+/// pair records, in slot order. A pair without a `mit,` line gets an idle
+/// containment policy.
 fn parse_manifest(
     payload: &[u8],
     quarantine: QuarantineConfig,
     mitigation: MitigationConfig,
-) -> Result<Manifest, DetectorError> {
+) -> Result<(u64, Vec<PairRecord>), DetectorError> {
+    let idle = MitigationPolicy::new(mitigation)?;
     let mut tick: Option<u64> = None;
     let mut declared_pairs: Option<usize> = None;
-    let mut pairs: Vec<ManifestPair> = Vec::new();
+    let mut pairs: Vec<PairRecord> = Vec::new();
+    // The pair whose `mit,` line has been read, to refuse a duplicate.
+    let mut annotated: Option<usize> = None;
     let mut saw_magic = false;
     let mut saw_end = false;
     for (idx, line) in BufReader::new(payload).lines().enumerate() {
@@ -2189,63 +2045,60 @@ fn parse_manifest(
                 let panics = counter("panic")?;
                 let deadline_misses = counter("deadline-miss")?;
                 let retries = counter("retry")?;
-                let label = fields.next().unwrap_or("").to_string();
-                pairs.push(ManifestPair {
+                pairs.push(PairRecord {
+                    label: fields.next().unwrap_or("").into(),
                     kind,
                     breaker,
-                    mitigation: None,
-                    quarantine_confidence: confidence,
+                    mitigation: idle.clone(),
+                    confidence,
                     degraded: false,
+                    restored_from: None,
                     failures,
                     panics,
                     deadline_misses,
                     retries,
-                    label,
                 });
             }
-            "mit" => {
-                // mit,<idx>,<serialized policy> — optional, must follow
-                // the pair line it annotates.
-                let (idx_field, policy_field) = rest.split_once(',').ok_or_else(|| {
-                    manifest_error(line_no, format!("malformed mitigation line {rest:?}"))
-                })?;
-                let mit_idx: usize = idx_field.trim().parse().map_err(|e| {
-                    manifest_error(line_no, format!("bad mitigation pair index: {e}"))
-                })?;
-                if mit_idx + 1 != pairs.len() {
+            "mit" | "deg" => {
+                // mit,<idx>,<serialized policy> and deg,<idx> (degraded
+                // mode): optional, each must follow the pair line it
+                // annotates.
+                let what = if tag == "mit" {
+                    "mitigation"
+                } else {
+                    "degraded"
+                };
+                let (idx_field, policy_field) = match rest.split_once(',') {
+                    Some((idx, policy)) => (idx, Some(policy)),
+                    None => (rest, None),
+                };
+                if (tag == "mit") != policy_field.is_some() {
+                    return Err(manifest_error(line_no, format!("malformed {what} line")));
+                }
+                let at: usize = idx_field
+                    .trim()
+                    .parse()
+                    .map_err(|e| manifest_error(line_no, format!("bad {what} pair index: {e}")))?;
+                if at + 1 != pairs.len() {
                     return Err(manifest_error(
                         line_no,
-                        format!(
-                            "mitigation line for pair {mit_idx} does not follow its pair entry"
-                        ),
+                        format!("{what} line for pair {at} does not follow its pair entry"),
                     ));
                 }
-                let policy =
-                    MitigationPolicy::deserialize(mitigation, policy_field).ok_or_else(|| {
+                let Some(policy_field) = policy_field else {
+                    pairs[at].degraded = true;
+                    continue;
+                };
+                if annotated.replace(at) == Some(at) {
+                    return Err(manifest_error(
+                        line_no,
+                        format!("duplicate mitigation line for pair {at}"),
+                    ));
+                }
+                pairs[at].mitigation = MitigationPolicy::deserialize(mitigation, policy_field)
+                    .ok_or_else(|| {
                         manifest_error(line_no, format!("bad containment state {policy_field:?}"))
                     })?;
-                let entry = pairs.last_mut().expect("index checked above");
-                if entry.mitigation.is_some() {
-                    return Err(manifest_error(
-                        line_no,
-                        format!("duplicate mitigation line for pair {mit_idx}"),
-                    ));
-                }
-                entry.mitigation = Some(policy);
-            }
-            "deg" => {
-                // deg,<idx> — optional degraded-mode marker, must follow
-                // the pair entry it annotates.
-                let deg_idx: usize = rest.trim().parse().map_err(|e| {
-                    manifest_error(line_no, format!("bad degraded pair index: {e}"))
-                })?;
-                if deg_idx + 1 != pairs.len() {
-                    return Err(manifest_error(
-                        line_no,
-                        format!("degraded line for pair {deg_idx} does not follow its pair entry"),
-                    ));
-                }
-                pairs.last_mut().expect("index checked above").degraded = true;
             }
             other => {
                 return Err(manifest_error(
@@ -2273,7 +2126,7 @@ fn parse_manifest(
             ));
         }
     }
-    Ok(Manifest { tick, pairs })
+    Ok((tick, pairs))
 }
 
 #[cfg(test)]
@@ -2568,26 +2421,31 @@ mod tests {
     }
 
     /// Every window of a pair table shares the table's one configuration:
-    /// fresh, migrated in and rebuilt after a panic alike.
+    /// fresh, moved in from another table and rebuilt after a panic alike.
     #[test]
     fn windows_share_one_configuration() {
-        let mut table =
-            Supervisor::new(test_config(), Registry::new(), Tracer::disabled()).unwrap();
-        let label: Arc<str> = "bus: t <-> s".into();
-        table
-            .add_pair(Arc::clone(&label), PairKind::Contention)
-            .unwrap();
-        table
-            .add_pair("l2: t <-> s".into(), PairKind::Oscillation)
-            .unwrap();
-        assert_eq!(Arc::strong_count(&table.hunter), 3);
-        let snapshot = table.remove_pair(0).unwrap();
-        assert_eq!(Arc::strong_count(&table.hunter), 2);
-        table
-            .adopt_pair(Some(snapshot), &label, PairKind::Contention)
-            .unwrap();
+        let table = || Supervisor::new(test_config(), Registry::new(), Tracer::disabled());
+        let (mut table, mut other) = (table().unwrap(), table().unwrap());
+        let shared = Arc::clone(table.blank.config());
+        for (label, kind) in [
+            ("bus: t <-> s", PairKind::Contention),
+            ("l2: t <-> s", PairKind::Oscillation),
+        ] {
+            let record = other.record(label.into(), kind);
+            other.admit(record, WindowSource::Fresh);
+        }
+        let (record, window) = other.remove_pair(0).unwrap();
+        assert!(!Arc::ptr_eq(window.config(), &shared));
+        table.admit(record, WindowSource::Live(window));
+        let record = table.record("mul: t <-> s".into(), PairKind::Contention);
+        table.admit(record, WindowSource::Fresh);
         table.rebuild_detector(0);
-        assert_eq!(Arc::strong_count(&table.hunter), 3);
+        assert!(table
+            .pairs
+            .iter()
+            .all(|p| Arc::ptr_eq(p.window.config(), &shared)));
+        // `shared`, the blank window and the two pairs' windows.
+        assert_eq!(Arc::strong_count(&shared), 4);
     }
 
     #[test]
@@ -2732,6 +2590,43 @@ mod tests {
         cleanup(&root);
     }
 
+    impl Supervisor {
+        /// The window of the pair at `slot`.
+        pub(crate) fn window_of(&self, slot: usize) -> Option<&OnlineWindow> {
+            self.pairs.get(slot).map(|p| &p.window)
+        }
+
+        /// Sends the pair at `slot` through checkpoint text and back, the
+        /// way moves went before they went by value: its window through
+        /// `checkpoint` → `restore`, its breaker and containment through
+        /// their manifest forms.
+        pub(crate) fn round_trip_through_text(&mut self, slot: usize) {
+            let pair = &mut self.pairs[slot];
+            let mut text = Vec::new();
+            pair.window.checkpoint(&mut text).unwrap();
+            let config = Arc::clone(self.blank.config());
+            pair.window = OnlineWindow::restore(pair.record.kind, config, text.as_slice()).unwrap();
+            let record = &mut pair.record;
+            let breaker = record.breaker.serialize();
+            record.breaker = CircuitBreaker::deserialize(self.config.quarantine, &breaker).unwrap();
+            let policy = record.mitigation.serialize();
+            record.mitigation =
+                MitigationPolicy::deserialize(self.config.mitigation, &policy).unwrap();
+        }
+    }
+
+    /// The manifest codec re-emits a manifest written before `PairRecord`
+    /// existed byte for byte: every breaker and containment state, a
+    /// degraded pair and labels with commas.
+    #[test]
+    fn manifest_records_rewrite_the_golden_manifest_byte_for_byte() {
+        let golden = include_str!("../tests/golden/supervisor_manifest_v1.txt");
+        let config = SupervisorConfig::default();
+        let (tick, records) =
+            parse_manifest(golden.as_bytes(), config.quarantine, config.mitigation).unwrap();
+        assert_eq!(write_manifest(tick, records.iter()), golden);
+    }
+
     #[test]
     fn manifest_parser_rejects_garbage() {
         let q = QuarantineConfig::default();
@@ -2753,8 +2648,8 @@ mod tests {
         // A v1 manifest without mit lines still parses (idle policy).
         let ok =
             b"cchunter-supervisor,v1\ntick,5\npair,0,contention,closed;0;0;,1,0,0,0,0,x\nend\n";
-        let manifest = parse_manifest(ok, q, m).unwrap();
-        assert!(manifest.pairs[0].mitigation.is_none());
+        let (_, records) = parse_manifest(ok, q, m).unwrap();
+        assert_eq!(records[0].mitigation, MitigationPolicy::new(m).unwrap());
     }
 
     /// Records enforcement calls; refuses every level in `refuse`. Clones
@@ -3042,7 +2937,8 @@ mod tests {
             Supervisor::new(test_config(), Registry::new(), Tracer::disabled()).unwrap();
         for pair in 0..16 {
             let label = format!("bus: pair {pair}");
-            table.add_pair(label.into(), PairKind::Contention).unwrap();
+            let record = table.record(label.into(), PairKind::Contention);
+            table.admit(record, WindowSource::Fresh);
         }
         let mut batch = ShardBatch::default();
         let mut capacities = Vec::new();

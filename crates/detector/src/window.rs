@@ -7,6 +7,8 @@
 //! the window every quantum, and iteration is always oldest → newest — the
 //! order the checkpoint format and the batch recurrence analysis expect.
 
+use std::num::NonZeroUsize;
+
 /// A ring buffer holding the most recent `capacity` pushed values.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow<T> {
@@ -14,26 +16,21 @@ pub struct SlidingWindow<T> {
     /// Index of the oldest slot once the ring has wrapped (slots.len() ==
     /// capacity); zero while still filling.
     head: usize,
-    capacity: usize,
+    capacity: NonZeroUsize,
 }
 
 impl<T> SlidingWindow<T> {
     /// Creates an empty window retaining at most `capacity` values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "sliding window needs capacity >= 1");
+    pub fn new(capacity: NonZeroUsize) -> Self {
         SlidingWindow {
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity.get()),
             head: 0,
             capacity,
         }
     }
 
     /// Maximum number of retained values.
-    pub fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> NonZeroUsize {
         self.capacity
     }
 
@@ -49,13 +46,13 @@ impl<T> SlidingWindow<T> {
 
     /// Whether the window has reached its capacity.
     pub fn is_full(&self) -> bool {
-        self.slots.len() == self.capacity
+        self.slots.len() == self.capacity.get()
     }
 
     /// Appends `value` as the newest slot, returning the evicted oldest
     /// value when the window was already full.
     pub fn push(&mut self, value: T) -> Option<T> {
-        if self.slots.len() < self.capacity {
+        if self.slots.len() < self.capacity.get() {
             self.slots.push(value);
             return None;
         }
@@ -88,7 +85,7 @@ mod tests {
 
     #[test]
     fn fills_then_wraps_in_order() {
-        let mut w = SlidingWindow::new(3);
+        let mut w = SlidingWindow::new(NonZeroUsize::new(3).unwrap());
         assert!(w.is_empty());
         assert_eq!(w.push(1), None);
         assert_eq!(w.push(2), None);
@@ -104,7 +101,7 @@ mod tests {
 
     #[test]
     fn long_wrap_keeps_chronological_iteration() {
-        let mut w = SlidingWindow::new(5);
+        let mut w = SlidingWindow::new(NonZeroUsize::new(5).unwrap());
         for i in 0..123 {
             w.push(i);
         }
@@ -115,9 +112,16 @@ mod tests {
         assert_eq!(w.newest(), Some(&122));
     }
 
+    /// A zero capacity cannot reach a window: the one constructor that
+    /// sizes one from a plain count refuses zero with a typed error.
     #[test]
-    #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        let _ = SlidingWindow::<u8>::new(0);
+        use crate::online::{OnlineWindow, PairKind};
+        use crate::pipeline::CcHunterConfig;
+        let refused = OnlineWindow::new(PairKind::Contention, CcHunterConfig::default(), 0);
+        assert!(matches!(
+            refused,
+            Err(crate::DetectorError::InvalidConfig { .. })
+        ));
     }
 }

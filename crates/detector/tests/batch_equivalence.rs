@@ -196,7 +196,7 @@ fn arena_views_match_owned_trains() {
 
             // windows(): same partition, zero-copy.
             let span_end = owned.span().map_or(1_000, |(_, last)| last + 1);
-            let w = rng.gen_range(1u64..10_000);
+            let w = std::num::NonZeroU64::new(rng.gen_range(1u64..10_000)).unwrap();
             let borrowed = view.windows(0, span_end, w);
             let cloned = owned.windows(0, span_end, w);
             assert_eq!(borrowed.len(), cloned.len(), "case {case} train {i}");

@@ -11,11 +11,13 @@
 //! values, emptying, garbage splices), and feeds it to the reader under
 //! `catch_unwind`. Assertion messages carry the case seed so failures
 //! reproduce directly. `CCHUNTER_FUZZ_QUICK=1` trims the case count for
-//! CI smoke runs.
+//! CI smoke runs; the nightly job runs the full corpus.
 
 use cchunter_detector::auditor::ConflictRecord;
 use cchunter_detector::online::{Harvest, OnlineContentionDetector, OnlineOscillationDetector};
+use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cchunter_detector::store::CheckpointStore;
+use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
 use cchunter_detector::trace::{
     read_checkpoint, read_conflicts, read_event_train, write_checkpoint, write_conflicts,
     write_event_train, Checkpoint, CheckpointSlot,
@@ -378,4 +380,111 @@ fn corrupted_store_frames_are_typed_not_fatal() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpointed one-shard fleet's store directory: two contention pairs
+/// (one covert, so contained; one label with commas) and an oscillation
+/// pair.
+fn checkpointed_shard(root: &std::path::Path) -> std::path::PathBuf {
+    let config = ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 8,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
+    };
+    let mut fleet = ShardedFleet::with_store_root(config, root).unwrap();
+    fleet.add_contention_pair("bus: t <-> s").unwrap();
+    fleet
+        .add_contention_pair("divider, core 1: a <-> b")
+        .unwrap();
+    fleet.add_oscillation_pair("l2: t <-> s").unwrap();
+    let mut source = |pair: usize, tick: u64, _attempt: u32| {
+        let mut bins = vec![0u64; HISTOGRAM_BINS];
+        bins[0] = 2_400;
+        bins[20] = if pair == 0 { 150 } else { (tick % 3) * 2 };
+        let histogram = DensityHistogram::from_bins(bins, 100_000).unwrap();
+        Ok::<_, ProbeFault>(match pair {
+            2 => PairInput::Missed,
+            _ => PairInput::Harvest(Harvest::Complete(histogram)),
+        })
+    };
+    for _ in 0..8 {
+        fleet.tick(&mut source);
+    }
+    assert!(fleet.containment(0).unwrap().is_active());
+    fleet.checkpoint().unwrap();
+    root.join("shard-00")
+}
+
+/// The supervisor manifest a restart reads first: corrupted with every
+/// corruption kind and re-framed with a valid CRC (so the manifest parser,
+/// not the frame check, sees the damage), reopening the store root gives
+/// a typed error or a valid open — never a panic — and a valid open keeps
+/// its books balanced through re-adding the labels and ticking. The corpus
+/// holds both outcomes.
+#[test]
+fn corrupted_manifests_reopen_typed_or_valid() {
+    let base = std::env::temp_dir().join(format!(
+        "cchunter-corrupt-manifest-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&base);
+    let shard = checkpointed_shard(&base.join("clean"));
+    let manifest = CheckpointStore::open(&shard, 4)
+        .unwrap()
+        .load_latest("supervisor")
+        .unwrap()
+        .unwrap()
+        .payload;
+    let config = ShardedFleetConfig {
+        shards: 1,
+        base: SupervisorConfig {
+            window_quanta: 8,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
+    };
+    let (mut opened, mut refused) = (0, 0);
+    for case in 0..cases() {
+        let mut rng = SmallRng::seed_from_u64(0x3A_41F7 + case);
+        let root = base.join(format!("case-{case}"));
+        let copy = root.join("shard-00");
+        std::fs::create_dir_all(&copy).unwrap();
+        for entry in std::fs::read_dir(&shard).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+        }
+        let mut bytes = manifest.clone();
+        let label = corrupt(&mut rng, &mut bytes);
+        CheckpointStore::open(&copy, 4)
+            .unwrap()
+            .save("supervisor", &bytes)
+            .unwrap();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut fleet = ShardedFleet::with_store_root(config.clone(), &root).ok()?;
+            for name in ["bus: t <-> s", "divider, core 1: a <-> b"] {
+                let _ = fleet.add_contention_pair(name);
+            }
+            let _ = fleet.add_oscillation_pair("l2: t <-> s");
+            fleet.tick(&mut |_pair: usize, _tick: u64, _attempt: u32| {
+                Ok::<_, ProbeFault>(PairInput::Missed)
+            });
+            Some(fleet.verify_accounting())
+        }));
+        match outcome {
+            Err(_) => panic!("case {case}: reopening a {label} manifest panicked"),
+            Ok(Some(Err(e))) => panic!("case {case}: {label} manifest unbalanced the books: {e}"),
+            Ok(Some(Ok(()))) => opened += 1,
+            Ok(None) => refused += 1,
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    assert!(
+        opened > 0 && refused > 0,
+        "{opened} opened, {refused} refused"
+    );
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -129,7 +129,7 @@ fn event_train_windows_partition_events() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xE470_0000 + case);
         let train = EventTrain::from_times(times(&mut rng, 300, 1_000_000));
-        let window = rng.gen_range(1_000u64..200_000);
+        let window = std::num::NonZeroU64::new(rng.gen_range(1_000u64..200_000)).unwrap();
         let windows = train.windows(0, 1_000_000, window);
         let total: u64 = windows.iter().map(|w| w.total_events()).sum();
         assert_eq!(total, train.total_events(), "case {case}");
