@@ -26,11 +26,14 @@
 //! this module emits — enough for round-trip property tests and for a
 //! scrape-side consumer that wants typed samples without a dependency.
 //!
-//! A process-wide [`default_registry`] collects the hot-path instruments of
-//! [`crate::pipeline`], [`crate::online`] and [`crate::policy`]; components
-//! that want isolation (tests, multi-tenant embedders) construct their own
-//! [`Registry`]; every [`crate::ShardedFleet`] shard and its coordinator
-//! own private ones (see [`crate::ShardedFleet::render_prometheus`]).
+//! A process-wide [`default_registry`] collects the module-level
+//! instruments of the batch [`crate::pipeline`] and the [`crate::ingest`]
+//! layer; components that want isolation (tests, multi-tenant embedders)
+//! construct their own [`Registry`]. Every [`crate::ShardedFleet`] shard
+//! and its coordinator own private ones (see
+//! [`crate::ShardedFleet::render_prometheus`]), and the state machines
+//! under a fleet (window, breaker, containment policy) register nothing:
+//! a shard counts their changes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

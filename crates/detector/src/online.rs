@@ -61,9 +61,7 @@ use crate::autocorr::{OscillationDetector, OscillationVerdict};
 use crate::burst::{BurstDetector, BurstVerdict};
 use crate::cluster::{discretize_nonzero, Groups, LevelString, RecurrenceVerdict};
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
-use crate::metrics::{default_registry, Counter};
 use crate::pipeline::{check_contexts, conflict_symbols, CcHunterConfig, Verdict};
-use crate::span;
 use crate::trace::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointSlot};
 use crate::window::SlidingWindow;
 use crate::DetectorError;
@@ -72,39 +70,10 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::num::NonZeroUsize;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The paper's observation-window limit in OS quanta (§IV-B).
 const MAX_WINDOW_QUANTA: usize = 512;
-
-/// The online daemons' process-wide counters (all pairs, all fleets).
-#[derive(Debug)]
-struct OnlineCounters {
-    pushes: Counter,
-    missed: Counter,
-    flips: Counter,
-}
-
-fn counters() -> &'static OnlineCounters {
-    static C: OnceLock<OnlineCounters> = OnceLock::new();
-    C.get_or_init(|| {
-        let registry = default_registry();
-        OnlineCounters {
-            pushes: registry.counter(
-                "cchunter_online_pushes_total",
-                "Quanta pushed into online daemons (all pairs, all fleets)",
-            ),
-            missed: registry.counter(
-                "cchunter_online_missed_total",
-                "Missed quanta (gaps) pushed into online daemons",
-            ),
-            flips: registry.counter(
-                "cchunter_online_verdict_flips_total",
-                "Online daemon verdict changes (clean <-> covert)",
-            ),
-        }
-    })
-}
 
 /// The two resource kinds a window — and a fleet pair — can audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -435,8 +404,6 @@ pub struct OnlineWindow {
     /// invalidated when the bursty sequence changes; the window and bursty
     /// counts come from the running counters at read time.
     cache: Option<(usize, bool)>,
-    /// The last verdict published, so flips can be traced.
-    last_verdict: Verdict,
 }
 
 impl OnlineWindow {
@@ -492,7 +459,6 @@ impl OnlineWindow {
             covert: 0,
             pushes_since_rebase: 0,
             cache: None,
-            last_verdict: Verdict::Clean,
         }
     }
 
@@ -552,7 +518,7 @@ impl OnlineWindow {
         // The dense histogram is analysed and encoded into the arena, and
         // dropped here while still hot.
         let burst = self.ingest_harvest(&harvest.into());
-        Ok(self.publish(burst, None))
+        Ok(self.status(burst, None))
     }
 
     /// Feeds one oscillation quantum's drained conflict records, a
@@ -576,14 +542,16 @@ impl OnlineWindow {
             "conflict records delivered to a contention pair",
         )?;
         check_contexts(records)?;
-        Ok(self.publish_conflicts(records, lost_fraction))
+        let symbols = conflict_symbols(records, 0, u64::MAX);
+        let verdict = self.ingest_symbols(symbols, 1.0 - lost_fraction);
+        Ok(self.status(None, Some(verdict)))
     }
 
     /// Records a quantum whose evidence never arrived: the window keeps its
     /// place as a gap with zero observation weight.
     pub fn push_missed(&mut self) -> OnlineStatus {
         self.ingest_gap();
-        self.publish(None, None)
+        self.status(None, None)
     }
 
     fn expect_kind(&self, kind: PairKind, reason: &str) -> Result<(), DetectorError> {
@@ -593,45 +561,6 @@ impl OnlineWindow {
             });
         }
         Ok(())
-    }
-
-    fn publish_conflicts(
-        &mut self,
-        records: &[ConflictRecord],
-        lost_fraction: f64,
-    ) -> OnlineStatus {
-        let symbols = conflict_symbols(records, 0, u64::MAX);
-        let verdict = self.ingest_symbols(symbols, 1.0 - lost_fraction);
-        self.publish(None, Some(verdict))
-    }
-
-    /// The push path's status: counts the push, and counts a verdict flip
-    /// (traced when the global tracer is on).
-    fn publish(
-        &mut self,
-        burst: Option<BurstVerdict>,
-        oscillation: Option<OscillationVerdict>,
-    ) -> OnlineStatus {
-        let counters = counters();
-        counters.pushes.inc();
-        if burst.is_none() && oscillation.is_none() {
-            counters.missed.inc();
-        }
-        let status = self.status(burst, oscillation);
-        if status.verdict != self.last_verdict {
-            counters.flips.inc();
-            let tracer = span::global();
-            if tracer.is_enabled() {
-                let (kind, from, to) = (self.kind, self.last_verdict, status.verdict);
-                let detail = format!(
-                    "{kind}: {from} -> {to} (confidence {:.3})",
-                    status.confidence
-                );
-                tracer.event("online", "verdict-flip", detail);
-            }
-            self.last_verdict = status.verdict;
-        }
-        status
     }
 
     /// Slides a contention harvest into the window; returns its burst
@@ -671,7 +600,7 @@ impl OnlineWindow {
             "density harvest delivered to an oscillation pair",
         )?;
         let burst = self.ingest_encoded(slot, weight);
-        Ok(self.publish(Some(burst), None))
+        Ok(self.status(Some(burst), None))
     }
 
     /// The one contention ingest: scores the quantum encoded by
@@ -953,7 +882,7 @@ impl OnlineContentionDetector {
     /// window.
     pub fn push_quantum(&mut self, harvest: impl Into<Harvest>) -> OnlineStatus {
         let burst = self.0.ingest_harvest(&harvest.into());
-        self.0.publish(burst, None)
+        self.0.status(burst, None)
     }
 }
 
@@ -1001,10 +930,9 @@ impl OnlineOscillationDetector {
         records: &[ConflictRecord],
         lost_fraction: f64,
     ) -> OnlineStatus {
-        match check_contexts(records) {
-            Ok(()) => self.0.publish_conflicts(records, lost_fraction),
-            Err(_) => self.0.push_missed(),
-        }
+        self.0
+            .push_conflicts(records, lost_fraction)
+            .unwrap_or_else(|_| self.0.push_missed())
     }
 
     /// [`OnlineWindow::push_missed`].

@@ -1,4 +1,5 @@
-//! Retry, backoff, and quarantine policy for supervised probe harvests.
+//! Retry, backoff, quarantine and suspicion policy for supervised probe
+//! harvests.
 //!
 //! A deployed CC-Hunter fleet polls many per-pair probes every quantum, and
 //! individual probes fail in two very different ways:
@@ -14,30 +15,21 @@
 //! replay exact schedules. [`CircuitBreaker`] provides the second: a
 //! per-pair failure-rate window that trips into **quarantine** (open) when
 //! failures exceed a threshold, periodically admits a recovery probe
-//! (half-open), and closes again after enough consecutive successes. All
-//! state is tick-based (the supervisor's quantum counter), never
-//! wall-clock, so behavior is exactly reproducible and serializes cleanly
-//! into checkpoints.
+//! (half-open), and closes again after enough consecutive successes.
+//! [`SuspicionTracker`] is the shard-level counterpart: latency-SLO
+//! suspicion with hysteresis. All state is tick-based (the supervisor's
+//! quantum counter), never wall-clock, so behavior is exactly reproducible
+//! and serializes cleanly into checkpoints.
+//!
+//! These are plain state machines: they count and trace nothing
+//! themselves. The fleet shard that drives a pair's breaker compares its
+//! state before and after each pair step, and counts and traces the
+//! transition under the pair's label.
 
-use crate::metrics::{default_registry, Counter};
-use crate::span;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::OnceLock;
-
-/// Process-wide count of breaker state transitions (any breaker, any
-/// fleet), registered in [`default_registry`].
-fn breaker_transitions_total() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        default_registry().counter(
-            "cchunter_breaker_transitions_total",
-            "Circuit-breaker state transitions across all supervised pairs",
-        )
-    })
-}
 
 /// Exponential-backoff parameters for transient probe failures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,9 +262,8 @@ impl CircuitBreaker {
         }
     }
 
-    /// Records a successful probe at `tick`.
-    pub fn record_success(&mut self, tick: u64) {
-        let before = self.state;
+    /// Records a successful probe.
+    pub fn record_success(&mut self) {
         self.push_outcome(false);
         match self.state {
             BreakerState::Closed => {}
@@ -287,7 +278,6 @@ impl CircuitBreaker {
                 self.maybe_close();
             }
         }
-        self.note_transition(before, tick);
     }
 
     fn maybe_close(&mut self) {
@@ -302,7 +292,6 @@ impl CircuitBreaker {
 
     /// Records a failed probe at `tick`, possibly tripping the breaker.
     pub fn record_failure(&mut self, tick: u64) {
-        let before = self.state;
         self.push_outcome(true);
         match self.state {
             BreakerState::Closed => {
@@ -316,25 +305,6 @@ impl CircuitBreaker {
             BreakerState::HalfOpen { .. } | BreakerState::Open { .. } => {
                 self.state = BreakerState::Open { since_tick: tick };
             }
-        }
-        self.note_transition(before, tick);
-    }
-
-    /// Publishes a state change (same-variant updates such as an open
-    /// breaker refreshing `since_tick` are not transitions) to the global
-    /// transition counter and tracer.
-    fn note_transition(&self, before: BreakerState, tick: u64) {
-        if std::mem::discriminant(&before) == std::mem::discriminant(&self.state) {
-            return;
-        }
-        breaker_transitions_total().inc();
-        let tracer = span::global();
-        if tracer.is_enabled() {
-            tracer.event(
-                "policy",
-                "breaker-transition",
-                format!("{} -> {} at tick {tick}", before.name(), self.state.name()),
-            );
         }
     }
 
@@ -517,131 +487,9 @@ impl SuspicionTracker {
     }
 }
 
-/// Adjustments a pair's supervision state needs when its quarantine
-/// recovery probes succeed (the breaker closes again).
-///
-/// Quarantine (probe health) and containment (threat response) are two
-/// independent axes that interact badly without reconciliation: while
-/// quarantined, every skipped tick multiplicatively decays the pair's
-/// reported confidence, and the mitigation policy's verdict streaks are
-/// frozen at their pre-quarantine values. A pair that is *both* quarantined
-/// and contained would otherwise leave quarantine with (a) a confidence
-/// decayed once by the skip path and again by the muted, mitigated channel
-/// (double decay), and (b) a stale covert streak that instantly
-/// re-escalates the containment ladder off pre-quarantine evidence (a
-/// stuck containment that can never step down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReconciliation {
-    /// Restore the quarantine-decayed confidence to the value the detector
-    /// actually reports, instead of continuing from the decayed floor.
-    pub restore_confidence: bool,
-    /// Clear the pre-quarantine covert streak: escalating containment
-    /// further must take fresh post-recovery evidence.
-    pub reset_covert_streak: bool,
-    /// Clear the clean streak symmetrically: stepping containment down
-    /// must also take fresh post-recovery evidence, not ticks accumulated
-    /// while the probe was wedged.
-    pub reset_clean_streak: bool,
-}
-
-/// Computes the reconciliation required when a breaker transitions from
-/// `before` to `after`, given whether the pair is currently contained by an
-/// active mitigation.
-///
-/// Returns `Some` only on a genuine recovery (quarantined → closed);
-/// confidence is always restored on recovery, and the mitigation streaks
-/// are reset only when a containment is actually active.
-///
-/// ```
-/// use cchunter_detector::policy::{reconcile_quarantine_recovery, BreakerState};
-/// let r = reconcile_quarantine_recovery(
-///     BreakerState::HalfOpen { successes: 2 },
-///     BreakerState::Closed,
-///     true,
-/// )
-/// .expect("recovery");
-/// assert!(r.restore_confidence && r.reset_covert_streak);
-/// ```
-pub fn reconcile_quarantine_recovery(
-    before: BreakerState,
-    after: BreakerState,
-    contained: bool,
-) -> Option<RecoveryReconciliation> {
-    let was_quarantined = !matches!(before, BreakerState::Closed);
-    let now_closed = matches!(after, BreakerState::Closed);
-    if !(was_quarantined && now_closed) {
-        return None;
-    }
-    Some(RecoveryReconciliation {
-        restore_confidence: true,
-        reset_covert_streak: contained,
-        reset_clean_streak: contained,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recovery_reconciliation_only_fires_on_quarantine_close() {
-        // Closed -> Closed: nothing to reconcile.
-        assert_eq!(
-            reconcile_quarantine_recovery(BreakerState::Closed, BreakerState::Closed, true),
-            None
-        );
-        // Closed -> Open is a trip, not a recovery.
-        assert_eq!(
-            reconcile_quarantine_recovery(
-                BreakerState::Closed,
-                BreakerState::Open { since_tick: 3 },
-                true
-            ),
-            None
-        );
-        // Open -> HalfOpen is progress but not yet a recovery.
-        assert_eq!(
-            reconcile_quarantine_recovery(
-                BreakerState::Open { since_tick: 3 },
-                BreakerState::HalfOpen { successes: 1 },
-                true
-            ),
-            None
-        );
-        // HalfOpen -> Closed is the recovery edge.
-        let r = reconcile_quarantine_recovery(
-            BreakerState::HalfOpen { successes: 2 },
-            BreakerState::Closed,
-            false,
-        )
-        .expect("recovery edge");
-        assert!(r.restore_confidence);
-        assert!(!r.reset_covert_streak);
-        assert!(!r.reset_clean_streak);
-    }
-
-    #[test]
-    fn recovery_reconciliation_resets_streaks_only_when_contained() {
-        let contained = reconcile_quarantine_recovery(
-            BreakerState::Open { since_tick: 10 },
-            BreakerState::Closed,
-            true,
-        )
-        .expect("recovery edge");
-        assert!(contained.restore_confidence);
-        assert!(contained.reset_covert_streak);
-        assert!(contained.reset_clean_streak);
-
-        let free = reconcile_quarantine_recovery(
-            BreakerState::Open { since_tick: 10 },
-            BreakerState::Closed,
-            false,
-        )
-        .expect("recovery edge");
-        assert!(free.restore_confidence);
-        assert!(!free.reset_covert_streak);
-        assert!(!free.reset_clean_streak);
-    }
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
@@ -726,7 +574,7 @@ mod tests {
             if tick % 4 == 0 {
                 breaker.record_failure(tick);
             } else {
-                breaker.record_success(tick);
+                breaker.record_success();
             }
             assert_eq!(breaker.state(), BreakerState::Closed, "tick {tick}");
         }
@@ -751,10 +599,10 @@ mod tests {
         assert!(!breaker.should_attempt(12));
         assert!(!breaker.should_attempt(13));
         assert!(breaker.should_attempt(14), "11 + 3 is a probe tick");
-        breaker.record_success(14);
+        breaker.record_success();
         assert_eq!(breaker.state(), BreakerState::HalfOpen { successes: 1 });
         assert!(breaker.should_attempt(15), "half-open probes every tick");
-        breaker.record_success(15);
+        breaker.record_success();
         assert_eq!(breaker.state(), BreakerState::Closed);
         assert_eq!(breaker.failure_rate(), 0.0, "window cleared on close");
     }
@@ -772,7 +620,7 @@ mod tests {
         let mut breaker = CircuitBreaker::new(config);
         breaker.record_failure(0);
         breaker.record_failure(1);
-        breaker.record_success(3);
+        breaker.record_success();
         assert_eq!(breaker.state(), BreakerState::HalfOpen { successes: 1 });
         breaker.record_failure(4);
         assert_eq!(breaker.state(), BreakerState::Open { since_tick: 4 });
@@ -782,7 +630,7 @@ mod tests {
     fn breaker_serialization_roundtrips() {
         let config = QuarantineConfig::default();
         let mut breaker = CircuitBreaker::new(config);
-        breaker.record_success(0);
+        breaker.record_success();
         breaker.record_failure(1);
         breaker.record_failure(2);
         breaker.record_failure(3);

@@ -44,10 +44,10 @@ pub struct TraceEvent {
     /// Simulated cycle, when the event was recorded from inside (or about)
     /// the simulator.
     pub cycle: Option<u64>,
-    /// Coarse subsystem: `"supervisor"`, `"online"`, `"pipeline"`,
-    /// `"policy"`, `"sim"`, ….
+    /// Coarse subsystem: `"fleet"`, `"supervisor"`, `"mitigation"`,
+    /// `"pipeline"`, `"policy"`, `"sim"`, ….
     pub scope: &'static str,
-    /// Event kind, e.g. `"tick"`, `"verdict-flip"`, `"breaker-open"`.
+    /// Event kind, e.g. `"tick"`, `"verdict-flip"`, `"breaker-transition"`.
     pub name: String,
     /// Free-form detail (pair label, counts, states).
     pub detail: String,
@@ -328,8 +328,9 @@ impl Drop for Span {
 }
 
 /// The process-wide tracer, configured from `CCHUNTER_TRACE` at first use.
-/// Hot paths that have no injected tracer (pipeline batch audits, online
-/// verdict flips, breaker transitions) record here.
+/// Paths that have no injected tracer (pipeline batch audits, ingest, the
+/// sim quantum loop) record here, and so does a fleet not built
+/// [`with_tracer`](crate::ShardedFleet::with_tracer).
 pub fn global() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
     GLOBAL.get_or_init(Tracer::from_env)

@@ -419,17 +419,22 @@ fn main() {
         inconclusive.degraded,
         inconclusive.restored_from
     );
-    let flips: Vec<String> = tracer
-        .events()
-        .into_iter()
-        .filter(|e| e.scope == "supervisor" && e.name == "verdict-flip")
-        .filter_map(|e| {
-            e.detail
-                .strip_prefix(inconclusive.label.as_str())
-                .map(|rest| rest.trim_start_matches(": ").to_string())
-        })
-        .collect();
+    // A pair's trace events lead with its label.
+    let trace_of = |label: &str, name: &str| -> Vec<String> {
+        let events = tracer.events().into_iter();
+        let named = events.filter(|e| e.scope == "supervisor" && e.name == name);
+        let own = named.filter_map(|e| Some(e.detail.strip_prefix(label)?.to_string()));
+        own.map(|rest| rest.trim_start_matches(": ").to_string())
+            .collect()
+    };
+    let flips = trace_of(inconclusive.label.as_str(), "verdict-flip");
     println!("  verdict flips in the trace: {flips:?}");
+    let transitions = trace_of(inconclusive.label.as_str(), "breaker-transition");
+    println!("  breaker transitions in the trace: {transitions:?}");
+    assert!(
+        !transitions.is_empty(),
+        "the wedged monitor's breaker transitions are traced under its label"
+    );
     println!();
 
     // --- The structured trace timeline (newest events). ---
