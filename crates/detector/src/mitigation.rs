@@ -113,6 +113,10 @@ impl fmt::Display for MitigationLevel {
     }
 }
 
+/// Refused applies of one rung retried within the same tick before the
+/// policy escalates past it.
+pub const APPLY_RETRIES: u32 = 3;
+
 /// Mitigation policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationConfig {
@@ -122,9 +126,6 @@ pub struct MitigationConfig {
     /// Ticks an [`ContainmentState::Applying`] transition may stay pending
     /// before the policy escalates past it.
     pub apply_deadline_ticks: u64,
-    /// Refused applies of one rung retried within the same tick before
-    /// the policy escalates past it.
-    pub apply_retries: u32,
     /// Residual bandwidth (fraction of the unmitigated baseline) the
     /// channel must stay under before the policy steps down. The default
     /// 0.1 demands a ≥ 90 % bandwidth reduction.
@@ -141,7 +142,6 @@ impl Default for MitigationConfig {
         MitigationConfig {
             convict_streak: 3,
             apply_deadline_ticks: 4,
-            apply_retries: 3,
             residual_cap: 0.1,
             step_down_streak: 8,
             initial_level: MitigationLevel::FlushOnSwitch,
@@ -652,7 +652,7 @@ impl MitigationPolicy {
                 Err(_) => {
                     self.apply_failures += 1;
                     report.apply_failures += 1;
-                    if attempt < self.config.apply_retries {
+                    if attempt < APPLY_RETRIES {
                         self.state = ContainmentState::Applying {
                             level,
                             attempt: attempt + 1,
@@ -983,11 +983,11 @@ mod tests {
         let mut enforcer = FlakyEnforcer::new();
         // Enough failures to burn the whole retry budget on rung 1: the
         // policy must land contained on rung 2, not give up.
-        enforcer.fail_applies = quick_config().apply_retries + 1;
+        enforcer.fail_applies = APPLY_RETRIES + 1;
         policy.drive(true, 0, 0, &mut enforcer);
         let r = policy.drive(true, 1, 0, &mut enforcer);
         assert!(r.convicted);
-        assert_eq!(r.apply_failures, quick_config().apply_retries + 1);
+        assert_eq!(r.apply_failures, APPLY_RETRIES + 1);
         assert_eq!(r.escalations, 1);
         assert_eq!(
             r.state,

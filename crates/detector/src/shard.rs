@@ -825,15 +825,11 @@ impl ShardedFleet {
             let Some(roster) = Roster::read(store, &self.config.base)? else {
                 continue;
             };
-            let mut rolled_back = roster.from.rolled_back;
             for listed in &roster.records {
                 let Some((record, window)) = roster.recall(store, &listed.label, listed.kind)
                 else {
                     continue;
                 };
-                if let WindowSource::Stored(loaded) = &window {
-                    rolled_back += loaded.rolled_back;
-                }
                 let newer = self
                     .recovered
                     .get(&*record.label)
@@ -843,7 +839,7 @@ impl ShardedFleet {
                     self.recovered.insert(label, (roster.tick, record, window));
                 }
             }
-            sup.note_restore(&roster, rolled_back as u64);
+            sup.note_restore(&roster);
             self.tick = self.tick.max(roster.tick);
         }
         self.metrics.ticks.seed(self.tick);
@@ -1665,51 +1661,52 @@ impl ShardedFleet {
     }
 
     /// Reads back, for each of `pairs`, the record its own label lists in
-    /// the newest manifest of any shard store that lists it, with the
-    /// window that store holds for it: a live shard's store through its
-    /// supervisor, a dead one's under a temporary exclusive claim. The
-    /// newest listing is the pair's last durable state wherever it ran
-    /// then, so a pair moved since that checkpoint comes back from the
-    /// store it left. A store that cannot be read is passed over, never
-    /// fatal; a pair no store lists comes back `(None, Lost)`.
+    /// the newest checkpoint of any shard store that lists it, with the
+    /// window that checkpoint holds for it: live shards' stores through
+    /// their supervisors, then dead ones' under a temporary exclusive
+    /// claim, one store's checkpoint in memory at a time (on equal ticks
+    /// the later store read wins). The newest listing is the pair's last
+    /// durable state wherever it ran then, so a pair moved since that
+    /// checkpoint comes back from the store it left. A store that cannot
+    /// be read is passed over, never fatal; a pair no store lists comes
+    /// back `(None, Lost)`.
     fn recall_newest(&self, pairs: &[usize]) -> Vec<(Option<PairRecord>, WindowSource)> {
+        let mut found: Vec<_> = pairs.iter().map(|_| (None, WindowSource::Lost)).collect();
         let (Some(root), false) = (&self.store_root, pairs.is_empty()) else {
-            return pairs.iter().map(|_| (None, WindowSource::Lost)).collect();
+            return found;
         };
         let (keep, medium) = (self.config.keep_generations, self.medium.as_ref());
-        let claimed: Vec<CheckpointStore> = (0..self.shards.len())
-            .filter(|&shard| self.shards[shard].supervisor.is_none())
-            .filter_map(|shard| {
-                let owner = format!("migrator:shard-{shard:02}");
-                open_store(shard_dir(root, shard), keep, owner, medium).ok()
-            })
-            .collect();
-        let live = self
-            .shards
-            .iter()
-            .filter_map(|s| s.supervisor.as_ref()?.store());
-        let rosters: Vec<(&CheckpointStore, Roster)> = live
-            .chain(&claimed)
-            .filter_map(|store| Some((store, Roster::read(store, &self.config.base).ok()??)))
-            .collect();
-        pairs
-            .iter()
-            .map(|&global| {
+        let mut ticks: Vec<Option<u64>> = vec![None; pairs.len()];
+        let (live, dead): (Vec<usize>, Vec<usize>) =
+            (0..self.shards.len()).partition(|&shard| self.shards[shard].supervisor.is_some());
+        for shard in live.into_iter().chain(dead) {
+            let claimed;
+            let store = match &self.shards[shard].supervisor {
+                Some(sup) => sup.store(),
+                None => {
+                    let owner = format!("migrator:shard-{shard:02}");
+                    claimed = open_store(shard_dir(root, shard), keep, owner, medium).ok();
+                    claimed.as_ref()
+                }
+            };
+            let Some(store) = store else {
+                continue;
+            };
+            let Ok(Some(roster)) = Roster::read(store, &self.config.base) else {
+                continue;
+            };
+            for (slot, &global) in pairs.iter().enumerate() {
                 let entry = &self.table[global];
-                let listed = |(_, roster): &&(&CheckpointStore, Roster)| {
-                    let own = |r: &PairRecord| r.label == entry.label && r.kind == entry.kind;
-                    roster.records.iter().any(own)
-                };
-                rosters
-                    .iter()
-                    .filter(listed)
-                    .max_by_key(|(_, roster)| roster.tick)
-                    .and_then(|(store, roster)| roster.recall(store, &entry.label, entry.kind))
-                    .map_or((None, WindowSource::Lost), |(record, window)| {
-                        (Some(record), window)
-                    })
-            })
-            .collect()
+                if ticks[slot].is_some_and(|tick| tick > roster.tick) {
+                    continue;
+                }
+                if let Some((record, window)) = roster.recall(store, &entry.label, entry.kind) {
+                    ticks[slot] = Some(roster.tick);
+                    found[slot] = (Some(record), window);
+                }
+            }
+        }
+        found
     }
 
     /// Manually checkpoints every live shard at the current tick; returns

@@ -190,20 +190,23 @@ fn corrupt_newest_generation_rolls_back_and_is_surfaced() {
     fleet.checkpoint().unwrap();
     drop(fleet);
 
-    // Trash the newest generation of every entry (manifest included).
+    // Trash the newest generation: the shard's one entry, its manifest
+    // and every pair's window.
     let shard_dir = dir.join("shard-00");
     let probe_store = CheckpointStore::open(&shard_dir, 3).unwrap();
-    for name in ["supervisor", "pair-0000", "pair-0001", "pair-0002"] {
-        let newest = *probe_store.generations(name).unwrap().last().unwrap();
-        let path = shard_dir.join(format!("{name}.g{newest:08}.ckpt"));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        let end = (mid + 16).min(bytes.len());
-        for b in &mut bytes[mid..end] {
-            *b ^= 0xA5;
-        }
-        std::fs::write(&path, &bytes).unwrap();
+    let newest = *probe_store
+        .generations("supervisor")
+        .unwrap()
+        .last()
+        .unwrap();
+    let path = shard_dir.join(format!("supervisor.g{newest:08}.ckpt"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    let end = (mid + 16).min(bytes.len());
+    for b in &mut bytes[mid..end] {
+        *b ^= 0xA5;
     }
+    std::fs::write(&path, &bytes).unwrap();
 
     let restored = add_pairs(open());
     assert_eq!(
@@ -211,8 +214,8 @@ fn corrupt_newest_generation_rolls_back_and_is_surfaced() {
         10,
         "must land on the older generation"
     );
-    // One rolled-over generation each for the manifest and three pairs.
-    assert_eq!(restored.metrics_snapshot().restore_rollbacks, 4);
+    // One rolled-over shard generation.
+    assert_eq!(restored.metrics_snapshot().restore_rollbacks, 1);
     for status in restored.pair_statuses() {
         let from = status
             .restored_from

@@ -297,33 +297,25 @@ fn main() {
     }
 
     // --- Crash with a corrupted newest checkpoint generation: the restore
-    // rolls back a generation per entry and the rollbacks become metrics.
+    // rolls the shard back a generation and the rollback becomes a metric.
     println!("*** crash at quantum {CRASH_AT}; newest checkpoint generation is corrupt ***");
     drop(fleet);
     let shard_dir = store_dir.join("shard-00");
     let probe_store = CheckpointStore::open(&shard_dir, 3).expect("store reopens");
-    for name in [
-        "supervisor",
-        "pair-0000",
-        "pair-0001",
-        "pair-0002",
-        "pair-0003",
-        "pair-0004",
-    ] {
-        let newest = *probe_store
-            .generations(name)
-            .expect("entry has generations")
-            .last()
-            .expect("at least one generation");
-        let path = shard_dir.join(format!("{name}.g{newest:08}.ckpt"));
-        let mut bytes = std::fs::read(&path).expect("checkpoint readable");
-        let mid = bytes.len() / 2;
-        let end = (mid + 16).min(bytes.len());
-        for b in &mut bytes[mid..end] {
-            *b ^= 0xA5;
-        }
-        std::fs::write(&path, &bytes).expect("checkpoint writable");
+    // The shard's one entry: its manifest and every pair's window.
+    let newest = *probe_store
+        .generations("supervisor")
+        .expect("entry has generations")
+        .last()
+        .expect("at least one generation");
+    let path = shard_dir.join(format!("supervisor.g{newest:08}.ckpt"));
+    let mut bytes = std::fs::read(&path).expect("checkpoint readable");
+    let mid = bytes.len() / 2;
+    let end = (mid + 16).min(bytes.len());
+    for b in &mut bytes[mid..end] {
+        *b ^= 0xA5;
     }
+    std::fs::write(&path, &bytes).expect("checkpoint writable");
     drop(probe_store);
     let mut fleet = open_fleet(&store_dir, medium);
     println!(

@@ -313,7 +313,7 @@ fn main() {
         .restored_from
         .expect("pair 0 restored from the store");
     println!(
-        "restored 8 pairs at quantum {} from window generation {} ({} corrupt generations rolled over)",
+        "restored 8 pairs at quantum {} from checkpoint generation {} ({} corrupt generations rolled over)",
         fleet.tick_count(),
         restored_from.generation,
         fleet.metrics_snapshot().restore_rollbacks
