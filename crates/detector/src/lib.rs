@@ -113,8 +113,8 @@ pub use ingest::{
     ShedPolicy,
 };
 pub use metrics::{
-    parse_prometheus, render_prometheus_merged, Counter, Family, Gauge, Histogram, LossyScrape,
-    ParsedSample, Registry, SkippedLine,
+    parse_prometheus, render_prometheus_merged, Counter, Family, Gauge, Histogram, HistogramTally,
+    LossyScrape, ParsedSample, Registry, SkippedLine,
 };
 pub use mitigation::{
     AdvisoryEnforcer, ApplyError, ContainmentState, MitigationConfig, MitigationEnforcer,

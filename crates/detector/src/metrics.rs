@@ -15,6 +15,8 @@
 //! * [`Gauge`] — an `f64` that can move both ways (confidence, fill levels).
 //! * [`Histogram`] — fixed cumulative buckets + sum/count/max, for latency
 //!   distributions; never allocates after construction.
+//! * [`HistogramTally`] — a histogram's observations gathered without
+//!   atomics by one loop and published into it in one call.
 //! * [`Family`] — a labeled set of any of the above (one time series per
 //!   label value, e.g. per shard). A family's label values must come from
 //!   configuration or a bounded set, never from the data.
@@ -96,19 +98,7 @@ impl Gauge {
 
     /// Adds `delta` (atomic read-modify-write loop).
     pub fn add(&self, delta: f64) {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
+        add_f64(&self.bits, delta);
     }
 
     /// The current value.
@@ -194,30 +184,29 @@ impl Histogram {
 
     /// Records one observation (negative values clamp to zero).
     pub fn observe(&self, v: f64) {
-        let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
-        let idx = self
-            .inner
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.inner.bounds.len());
-        self.inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        let v = clamp_observation(v);
+        self.inner.buckets[self.bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
         self.inner
             .max_bits
             .fetch_max(v.to_bits(), Ordering::Relaxed);
-        let mut current = self.inner.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + v).to_bits();
-            match self.inner.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
+        add_f64(&self.inner.sum_bits, v);
+    }
+
+    /// The bucket a clamped observation `v` falls in.
+    fn bucket_of(&self, v: f64) -> usize {
+        let bounds = &self.inner.bounds;
+        bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())
+    }
+
+    /// An empty [`HistogramTally`] that publishes into this histogram.
+    pub fn tally(&self) -> HistogramTally {
+        HistogramTally {
+            histogram: self.clone(),
+            buckets: vec![0; self.inner.buckets.len()],
+            count: 0,
+            sum: 0.0,
+            max_bits: 0.0f64.to_bits(),
         }
     }
 
@@ -240,20 +229,8 @@ impl Histogram {
         self.inner
             .max_bits
             .fetch_max(other.max().to_bits(), Ordering::Relaxed);
-        let add = other.sum();
-        let mut current = self.inner.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + add).to_bits();
-            match self.inner.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => current = actual,
-            }
-        }
+        add_f64(&self.inner.sum_bits, other.sum());
+        true
     }
 
     /// Total observations.
@@ -301,14 +278,17 @@ impl Histogram {
     /// Cumulative `(upper_bound, count ≤ bound)` pairs, ending with the
     /// `(+Inf, total)` bucket.
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+        self.cumulative().collect()
+    }
+
+    /// [`Histogram::cumulative_buckets`], read as it is iterated.
+    fn cumulative(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let bounds = self.inner.bounds.iter().copied().chain([f64::INFINITY]);
         let mut running = 0u64;
-        let mut out = Vec::with_capacity(self.inner.bounds.len() + 1);
-        for (i, count) in self.inner.buckets.iter().enumerate() {
+        bounds.zip(&self.inner.buckets).map(move |(bound, count)| {
             running += count.load(Ordering::Relaxed);
-            let bound = self.inner.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            out.push((bound, running));
-        }
-        out
+            (bound, running)
+        })
     }
 
     /// Estimated `q`-quantile (0 ≤ q ≤ 1) by linear interpolation within
@@ -341,6 +321,78 @@ impl Histogram {
             lower_bound = self.inner.bounds.get(i).copied().unwrap_or(lower_bound);
         }
         self.max()
+    }
+}
+
+/// Observations gathered by one thread without atomics and added into a
+/// [`Histogram`] by one [`HistogramTally::publish`]: how a loop records
+/// one observation per pair (a shard tick's analysis latencies, a scrape's
+/// pair confidences) for the cost of one. Clamps and bins as
+/// [`Histogram::observe`] does and sums in observation order, so after
+/// [`Histogram::reset`] a published tally leaves the histogram exactly as
+/// observing each value would have; on top of earlier observations the
+/// sum can differ in the last bit unless the values are whole numbers.
+#[derive(Debug)]
+pub struct HistogramTally {
+    histogram: Histogram,
+    buckets: Vec<u64>,
+    count: u64,
+    sum: f64,
+    max_bits: u64,
+}
+
+impl HistogramTally {
+    /// Records one observation (negative values clamp to zero).
+    pub fn observe(&mut self, v: f64) {
+        let v = clamp_observation(v);
+        self.buckets[self.histogram.bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.max_bits = self.max_bits.max(v.to_bits());
+    }
+
+    /// Adds every gathered observation into the histogram (one atomic
+    /// update per touched bucket, plus count, max and sum) and empties
+    /// the tally.
+    pub fn publish(&mut self) {
+        if self.count == 0 {
+            return;
+        }
+        let inner = &self.histogram.inner;
+        for (bucket, n) in inner.buckets.iter().zip(&mut self.buckets) {
+            if *n > 0 {
+                bucket.fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
+        }
+        inner
+            .count
+            .fetch_add(std::mem::take(&mut self.count), Ordering::Relaxed);
+        inner.max_bits.fetch_max(self.max_bits, Ordering::Relaxed);
+        add_f64(&inner.sum_bits, std::mem::take(&mut self.sum));
+        self.max_bits = 0.0f64.to_bits();
+    }
+}
+
+/// An observation as a histogram records it: non-finite values read 0,
+/// negative ones clamp to 0.
+fn clamp_observation(v: f64) -> f64 {
+    if v.is_finite() {
+        v.max(0.0)
+    } else {
+        0.0
+    }
+}
+
+/// Adds `delta` to the `f64` whose bits `cell` holds (a relaxed
+/// compare-and-swap loop).
+fn add_f64(cell: &AtomicU64, delta: f64) {
+    let mut current = cell.load(Ordering::Relaxed);
+    loop {
+        let next = (f64::from_bits(current) + delta).to_bits();
+        match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(actual) => current = actual,
+        }
     }
 }
 
@@ -685,12 +737,7 @@ impl Registry {
     /// per line, histograms expanded into cumulative `_bucket`/`_sum`/
     /// `_count` series.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, help, metric) in self.registrations() {
-            write_headers(&mut out, &name, &help, metric.type_name());
-            write_metric_lines(&mut out, &name, &metric, None);
-        }
-        out
+        render_prometheus_merged(&[(None, self)])
     }
 
     /// Renders the registry as a JSON object: metric name → value
@@ -760,27 +807,28 @@ impl Registry {
 /// through their injected labels (two unlabeled parts sharing a name will
 /// emit duplicate series — give parts distinct labels).
 pub fn render_prometheus_merged(parts: &[(Option<(&str, &str)>, &Registry)]) -> String {
-    // Each metric name's lines accumulate in its own buffer, written
-    // straight from the instruments: no per-sample structs or strings.
-    let mut order: Vec<(String, String, &'static str)> = Vec::new();
+    // Each metric name's headers and lines accumulate in its own buffer,
+    // written straight from the instruments under the registry's lock:
+    // no per-sample structs, and no copies of names, help texts or
+    // handles beyond one key per name.
     let mut bodies: Vec<String> = Vec::new();
     let mut index: HashMap<String, usize> = HashMap::new();
     for (extra, registry) in parts {
-        for (name, help, metric) in registry.registrations() {
-            let slot = *index.entry(name.clone()).or_insert_with(|| {
-                order.push((name.clone(), help, metric.type_name()));
-                bodies.push(String::new());
-                bodies.len() - 1
-            });
-            write_metric_lines(&mut bodies[slot], &name, &metric, *extra);
+        for r in registry.lock().iter() {
+            let slot = match index.get(r.name.as_str()) {
+                Some(&slot) => slot,
+                None => {
+                    let mut body = String::new();
+                    write_headers(&mut body, &r.name, &r.help, r.metric.type_name());
+                    index.insert(r.name.clone(), bodies.len());
+                    bodies.push(body);
+                    bodies.len() - 1
+                }
+            };
+            write_metric_lines(&mut bodies[slot], &r.name, &r.metric, *extra);
         }
     }
-    let mut out = String::with_capacity(bodies.iter().map(String::len).sum::<usize>());
-    for ((name, help, type_name), body) in order.iter().zip(&bodies) {
-        write_headers(&mut out, name, help, type_name);
-        out.push_str(body);
-    }
-    out
+    bodies.concat()
 }
 
 fn write_headers(out: &mut String, name: &str, help: &str, type_name: &str) {
@@ -812,7 +860,7 @@ fn write_metric_lines(out: &mut String, name: &str, metric: &Metric, extra: Opti
 }
 
 fn write_histogram(out: &mut String, name: &str, labels: [Option<(&str, &str)>; 2], h: &Histogram) {
-    for (bound, cumulative) in h.cumulative_buckets() {
+    for (bound, cumulative) in h.cumulative() {
         write_line(out, name, "_bucket", labels, Some(bound), cumulative as f64);
     }
     write_line(out, name, "_sum", labels, None, h.sum());

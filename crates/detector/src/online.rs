@@ -235,20 +235,25 @@ impl Slot {
 /// pairs, at one byte per bin and at most ten per `u64`.
 pub(crate) const MAX_SLOT_BYTES: usize = 10 + HISTOGRAM_BINS * 11;
 
-/// Writes `histogram`'s slot encoding — its Δt, then its nonzero `(bin,
-/// frequency)` pairs, each a LEB128 varint — into `out`; returns how many
-/// bytes it took. The one encoder of contention quanta: a window's arena
-/// keeps these bytes verbatim, and the fleet's coordinator writes them at
-/// the probe.
-pub(crate) fn encode_slot(histogram: &DensityHistogram, out: &mut [u8; MAX_SLOT_BYTES]) -> usize {
-    let mut len = put_varint(out, 0, histogram.delta_t());
-    for (bin, &f) in histogram.bins().iter().enumerate() {
-        if f > 0 {
-            len = put_varint(out, len, bin as u64);
-            len = put_varint(out, len, f);
+/// Hands `histogram`'s slot encoding — its Δt, then its nonzero `(bin,
+/// frequency)` pairs, each a LEB128 varint — to `put`, byte by byte (at
+/// most [`MAX_SLOT_BYTES`]). The one encoder of contention quanta: a
+/// window's arena keeps these bytes verbatim, and the fleet's coordinator
+/// writes them straight into its shard batch at the probe.
+pub(crate) fn encode_slot(histogram: &DensityHistogram, mut put: impl FnMut(u8)) {
+    put_varint(&mut put, histogram.delta_t());
+    // Most bins are empty: skip them eight at a time.
+    for (chunk, bins) in histogram.bins().chunks(8).enumerate() {
+        if bins.iter().fold(0, |any, &f| any | f) == 0 {
+            continue;
+        }
+        for (i, &f) in bins.iter().enumerate() {
+            if f > 0 {
+                put_varint(&mut put, (8 * chunk + i) as u64);
+                put_varint(&mut put, f);
+            }
         }
     }
-    len
 }
 
 /// Reads a slot encoding back: its Δt and its nonzero `(bin, frequency)`
@@ -329,17 +334,14 @@ impl BinArena {
     }
 }
 
-/// Writes `value` as a LEB128 varint (7 bits a byte, low bits first, the
-/// high bit set on every byte but the last) into `out` at `at`; returns
-/// the index past it.
-fn put_varint(out: &mut [u8], mut at: usize, mut value: u64) -> usize {
+/// Hands `value` to `put` as a LEB128 varint (7 bits a byte, low bits
+/// first, the high bit set on every byte but the last).
+fn put_varint(put: &mut impl FnMut(u8), mut value: u64) {
     while value >= 0x80 {
-        out[at] = value as u8 | 0x80;
+        put(value as u8 | 0x80);
         value >>= 7;
-        at += 1;
     }
-    out[at] = value as u8;
-    at + 1
+    put(value as u8);
 }
 
 /// Reads one LEB128 varint off `bytes`, or `None` if they are exhausted.
@@ -582,8 +584,11 @@ impl OnlineWindow {
         histogram: &DensityHistogram,
         weight: f64,
     ) -> BurstVerdict {
-        let mut slot = [0u8; MAX_SLOT_BYTES];
-        let len = encode_slot(histogram, &mut slot);
+        let (mut slot, mut len) = ([0u8; MAX_SLOT_BYTES], 0);
+        encode_slot(histogram, |byte| {
+            slot[len] = byte;
+            len += 1;
+        });
         self.ingest_encoded(&slot[..len], weight)
     }
 
@@ -1338,18 +1343,90 @@ mod tests {
             (1 << 32, 5),
             (u64::MAX, 10),
         ];
-        let mut bytes = [0u8; 64];
-        let mut at = 0;
+        let mut bytes = Vec::new();
         for (v, len) in values {
-            let end = put_varint(&mut bytes, at, v);
-            assert_eq!(end - at, len, "{v}");
-            at = end;
+            let at = bytes.len();
+            put_varint(&mut |byte| bytes.push(byte), v);
+            assert_eq!(bytes.len() - at, len, "{v}");
         }
-        let mut iter = bytes[..at].iter().copied();
+        let mut iter = bytes.iter().copied();
         for (v, _) in values {
             assert_eq!(get_varint(&mut iter), Some(v));
         }
         assert_eq!(get_varint(&mut iter), None);
+    }
+
+    /// The slot encoder checking every bin, one at a time: the oracle of
+    /// `encode_slot`'s eight-at-a-time skip.
+    fn encode_slot_bin_by_bin(histogram: &DensityHistogram) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut put = |mut value: u64| {
+            while value >= 0x80 {
+                out.push(value as u8 | 0x80);
+                value >>= 7;
+            }
+            out.push(value as u8);
+        };
+        put(histogram.delta_t());
+        for (bin, &f) in histogram.bins().iter().enumerate() {
+            if f > 0 {
+                put(bin as u64);
+                put(f);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn slot_encoding_matches_the_bin_by_bin_oracle() {
+        let one_bin = |bin: usize, f: u64| {
+            let mut bins = vec![0; HISTOGRAM_BINS];
+            bins[bin] = f;
+            bins
+        };
+        let mut shapes: Vec<(Vec<u64>, u64)> = vec![
+            (vec![0; HISTOGRAM_BINS], 1),
+            (vec![0; HISTOGRAM_BINS], u64::MAX),
+            (vec![1; HISTOGRAM_BINS], 1_000),
+            // Every bin set, each as wide as 128 bins can sum to.
+            (vec![u64::MAX / 128; HISTOGRAM_BINS], u64::MAX),
+            ((0..HISTOGRAM_BINS).map(|b| 1 << (b % 57)).collect(), 3),
+        ];
+        // Either side of each eight-bin group's edges, and the last bin.
+        let last = HISTOGRAM_BINS - 1;
+        for bin in [0, 1, 7, 8, 9, 63, 64, 120, last - 1, last] {
+            shapes.push((one_bin(bin, u64::MAX), 1 << 40));
+            shapes.push((one_bin(bin, 1), 128));
+            shapes.push((one_bin(bin, 127), 16_384));
+        }
+        let mut x = 0x5EED_F0B1_7500_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..4_000 {
+            let mut bins = vec![0; HISTOGRAM_BINS];
+            // From one nonzero bin to about every bin, clustered or spread,
+            // each of a random bit width.
+            let nonzero = 1 + next() % 130;
+            for _ in 0..nonzero {
+                let bin = (next() % HISTOGRAM_BINS as u64) as usize;
+                bins[bin] = next() >> (8 + next() % 56);
+            }
+            shapes.push((bins, 1 + next() % (1 << 20)));
+        }
+        for (bins, delta_t) in shapes {
+            let histogram = DensityHistogram::from_bins(bins, delta_t).unwrap();
+            let expected = encode_slot_bin_by_bin(&histogram);
+            // Appended after what the batch already holds, as at the probe.
+            let mut batch = vec![0xEE; 3];
+            encode_slot(&histogram, |byte| batch.push(byte));
+            assert_eq!(&batch[..3], [0xEE; 3]);
+            assert_eq!(batch[3..], expected[..], "{:?}", histogram.bins());
+            assert!(expected.len() <= MAX_SLOT_BYTES);
+        }
     }
 
     #[test]

@@ -823,6 +823,32 @@ impl CheckpointStore {
         Ok(generation)
     }
 
+    /// Deletes every generation of every entry whose name `doomed`
+    /// accepts, from one directory listing, and returns how many files
+    /// went. Past the listing it is best-effort, like the pruning in
+    /// [`CheckpointStore::save`]: a file that cannot be removed stays.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`DetectorError::StorageFault`] when the directory cannot
+    /// be listed (after bounded retries).
+    pub fn remove_entries(&self, doomed: impl Fn(&str) -> bool) -> Result<usize, DetectorError> {
+        let names = self.retried("list-dir", &self.dir, || self.medium.list_dir(&self.dir))?;
+        let mut removed = 0;
+        for file_name in names {
+            let entry = file_name
+                .strip_suffix(".ckpt")
+                .and_then(|rest| rest.rsplit_once(".g"))
+                .filter(|(_, generation)| generation.parse::<u64>().is_ok());
+            if let Some((name, _)) = entry {
+                if doomed(name) && self.medium.remove_file(&self.dir.join(&file_name)).is_ok() {
+                    removed += 1;
+                }
+            }
+        }
+        Ok(removed)
+    }
+
     /// Writes an unframed advisory sidecar file (e.g. `metrics.prom`) into
     /// the store directory through the same medium and retry policy as
     /// checkpoint frames. Sidecars are observability exhaust: no

@@ -61,12 +61,12 @@
 use crate::auditor::ConflictRecord;
 use crate::fault::Armed;
 use crate::ingest::IngestStats;
-use crate::metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS_US};
+use crate::metrics::{Counter, Gauge, Histogram, HistogramTally, Registry, LATENCY_BUCKETS_US};
 use crate::mitigation::{
     ContainmentState, MitigationConfig, MitigationEnforcer, MitigationPolicy, MitigationTick,
 };
 pub use crate::online::PairKind;
-use crate::online::{encode_slot, Harvest, OnlineStatus, OnlineWindow, MAX_SLOT_BYTES};
+use crate::online::{encode_slot, Harvest, OnlineStatus, OnlineWindow};
 use crate::pipeline::{CcHunterConfig, Verdict};
 use crate::policy::{backoff_delay, BackoffConfig, BreakerState, CircuitBreaker, QuarantineConfig};
 use crate::shard::FleetPairStatus;
@@ -76,6 +76,7 @@ use crate::DetectorError;
 use std::fmt;
 use std::mem::discriminant;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -251,16 +252,14 @@ impl ShardBatch {
     }
 
     /// Files `probed` under `slot`, a `kind` pair. A contention pair's
-    /// observed harvest is encoded into the batch's bytes here, and its
-    /// dense histogram dropped on the thread that allocated it.
+    /// observed harvest is encoded straight onto the batch's bytes here,
+    /// and its dense histogram dropped on the thread that allocated it.
     pub(crate) fn file(&mut self, slot: usize, kind: PairKind, probed: ProbedInput) {
         let encoded = match &probed.input {
             PairInput::Harvest(harvest) if kind == PairKind::Contention => {
                 harvest.histogram().map(|histogram| {
-                    let mut encoded = [0u8; MAX_SLOT_BYTES];
-                    let len = encode_slot(histogram, &mut encoded);
                     let start = self.bytes.len();
-                    self.bytes.extend_from_slice(&encoded[..len]);
+                    encode_slot(histogram, |byte| self.bytes.push(byte));
                     let (bytes, weight) = (start..self.bytes.len(), harvest.observed_weight());
                     SlotInput::Encoded { bytes, weight }
                 })
@@ -743,6 +742,12 @@ fn pair_entry_name(idx: usize) -> String {
     format!("pair-{idx:04}")
 }
 
+/// Whether `name` is a per-slot window entry's ([`pair_entry_name`]).
+fn is_pair_entry(name: &str) -> bool {
+    name.strip_prefix("pair-")
+        .is_some_and(|idx| !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()))
+}
+
 fn provenance(loaded: &LoadedCheckpoint) -> RestoredFrom {
     RestoredFrom {
         generation: loaded.generation,
@@ -758,8 +763,9 @@ const CONFIDENCE_BUCKETS: [f64; 6] = [0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
 
 /// The shard's registered instrument set (see DESIGN.md §12 for the name
 /// and label scheme). Nothing is labeled by pair: each per-pair event
-/// counts in one shard counter, and the pair-state gauges are derived
-/// from the pair table at scrape time ([`Supervisor::refresh_gauges`]).
+/// counts in one shard counter, published once per shard tick from a
+/// [`TickTally`], and the pair-state gauges are derived from the pair
+/// table at scrape time ([`Supervisor::refresh_gauges`]).
 #[derive(Debug, Clone)]
 struct FleetMetrics {
     ticks: Counter,
@@ -886,6 +892,83 @@ impl FleetMetrics {
                 "Durable-write resumptions (full re-persists) after storage healed.",
             ),
         }
+    }
+}
+
+/// What one shard tick's pair reports count — every counter
+/// [`Supervisor::report`] bumps, and the pairs' analysis latencies —
+/// gathered without atomics and published into the shard's instruments
+/// once per tick.
+#[derive(Debug)]
+struct TickTally {
+    analyzed: u64,
+    degraded: u64,
+    quarantine_skips: u64,
+    verdict_flips: u64,
+    breaker_transitions: u64,
+    recoveries: u64,
+    mitigations_applied: u64,
+    mitigation_failures: u64,
+    mitigation_escalations: u64,
+    mitigation_stepdowns: u64,
+    audit_latency_us: HistogramTally,
+}
+
+impl TickTally {
+    fn new(metrics: &FleetMetrics) -> Self {
+        TickTally {
+            analyzed: 0,
+            degraded: 0,
+            quarantine_skips: 0,
+            verdict_flips: 0,
+            breaker_transitions: 0,
+            recoveries: 0,
+            mitigations_applied: 0,
+            mitigation_failures: 0,
+            mitigation_escalations: 0,
+            mitigation_stepdowns: 0,
+            audit_latency_us: metrics.audit_latency_us.tally(),
+        }
+    }
+
+    /// Adds the tally into `metrics`, touching only the counters that
+    /// moved, and empties it.
+    fn publish(&mut self, metrics: &FleetMetrics) {
+        for (counter, n) in [
+            (&metrics.analyzed, &mut self.analyzed),
+            (&metrics.degraded, &mut self.degraded),
+            (&metrics.quarantine_skips, &mut self.quarantine_skips),
+            (&metrics.verdict_flips, &mut self.verdict_flips),
+            (&metrics.breaker_transitions, &mut self.breaker_transitions),
+            (&metrics.recoveries, &mut self.recoveries),
+            (&metrics.mitigations_applied, &mut self.mitigations_applied),
+            (&metrics.mitigation_failures, &mut self.mitigation_failures),
+            (
+                &metrics.mitigation_escalations,
+                &mut self.mitigation_escalations,
+            ),
+            (
+                &metrics.mitigation_stepdowns,
+                &mut self.mitigation_stepdowns,
+            ),
+        ] {
+            if *n > 0 {
+                counter.inc_by(std::mem::take(n));
+            }
+        }
+        self.audit_latency_us.publish();
+    }
+}
+
+/// A shard in the middle of a tick: when it drops, the shard's tick
+/// tally is published, so a tick that unwinds still publishes what its
+/// pairs counted before the panic.
+struct Ticking<'a>(&'a mut Supervisor);
+
+impl Drop for Ticking<'_> {
+    fn drop(&mut self) {
+        let sup = &mut *self.0;
+        sup.tally.publish(&sup.metrics);
     }
 }
 
@@ -1222,8 +1305,16 @@ pub(crate) struct Supervisor {
     idle: MitigationPolicy,
     pairs: Vec<Pair>,
     store: Option<CheckpointStore>,
+    /// Durable checkpoints still to write before every generation the
+    /// store keeps carries its own window section. The last of them
+    /// deletes the per-slot `pair-NNNN` entries that stores written
+    /// before that layout hold, which no kept manifest reaches any more
+    /// (a store that never had any costs one directory listing).
+    checkpoints_before_prune: AtomicUsize,
     registry: Registry,
     metrics: FleetMetrics,
+    /// The current tick's counts, published when it ends.
+    tally: TickTally,
     tracer: Tracer,
     durability: Durability,
     shadow: Option<ShadowCheckpoint>,
@@ -1252,7 +1343,9 @@ impl Supervisor {
             config,
             pairs: Vec::new(),
             store: None,
+            checkpoints_before_prune: AtomicUsize::new(0),
             registry,
+            tally: TickTally::new(&metrics),
             metrics,
             tracer,
             durability: Durability::Durable,
@@ -1262,6 +1355,7 @@ impl Supervisor {
 
     /// Attaches a durable checkpoint store (builder style).
     pub(crate) fn with_store(mut self, store: CheckpointStore) -> Self {
+        self.checkpoints_before_prune = AtomicUsize::new(store.keep());
         self.store = Some(store);
         self
     }
@@ -1400,7 +1494,9 @@ impl Supervisor {
     /// event — its input pushed under the panic/deadline watchdogs, a
     /// panicked pair rebuilt first — moves the pair with [`Pair::step`]
     /// (containment actuated through `enforcer`), and reports the step;
-    /// then, when due, the shard auto-checkpoints.
+    /// then, when due, the shard auto-checkpoints. The pass counts into
+    /// the shard's [`TickTally`], published once when the pass ends (or
+    /// unwinds).
     ///
     /// Never panics and never aborts the batch: every per-pair failure is
     /// contained and reported in the returned [`TickReport`].
@@ -1414,13 +1510,14 @@ impl Supervisor {
         let mut tick_span = self.tracer.span("supervisor", "tick");
 
         let mut reports = Vec::with_capacity(self.pairs.len());
-        for slot in 0..self.pairs.len() {
+        let shard = Ticking(self);
+        for slot in 0..shard.0.pairs.len() {
             let cell = batch.cells.get_mut(slot).and_then(Option::take);
             let (retries, backoff_us) = cell.as_ref().map_or((0, 0), |c| (c.retries, c.backoff_us));
             let event = match cell {
                 None => PairEvent::Skipped,
                 Some(ProbedInput { input, .. }) => {
-                    let (pair, bytes) = (&mut self.pairs[slot], &batch.bytes);
+                    let (pair, bytes) = (&mut shard.0.pairs[slot], &batch.bytes);
                     let result = threadpool::catch(|| {
                         let start = Instant::now();
                         pair.faults.fire();
@@ -1431,15 +1528,16 @@ impl Supervisor {
                     match result {
                         Ok((pushed, elapsed_us)) => PairEvent::Analyzed { pushed, elapsed_us },
                         Err(panic) => PairEvent::Panicked {
-                            recovery: self.rebuild_detector(slot),
+                            recovery: shard.0.rebuild_detector(slot),
                             message: panic.message,
                         },
                     }
                 }
             };
-            let step = self.pairs[slot].step(tick, deadline_us, retries, event, enforcer);
-            reports.push(self.report(slot, tick, retries, backoff_us, step));
+            let step = shard.0.pairs[slot].step(tick, deadline_us, retries, event, enforcer);
+            reports.push(shard.0.report(slot, tick, retries, backoff_us, step));
         }
+        drop(shard);
 
         // Automatic checkpoint, if due. Every due tick attempts a
         // full durable checkpoint — while degraded that doubles as the
@@ -1474,19 +1572,19 @@ impl Supervisor {
         }
     }
 
-    /// Counts and traces what `step` changed for the pair at `slot`, and
-    /// returns the pair's report: the one place a pair's tick bumps a
-    /// shard counter or emits a trace event, each event under the pair's
-    /// label.
+    /// Counts (into the tick's tally) and traces what `step` changed for
+    /// the pair at `slot`, and returns the pair's report: the one place a
+    /// pair's tick counts for the shard or emits a trace event, each
+    /// event under the pair's label.
     fn report(
-        &self,
+        &mut self,
         slot: usize,
         tick: u64,
         retries: u32,
         backoff_us: u64,
         step: Step,
     ) -> PairReport {
-        let (pair, metrics, tracer) = (&self.pairs[slot], &self.metrics, &self.tracer);
+        let (pair, counts, tracer) = (&self.pairs[slot], &mut self.tally, &self.tracer);
         let label = &*pair.record.label;
         if retries > 0 {
             tracer.event(
@@ -1499,7 +1597,7 @@ impl Supervisor {
         }
         match &step.outcome {
             PairOutcome::Skipped { confidence } => {
-                metrics.quarantine_skips.inc();
+                counts.quarantine_skips += 1;
                 tracer.event(
                     "supervisor",
                     "quarantine-skip",
@@ -1507,7 +1605,7 @@ impl Supervisor {
                 );
             }
             PairOutcome::Failed { error, recovery } => {
-                metrics.recoveries.inc();
+                counts.recoveries += 1;
                 if let DetectorError::AnalysisPanicked { message, .. } = error {
                     tracer.event(
                         "supervisor",
@@ -1516,18 +1614,18 @@ impl Supervisor {
                     );
                 }
             }
-            PairOutcome::Analyzed(_) => metrics.analyzed.inc(),
+            PairOutcome::Analyzed(_) => counts.analyzed += 1,
             PairOutcome::Degraded { error, .. } => {
-                metrics.degraded.inc();
+                counts.degraded += 1;
                 tracer.event("supervisor", "degraded", format_args!("{label}: {error}"));
             }
         }
         if let Some(elapsed_us) = step.elapsed_us {
-            metrics.audit_latency_us.observe(elapsed_us as f64);
+            counts.audit_latency_us.observe(elapsed_us as f64);
         }
         let (was, health) = (step.breaker_was, pair.record.breaker.state());
         if discriminant(&was) != discriminant(&health) {
-            metrics.breaker_transitions.inc();
+            counts.breaker_transitions += 1;
             let reset = if step.streaks_reset {
                 " (contained: verdict streaks reset)"
             } else {
@@ -1544,7 +1642,7 @@ impl Supervisor {
             );
         }
         if pair.last_verdict != step.verdict_was {
-            metrics.verdict_flips.inc();
+            counts.verdict_flips += 1;
             tracer.event(
                 "supervisor",
                 "verdict-flip",
@@ -1555,17 +1653,10 @@ impl Supervisor {
             );
         }
         if let Some(m) = step.mitigation {
-            // Most pairs' ladders do nothing in a tick: skip the atomics.
-            for (counter, n) in [
-                (&metrics.mitigations_applied, m.applied),
-                (&metrics.mitigation_failures, m.apply_failures),
-                (&metrics.mitigation_stepdowns, m.step_downs),
-                (&metrics.mitigation_escalations, m.escalations),
-            ] {
-                if n > 0 {
-                    counter.inc_by(u64::from(n));
-                }
-            }
+            counts.mitigations_applied += u64::from(m.applied);
+            counts.mitigation_failures += u64::from(m.apply_failures);
+            counts.mitigation_stepdowns += u64::from(m.step_downs);
+            counts.mitigation_escalations += u64::from(m.escalations);
             if m.escalations > 0 {
                 let mut span = tracer.span("mitigation", "escalate");
                 span.detail(format_args!(
@@ -1607,9 +1698,8 @@ impl Supervisor {
     }
 
     /// One walk over the pair table: the pair-state tallies and per-pair
-    /// sums of a [`MetricsSnapshot`], observing each pair's confidence
-    /// into `confidences` when given.
-    fn tally(&self, confidences: Option<&Histogram>) -> MetricsSnapshot {
+    /// sums of a [`MetricsSnapshot`].
+    fn snapshot_tally(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             pairs: self.pairs.len(),
             ..MetricsSnapshot::default()
@@ -1629,9 +1719,6 @@ impl Supervisor {
             snap.mitigation_escalations += mitigation.escalations();
             snap.mitigation_stepdowns += mitigation.step_downs();
             confidence_sum += record.confidence;
-            if let Some(histogram) = confidences {
-                histogram.observe(record.confidence);
-            }
         }
         if !self.pairs.is_empty() {
             snap.mean_confidence = confidence_sum / self.pairs.len() as f64;
@@ -1640,18 +1727,29 @@ impl Supervisor {
     }
 
     /// Pushes the pair-state gauges — covert, quarantined and contained
-    /// pair counts and the confidence distribution — derived from the pair
-    /// table. Runs at scrape time (and before a checkpoint's metrics
-    /// dump), never on the tick path.
-    pub(crate) fn refresh_gauges(&self) {
+    /// pair counts and the confidence distribution — from one plain pass
+    /// over the pair table, which also hands `suspect` each pair's
+    /// evidence share and label (the fleet's top-k suspicious pairs). The
+    /// distribution is tallied without atomics and published in one call.
+    /// Runs at scrape time (and before a checkpoint's metrics dump), never
+    /// on the tick path.
+    pub(crate) fn refresh_gauges<'a>(&'a self, mut suspect: impl FnMut(f64, &'a Arc<str>)) {
         let metrics = &self.metrics;
+        let mut confidences = metrics.confidence.tally();
+        let (mut covert, mut quarantined, mut contained) = (0usize, 0usize, 0usize);
+        for pair in &self.pairs {
+            let record = &pair.record;
+            covert += usize::from(pair.last_verdict.is_covert());
+            quarantined += usize::from(record.breaker.is_quarantined());
+            contained += usize::from(record.mitigation.state().is_active());
+            confidences.observe(record.confidence);
+            suspect(pair.evidence, &record.label);
+        }
         metrics.confidence.reset();
-        let tally = self.tally(Some(&metrics.confidence));
-        metrics.covert_pairs.set(tally.covert_pairs as f64);
-        metrics
-            .quarantined_pairs
-            .set(tally.quarantined_pairs as f64);
-        metrics.contained_pairs.set(tally.contained_pairs as f64);
+        confidences.publish();
+        metrics.covert_pairs.set(covert as f64);
+        metrics.quarantined_pairs.set(quarantined as f64);
+        metrics.contained_pairs.set(contained as f64);
     }
 
     /// One pair's containment policy (None for an out-of-range slot).
@@ -1716,9 +1814,17 @@ impl Supervisor {
             .as_ref()
             .ok_or(DetectorError::invalid("no checkpoint store attached"))?;
         let generation = store.save_with(MANIFEST_NAME, |out| self.write_checkpoint(tick, out))?;
+        let prune = &self.checkpoints_before_prune;
+        if prune.load(Ordering::Relaxed) > 0
+            && prune.fetch_sub(1, Ordering::Relaxed) == 1
+            && store.remove_entries(is_pair_entry).is_err()
+        {
+            // Listing failed: try again after the next checkpoint.
+            prune.store(1, Ordering::Relaxed);
+        }
         // Drop a Prometheus-text metrics dump next to the checkpoint so the
         // shard's last known state is scrapeable post-mortem.
-        self.refresh_gauges();
+        self.refresh_gauges(|_, _| {});
         store.write_sidecar("metrics.prom", self.registry.render_prometheus().as_bytes())?;
         self.metrics.checkpoints.inc();
         if self.tracer.is_enabled() {
@@ -1852,13 +1958,6 @@ impl Supervisor {
         }
     }
 
-    /// Every hosted pair's label and evidence share from its last analysis
-    /// here, in slot order: the input of the fleet's top-k suspicious-pairs
-    /// gauge.
-    pub(crate) fn evidence(&self) -> impl Iterator<Item = (&Arc<str>, f64)> + '_ {
-        self.pairs.iter().map(|p| (&p.record.label, p.evidence))
-    }
-
     /// The per-pair analysis latency distribution, for fleet rollups.
     pub(crate) fn audit_latency(&self) -> &Histogram {
         &self.metrics.audit_latency_us
@@ -1886,7 +1985,7 @@ impl Supervisor {
             durability_heals: self.metrics.durability_heals.get(),
             audit_latency: LatencySummary::from_histogram(&self.metrics.audit_latency_us),
             tick_latency: LatencySummary::from_histogram(&self.metrics.tick_latency_us),
-            ..self.tally(None)
+            ..self.snapshot_tally()
         }
     }
 }
@@ -2603,6 +2702,11 @@ mod tests {
         /// The window of the pair at `slot`.
         pub(crate) fn window_of(&self, slot: usize) -> Option<&OnlineWindow> {
             self.pairs.get(slot).map(|p| &p.window)
+        }
+
+        /// The label and evidence share of the pair at `slot`.
+        pub(crate) fn evidence_of(&self, slot: usize) -> Option<(&str, f64)> {
+            self.pairs.get(slot).map(|p| (&*p.record.label, p.evidence))
         }
 
         /// Sends the pair at `slot` through checkpoint text and back, the

@@ -1,11 +1,14 @@
-//! Allocation budget of the steady-state pair-quantum: a fleet fed
-//! pre-built complete harvests and conflict drains must not allocate per
-//! pair beyond the probe's own input copy and covert pairs' k-means
-//! reruns. An oscillation push builds its symbols and correlogram in the
-//! thread's reused scratch.
+//! Allocation budgets of the steady-state pair-quantum and of a scrape.
+//! A fleet fed pre-built complete harvests and conflict drains must not
+//! allocate per pair beyond the probe's own input copy and covert pairs'
+//! k-means reruns; an oscillation push builds its symbols and
+//! correlogram in the thread's reused scratch. A scrape must not allocate
+//! per pair at all: it makes as many allocations at 10 240 pairs as at
+//! 1 024.
 //!
-//! This file holds exactly one test, because the counting allocator below
-//! sees every thread of the test binary.
+//! This file holds exactly one test, which runs both cases in turn,
+//! because the counting allocator below sees every thread of the test
+//! binary.
 
 use cchunter_detector::auditor::ConflictRecord;
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
@@ -116,6 +119,86 @@ fn histogram(covert: bool, tick: usize) -> DensityHistogram {
     DensityHistogram::from_bins(bins, 1_000).expect("valid histogram")
 }
 
+#[test]
+fn allocation_budgets_hold() {
+    steady_state_pair_quantum_allocates_at_most_one_and_a_quarter_times();
+    a_scrape_allocates_as_much_at_10240_pairs_as_at_1024();
+}
+
+/// Allocations made while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = f();
+    COUNTING.store(false, Ordering::Relaxed);
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// A fleet of `pairs` pairs over eight shards, as on `fleet_10k` (one
+/// pair in 16 an oscillation pair), ticked `ticks` times with the mix
+/// of [`probe_input`].
+fn scraped_fleet(pairs: usize, ticks: usize) -> ShardedFleet {
+    let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+        shards: 8,
+        base: SupervisorConfig {
+            window_quanta: 8,
+            ..SupervisorConfig::default()
+        },
+        ..ShardedFleetConfig::default()
+    })
+    .expect("valid fleet");
+    for pair in 0..pairs {
+        let pids = format!("pid {} <-> pid {}", 2 * pair, 2 * pair + 1);
+        let added = if is_oscillation(pair) {
+            fleet.add_oscillation_pair(format!("llc: {pids}"))
+        } else {
+            fleet.add_contention_pair(format!("memory-bus: {pids}"))
+        };
+        added.expect("pair added");
+    }
+    let mut probe = |pair: usize, tick: u64, _attempt: u32| -> Result<PairInput, ProbeFault> {
+        Ok(probe_input(pair, tick as usize))
+    };
+    for _ in 0..ticks {
+        fleet.tick(&mut probe);
+    }
+    fleet
+}
+
+/// Pair `pair`'s input at `tick`: covert one pair in [`COVERT_EVERY`]
+/// (oscillation pairs one in four), else benign.
+fn probe_input(pair: usize, tick: usize) -> PairInput {
+    if is_oscillation(pair) {
+        PairInput::Conflicts {
+            records: conflicts(pair % (4 * OSCILLATION_EVERY) == 1, tick % 8),
+            lost_fraction: 0.0,
+        }
+    } else {
+        let covert = pair.is_multiple_of(COVERT_EVERY);
+        PairInput::Harvest(Harvest::Complete(histogram(covert, tick % 8)))
+    }
+}
+
+/// A scrape refreshes every pair-derived gauge in one pass over each
+/// shard's pair table and renders a fixed series set, so the allocations
+/// of a steady-state `render_prometheus` do not depend on the pair count.
+fn a_scrape_allocates_as_much_at_10240_pairs_as_at_1024() {
+    let counts: Vec<u64> = [1_024, 10_240]
+        .into_iter()
+        .map(|pairs| {
+            let fleet = scraped_fleet(pairs, 3);
+            let warm = fleet.render_prometheus();
+            let (text, allocations) = allocations_in(|| fleet.render_prometheus());
+            assert_eq!(text.lines().count(), warm.lines().count());
+            allocations
+        })
+        .collect();
+    assert_eq!(
+        counts[0], counts[1],
+        "scrape allocations at 1 024 and 10 240 pairs"
+    );
+}
+
 /// Steady-state allocations per pair-quantum stay within 1.25, counting
 /// the probe's clone of its pre-built input (one histogram or record
 /// vector) and covert pairs' k-means reruns; the report shares the pair
@@ -127,7 +210,6 @@ fn histogram(covert: bool, tick: usize) -> DensityHistogram {
 /// report about 2.4 (without oscillation pairs), and resolving every
 /// per-pair metric through its family on every tick about 10.4 (a label
 /// key per family update, plus three label copies per pair).
-#[test]
 fn steady_state_pair_quantum_allocates_at_most_one_and_a_quarter_times() {
     let mut fleet = ShardedFleet::new(ShardedFleetConfig {
         shards: 2,
@@ -185,14 +267,12 @@ fn steady_state_pair_quantum_allocates_at_most_one_and_a_quarter_times() {
     }
     let series_before = fleet.render_prometheus().lines().count();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    for _ in 0..MEASURED_TICKS {
-        let report = fleet.tick(&mut probe);
-        drop(report);
-    }
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let ((), allocations) = allocations_in(|| {
+        for _ in 0..MEASURED_TICKS {
+            let report = fleet.tick(&mut probe);
+            drop(report);
+        }
+    });
 
     let per_pair_quantum = allocations as f64 / (PAIRS * MEASURED_TICKS) as f64;
     assert!(

@@ -11,7 +11,9 @@
 //! reopens it, pins the re-added pairs' statuses, one `{:?}` line per pair,
 //! under `golden/per_pair_store_statuses.txt`, checks that no pair came
 //! back degraded, and ticks once: a restored window convicts (or acquits)
-//! on that one quantum, where an empty one could not.
+//! on that one quantum, where an empty one could not. A second test
+//! checkpoints the reopened store until the fixture's generation leaves
+//! `keep`, and checks that its `pair-NNNN` entries go with it.
 //!
 //! Regenerate the fixture only for a deliberate format change.
 
@@ -92,10 +94,11 @@ fn config() -> ShardedFleetConfig {
     }
 }
 
-/// A scratch store root whose `shard-00` is a copy of the fixture.
-fn fixture_root() -> PathBuf {
+/// A scratch store root, named after `tag`, whose `shard-00` is a copy
+/// of the fixture.
+fn fixture_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!(
-        "cchunter-store-layout-golden-{}",
+        "cchunter-store-layout-golden-{tag}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&root);
@@ -108,10 +111,9 @@ fn fixture_root() -> PathBuf {
     root
 }
 
-#[test]
-fn per_pair_store_reopens_with_its_windows() {
-    let root = fixture_root();
-    let mut fleet = ShardedFleet::with_store_root(config(), &root).unwrap();
+/// Reopens `root` and re-adds the stored pairs.
+fn reopen(root: &Path) -> ShardedFleet {
+    let mut fleet = ShardedFleet::with_store_root(config(), root).unwrap();
     assert_eq!(fleet.tick_count(), 12);
     for (label, contention) in PAIRS {
         if contention {
@@ -121,8 +123,33 @@ fn per_pair_store_reopens_with_its_windows() {
         }
     }
     fleet.verify_accounting().unwrap();
+    fleet
+}
+
+/// The reopened pairs' statuses, one `{:?}` line per pair.
+fn rendered_statuses(fleet: &ShardedFleet) -> String {
+    fleet
+        .pair_statuses()
+        .iter()
+        .map(|s| format!("{s:?}\n"))
+        .collect()
+}
+
+/// The names of the `pair-NNNN` files in `root`'s shard store.
+fn pair_files(root: &Path) -> Vec<String> {
+    std::fs::read_dir(root.join("shard-00"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("pair-"))
+        .collect()
+}
+
+#[test]
+fn per_pair_store_reopens_with_its_windows() {
+    let root = fixture_root("reopen");
+    let mut fleet = reopen(&root);
     let statuses = fleet.pair_statuses();
-    let rendered: String = statuses.iter().map(|s| format!("{s:?}\n")).collect();
+    let rendered = rendered_statuses(&fleet);
     assert_eq!(rendered, include_str!("golden/per_pair_store_statuses.txt"));
     for status in &statuses {
         assert!(!status.degraded, "{}: window lost", status.label);
@@ -138,6 +165,39 @@ fn per_pair_store_reopens_with_its_windows() {
             Verdict::Clean,
             Verdict::CovertTimingChannel
         ]
+    );
+    drop(fleet);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The per-slot entries stay while a kept `supervisor` generation has no
+/// window section of its own (a rollback to it reads them), and are
+/// deleted by the checkpoint that pushes the last such generation out of
+/// the store's `keep`. The store then reopens to the same statuses, each
+/// window read from the manifest entry.
+#[test]
+fn per_pair_entries_are_pruned_once_no_kept_manifest_reaches_them() {
+    let root = fixture_root("prune");
+    let fleet = reopen(&root);
+    assert_eq!(pair_files(&root).len(), 3);
+    let keep = config().keep_generations as u64;
+    for generation in 1..=keep {
+        assert_eq!(fleet.checkpoint().unwrap(), [(0, generation)]);
+        let expected = if generation < keep { 3 } else { 0 };
+        assert_eq!(
+            pair_files(&root).len(),
+            expected,
+            "after generation {generation}"
+        );
+    }
+    drop(fleet);
+
+    let fleet = reopen(&root);
+    let golden = include_str!("golden/per_pair_store_statuses.txt");
+    let moved = format!("RestoredFrom {{ generation: {keep}, rolled_back: 0 }}");
+    assert_eq!(
+        rendered_statuses(&fleet),
+        golden.replace("RestoredFrom { generation: 0, rolled_back: 0 }", &moved)
     );
     drop(fleet);
     let _ = std::fs::remove_dir_all(&root);
