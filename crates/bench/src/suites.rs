@@ -4,6 +4,7 @@
 //! to `BENCH_detector.json`.
 
 use crate::{bursty_train, covert_histogram, hostile_events, quantum_conflicts, random_blocks};
+use cchunter_detector::auditor::ConflictRecord;
 use cchunter_detector::autocorr::Autocorrelogram;
 use cchunter_detector::burst::BurstDetector;
 use cchunter_detector::cluster::{discretize, kmeans, LevelString};
@@ -13,7 +14,9 @@ use cchunter_detector::ingest::{
     AdmissionConfig, IngestConfig, IngestPipeline, RawEvent, ShedPolicy,
 };
 use cchunter_detector::mitigation::MitigationConfig;
-use cchunter_detector::online::{Harvest, OnlineContentionDetector};
+use cchunter_detector::online::{
+    encode_slot, Harvest, OnlineContentionDetector, OnlineOscillationDetector,
+};
 use cchunter_detector::pipeline::symbol_series;
 use cchunter_detector::shard::{ShardedFleet, ShardedFleetConfig};
 use cchunter_detector::supervisor::{PairInput, ProbeFault, SupervisorConfig};
@@ -33,6 +36,8 @@ pub fn detector_suite(c: &mut Criterion) {
     bench_burst(c);
     bench_clustering(c);
     bench_online_push(c);
+    bench_encode_slot(c);
+    bench_oscillation_push(c);
     bench_audit_pairs(c);
     bench_sharded_tick(c);
     bench_mitigation_tick(c);
@@ -207,6 +212,67 @@ fn bench_online_push(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             daemon.push_quantum(black_box(histograms[i % histograms.len()].clone()))
+        })
+    });
+}
+
+fn bench_encode_slot(c: &mut Criterion) {
+    // The coordinator's per-harvest encoding at the probe, appended to a
+    // batch cleared every 1 024 quanta as a tick clears it: a fleet_10k
+    // benign quantum, idle windows with a decaying tail over bins 1–7.
+    let mut bins = vec![0u64; HISTOGRAM_BINS];
+    let mut level = 100.0f64;
+    for bin in &mut bins[1..8] {
+        *bin = level as u64;
+        level *= 0.35;
+    }
+    bins[0] = 2_480 - bins.iter().sum::<u64>();
+    let benign = DensityHistogram::from_bins(bins, 100_000).expect("128 bins, nonzero Δt");
+    let mut batch = Vec::new();
+    let mut filed = 0usize;
+    c.bench_function("encode_slot_benign_quantum", |b| {
+        b.iter(|| {
+            filed += 1;
+            if filed.is_multiple_of(1_024) {
+                batch.clear();
+            }
+            encode_slot(black_box(&benign), &mut batch);
+        })
+    });
+}
+
+fn bench_oscillation_push(c: &mut Criterion) {
+    // Steady state of a fleet_10k oscillation pair: a full 64-quantum
+    // window fed 128-record quanta in turn, four periodic (groups of 2 to
+    // 16 sets) and four of unpatterned contexts (about 96 symbols each
+    // once same-context records drop).
+    let mut rng = SmallRng::seed_from_u64(128);
+    let mut quanta: Vec<Vec<ConflictRecord>> = [2u64, 4, 8, 16]
+        .map(|sets| quantum_conflicts(64 / sets as usize, sets))
+        .into();
+    quanta.extend((0..4).map(|_| {
+        let mut cycle = 0u64;
+        (0..128)
+            .map(|_| {
+                cycle += rng.gen_range(50..400u64);
+                ConflictRecord {
+                    cycle,
+                    replacer: rng.gen_range(0..4u8),
+                    victim: rng.gen_range(0..4u8),
+                }
+            })
+            .collect()
+    }));
+    let mut daemon = OnlineOscillationDetector::new(CcHunterConfig::default(), 64)
+        .expect("64-quantum window is valid");
+    for i in 0..64usize {
+        daemon.push_quantum(&quanta[i % quanta.len()]);
+    }
+    let mut i = 0usize;
+    c.bench_function("online_oscillation_push_128_records", |b| {
+        b.iter(|| {
+            i += 1;
+            daemon.push_quantum(black_box(&quanta[i % quanta.len()]))
         })
     });
 }

@@ -16,6 +16,7 @@
 //! statistic is an integer sum, so the walk is exact against a dense scan.
 
 use crate::density::{DensityHistogram, HISTOGRAM_BINS};
+use std::mem::MaybeUninit;
 
 /// Configuration for [`BurstDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,26 +133,15 @@ impl BurstDetector {
     /// Analyzes one event-density histogram.
     pub fn analyze(&self, histogram: &DensityHistogram) -> BurstVerdict {
         let nonzero = histogram.bins().iter().copied().enumerate();
-        self.analyze_nonzero(histogram.delta_t(), nonzero.filter(|p| p.1 > 0))
+        let mut room = [MaybeUninit::uninit(); HISTOGRAM_BINS];
+        let nonzero = gather_nonzero(nonzero.filter(|p| p.1 > 0), &mut room);
+        self.analyze_nonzero(histogram.delta_t(), nonzero)
     }
 
     /// The one analysis, over a histogram's nonzero `(bin, frequency)`
-    /// pairs gathered on the stack (bins ascending, bins past the last
-    /// ignored, frequencies summing within `u64`): a stored window slot is
-    /// scored without a dense view, with the dense histogram's statistics.
-    pub(crate) fn analyze_nonzero(
-        &self,
-        delta_t: u64,
-        pairs: impl IntoIterator<Item = (usize, u64)>,
-    ) -> BurstVerdict {
-        let mut gathered = [(0, 0); HISTOGRAM_BINS];
-        let mut len = 0;
-        let pairs = pairs.into_iter().filter(|p| p.0 < HISTOGRAM_BINS);
-        for (slot, pair) in gathered.iter_mut().zip(pairs) {
-            *slot = pair;
-            len += 1;
-        }
-        let nonzero = &gathered[..len];
+    /// pairs ([`gather_nonzero`]; frequencies summing within `u64`): a stored window slot is scored
+    /// without a dense view, with the dense histogram's statistics.
+    pub(crate) fn analyze_nonzero(&self, delta_t: u64, nonzero: &[(usize, u64)]) -> BurstVerdict {
         let quiet = BurstVerdict::quiet(delta_t);
         let contended: u64 = nonzero.iter().filter(|p| p.0 > 0).map(|p| p.1).sum();
         if contended == 0 {
@@ -254,6 +244,25 @@ fn local_minimum_threshold(nonzero: &[(usize, u64)]) -> Option<usize> {
         }
     }
     None
+}
+
+/// Gathers the pairs of `pairs` (bins ascending) whose bin is below
+/// [`HISTOGRAM_BINS`] into the front of `room`, a stack array the caller
+/// owns, and returns them. Only the gathered prefix is ever written or
+/// read, so a gather costs its pairs, not a zero fill of all 128 (2 KiB).
+pub(crate) fn gather_nonzero(
+    pairs: impl IntoIterator<Item = (usize, u64)>,
+    room: &mut [MaybeUninit<(usize, u64)>; HISTOGRAM_BINS],
+) -> &[(usize, u64)] {
+    let mut len = 0;
+    let pairs = pairs.into_iter().filter(|p| p.0 < HISTOGRAM_BINS);
+    for (slot, pair) in room.iter_mut().zip(pairs) {
+        slot.write(pair);
+        len += 1;
+    }
+    // SAFETY: the loop wrote the first `len` pairs, and `MaybeUninit<T>`
+    // has `T`'s layout.
+    unsafe { std::slice::from_raw_parts(room.as_ptr().cast(), len) }
 }
 
 /// The frequency of `bin` if pair `j` holds it, else 0 (a nonzero bin's

@@ -224,6 +224,14 @@ impl CircuitBreaker {
         self.state
     }
 
+    /// Starts loading the oldest recorded outcome, which the next one
+    /// evicts.
+    pub(crate) fn prefetch(&self) {
+        if let Some(oldest) = self.outcomes.front() {
+            crate::window::prefetch(oldest);
+        }
+    }
+
     /// Whether the pair is quarantined (open or still proving recovery).
     pub fn is_quarantined(&self) -> bool {
         !matches!(self.state, BreakerState::Closed)

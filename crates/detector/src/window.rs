@@ -9,6 +9,19 @@
 
 use std::num::NonZeroUsize;
 
+/// Asks the CPU to start loading the cache line at `at`: a hint with no
+/// effect on results.
+#[inline(always)]
+pub(crate) fn prefetch<T>(at: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch only hints the cache; it reads nothing and never
+    // faults, whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(at.cast());
+    }
+}
+
 /// A ring buffer holding the most recent `capacity` pushed values.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow<T> {
