@@ -729,11 +729,20 @@ impl OnlineWindow {
             _ if self.covert < self.config.cluster.min_recurring => (self.covert, false),
             Some(cached) => cached,
             None => {
-                let groups: Groups = self.arena.levels.iter().copied().collect();
-                let verdict = groups.recurrence(self.observed, &self.config.cluster);
-                *self
-                    .cache
-                    .insert((verdict.largest_burst_cluster, verdict.recurrent))
+                let levels = &self.arena.levels;
+                let cached = match levels.front() {
+                    // One distinct string: k-means++ seeds and every Lloyd
+                    // step put all inputs in one cluster, for any k, seed
+                    // or iteration count, and the guard above made them
+                    // at least `min_recurring`.
+                    Some(first) if levels.iter().all(|l| l == first) => (self.covert, true),
+                    _ => {
+                        let groups: Groups = levels.iter().copied().collect();
+                        let verdict = groups.recurrence(self.observed, &self.config.cluster);
+                        (verdict.largest_burst_cluster, verdict.recurrent)
+                    }
+                };
+                *self.cache.insert(cached)
             }
         };
         RecurrenceVerdict {
@@ -1057,6 +1066,58 @@ mod tests {
             assert_eq!(status.recurrence, Some(expected), "step {step}");
         }
         assert!(wrapped, "the level ring wrapped");
+    }
+
+    /// A window whose bursty quanta all share one level string skips
+    /// k-means, and recurs exactly as [`Groups::recurrence`] over its
+    /// strings for any `k`, seed, iteration count and `min_recurring`; a
+    /// window with several distinct strings clusters as before.
+    #[test]
+    fn a_window_of_one_distinct_string_recurs_like_k_means() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(30);
+        let (mut uniform_recurrent, mut mixed_recurrent) = (0, 0);
+        for case in 0..120 {
+            let config = CcHunterConfig {
+                cluster: crate::ClusterConfig {
+                    k: rng.gen_range(1..6),
+                    max_iterations: rng.gen_range(1..20),
+                    seed: rng.gen_range(0..u64::MAX),
+                    min_recurring: rng.gen_range(1..6),
+                },
+                ..CcHunterConfig::default()
+            };
+            let shapes = if case % 2 == 0 {
+                1
+            } else {
+                rng.gen_range(2..5)
+            };
+            let mut window = OnlineWindow::new(PairKind::Contention, config, 16).unwrap();
+            for step in 0..48 {
+                let mut bins = vec![0u64; HISTOGRAM_BINS];
+                bins[0] = 2_400;
+                if rng.gen_bool(0.7) {
+                    let peak = 16 + 9 * rng.gen_range(0..shapes);
+                    (bins[peak], bins[peak + 1]) = (150, 25);
+                } else {
+                    bins[1] = 5;
+                }
+                let h = DensityHistogram::from_bins(bins, 100_000).unwrap();
+                let status = window.push_harvest(h).unwrap();
+                let levels = &window.arena.levels;
+                let groups: Groups = levels.iter().copied().collect();
+                let expected = groups.recurrence(window.observed, &config.cluster);
+                if expected.recurrent {
+                    match levels.iter().all(|l| l == &levels[0]) {
+                        true => uniform_recurrent += 1,
+                        false => mixed_recurrent += 1,
+                    }
+                }
+                assert_eq!(status.recurrence, Some(expected), "case {case} step {step}");
+            }
+        }
+        assert!(uniform_recurrent > 100 && mixed_recurrent > 100);
     }
 
     #[test]

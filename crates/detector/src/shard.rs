@@ -15,12 +15,13 @@
 //!   `shard="N"` label), an optional [`IngestPipeline`], and a
 //!   [`MitigationEnforcer`].
 //! * **One tick** — the coordinator's loop is the only probe/retry loop
-//!   and its tick number the only clock. It asks each pair's breaker
-//!   first (quarantined pairs are probed only on recovery ticks), then
-//!   files the input, its retry count and virtual backoff in a bounded
-//!   per-shard batch, reused every tick; a contention harvest goes in as
-//!   its window-slot bytes. Overflow widens harvests to partial —
-//!   backpressure, never loss.
+//!   and its tick number the only clock. It asks the breakers first
+//!   (quarantined pairs are probed only on recovery ticks), then probes
+//!   in fleet-index order, filing the input, its retry count and virtual
+//!   backoff in a bounded per-shard batch, reused every chunk; a
+//!   contention harvest goes in as its window-slot bytes. The pool steps
+//!   each chunk while the coordinator probes the next. Overflow widens
+//!   harvests to partial — backpressure, never loss.
 //! * **Heartbeats** — shard ticks fan out under `catch_unwind` with a
 //!   deadline; [`ShardedFleetConfig::dead_after`] consecutive misses
 //!   declare a shard dead.
@@ -63,14 +64,19 @@ use crate::span::{self, Tracer};
 use crate::store::{CheckpointStore, StorageMedium};
 use crate::supervisor::{
     probe_with_retry, Durability, IngestSnapshot, LatencySummary, MetricsSnapshot, PairKind,
-    PairRecord, ProbeSource, RestoredFrom, Roster, ShadowCheckpoint, ShardBatch, Supervisor,
-    SupervisorConfig, TickReport, WindowSource,
+    PairRecord, PairReport, ProbeSource, RestoredFrom, Roster, ShadowCheckpoint, ShardBatch,
+    Supervisor, SupervisorConfig, TickReport, WindowSource,
 };
 use crate::DetectorError;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use threadpool::JobPanic;
+
+/// The fewest pairs in a chunk of a fleet tick: a fleet this small ticks
+/// in one chunk, probed whole and then stepped.
+const MIN_CHUNK_PAIRS: usize = 64;
 
 /// Members of the fleet-wide `cchunter_suspicious_pair{pair=…}` gauge: the
 /// pairs with the largest evidence share, refilled at every scrape. The
@@ -135,8 +141,9 @@ pub struct ShardedFleetConfig {
     /// The `lost_fraction` widening applied to an input degraded by
     /// mailbox overflow, in `[0, 1]`.
     pub overflow_loss: f64,
-    /// Wall-clock budget for one whole shard tick, in microseconds; an
-    /// over-budget tick is a heartbeat miss. 0 disables the deadline.
+    /// Budget for one shard tick's busy time (its chunks summed, not the
+    /// probes beside them), in microseconds; an over-budget tick is a
+    /// heartbeat miss. 0 disables the deadline.
     pub shard_deadline_us: u64,
     /// Consecutive heartbeat misses before a shard is declared dead and
     /// its pairs migrate to survivors.
@@ -322,9 +329,9 @@ pub struct ShardStatus {
     pub deaths: u64,
     /// Contained shard-tick panics.
     pub panics: u64,
-    /// Shard ticks that blew the wall-clock deadline.
+    /// Shard ticks that blew the deadline.
     pub tick_deadline_misses: u64,
-    /// Wall-clock microseconds of the last completed shard tick.
+    /// Busy microseconds of the last completed shard tick, chunks summed.
     pub last_tick_us: u64,
 }
 
@@ -453,7 +460,8 @@ struct Shard {
     enforcer: Box<dyn MitigationEnforcer + Send>,
     /// The shard's hardened ingest pipeline, when configured.
     ingest: Option<IngestPipeline>,
-    /// This tick's probed inputs, one cell per slot; refilled every tick.
+    /// The chunk of this tick being stepped; the coordinator files the
+    /// next one in `ShardedFleet::filing`, and the two swap every chunk.
     batch: ShardBatch,
     /// Latency-SLO suspicion state, when configured.
     suspicion: Option<SloState>,
@@ -621,7 +629,7 @@ impl CoordinatorMetrics {
             ),
             shard_tick_latency_us: registry.histogram_family(
                 "cchunter_shard_tick_latency_us",
-                "Wall-clock latency of one shard tick, in microseconds, by shard.",
+                "Busy time of one shard tick (its chunks summed), in microseconds, by shard.",
                 SHARD,
                 &LATENCY_BUCKETS_US,
             ),
@@ -720,6 +728,8 @@ pub struct ShardedFleet {
     /// a scan finds every pair home with no move failed or held back by a
     /// budget.
     placement_unsettled: bool,
+    /// Per shard, the chunk the coordinator is filing.
+    filing: Vec<ShardBatch>,
     registry: Registry,
     metrics: CoordinatorMetrics,
     tracer: Tracer,
@@ -746,6 +756,39 @@ fn open_store(
             CheckpointStore::open_exclusive_with_medium(dir, keep, owner, Arc::clone(medium))
         }
         None => CheckpointStore::open_exclusive(dir, keep, owner),
+    }
+}
+
+/// One shard's part in a pipelined tick.
+#[derive(Debug, Default)]
+struct ShardRun {
+    /// Room for the tick's reports, allocated on the coordinator's thread.
+    room: Vec<PairReport>,
+    /// Time in the shard's jobs: its tick time for deadline and SLO.
+    busy: Duration,
+    /// The finished tick's report, or the panic that ended the tick.
+    ended: Option<Result<TickReport, JobPanic>>,
+}
+
+impl ShardRun {
+    /// Steps `shard`'s current chunk under `catch_unwind`. The first chunk
+    /// fires the shard's armed faults and opens its tick; the last
+    /// finishes it. A panic ends the shard's tick.
+    fn step(&mut self, shard: &mut Shard, tick: u64, first: bool, last: bool) {
+        let Some(sup) = shard.supervisor.as_mut() else {
+            return;
+        };
+        let started = Instant::now();
+        let result = threadpool::catch(|| {
+            if first {
+                shard.faults.fire();
+                sup.begin_tick(std::mem::take(&mut self.room));
+            }
+            sup.step(tick, &mut shard.batch, shard.enforcer.as_mut());
+            last.then(|| sup.finish_tick(tick))
+        });
+        self.busy += started.elapsed();
+        self.ended = result.transpose();
     }
 }
 
@@ -846,6 +889,7 @@ impl ShardedFleet {
             ingest_stats: Vec::new(),
             tick: 0,
             placement_unsettled: true,
+            filing: Vec::new(),
             registry,
             metrics,
             tracer,
@@ -1137,10 +1181,10 @@ impl ShardedFleet {
         Ok(global)
     }
 
-    /// Runs one fleet tick: asks each assigned pair's breaker whether it is
-    /// due, probes the due ones (the fleet's only retry/backoff loop),
-    /// moves the inputs into each shard's bounded batch, fans shard ticks
-    /// out under the panic + deadline watchdogs, settles heartbeats, and
+    /// Runs one fleet tick: asks the breakers which pairs are held back,
+    /// probes the due ones (the fleet's only retry/backoff loop) chunk by
+    /// chunk into each shard's batch while the pool steps the previous
+    /// chunk under the panic + deadline watchdogs, settles heartbeats, and
     /// migrates the pairs of any shard declared dead. Never panics and
     /// never blocks on a wedged shard beyond the deadline fan-out itself.
     pub fn tick<S: ProbeSource + ?Sized>(&mut self, source: &mut S) -> FleetTickReport {
@@ -1149,39 +1193,92 @@ impl ShardedFleet {
         let shard_count = self.shards.len();
         let mut tick_span = self.tracer.span("fleet", "tick");
 
-        // Phase A (serial): probe each due pair once, with retries, into
-        // its shard's batch (one cell per slot; `None` = quarantined). A
-        // contention harvest is encoded there and its histogram dropped.
-        for shard in &mut self.shards {
-            shard.batch.reset(shard.pairs());
+        // Which pairs are due, decided before any shard work: a breaker's
+        // answer is pure, and a pair's breaker moves only in its own step.
+        let mut held = Vec::new();
+        for sup in self.shards.iter().filter_map(|s| s.supervisor.as_ref()) {
+            sup.held_back(tick, &mut held);
         }
-        let mut overflow_degraded = 0usize;
-        let mut probe_retries = 0u64;
-        for (global, entry) in self.table.iter().enumerate() {
-            let PairHome::Assigned { shard, slot } = entry.home else {
-                continue;
-            };
-            let host = &mut self.shards[shard];
-            let Some(sup) = host.supervisor.as_ref() else {
-                continue;
-            };
-            // Only an open breaker can hold a pair back, and a shard that
-            // has none keeps its pairs' breakers unread here.
-            if sup.counts().open_breakers > 0 && !sup.should_attempt(slot, tick) {
-                continue;
+        held.sort_unstable();
+        let (config, table) = (&self.config, &self.table);
+        let (mut filed, mut probe_retries, mut overflow_degraded) = (vec![0; shard_count], 0, 0);
+        // Probes the due pairs from fleet index `from` on, in order, into
+        // their shards' batches (a held pair as `None`), until the table
+        // ends or, past `MIN_CHUNK_PAIRS` pairs, `idle` says the pool waits
+        // for them; returns the fleet index to probe next.
+        let mut probe = |from: usize, batches: &mut [ShardBatch], idle: &dyn Fn() -> bool| {
+            for (global, entry) in table.iter().enumerate().skip(from) {
+                if global >= from + MIN_CHUNK_PAIRS && idle() {
+                    return global;
+                }
+                let PairHome::Assigned { shard, slot } = entry.home else {
+                    continue;
+                };
+                let filed = &mut filed[shard];
+                let probed = held.binary_search(&global).is_err().then(|| {
+                    let seed = mix_seed(config.base.seed, global as u64, tick);
+                    let mut probed =
+                        probe_with_retry(source, &config.base.backoff, seed, global, tick);
+                    probe_retries += u64::from(probed.retries);
+                    if config.mailbox_capacity > 0 && *filed >= config.mailbox_capacity {
+                        overflow_degraded += 1;
+                        probed.input.widen_loss(config.overflow_loss);
+                    }
+                    *filed += 1;
+                    probed
+                });
+                batches[shard].file(slot, entry.kind, probed);
             }
-            let seed = mix_seed(self.config.base.seed, global as u64, tick);
-            let mut probed =
-                probe_with_retry(source, &self.config.base.backoff, seed, global, tick);
-            probe_retries += u64::from(probed.retries);
-            if self.config.mailbox_capacity > 0
-                && host.batch.filed() >= self.config.mailbox_capacity
-            {
-                overflow_degraded += 1;
-                probed.input.widen_loss(self.config.overflow_loss);
+            table.len()
+        };
+        let mut runs: Vec<ShardRun> = (self.shards.iter())
+            .map(|s| ShardRun {
+                room: Vec::with_capacity(s.pairs()),
+                ..ShardRun::default()
+            })
+            .collect();
+        self.filing.resize_with(shard_count, ShardBatch::default);
+        self.filing.iter_mut().for_each(ShardBatch::reset);
+
+        // Scope k steps chunk k - 1 on the pool while its body probes chunk
+        // k. A shard runs in one job per scope, so its chunks run in order
+        // and never on two threads at once.
+        let mut next = 0;
+        for k in 0.. {
+            let (first, last) = (k == 1, next == table.len());
+            threadpool::scope(|scope| {
+                // While the coordinator probes, the jobs leave it a worker;
+                // after the probes, it steps a lone job itself.
+                let workers = scope.threads().max(2) - 1;
+                let jobs = if last { shard_count } else { workers };
+                let mut groups: Vec<Vec<_>> = (0..jobs).map(|_| Vec::new()).collect();
+                let shards = self.shards.iter_mut().zip(&mut runs).zip(&mut self.filing);
+                for (i, ((shard, run), filing)) in shards.enumerate().filter(|_| k > 0) {
+                    std::mem::swap(&mut shard.batch, filing);
+                    filing.reset();
+                    if run.ended.is_none() && shard.supervisor.is_some() {
+                        groups[i % jobs].push((shard, run));
+                    }
+                }
+                let step = move |group: Vec<(&mut Shard, &mut ShardRun)>| {
+                    for (shard, run) in group {
+                        run.step(shard, tick, first, last);
+                    }
+                };
+                groups.retain(|g| !g.is_empty());
+                let inline = (last && groups.len() == 1).then(|| groups.pop()).flatten();
+                for group in groups {
+                    scope.execute(move || step(group));
+                }
+                inline.into_iter().for_each(step);
+                next = probe(next, &mut self.filing, &|| scope.is_idle());
+            });
+            if k > 0 && last {
+                break;
             }
-            host.batch.file(slot, entry.kind, probed);
         }
+        // The last chunk's inputs drop on the thread that allocated them.
+        self.shards.iter_mut().for_each(|s| s.batch.reset());
         if probe_retries > 0 {
             self.metrics.probe_retries.inc_by(probe_retries);
         }
@@ -1191,29 +1288,20 @@ impl ShardedFleet {
                 .inc_by(overflow_degraded as u64);
         }
 
-        // Phase B (parallel): each live shard ticks under catch_unwind; a
-        // panicking shard is contained in its own slot.
-        let results = threadpool::par_catch_map_mut(&mut self.shards, |shard| {
-            let supervisor = shard.supervisor.as_mut()?;
-            let shard_started = Instant::now();
-            shard.faults.fire();
-            let report = supervisor.tick(tick, &mut shard.batch, shard.enforcer.as_mut());
-            let elapsed_us = shard_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            Some((report, elapsed_us))
-        });
-
-        // Phase C (serial): heartbeat settlement and death declaration.
+        // Heartbeat settlement and death declaration (serial).
         let mut shard_reports: Vec<Option<TickReport>> = (0..shard_count).map(|_| None).collect();
         let mut heartbeat_misses = Vec::new();
         let mut deaths = Vec::new();
         let mut suspected = Vec::new();
         let mut cleared = Vec::new();
         let deadline_us = self.config.shard_deadline_us;
-        for (i, result) in results.into_iter().enumerate() {
+        for (i, run) in runs.into_iter().enumerate() {
             // Dead shards ran no tick.
-            let Some(result) = result.transpose() else {
+            let Some(result) = run.ended else {
                 continue;
             };
+            // A shard's tick time is its busy time, summed over its chunks.
+            let elapsed_us = run.busy.as_micros().min(u64::MAX as u128) as u64;
             let shard = &mut self.shards[i];
             // The gray-failure (latency-SLO) verdict for this shard tick:
             // Some(over_budget) to feed the suspicion tracker, None to
@@ -1227,7 +1315,7 @@ impl ShardedFleet {
                     slo_breach = Some(true);
                     Some(("shard-panic", panic.message))
                 }
-                Ok((report, elapsed_us)) => {
+                Ok(report) => {
                     shard.last_tick_us = elapsed_us;
                     self.metrics.observe_shard_tick(i, elapsed_us);
                     if let (Some(slo), Some(state)) =
@@ -1309,7 +1397,7 @@ impl ShardedFleet {
             migration.orphaned += report.orphaned;
         }
 
-        // Phase D (serial): bounded-churn placement repair — drain
+        // Bounded-churn placement repair (serial): drain
         // suspected shards and walk migrated pairs back to their
         // rendezvous homes.
         let (drained, rebalanced) = self.rebalance_pass();
@@ -2725,6 +2813,137 @@ mod tests {
             let sup = fleet.shards[0].supervisor.as_ref().unwrap();
             assert_eq!(sup.counts(), sup.recount(), "tick {tick}");
         }
+    }
+
+    /// A shard whose enforcer panics on a pair far into the fleet unwinds
+    /// in a late chunk of the tick, after earlier chunks were stepped:
+    /// one shard panic and no report from it, its tally published with
+    /// its counts recounted, and the other shard unharmed.
+    #[test]
+    fn a_shard_that_panics_in_a_late_chunk_still_publishes_its_counts() {
+        const PAIRS: usize = 4 * MIN_CHUNK_PAIRS;
+        let mut fleet = ShardedFleet::new(test_config(2)).unwrap();
+        for pair in 0..PAIRS {
+            fleet
+                .add_contention_pair(format!("memory-bus: pair {pair}"))
+                .unwrap();
+        }
+        let covert = PAIRS - 1;
+        let victim = fleet.shard_of(covert).unwrap();
+        fleet
+            .set_enforcer(victim, Box::new(PanickingEnforcer))
+            .unwrap();
+        let mut source = |pair: usize, _tick: u64, _attempt: u32| {
+            let histogram = match pair == covert {
+                true => covert_histogram(),
+                false => quiet_histogram(),
+            };
+            Ok::<PairInput, ProbeFault>(PairInput::Harvest(Harvest::Complete(histogram)))
+        };
+        for tick in 0..32 {
+            let before = fleet.metrics_snapshot();
+            let report = fleet.tick(&mut source);
+            let sup = fleet.shards[victim].supervisor.as_ref().unwrap();
+            assert_eq!(sup.counts(), sup.recount(), "tick {tick}");
+            if report.shard_reports[victim].is_some() {
+                continue;
+            }
+            assert_eq!(report.heartbeat_misses, [victim]);
+            assert_eq!(fleet.shard_statuses()[victim].panics, 1);
+            let survivor = report.shard_reports[1 - victim].as_ref().unwrap();
+            let hosted = fleet.shards[1 - victim].pairs();
+            assert_eq!(survivor.reports.len(), hosted);
+            // Every pair but the panicking one was analysed and counted.
+            let after = fleet.metrics_snapshot();
+            assert_eq!(after.analyzed, before.analyzed + PAIRS as u64 - 1);
+            return;
+        }
+        panic!("the covert pair was never contained");
+    }
+
+    /// Moves leave a shard's slot order unlike fleet-index order; a tick
+    /// still steps every hosted pair once, reports each shard's pairs in
+    /// fleet-index order, reports what the pair table holds, and keeps
+    /// each shard's counts equal to a recount. Pairs that stayed put read
+    /// as in a twin fleet that moved nothing.
+    #[test]
+    fn a_tick_steps_every_pair_once_in_fleet_order_whatever_the_slots() {
+        const PAIRS: usize = 5 * MIN_CHUNK_PAIRS;
+        let kind = |pair: usize| match pair % 4 {
+            3 => PairKind::Oscillation,
+            _ => PairKind::Contention,
+        };
+        let build = || {
+            let mut fleet = ShardedFleet::new(test_config(2)).unwrap();
+            for pair in 0..PAIRS {
+                let label = format!("pair {pair}");
+                match kind(pair) {
+                    PairKind::Contention => fleet.add_contention_pair(label),
+                    PairKind::Oscillation => fleet.add_oscillation_pair(label),
+                }
+                .unwrap();
+            }
+            fleet
+        };
+        let mut source = |pair: usize, tick: u64, _attempt: u32| {
+            Ok::<PairInput, ProbeFault>(scheduled_input(pair, tick, kind(pair)))
+        };
+        let (mut fleet, mut twin) = (build(), build());
+        for _ in 0..4 {
+            fleet.tick(&mut source);
+            twin.tick(&mut source);
+        }
+        let moved: Vec<usize> = (0..PAIRS).rev().filter(|p| p % 3 == 0).collect();
+        for &pair in &moved {
+            let shard = fleet.shard_of(pair).unwrap();
+            fleet.move_pair(pair, 1 - shard).unwrap();
+        }
+        let slot_order = |shard: usize| {
+            let mut hosted: Vec<(usize, usize)> = (fleet.table.iter().enumerate())
+                .filter_map(|(pair, entry)| match entry.home {
+                    PairHome::Assigned { shard: s, slot } if s == shard => Some((slot, pair)),
+                    _ => None,
+                })
+                .collect();
+            hosted.sort_unstable();
+            hosted
+                .into_iter()
+                .map(|(_, pair)| pair)
+                .collect::<Vec<usize>>()
+        };
+        assert!((0..2).all(|shard| !slot_order(shard).is_sorted()));
+        for tick in 0..8 {
+            let report = fleet.tick(&mut source);
+            twin.tick(&mut source);
+            let statuses = fleet.pair_statuses();
+            let mut stepped = vec![0; PAIRS];
+            for (shard, shard_report) in report.shard_reports.iter().enumerate() {
+                let reports = &shard_report.as_ref().unwrap().reports;
+                assert!(reports.is_sorted_by_key(|r| r.pair), "tick {tick}");
+                for r in reports {
+                    stepped[r.pair] += 1;
+                    let status = &statuses[r.pair];
+                    assert_eq!(status.shard, Some(shard));
+                    assert_eq!(
+                        (status.health, status.containment),
+                        (Some(r.health), r.containment)
+                    );
+                }
+                let sup = fleet.shards[shard].supervisor.as_ref().unwrap();
+                assert_eq!(sup.counts(), sup.recount(), "tick {tick}");
+            }
+            assert!(stepped.iter().all(|&n| n == 1), "tick {tick}");
+            for (pair, (ours, theirs)) in statuses.iter().zip(twin.pair_statuses()).enumerate() {
+                if !moved.contains(&pair) {
+                    let theirs = FleetPairStatus {
+                        shard: ours.shard,
+                        ..theirs
+                    };
+                    assert_eq!(format!("{ours:?}"), format!("{theirs:?}"), "pair {pair}");
+                }
+            }
+        }
+        assert_scrape_matches_recount(&fleet, "after the moves");
     }
 
     #[test]

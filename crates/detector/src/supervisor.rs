@@ -7,10 +7,11 @@
 //! fleet; each of its shards owns a crate-private `Supervisor`: the pair
 //! table that makes one shard's tick crash-safe end to end:
 //!
-//! * **Per-pair watchdogs** — a shard tick is one pass over its slots,
-//!   and every pair's push runs under `catch_unwind`
-//!   ([`threadpool::catch`]) with a deadline budget; shards are what run
-//!   in parallel. A panic or deadline miss becomes a typed
+//! * **Per-pair watchdogs** — a shard tick steps every pair once, chunk
+//!   by chunk in the order the coordinator probed them, and every pair's
+//!   push runs under `catch_unwind` ([`threadpool::catch`]) with a
+//!   deadline budget; shards are what run in parallel. A panic or
+//!   deadline miss becomes a typed
 //!   [`DetectorError::AnalysisPanicked`] /
 //!   [`DetectorError::DeadlineExceeded`], counts against that pair alone,
 //!   and yields a degraded per-pair report instead of poisoning the batch.
@@ -70,7 +71,7 @@ use crate::online::{encode_slot, Harvest, OnlineStatus, OnlineWindow};
 use crate::pipeline::{CcHunterConfig, Verdict};
 use crate::policy::{backoff_delay, BackoffConfig, BreakerState, CircuitBreaker, QuarantineConfig};
 use crate::shard::FleetPairStatus;
-use crate::span::Tracer;
+use crate::span::{Span, Tracer};
 use crate::store::{CheckpointStore, LoadedCheckpoint};
 use crate::window::prefetch;
 use crate::DetectorError;
@@ -79,7 +80,7 @@ use std::mem::discriminant;
 use std::ops::{AddAssign, Range, SubAssign};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Fleet-level configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,61 +228,47 @@ pub(crate) enum SlotInput {
     Probed(PairInput),
 }
 
-/// One shard's inputs for one tick: a cell per slot (`None` = not probed)
-/// and the bytes of its encoded harvests, plus the room for the tick's
-/// reports. The fleet owns one per shard and refills it every tick, so
-/// steady-state ticks reuse its buffers.
+/// One shard's part of one chunk of a fleet tick: `(slot, input)` cells in
+/// probe order (`None`: held back by its breaker) and the encoded harvests'
+/// bytes. The fleet keeps two per shard, one filed while the other is
+/// stepped, reused every chunk.
 #[derive(Debug, Default)]
 pub(crate) struct ShardBatch {
-    cells: Vec<Option<ProbedInput<SlotInput>>>,
+    cells: Vec<(usize, Option<ProbedInput<SlotInput>>)>,
     bytes: Vec<u8>,
-    filed: usize,
-    /// Allocated on the coordinator's thread, where the caller also drops
-    /// the reports: a vector allocated on a pool worker and freed on the
-    /// caller's thread was handed back to the allocator and faulted in
-    /// again every tick.
-    reports: Vec<PairReport>,
 }
 
 impl ShardBatch {
-    /// Empties the batch for a tick of a `slots`-pair table, keeping its
-    /// buffers, and allocates the room for the tick's reports.
-    pub(crate) fn reset(&mut self, slots: usize) {
+    /// Empties the batch, keeping its buffers.
+    pub(crate) fn reset(&mut self) {
         self.cells.clear();
-        self.cells.resize_with(slots, || None);
         self.bytes.clear();
-        self.filed = 0;
-        self.reports = Vec::with_capacity(slots);
     }
 
-    /// Cells filed since the last reset.
-    pub(crate) fn filed(&self) -> usize {
-        self.filed
-    }
-
-    /// Files `probed` under `slot`, a `kind` pair. A contention pair's
-    /// observed harvest is encoded straight onto the batch's bytes here,
-    /// and its dense histogram dropped on the thread that allocated it.
-    pub(crate) fn file(&mut self, slot: usize, kind: PairKind, probed: ProbedInput) {
-        let encoded = match &probed.input {
-            PairInput::Harvest(harvest) if kind == PairKind::Contention => {
-                harvest.histogram().map(|histogram| {
-                    let start = self.bytes.len();
-                    encode_slot(histogram, &mut self.bytes);
-                    let (bytes, weight) = (start..self.bytes.len(), harvest.observed_weight());
-                    SlotInput::Encoded { bytes, weight }
-                })
-            }
-            _ => None,
-        };
-        if let Some(cell) = self.cells.get_mut(slot) {
-            *cell = Some(ProbedInput {
+    /// Files `slot`, a `kind` pair, with its `probed` input, or `None` for
+    /// a pair held back. A contention pair's observed harvest is encoded
+    /// straight onto the batch's bytes here, and its dense histogram
+    /// dropped on the thread that allocated it.
+    pub(crate) fn file(&mut self, slot: usize, kind: PairKind, probed: Option<ProbedInput>) {
+        let cell = probed.map(|probed| {
+            let encoded = match &probed.input {
+                PairInput::Harvest(harvest) if kind == PairKind::Contention => {
+                    harvest.histogram().map(|histogram| {
+                        let start = self.bytes.len();
+                        encode_slot(histogram, &mut self.bytes);
+                        let (bytes, weight) = (start..self.bytes.len(), harvest.observed_weight());
+                        SlotInput::Encoded { bytes, weight }
+                    })
+                }
+                _ => None,
+            };
+            ProbedInput {
                 input: encoded.unwrap_or(SlotInput::Probed(probed.input)),
                 retries: probed.retries,
                 backoff_us: probed.backoff_us,
-            });
-        }
-        self.filed += 1;
+            }
+        });
+        self.cells.push((slot, cell));
     }
 }
 
@@ -866,7 +853,7 @@ impl FleetMetrics {
             ),
             tick_latency_us: registry.histogram(
                 "cchunter_supervisor_tick_latency_us",
-                "Wall-clock latency of one supervised fleet tick, in microseconds.",
+                "Busy time of one shard tick's steps and checkpoint, in microseconds.",
                 &LATENCY_BUCKETS_US,
             ),
             audit_latency_us: registry.histogram(
@@ -1024,21 +1011,28 @@ impl TickTally {
     }
 }
 
-/// A shard in the middle of a tick: when it drops, the shard's tick
-/// tally is published, so a tick that unwinds still publishes what its
-/// pairs counted before the panic. An unwinding tick also recounts the
-/// table's [`PairCounts`]: the pair whose step panicked (in its
-/// enforcer) may have moved its breaker without reaching `report`.
+/// A shard stepping a chunk. A step that unwinds (in the pair's enforcer)
+/// publishes the tick's tally as it stands and recounts [`PairCounts`]:
+/// the panicking step may have moved its breaker without reaching `report`.
 struct Ticking<'a>(&'a mut Supervisor);
 
 impl Drop for Ticking<'_> {
     fn drop(&mut self) {
-        let sup = &mut *self.0;
         if std::thread::panicking() {
+            let sup = &mut *self.0;
             sup.counts = sup.recount();
+            sup.tally.publish(&sup.metrics);
         }
-        sup.tally.publish(&sup.metrics);
     }
+}
+
+/// A shard tick between [`Supervisor::begin_tick`] and `finish_tick`: the
+/// reports so far, the tick's span, and the time its steps took.
+#[derive(Debug, Default)]
+struct InFlight {
+    reports: Vec<PairReport>,
+    span: Option<Span>,
+    busy: Duration,
 }
 
 /// A compact latency-distribution digest taken from a fixed-bucket
@@ -1386,6 +1380,7 @@ pub(crate) struct Supervisor {
     metrics: FleetMetrics,
     /// The current tick's counts, published when it ends.
     tally: TickTally,
+    in_flight: InFlight,
     tracer: Tracer,
     durability: Durability,
     shadow: Option<ShadowCheckpoint>,
@@ -1418,6 +1413,7 @@ impl Supervisor {
             checkpoints_before_prune: AtomicUsize::new(0),
             registry,
             tally: TickTally::new(&metrics),
+            in_flight: InFlight::default(),
             metrics,
             tracer,
             durability: Durability::Durable,
@@ -1560,46 +1556,50 @@ impl Supervisor {
         self.pairs.get_mut(slot).map(|p| &mut p.faults)
     }
 
-    /// Whether `slot`'s breaker lets it be probed at `tick`: false while
-    /// open, except on recovery ticks. The coordinator asks before probing
-    /// a shard with an open breaker, so a quarantined pair costs no probe
-    /// calls.
-    pub(crate) fn should_attempt(&self, slot: usize, tick: u64) -> bool {
-        self.pairs
-            .get(slot)
-            .is_some_and(|p| p.record.breaker.should_attempt(tick))
+    /// Pushes onto `held` the fleet index of each pair whose open breaker
+    /// holds it back at `tick` (not probed; stepped as skipped). A table
+    /// with no open breaker is not walked.
+    pub(crate) fn held_back(&self, tick: u64, held: &mut Vec<usize>) {
+        if self.counts.open_breakers > 0 {
+            let pairs = self
+                .pairs
+                .iter()
+                .filter(|p| !p.record.breaker.should_attempt(tick));
+            held.extend(pairs.map(|p| p.index));
+        }
     }
 
-    /// Runs one shard tick at the coordinator's `tick`. `batch` holds one
-    /// cell per slot: the probed input, or `None` for a pair the
-    /// coordinator did not probe because [`Supervisor::should_attempt`]
-    /// said no. One pass over the slots turns each cell into the pair's
-    /// event — its input pushed under the panic/deadline watchdogs, a
-    /// panicked pair rebuilt first — moves the pair with [`Pair::step`]
-    /// (containment actuated through `enforcer`), and reports the step;
-    /// then, when due, the shard auto-checkpoints. The pass counts into
-    /// the shard's [`TickTally`], published once when the pass ends (or
-    /// unwinds).
-    ///
-    /// Never panics and never aborts the batch: every per-pair failure is
-    /// contained and reported in the returned [`TickReport`].
-    pub(crate) fn tick<E: MitigationEnforcer + ?Sized>(
+    /// Opens a shard tick. `reports` is the room for its reports,
+    /// allocated on the coordinator's thread, which also drops them.
+    pub(crate) fn begin_tick(&mut self, reports: Vec<PairReport>) {
+        self.in_flight = InFlight {
+            reports,
+            span: Some(self.tracer.span("supervisor", "tick")),
+            busy: Duration::ZERO,
+        };
+    }
+
+    /// Steps the pairs `batch` lists, in its order, at the coordinator's
+    /// `tick`, reading their inputs in place (the coordinator frees them).
+    /// Each cell becomes the pair's event — its input pushed under the
+    /// panic/deadline watchdogs, a panicked pair rebuilt first, `None` a
+    /// held pair — which [`Pair::step`] applies (containment through
+    /// `enforcer`) and [`Supervisor::report`] counts into the shard's
+    /// [`TickTally`]. Every per-pair failure is contained.
+    pub(crate) fn step<E: MitigationEnforcer + ?Sized>(
         &mut self,
         tick: u64,
         batch: &mut ShardBatch,
         enforcer: &mut E,
-    ) -> TickReport {
-        let (deadline_us, tick_started) = (self.config.deadline_us, Instant::now());
-        let mut tick_span = self.tracer.span("supervisor", "tick");
-
-        let mut reports = std::mem::take(&mut batch.reports);
-        reports.reserve(self.pairs.len());
+    ) {
+        let (deadline_us, started) = (self.config.deadline_us, Instant::now());
+        let mut flight = std::mem::take(&mut self.in_flight);
         let shard = Ticking(self);
-        for slot in 0..shard.0.pairs.len() {
-            if let Some(next) = shard.0.pairs.get(slot + 1) {
+        let mut cells = batch.cells.iter().peekable();
+        while let Some(&(slot, ref cell)) = cells.next() {
+            if let Some(next) = cells.peek().and_then(|&&(next, _)| shard.0.pairs.get(next)) {
                 next.prefetch();
             }
-            let cell = batch.cells.get_mut(slot).and_then(Option::take);
             let (retries, backoff_us) = cell.as_ref().map_or((0, 0), |c| (c.retries, c.backoff_us));
             let event = match cell {
                 None => PairEvent::Skipped,
@@ -1622,11 +1622,21 @@ impl Supervisor {
                 }
             };
             let step = shard.0.pairs[slot].step(tick, deadline_us, retries, event, enforcer);
-            shard
-                .0
-                .report(slot, tick, retries, backoff_us, step, &mut reports);
+            let (sup, reports) = (&mut *shard.0, &mut flight.reports);
+            sup.report(slot, tick, retries, backoff_us, step, reports);
         }
         drop(shard);
+        flight.busy += started.elapsed();
+        self.in_flight = flight;
+    }
+
+    /// Closes the shard tick at the coordinator's `tick`: publishes its
+    /// tally, auto-checkpoints when due, and returns its reports in step
+    /// order. Never panics and never aborts the batch: every per-pair
+    /// failure was contained and is reported.
+    pub(crate) fn finish_tick(&mut self, tick: u64) -> TickReport {
+        let (started, mut flight) = (Instant::now(), std::mem::take(&mut self.in_flight));
+        self.tally.publish(&self.metrics);
 
         // Automatic checkpoint, if due. Every due tick attempts a
         // full durable checkpoint — while degraded that doubles as the
@@ -1645,17 +1655,16 @@ impl Supervisor {
             checkpoint_error = error;
         }
 
-        let tick_elapsed_us = tick_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let busy_us = (flight.busy + started.elapsed()).as_micros() as f64;
         self.metrics.ticks.inc();
-        self.metrics.tick_latency_us.observe(tick_elapsed_us as f64);
-        if self.tracer.is_enabled() {
-            tick_span.detail(format_args!("tick {tick}: {} pairs", reports.len()));
+        self.metrics.tick_latency_us.observe(busy_us);
+        if let Some(span) = flight.span.as_mut() {
+            span.detail(format_args!("tick {tick}: {} pairs", flight.reports.len()));
         }
-        drop(tick_span);
 
         TickReport {
             tick,
-            reports,
+            reports: flight.reports,
             checkpoint_generation,
             checkpoint_error,
         }
@@ -2108,22 +2117,25 @@ impl Supervisor {
 /// bytes from its `batch` bytes. The bool reports whether the quantum was actually
 /// observed (false = gap). A wrong-kind input is the
 /// window's typed [`DetectorError::BadHarvest`].
-fn analyze(window: &mut OnlineWindow, input: SlotInput, batch: &[u8]) -> AnalysisResult {
+fn analyze(window: &mut OnlineWindow, input: &SlotInput, batch: &[u8]) -> AnalysisResult {
     let input = match input {
         SlotInput::Encoded { bytes, weight } => {
-            return Ok((window.push_encoded(&batch[bytes], weight)?, true));
+            return Ok((window.push_encoded(&batch[bytes.clone()], *weight)?, true));
         }
         SlotInput::Probed(input) => input,
     };
     match input {
+        // A harvest with a histogram reaches here only on its way to an
+        // oscillation pair, which refuses it: no contention slot is
+        // copied.
         PairInput::Harvest(h) => {
             let observed = !matches!(h, Harvest::Missed);
-            Ok((window.push_harvest(h)?, observed))
+            Ok((window.push_harvest(h.clone())?, observed))
         }
         PairInput::Conflicts {
             records,
             lost_fraction,
-        } => Ok((window.push_conflicts(&records, lost_fraction)?, true)),
+        } => Ok((window.push_conflicts(records, *lost_fraction)?, true)),
         PairInput::Missed => Ok((window.push_missed(), false)),
     }
 }
@@ -2842,10 +2854,23 @@ mod tests {
         }
     }
 
+    impl Supervisor {
+        /// One whole shard tick over `batch`: open, step, finish.
+        pub(crate) fn tick<E: MitigationEnforcer + ?Sized>(
+            &mut self,
+            tick: u64,
+            batch: &mut ShardBatch,
+            enforcer: &mut E,
+        ) -> TickReport {
+            self.begin_tick(Vec::new());
+            self.step(tick, batch, enforcer);
+            self.finish_tick(tick)
+        }
+    }
+
     impl Pair {
         /// Steps the pair at `tick` the way a shard tick does, on `probed`
-        /// (`None`: the coordinator asked [`Pair::should_attempt`] and did
-        /// not probe), with no watchdog: a reference model's tick. The
+        /// (`None`: its breaker held it back, see [`Pair::should_attempt`]), with no watchdog: a reference model's tick. The
         /// input goes through a one-cell `batch`, as at the probe.
         pub(crate) fn step_probed<E: MitigationEnforcer + ?Sized>(
             &mut self,
@@ -2858,9 +2883,9 @@ mod tests {
                 return self.step(tick, 0, 0, PairEvent::Skipped, enforcer);
             };
             let retries = probed.retries;
-            batch.reset(1);
-            batch.file(0, self.record.kind, probed);
-            let input = batch.cells[0].take().expect("a filed cell").input;
+            batch.reset();
+            batch.file(0, self.record.kind, Some(probed));
+            let input = &batch.cells[0].1.as_ref().expect("a filed cell").input;
             let pushed = analyze(&mut self.window, input, &batch.bytes);
             let event = PairEvent::Analyzed {
                 pushed,
@@ -3384,7 +3409,7 @@ mod tests {
         let mut batch = ShardBatch::default();
         let mut capacities = Vec::new();
         for tick in 0..16u64 {
-            batch.reset(table.len());
+            batch.reset();
             for slot in 0..table.len() {
                 let histogram = match (slot as u64 + tick) % 3 {
                     0 => covert_histogram(),
@@ -3396,14 +3421,10 @@ mod tests {
                     retries: 0,
                     backoff_us: 0,
                 };
-                batch.file(slot, PairKind::Contention, probed);
+                batch.file(slot, PairKind::Contention, Some(probed));
             }
             let report = table.tick(tick, &mut batch, &mut AdvisoryEnforcer);
             assert_eq!(report.reports.len(), 16);
-            assert!(
-                batch.cells.iter().all(Option::is_none),
-                "every cell is taken"
-            );
             capacities.push((batch.cells.capacity(), batch.bytes.capacity()));
         }
         // Each slot's covert/quiet phase repeats every three ticks.
@@ -3508,9 +3529,9 @@ mod tests {
         };
         let (mut batch, mut enforcer) = (ShardBatch::default(), AdvisoryEnforcer);
         let file = |batch: &mut ShardBatch, tick: u64| {
-            batch.reset(PAIRS);
+            batch.reset();
             for pair in 0..PAIRS {
-                batch.file(pair, kind(pair), probed(input(pair, tick)));
+                batch.file(pair, kind(pair), Some(probed(input(pair, tick))));
             }
         };
         for tick in 0..64 {
@@ -3530,24 +3551,25 @@ mod tests {
             let tick = 64 + 2 * round;
             let inputs: Vec<PairInput> = (0..PAIRS).map(|pair| input(pair, tick)).collect();
             let mut inputs: Vec<Option<PairInput>> = inputs.into_iter().map(Some).collect();
-            batch.reset(PAIRS);
+            batch.reset();
             let started = Instant::now();
             for &pair in &contention {
                 let input = inputs[pair].take().unwrap();
-                batch.file(pair, PairKind::Contention, probed(input));
+                batch.file(pair, PairKind::Contention, Some(probed(input)));
             }
             timed(0, started);
             for &pair in &oscillation {
                 let input = inputs[pair].take().unwrap();
-                batch.file(pair, PairKind::Oscillation, probed(input));
+                batch.file(pair, PairKind::Oscillation, Some(probed(input)));
             }
             let mut events: Vec<Option<PairEvent>> = (0..PAIRS).map(|_| None).collect();
-            for (phase, slots) in [(1, &contention), (2, &oscillation)] {
+            let (filed_contention, filed_oscillation) = batch.cells.split_at(contention.len());
+            for (phase, cells) in [(1, filed_contention), (2, filed_oscillation)] {
                 let started = Instant::now();
-                for &slot in slots {
-                    let input = batch.cells[slot].take().unwrap().input;
-                    let pushed = analyze(&mut table.pairs[slot].window, input, &batch.bytes);
-                    events[slot] = Some(PairEvent::Analyzed {
+                for (slot, cell) in cells {
+                    let input = &cell.as_ref().unwrap().input;
+                    let pushed = analyze(&mut table.pairs[*slot].window, input, &batch.bytes);
+                    events[*slot] = Some(PairEvent::Analyzed {
                         pushed,
                         elapsed_us: 0,
                     });

@@ -4,8 +4,9 @@
 //! placement is stable and minimal under shard-count-preserving restarts,
 //! the coordinator's one retry loop spares quarantined pairs and reports
 //! per-pair retries, one tick clock keeps migrated quarantines honest, a
-//! restarted pair reads exactly like a migrated one, and a pair's events
-//! count in whichever shard hosts it.
+//! restarted pair reads exactly like a migrated one, a pair's events
+//! count in whichever shard hosts it, and a slow probe is not charged to
+//! the shards stepping beside it.
 
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::fault::FleetFault;
@@ -21,6 +22,7 @@ use cchunter_detector::supervisor::{
 use cchunter_detector::{DetectorError, Verdict};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -833,4 +835,42 @@ fn shard_counters_follow_the_pair_across_kill_and_revive() {
     fleet.verify_accounting().unwrap();
     drop(fleet);
     cleanup(&dir);
+}
+
+/// A slow probe holds the coordinator, not the shards: a shard's tick
+/// time is its busy time summed over its chunks, so a probe that sleeps
+/// twice the shard deadline late in the tick, after earlier chunks were
+/// stepped (inline with one thread, beside it on the pool), makes no
+/// shard miss its heartbeat.
+#[test]
+fn a_slow_probe_does_not_make_a_shard_miss_its_deadline() {
+    const PAIRS: usize = 256;
+    const DEADLINE_US: u64 = 150_000;
+    let mut fleet = ShardedFleet::new(ShardedFleetConfig {
+        shard_deadline_us: DEADLINE_US,
+        ..fleet_config(2)
+    })
+    .unwrap();
+    for pair in 0..PAIRS {
+        fleet
+            .add_contention_pair(format!("memory-bus: pair {pair}"))
+            .unwrap();
+    }
+    let stall = Duration::from_micros(2 * DEADLINE_US);
+    let mut slow = |pair: usize, tick: u64, attempt: u32| {
+        if pair == PAIRS - 1 {
+            std::thread::sleep(stall);
+        }
+        probe(pair, tick, attempt)
+    };
+    for tick in 0..3 {
+        let started = Instant::now();
+        let report = fleet.tick(&mut slow);
+        assert!(started.elapsed() > stall);
+        assert!(report.heartbeat_misses.is_empty(), "tick {tick}");
+        for status in fleet.shard_statuses() {
+            assert_eq!(status.tick_deadline_misses, 0, "tick {tick}");
+            assert!(status.last_tick_us < DEADLINE_US, "tick {tick}");
+        }
+    }
 }
