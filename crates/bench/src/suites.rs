@@ -29,7 +29,6 @@ use rand::{Rng, SeedableRng};
 pub fn detector_suite(c: &mut Criterion) {
     bench_autocorrelation(c);
     bench_symbol_autocorrelation(c);
-    bench_batched_autocorrelation(c);
     bench_density(c);
     bench_arena_ingest(c);
     bench_hostile_ingest(c);
@@ -49,11 +48,9 @@ fn bench_autocorrelation(c: &mut Criterion) {
     let records = quantum_conflicts(10, 256);
     let series = symbol_series(&records, 0, u64::MAX);
     let samples = series.as_f64();
-    c.bench_function("autocorrelogram_5120_events_1000_lags", |b| {
-        b.iter(|| Autocorrelogram::compute(black_box(&samples), 1000))
-    });
-    // The direct lag-product reference the FFT path replaced; kept so the
-    // speedup stays visible in every BENCH_detector.json.
+    // The direct `f64` lag-product loop, the exact symbol path's test
+    // reference; kept so its cost beside the production path stays
+    // visible in every BENCH_detector.json.
     c.bench_function("autocorrelogram_5120_events_1000_lags_naive", |b| {
         b.iter(|| Autocorrelogram::compute_naive(black_box(&samples), 1000))
     });
@@ -77,18 +74,6 @@ fn bench_symbol_autocorrelation(c: &mut Criterion) {
                 black_box(Autocorrelogram::of_symbols(black_box(series), 1000));
             }
         })
-    });
-}
-
-fn bench_batched_autocorrelation(c: &mut Criterion) {
-    // Eight pairs' symbol series correlated in one batch: the planner reuses
-    // one FFT plan (twiddles + scratch) across all eight same-length series.
-    let records = quantum_conflicts(10, 256);
-    let series = symbol_series(&records, 0, u64::MAX);
-    let samples = series.as_f64();
-    let batch: Vec<Vec<f64>> = (0..8).map(|_| samples.clone()).collect();
-    c.bench_function("batched_autocorrelogram_8x5120", |b| {
-        b.iter(|| Autocorrelogram::compute_batch(black_box(&batch), 1000))
     });
 }
 

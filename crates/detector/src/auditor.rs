@@ -189,8 +189,6 @@ enum SlotState {
         active: Vec<ConflictRecord>,
         /// Records already handed to the software daemon's buffer.
         software_log: Vec<ConflictRecord>,
-        /// Full-register swaps performed.
-        swaps: u64,
     },
 }
 
@@ -268,7 +266,6 @@ impl CcAuditor {
             SlotState::Oscillation {
                 active: Vec::with_capacity(self.config.vector_entries),
                 software_log: Vec::new(),
-                swaps: 0,
             }
         } else {
             assert!(delta_t > 0, "Δt must be nonzero for contention audits");
@@ -284,19 +281,6 @@ impl CcAuditor {
         };
         self.slots.push(Slot { unit, state });
         Ok(SlotId(self.slots.len() - 1))
-    }
-
-    /// Unprograms a slot, clearing the unit's monitor bit. Slot ids of
-    /// other units remain valid.
-    pub fn unprogram(&mut self, slot: SlotId, privilege: Privilege) -> Result<(), AuditorError> {
-        if privilege != Privilege::Supervisor {
-            return Err(AuditorError::NotPrivileged);
-        }
-        if slot.0 >= self.slots.len() {
-            return Err(AuditorError::BadSlot);
-        }
-        self.slots.remove(slot.0);
-        Ok(())
     }
 
     /// Delivers an event signal from the unit under audit: a run of
@@ -384,7 +368,6 @@ impl CcAuditor {
         let SlotState::Oscillation {
             active,
             software_log,
-            swaps,
         } = &mut slot.state
         else {
             return Err(AuditorError::WrongDatapath);
@@ -398,7 +381,6 @@ impl CcAuditor {
             // The register is full: swap to the alternate register while
             // the software module records the contents in the background.
             software_log.append(active);
-            *swaps += 1;
         }
         Ok(())
     }
@@ -511,17 +493,6 @@ impl CcAuditor {
         let mut out = std::mem::take(software_log);
         out.append(active);
         Ok(out)
-    }
-
-    /// Number of vector-register swaps performed by a cache slot (each swap
-    /// hands 128 records to the software daemon without stalling the
-    /// processor).
-    pub fn vector_swaps(&self, slot: SlotId) -> Result<u64, AuditorError> {
-        let slot = self.slots.get(slot.0).ok_or(AuditorError::BadSlot)?;
-        match &slot.state {
-            SlotState::Oscillation { swaps, .. } => Ok(*swaps),
-            _ => Err(AuditorError::WrongDatapath),
-        }
     }
 }
 
@@ -690,29 +661,21 @@ mod tests {
             a.record_conflict(slot, i, (i % 2) as u8, ((i + 1) % 2) as u8)
                 .unwrap();
         }
-        assert_eq!(a.vector_swaps(slot).unwrap(), 2, "two full 128-entry swaps");
+        let SlotState::Oscillation {
+            active,
+            software_log,
+        } = &a.slots[slot.0].state
+        else {
+            unreachable!("a cache slot runs the oscillation datapath");
+        };
+        assert_eq!(software_log.len(), 256, "two full 128-entry swaps");
+        assert_eq!(active.len(), 300 - 256);
         let records = a.drain_conflicts(slot).unwrap();
         assert_eq!(records.len(), 300);
         assert_eq!(records[0].cycle, 0);
         assert_eq!(records[299].cycle, 299);
         // Drained: a second drain is empty.
         assert!(a.drain_conflicts(slot).unwrap().is_empty());
-    }
-
-    #[test]
-    fn unprogram_frees_slot() {
-        let mut a = auditor();
-        let slot = a
-            .program(HardwareUnit::MemoryBus, 100, Privilege::Supervisor)
-            .unwrap();
-        assert_eq!(
-            a.unprogram(slot, Privilege::User).unwrap_err(),
-            AuditorError::NotPrivileged
-        );
-        a.unprogram(slot, Privilege::Supervisor).unwrap();
-        assert!(a.audited_units().is_empty());
-        a.program(HardwareUnit::MemoryBus, 100, Privilege::Supervisor)
-            .unwrap();
     }
 
     #[test]

@@ -11,38 +11,6 @@
 use crate::batch::with_planner;
 use crate::events::SymbolSeries;
 
-/// The autocorrelation coefficient of `samples` at `lag`:
-///
-/// r_p = Σᵢ (Xᵢ − X̄)(Xᵢ₊ₚ − X̄) / Σᵢ (Xᵢ − X̄)²
-///
-/// Returns 0.0 when the series is shorter than `lag + 2` or has zero
-/// variance.
-///
-/// ```
-/// use cchunter_detector::autocorrelation;
-/// let square: Vec<f64> = (0..64).map(|i| if (i / 8) % 2 == 0 { 1.0 } else { 0.0 }).collect();
-/// assert!(autocorrelation(&square, 16) > 0.7);  // full period
-/// assert!(autocorrelation(&square, 8) < -0.8);  // half period
-/// ```
-pub fn autocorrelation(samples: &[f64], lag: usize) -> f64 {
-    if lag + 2 > samples.len() {
-        return 0.0;
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let c: Vec<f64> = samples.iter().map(|x| x - mean).collect();
-    let denom: f64 = c.iter().map(|x| x * x).sum();
-    let sum: f64 = c[..c.len() - lag]
-        .iter()
-        .zip(&c[lag..])
-        .map(|(a, b)| a * b)
-        .sum();
-    if denom > f64::EPSILON {
-        sum / denom
-    } else {
-        0.0
-    }
-}
-
 /// Autocorrelation coefficients for every lag `0..=max_lag` of a series —
 /// the paper's autocorrelogram (Figure 8b).
 #[derive(Debug, Clone, PartialEq)]
@@ -51,42 +19,32 @@ pub struct Autocorrelogram {
 }
 
 impl Autocorrelogram {
-    /// Computes the autocorrelogram of `samples` up to `max_lag`.
+    /// The autocorrelogram of an `f64` series up to `max_lag`, every
+    /// coefficient from its definition
     ///
-    /// Lags beyond the series length yield 0.0 coefficients.
+    /// r_p = Σᵢ (Xᵢ − X̄)(Xᵢ₊ₚ − X̄) / Σᵢ (Xᵢ − X̄)²
     ///
-    /// Large inputs go through the Wiener–Khinchin transform (power
-    /// spectrum → inverse, O((n + lags)·log(n + lags))) of the thread's
-    /// [`crate::batch::BatchPlanner`]; tiny inputs use the direct
-    /// O(n·lags) loop, which [`compute_naive`](Self::compute_naive) exposes
-    /// as a reference implementation.
-    pub fn compute(samples: &[f64], max_lag: usize) -> Self {
-        with_planner(|p| Self::padded(p.f64_coefficients(samples, max_lag, false), max_lag))
-    }
-
-    /// The direct O(n·max_lag) reference implementation of
-    /// [`compute`](Self::compute): every coefficient from its definition,
-    /// no transform. The two agree within floating-point round-off (≈ 1e-12
-    /// relative); property tests enforce 1e-9.
+    /// by the direct O(n·max_lag) loop. It is the reference the exact
+    /// symbol correlograms ([`of_symbols`](Self::of_symbols)) are tested
+    /// against. Lags past n − 2, and every lag of a series shorter than two
+    /// or without variance, are 0.0 (r₀ is 1.0 from two samples on).
     pub fn compute_naive(samples: &[f64], max_lag: usize) -> Self {
-        with_planner(|p| Self::padded(p.f64_coefficients(samples, max_lag, true), max_lag))
-    }
-
-    /// Computes the autocorrelograms of many series on the thread's shared
-    /// plan cache: equivalent to mapping [`compute`](Self::compute) over
-    /// `series`. Series that pad to the same transform length share one
-    /// plan and one set of scratch buffers.
-    pub fn compute_batch<S: AsRef<[f64]>>(series: &[S], max_lag: usize) -> Vec<Self> {
-        series
-            .iter()
-            .map(|s| Self::compute(s.as_ref(), max_lag))
-            .collect()
+        let n = samples.len();
+        let mean = samples.iter().sum::<f64>() / n.max(1) as f64;
+        let centered: Vec<f64> = samples.iter().map(|x| x - mean).collect();
+        let denom: f64 = centered.iter().map(|x| x * x).sum();
+        let mut computed = vec![if n < 2 { 0.0 } else { 1.0 }];
+        if n >= 2 && denom > f64::EPSILON {
+            let dot = |k: usize| centered.iter().zip(&centered[k..]).map(|(a, b)| a * b);
+            let lags = max_lag.min(n - 2);
+            computed.extend((1..=lags).map(|k| dot(k).sum::<f64>() / denom));
+        }
+        Self::padded(&computed, max_lag)
     }
 
     /// Computes the autocorrelogram of a labeled symbol series from exact
     /// integer lag sums: the same coefficients, bit for bit, whether the
-    /// direct loop or the transform built them (see
-    /// [`crate::batch::BatchPlanner`]), and within 1e-9 of
+    /// direct loop or the transform built them, and within 1e-9 of
     /// [`compute_naive`](Self::compute_naive) over the symbols as `f64`.
     pub fn of_symbols(series: &SymbolSeries, max_lag: usize) -> Self {
         with_planner(|p| {
@@ -344,14 +302,14 @@ mod tests {
     #[test]
     fn r0_is_one() {
         let s: Vec<f64> = vec![1.0, 5.0, 2.0, 8.0];
-        let c = Autocorrelogram::compute(&s, 2);
+        let c = Autocorrelogram::compute_naive(&s, 2);
         assert!((c.coefficient(0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn coefficients_bounded_by_one() {
         let s: Vec<f64> = (0..200).map(|i| ((i * 7919) % 13) as f64).collect();
-        let c = Autocorrelogram::compute(&s, 100);
+        let c = Autocorrelogram::compute_naive(&s, 100);
         for lag in 0..=100 {
             assert!(c.coefficient(lag).abs() <= 1.0 + 1e-9, "lag {lag}");
         }
@@ -359,16 +317,21 @@ mod tests {
 
     #[test]
     fn constant_series_has_zero_autocorrelation() {
-        let s = vec![3.0; 100];
-        assert_eq!(autocorrelation(&s, 1), 0.0);
-        let c = Autocorrelogram::compute(&s, 10);
+        let c = Autocorrelogram::compute_naive(&[3.0; 100], 10);
+        assert_eq!(c.coefficient(1), 0.0);
         assert_eq!(c.coefficient(5), 0.0);
     }
 
     #[test]
     fn short_series_yields_zero() {
-        assert_eq!(autocorrelation(&[1.0], 0), 0.0);
-        assert_eq!(autocorrelation(&[1.0, 2.0], 1), 0.0);
+        assert_eq!(
+            Autocorrelogram::compute_naive(&[1.0], 0).coefficient(0),
+            0.0
+        );
+        assert_eq!(
+            Autocorrelogram::compute_naive(&[1.0, 2.0], 1).coefficient(1),
+            0.0
+        );
     }
 
     #[test]
@@ -454,24 +417,6 @@ mod tests {
         assert!(lag >= 8);
     }
 
-    #[test]
-    fn fft_path_matches_naive_reference() {
-        // Large enough to cross NAIVE_CUTOFF, length not a power of two.
-        let samples: Vec<f64> = (0..2_077)
-            .map(|i| ((i * 31) % 17) as f64 + ((i / 100) % 2) as f64 * 3.0)
-            .collect();
-        let fast = Autocorrelogram::compute(&samples, 900);
-        let naive = Autocorrelogram::compute_naive(&samples, 900);
-        for lag in 0..=900 {
-            assert!(
-                (fast.coefficient(lag) - naive.coefficient(lag)).abs() < 1e-9,
-                "lag {lag}: {} vs {}",
-                fast.coefficient(lag),
-                naive.coefficient(lag)
-            );
-        }
-    }
-
     /// The scans read lags past the computed ones as stored `+0.0`s would
     /// read in the plain scans (the oracles below): same peaks (lag and
     /// bits), same dips, for ranges reaching into, across and past the
@@ -528,14 +473,5 @@ mod tests {
         };
         let (lag, _) = c.peak_in(1, 4).expect("range is nonempty");
         assert!((1..=4).contains(&lag));
-    }
-
-    #[test]
-    fn doc_formula_matches_direct_computation() {
-        let s: Vec<f64> = vec![2.0, 4.0, 6.0, 8.0, 10.0, 1.0, 3.0, 5.0];
-        let c = Autocorrelogram::compute(&s, 3);
-        for lag in 0..=3 {
-            assert!((c.coefficient(lag) - autocorrelation(&s, lag)).abs() < 1e-12);
-        }
     }
 }

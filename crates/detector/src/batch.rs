@@ -4,11 +4,11 @@
 //!
 //! Three ingredients:
 //!
-//! * [`FftPlan`] — the one transform in production: a structure-of-arrays
+//! * `FftPlan` — the one transform in production: a structure-of-arrays
 //!   real-input FFT with fused radix-2² stages, a decimation-in-frequency
 //!   forward pass and a decimation-in-time inverse (so no bit-reversal
 //!   pass), and one half-spectrum untangle that squares the spectrum in
-//!   place. [`BatchPlanner`] caches plans keyed by length and owns the
+//!   place. `BatchPlanner` caches plans keyed by length and owns the
 //!   scratch (packed signal, lag sums, symbols, coefficients), so a
 //!   steady-state correlogram allocates nothing.
 //! * Lane kernels ([`sq_dist`]) — fixed 4-wide accumulator loops in stable
@@ -17,7 +17,7 @@
 //!   `(lane0 + lane1) + (lane2 + lane3) + tail`, so serial and parallel
 //!   paths compute bit-identical results; the plain scalar forms
 //!   ([`sq_dist_scalar`]) stay as property-test oracles.
-//! * [`with_planner`] — a per-thread planner instance. The deterministic
+//! * `with_planner` — a per-thread planner instance. The deterministic
 //!   `par_map` fan-out and the fleet's shards run on persistent threads, so
 //!   each keeps its own warm plan cache and scratch with no locking; the
 //!   determinism contract is unaffected because plans are pure functions of
@@ -28,7 +28,6 @@
 //! (`BatchPlanner::symbol_coefficients`). The textbook radix-2 transform
 //! in the test-only `fft` module is the transform's oracle.
 
-use crate::DetectorError;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::{Add, Mul, Sub};
@@ -501,7 +500,7 @@ fn centre<T: Centring>(symbols: &[u8], sums: &[i64], total: i64, denom: f64, out
 /// spectrum is touched in between only by one pass that untangles the real
 /// input's half-spectrum, squares it and re-tangles it for the inverse.
 #[derive(Debug, Clone)]
-pub struct FftPlan {
+pub(crate) struct FftPlan {
     /// Real transform length.
     n: usize,
     /// Per radix-2² stage, largest quarter `q` first (`n/8`, `n/32`, …):
@@ -515,21 +514,7 @@ pub struct FftPlan {
 }
 
 impl FftPlan {
-    /// Builds the plan for real transform length `n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectorError::InvalidConfig`] if `n` is not a power of
-    /// two ≥ 2.
-    pub fn new(n: usize) -> Result<Self, DetectorError> {
-        if n < 2 || !n.is_power_of_two() {
-            return Err(DetectorError::invalid(format!(
-                "real FFT length must be a power of two >= 2, got {n}"
-            )));
-        }
-        Ok(Self::build(n))
-    }
-
+    /// Builds the plan for real transform length `n`, a power of two ≥ 2.
     fn build(n: usize) -> Self {
         let (m, bits) = (n / 2, (n / 2).trailing_zeros());
         let turn = |k: usize, of: usize| (std::f64::consts::TAU * k as f64 / of as f64).sin_cos();
@@ -551,16 +536,6 @@ impl FftPlan {
             twiddles,
             untangle,
         }
-    }
-
-    /// The real transform length this plan serves.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Plans are never built for length 0; kept for API symmetry.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Overwrites `re`/`im` (`n/2` points each: the real signal's even
@@ -785,7 +760,7 @@ fn lean_lag_sums_portable(x: &[u8], n: usize, lags: usize, out: &mut Vec<i64>) {
 /// padded transform length, and the buffers grow to the largest length
 /// seen and are then reused verbatim.
 #[derive(Debug, Default)]
-pub struct BatchPlanner {
+pub(crate) struct BatchPlanner {
     plans: HashMap<usize, FftPlan>,
     /// The packed transform input and output: even and odd samples.
     re: Vec<f64>,
@@ -793,42 +768,29 @@ pub struct BatchPlanner {
     /// Lag sums read out of the transform, and exact ones of symbols.
     sums: Vec<f64>,
     exact: Vec<i64>,
-    /// A sample series minus its mean; a symbol series.
-    centered: Vec<f64>,
+    /// The symbol series of the next correlogram.
     symbols: Vec<u8>,
     /// The coefficients of the last correlogram built.
     coefficients: Vec<f64>,
 }
 
 impl BatchPlanner {
-    /// Creates an empty planner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct transform lengths planned so far.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Linear autocorrelation sums `r[lag] = Σᵢ x[i]·x[i+lag]` for
-    /// `lag ∈ 0..=max_lag` of an already-centered series, via the
-    /// Wiener–Khinchin theorem on cached plans and scratch. The returned
-    /// slice lives in the planner's scratch until the next call.
-    pub fn autocorrelation_sums(&mut self, centered: &[f64], max_lag: usize) -> &[f64] {
-        self.lag_sums(centered, max_lag.min(centered.len().saturating_sub(1)))
-    }
-
     /// The transform behind every correlogram: zero-pads `samples` past
     /// `n + lags` (so the circular sums are the linear ones) and returns the
     /// sums for lags `0..=lags`.
-    fn lag_sums<T: Copy + Into<f64>>(&mut self, samples: &[T], lags: usize) -> &[f64] {
+    fn lag_sums(&mut self, samples: &[u8], lags: usize) -> &[f64] {
         let len = (samples.len() + lags).next_power_of_two().max(2);
         let plan = self.plans.entry(len).or_insert_with(|| FftPlan::build(len));
         let (re, im, sums) = (&mut self.re, &mut self.im, &mut self.sums);
         for (part, offset) in [(&mut *re, 0), (&mut *im, 1)] {
             part.clear();
-            part.extend(samples.iter().skip(offset).step_by(2).map(|&x| x.into()));
+            part.extend(
+                samples
+                    .iter()
+                    .skip(offset)
+                    .step_by(2)
+                    .map(|&x| f64::from(x)),
+            );
             part.resize(len / 2, 0.0);
         }
         plan.autocorrelate(re, im);
@@ -837,33 +799,6 @@ impl BatchPlanner {
         sums.clear();
         sums.extend(interleaved.take(lags + 1).map(|x| x * scale));
         sums
-    }
-
-    /// Autocorrelation coefficients of a raw (uncentered) series for lags
-    /// `0..=min(max_lag, n − 2)`: centers the series in scratch, runs the
-    /// direct loop when `direct` is set or the `n × lags` volume is below
-    /// [`NAIVE_CUTOFF`] and the transform otherwise, and divides by the
-    /// centered energy. Every lag past the returned slice is exactly zero.
-    pub(crate) fn f64_coefficients(&mut self, x: &[f64], max_lag: usize, direct: bool) -> &[f64] {
-        let (n, mut centered) = (x.len(), std::mem::take(&mut self.centered));
-        let mean = x.iter().sum::<f64>() / n.max(1) as f64;
-        centered.clear();
-        centered.extend(x.iter().map(|x| x - mean));
-        let denom: f64 = centered.iter().map(|x| x * x).sum();
-        let lags = max_lag.min(n.saturating_sub(2));
-        let mut out = std::mem::take(&mut self.coefficients);
-        out.clear();
-        if n < 2 || denom <= f64::EPSILON {
-            out.push(if n < 2 { 0.0 } else { 1.0 });
-        } else if direct || n.saturating_mul(lags) <= NAIVE_CUTOFF {
-            let dot = |k: usize| centered.iter().zip(&centered[k..]).map(|(a, b)| a * b);
-            out.extend((0..=lags).map(|k| dot(k).sum::<f64>() / denom));
-        } else {
-            out.extend(self.lag_sums(&centered, lags).iter().map(|s| s / denom));
-        }
-        out[0] = if n < 2 { 0.0 } else { 1.0 };
-        (self.centered, self.coefficients) = (centered, out);
-        &self.coefficients
     }
 
     /// Replaces the planner's symbol scratch with `symbols`; returns how
@@ -942,20 +877,20 @@ impl BatchPlanner {
 }
 
 thread_local! {
-    static PLANNER: RefCell<BatchPlanner> = RefCell::new(BatchPlanner::new());
+    static PLANNER: RefCell<BatchPlanner> = RefCell::new(BatchPlanner::default());
 }
 
-/// Runs `f` with this thread's [`BatchPlanner`].
+/// Runs `f` with this thread's `BatchPlanner`.
 ///
 /// Worker threads of the vendored pool and the fleet's shards are
 /// persistent, so each keeps a warm plan cache and scratch across calls,
 /// without locks and without threading a planner handle through every call
 /// site. A call made from inside `f` gets a fresh, cold planner instead of
 /// the (borrowed) thread's one.
-pub fn with_planner<R>(f: impl FnOnce(&mut BatchPlanner) -> R) -> R {
+pub(crate) fn with_planner<R>(f: impl FnOnce(&mut BatchPlanner) -> R) -> R {
     PLANNER.with(|planner| match planner.try_borrow_mut() {
         Ok(mut planner) => f(&mut planner),
-        Err(_) => f(&mut BatchPlanner::new()),
+        Err(_) => f(&mut BatchPlanner::default()),
     })
 }
 
@@ -1078,7 +1013,7 @@ mod tests {
     /// the `f64` reference.
     #[test]
     fn transform_lag_sums_equal_the_direct_loop() {
-        let mut planner = BatchPlanner::new();
+        let mut planner = BatchPlanner::default();
         let mut rng = SmallRng::seed_from_u64(0xE7AC_7000);
         let mut cases: Vec<(Vec<u8>, usize)> = (0..24)
             .map(|case| {
@@ -1185,7 +1120,7 @@ mod tests {
     /// a series centres in `i128`.
     #[test]
     fn i64_centring_matches_i128_bit_for_bit() {
-        let mut planner = BatchPlanner::new();
+        let mut planner = BatchPlanner::default();
         let mut rng = SmallRng::seed_from_u64(0xCE47_1264);
         let alternating =
             |n: usize| -> Vec<u8> { (0..n).map(|i| if i % 2 == 0 { 0 } else { 255 }).collect() };
@@ -1232,33 +1167,24 @@ mod tests {
     }
 
     #[test]
-    fn fft_plan_rejects_lengths_it_cannot_transform() {
-        for n in [0usize, 1, 3, 12, 1000] {
-            assert!(
-                matches!(FftPlan::new(n), Err(DetectorError::InvalidConfig { .. })),
-                "{n}"
-            );
-        }
-        assert_eq!(FftPlan::new(4096).map(|p| p.len()).ok(), Some(4096));
-    }
-
-    #[test]
     fn reentrant_with_planner_gets_a_fresh_planner() {
-        let series: Vec<f64> = (0..300).map(|i| (i % 5) as f64).collect();
+        let series: Vec<u8> = (0..300).map(|i| (i % 5) as u8).collect();
         let outer = with_planner(|p| {
-            let inner = with_planner(|q| q.autocorrelation_sums(&series, 64).to_vec());
-            (p.autocorrelation_sums(&series, 64).to_vec(), inner)
+            let inner = with_planner(|q| q.lag_sums(&series, 64).to_vec());
+            (p.lag_sums(&series, 64).to_vec(), inner)
         });
         assert_eq!(outer.0, outer.1);
     }
 
     #[test]
     fn planned_sums_match_unplanned() {
-        let mut planner = BatchPlanner::new();
+        let mut planner = BatchPlanner::default();
         for n in [2usize, 3, 65, 300, 1024, 2077] {
-            let series: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 - 8.0).collect();
-            let reference = fft::autocorrelation_sums(&series, 900);
-            let planned = planner.autocorrelation_sums(&series, 900).to_vec();
+            let series: Vec<u8> = (0..n).map(|i| ((i * 31) % 17) as u8).collect();
+            let wide: Vec<f64> = series.iter().map(|&x| f64::from(x)).collect();
+            let lags = 900.min(n - 1);
+            let reference = fft::autocorrelation_sums(&wide, lags);
+            let planned = planner.lag_sums(&series, lags).to_vec();
             assert_eq!(planned.len(), reference.len(), "n = {n}");
             for (lag, (p, r)) in planned.iter().zip(&reference).enumerate() {
                 assert!(
@@ -1268,26 +1194,26 @@ mod tests {
             }
         }
         // 2077 + 900 pads to 4096; 1024 + 900 pads to 2048; etc.
-        assert!(planner.cached_plans() >= 3);
+        assert!(planner.plans.len() >= 3);
     }
 
     #[test]
     fn plans_are_reused_across_same_length_calls() {
-        let mut planner = BatchPlanner::new();
-        let series: Vec<f64> = (0..500).map(|i| (i % 7) as f64).collect();
-        planner.autocorrelation_sums(&series, 100);
-        let plans_after_first = planner.cached_plans();
+        let mut planner = BatchPlanner::default();
+        let series: Vec<u8> = (0..500).map(|i| (i % 7) as u8).collect();
+        planner.lag_sums(&series, 100);
+        let plans_after_first = planner.plans.len();
         for _ in 0..5 {
-            planner.autocorrelation_sums(&series, 100);
+            planner.lag_sums(&series, 100);
         }
-        assert_eq!(planner.cached_plans(), plans_after_first);
+        assert_eq!(planner.plans.len(), plans_after_first);
     }
 
     #[test]
     fn with_planner_is_reusable_per_thread() {
-        let series: Vec<f64> = (0..300).map(|i| (i % 5) as f64).collect();
-        let a = with_planner(|p| p.autocorrelation_sums(&series, 64).to_vec());
-        let b = with_planner(|p| p.autocorrelation_sums(&series, 64).to_vec());
+        let series: Vec<u8> = (0..300).map(|i| (i % 5) as u8).collect();
+        let a = with_planner(|p| p.lag_sums(&series, 64).to_vec());
+        let b = with_planner(|p| p.lag_sums(&series, 64).to_vec());
         assert_eq!(a, b);
     }
 }

@@ -91,12 +91,6 @@ impl BloomFilter {
         self.inserted = 0;
     }
 
-    /// Fraction of bits set — a saturation measure.
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        set as f64 / self.num_bits as f64
-    }
-
     /// Double hashing (Kirsch–Mitzenmacher): the `k` probe positions
     /// `bit_i = (h1 + i·h2) mod m` all derive from exactly two hash
     /// evaluations — `h1 = splitmix64(key)` and `h2 = splitmix64(h1)` —
@@ -145,7 +139,7 @@ mod tests {
         for k in 0..1000u64 {
             assert!(!f.contains(k * 997));
         }
-        assert_eq!(f.fill_ratio(), 0.0);
+        assert!(f.bits.iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -156,7 +150,7 @@ mod tests {
         f.clear();
         assert!(!f.contains(42));
         assert_eq!(f.inserted(), 0);
-        assert_eq!(f.fill_ratio(), 0.0);
+        assert!(f.bits.iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -175,19 +169,6 @@ mod tests {
             .count();
         let rate = fps as f64 / 10_000.0;
         assert!(rate < 0.02, "false positive rate too high: {rate}");
-    }
-
-    #[test]
-    fn fill_ratio_grows_monotonically() {
-        let mut f = BloomFilter::new(512, 3).unwrap();
-        let mut last = 0.0;
-        for i in 0..64u64 {
-            f.insert(i.wrapping_mul(0x1234_5678_9ABC));
-            let r = f.fill_ratio();
-            assert!(r >= last);
-            last = r;
-        }
-        assert!(last > 0.0 && last <= 1.0);
     }
 
     #[test]

@@ -205,21 +205,6 @@ impl DensityHistogram {
         self.bins[1..].iter().sum()
     }
 
-    /// Mean density over non-empty windows, or 0.0 if all windows are empty.
-    pub fn mean_nonzero_density(&self) -> f64 {
-        let (sum, count) = self.bins[1..]
-            .iter()
-            .enumerate()
-            .fold((0u128, 0u128), |(s, c), (i, &f)| {
-                (s + (i as u128 + 1) * u128::from(f), c + u128::from(f))
-            });
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    }
-
     /// Merges another histogram built with the same Δt into this one.
     ///
     /// # Errors
@@ -580,7 +565,6 @@ mod tests {
         let h = DensityHistogram::from_train(&train, 100, 0, 1000).unwrap();
         assert_eq!(h.frequency(0), 10);
         assert_eq!(h.contended_windows(), 0);
-        assert_eq!(h.mean_nonzero_density(), 0.0);
     }
 
     #[test]
@@ -637,14 +621,6 @@ mod tests {
         let before = a.clone();
         assert!(matches!(a.merge(&b), Err(DetectorError::BadHarvest { .. })));
         assert_eq!(a, before, "a failed merge leaves the histogram unchanged");
-    }
-
-    #[test]
-    fn mean_nonzero_density() {
-        let train = EventTrain::from_times(vec![0, 1, 2, 100]);
-        let h = DensityHistogram::from_train(&train, 100, 0, 200).unwrap();
-        // Densities: 3 and 1 → mean 2.
-        assert!((h.mean_nonzero_density() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -719,11 +719,6 @@ impl SaturatingHistogram {
         Ok(())
     }
 
-    /// Whether any bin or the window accumulator has clamped.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
-    }
-
     /// The Δt this histogram was built with.
     pub fn delta_t(&self) -> u64 {
         self.delta_t.get()
@@ -1263,7 +1258,6 @@ mod tests {
         let mut h = SaturatingHistogram::new(100).unwrap();
         h.record(0, 70_000);
         h.record(5, 10);
-        assert!(h.is_saturated());
         let (out, saturated) = h.finish();
         assert!(saturated);
         assert_eq!(out.frequency(0), u16::MAX as u64);

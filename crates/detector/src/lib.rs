@@ -81,7 +81,6 @@ pub mod mitigation;
 pub mod online;
 pub mod pipeline;
 pub mod policy;
-pub mod report;
 pub mod shard;
 pub mod span;
 pub mod store;
@@ -90,8 +89,7 @@ pub mod trace;
 pub mod window;
 
 pub use auditor::{AuditorError, CcAuditor, HardwareUnit};
-pub use autocorr::{autocorrelation, Autocorrelogram, OscillationVerdict};
-pub use batch::{BatchPlanner, FftPlan};
+pub use autocorr::{Autocorrelogram, OscillationVerdict};
 pub use bloom::BloomFilter;
 pub use burst::{BurstDetector, BurstVerdict};
 pub use cluster::{ClusterConfig, PatternClusters, RecurrenceVerdict};
@@ -103,10 +101,7 @@ pub use fault::{
     FaultClass, FaultConfig, FaultInjector, FleetFault, StorageFaultClass, StorageFaultConfig,
     StorageFaultInjector,
 };
-pub use indicator::{
-    indicator_by_name, score_sequences, score_sequences_in, standard_indicators, CcHunterIndicator,
-    CusumIndicator, Indicator, SpectralIndicator, WindowObservation,
-};
+pub use indicator::{CcHunterIndicator, WindowObservation};
 pub use ingest::{
     AdmissionConfig, AdmissionQueue, DrainedBatch, IngestConfig, IngestPipeline, IngestReport,
     IngestStats, RawEvent, SanitizeReport, Sanitizer, SanitizerConfig, SaturatingHistogram,
@@ -130,7 +125,6 @@ pub use policy::{
     BackoffConfig, BreakerState, CircuitBreaker, QuarantineConfig, SuspicionConfig,
     SuspicionTracker, SuspicionTransition,
 };
-pub use report::SessionReport;
 pub use shard::{
     pair_key, rendezvous_shard, shard_count_from_env, FleetPairStatus, FleetTickReport,
     LatencySloConfig, MigrationReport, ShardHealth, ShardStatus, ShardedFleet, ShardedFleetConfig,

@@ -12,8 +12,7 @@
 //!   across restarts; removing a shard moves only *that shard's* pairs.
 //! * **Isolation** — each shard owns its pair table, an exclusively-owned
 //!   [`CheckpointStore`] directory, a metrics [`Registry`] (scraped with a
-//!   `shard="N"` label), an optional [`IngestPipeline`], and a
-//!   [`MitigationEnforcer`].
+//!   `shard="N"` label) and a [`MitigationEnforcer`].
 //! * **One tick** — the coordinator's loop is the only probe/retry loop
 //!   and its tick number the only clock. It asks the breakers first
 //!   (quarantined pairs are probed only on recovery ticks), then probes
@@ -49,7 +48,7 @@
 //! knob ([`shard_count_from_env`]).
 
 use crate::fault::{Armed, FleetFault};
-use crate::ingest::{IngestConfig, IngestPipeline, IngestStats};
+use crate::ingest::IngestStats;
 use crate::metrics::{
     render_prometheus_merged, Counter, Family, Gauge, Histogram, Registry, LATENCY_BUCKETS_US,
 };
@@ -150,9 +149,6 @@ pub struct ShardedFleetConfig {
     pub dead_after: u32,
     /// Checkpoint generations retained per shard store.
     pub keep_generations: usize,
-    /// When set, each shard gets its own hardened [`IngestPipeline`] with
-    /// this configuration (its stats feed the fleet's metrics digest).
-    pub ingest: Option<IngestConfig>,
     /// When set, shards are *suspected* on sustained tick-latency SLO
     /// breaches (the gray-failure watchdog) and proactively drained; see
     /// [`LatencySloConfig`]. `None` disables suspicion.
@@ -174,7 +170,6 @@ impl Default for ShardedFleetConfig {
             shard_deadline_us: 0,
             dead_after: 3,
             keep_generations: 4,
-            ingest: None,
             latency_slo: None,
             rebalance_per_tick: 4,
         }
@@ -458,8 +453,6 @@ struct Shard {
     registry: Registry,
     /// The shard's mitigation actuation backend.
     enforcer: Box<dyn MitigationEnforcer + Send>,
-    /// The shard's hardened ingest pipeline, when configured.
-    ingest: Option<IngestPipeline>,
     /// The chunk of this tick being stepped; the coordinator files the
     /// next one in `ShardedFleet::filing`, and the two swap every chunk.
     batch: ShardBatch,
@@ -951,7 +944,6 @@ impl ShardedFleet {
             let store = open_store(dir, config.keep_generations, owner, medium)?;
             supervisor = supervisor.with_store(store);
         }
-        let ingest = config.ingest.map(IngestPipeline::new).transpose()?;
         let suspicion = config.latency_slo.as_ref().map(|slo| SloState {
             window: Histogram::latency_us(),
             tracker: SuspicionTracker::new(slo.suspicion),
@@ -960,7 +952,6 @@ impl ShardedFleet {
             supervisor: Some(supervisor),
             registry,
             enforcer: Box::new(AdvisoryEnforcer),
-            ingest,
             batch: ShardBatch::default(),
             suspicion,
             misses: 0,
@@ -986,8 +977,8 @@ impl ShardedFleet {
     }
 
     /// Attaches a caller-owned ingest pipeline's shared counters (see
-    /// [`IngestPipeline::stats`]): the handle's totals are summed into
-    /// [`MetricsSnapshot::ingest`] alongside the shards' own pipelines.
+    /// [`IngestPipeline::stats`](crate::IngestPipeline::stats)): the
+    /// handle's totals are summed into [`MetricsSnapshot::ingest`].
     /// Attach one handle per pipeline.
     pub fn attach_ingest_stats(&mut self, stats: IngestStats) {
         self.ingest_stats.push(stats);
@@ -1080,15 +1071,6 @@ impl ShardedFleet {
     /// revived (post-mortem scrape), then starts fresh.
     pub fn shard_registry(&self, shard: usize) -> Option<&Registry> {
         self.shards.get(shard).map(|s| &s.registry)
-    }
-
-    /// Mutable access to one shard's hardened ingest pipeline (None when
-    /// the shard is out of range or [`ShardedFleetConfig::ingest`] is
-    /// unset). Offer raw events and call
-    /// [`IngestPipeline::end_quantum`] between fleet ticks; feed the
-    /// resulting [`Harvest`](crate::Harvest) back through your [`ProbeSource`].
-    pub fn ingest_mut(&mut self, shard: usize) -> Option<&mut IngestPipeline> {
-        self.shards.get_mut(shard)?.ingest.as_mut()
     }
 
     /// Adds a contention (combinational-resource) pair, placing it on a
@@ -1669,7 +1651,6 @@ impl ShardedFleet {
             // Its pairs are about to be counted where they land.
             buried.clear_pair_gauges();
             drop(buried);
-            shard.ingest = None;
             shard.misses = 0;
             shard.deaths += 1;
             self.placement_unsettled = true;
@@ -1743,7 +1724,6 @@ impl ShardedFleet {
             let slot = &mut self.shards[shard];
             slot.supervisor = rebuilt.supervisor;
             slot.registry = rebuilt.registry;
-            slot.ingest = rebuilt.ingest;
             slot.suspicion = rebuilt.suspicion;
             slot.misses = 0;
             self.placement_unsettled = true;
@@ -2033,15 +2013,6 @@ impl ShardedFleet {
             .collect()
     }
 
-    /// Indices of shards the latency-SLO watchdog currently suspects.
-    pub fn suspected_shard_ids(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_suspected().then_some(i))
-            .collect()
-    }
-
     /// The migration-accounting reconciliation check: asserts that the
     /// global pair table, the shard pair tables, and the exported
     /// `cchunter_shard_pairs` / orphan gauges all agree on where every
@@ -2142,7 +2113,7 @@ impl ShardedFleet {
     /// global table size (orphans count with zero confidence),
     /// `tick_latency` the whole-fleet tick distribution, `audit_latency`
     /// the merge of every live shard's per-pair distribution, and `ingest`
-    /// the shards' pipelines plus every attached handle. A dead shard's
+    /// the sum of every attached pipeline's counters. A dead shard's
     /// monotonic totals leave the sum until it revives — the coordinator's
     /// own counters (deaths, migrations, orphans) never reset.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -2154,9 +2125,6 @@ impl ShardedFleet {
             };
             snap.merge(&sup.metrics_snapshot());
             audit_latency.merge_from(sup.audit_latency());
-            if let Some(pipeline) = &shard.ingest {
-                snap.ingest.merge(&IngestSnapshot::from(&pipeline.stats()));
-            }
         }
         for stats in &self.ingest_stats {
             snap.ingest.merge(&IngestSnapshot::from(stats));
@@ -2265,6 +2233,16 @@ mod tests {
         bins[1] = 40;
         bins[2] = 12;
         DensityHistogram::from_bins(bins, 1_000).unwrap()
+    }
+
+    /// Indices of the shards the latency-SLO watchdog suspects.
+    fn suspected_shards(fleet: &ShardedFleet) -> Vec<usize> {
+        let statuses = fleet.shard_statuses();
+        statuses
+            .iter()
+            .filter(|s| s.suspected)
+            .map(|s| s.index)
+            .collect()
     }
 
     fn test_config(shards: usize) -> ShardedFleetConfig {
@@ -3026,7 +3004,7 @@ mod tests {
             Some(ShardHealth::Live),
             "suspicion is not death: the shard stays live"
         );
-        assert_eq!(fleet.suspected_shard_ids(), vec![victim]);
+        assert_eq!(suspected_shards(&fleet), vec![victim]);
         assert!(fleet.shard_statuses()[victim].suspected);
         assert!(drained_total > 0, "drain must begin on the suspect tick");
         // Keep draining (and keep the shard slow) until it is empty.
@@ -3065,7 +3043,7 @@ mod tests {
             }
         }
         assert!(cleared_seen, "recovered latency must clear the suspicion");
-        assert!(fleet.suspected_shard_ids().is_empty());
+        assert!(suspected_shards(&fleet).is_empty());
 
         // The rebalance pass now walks the drained pairs back to their
         // rendezvous home, bounded per tick.
@@ -3268,7 +3246,7 @@ mod tests {
             fleet.arm(FleetFault::ShardStall(victim, 100_000)).unwrap();
             fleet.tick(&mut quiet);
         }
-        assert_eq!(fleet.suspected_shard_ids(), vec![victim]);
+        assert_eq!(suspected_shards(&fleet), vec![victim]);
         assert_eq!(fleet.shard_statuses()[victim].pairs, 0);
         settle(&mut fleet, &mut quiet);
         // Recovery clears the suspicion; the pass resumes and walks home.

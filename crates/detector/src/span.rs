@@ -130,11 +130,6 @@ impl Tracer {
         self.record(None, scope, name, detail, None);
     }
 
-    /// Records an instantaneous event stamped with a simulated cycle.
-    pub fn event_at(&self, cycle: u64, scope: &'static str, name: &str, detail: impl fmt::Display) {
-        self.record(Some(cycle), scope, name, detail, None);
-    }
-
     /// Opens a timed section; the event (with its duration) is recorded
     /// when the returned guard drops. When the tracer is disabled the
     /// guard is inert and costs nothing beyond construction.
@@ -403,9 +398,10 @@ mod tests {
     #[test]
     fn timeline_renders_cycles_and_durations() {
         let t = Tracer::new(16);
-        t.event_at(777, "sim", "quantum", "bus=3");
+        t.event("sim", "quantum", "bus=3");
         {
-            let _span = t.span("supervisor", "tick");
+            let mut span = t.span("supervisor", "tick");
+            span.cycle(777);
         }
         let text = t.render_timeline(10);
         assert!(text.contains("777"));

@@ -40,14 +40,13 @@
 //! declared length is bounded by [`MAX_PAYLOAD_BYTES`] so an absurd length
 //! field cannot trigger an unbounded allocation.
 
-use crate::policy::{backoff_delay, BackoffConfig};
+use crate::policy::BackoffConfig;
 use crate::DetectorError;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Magic prefix of every stored frame. The `\r\n` tail catches text-mode
@@ -64,10 +63,6 @@ pub const FRAME_VERSION: u32 = 2;
 pub const MAX_PAYLOAD_BYTES: u64 = 64 << 20;
 
 const HEADER_BYTES: usize = 24;
-
-/// Seed of the write-path retry jitter: delays are *virtual*,
-/// deterministic, recorded in [`RetryStats`] and never slept.
-const RETRY_SEED: u64 = 0xD15C_FA17;
 
 /// How a stored checkpoint failed validation.
 #[derive(Debug)]
@@ -356,14 +351,6 @@ impl StorageMedium for DiskMedium {
     }
 }
 
-/// Shared write-path retry bookkeeping (clones of a store observe one
-/// running total, like the owner token).
-#[derive(Debug, Default)]
-struct RetryStats {
-    retries: AtomicU64,
-    backoff_us: AtomicU64,
-}
-
 /// CRC32 (IEEE 802.3, the zlib/PNG polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
@@ -495,7 +482,6 @@ pub struct CheckpointStore {
     /// The filesystem the store performs all I/O through: the real disk
     /// by default, a fault injector under soak scenarios.
     medium: Arc<dyn StorageMedium>,
-    retry_stats: Arc<RetryStats>,
     /// Exclusive-ownership token, held only by stores opened through
     /// [`CheckpointStore::open_exclusive`]. Clones share the token; the
     /// registration is released when the last clone drops.
@@ -567,7 +553,6 @@ impl CheckpointStore {
             dir,
             keep,
             medium,
-            retry_stats: Arc::new(RetryStats::default()),
             guard: None,
         };
         store.retried("create-dir", &store.dir, || {
@@ -651,22 +636,10 @@ impl CheckpointStore {
         &self.medium
     }
 
-    /// Transient write-path faults absorbed by retries so far, across all
-    /// clones of this store.
-    pub fn write_retries(&self) -> u64 {
-        self.retry_stats.retries.load(Ordering::Relaxed)
-    }
-
-    /// Total virtual backoff (µs) those retries would have waited.
-    pub fn write_backoff_us(&self) -> u64 {
-        self.retry_stats.backoff_us.load(Ordering::Relaxed)
-    }
-
-    /// Runs `attempt_io` with the store's bounded seeded retry policy.
-    /// Retryable faults ([`classify_io`]) are retried up to the backoff
-    /// budget with deterministic *virtual* delays (recorded, not slept);
-    /// non-retryable faults and exhausted budgets surface as
-    /// [`DetectorError::StorageFault`].
+    /// Runs `attempt_io` with the store's bounded retry policy. Retryable
+    /// faults ([`classify_io`]) are retried at once, up to the default
+    /// backoff budget's `max_retries`; non-retryable faults and exhausted
+    /// budgets surface as [`DetectorError::StorageFault`].
     fn retried<T>(
         &self,
         op: &'static str,
@@ -679,17 +652,9 @@ impl CheckpointStore {
                 Ok(value) => return Ok(value),
                 Err(e) => {
                     let (kind, retryable) = classify_io(op, &e);
-                    if retryable {
-                        if let Some(delay_us) =
-                            backoff_delay(&BackoffConfig::default(), RETRY_SEED, attempt)
-                        {
-                            self.retry_stats.retries.fetch_add(1, Ordering::Relaxed);
-                            self.retry_stats
-                                .backoff_us
-                                .fetch_add(delay_us, Ordering::Relaxed);
-                            attempt += 1;
-                            continue;
-                        }
+                    if retryable && attempt < BackoffConfig::default().max_retries {
+                        attempt += 1;
+                        continue;
                     }
                     return Err(DetectorError::StorageFault {
                         kind,

@@ -1,13 +1,11 @@
 //! Equivalence properties for the batched analysis engine (PR 7).
 //!
-//! The batch paths — planner-cached FFT autocorrelograms, lane-accumulator
-//! distance kernels, the arena/view zero-copy train storage, and the
-//! run-length density fast path — all promise *identical or ≤1e-9* results
-//! versus the simple scalar/owned formulations. These tests hold them to it
-//! across seeded random shapes, so any future "optimization" that changes
-//! numerics fails loudly.
+//! The batch paths — lane-accumulator distance kernels, the arena/view
+//! zero-copy train storage, and the run-length density fast path — all
+//! promise *identical or ≤1e-9* results versus the simple scalar/owned
+//! formulations. These tests hold them to it across seeded random shapes,
+//! so any future "optimization" that changes numerics fails loudly.
 
-use cchunter_detector::autocorr::Autocorrelogram;
 use cchunter_detector::batch::{sq_dist, sq_dist_scalar};
 use cchunter_detector::cluster::{kmeans, LevelString};
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
@@ -27,34 +25,6 @@ fn random_train(rng: &mut SmallRng, max_len: usize, horizon: u64, max_weight: u3
         train.push(t, rng.gen_range(1..=max_weight));
     }
     train
-}
-
-#[test]
-fn batched_autocorrelogram_matches_naive_per_series() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xBA7C_0000 + case);
-        let count = rng.gen_range(1usize..6);
-        let max_lag = rng.gen_range(1usize..48);
-        let series: Vec<Vec<f64>> = (0..count)
-            .map(|_| {
-                let n = rng.gen_range(2usize..400);
-                (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect()
-            })
-            .collect();
-        let batched = Autocorrelogram::compute_batch(&series, max_lag);
-        assert_eq!(batched.len(), series.len(), "case {case}");
-        for (i, (b, s)) in batched.iter().zip(&series).enumerate() {
-            let naive = Autocorrelogram::compute_naive(s, max_lag);
-            for lag in 0..=max_lag.min(s.len().saturating_sub(1)) {
-                assert!(
-                    (b.coefficient(lag) - naive.coefficient(lag)).abs() <= 1e-9,
-                    "case {case} series {i} lag {lag}: batched {} vs naive {}",
-                    b.coefficient(lag),
-                    naive.coefficient(lag)
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -14,9 +14,7 @@ use cchunter_detector::conflict::{
 };
 use cchunter_detector::density::{DensityHistogram, HISTOGRAM_BINS};
 use cchunter_detector::events::{EventTrain, SymbolSeries};
-use cchunter_detector::indicator::{
-    indicator_by_name, score_sequences_in, Indicator, WindowObservation,
-};
+use cchunter_detector::indicator::{CcHunterIndicator, WindowObservation};
 use cchunter_detector::BloomFilter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,9 +40,11 @@ fn autocorrelation_is_bounded_and_one_at_lag_zero() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xA070_0000 + case);
         let n = rng.gen_range(3usize..200);
-        let samples: Vec<f64> = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
+        let alphabet = rng.gen_range(1u8..=255);
+        let symbols: Vec<u8> = (0..n).map(|_| rng.gen_range(0..alphabet)).collect();
+        let samples: Vec<f64> = symbols.iter().map(|&x| f64::from(x)).collect();
         let max_lag = rng.gen_range(1usize..64);
-        let c = Autocorrelogram::compute(&samples, max_lag);
+        let c = Autocorrelogram::of_symbols(&SymbolSeries::from_symbols(symbols), max_lag);
         let variance: f64 = {
             let mean = samples.iter().sum::<f64>() / samples.len() as f64;
             samples.iter().map(|x| (x - mean) * (x - mean)).sum()
@@ -366,29 +366,6 @@ fn online_detector_survives_any_fault_sequence() {
     }
 }
 
-#[test]
-fn fft_autocorrelogram_matches_naive_for_any_length() {
-    // The FFT (Wiener–Khinchin) path and the direct lag-product path are
-    // the same mathematical object; agreement must hold for arbitrary —
-    // in particular non-power-of-two — series lengths and lag depths.
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xFF70_0000 + case);
-        let n = rng.gen_range(64usize..3000);
-        let samples: Vec<f64> = (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect();
-        let max_lag = rng.gen_range(32usize..1200);
-        let fast = Autocorrelogram::compute(&samples, max_lag);
-        let naive = Autocorrelogram::compute_naive(&samples, max_lag);
-        for lag in 0..=max_lag {
-            assert!(
-                (fast.coefficient(lag) - naive.coefficient(lag)).abs() < 1e-9,
-                "case {case} n {n} lag {lag}: fft {} vs naive {}",
-                fast.coefficient(lag),
-                naive.coefficient(lag)
-            );
-        }
-    }
-}
-
 /// One seeded quantum of `kind`: complete, partial (a NaN loss among
 /// them) or missed, with covert-shaped evidence about half the time.
 fn random_quantum(
@@ -480,7 +457,6 @@ fn incremental_window_state_matches_from_scratch_replay() {
     // * the batch report over the retained quanta is the replay's status;
     // * the `cchunter` quality indicator's per-window evidence is the
     //   status of a 512-quantum window fed the same schedule.
-    use cchunter_detector::indicator::CcHunterIndicator;
     use cchunter_detector::online::{Harvest, OnlineStatus, OnlineWindow, PairKind};
     use cchunter_detector::pipeline::{symbol_series, CcHunter};
     use cchunter_detector::policy::QuarantineConfig;
@@ -759,17 +735,13 @@ fn par_map_is_thread_count_invariant() {
     }
 }
 
-/// A seeded random observation: histogram, rate trace, and/or symbols with
-/// a random weight, covering every field combination an indicator can see.
+/// A seeded random observation: histogram and/or symbols with a random
+/// weight, covering every field combination the indicator can see.
 fn random_observation(rng: &mut SmallRng) -> WindowObservation {
     let mut obs = WindowObservation::missed().with_weight(rng.gen_range(0.0..=1.0));
     if rng.gen_bool(0.7) {
         let train = EventTrain::from_times(times(rng, 400, 40_000));
         obs.histogram = Some(DensityHistogram::from_train(&train, 100, 0, 40_000).unwrap());
-    }
-    if rng.gen_bool(0.7) {
-        let n = rng.gen_range(0usize..200);
-        obs.rates = (0..n).map(|_| rng.gen_range(0.0..50.0)).collect();
     }
     if rng.gen_bool(0.5) {
         let n = rng.gen_range(0usize..300);
@@ -780,67 +752,32 @@ fn random_observation(rng: &mut SmallRng) -> WindowObservation {
 }
 
 #[test]
-fn indicator_scores_are_thread_count_invariant() {
-    // Batched indicator scoring is bit-identical to serial scoring for any
-    // pool size — the same contract the FFT batch engine holds, extended to
-    // every Indicator implementation.
-    let mut pools: Vec<threadpool::Pool> = [1usize, 2, 7].map(threadpool::Pool::new).into();
-    for name in ["cchunter", "cusum", "spectral"] {
-        let mut rng = SmallRng::seed_from_u64(0x1D1C_0000);
-        let sequences: Vec<Vec<WindowObservation>> = (0..12)
-            .map(|_| {
-                let len = rng.gen_range(1usize..8);
-                (0..len).map(|_| random_observation(&mut rng)).collect()
-            })
-            .collect();
-        let make: &(dyn Fn() -> Box<dyn Indicator> + Sync) =
-            &move || indicator_by_name(name).expect("built-in name");
-        let serial: Vec<f64> = sequences.iter().map(|s| make().score_sequence(s)).collect();
-        for pool in &mut pools {
-            let got = score_sequences_in(pool, make, &sequences);
-            for (i, (a, b)) in got.iter().zip(&serial).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{name} sequence {i} with {} threads",
-                    pool.threads()
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn indicator_online_push_equals_replay_from_scratch() {
     // The replay-consistency contract: after pushing any prefix of an
     // observation stream, the online score is bit-identical to a fresh
-    // indicator replaying that prefix — the Indicator-trait analogue of the
+    // indicator replaying that prefix — the indicator analogue of the
     // sliding-window incremental-vs-scratch property.
-    for name in ["cchunter", "cusum", "spectral"] {
-        for case in 0..CASES / 4 {
-            let mut rng = SmallRng::seed_from_u64(0x0E71_0000 + case);
-            let stream: Vec<WindowObservation> = (0..rng.gen_range(1usize..10))
-                .map(|_| random_observation(&mut rng))
-                .collect();
-            let mut online = indicator_by_name(name).expect("built-in name");
-            for (k, obs) in stream.iter().enumerate() {
-                let pushed = online.push(obs);
-                assert_eq!(
-                    pushed.to_bits(),
-                    online.score().to_bits(),
-                    "{name} case {case}: push return differs from score()"
-                );
-                let replayed = indicator_by_name(name)
-                    .expect("built-in name")
-                    .score_sequence(&stream[..=k]);
-                assert_eq!(
-                    pushed.to_bits(),
-                    replayed.to_bits(),
-                    "{name} case {case} prefix {}: online {pushed} vs replay {replayed}",
-                    k + 1
-                );
-                assert!((0.0..=1.0).contains(&pushed), "{name} case {case}");
-            }
+    for case in 0..CASES / 4 {
+        let mut rng = SmallRng::seed_from_u64(0x0E71_0000 + case);
+        let stream: Vec<WindowObservation> = (0..rng.gen_range(1usize..10))
+            .map(|_| random_observation(&mut rng))
+            .collect();
+        let mut online = CcHunterIndicator::default();
+        for (k, obs) in stream.iter().enumerate() {
+            let pushed = online.push(obs);
+            assert_eq!(
+                pushed.to_bits(),
+                online.score().to_bits(),
+                "case {case}: push return differs from score()"
+            );
+            let replayed = CcHunterIndicator::default().score_sequence(&stream[..=k]);
+            assert_eq!(
+                pushed.to_bits(),
+                replayed.to_bits(),
+                "case {case} prefix {}: online {pushed} vs replay {replayed}",
+                k + 1
+            );
+            assert!((0.0..=1.0).contains(&pushed), "case {case}");
         }
     }
 }

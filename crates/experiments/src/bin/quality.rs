@@ -1,14 +1,15 @@
 //! Quality runner: `cargo run -p cchunter-experiments --release --bin
-//! cchunter-quality` runs the channel × bandwidth × noise × indicator sweep
-//! and writes `QUALITY_detector.json` at the repository root — per-cell ROC
-//! curves, AUC, online detection latency, and benign false-positive rate
-//! for every registered indicator.
+//! cchunter-quality` runs the channel × bandwidth × noise sweep and writes
+//! `QUALITY_detector.json` at the repository root — per-cell ROC curves,
+//! AUC, online detection latency, and benign false-positive rate of the
+//! `cchunter` scorer.
 //!
 //! `--check` instead runs the sweep in quick mode and compares it against
 //! the committed `QUALITY_detector.json`, printing a per-cell report and
 //! exiting nonzero when any baseline cell lost more than 0.03 AUC, exceeded
-//! its FP ceiling, or went missing — the CI detection-quality gate. The
-//! baseline file is never rewritten in this mode.
+//! its FP ceiling, first alarmed more than one window later (or never,
+//! where the baseline did), or went missing — the CI detection-quality
+//! gate. The baseline file is never rewritten in this mode.
 //!
 //! Set `CCHUNTER_QUALITY_QUICK=1` for the CI-sized grid (the committed
 //! baseline's shape) and `CCHUNTER_QUALITY_SEED` to vary the seed (default

@@ -1,10 +1,10 @@
-//! Detection-quality sweeps: channel × bandwidth × noise × indicator grids
-//! scored into ROC curves, AUC, detection latency, and false-positive rate.
+//! Detection-quality sweeps: channel × bandwidth × noise grids scored into
+//! ROC curves, AUC, detection latency, and false-positive rate.
 //!
 //! The sweep runs each covert channel (bus, divider, cache) through the sim
 //! at one or more bandwidths, slices the audited event trains and
 //! conflict-miss records into fixed scoring windows, and scores them with
-//! every registered [`cchunter_detector::indicator::Indicator`]. The
+//! the paper's detector ([`CcHunterIndicator`]). The
 //! negative class comes from the Figure 14 benign pairs under the same
 //! audits and the same slicing. The noise axis replays the PR 1
 //! [`cchunter_detector::fault::FaultInjector`] degradations
@@ -17,9 +17,10 @@
 //! quick sweep — the shape the committed baseline records.
 //!
 //! The `--check` gate (see [`compare`]) mirrors the bench gate's contract:
-//! per-cell AUC floor and FP-rate ceiling against the committed baseline, a
-//! baseline cell missing from the fresh sweep fails (a silently dropped
-//! cell would blind the gate), and a fresh-only cell is informational.
+//! per-cell AUC floor, FP-rate ceiling and detection-latency bound against
+//! the committed baseline, a baseline cell missing from the fresh sweep
+//! fails (a silently dropped cell would blind the gate), and a fresh-only
+//! cell is informational.
 
 use crate::harness::{
     paper, run_benign_pair, run_bus, run_cache, run_divider, BenignArtifacts, ChannelArtifacts,
@@ -30,7 +31,7 @@ use cc_hunter::channels::Message;
 use cc_hunter::detector::auditor::ConflictRecord;
 use cc_hunter::detector::pipeline::symbol_series;
 use cc_hunter::detector::{
-    indicator_by_name, DensityHistogram, EventTrain, FaultClass, FaultConfig, FaultInjector,
+    CcHunterIndicator, DensityHistogram, EventTrain, FaultClass, FaultConfig, FaultInjector,
     WindowObservation,
 };
 use cchunter_bench::check::Json;
@@ -55,6 +56,11 @@ pub const FP_SLACK: f64 = 0.05;
 /// Gate: FP rates at or below this floor always pass (a 0.00 baseline must
 /// not make a single noisy benign window a hard failure).
 pub const FP_FLOOR: f64 = 0.05;
+
+/// Gate: a cell fails when its detection latency grows more than this many
+/// windows past the baseline's, or when it never alarms where the baseline
+/// did.
+pub const LATENCY_SLACK_WINDOWS: i64 = 1;
 
 /// Whether the CI-sized quick sweep was requested via
 /// `CCHUNTER_QUALITY_QUICK=1`.
@@ -146,14 +152,10 @@ pub struct SweepConfig {
     pub message_bits: usize,
     /// Scoring-window span in bit periods.
     pub window_bits: u64,
-    /// Rate-trace resolution: sub-slots per bit period.
-    pub subslots_per_bit: u64,
     /// Channel bandwidths to sweep, in bits/s.
     pub bandwidths_bps: Vec<f64>,
     /// Noise levels to sweep.
     pub noise_levels: Vec<NoiseLevel>,
-    /// Indicator names to score (must resolve via [`indicator_by_name`]).
-    pub indicators: Vec<&'static str>,
     /// Figure 14 benign pairs supplying the negative class.
     pub benign_pairs: Vec<&'static str>,
     /// OS quanta to run each benign pair for.
@@ -164,9 +166,8 @@ impl SweepConfig {
     /// The grid for the current environment: quick honors
     /// `CCHUNTER_QUALITY_QUICK`, the seed `CCHUNTER_QUALITY_SEED`.
     ///
-    /// Both shapes satisfy the scoreboard floor (3 indicators × 3 channels
-    /// × ≥2 noise levels); the full grid adds a second bandwidth, the mild
-    /// noise level, and a second benign pair.
+    /// Both shapes cover 3 channels × ≥2 noise levels; the full grid adds a
+    /// second bandwidth, the mild noise level, and a second benign pair.
     pub fn from_env() -> Self {
         let quick = quick_mode();
         let seed = sweep_seed();
@@ -176,10 +177,8 @@ impl SweepConfig {
                 seed,
                 message_bits: 96,
                 window_bits: 4,
-                subslots_per_bit: 16,
                 bandwidths_bps: vec![2000.0],
                 noise_levels: vec![NoiseLevel::Off, NoiseLevel::Hostile],
-                indicators: vec!["cchunter", "cusum", "spectral"],
                 benign_pairs: vec!["stream_stream"],
                 benign_quanta: 1,
             }
@@ -189,10 +188,8 @@ impl SweepConfig {
                 seed,
                 message_bits: 160,
                 window_bits: 4,
-                subslots_per_bit: 16,
                 bandwidths_bps: vec![1000.0, 2000.0],
                 noise_levels: vec![NoiseLevel::Off, NoiseLevel::Mild, NoiseLevel::Hostile],
-                indicators: vec!["cchunter", "cusum", "spectral"],
                 benign_pairs: vec!["stream_stream", "mailserver_mailserver"],
                 benign_quanta: 2,
             }
@@ -227,7 +224,7 @@ pub struct SweepResult {
     pub quick: bool,
     /// The master seed.
     pub seed: u64,
-    /// Metrics per cell key (`channel/b<bps>/<noise>/<indicator>`).
+    /// Metrics per cell key (`channel/b<bps>/<noise>/cchunter`).
     pub cells: BTreeMap<String, CellMetrics>,
 }
 
@@ -243,46 +240,14 @@ fn derive_seed(master: u64, key: &str) -> u64 {
     h ^ master
 }
 
-/// Bins a train's events into per-sub-slot counts over `[start, end)`.
-fn subslot_rates(train: &EventTrain, start: u64, end: u64, subslot_cycles: u64) -> Vec<f64> {
-    let n = ((end - start) / subslot_cycles) as usize;
-    let mut rates = vec![0.0; n];
-    for (t, w) in train.iter() {
-        if t >= start && t < end {
-            let idx = (((t - start) / subslot_cycles) as usize).min(n.saturating_sub(1));
-            rates[idx] += f64::from(w);
-        }
-    }
-    rates
-}
-
-/// Bins conflict records into per-sub-slot counts over `[start, end)`.
-fn conflict_rates(
-    records: &[ConflictRecord],
-    start: u64,
-    end: u64,
-    subslot_cycles: u64,
-) -> Vec<f64> {
-    let n = ((end - start) / subslot_cycles) as usize;
-    let mut rates = vec![0.0; n];
-    for r in records {
-        if r.cycle >= start && r.cycle < end {
-            let idx = (((r.cycle - start) / subslot_cycles) as usize).min(n.saturating_sub(1));
-            rates[idx] += 1.0;
-        }
-    }
-    rates
-}
-
-/// Slices an event train into scoring-window observations (histogram +
-/// rate trace), optionally degraded by `injector`.
+/// Slices an event train into scoring-window histogram observations,
+/// optionally degraded by `injector`.
 fn train_observations(
     train: &EventTrain,
     delta_t: u64,
     start: u64,
     end: u64,
     window_cycles: u64,
-    subslot_cycles: u64,
     mut injector: Option<&mut FaultInjector>,
 ) -> Vec<WindowObservation> {
     let mut out = Vec::new();
@@ -292,22 +257,8 @@ fn train_observations(
         let histogram =
             DensityHistogram::from_train(train, delta_t, w_start, w_end).expect("nonzero Δt");
         let obs = match injector.as_deref_mut() {
-            Some(inj) => {
-                let harvest = inj.perturb_harvest(histogram);
-                let obs = WindowObservation::from_harvest(&harvest);
-                if obs.weight > 0.0 {
-                    obs.with_rates(subslot_rates(train, w_start, w_end, subslot_cycles))
-                } else {
-                    // A dropped quantum loses the raw trace too.
-                    obs
-                }
-            }
-            None => WindowObservation::from_histogram(histogram).with_rates(subslot_rates(
-                train,
-                w_start,
-                w_end,
-                subslot_cycles,
-            )),
+            Some(inj) => WindowObservation::from_harvest(&inj.perturb_harvest(histogram)),
+            None => WindowObservation::from_histogram(histogram),
         };
         out.push(obs);
         w_start = w_end;
@@ -315,14 +266,13 @@ fn train_observations(
     out
 }
 
-/// Slices conflict records into scoring-window observations (symbol series
-/// + rate trace), optionally degraded by `injector`.
+/// Slices conflict records into scoring-window symbol-series observations,
+/// optionally degraded by `injector`.
 fn conflict_observations(
     records: &[ConflictRecord],
     start: u64,
     end: u64,
     window_cycles: u64,
-    subslot_cycles: u64,
     mut injector: Option<&mut FaultInjector>,
 ) -> Vec<WindowObservation> {
     let mut out = Vec::new();
@@ -342,12 +292,7 @@ fn conflict_observations(
             None => (window_records, 1.0),
         };
         let symbols = symbol_series(&window_records, w_start, w_end);
-        let rates = conflict_rates(&window_records, w_start, w_end, subslot_cycles);
-        out.push(
-            WindowObservation::from_symbols(symbols)
-                .with_rates(rates)
-                .with_weight(weight),
-        );
+        out.push(WindowObservation::from_symbols(symbols).with_weight(weight));
         w_start = w_end;
     }
     out
@@ -398,12 +343,10 @@ pub fn roc_points(positives: &[f64], negatives: &[f64], max_points: usize) -> Ve
 
 /// Scores one cell: per-window ROC/AUC plus online FP rate and latency.
 fn score_cell(
-    indicator: &str,
     positives: &[WindowObservation],
     negative_runs: &[Vec<WindowObservation>],
 ) -> CellMetrics {
-    let mut ind =
-        indicator_by_name(indicator).unwrap_or_else(|| panic!("unknown indicator {indicator:?}"));
+    let mut ind = CcHunterIndicator::default();
 
     // One-shot per-window scores: the ROC sample sets.
     let pos_scores: Vec<f64> = positives
@@ -471,7 +414,6 @@ fn positive_observations(
     channel: Channel,
     arts: &ChannelArtifacts,
     window_cycles: u64,
-    subslot_cycles: u64,
     injector: Option<&mut FaultInjector>,
 ) -> Vec<WindowObservation> {
     // Score from the bit-0 epoch so the idle pre-amble doesn't dilute the
@@ -490,7 +432,6 @@ fn positive_observations(
             start,
             end,
             window_cycles,
-            subslot_cycles,
             injector,
         ),
         Channel::Divider => train_observations(
@@ -501,17 +442,11 @@ fn positive_observations(
             start,
             end,
             window_cycles,
-            subslot_cycles,
             injector,
         ),
-        Channel::Cache => conflict_observations(
-            &arts.data.conflicts,
-            start,
-            end,
-            window_cycles,
-            subslot_cycles,
-            injector,
-        ),
+        Channel::Cache => {
+            conflict_observations(&arts.data.conflicts, start, end, window_cycles, injector)
+        }
     }
 }
 
@@ -521,7 +456,6 @@ fn negative_observations(
     channel: Channel,
     benign: &BenignArtifacts,
     window_cycles: u64,
-    subslot_cycles: u64,
     injector: Option<&mut FaultInjector>,
 ) -> Vec<WindowObservation> {
     match channel {
@@ -531,7 +465,6 @@ fn negative_observations(
             benign.start,
             benign.end,
             window_cycles,
-            subslot_cycles,
             injector,
         ),
         Channel::Divider => train_observations(
@@ -540,7 +473,6 @@ fn negative_observations(
             benign.start,
             benign.end,
             window_cycles,
-            subslot_cycles,
             injector,
         ),
         Channel::Cache => conflict_observations(
@@ -548,25 +480,23 @@ fn negative_observations(
             benign.start,
             benign.end,
             window_cycles,
-            subslot_cycles,
             injector,
         ),
     }
 }
 
 /// Runs the whole grid. Simulation happens once per channel × bandwidth
-/// (positives) and once per benign pair (negatives); the noise and
-/// indicator axes reuse those artifacts.
+/// (positives) and once per benign pair (negatives); the noise axis reuses
+/// those artifacts.
 pub fn run_sweep(config: &SweepConfig) -> SweepResult {
     let mut msg_rng = SmallRng::seed_from_u64(config.seed ^ 0xC0DE_CAFE);
     let message = Message::random(&mut msg_rng, config.message_bits);
 
     eprintln!(
-        "quality sweep: {} channels × {} bandwidths × {} noise levels × {} indicators ({})",
+        "quality sweep: {} channels × {} bandwidths × {} noise levels ({})",
         Channel::ALL.len(),
         config.bandwidths_bps.len(),
         config.noise_levels.len(),
-        config.indicators.len(),
         if config.quick { "quick" } else { "full" },
     );
 
@@ -586,7 +516,6 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
             eprintln!("  channel {} at {bw} bps...", channel.label());
             let arts = run_channel(channel, message.clone(), bw);
             let window_cycles = config.window_bits * arts.bit_cycles;
-            let subslot_cycles = (arts.bit_cycles / config.subslots_per_bit).max(1);
             for &noise in &config.noise_levels {
                 let cell_base = format!("{}/b{}/{}", channel.label(), bw as u64, noise.label());
                 let fault = noise.fault_config();
@@ -594,13 +523,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
                     let mut inj = fault.map(|c| {
                         FaultInjector::new(c, derive_seed(config.seed, &format!("{cell_base}/pos")))
                     });
-                    positive_observations(
-                        channel,
-                        &arts,
-                        window_cycles,
-                        subslot_cycles,
-                        inj.as_mut(),
-                    )
+                    positive_observations(channel, &arts, window_cycles, inj.as_mut())
                 };
                 let negative_runs: Vec<Vec<WindowObservation>> = benign
                     .iter()
@@ -612,19 +535,11 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
                                 derive_seed(config.seed, &format!("{cell_base}/neg{i}")),
                             )
                         });
-                        negative_observations(
-                            channel,
-                            b,
-                            window_cycles,
-                            subslot_cycles,
-                            inj.as_mut(),
-                        )
+                        negative_observations(channel, b, window_cycles, inj.as_mut())
                     })
                     .collect();
-                for name in &config.indicators {
-                    let metrics = score_cell(name, &positives, &negative_runs);
-                    cells.insert(format!("{cell_base}/{name}"), metrics);
-                }
+                let metrics = score_cell(&positives, &negative_runs);
+                cells.insert(format!("{cell_base}/cchunter"), metrics);
             }
         }
     }
@@ -673,55 +588,48 @@ impl SweepResult {
         json
     }
 
-    /// The headline table: best AUC per channel family × indicator at the
-    /// clean noise level (first bandwidth), for logs and EXPERIMENTS.md.
+    /// The headline table: best AUC per channel family at the clean noise
+    /// level, for logs and EXPERIMENTS.md.
     pub fn render_headline(&self) -> String {
-        let mut out = String::new();
-        let mut indicators: Vec<&str> = Vec::new();
-        for key in self.cells.keys() {
-            if let Some(ind) = key.rsplit('/').next() {
-                if !indicators.contains(&ind) {
-                    indicators.push(ind);
-                }
-            }
-        }
-        indicators.sort_unstable();
-        out.push_str(&format!("{:<10}", "channel"));
-        for ind in &indicators {
-            out.push_str(&format!(" {:>10}", format!("auc:{ind}")));
-        }
-        out.push('\n');
+        let mut out = format!("{:<10} {:>10}\n", "channel", "auc");
         for channel in Channel::ALL {
-            out.push_str(&format!("{:<10}", channel.label()));
-            for ind in &indicators {
-                let best = self
-                    .cells
-                    .iter()
-                    .filter(|(k, _)| {
-                        k.starts_with(&format!("{}/", channel.label()))
-                            && k.contains("/noise-off/")
-                            && k.ends_with(&format!("/{ind}"))
-                    })
-                    .map(|(_, m)| m.auc)
-                    .fold(f64::NAN, f64::max);
-                if best.is_nan() {
-                    out.push_str(&format!(" {:>10}", "-"));
-                } else {
-                    out.push_str(&format!(" {best:>10.3}"));
-                }
-            }
-            out.push('\n');
+            let best = self
+                .cells
+                .iter()
+                .filter(|(k, _)| {
+                    k.starts_with(&format!("{}/", channel.label())) && k.contains("/noise-off/")
+                })
+                .map(|(_, m)| m.auc)
+                .fold(f64::NAN, f64::max);
+            let auc = if best.is_nan() {
+                "-".to_string()
+            } else {
+                format!("{best:.3}")
+            };
+            out.push_str(&format!("{:<10} {auc:>10}\n", channel.label()));
         }
         out
     }
 }
 
-/// Extracts `(auc, fp_rate)` per cell from a parsed `QUALITY_detector.json`.
+/// The gated figures of one cell: `(auc, fp_rate,
+/// detection_latency_windows)`.
+pub type CellScores = (f64, f64, i64);
+
+impl CellMetrics {
+    /// The figures the gate compares.
+    pub fn scores(&self) -> CellScores {
+        (self.auc, self.fp_rate, self.detection_latency_windows)
+    }
+}
+
+/// Extracts the gated figures per cell from a parsed
+/// `QUALITY_detector.json`.
 ///
 /// # Errors
 ///
 /// Returns a description when the `cells` object is missing or malformed.
-pub fn parse_cells(doc: &Json) -> Result<BTreeMap<String, (f64, f64)>, String> {
+pub fn parse_cells(doc: &Json) -> Result<BTreeMap<String, CellScores>, String> {
     let cells = doc.get("cells").ok_or("no cells object")?;
     match cells {
         Json::Obj(entries) => entries
@@ -735,7 +643,12 @@ pub fn parse_cells(doc: &Json) -> Result<BTreeMap<String, (f64, f64)>, String> {
                     .get("fp_rate")
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("cell {key:?} has no numeric fp_rate"))?;
-                Ok((key.clone(), (auc, fp)))
+                let latency = v
+                    .get("detection_latency_windows")
+                    .and_then(Json::as_f64)
+                    .filter(|l| l.fract() == 0.0)
+                    .ok_or_else(|| format!("cell {key:?} has no whole detection latency"))?;
+                Ok((key.clone(), (auc, fp, latency as i64)))
             })
             .collect(),
         _ => Err("cells is not an object".to_string()),
@@ -755,6 +668,10 @@ pub enum CellStatus {
     AucRegressed,
     /// FP rate rose past the ceiling: gate fails.
     FpRegressed,
+    /// Detection came more than [`LATENCY_SLACK_WINDOWS`] windows later
+    /// than the baseline's, or never where the baseline detected: gate
+    /// fails.
+    LatencyRegressed,
     /// In the baseline but absent from the fresh sweep: gate fails.
     MissingFresh,
     /// In the fresh sweep but not the baseline (new cell): informational,
@@ -767,7 +684,10 @@ impl CellStatus {
     pub fn fails(self) -> bool {
         matches!(
             self,
-            CellStatus::AucRegressed | CellStatus::FpRegressed | CellStatus::MissingFresh
+            CellStatus::AucRegressed
+                | CellStatus::FpRegressed
+                | CellStatus::LatencyRegressed
+                | CellStatus::MissingFresh
         )
     }
 
@@ -776,6 +696,7 @@ impl CellStatus {
             CellStatus::Ok => "ok",
             CellStatus::AucRegressed => "AUC REGRESSED",
             CellStatus::FpRegressed => "FP REGRESSED",
+            CellStatus::LatencyRegressed => "LATENCY REGRESSED",
             CellStatus::MissingFresh => "MISSING",
             CellStatus::New => "new (informational)",
         }
@@ -787,10 +708,10 @@ impl CellStatus {
 pub struct CellComparison {
     /// Cell key.
     pub name: String,
-    /// Baseline `(auc, fp_rate)`, if the cell is in the baseline.
-    pub baseline: Option<(f64, f64)>,
-    /// Fresh `(auc, fp_rate)`, if the cell was just swept.
-    pub fresh: Option<(f64, f64)>,
+    /// Baseline figures, if the cell is in the baseline.
+    pub baseline: Option<CellScores>,
+    /// Fresh figures, if the cell was just swept.
+    pub fresh: Option<CellScores>,
     /// The verdict for this cell.
     pub status: CellStatus,
 }
@@ -812,21 +733,24 @@ impl QualityReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<44} {:>9} {:>9} {:>8} {:>8}  status\n",
-            "cell", "base auc", "auc", "base fp", "fp"
+            "{:<44} {:>9} {:>9} {:>8} {:>8} {:>9} {:>9}  status\n",
+            "cell", "base auc", "auc", "base fp", "fp", "base lat", "lat"
         ));
         let fmt = |v: Option<f64>| match v {
             Some(v) => format!("{v:.3}"),
             None => "-".to_string(),
         };
+        let lat = |v: Option<CellScores>| v.map_or("-".to_string(), |v| v.2.to_string());
         for c in &self.cells {
             out.push_str(&format!(
-                "{:<44} {:>9} {:>9} {:>8} {:>8}  {}\n",
+                "{:<44} {:>9} {:>9} {:>8} {:>8} {:>9} {:>9}  {}\n",
                 c.name,
                 fmt(c.baseline.map(|b| b.0)),
                 fmt(c.fresh.map(|f| f.0)),
                 fmt(c.baseline.map(|b| b.1)),
                 fmt(c.fresh.map(|f| f.1)),
+                lat(c.baseline),
+                lat(c.fresh),
                 c.status.as_str(),
             ));
         }
@@ -838,15 +762,18 @@ impl QualityReport {
         let verdict = if self.failed() {
             format!(
                 "FAIL: a cell lost more than {AUC_SLACK:.2} AUC, exceeded its FP ceiling, \
-                 or went missing"
+                 detected later or not at all, or went missing"
             )
         } else if new > 0 {
             format!(
-                "ok: all baseline cells within AUC {AUC_SLACK:.2} / FP +{FP_SLACK:.2}; \
-                 {new} new cell(s) skipped (informational)"
+                "ok: all baseline cells within AUC {AUC_SLACK:.2} / FP +{FP_SLACK:.2} / \
+                 latency +{LATENCY_SLACK_WINDOWS}; {new} new cell(s) skipped (informational)"
             )
         } else {
-            format!("ok: all cells within AUC {AUC_SLACK:.2} / FP +{FP_SLACK:.2}")
+            format!(
+                "ok: all cells within AUC {AUC_SLACK:.2} / FP +{FP_SLACK:.2} / \
+                 latency +{LATENCY_SLACK_WINDOWS}"
+            )
         };
         out.push_str(&verdict);
         out.push('\n');
@@ -854,48 +781,47 @@ impl QualityReport {
     }
 }
 
-/// Compares a fresh sweep against the committed baseline.
+/// Compares a fresh sweep against the committed baseline: per cell, the
+/// AUC floor, the FP ceiling and the detection-latency bound (a cell that
+/// never alarms where the baseline did fails too).
 ///
 /// A baseline cell missing from the fresh sweep fails (a silently dropped
 /// cell would blind the gate); a fresh-only cell is reported as
 /// `new (informational)` and passes — exactly the bench gate's
 /// new-vs-missing distinction.
 pub fn compare(
-    baseline: &BTreeMap<String, (f64, f64)>,
+    baseline: &BTreeMap<String, CellScores>,
     fresh: &BTreeMap<String, CellMetrics>,
 ) -> QualityReport {
     let mut cells = Vec::new();
-    for (name, &(base_auc, base_fp)) in baseline {
-        match fresh.get(name) {
-            Some(m) => {
-                let status = if m.auc < base_auc - AUC_SLACK {
-                    CellStatus::AucRegressed
-                } else if m.fp_rate > (base_fp + FP_SLACK).max(FP_FLOOR) {
-                    CellStatus::FpRegressed
-                } else {
-                    CellStatus::Ok
-                };
-                cells.push(CellComparison {
-                    name: name.clone(),
-                    baseline: Some((base_auc, base_fp)),
-                    fresh: Some((m.auc, m.fp_rate)),
-                    status,
-                });
+    for (name, &base) in baseline {
+        let (base_auc, base_fp, base_latency) = base;
+        let status = match fresh.get(name) {
+            None => CellStatus::MissingFresh,
+            Some(m) if m.auc < base_auc - AUC_SLACK => CellStatus::AucRegressed,
+            Some(m) if m.fp_rate > (base_fp + FP_SLACK).max(FP_FLOOR) => CellStatus::FpRegressed,
+            Some(m)
+                if base_latency >= 0
+                    && (m.detection_latency_windows < 0
+                        || m.detection_latency_windows > base_latency + LATENCY_SLACK_WINDOWS) =>
+            {
+                CellStatus::LatencyRegressed
             }
-            None => cells.push(CellComparison {
-                name: name.clone(),
-                baseline: Some((base_auc, base_fp)),
-                fresh: None,
-                status: CellStatus::MissingFresh,
-            }),
-        }
+            Some(_) => CellStatus::Ok,
+        };
+        cells.push(CellComparison {
+            name: name.clone(),
+            baseline: Some(base),
+            fresh: fresh.get(name).map(CellMetrics::scores),
+            status,
+        });
     }
     for (name, m) in fresh {
         if !baseline.contains_key(name) {
             cells.push(CellComparison {
                 name: name.clone(),
                 baseline: None,
-                fresh: Some((m.auc, m.fp_rate)),
+                fresh: Some(m.scores()),
                 status: CellStatus::New,
             });
         }
@@ -949,8 +875,8 @@ mod tests {
     #[test]
     fn gate_distinguishes_new_from_missing() {
         let mut baseline = BTreeMap::new();
-        baseline.insert("bus/b2000/noise-off/cchunter".to_string(), (0.95, 0.0));
-        baseline.insert("gone/cell".to_string(), (0.9, 0.0));
+        baseline.insert("bus/b2000/noise-off/cchunter".to_string(), (0.95, 0.0, 1));
+        baseline.insert("gone/cell".to_string(), (0.9, 0.0, 1));
         let mut fresh = BTreeMap::new();
         fresh.insert(
             "bus/b2000/noise-off/cchunter".to_string(),
@@ -977,8 +903,8 @@ mod tests {
     #[test]
     fn gate_fails_on_auc_and_fp_regressions() {
         let mut baseline = BTreeMap::new();
-        baseline.insert("a".to_string(), (0.95, 0.0));
-        baseline.insert("b".to_string(), (0.9, 0.1));
+        baseline.insert("a".to_string(), (0.95, 0.0, 1));
+        baseline.insert("b".to_string(), (0.9, 0.1, 1));
         let mut fresh = BTreeMap::new();
         fresh.insert("a".to_string(), metrics(0.95 - AUC_SLACK - 0.01, 0.0));
         fresh.insert("b".to_string(), metrics(0.9, 0.1 + FP_SLACK + 0.01));
@@ -991,10 +917,41 @@ mod tests {
     #[test]
     fn gate_fp_floor_forgives_tiny_rates() {
         let mut baseline = BTreeMap::new();
-        baseline.insert("a".to_string(), (0.95, 0.0));
+        baseline.insert("a".to_string(), (0.95, 0.0, 1));
         let mut fresh = BTreeMap::new();
         fresh.insert("a".to_string(), metrics(0.96, FP_FLOOR - 0.01));
         assert!(!compare(&baseline, &fresh).failed());
+    }
+
+    /// The gate's status for a baseline latency of `base` windows and a
+    /// fresh one of `latency`.
+    fn latency_status(base: i64, latency: i64) -> CellStatus {
+        let baseline = BTreeMap::from([("a".to_string(), (0.95, 0.0, base))]);
+        let mut m = metrics(0.95, 0.0);
+        m.detection_latency_windows = latency;
+        let fresh = BTreeMap::from([("a".to_string(), m)]);
+        compare(&baseline, &fresh).cells[0].status
+    }
+
+    #[test]
+    fn gate_allows_one_window_of_latency_slack() {
+        assert_eq!(latency_status(3, 2), CellStatus::Ok);
+        assert_eq!(latency_status(3, 3), CellStatus::Ok);
+        assert_eq!(latency_status(3, 3 + LATENCY_SLACK_WINDOWS), CellStatus::Ok);
+    }
+
+    #[test]
+    fn gate_fails_a_cell_detected_two_windows_later() {
+        let status = latency_status(3, 5);
+        assert_eq!(status, CellStatus::LatencyRegressed);
+        assert!(status.fails());
+    }
+
+    #[test]
+    fn gate_fails_a_lost_detection_but_not_a_new_one() {
+        assert_eq!(latency_status(3, -1), CellStatus::LatencyRegressed);
+        assert_eq!(latency_status(-1, -1), CellStatus::Ok);
+        assert_eq!(latency_status(-1, 7), CellStatus::Ok);
     }
 
     #[test]
@@ -1012,9 +969,10 @@ mod tests {
         let json = result.render_json();
         let doc = cchunter_bench::check::parse_json(&json).expect("valid JSON");
         let parsed = parse_cells(&doc).expect("cells parse");
-        let (auc, fp) = parsed["bus/b2000/noise-off/cchunter"];
+        let (auc, fp, latency) = parsed["bus/b2000/noise-off/cchunter"];
         assert!((auc - 0.9375).abs() < 1e-9);
         assert!((fp - 0.0625).abs() < 1e-9);
+        assert_eq!(latency, 1);
         assert_eq!(
             doc.get("quick").and_then(Json::as_f64),
             None,

@@ -1,11 +1,11 @@
 //! End-to-end session reporting: one audit session over a machine carrying
-//! a bus channel plus benign divider load yields a report that convicts
-//! exactly the right resource.
+//! a bus channel plus benign divider load yields one detection per resource,
+//! and only the guilty resource's detection convicts.
 
 mod common;
 
 use cc_hunter::channels::Message;
-use cc_hunter::detector::{CcHunter, CcHunterConfig, DeltaTPolicy, SessionReport, Verdict};
+use cc_hunter::detector::{CcHunter, CcHunterConfig, DeltaTPolicy, Detection, Verdict};
 use common::{run_bus_channel, run_divider_channel, QUANTUM};
 
 #[test]
@@ -28,20 +28,18 @@ fn report_convicts_only_the_guilty_resource() {
     })
     .analyze_contention(div.data.divider_histograms);
 
-    let mut session = SessionReport::new()
-        .with_span(0, 8 * QUANTUM)
-        .with_clock(2_500_000_000);
-    session.add_contention("memory-bus", &bus_report);
-    session.add_contention("integer-divider(core0)", &div_report);
+    let bus = Detection::from_contention("memory-bus", &bus_report);
+    let div = Detection::from_contention("integer-divider(core0)", &div_report);
 
-    assert_eq!(session.overall(), Verdict::CovertTimingChannel);
-    let convicted = session.convicted();
-    assert_eq!(convicted.len(), 1);
-    assert_eq!(convicted[0].resource, "memory-bus");
+    assert_eq!(bus.verdict, Verdict::CovertTimingChannel);
+    assert!(
+        !div.verdict.is_covert(),
+        "the silent divider must not convict"
+    );
 
-    let rendered = session.to_string();
-    assert!(rendered.contains("memory-bus"));
-    assert!(rendered.contains("COVERT TIMING CHANNEL"));
-    assert!(rendered.contains("integer-divider(core0)"));
-    assert!(rendered.contains("overall: COVERT TIMING CHANNEL"));
+    let (bus, div) = (bus.to_string(), div.to_string());
+    assert!(bus.contains("memory-bus"));
+    assert!(bus.contains("COVERT TIMING CHANNEL"));
+    assert!(div.contains("integer-divider(core0)"));
+    assert!(!div.contains("COVERT TIMING CHANNEL"));
 }
