@@ -27,7 +27,6 @@ use rand::{Rng, SeedableRng};
 
 /// Runs every detector benchmark against `c`.
 pub fn detector_suite(c: &mut Criterion) {
-    bench_autocorrelation(c);
     bench_symbol_autocorrelation(c);
     bench_density(c);
     bench_arena_ingest(c);
@@ -42,18 +41,6 @@ pub fn detector_suite(c: &mut Criterion) {
     bench_mitigation_tick(c);
     bench_bloom(c);
     bench_trackers(c);
-}
-
-fn bench_autocorrelation(c: &mut Criterion) {
-    let records = quantum_conflicts(10, 256);
-    let series = symbol_series(&records, 0, u64::MAX);
-    let samples = series.as_f64();
-    // The direct `f64` lag-product loop, the exact symbol path's test
-    // reference; kept so its cost beside the production path stays
-    // visible in every BENCH_detector.json.
-    c.bench_function("autocorrelogram_5120_events_1000_lags_naive", |b| {
-        b.iter(|| Autocorrelogram::compute_naive(black_box(&samples), 1000))
-    });
 }
 
 fn bench_symbol_autocorrelation(c: &mut Criterion) {

@@ -19,33 +19,11 @@ pub struct Autocorrelogram {
 }
 
 impl Autocorrelogram {
-    /// The autocorrelogram of an `f64` series up to `max_lag`, every
-    /// coefficient from its definition
-    ///
-    /// r_p = Σᵢ (Xᵢ − X̄)(Xᵢ₊ₚ − X̄) / Σᵢ (Xᵢ − X̄)²
-    ///
-    /// by the direct O(n·max_lag) loop. It is the reference the exact
-    /// symbol correlograms ([`of_symbols`](Self::of_symbols)) are tested
-    /// against. Lags past n − 2, and every lag of a series shorter than two
-    /// or without variance, are 0.0 (r₀ is 1.0 from two samples on).
-    pub fn compute_naive(samples: &[f64], max_lag: usize) -> Self {
-        let n = samples.len();
-        let mean = samples.iter().sum::<f64>() / n.max(1) as f64;
-        let centered: Vec<f64> = samples.iter().map(|x| x - mean).collect();
-        let denom: f64 = centered.iter().map(|x| x * x).sum();
-        let mut computed = vec![if n < 2 { 0.0 } else { 1.0 }];
-        if n >= 2 && denom > f64::EPSILON {
-            let dot = |k: usize| centered.iter().zip(&centered[k..]).map(|(a, b)| a * b);
-            let lags = max_lag.min(n - 2);
-            computed.extend((1..=lags).map(|k| dot(k).sum::<f64>() / denom));
-        }
-        Self::padded(&computed, max_lag)
-    }
-
     /// Computes the autocorrelogram of a labeled symbol series from exact
     /// integer lag sums: the same coefficients, bit for bit, whether the
-    /// direct loop or the transform built them, and within 1e-9 of
-    /// [`compute_naive`](Self::compute_naive) over the symbols as `f64`.
+    /// direct loop or the transform built them, and within 1e-9 of the
+    /// direct `f64` loop from the definition over the symbols as `f64`
+    /// (the tests' reference).
     pub fn of_symbols(series: &SymbolSeries, max_lag: usize) -> Self {
         with_planner(|p| {
             p.load_symbols(series.symbols().iter().copied());
@@ -280,6 +258,32 @@ impl OscillationDetector {
             harmonic_value,
             oscillatory: strong_peak && harmonic_ok,
         }
+    }
+}
+
+#[cfg(test)]
+impl Autocorrelogram {
+    /// The autocorrelogram of an `f64` series up to `max_lag`, every
+    /// coefficient from its definition
+    ///
+    /// r_p = Σᵢ (Xᵢ − X̄)(Xᵢ₊ₚ − X̄) / Σᵢ (Xᵢ − X̄)²
+    ///
+    /// by the direct O(n·max_lag) loop. It is the reference the exact
+    /// symbol correlograms ([`of_symbols`](Self::of_symbols)) are tested
+    /// against. Lags past n − 2, and every lag of a series shorter than two
+    /// or without variance, are 0.0 (r₀ is 1.0 from two samples on).
+    pub(crate) fn compute_naive(samples: &[f64], max_lag: usize) -> Self {
+        let n = samples.len();
+        let mean = samples.iter().sum::<f64>() / n.max(1) as f64;
+        let centered: Vec<f64> = samples.iter().map(|x| x - mean).collect();
+        let denom: f64 = centered.iter().map(|x| x * x).sum();
+        let mut computed = vec![if n < 2 { 0.0 } else { 1.0 }];
+        if n >= 2 && denom > f64::EPSILON {
+            let dot = |k: usize| centered.iter().zip(&centered[k..]).map(|(a, b)| a * b);
+            let lags = max_lag.min(n - 2);
+            computed.extend((1..=lags).map(|k| dot(k).sum::<f64>() / denom));
+        }
+        Self::padded(&computed, max_lag)
     }
 }
 

@@ -4,7 +4,8 @@
 //! Detection alone (the paper's contribution) leaves the operator with a
 //! verdict and no recourse. This module closes the loop: every supervised
 //! pair carries a [`MitigationPolicy`] — a small state machine the
-//! [`crate::ShardedFleet`] drives on each settled verdict — that walks an
+//! [`crate::ShardedFleet`] drives on each settled verdict, under its
+//! shard's [`MitigationConfig`] — that walks an
 //! **escalation ladder** of hardware responses:
 //!
 //! 1. [`MitigationLevel::FlushOnSwitch`] — flush the shared caches on every
@@ -408,21 +409,24 @@ pub struct MitigationTick {
 /// Drive it once per settled verdict with [`MitigationPolicy::drive`];
 /// feed re-measurements with [`MitigationPolicy::record_residual`].
 ///
+/// The policy is state only: [`MitigationPolicy::drive`] takes the
+/// [`MitigationConfig`] (one per shard, checked by
+/// [`MitigationConfig::validate`]).
+///
 /// ```
 /// use cchunter_detector::mitigation::{
 ///     AdvisoryEnforcer, ContainmentState, MitigationConfig, MitigationPolicy,
 /// };
 ///
-/// let mut policy = MitigationPolicy::new(MitigationConfig::default()).unwrap();
+/// let (config, mut policy) = (MitigationConfig::default(), MitigationPolicy::default());
 /// let mut enforcer = AdvisoryEnforcer;
 /// for tick in 0..3 {
-///     policy.drive(true, tick, 0, &mut enforcer);
+///     policy.drive(&config, true, tick, 0, &mut enforcer);
 /// }
 /// assert!(matches!(policy.state(), ContainmentState::Contained { .. }));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MitigationPolicy {
-    config: MitigationConfig,
     state: ContainmentState,
     covert_streak: u32,
     clean_streak: u32,
@@ -442,30 +446,6 @@ pub struct MitigationPolicy {
 }
 
 impl MitigationPolicy {
-    /// Creates an idle policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MitigationConfig::validate`].
-    pub fn new(config: MitigationConfig) -> Result<Self, DetectorError> {
-        config.validate()?;
-        Ok(MitigationPolicy {
-            config,
-            state: ContainmentState::Inactive,
-            covert_streak: 0,
-            clean_streak: 0,
-            last_residual: None,
-            convicted_tick: None,
-            contained_tick: None,
-            needs_reassert: false,
-            escalations: 0,
-            step_downs: 0,
-            applies: 0,
-            apply_failures: 0,
-            release_failures: 0,
-        })
-    }
-
     /// The current containment state.
     pub fn state(&self) -> ContainmentState {
         self.state
@@ -523,10 +503,11 @@ impl MitigationPolicy {
         self.clean_streak = 0;
     }
 
-    /// Advances the state machine with one settled verdict and performs
-    /// any due enforcement for `pair` through `enforcer`.
+    /// Advances the state machine under `config` with one settled verdict
+    /// and performs any due enforcement for `pair` through `enforcer`.
     pub fn drive<E: MitigationEnforcer + ?Sized>(
         &mut self,
+        config: &MitigationConfig,
         covert: bool,
         tick: u64,
         pair: usize,
@@ -543,21 +524,21 @@ impl MitigationPolicy {
 
         match self.state {
             ContainmentState::Inactive => {
-                if self.covert_streak >= self.config.convict_streak {
+                if self.covert_streak >= config.convict_streak {
                     report.convicted = true;
                     self.convicted_tick = Some(tick);
                     self.contained_tick = None;
                     self.state = ContainmentState::Applying {
-                        level: self.config.initial_level,
+                        level: config.initial_level,
                         attempt: 0,
-                        deadline_tick: tick.saturating_add(self.config.apply_deadline_ticks),
+                        deadline_tick: tick.saturating_add(config.apply_deadline_ticks),
                     };
                     self.covert_streak = 0;
-                    self.pump_apply(tick, pair, enforcer, &mut report);
+                    self.pump_apply(config, tick, pair, enforcer, &mut report);
                 }
             }
             ContainmentState::Applying { .. } => {
-                self.pump_apply(tick, pair, enforcer, &mut report);
+                self.pump_apply(config, tick, pair, enforcer, &mut report);
             }
             ContainmentState::Contained { level, .. } => {
                 if self.needs_reassert {
@@ -566,24 +547,24 @@ impl MitigationPolicy {
                     self.state = ContainmentState::Applying {
                         level,
                         attempt: 0,
-                        deadline_tick: tick.saturating_add(self.config.apply_deadline_ticks),
+                        deadline_tick: tick.saturating_add(config.apply_deadline_ticks),
                     };
                     self.needs_reassert = false;
-                    self.pump_apply(tick, pair, enforcer, &mut report);
-                } else if self.covert_streak >= self.config.convict_streak
-                    || self.residual_above_cap()
+                    self.pump_apply(config, tick, pair, enforcer, &mut report);
+                } else if self.covert_streak >= config.convict_streak
+                    || self.residual_above_cap(config.residual_cap)
                 {
                     // The rung is not holding: fresh covert evidence (or a
                     // measured residual above the cap) escalates.
-                    self.escalate_from(level, tick, pair, enforcer, &mut report);
+                    self.escalate_from(config, level, tick, pair, enforcer, &mut report);
                     self.covert_streak = 0;
                     self.clean_streak = 0;
                     self.last_residual = None;
                     if let ContainmentState::Applying { .. } = self.state {
-                        self.pump_apply(tick, pair, enforcer, &mut report);
+                        self.pump_apply(config, tick, pair, enforcer, &mut report);
                     }
-                } else if self.clean_streak >= self.config.step_down_streak
-                    && self.residual_under_cap()
+                } else if self.clean_streak >= config.step_down_streak
+                    && self.residual_under_cap(config.residual_cap)
                 {
                     self.try_step_down(level, tick, pair, enforcer, &mut report);
                 }
@@ -597,15 +578,15 @@ impl MitigationPolicy {
     /// Whether the latest residual reading clears the step-down bar. A
     /// missing reading clears it (verdict streak alone then governs), a
     /// reading above the cap does not.
-    fn residual_under_cap(&self) -> bool {
+    fn residual_under_cap(&self, cap: f64) -> bool {
         self.last_residual
-            .map(|r| r.residual_fraction <= self.config.residual_cap)
+            .map(|r| r.residual_fraction <= cap)
             .unwrap_or(true)
     }
 
-    fn residual_above_cap(&self) -> bool {
+    fn residual_above_cap(&self, cap: f64) -> bool {
         self.last_residual
-            .map(|r| r.residual_fraction > self.config.residual_cap)
+            .map(|r| r.residual_fraction > cap)
             .unwrap_or(false)
     }
 
@@ -613,6 +594,7 @@ impl MitigationPolicy {
     /// budget or deadline is exhausted is escalated past — never dropped.
     fn pump_apply<E: MitigationEnforcer + ?Sized>(
         &mut self,
+        config: &MitigationConfig,
         tick: u64,
         pair: usize,
         enforcer: &mut E,
@@ -628,7 +610,7 @@ impl MitigationPolicy {
                 return;
             };
             if tick > deadline_tick {
-                self.escalate_from(level, tick, pair, enforcer, report);
+                self.escalate_from(config, level, tick, pair, enforcer, report);
                 if report.stuck {
                     return;
                 }
@@ -659,7 +641,7 @@ impl MitigationPolicy {
                             deadline_tick,
                         };
                     } else {
-                        self.escalate_from(level, tick, pair, enforcer, report);
+                        self.escalate_from(config, level, tick, pair, enforcer, report);
                         if report.stuck {
                             return;
                         }
@@ -675,6 +657,7 @@ impl MitigationPolicy {
     /// operator page, not a silent no-op.
     fn escalate_from<E: MitigationEnforcer + ?Sized>(
         &mut self,
+        config: &MitigationConfig,
         level: MitigationLevel,
         tick: u64,
         pair: usize,
@@ -695,7 +678,7 @@ impl MitigationPolicy {
                 self.state = ContainmentState::Applying {
                     level: next,
                     attempt: 0,
-                    deadline_tick: tick.saturating_add(self.config.apply_deadline_ticks),
+                    deadline_tick: tick.saturating_add(config.apply_deadline_ticks),
                 };
             }
             None => {
@@ -706,7 +689,7 @@ impl MitigationPolicy {
                     self.state = ContainmentState::Applying {
                         level,
                         attempt: 0,
-                        deadline_tick: tick.saturating_add(self.config.apply_deadline_ticks),
+                        deadline_tick: tick.saturating_add(config.apply_deadline_ticks),
                     };
                 }
             }
@@ -767,7 +750,7 @@ impl MitigationPolicy {
 
     /// Prepares the policy for another shard's enforcer, exactly as a
     /// checkpoint round trip does
-    /// (`deserialize(config, &serialize())` equals the result): an active
+    /// (`deserialize(&serialize())` equals the result): an active
     /// containment is flagged for re-assertion (the new enforcer never
     /// applied it), the last residual reading is dropped (it measured the
     /// old enforcer's rung), and refused releases fold into refused
@@ -818,8 +801,8 @@ impl MitigationPolicy {
     ///
     /// Returns `None` for malformed input (the caller treats that as a
     /// corrupt manifest).
-    pub fn deserialize(config: MitigationConfig, text: &str) -> Option<Self> {
-        let mut policy = MitigationPolicy::new(config).ok()?;
+    pub fn deserialize(text: &str) -> Option<Self> {
+        let mut policy = MitigationPolicy::default();
         let mut fields = text.split(';');
         let state = fields.next()?;
         let level_field = fields.next()?;
@@ -960,11 +943,11 @@ mod tests {
 
     #[test]
     fn covert_streak_convicts_and_contains() {
-        let mut policy = MitigationPolicy::new(quick_config()).unwrap();
+        let (config, mut policy) = (quick_config(), MitigationPolicy::default());
         let mut enforcer = FlakyEnforcer::new();
-        let r0 = policy.drive(true, 0, 3, &mut enforcer);
+        let r0 = policy.drive(&config, true, 0, 3, &mut enforcer);
         assert_eq!(r0.state, ContainmentState::Inactive);
-        let r1 = policy.drive(true, 1, 3, &mut enforcer);
+        let r1 = policy.drive(&config, true, 1, 3, &mut enforcer);
         assert!(r1.convicted);
         assert_eq!(
             r1.state,
@@ -979,13 +962,13 @@ mod tests {
 
     #[test]
     fn apply_failure_escalates_never_noops() {
-        let mut policy = MitigationPolicy::new(quick_config()).unwrap();
+        let (config, mut policy) = (quick_config(), MitigationPolicy::default());
         let mut enforcer = FlakyEnforcer::new();
         // Enough failures to burn the whole retry budget on rung 1: the
         // policy must land contained on rung 2, not give up.
         enforcer.fail_applies = APPLY_RETRIES + 1;
-        policy.drive(true, 0, 0, &mut enforcer);
-        let r = policy.drive(true, 1, 0, &mut enforcer);
+        policy.drive(&config, true, 0, 0, &mut enforcer);
+        let r = policy.drive(&config, true, 1, 0, &mut enforcer);
         assert!(r.convicted);
         assert_eq!(r.apply_failures, APPLY_RETRIES + 1);
         assert_eq!(r.escalations, 1);
@@ -1000,11 +983,11 @@ mod tests {
 
     #[test]
     fn exhausted_ladder_reports_stuck_and_keeps_retrying() {
-        let mut policy = MitigationPolicy::new(quick_config()).unwrap();
+        let (config, mut policy) = (quick_config(), MitigationPolicy::default());
         let mut enforcer = FlakyEnforcer::new();
         enforcer.fail_applies = u32::MAX; // nothing ever applies
-        policy.drive(true, 0, 0, &mut enforcer);
-        let r = policy.drive(true, 1, 0, &mut enforcer);
+        policy.drive(&config, true, 0, 0, &mut enforcer);
+        let r = policy.drive(&config, true, 1, 0, &mut enforcer);
         assert!(r.stuck, "top of ladder with nothing in force is stuck");
         assert!(matches!(
             r.state,
@@ -1016,7 +999,7 @@ mod tests {
         // Next tick it retries the top rung; once the enforcer recovers,
         // containment lands.
         enforcer.fail_applies = 0;
-        let r2 = policy.drive(true, 2, 0, &mut enforcer);
+        let r2 = policy.drive(&config, true, 2, 0, &mut enforcer);
         assert!(!r2.stuck);
         assert!(matches!(
             r2.state,
@@ -1029,14 +1012,14 @@ mod tests {
 
     #[test]
     fn contained_pair_escalates_on_fresh_covert_evidence() {
-        let mut policy = MitigationPolicy::new(quick_config()).unwrap();
+        let (config, mut policy) = (quick_config(), MitigationPolicy::default());
         let mut enforcer = FlakyEnforcer::new();
-        policy.drive(true, 0, 0, &mut enforcer);
-        policy.drive(true, 1, 0, &mut enforcer);
+        policy.drive(&config, true, 0, 0, &mut enforcer);
+        policy.drive(&config, true, 1, 0, &mut enforcer);
         assert!(policy.is_contained());
         // Two more covert verdicts: the rung is not holding.
-        policy.drive(true, 2, 0, &mut enforcer);
-        let r = policy.drive(true, 3, 0, &mut enforcer);
+        policy.drive(&config, true, 2, 0, &mut enforcer);
+        let r = policy.drive(&config, true, 3, 0, &mut enforcer);
         assert_eq!(r.escalations, 1);
         assert_eq!(
             r.state,
@@ -1051,17 +1034,17 @@ mod tests {
 
     #[test]
     fn high_residual_escalates_even_with_clean_verdicts() {
-        let mut policy = MitigationPolicy::new(quick_config()).unwrap();
+        let (config, mut policy) = (quick_config(), MitigationPolicy::default());
         let mut enforcer = FlakyEnforcer::new();
-        policy.drive(true, 0, 0, &mut enforcer);
-        policy.drive(true, 1, 0, &mut enforcer);
+        policy.drive(&config, true, 0, 0, &mut enforcer);
+        policy.drive(&config, true, 1, 0, &mut enforcer);
         assert!(policy.is_contained());
         policy.record_residual(ResidualReading {
             residual_fraction: 0.8,
             overhead_fraction: 0.02,
             tick: 2,
         });
-        let r = policy.drive(false, 2, 0, &mut enforcer);
+        let r = policy.drive(&config, false, 2, 0, &mut enforcer);
         assert_eq!(r.escalations, 1, "a leaky rung escalates on measurement");
         assert!(matches!(
             r.state,
@@ -1075,13 +1058,13 @@ mod tests {
     #[test]
     fn clean_streak_with_low_residual_steps_down_rung_by_rung() {
         let config = quick_config();
-        let mut policy = MitigationPolicy::new(config).unwrap();
+        let mut policy = MitigationPolicy::default();
         let mut enforcer = FlakyEnforcer::new();
-        policy.drive(true, 0, 0, &mut enforcer);
-        policy.drive(true, 1, 0, &mut enforcer);
+        policy.drive(&config, true, 0, 0, &mut enforcer);
+        policy.drive(&config, true, 1, 0, &mut enforcer);
         // Escalate once so we start at TemporalPartition.
-        policy.drive(true, 2, 0, &mut enforcer);
-        policy.drive(true, 3, 0, &mut enforcer);
+        policy.drive(&config, true, 2, 0, &mut enforcer);
+        policy.drive(&config, true, 3, 0, &mut enforcer);
         assert_eq!(
             policy.state().level(),
             Some(MitigationLevel::TemporalPartition)
@@ -1095,7 +1078,7 @@ mod tests {
                 overhead_fraction: 0.05,
                 tick,
             });
-            policy.drive(false, tick, 0, &mut enforcer);
+            policy.drive(&config, false, tick, 0, &mut enforcer);
             if Some(&policy.state()) != seen.last() {
                 seen.push(policy.state());
             }
@@ -1111,10 +1094,10 @@ mod tests {
 
     #[test]
     fn residual_above_cap_blocks_step_down() {
-        let mut policy = MitigationPolicy::new(quick_config()).unwrap();
+        let (config, mut policy) = (quick_config(), MitigationPolicy::default());
         let mut enforcer = FlakyEnforcer::new();
-        policy.drive(true, 0, 0, &mut enforcer);
-        policy.drive(true, 1, 0, &mut enforcer);
+        policy.drive(&config, true, 0, 0, &mut enforcer);
+        policy.drive(&config, true, 1, 0, &mut enforcer);
         // Residual above cap: escalates (rung not holding) rather than
         // stepping down, even on clean verdicts.
         for tick in 2..10 {
@@ -1123,7 +1106,7 @@ mod tests {
                 overhead_fraction: 0.0,
                 tick,
             });
-            policy.drive(false, tick, 0, &mut enforcer);
+            policy.drive(&config, false, tick, 0, &mut enforcer);
         }
         assert!(policy.state().is_active());
         assert!(policy.state().level() > Some(MitigationLevel::FlushOnSwitch));
@@ -1131,14 +1114,14 @@ mod tests {
 
     #[test]
     fn failed_release_keeps_current_rung() {
-        let mut policy = MitigationPolicy::new(quick_config()).unwrap();
+        let (config, mut policy) = (quick_config(), MitigationPolicy::default());
         let mut enforcer = FlakyEnforcer::new();
-        policy.drive(true, 0, 0, &mut enforcer);
-        policy.drive(true, 1, 0, &mut enforcer);
+        policy.drive(&config, true, 0, 0, &mut enforcer);
+        policy.drive(&config, true, 1, 0, &mut enforcer);
         assert!(policy.is_contained());
         enforcer.fail_releases = u32::MAX;
         for tick in 2..12 {
-            policy.drive(false, tick, 0, &mut enforcer);
+            policy.drive(&config, false, tick, 0, &mut enforcer);
         }
         // Step-down kept being attempted but the release never succeeded:
         // the rung stays in force (never an unknown hardware state).
@@ -1153,15 +1136,15 @@ mod tests {
     #[test]
     fn serialization_roundtrips_and_flags_reassert() {
         let config = quick_config();
-        let mut policy = MitigationPolicy::new(config).unwrap();
+        let mut policy = MitigationPolicy::default();
         let mut enforcer = FlakyEnforcer::new();
-        policy.drive(true, 0, 5, &mut enforcer);
-        policy.drive(true, 1, 5, &mut enforcer);
-        policy.drive(false, 2, 5, &mut enforcer);
+        policy.drive(&config, true, 0, 5, &mut enforcer);
+        policy.drive(&config, true, 1, 5, &mut enforcer);
+        policy.drive(&config, false, 2, 5, &mut enforcer);
         assert!(policy.is_contained());
 
         let text = policy.serialize();
-        let restored = MitigationPolicy::deserialize(config, &text).expect("roundtrip");
+        let restored = MitigationPolicy::deserialize(&text).expect("roundtrip");
         assert_eq!(restored.state(), policy.state());
         assert_eq!(restored.escalations(), policy.escalations());
         assert_eq!(
@@ -1173,7 +1156,7 @@ mod tests {
         // next drive.
         let mut policy = restored;
         let mut fresh = FlakyEnforcer::new();
-        let r = policy.drive(false, 3, 5, &mut fresh);
+        let r = policy.drive(&config, false, 3, 5, &mut fresh);
         assert_eq!(r.applied, 1, "containment re-applied after restore");
         assert_eq!(fresh.applied, vec![(5, MitigationLevel::FlushOnSwitch)]);
         assert!(policy.is_contained());
@@ -1186,7 +1169,7 @@ mod tests {
     #[test]
     fn hand_over_equals_a_checkpoint_round_trip() {
         let config = quick_config();
-        let mut policy = MitigationPolicy::new(config).unwrap();
+        let mut policy = MitigationPolicy::default();
         let mut enforcer = FlakyEnforcer::new();
         let reading = |residual_fraction, tick| ResidualReading {
             residual_fraction,
@@ -1196,25 +1179,25 @@ mod tests {
         let check = |policy: &MitigationPolicy, at: &str| {
             let mut handed = policy.clone();
             handed.hand_over();
-            let text = MitigationPolicy::deserialize(config, &policy.serialize());
+            let text = MitigationPolicy::deserialize(&policy.serialize());
             assert_eq!(Some(handed), text, "{at}");
         };
         check(&policy, "idle");
         enforcer.fail_applies = 1;
         for tick in 0..2 {
-            policy.drive(true, tick, 5, &mut enforcer);
+            policy.drive(&config, true, tick, 5, &mut enforcer);
             check(&policy, "convicting");
         }
         assert!(policy.is_contained() && policy.apply_failures() == 1);
         policy.record_residual(reading(0.5, 2));
         check(&policy, "residual above the cap");
         enforcer.fail_releases = 1;
-        policy.drive(false, 2, 5, &mut enforcer);
+        policy.drive(&config, false, 2, 5, &mut enforcer);
         check(&policy, "escalated past a refused release");
         assert_eq!((policy.escalations(), policy.apply_failures()), (1, 2));
         policy.record_residual(reading(0.01, 3));
         for tick in 3..6 {
-            policy.drive(false, tick, 5, &mut enforcer);
+            policy.drive(&config, false, tick, 5, &mut enforcer);
             check(&policy, "stepping down");
         }
         assert!(policy.step_downs() >= 1, "{policy:?}");
@@ -1222,7 +1205,6 @@ mod tests {
 
     #[test]
     fn deserialize_rejects_garbage() {
-        let config = MitigationConfig::default();
         for bad in [
             "",
             "contained",
@@ -1232,12 +1214,12 @@ mod tests {
             "inactive;-;0;0;0;0;0;0;0;0;-;-;extra",
         ] {
             assert!(
-                MitigationPolicy::deserialize(config, bad).is_none(),
+                MitigationPolicy::deserialize(bad).is_none(),
                 "accepted {bad:?}"
             );
         }
-        let idle = MitigationPolicy::new(config).unwrap();
-        let restored = MitigationPolicy::deserialize(config, &idle.serialize()).unwrap();
+        let idle = MitigationPolicy::default();
+        let restored = MitigationPolicy::deserialize(&idle.serialize()).unwrap();
         assert_eq!(restored.state(), ContainmentState::Inactive);
         assert!(!restored.needs_reassert);
     }

@@ -26,9 +26,9 @@
 //! state before and after each pair step, and counts and traces the
 //! transition under the pair's label.
 
+use crate::DetectorError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Exponential-backoff parameters for transient probe failures.
@@ -105,7 +105,7 @@ pub fn backoff_delay(config: &BackoffConfig, seed: u64, attempt: u32) -> Option<
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuarantineConfig {
     /// Sliding window of recent probe outcomes the failure rate is
-    /// computed over.
+    /// computed over, 1 to 64 outcomes.
     pub failure_window: usize,
     /// Failure rate in `(0, 1]` that trips the breaker open.
     pub trip_threshold: f64,
@@ -135,9 +135,10 @@ impl Default for QuarantineConfig {
 }
 
 /// The breaker's externally visible state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Probes flow normally.
+    #[default]
     Closed,
     /// Quarantined: probes are skipped except for periodic recovery probes.
     Open {
@@ -174,62 +175,82 @@ impl fmt::Display for BreakerState {
     }
 }
 
+/// The longest outcome window a breaker keeps: one bit per outcome in a
+/// `u64`.
+const MAX_FAILURE_WINDOW: usize = u64::BITS as usize;
+
+impl QuarantineConfig {
+    /// Validates the knobs: the one place a degenerate quarantine config
+    /// is refused, since a breaker holds no config of its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DetectorError::InvalidConfig`] for a zero or over-64
+    /// failure window, a zero observation count, probe interval or
+    /// recovery count, or a trip threshold or confidence decay outside
+    /// `(0, 1]`.
+    pub fn validate(&self) -> Result<(), DetectorError> {
+        if !(1..=MAX_FAILURE_WINDOW).contains(&self.failure_window) {
+            return Err(DetectorError::invalid(format!(
+                "failure window {} outside 1..={MAX_FAILURE_WINDOW}",
+                self.failure_window
+            )));
+        }
+        if self.min_observations == 0 || self.probe_interval == 0 || self.recovery_successes == 0 {
+            return Err(DetectorError::invalid(
+                "quarantine observations, probe interval and recovery successes must be nonzero",
+            ));
+        }
+        for (what, value) in [
+            ("trip threshold", self.trip_threshold),
+            ("confidence decay", self.confidence_decay),
+        ] {
+            if !(value > 0.0 && value <= 1.0) {
+                return Err(DetectorError::invalid(format!(
+                    "quarantine {what} {value} outside (0, 1]"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Per-pair failure-rate circuit breaker with quarantine and recovery.
+///
+/// The breaker is state only: every call that depends on the policy takes
+/// the [`QuarantineConfig`], one per shard, which must pass
+/// [`QuarantineConfig::validate`] (the fleet checks it once, when it is
+/// built). Its outcome window is an inline bit ring, so a breaker owns no
+/// heap block.
 ///
 /// ```
 /// use cchunter_detector::policy::{BreakerState, CircuitBreaker, QuarantineConfig};
-/// let mut breaker = CircuitBreaker::new(QuarantineConfig::default());
+/// let config = QuarantineConfig::default();
+/// let mut breaker = CircuitBreaker::new();
 /// for tick in 0..4 {
-///     breaker.record_failure(tick);
+///     breaker.record_failure(&config, tick);
 /// }
 /// assert!(matches!(breaker.state(), BreakerState::Open { .. }));
-/// assert!(!breaker.should_attempt(5), "quarantined ticks are skipped");
+/// assert!(!breaker.should_attempt(&config, 5), "quarantined ticks are skipped");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    config: QuarantineConfig,
-    /// Recent outcomes, oldest first; `true` = failure.
-    outcomes: VecDeque<bool>,
-    failures_in_window: usize,
+    /// Recent outcomes, newest in bit 0 and oldest in bit `len - 1`;
+    /// a set bit is a failure.
+    outcomes: u64,
+    len: u8,
     state: BreakerState,
 }
 
 impl CircuitBreaker {
-    /// Creates a closed breaker. Degenerate configs are clamped: a zero
-    /// window or threshold would otherwise trip instantly and permanently.
-    pub fn new(config: QuarantineConfig) -> Self {
-        let config = QuarantineConfig {
-            failure_window: config.failure_window.max(1),
-            trip_threshold: config.trip_threshold.clamp(f64::EPSILON, 1.0),
-            min_observations: config.min_observations.max(1),
-            probe_interval: config.probe_interval.max(1),
-            recovery_successes: config.recovery_successes.max(1),
-            confidence_decay: config.confidence_decay.clamp(f64::EPSILON, 1.0),
-        };
-        CircuitBreaker {
-            config,
-            outcomes: VecDeque::with_capacity(config.failure_window),
-            failures_in_window: 0,
-            state: BreakerState::Closed,
-        }
-    }
-
-    /// The active (clamped) configuration.
-    pub fn config(&self) -> &QuarantineConfig {
-        &self.config
+    /// Creates a closed breaker with an empty window.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current breaker state.
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Starts loading the oldest recorded outcome, which the next one
-    /// evicts.
-    pub(crate) fn prefetch(&self) {
-        if let Some(oldest) = self.outcomes.front() {
-            crate::window::prefetch(oldest);
-        }
     }
 
     /// Whether the pair is quarantined (open or still proving recovery).
@@ -239,72 +260,59 @@ impl CircuitBreaker {
 
     /// Failure rate over the current window (0.0 when empty).
     pub fn failure_rate(&self) -> f64 {
-        if self.outcomes.is_empty() {
+        if self.len == 0 {
             0.0
         } else {
-            self.failures_in_window as f64 / self.outcomes.len() as f64
+            f64::from(self.outcomes.count_ones()) / f64::from(self.len)
         }
     }
 
     /// Whether the supervisor should probe this pair at `tick`: always when
     /// closed or half-open, and only on recovery-probe ticks while open.
-    pub fn should_attempt(&self, tick: u64) -> bool {
+    pub fn should_attempt(&self, config: &QuarantineConfig, tick: u64) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen { .. } => true,
             BreakerState::Open { since_tick } => {
                 let elapsed = tick.saturating_sub(since_tick);
-                elapsed > 0 && elapsed % self.config.probe_interval == 0
+                elapsed > 0 && elapsed % config.probe_interval == 0
             }
         }
     }
 
-    fn push_outcome(&mut self, failed: bool) {
-        self.outcomes.push_back(failed);
-        if failed {
-            self.failures_in_window += 1;
+    /// Records one outcome, evicting the oldest once the window holds
+    /// `window` (at most 64) outcomes.
+    fn push_outcome(&mut self, window: usize, failed: bool) {
+        if usize::from(self.len) < window.min(MAX_FAILURE_WINDOW) {
+            self.len += 1;
         }
-        if self.outcomes.len() > self.config.failure_window
-            && self.outcomes.pop_front() == Some(true)
-        {
-            self.failures_in_window -= 1;
-        }
+        let kept = u64::MAX.checked_shr(u64::BITS - u32::from(self.len));
+        self.outcomes = (self.outcomes << 1 | u64::from(failed)) & kept.unwrap_or(0);
     }
 
     /// Records a successful probe.
-    pub fn record_success(&mut self) {
-        self.push_outcome(false);
-        match self.state {
-            BreakerState::Closed => {}
-            BreakerState::Open { .. } => {
-                self.state = BreakerState::HalfOpen { successes: 1 };
-                self.maybe_close();
-            }
-            BreakerState::HalfOpen { successes } => {
-                self.state = BreakerState::HalfOpen {
-                    successes: successes + 1,
-                };
-                self.maybe_close();
-            }
-        }
-    }
-
-    fn maybe_close(&mut self) {
-        if let BreakerState::HalfOpen { successes } = self.state {
-            if successes >= self.config.recovery_successes {
-                self.state = BreakerState::Closed;
-                self.outcomes.clear();
-                self.failures_in_window = 0;
-            }
-        }
+    pub fn record_success(&mut self, config: &QuarantineConfig) {
+        self.push_outcome(config.failure_window, false);
+        let successes = match self.state {
+            BreakerState::Closed => return,
+            BreakerState::Open { .. } => 1,
+            BreakerState::HalfOpen { successes } => successes + 1,
+        };
+        self.state = if successes >= config.recovery_successes {
+            self.outcomes = 0;
+            self.len = 0;
+            BreakerState::Closed
+        } else {
+            BreakerState::HalfOpen { successes }
+        };
     }
 
     /// Records a failed probe at `tick`, possibly tripping the breaker.
-    pub fn record_failure(&mut self, tick: u64) {
-        self.push_outcome(true);
+    pub fn record_failure(&mut self, config: &QuarantineConfig, tick: u64) {
+        self.push_outcome(config.failure_window, true);
         match self.state {
             BreakerState::Closed => {
-                if self.outcomes.len() >= self.config.min_observations
-                    && self.failure_rate() >= self.config.trip_threshold
+                if usize::from(self.len) >= config.min_observations
+                    && self.failure_rate() >= config.trip_threshold
                 {
                     self.state = BreakerState::Open { since_tick: tick };
                 }
@@ -324,19 +332,25 @@ impl CircuitBreaker {
             BreakerState::Open { since_tick } => ("open", since_tick, 0),
             BreakerState::HalfOpen { successes } => ("half-open", 0, successes),
         };
-        let window: String = self
-            .outcomes
-            .iter()
-            .map(|&failed| if failed { '1' } else { '0' })
+        let window: String = (0..self.len)
+            .rev()
+            .map(|bit| {
+                if self.outcomes >> bit & 1 == 1 {
+                    '1'
+                } else {
+                    '0'
+                }
+            })
             .collect();
         format!("{state};{since};{successes};{window}")
     }
 
-    /// Restores a breaker serialized by [`serialize`](Self::serialize).
+    /// Restores a breaker serialized by [`serialize`](Self::serialize)
+    /// under `config`, keeping the newest `failure_window` outcomes.
     ///
     /// Returns `None` on any malformed field (the caller converts that to
     /// its own typed error).
-    pub fn deserialize(config: QuarantineConfig, text: &str) -> Option<Self> {
+    pub fn deserialize(config: &QuarantineConfig, text: &str) -> Option<Self> {
         let mut fields = text.split(';');
         let state = fields.next()?;
         let since: u64 = fields.next()?.parse().ok()?;
@@ -345,11 +359,11 @@ impl CircuitBreaker {
         if fields.next().is_some() || window.len() > 4096 {
             return None;
         }
-        let mut breaker = CircuitBreaker::new(config);
+        let mut breaker = CircuitBreaker::new();
         for c in window.chars() {
             match c {
-                '0' => breaker.push_outcome(false),
-                '1' => breaker.push_outcome(true),
+                '0' => breaker.push_outcome(config.failure_window, false),
+                '1' => breaker.push_outcome(config.failure_window, true),
                 _ => return None,
             }
         }
@@ -498,6 +512,7 @@ impl SuspicionTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
@@ -556,33 +571,34 @@ mod tests {
 
     #[test]
     fn breaker_trips_at_threshold_within_window() {
-        let mut breaker = CircuitBreaker::new(QuarantineConfig {
+        let config = QuarantineConfig {
             failure_window: 8,
             trip_threshold: 0.5,
             min_observations: 4,
             ..QuarantineConfig::default()
-        });
-        breaker.record_failure(0);
-        breaker.record_failure(1);
-        breaker.record_failure(2);
+        };
+        let mut breaker = CircuitBreaker::new();
+        breaker.record_failure(&config, 0);
+        breaker.record_failure(&config, 1);
+        breaker.record_failure(&config, 2);
         assert_eq!(
             breaker.state(),
             BreakerState::Closed,
             "below min_observations"
         );
-        breaker.record_failure(3);
+        breaker.record_failure(&config, 3);
         assert_eq!(breaker.state(), BreakerState::Open { since_tick: 3 });
         assert!(breaker.is_quarantined());
     }
 
     #[test]
     fn mixed_outcomes_below_threshold_stay_closed() {
-        let mut breaker = CircuitBreaker::new(QuarantineConfig::default());
+        let (config, mut breaker) = (QuarantineConfig::default(), CircuitBreaker::new());
         for tick in 0..32 {
             if tick % 4 == 0 {
-                breaker.record_failure(tick);
+                breaker.record_failure(&config, tick);
             } else {
-                breaker.record_success();
+                breaker.record_success(&config);
             }
             assert_eq!(breaker.state(), BreakerState::Closed, "tick {tick}");
         }
@@ -599,18 +615,24 @@ mod tests {
             recovery_successes: 2,
             ..QuarantineConfig::default()
         };
-        let mut breaker = CircuitBreaker::new(config);
-        breaker.record_failure(10);
-        breaker.record_failure(11);
+        let mut breaker = CircuitBreaker::new();
+        breaker.record_failure(&config, 10);
+        breaker.record_failure(&config, 11);
         assert_eq!(breaker.state(), BreakerState::Open { since_tick: 11 });
         // Skipped ticks until the probe interval elapses.
-        assert!(!breaker.should_attempt(12));
-        assert!(!breaker.should_attempt(13));
-        assert!(breaker.should_attempt(14), "11 + 3 is a probe tick");
-        breaker.record_success();
+        assert!(!breaker.should_attempt(&config, 12));
+        assert!(!breaker.should_attempt(&config, 13));
+        assert!(
+            breaker.should_attempt(&config, 14),
+            "11 + 3 is a probe tick"
+        );
+        breaker.record_success(&config);
         assert_eq!(breaker.state(), BreakerState::HalfOpen { successes: 1 });
-        assert!(breaker.should_attempt(15), "half-open probes every tick");
-        breaker.record_success();
+        assert!(
+            breaker.should_attempt(&config, 15),
+            "half-open probes every tick"
+        );
+        breaker.record_success(&config);
         assert_eq!(breaker.state(), BreakerState::Closed);
         assert_eq!(breaker.failure_rate(), 0.0, "window cleared on close");
     }
@@ -625,29 +647,175 @@ mod tests {
             recovery_successes: 2,
             ..QuarantineConfig::default()
         };
-        let mut breaker = CircuitBreaker::new(config);
-        breaker.record_failure(0);
-        breaker.record_failure(1);
-        breaker.record_success();
+        let mut breaker = CircuitBreaker::new();
+        breaker.record_failure(&config, 0);
+        breaker.record_failure(&config, 1);
+        breaker.record_success(&config);
         assert_eq!(breaker.state(), BreakerState::HalfOpen { successes: 1 });
-        breaker.record_failure(4);
+        breaker.record_failure(&config, 4);
         assert_eq!(breaker.state(), BreakerState::Open { since_tick: 4 });
     }
 
     #[test]
     fn breaker_serialization_roundtrips() {
         let config = QuarantineConfig::default();
-        let mut breaker = CircuitBreaker::new(config);
-        breaker.record_success();
-        breaker.record_failure(1);
-        breaker.record_failure(2);
-        breaker.record_failure(3);
-        breaker.record_failure(4);
+        let mut breaker = CircuitBreaker::new();
+        breaker.record_success(&config);
+        breaker.record_failure(&config, 1);
+        breaker.record_failure(&config, 2);
+        breaker.record_failure(&config, 3);
+        breaker.record_failure(&config, 4);
         let text = breaker.serialize();
-        let back = CircuitBreaker::deserialize(config, &text).unwrap();
+        let back = CircuitBreaker::deserialize(&config, &text).unwrap();
         assert_eq!(back.state(), breaker.state());
         assert_eq!(back.failure_rate(), breaker.failure_rate());
         assert_eq!(back.serialize(), text);
+    }
+
+    /// The breaker as it was before its window became a bit ring: its
+    /// own config, a `VecDeque` of outcomes and a running failure count.
+    struct DequeBreaker {
+        config: QuarantineConfig,
+        outcomes: VecDeque<bool>,
+        failures_in_window: usize,
+        state: BreakerState,
+    }
+
+    impl DequeBreaker {
+        fn new(config: QuarantineConfig) -> Self {
+            DequeBreaker {
+                config,
+                outcomes: VecDeque::new(),
+                failures_in_window: 0,
+                state: BreakerState::Closed,
+            }
+        }
+
+        fn failure_rate(&self) -> f64 {
+            match self.outcomes.len() {
+                0 => 0.0,
+                len => self.failures_in_window as f64 / len as f64,
+            }
+        }
+
+        fn should_attempt(&self, tick: u64) -> bool {
+            match self.state {
+                BreakerState::Open { since_tick } => {
+                    let elapsed = tick.saturating_sub(since_tick);
+                    elapsed > 0 && elapsed % self.config.probe_interval == 0
+                }
+                _ => true,
+            }
+        }
+
+        fn push_outcome(&mut self, failed: bool) {
+            self.outcomes.push_back(failed);
+            self.failures_in_window += usize::from(failed);
+            if self.outcomes.len() > self.config.failure_window
+                && self.outcomes.pop_front() == Some(true)
+            {
+                self.failures_in_window -= 1;
+            }
+        }
+
+        fn record_success(&mut self) {
+            self.push_outcome(false);
+            let successes = match self.state {
+                BreakerState::Closed => return,
+                BreakerState::Open { .. } => 1,
+                BreakerState::HalfOpen { successes } => successes + 1,
+            };
+            self.state = BreakerState::HalfOpen { successes };
+            if successes >= self.config.recovery_successes {
+                self.state = BreakerState::Closed;
+                self.outcomes.clear();
+                self.failures_in_window = 0;
+            }
+        }
+
+        fn record_failure(&mut self, tick: u64) {
+            self.push_outcome(true);
+            let trips = self.outcomes.len() >= self.config.min_observations
+                && self.failure_rate() >= self.config.trip_threshold;
+            if self.state != BreakerState::Closed || trips {
+                self.state = BreakerState::Open { since_tick: tick };
+            }
+        }
+
+        fn serialize(&self) -> String {
+            let (state, since, successes) = match self.state {
+                BreakerState::Closed => ("closed", 0, 0),
+                BreakerState::Open { since_tick } => ("open", since_tick, 0),
+                BreakerState::HalfOpen { successes } => ("half-open", 0, successes),
+            };
+            let bit = |&failed: &bool| if failed { '1' } else { '0' };
+            let window: String = self.outcomes.iter().map(bit).collect();
+            format!("{state};{since};{successes};{window}")
+        }
+
+        /// An open breaker that pushed every outcome of `window` (oldest
+        /// first) in turn.
+        fn replay(config: QuarantineConfig, window: &str) -> Self {
+            let mut breaker = DequeBreaker::new(config);
+            window.chars().for_each(|c| breaker.push_outcome(c == '1'));
+            breaker.state = BreakerState::Open { since_tick: 7 };
+            breaker
+        }
+    }
+
+    /// The bit-ring breaker moves like the `VecDeque` breaker it replaced
+    /// over seeded outcome sequences, for every window from 1 to 64 and
+    /// every trip threshold and observation minimum the fleet's tests
+    /// configure: state, failure rate, probe decision and checkpoint text
+    /// agree after every step, the text reads back to itself, and text
+    /// longer than the window keeps its newest outcomes.
+    #[test]
+    fn bit_ring_breaker_matches_the_deque_breaker() {
+        let mut rng = SmallRng::seed_from_u64(0xB17_5106);
+        for failure_window in 1..=64 {
+            for trip_threshold in [f64::EPSILON, 0.5, 0.75, 0.9, 1.0] {
+                for min_observations in [1, 2, 4, 5, usize::MAX] {
+                    let config = QuarantineConfig {
+                        failure_window,
+                        trip_threshold,
+                        min_observations,
+                        probe_interval: rng.gen_range(1..5),
+                        recovery_successes: rng.gen_range(1..4),
+                        confidence_decay: 0.5,
+                    };
+                    let (mut ring, mut deque) = (CircuitBreaker::new(), DequeBreaker::new(config));
+                    let failure_odds = rng.gen_range(0.05..0.95);
+                    for tick in 0..160u64 {
+                        let attempt = ring.should_attempt(&config, tick);
+                        assert_eq!(attempt, deque.should_attempt(tick), "{config:?} {tick}");
+                        if !attempt {
+                            continue;
+                        }
+                        if rng.gen_bool(failure_odds) {
+                            ring.record_failure(&config, tick);
+                            deque.record_failure(tick);
+                        } else {
+                            ring.record_success(&config);
+                            deque.record_success();
+                        }
+                        assert_eq!(ring.state(), deque.state, "{config:?} {tick}");
+                        assert_eq!(ring.failure_rate(), deque.failure_rate(), "{config:?}");
+                        let text = ring.serialize();
+                        assert_eq!(text, deque.serialize(), "{config:?} {tick}");
+                        let back = CircuitBreaker::deserialize(&config, &text).unwrap();
+                        assert_eq!(back.serialize(), text, "{config:?} {tick}");
+                    }
+                    let len = rng.gen_range(failure_window + 1..=2 * failure_window + 64);
+                    let history: String = (0..len)
+                        .map(|_| if rng.gen_bool(0.5) { '1' } else { '0' })
+                        .collect();
+                    let back = CircuitBreaker::deserialize(&config, &format!("open;7;0;{history}"));
+                    let (back, deque) = (back.unwrap(), DequeBreaker::replay(config, &history));
+                    assert_eq!(back.serialize(), deque.serialize(), "{config:?}");
+                    assert_eq!(back.failure_rate(), deque.failure_rate(), "{config:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -762,7 +930,7 @@ mod tests {
             "closed;x;0;",
         ] {
             assert!(
-                CircuitBreaker::deserialize(config, bad).is_none(),
+                CircuitBreaker::deserialize(&config, bad).is_none(),
                 "{bad:?}"
             );
         }

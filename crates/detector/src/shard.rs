@@ -217,6 +217,8 @@ impl Default for LatencySloConfig {
 
 impl ShardedFleetConfig {
     fn validate(&self) -> Result<(), DetectorError> {
+        self.base.quarantine.validate()?;
+        self.base.mitigation.validate()?;
         if self.shards == 0 || self.shards > MAX_SHARDS {
             return Err(DetectorError::invalid(format!(
                 "shard count {} out of range 1..={MAX_SHARDS}",
@@ -3295,6 +3297,60 @@ mod tests {
             ..ShardedFleetConfig::default()
         })
         .is_err());
+        // What a breaker used to clamp, refused once for the fleet.
+        let quarantine = QuarantineConfig::default();
+        for bad in [
+            QuarantineConfig {
+                failure_window: 0,
+                ..quarantine
+            },
+            QuarantineConfig {
+                failure_window: 65,
+                ..quarantine
+            },
+            QuarantineConfig {
+                trip_threshold: 0.0,
+                ..quarantine
+            },
+            QuarantineConfig {
+                trip_threshold: 1.5,
+                ..quarantine
+            },
+            QuarantineConfig {
+                min_observations: 0,
+                ..quarantine
+            },
+            QuarantineConfig {
+                probe_interval: 0,
+                ..quarantine
+            },
+            QuarantineConfig {
+                recovery_successes: 0,
+                ..quarantine
+            },
+            QuarantineConfig {
+                confidence_decay: f64::NAN,
+                ..quarantine
+            },
+            QuarantineConfig {
+                confidence_decay: 0.0,
+                ..quarantine
+            },
+        ] {
+            let mut config = ShardedFleetConfig::default();
+            config.base.quarantine = bad;
+            let refused = ShardedFleet::new(config);
+            assert!(
+                matches!(refused, Err(DetectorError::InvalidConfig { .. })),
+                "{bad:?}"
+            );
+        }
+        let mut config = ShardedFleetConfig::default();
+        config.base.quarantine.failure_window = 64;
+        assert!(
+            ShardedFleet::new(config).is_ok(),
+            "a 64-outcome window fits"
+        );
     }
 
     /// One seeded contention histogram: all zero, one `u64::MAX` bin,
@@ -4212,13 +4268,20 @@ mod tests {
                                 Some(PairOutcome::Failed { .. }) | None => false,
                             };
                             if w.delivered {
-                                let probed = model[pair].should_attempt(tick).then(|| {
-                                    let seed = mix_seed(config.base.seed, pair as u64, tick);
-                                    let backoff = &config.base.backoff;
-                                    probe_with_retry(&mut source, backoff, seed, pair, tick)
-                                });
+                                let probed =
+                                    model[pair].should_attempt(&config.base, tick).then(|| {
+                                        let seed = mix_seed(config.base.seed, pair as u64, tick);
+                                        let backoff = &config.base.backoff;
+                                        probe_with_retry(&mut source, backoff, seed, pair, tick)
+                                    });
                                 let mut enforcer = clock.clone();
-                                model[pair].step_probed(tick, probed, &mut batch, &mut enforcer);
+                                model[pair].step_probed(
+                                    tick,
+                                    &config.base,
+                                    probed,
+                                    &mut batch,
+                                    &mut enforcer,
+                                );
                                 modelled_pair_ticks += 1;
                             }
                         }

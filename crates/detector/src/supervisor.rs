@@ -475,17 +475,17 @@ pub(crate) struct Step {
 }
 
 impl Pair {
-    /// Starts loading what the pair's next tick touches: the pair itself,
-    /// its window's ring slot and arena ends, and its breaker's outcomes.
-    /// A shard's pairs are cold by their next tick (a `fleet_10k` fleet's
-    /// state is tens of MiB), and each sits behind several allocations.
+    /// Starts loading what the pair's next tick touches: the pair itself
+    /// (its breaker and containment ladder inline) and its window's ring
+    /// slot and arena ends. A shard's pairs are cold by their next tick (a
+    /// `fleet_10k` fleet's state is tens of MiB), and each window sits
+    /// behind several allocations.
     fn prefetch(&self) {
         let at = (self as *const Pair).cast::<u8>();
         for offset in (0..size_of::<Pair>()).step_by(64) {
             prefetch(at.wrapping_add(offset));
         }
         self.window.prefetch();
-        self.record.breaker.prefetch();
     }
 
     /// Moves the pair one tick: counts `retries` probe retries, settles
@@ -496,16 +496,18 @@ impl Pair {
     /// verdict and ladder stand still. When the breaker closes from
     /// quarantine on a contained pair, the ladder forgets its verdict
     /// streaks: they froze while the probe was failing, so escalating or
-    /// stepping down must take fresh evidence. `deadline_us` (0: none) is
-    /// the analysis budget. Allocates only to build a failure's error.
+    /// stepping down must take fresh evidence. `config` is the shard's:
+    /// its analysis deadline (0: none), quarantine and containment
+    /// policies. Allocates only to build a failure's error.
     pub(crate) fn step<E: MitigationEnforcer + ?Sized>(
         &mut self,
         tick: u64,
-        deadline_us: u64,
+        config: &SupervisorConfig,
         retries: u32,
         event: PairEvent,
         enforcer: &mut E,
     ) -> Step {
+        let (quarantine, ladder) = (&config.quarantine, &config.mitigation);
         let record = &mut self.record;
         let (breaker_was, verdict_was) = (record.breaker.state(), self.last_verdict);
         record.retries += u64::from(retries);
@@ -516,7 +518,7 @@ impl Pair {
         };
         let (outcome, elapsed_us) = match event {
             PairEvent::Skipped => {
-                record.confidence *= record.breaker.config().confidence_decay;
+                record.confidence *= quarantine.confidence_decay;
                 let confidence = record.confidence;
                 (PairOutcome::Skipped { confidence }, None)
             }
@@ -526,7 +528,7 @@ impl Pair {
                 record.failures += 1;
                 record.confidence = 0.0;
                 self.evidence = 0.0;
-                record.breaker.record_failure(tick);
+                record.breaker.record_failure(quarantine, tick);
                 let context = record.label.to_string();
                 let error = DetectorError::AnalysisPanicked { context, message };
                 (PairOutcome::Failed { error, recovery }, None)
@@ -544,11 +546,11 @@ impl Pair {
                 self.evidence = evidence_share(&status);
                 let error = match error {
                     Some(error) => Some(error),
-                    None if deadline_us > 0 && elapsed_us > deadline_us => {
+                    None if config.deadline_us > 0 && elapsed_us > config.deadline_us => {
                         record.deadline_misses += 1;
                         Some(DetectorError::DeadlineExceeded {
                             context: record.label.to_string(),
-                            budget_us: deadline_us,
+                            budget_us: config.deadline_us,
                             elapsed_us,
                         })
                     }
@@ -561,12 +563,12 @@ impl Pair {
                 };
                 let outcome = match error {
                     None => {
-                        record.breaker.record_success();
+                        record.breaker.record_success(quarantine);
                         PairOutcome::Analyzed(status)
                     }
                     Some(error) => {
                         record.failures += 1;
-                        record.breaker.record_failure(tick);
+                        record.breaker.record_failure(quarantine, tick);
                         PairOutcome::Degraded { status, error }
                     }
                 };
@@ -583,7 +585,11 @@ impl Pair {
         let covert = self.last_verdict.is_covert();
         let mitigation = match outcome {
             PairOutcome::Skipped { .. } => None,
-            _ => Some(record.mitigation.drive(covert, tick, self.index, enforcer)),
+            _ => Some(
+                record
+                    .mitigation
+                    .drive(ladder, covert, tick, self.index, enforcer),
+            ),
         };
         Step {
             outcome,
@@ -724,8 +730,7 @@ impl Roster {
     /// # Errors
     ///
     /// Returns [`DetectorError::CorruptCheckpoint`] when checkpoints exist
-    /// but no generation validates, storage faults, parse errors, and
-    /// config-validation errors.
+    /// but no generation validates, storage faults and parse errors.
     pub(crate) fn read(
         store: &CheckpointStore,
         config: &SupervisorConfig,
@@ -733,8 +738,7 @@ impl Roster {
         let Some(loaded) = store.load_latest(MANIFEST_NAME)? else {
             return Ok(None);
         };
-        let (tick, records, windows) =
-            parse_manifest(&loaded.payload, config.quarantine, config.mitigation)?;
+        let (tick, records, windows) = parse_manifest(&loaded.payload, config)?;
         Ok(Some(Roster {
             tick,
             from: provenance(&loaded),
@@ -1364,8 +1368,6 @@ pub(crate) struct Supervisor {
     /// (fresh, moved in, restored or rebuilt) shares its configuration
     /// `Arc` and has its capacity.
     blank: OnlineWindow,
-    /// The containment policy a new pair starts with.
-    idle: MitigationPolicy,
     pairs: Vec<Pair>,
     /// The counts of `pairs` kept where they change.
     counts: PairCounts,
@@ -1394,18 +1396,16 @@ impl Supervisor {
     /// # Errors
     ///
     /// Returns [`DetectorError::InvalidConfig`] if `window_quanta` is zero
-    /// or the detection or mitigation config is invalid.
+    /// or the detection config is invalid.
     pub(crate) fn new(
         config: SupervisorConfig,
         registry: Registry,
         tracer: Tracer,
     ) -> Result<Self, DetectorError> {
         let blank = OnlineWindow::new(PairKind::Contention, config.hunter, config.window_quanta)?;
-        let idle = MitigationPolicy::new(config.mitigation)?;
         let metrics = FleetMetrics::register(&registry);
         Ok(Supervisor {
             blank,
-            idle,
             config,
             pairs: Vec::new(),
             counts: PairCounts::default(),
@@ -1462,8 +1462,8 @@ impl Supervisor {
         PairRecord {
             label,
             kind,
-            breaker: CircuitBreaker::new(self.config.quarantine),
-            mitigation: self.idle.clone(),
+            breaker: CircuitBreaker::new(),
+            mitigation: MitigationPolicy::default(),
             confidence: 0.0,
             degraded: false,
             restored_from: None,
@@ -1561,10 +1561,9 @@ impl Supervisor {
     /// with no open breaker is not walked.
     pub(crate) fn held_back(&self, tick: u64, held: &mut Vec<usize>) {
         if self.counts.open_breakers > 0 {
-            let pairs = self
-                .pairs
-                .iter()
-                .filter(|p| !p.record.breaker.should_attempt(tick));
+            let quarantine = &self.config.quarantine;
+            let pairs = self.pairs.iter();
+            let pairs = pairs.filter(|p| !p.record.breaker.should_attempt(quarantine, tick));
             held.extend(pairs.map(|p| p.index));
         }
     }
@@ -1592,7 +1591,7 @@ impl Supervisor {
         batch: &mut ShardBatch,
         enforcer: &mut E,
     ) {
-        let (deadline_us, started) = (self.config.deadline_us, Instant::now());
+        let started = Instant::now();
         let mut flight = std::mem::take(&mut self.in_flight);
         let shard = Ticking(self);
         let mut cells = batch.cells.iter().peekable();
@@ -1621,7 +1620,7 @@ impl Supervisor {
                     }
                 }
             };
-            let step = shard.0.pairs[slot].step(tick, deadline_us, retries, event, enforcer);
+            let step = shard.0.pairs[slot].step(tick, &shard.0.config, retries, event, enforcer);
             let (sup, reports) = (&mut *shard.0, &mut flight.reports);
             sup.report(slot, tick, retries, backoff_us, step, reports);
         }
@@ -2191,14 +2190,13 @@ type WindowRanges = Option<Vec<Range<usize>>>;
 
 /// Parses a checkpoint payload: the manifest written by
 /// [`PairRecord::write`] into its tick and pair records, in slot order,
-/// and the window section after it into [`WindowRanges`]. A pair without a
-/// `mit,` line gets an idle containment policy.
+/// and the window section after it into [`WindowRanges`], under the
+/// shard's `config`. A pair without a `mit,` line gets an idle containment
+/// policy.
 fn parse_manifest(
     payload: &[u8],
-    quarantine: QuarantineConfig,
-    mitigation: MitigationConfig,
+    config: &SupervisorConfig,
 ) -> Result<(u64, Vec<PairRecord>, WindowRanges), DetectorError> {
-    let idle = MitigationPolicy::new(mitigation)?;
     let (mut tick, mut declared, mut pairs) = (None, None, Vec::<PairRecord>::new());
     // The pair whose `mit,` line has been read, to refuse a duplicate.
     let mut annotated: Option<usize> = None;
@@ -2255,7 +2253,7 @@ fn parse_manifest(
                     other => return Err(bad(format!("unknown pair kind {other:?}"))),
                 };
                 let breaker_field = fields.next().unwrap_or("");
-                let breaker = CircuitBreaker::deserialize(quarantine, breaker_field)
+                let breaker = CircuitBreaker::deserialize(&config.quarantine, breaker_field)
                     .ok_or_else(|| bad(format!("bad breaker state {breaker_field:?}")))?;
                 let confidence: f64 = parse_field(fields.next(), "confidence", line_no)?;
                 if !(0.0..=1.0).contains(&confidence) {
@@ -2269,7 +2267,7 @@ fn parse_manifest(
                     label: fields.next().unwrap_or("").into(),
                     kind,
                     breaker,
-                    mitigation: idle.clone(),
+                    mitigation: MitigationPolicy::default(),
                     confidence,
                     degraded: false,
                     restored_from: None,
@@ -2302,7 +2300,7 @@ fn parse_manifest(
                         return Err(bad(format!("duplicate mitigation line for pair {at}")));
                     }
                     Some(policy) => {
-                        pairs[at].mitigation = MitigationPolicy::deserialize(mitigation, policy)
+                        pairs[at].mitigation = MitigationPolicy::deserialize(policy)
                             .ok_or_else(|| bad(format!("bad containment state {policy:?}")))?;
                     }
                 }
@@ -2847,10 +2845,10 @@ mod tests {
             pair.window = OnlineWindow::restore(pair.record.kind, config, text.as_slice()).unwrap();
             let record = &mut pair.record;
             let breaker = record.breaker.serialize();
-            record.breaker = CircuitBreaker::deserialize(self.config.quarantine, &breaker).unwrap();
-            let policy = record.mitigation.serialize();
+            record.breaker =
+                CircuitBreaker::deserialize(&self.config.quarantine, &breaker).unwrap();
             record.mitigation =
-                MitigationPolicy::deserialize(self.config.mitigation, &policy).unwrap();
+                MitigationPolicy::deserialize(&record.mitigation.serialize()).unwrap();
         }
     }
 
@@ -2869,18 +2867,20 @@ mod tests {
     }
 
     impl Pair {
-        /// Steps the pair at `tick` the way a shard tick does, on `probed`
-        /// (`None`: its breaker held it back, see [`Pair::should_attempt`]), with no watchdog: a reference model's tick. The
-        /// input goes through a one-cell `batch`, as at the probe.
+        /// Steps the pair at `tick` under `config` the way a shard tick
+        /// does, on `probed` (`None`: its breaker held it back, see
+        /// [`Pair::should_attempt`]), taking no time: a reference model's
+        /// tick. The input goes through a one-cell `batch`, as at the probe.
         pub(crate) fn step_probed<E: MitigationEnforcer + ?Sized>(
             &mut self,
             tick: u64,
+            config: &SupervisorConfig,
             probed: Option<ProbedInput>,
             batch: &mut ShardBatch,
             enforcer: &mut E,
         ) -> Step {
             let Some(probed) = probed else {
-                return self.step(tick, 0, 0, PairEvent::Skipped, enforcer);
+                return self.step(tick, config, 0, PairEvent::Skipped, enforcer);
             };
             let retries = probed.retries;
             batch.reset();
@@ -2891,12 +2891,13 @@ mod tests {
                 pushed,
                 elapsed_us: 0,
             };
-            self.step(tick, 0, retries, event, enforcer)
+            self.step(tick, config, retries, event, enforcer)
         }
 
-        /// Whether the pair's breaker lets it be probed at `tick`.
-        pub(crate) fn should_attempt(&self, tick: u64) -> bool {
-            self.record.breaker.should_attempt(tick)
+        /// Whether the pair's breaker lets it be probed at `tick` under
+        /// `config`.
+        pub(crate) fn should_attempt(&self, config: &SupervisorConfig, tick: u64) -> bool {
+            self.record.breaker.should_attempt(&config.quarantine, tick)
         }
 
         /// Records a residual reading into the pair's containment policy.
@@ -2912,16 +2913,14 @@ mod tests {
     fn manifest_records_rewrite_the_golden_manifest_byte_for_byte() {
         let golden = include_str!("../tests/golden/supervisor_manifest_v1.txt");
         let config = SupervisorConfig::default();
-        let (tick, records, windows) =
-            parse_manifest(golden.as_bytes(), config.quarantine, config.mitigation).unwrap();
+        let (tick, records, windows) = parse_manifest(golden.as_bytes(), &config).unwrap();
         assert!(windows.is_none(), "the manifest carries no window section");
         assert_eq!(write_manifest(tick, records.iter()), golden);
     }
 
     #[test]
     fn manifest_parser_rejects_garbage() {
-        let q = QuarantineConfig::default();
-        let m = MitigationConfig::default();
+        let config = &SupervisorConfig::default();
         for bad in [
             &b""[..],
             b"not-a-manifest\nend\n",
@@ -2936,23 +2935,24 @@ mod tests {
             // A degraded mark naming the largest pair index.
             b"cchunter-supervisor,v1\ntick,5\npair,0,contention,closed;0;0;,1,0,0,0,0,x\ndeg,18446744073709551615\nend\n",
         ] {
-            assert!(parse_manifest(bad, q, m).is_err(), "{bad:?}");
+            assert!(parse_manifest(bad, config).is_err(), "{bad:?}");
         }
         // A v1 manifest without mit lines still parses (idle policy).
         let ok =
             b"cchunter-supervisor,v1\ntick,5\npair,0,contention,closed;0;0;,1,0,0,0,0,x\nend\n";
-        let (_, records, _) = parse_manifest(ok, q, m).unwrap();
-        assert_eq!(records[0].mitigation, MitigationPolicy::new(m).unwrap());
+        let (_, records, _) = parse_manifest(ok, config).unwrap();
+        assert_eq!(records[0].mitigation, MitigationPolicy::default());
     }
 
     /// A checkpoint's window section must list every pair in order, each
     /// window's bytes exactly, and nothing after them.
     #[test]
     fn window_sections_are_read_whole() {
-        let (q, m) = (QuarantineConfig::default(), MitigationConfig::default());
+        let config = &SupervisorConfig::default();
         let manifest =
             "cchunter-supervisor,v1\ntick,5\npair,0,contention,closed;0;0;,1,0,0,0,0,x\nend\n";
-        let parse = |section: &str| parse_manifest(format!("{manifest}{section}").as_bytes(), q, m);
+        let parse =
+            |section: &str| parse_manifest(format!("{manifest}{section}").as_bytes(), config);
         let (_, _, windows) = parse("window,0,3\nabc").unwrap();
         let start = manifest.len() + "window,0,3\n".len();
         let windows = windows.expect("a window section");
@@ -3211,8 +3211,8 @@ mod tests {
         );
         let shadow = fleet.shadow_checkpoint(0).expect("shadow present");
         assert_eq!(shadow.tick, 2);
-        let (q, m) = (QuarantineConfig::default(), MitigationConfig::default());
-        let (at, records, windows) = parse_manifest(&shadow.payload, q, m).unwrap();
+        let base = &SupervisorConfig::default();
+        let (at, records, windows) = parse_manifest(&shadow.payload, base).unwrap();
         assert_eq!(
             (at, records.len(), windows.map(|w| w.len())),
             (2, 1, Some(1)),
@@ -3249,11 +3249,17 @@ mod tests {
         cleanup(&root);
     }
 
+    /// A pair stepped directly under its shard's config.
+    struct Stepped {
+        pair: Pair,
+        config: SupervisorConfig,
+    }
+
     /// A fresh contention pair of a four-quantum table, stepped directly:
     /// one failure trips its breaker, each probe tick is a recovery probe,
     /// and `recovery_successes` of them close it. Three covert verdicts
     /// convict, three clean ones step down.
-    fn stepped_pair(recovery_successes: u32) -> Pair {
+    fn stepped_pair(recovery_successes: u32) -> Stepped {
         let table = Supervisor::new(
             SupervisorConfig {
                 window_quanta: 4,
@@ -3277,12 +3283,16 @@ mod tests {
         )
         .unwrap();
         let record = table.record("bus: t <-> s".into(), PairKind::Contention);
-        table.admitted(0, record, WindowSource::Fresh)
+        let pair = table.admitted(0, record, WindowSource::Fresh);
+        Stepped {
+            pair,
+            config: table.config,
+        }
     }
 
     /// Steps `pair` at `tick` with a covert or quiet harvest, or (`None`)
     /// a probe that missed after its retries.
-    fn feed(pair: &mut Pair, tick: u64, covert: Option<bool>) -> Step {
+    fn feed(stepped: &mut Stepped, tick: u64, covert: Option<bool>) -> Step {
         let input = match covert {
             None => PairInput::Missed,
             Some(true) => PairInput::Harvest(Harvest::Complete(covert_histogram())),
@@ -3294,15 +3304,20 @@ mod tests {
             backoff_us: 0,
         };
         let batch = &mut ShardBatch::default();
-        pair.step_probed(tick, Some(probed), batch, &mut AdvisoryEnforcer)
+        let (pair, config) = (&mut stepped.pair, &stepped.config);
+        pair.step_probed(tick, config, Some(probed), batch, &mut AdvisoryEnforcer)
     }
 
     /// Convicts `pair` on covert harvests from tick 0; returns the next
     /// tick. Conviction clears the covert streak.
-    fn convict(pair: &mut Pair) -> u64 {
+    fn convict(stepped: &mut Stepped) -> u64 {
         for tick in 0..8 {
-            if feed(pair, tick, Some(true)).mitigation.unwrap().convicted {
-                assert!(pair.record.mitigation.is_contained());
+            if feed(stepped, tick, Some(true))
+                .mitigation
+                .unwrap()
+                .convicted
+            {
+                assert!(stepped.pair.record.mitigation.is_contained());
                 return tick + 1;
             }
         }
@@ -3315,17 +3330,17 @@ mod tests {
     /// forgotten when the breaker closes.
     #[test]
     fn a_contained_pair_leaving_quarantine_escalates_on_fresh_covert_verdicts() {
-        let mut pair = stepped_pair(1);
-        let tick = convict(&mut pair);
-        feed(&mut pair, tick, Some(true));
-        feed(&mut pair, tick + 1, None);
-        assert!(pair.record.breaker.is_quarantined());
-        let recovery = feed(&mut pair, tick + 2, Some(true));
-        assert!(recovery.streaks_reset && !pair.record.breaker.is_quarantined());
+        let mut stepped = stepped_pair(1);
+        let tick = convict(&mut stepped);
+        feed(&mut stepped, tick, Some(true));
+        feed(&mut stepped, tick + 1, None);
+        assert!(stepped.pair.record.breaker.is_quarantined());
+        let recovery = feed(&mut stepped, tick + 2, Some(true));
+        assert!(recovery.streaks_reset && !stepped.pair.record.breaker.is_quarantined());
         let mut escalations = vec![recovery.mitigation.unwrap().escalations];
         for at in tick + 3..tick + 5 {
             escalations.push(
-                feed(&mut pair, at, Some(true))
+                feed(&mut stepped, at, Some(true))
                     .mitigation
                     .unwrap()
                     .escalations,
@@ -3338,27 +3353,30 @@ mod tests {
     /// `step_down_streak` fresh clean verdicts.
     #[test]
     fn a_contained_pair_leaving_quarantine_steps_down_on_fresh_clean_verdicts() {
-        let mut pair = stepped_pair(1);
-        let mut tick = convict(&mut pair);
+        let mut stepped = stepped_pair(1);
+        let mut tick = convict(&mut stepped);
         // Quiet quanta push the covert ones out until the first clean
         // verdict: a clean streak of one, and a second on the failure.
-        while pair.last_verdict.is_covert() {
-            feed(&mut pair, tick, Some(false));
+        while stepped.pair.last_verdict.is_covert() {
+            feed(&mut stepped, tick, Some(false));
             tick += 1;
         }
-        feed(&mut pair, tick, None);
-        assert!(pair.record.breaker.is_quarantined());
-        assert!(!pair.last_verdict.is_covert());
+        feed(&mut stepped, tick, None);
+        assert!(stepped.pair.record.breaker.is_quarantined());
+        assert!(!stepped.pair.last_verdict.is_covert());
         let step_downs: Vec<u32> = (tick + 1..tick + 4)
             .map(|at| {
-                feed(&mut pair, at, Some(false))
+                feed(&mut stepped, at, Some(false))
                     .mitigation
                     .unwrap()
                     .step_downs
             })
             .collect();
         assert_eq!(step_downs, [0, 0, 1], "the third fresh clean verdict");
-        assert_eq!(pair.record.mitigation.state(), ContainmentState::Inactive);
+        assert_eq!(
+            stepped.pair.record.mitigation.state(),
+            ContainmentState::Inactive
+        );
     }
 
     /// An uncontained pair keeps its covert streak through quarantine: it
@@ -3366,13 +3384,13 @@ mod tests {
     /// row.
     #[test]
     fn an_uncontained_pair_keeps_its_streaks_through_quarantine() {
-        let mut pair = stepped_pair(1);
-        feed(&mut pair, 0, Some(true));
-        feed(&mut pair, 1, Some(true));
-        feed(&mut pair, 2, None);
-        assert!(pair.record.breaker.is_quarantined());
-        let recovery = feed(&mut pair, 3, Some(true));
-        assert!(!pair.record.breaker.is_quarantined());
+        let mut stepped = stepped_pair(1);
+        feed(&mut stepped, 0, Some(true));
+        feed(&mut stepped, 1, Some(true));
+        feed(&mut stepped, 2, None);
+        assert!(stepped.pair.record.breaker.is_quarantined());
+        let recovery = feed(&mut stepped, 3, Some(true));
+        assert!(!stepped.pair.record.breaker.is_quarantined());
         assert!(!recovery.streaks_reset);
         assert!(recovery.mitigation.unwrap().convicted);
     }
@@ -3382,19 +3400,30 @@ mod tests {
     /// escalates there.
     #[test]
     fn a_failed_recovery_probe_resets_no_streak() {
-        let mut pair = stepped_pair(2);
-        let tick = convict(&mut pair);
-        feed(&mut pair, tick, None);
-        feed(&mut pair, tick + 1, Some(true));
+        let mut stepped = stepped_pair(2);
+        let tick = convict(&mut stepped);
+        feed(&mut stepped, tick, None);
+        feed(&mut stepped, tick + 1, Some(true));
         let half_open = BreakerState::HalfOpen { successes: 1 };
-        assert_eq!(pair.record.breaker.state(), half_open);
-        let reopened = feed(&mut pair, tick + 2, None);
+        assert_eq!(stepped.pair.record.breaker.state(), half_open);
+        let reopened = feed(&mut stepped, tick + 2, None);
         assert!(matches!(
-            pair.record.breaker.state(),
+            stepped.pair.record.breaker.state(),
             BreakerState::Open { .. }
         ));
         assert!(!reopened.streaks_reset);
         assert_eq!(reopened.mitigation.unwrap().escalations, 1);
+    }
+
+    /// A pair holds only its own state: its breaker's outcome window is an
+    /// inline bit ring, and neither the breaker (104 bytes before) nor the
+    /// containment ladder (168) copies the shard's config. A pair was 568
+    /// bytes while they did.
+    #[test]
+    fn a_pair_holds_no_copy_of_its_shards_config() {
+        assert_eq!(size_of::<Pair>(), 464);
+        assert!(size_of::<CircuitBreaker>() <= 32);
+        assert!(size_of::<MitigationPolicy>() <= 136);
     }
 
     #[test]
@@ -3581,7 +3610,7 @@ mod tests {
                 .into_iter()
                 .enumerate()
                 .map(|(slot, event)| {
-                    table.pairs[slot].step(tick, 0, 0, event.unwrap(), &mut enforcer)
+                    table.pairs[slot].step(tick, &table.config, 0, event.unwrap(), &mut enforcer)
                 })
                 .collect();
             timed(3, started);
